@@ -14,14 +14,12 @@ from .instruments import (PortfolioState, RepoPosition, RepoRegistry,
                           mark_treasuries, open_reverse_repo, roll_repo,
                           step_portfolio)
 from .ledger import (AgentId, AgentKind, AuditReport, BalanceSheet, DurationClass,
-                     Instrument, InstrumentKind, LedgerWorld, WorldSnapshot,
-                     audit, post_transfer, snapshot)
+                     Instrument, InstrumentKind, LedgerWorld, WorldSnapshot)
 from .market import (DealerBook, DealerChain, FillReport, Market, MarketParams,
                      VolumeDecomposition, decompose)
 from .money import MICRO, PAR, Amount, mul_div, mul_frac
 from .settlement import (AccessMode, Funding, IssuerBook, ParMode, ParPolicy,
-                         RedemptionRequest, Route, SettlementEngine,
-                         SettlementPlan, intervene, plan_mint, plan_redemption,
-                         srf_leg)
+                         RedemptionRequest, Route, SettlementEngine, intervene,
+                         plan_mint)
 
 __version__ = "0.1.0"

@@ -154,11 +154,6 @@ def _endow_coins(world: LedgerWorld, issuer: AgentId, holder: AgentId,
     ])
 
 
-def _exogenous_deposit_credit(world: LedgerWorld, agent: AgentId, amount: Amount) -> None:
-    """Income arriving from outside the modeled sectors (e.g. coupon interest)."""
-    _endow_deposits(world, agent, amount)
-
-
 def build_scenario(config: ScenarioConfig) -> Scenario:
     from .instruments import open_reverse_repo
 
@@ -220,8 +215,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
             agent=agent, policy=config.policies.par_policy,
             access_mode=config.policies.access_mode, eligible=eligible,
             chain=cfg.chain, mint_invest_frac=cfg.mint_invest_frac,
-            operating_cost_per_day=cfg.operating_cost_per_day,
-            genius_compliant=cfg.genius_compliant)
+            operating_cost_per_day=cfg.operating_cost_per_day)
         issuer_cfg[agent.key] = cfg
         principal = cfg.allocation["repo"]
         if principal > 0:
@@ -328,6 +322,25 @@ def _coin_holders(scn: Scenario, issuer: AgentId) -> list:
     return out
 
 
+def _redeem_from_holders(scn: Scenario, book: IssuerBook, amount: Amount,
+                         route: Route, is_intervention: bool = False) -> Amount:
+    """Queue redemptions of up to `amount`, sliced across coin holders in
+    key order, each giving its uncommitted coins; returns the amount placed."""
+    issuer = book.agent
+    placed = 0
+    for holder in _coin_holders(scn, issuer):
+        if placed >= amount:
+            break
+        slice_ = min(amount - placed, _available_coins(scn, holder, issuer))
+        if slice_ <= 0:
+            continue
+        scn.settle.submit_redemption(book, holder, slice_, route,
+                                     is_intervention=is_intervention)
+        _commit_coins(scn, holder, issuer, slice_)
+        placed += slice_
+    return placed
+
+
 def _route_demand(scn: Scenario, book: IssuerBook, demand: Amount,
                   suspended: set) -> None:
     """Turn demand into redemption requests per the access mode."""
@@ -338,32 +351,13 @@ def _route_demand(scn: Scenario, book: IssuerBook, demand: Amount,
     world = scn.world
     if book.chain in suspended:
         # intent exists but nothing can move on-chain; it queues
-        remaining = demand
-        for holder in _coin_holders(scn, issuer):
-            if remaining <= 0:
-                break
-            slice_ = min(remaining, _available_coins(scn, holder, issuer))
-            if slice_ <= 0:
-                continue
-            record = scn.settle.submit_redemption(
-                book, holder, slice_,
-                Route.DIRECT if book.access_mode is AccessMode.DIRECT
-                else Route.VIA_INTERMEDIARY)
-            _commit_coins(scn, holder, issuer, slice_)
-            remaining -= slice_
+        route = (Route.DIRECT if book.access_mode is AccessMode.DIRECT
+                 else Route.VIA_INTERMEDIARY)
+        _redeem_from_holders(scn, book, demand, route)
         scn.unserved_today[key] = scn.unserved_today.get(key, 0) + demand
         return
     if book.access_mode is AccessMode.DIRECT:
-        remaining = demand
-        for holder in _coin_holders(scn, issuer):
-            if remaining <= 0:
-                break
-            slice_ = min(remaining, _available_coins(scn, holder, issuer))
-            if slice_ <= 0:
-                continue
-            scn.settle.submit_redemption(book, holder, slice_, Route.DIRECT)
-            _commit_coins(scn, holder, issuer, slice_)
-            remaining -= slice_
+        remaining = demand - _redeem_from_holders(scn, book, demand, Route.DIRECT)
         if remaining > 0:
             scn.unserved_today[key] = scn.unserved_today.get(key, 0) + remaining
         return
@@ -417,18 +411,8 @@ def _run_intervention(scn: Scenario, book: IssuerBook, suspended: set) -> None:
     actions = intervene(book.policy, conf.secondary_price, scn.world, book.agent)
     for action in actions:
         if action.kind == "buy":
-            placed = 0
-            for holder in _coin_holders(scn, book.agent):
-                if placed >= action.amount:
-                    break
-                slice_ = min(action.amount - placed,
-                             _available_coins(scn, holder, book.agent))
-                if slice_ <= 0:
-                    continue
-                scn.settle.submit_redemption(book, holder, slice_, Route.DIRECT,
-                                             is_intervention=True)
-                _commit_coins(scn, holder, book.agent, slice_)
-                placed += slice_
+            placed = _redeem_from_holders(scn, book, action.amount, Route.DIRECT,
+                                          is_intervention=True)
             scn.int_buy_requested[key] = scn.int_buy_requested.get(key, 0) + placed
             book.pin_target = action.pin_target
             scn.world.emit("intervention", issuer=key, kind="buy",
@@ -454,7 +438,7 @@ def _fed_bill_purchase(scn: Scenario, issuer: AgentId, value: Amount) -> Amount:
     if face <= 0:
         return 0
     moved = world.transfer_tbill(issuer, FED, DurationClass.BILL, face=face)
-    _exogenous_deposit_credit(world, issuer, moved)
+    _endow_deposits(world, issuer, moved)
     world.emit("reserve_access_sale", issuer=issuer.key, proceeds=moved)
     return moved
 
@@ -472,7 +456,7 @@ def _accrue(scn: Scenario) -> None:
         if rates.treasury_rate_daily > 0:
             interest = mul_frac(world.tbill_value(agent), rates.treasury_rate_daily)
             if interest > 0:
-                _exogenous_deposit_credit(world, agent, interest)
+                _endow_deposits(world, agent, interest)
         if rates.deposit_rate_daily > 0:
             interest = mul_frac(opening_deposits, rates.deposit_rate_daily)
             if interest > 0:

@@ -132,10 +132,6 @@ class RepoRegistry:
     def free_face(self, world: LedgerWorld, agent: AgentId, duration: DurationClass) -> int:
         return world.face_of(agent, duration) - self.encumbered_face(agent, duration)
 
-    def free_value(self, world: LedgerWorld, agent: AgentId) -> Amount:
-        return sum(mul_frac(self.free_face(world, agent, d), world.price(d))
-                   for d in DurationClass)
-
     def _encumber(self, agent: AgentId, duration: DurationClass, face: int) -> None:
         key = (agent.key, duration)
         self.encumbered[key] = self.encumbered.get(key, 0) + face

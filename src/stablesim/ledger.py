@@ -543,16 +543,3 @@ class LedgerWorld:
         }
         return WorldSnapshot(data=copy.deepcopy(data))
 
-
-def post_transfer(world: LedgerWorld, frm: AgentId, to: AgentId,
-                  instrument: Instrument, amount: int) -> LedgerWorld:
-    world.post_transfer(frm, to, instrument, amount)
-    return world
-
-
-def audit(world: LedgerWorld) -> AuditReport:
-    return world.audit()
-
-
-def snapshot(world: LedgerWorld) -> WorldSnapshot:
-    return world.snapshot()

@@ -35,7 +35,3 @@ class SplitMix64:
         if hi < lo:
             raise ValueError("empty range")
         return lo + self.randrange(hi - lo + 1)
-
-    def fork(self) -> "SplitMix64":
-        """Independent child stream derived from this one."""
-        return SplitMix64(self.next_u64())

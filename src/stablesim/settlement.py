@@ -15,10 +15,6 @@ Par policy: a rigorously fixed regime stands ready to buy below par and
 mint above; a corridor acts only outside its band; best effort never
 intervenes in the open market. Intervention purchases are ordinary
 redemptions at par initiated by the issuer against the largest holders.
-
-The standing-repo-facility leg lets a dealer borrow reserves against
-its Treasuries, growing its recorded assets by the draw, so leverage
-headroom, not the facility, remains the binding constraint.
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ from .instruments import (InstrumentError, RepoRegistry, close_or_default_repo,
                           open_reverse_repo, roll_repo)
 from .ledger import (AgentId, DurationClass, Instrument, InstrumentKind,
                      InsufficientPosition, LedgerWorld, coin_key, deposit_key)
-from .market import DealerBook, draw_srf
 from .money import MICRO, PAR, Amount, mul_frac
 
 
@@ -44,23 +39,6 @@ class IneligibleRedeemer(SettlementError):
 
 class MintDeclined(SettlementError):
     pass
-
-
-class SlrBound(SettlementError):
-    pass
-
-
-class Disabled(SettlementError):
-    pass
-
-
-@dataclass(frozen=True)
-class LegFailed(SettlementError):
-    leg: str
-    cause: str
-
-    def __str__(self) -> str:
-        return f"leg {self.leg} failed: {self.cause}"
 
 
 class AccessMode(Enum):
@@ -109,38 +87,6 @@ class RedemptionRequest:
             raise SettlementError("redemption amount must be positive")
 
 
-class LegAction(Enum):
-    USE_DEPOSITS = "use_deposits"
-    PLACE_SALE = "place_sale"
-    AWAIT_PROCEEDS = "await_proceeds"
-    DECLINE_ROLL = "decline_roll"
-    PAY_AND_BURN = "pay_and_burn"
-    MOVE_DEPOSIT = "move_deposit"
-    BUY_BILLS = "buy_bills"
-    CREDIT_COINS = "credit_coins"
-
-
-@dataclass(frozen=True)
-class Leg:
-    offset: int
-    action: LegAction
-    amount: Amount
-
-
-@dataclass(frozen=True)
-class SettlementPlan:
-    issuer: AgentId
-    beneficiary: AgentId
-    amount: Amount
-    funding: Funding
-    legs: tuple
-    created_day: int
-
-    @property
-    def horizon(self) -> int:
-        return max((leg.offset for leg in self.legs), default=0)
-
-
 @dataclass(frozen=True)
 class IssuerAction:
     kind: str       # "buy" or "mint"
@@ -174,22 +120,15 @@ def intervene(policy: ParPolicy, secondary_price: int, world: LedgerWorld,
     return []
 
 
-def srf_leg(dealer: AgentId, amount: Amount, world: LedgerWorld, book: DealerBook,
-            enabled: bool, bound_override: int | None = None) -> None:
-    """Borrow reserves from the central bank against Treasuries held.
-
-    The draw grows the dealer's recorded assets, so it must fit inside
-    current leverage headroom; the facility cannot manufacture
-    balance-sheet room.
-    """
-    if not enabled:
-        raise Disabled("standing repo facility is not enabled")
-    if world.tbill_value(dealer) < amount:
-        raise SettlementError(f"{dealer} holds insufficient Treasuries for the draw")
-    headroom = book.headroom(world, bound_override)
-    if headroom < amount:
-        raise SlrBound(f"draw {amount} exceeds leverage headroom {headroom}")
-    draw_srf(world, book, amount)
+def plan_mint(amount: Amount, book: IssuerBook, secondary_price: int,
+              treasury_rate: int, negative_carry_refusal: bool) -> None:
+    """Check that a mint may be queued; raise if it is declined."""
+    if amount <= 0:
+        raise SettlementError("mint amount must be positive")
+    if negative_carry_refusal and treasury_rate <= 0:
+        raise MintDeclined("negative carry: securities yield nothing to invest in")
+    if book.policy.mode is ParMode.BEST_EFFORT and secondary_price < PAR:
+        raise MintDeclined("below par on the secondary market")
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +139,7 @@ def srf_leg(dealer: AgentId, amount: Amount, world: LedgerWorld, book: DealerBoo
 @dataclass
 class OpenRequest:
     request: RedemptionRequest
-    plan: SettlementPlan | None = None
+    planned: bool = False
     from_deposits: Amount = 0
     from_pool: Amount = 0
     horizon: int = 0
@@ -210,10 +149,6 @@ class OpenRequest:
     completed_day: int | None = None
     is_intervention: bool = False
     counted_delayed: bool = False
-
-    @property
-    def planned(self) -> bool:
-        return self.plan is not None
 
     @property
     def completed(self) -> bool:
@@ -244,7 +179,6 @@ class IssuerBook:
     chain: str = "main"
     mint_invest_frac: int = 0
     operating_cost_per_day: Amount = 0
-    genius_compliant: bool = True
     requests: list = field(default_factory=list)
     mints: list = field(default_factory=list)
     # funding trackers
@@ -341,8 +275,9 @@ class SettlementEngine:
 
     def submit_mint(self, book: IssuerBook, buyer: AgentId, amount: Amount,
                     secondary_price: int, is_intervention: bool = False) -> MintOrder:
-        plan_mint(buyer, amount, self.world, book, secondary_price,
-                  self.treasury_rate, self.negative_carry_refusal)
+        """Queue a mint; aggregate deposits are unchanged by it."""
+        plan_mint(amount, book, secondary_price, self.treasury_rate,
+                  self.negative_carry_refusal)
         order = MintOrder(buyer=buyer, issuer=book.agent, amount=amount,
                           submitted_day=self.world.day,
                           invest_frac=book.mint_invest_frac,
@@ -351,42 +286,6 @@ class SettlementEngine:
         self.world.emit("mint_request", issuer=book.agent.key, buyer=buyer.key,
                         amount=amount, intervention=is_intervention)
         return order
-
-    def execute_plan(self, plan: SettlementPlan) -> tuple:
-        """Adopt a prepared plan, commit its funding and run today's legs.
-
-        Returns the queued request record plus the sale instructions its
-        PLACE_SALE legs require; the caller routes those to the market.
-        A plan whose legs all settle today (deposit- or non-rollover-
-        funded) completes inside this call once the cash is present.
-        """
-        book = self.issuers[plan.issuer.key]
-        req = RedemptionRequest(self._next_request, plan.beneficiary, plan.issuer,
-                                plan.amount, self.world.day)
-        self._next_request += 1
-        record = OpenRequest(request=req, plan=plan, horizon=plan.horizon)
-        instructions: list[SaleInstruction] = []
-        for leg in plan.legs:
-            if leg.action is LegAction.USE_DEPOSITS:
-                record.from_deposits += leg.amount
-                book.earmarked += leg.amount
-            elif leg.action is LegAction.PLACE_SALE:
-                record.from_pool += leg.amount
-                book.inflight_orders += leg.amount
-                instructions.append(SaleInstruction(book.agent, leg.amount,
-                                                    DurationClass.BILL))
-            elif leg.action is LegAction.DECLINE_ROLL:
-                record.from_pool += leg.amount
-                book.nonroll_pending += leg.amount
-        book.requests.append(record)
-        book.day_requested += plan.amount
-        book.total_requested += plan.amount
-        self.world.emit("plan_adopted", request_id=req.request_id,
-                        issuer=book.agent.key, funding=plan.funding.value,
-                        horizon=plan.horizon)
-        if not instructions and book.nonroll_pending == 0:
-            self._try_pay(book, record)
-        return record, instructions
 
     # -- planning -----------------------------------------------------------
 
@@ -425,34 +324,19 @@ class SettlementEngine:
     def _plan_one(self, book: IssuerBook, record: OpenRequest) -> list:
         amount = record.request.amount
         d = min(amount, self._spare_deposits(book))
-        remaining = amount - d
-        s = min(remaining, self._free_sellable(book))
-        remaining -= s
-        n = min(remaining, self._free_nonroll(book))
-        remaining -= n
-        if remaining > 0:
-            # plan regardless of solvency; uncollectable needs leave the
-            # request queued and show up as delay
-            n += remaining
+        s = min(amount - d, self._free_sellable(book))
+        # the rest is committed to repo non-rollover regardless of
+        # solvency; uncollectable needs leave the request queued and
+        # show up as delay
+        n = amount - d - s
         if n > 0:
             funding = Funding.REPO_NON_ROLLOVER
         elif s > 0:
             funding = Funding.SELL_TREASURIES
         else:
             funding = Funding.FROM_DEPOSITS
-        legs = []
-        if d:
-            legs.append(Leg(0, LegAction.USE_DEPOSITS, d))
-        if s:
-            legs.append(Leg(0, LegAction.PLACE_SALE, s))
-            legs.append(Leg(1, LegAction.AWAIT_PROCEEDS, s))
-        if n:
-            legs.append(Leg(0, LegAction.DECLINE_ROLL, n))
         horizon = 1 if s > 0 else 0
-        legs.append(Leg(horizon, LegAction.PAY_AND_BURN, amount))
-        record.plan = SettlementPlan(
-            issuer=book.agent, beneficiary=record.request.holder, amount=amount,
-            funding=funding, legs=tuple(legs), created_day=self.world.day)
+        record.planned = True
         record.from_deposits = d
         record.from_pool = s + n
         record.horizon = horizon
@@ -700,62 +584,3 @@ class SettlementEngine:
                                     request_id=record.request.request_id,
                                     issuer=key,
                                     age=day - record.request.submitted_day)
-
-
-def plan_mint(buyer: AgentId, amount: Amount, world: LedgerWorld, book: IssuerBook,
-              secondary_price: int, treasury_rate: int,
-              negative_carry_refusal: bool) -> SettlementPlan:
-    """Validate and lay out a mint; aggregate deposits are unchanged by it."""
-    if amount <= 0:
-        raise SettlementError("mint amount must be positive")
-    if negative_carry_refusal and treasury_rate <= 0:
-        raise MintDeclined("negative carry: securities yield nothing to invest in")
-    if book.policy.mode is ParMode.BEST_EFFORT and secondary_price < PAR:
-        raise MintDeclined("below par on the secondary market")
-    legs = [Leg(0, LegAction.MOVE_DEPOSIT, amount)]
-    invest = mul_frac(amount, book.mint_invest_frac)
-    if invest > 0:
-        legs.append(Leg(0, LegAction.BUY_BILLS, invest))
-    legs.append(Leg(0, LegAction.CREDIT_COINS, amount))
-    return SettlementPlan(issuer=book.agent, beneficiary=buyer, amount=amount,
-                          funding=Funding.FROM_DEPOSITS, legs=tuple(legs),
-                          created_day=world.day)
-
-
-def plan_redemption(issuer: AgentId, req: RedemptionRequest, world: LedgerWorld,
-                    registry: RepoRegistry, book: IssuerBook) -> SettlementPlan:
-    """Stand-alone planning of a single request against current resources.
-
-    Chooses deposits if they cover the amount, bill sales next, and repo
-    non-rollover last; mixed funding is labeled by its slowest source.
-    """
-    if (book.access_mode is AccessMode.INTERMEDIATED
-            and req.route is Route.DIRECT
-            and req.holder.key not in book.eligible):
-        raise IneligibleRedeemer(f"{req.holder} may not redeem directly")
-    bank = world.bank_of(issuer)
-    deposits = max(0, world.sheet(issuer).asset(deposit_key(bank)) - book.earmarked - book.pool)
-    d = min(req.amount, deposits)
-    remaining = req.amount - d
-    sellable = max(0, world.tbill_value(issuer) - book.inflight_orders - book.in_transit)
-    s = min(remaining, sellable)
-    remaining -= s
-    n = remaining
-    legs = []
-    if d:
-        legs.append(Leg(0, LegAction.USE_DEPOSITS, d))
-    if s:
-        legs.append(Leg(0, LegAction.PLACE_SALE, s))
-        legs.append(Leg(1, LegAction.AWAIT_PROCEEDS, s))
-    if n:
-        legs.append(Leg(0, LegAction.DECLINE_ROLL, n))
-    horizon = 1 if s else 0
-    legs.append(Leg(horizon, LegAction.PAY_AND_BURN, req.amount))
-    if n > 0:
-        funding = Funding.REPO_NON_ROLLOVER
-    elif s > 0:
-        funding = Funding.SELL_TREASURIES
-    else:
-        funding = Funding.FROM_DEPOSITS
-    return SettlementPlan(issuer=issuer, beneficiary=req.holder, amount=req.amount,
-                          funding=funding, legs=tuple(legs), created_day=world.day)

@@ -1,3 +1,5 @@
+import pytest
+
 from stablesim.config import PRESETS, load_config, parse_config
 from stablesim.engine import build_scenario, run, sweep
 from stablesim.instruments import step_portfolio
@@ -421,16 +423,17 @@ def test_aged_delays_alone_flip_the_regime():
     assert flip_day - 0 - 1 >= cfg.run_model.delay_trigger_days
 
 
-def test_golden_fixture_march2020():
-    """Frozen byte digests for the stress preset; any behavioral change
-    must consciously re-freeze tests/golden/march2020.sha256.json."""
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_golden_fixture(preset):
+    """Frozen byte digests for every preset; any behavioral change must
+    consciously re-freeze tests/golden/<preset>.sha256.json."""
     import hashlib
     import json
     from pathlib import Path
 
     golden = json.loads(
-        (Path(__file__).parent / "golden" / "march2020.sha256.json").read_text())
-    out = run(load_config("march2020"))
+        (Path(__file__).parent / "golden" / f"{preset}.sha256.json").read_text())
+    out = run(load_config(preset))
     produced = {
         "daily.csv": out.daily_csv(),
         "market.csv": out.market_csv(),

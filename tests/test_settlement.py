@@ -1,16 +1,16 @@
 import pytest
 
 from stablesim.config import parse_config
-from stablesim.engine import run
+from stablesim.engine import build_scenario, run
 from stablesim.instruments import RepoRegistry
 from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, LedgerWorld,
                               Posting, deposit_key, reserves_key)
-from stablesim.market import DealerBook
+from stablesim.market import DealerBook, draw_srf
 from stablesim.money import PAR
-from stablesim.settlement import (AccessMode, Disabled, Funding, IneligibleRedeemer,
-                                  IssuerBook, LegAction, MintDeclined, ParMode,
-                                  ParPolicy, RedemptionRequest, Route, SlrBound,
-                                  intervene, plan_mint, plan_redemption, srf_leg)
+from stablesim.settlement import (AccessMode, Funding, IneligibleRedeemer, IssuerBook,
+                                  MintDeclined, ParMode, ParPolicy, Route,
+                                  SaleInstruction, SettlementEngine, SettlementError,
+                                  intervene)
 
 BANK = AgentId(AgentKind.BANK, 0)
 ISSUER = AgentId(AgentKind.ISSUER, 0)
@@ -47,64 +47,80 @@ def issuer_book(**kwargs):
     return IssuerBook(**defaults)
 
 
-def request(amount, route=Route.DIRECT, holder=HOLDER):
-    return RedemptionRequest(request_id=0, holder=holder, issuer=ISSUER,
-                             amount=amount, submitted_day=0, route=route)
+def settlement_engine(world, book, **kwargs):
+    return SettlementEngine(world, RepoRegistry(), {book.agent.key: book}, **kwargs)
+
+
+def plan(world, amount, book=None, holder=HOLDER):
+    """Submit one redemption and plan it; returns the request record, the
+    sale instructions and the plan_created event."""
+    book = book or issuer_book()
+    settle = settlement_engine(world, book)
+    record = settle.submit_redemption(book, holder, amount, Route.DIRECT)
+    instructions = settle.plan_pending(set())
+    created = [e for e in world.events if e["type"] == "plan_created"]
+    assert len(created) == 1
+    assert created[0]["request_id"] == record.request.request_id
+    return record, instructions, created[0]
 
 
 def test_plan_prefers_deposits_when_they_cover():
     world = bare_world(issuer_deposits=10_000_00)
-    plan = plan_redemption(ISSUER, request(1_000_00), world, RepoRegistry(),
-                           issuer_book())
-    assert plan.funding is Funding.FROM_DEPOSITS
-    assert plan.horizon == 0
+    record, instructions, event = plan(world, 1_000_00)
+    assert event["funding"] == Funding.FROM_DEPOSITS.value
+    assert event["from_deposits"] == 1_000_00
+    assert event["horizon"] == record.horizon == 0
+    assert instructions == []
 
 
 def test_plan_sells_bills_with_one_day_settlement():
     world = bare_world(issuer_deposits=0, issuer_bills=10_000_00)
-    plan = plan_redemption(ISSUER, request(1_000_00), world, RepoRegistry(),
-                           issuer_book())
-    assert plan.funding is Funding.SELL_TREASURIES
-    assert plan.horizon == 1
-    actions = [leg.action for leg in plan.legs]
-    assert LegAction.PLACE_SALE in actions
-    assert LegAction.AWAIT_PROCEEDS in actions
+    record, instructions, event = plan(world, 1_000_00)
+    assert event["funding"] == Funding.SELL_TREASURIES.value
+    assert event["from_sales"] == 1_000_00
+    assert event["horizon"] == record.horizon == 1
+    assert instructions == [SaleInstruction(ISSUER, 1_000_00, DurationClass.BILL)]
 
 
 def test_plan_falls_back_to_repo_non_rollover():
     world = bare_world()
-    plan = plan_redemption(ISSUER, request(1_000_00), world, RepoRegistry(),
-                           issuer_book())
-    assert plan.funding is Funding.REPO_NON_ROLLOVER
-    assert plan.horizon == 0
+    record, instructions, event = plan(world, 1_000_00)
+    assert event["funding"] == Funding.REPO_NON_ROLLOVER.value
+    assert event["from_nonroll"] == 1_000_00
+    assert event["horizon"] == record.horizon == 0
+    assert instructions == []
 
 
 def test_direct_route_needs_eligibility_under_intermediated_access():
     world = bare_world(issuer_deposits=10_000_00)
     book = issuer_book(access_mode=AccessMode.INTERMEDIATED)
     with pytest.raises(IneligibleRedeemer):
-        plan_redemption(ISSUER, request(1_00), world, RepoRegistry(), book)
+        settlement_engine(world, book).submit_redemption(book, HOLDER, 1_00,
+                                                         Route.DIRECT)
     # the listed intermediary may redeem directly
-    plan = plan_redemption(ISSUER, request(1_00, holder=IM), world,
-                           RepoRegistry(), book)
-    assert plan.funding is Funding.FROM_DEPOSITS
+    _, _, event = plan(world, 1_00, book=book, holder=IM)
+    assert event["funding"] == Funding.FROM_DEPOSITS.value
 
 
-def test_mint_plan_layout_and_declines():
+def test_submit_mint_declines():
     world = bare_world()
     book = issuer_book(mint_invest_frac=500_000)
-    plan = plan_mint(HOLDER, 1_000_00, world, book, PAR,
-                     treasury_rate=100, negative_carry_refusal=True)
-    actions = [leg.action for leg in plan.legs]
-    assert actions == [LegAction.MOVE_DEPOSIT, LegAction.BUY_BILLS,
-                       LegAction.CREDIT_COINS]
+    order = settlement_engine(world, book, treasury_rate=100).submit_mint(
+        book, HOLDER, 1_000_00, PAR)
+    assert (order.amount, order.invest_frac) == (1_000_00, 500_000)
+    with pytest.raises(SettlementError):
+        settlement_engine(world, book, treasury_rate=100).submit_mint(
+            book, HOLDER, 0, PAR)
     with pytest.raises(MintDeclined):
-        plan_mint(HOLDER, 1_000_00, world, book, PAR,
-                  treasury_rate=0, negative_carry_refusal=True)
+        settlement_engine(world, book, treasury_rate=0).submit_mint(
+            book, HOLDER, 1_000_00, PAR)
     best_effort = issuer_book(policy=ParPolicy(ParMode.BEST_EFFORT))
     with pytest.raises(MintDeclined):
-        plan_mint(HOLDER, 1_000_00, world, best_effort, PAR - 1,
-                  treasury_rate=100, negative_carry_refusal=False)
+        settlement_engine(world, best_effort, treasury_rate=100,
+                          negative_carry_refusal=False).submit_mint(
+            best_effort, HOLDER, 1_000_00, PAR - 1)
+    assert book.mints == [order]
+    assert best_effort.mints == []
 
 
 def coined_world(coins):
@@ -151,27 +167,15 @@ def srf_setup():
     return world, book
 
 
-def test_srf_leg_grows_assets_and_trims_headroom():
+def test_draw_srf_grows_assets_and_trims_headroom():
     world, book = srf_setup()
     assert book.headroom(world) == 16_00
-    srf_leg(DEALER, 10_00, world, book, enabled=True)
+    draw_srf(world, book, 10_00)
     assert world.sheet(DEALER).asset(reserves_key()) == 10_00
     assert world.sheet(FED).asset(f"srf@{DEALER.key}") == 10_00
+    assert book.srf_outstanding == 10_00
     assert book.headroom(world) == 6_00
     assert world.audit().ok
-
-
-def test_srf_leg_blocked_at_bound():
-    world, book = srf_setup()
-    book.base_assets = 116_00  # headroom zero
-    with pytest.raises(SlrBound):
-        srf_leg(DEALER, 1_00, world, book, enabled=True)
-
-
-def test_srf_leg_disabled():
-    world, book = srf_setup()
-    with pytest.raises(Disabled):
-        srf_leg(DEALER, 1_00, world, book, enabled=False)
 
 
 # ---------------------------------------------------------------------------
@@ -269,21 +273,17 @@ def test_coins_outstanding_tracks_mints_minus_redemptions():
         assert coins == 10_000_00 + net
 
 
-def test_execute_plan_runs_deposit_funded_legs_same_day():
-    raw = scenario_raw(10_000_00, 0, 0, baseline_rate=1)
-    cfg = parse_config(raw)
-    from stablesim.engine import build_scenario
-
-    scn = build_scenario(cfg)
+def test_payout_pass_pays_deposit_funded_request_same_day():
+    scn = build_scenario(parse_config(scenario_raw(10_000_00, 0, 0, baseline_rate=1)))
     book = scn.settle.issuers["issuer:0"]
     holder = scn.agent_of["h1"]
     total_before = total_bank_deposits(scn.world)
     coins_before = scn.settle.coins_outstanding(book.agent)
-    req = request(1_000_00, holder=holder)
-    plan = plan_redemption(book.agent, req, scn.world, scn.registry, book)
-    assert plan.funding is Funding.FROM_DEPOSITS
-    record, instructions = scn.settle.execute_plan(plan)
-    assert instructions == []
+    record = scn.settle.submit_redemption(book, holder, 1_000_00, Route.DIRECT)
+    assert scn.settle.plan_pending(set()) == []
+    created = [e for e in scn.world.events if e["type"] == "plan_created"]
+    assert created[-1]["funding"] == Funding.FROM_DEPOSITS.value
+    scn.settle.payout_pass(set())
     assert record.completed
     assert record.completed_day == 0
     assert scn.settle.coins_outstanding(book.agent) == coins_before - 1_000_00
@@ -291,22 +291,18 @@ def test_execute_plan_runs_deposit_funded_legs_same_day():
     assert scn.world.audit().ok
 
 
-def test_execute_plan_sale_legs_wait_for_the_market():
-    raw = scenario_raw(0, 10_000_00, 0, baseline_rate=1)
-    cfg = parse_config(raw)
-    from stablesim.engine import build_scenario
-
-    scn = build_scenario(cfg)
+def test_plan_pending_sale_funding_waits_for_the_market():
+    scn = build_scenario(parse_config(scenario_raw(0, 10_000_00, 0, baseline_rate=1)))
     book = scn.settle.issuers["issuer:0"]
     holder = scn.agent_of["h1"]
-    req = request(1_000_00, holder=holder)
-    plan = plan_redemption(book.agent, req, scn.world, scn.registry, book)
-    assert plan.funding is Funding.SELL_TREASURIES
-    record, instructions = scn.settle.execute_plan(plan)
-    assert not record.completed
-    assert len(instructions) == 1
-    assert instructions[0].amount == 1_000_00
+    record = scn.settle.submit_redemption(book, holder, 1_000_00, Route.DIRECT)
+    instructions = scn.settle.plan_pending(set())
+    created = [e for e in scn.world.events if e["type"] == "plan_created"]
+    assert created[-1]["funding"] == Funding.SELL_TREASURIES.value
+    assert instructions == [SaleInstruction(book.agent, 1_000_00, DurationClass.BILL)]
     assert book.inflight_orders == 1_000_00
+    scn.settle.payout_pass(set())
+    assert not record.completed
 
 
 def test_funding_trackers_stay_consistent_across_random_runs():
