@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from stablesim.config import PRESETS, load_config, parse_config
@@ -423,17 +427,10 @@ def test_aged_delays_alone_flip_the_regime():
     assert flip_day - 0 - 1 >= cfg.run_model.delay_trigger_days
 
 
-@pytest.mark.parametrize("preset", sorted(PRESETS))
-def test_golden_fixture(preset):
-    """Frozen byte digests for every preset; any behavioral change must
-    consciously re-freeze tests/golden/<preset>.sha256.json."""
-    import hashlib
-    import json
-    from pathlib import Path
+GOLDEN = Path(__file__).parent / "golden"
 
-    golden = json.loads(
-        (Path(__file__).parent / "golden" / f"{preset}.sha256.json").read_text())
-    out = run(load_config(preset))
+
+def output_digests(out) -> dict:
     produced = {
         "daily.csv": out.daily_csv(),
         "market.csv": out.market_csv(),
@@ -441,5 +438,112 @@ def test_golden_fixture(preset):
         "summary.json": out.summary_json(),
         "events.jsonl": out.events_jsonl(),
     }
-    for name, text in produced.items():
-        assert hashlib.sha256(text.encode()).hexdigest() == golden[name], name
+    return {name: hashlib.sha256(text.encode()).hexdigest()
+            for name, text in produced.items()}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_golden_fixture(preset):
+    """Frozen byte digests for every preset; any behavioral change must
+    consciously re-freeze tests/golden/<preset>.sha256.json."""
+    golden = json.loads((GOLDEN / f"{preset}.sha256.json").read_text())
+    out = run(load_config(preset))
+    for name, digest in output_digests(out).items():
+        assert digest == golden[name], name
+
+
+def multi_holder_raw(access_mode: str) -> dict:
+    """Three issuers on two chains, four holders, two intermediaries.
+
+    Demand is sliced over several holders, the "side" chain halts on
+    days 2-3, a confidence shock on day 1 puts the "main" issuers below
+    par so the fixed-par policy buys coins back, and im_1 can afford
+    only part of each day's intermediated demand.
+    """
+    return {
+        "horizon_days": 8, "seed": 5,
+        "agents": {
+            "banks": [{"name": "bank_a"}, {"name": "bank_b"}],
+            "issuers": [
+                {"name": "alpha", "bank": "bank_a", "chain": "main",
+                 "coins": 600_000, "assets": 600_000,
+                 "allocation": {"deposits": 300_000, "bills": 200_000,
+                                "repo": 100_000}},
+                {"name": "beta", "bank": "bank_b", "chain": "main",
+                 "coins": 400_000, "assets": 400_000,
+                 "allocation": {"deposits": 40_000, "bills": 260_000,
+                                "repo": 100_000}},
+                {"name": "gamma", "bank": "bank_b", "chain": "side",
+                 "coins": 300_000, "assets": 300_000,
+                 "allocation": {"deposits": 60_000, "bills": 240_000,
+                                "repo": 0}},
+            ],
+            "dealers": [
+                {"name": f"dealer_{i}", "bank": bank, "capital": 200_000,
+                 "base_assets": 4_000_000, "reserve_access": 150_000,
+                 "deposits": 500_000, "treasuries_long": 300_000,
+                 "treasuries_bill": 100_000}
+                for i, bank in ((1, "bank_a"), (2, "bank_b"))
+            ],
+            "intermediaries": [
+                {"name": "im_1", "bank": "bank_a", "deposits": 20_000},
+                {"name": "im_2", "bank": "bank_b", "deposits": 400_000,
+                 "coins": {"gamma": 20_000}},
+            ],
+            "holders": [
+                {"name": "h_1", "bank": "bank_a",
+                 "coins": {"alpha": 5_000, "beta": 4_000}},
+                {"name": "h_2", "bank": "bank_b", "deposits": 10_000,
+                 "coins": {"alpha": 295_000, "gamma": 80_000}},
+                {"name": "h_3", "bank": "bank_a",
+                 "coins": {"alpha": 300_000, "beta": 196_000, "gamma": 100_000}},
+                {"name": "h_4", "bank": "bank_b",
+                 "coins": {"beta": 200_000, "gamma": 100_000}},
+            ],
+            "treasury_buyers": [{"name": "tb_1", "bank": "bank_a",
+                                 "deposits": 5_000_000,
+                                 "treasuries_bill": 1_000_000}],
+        },
+        "policies": {"access_mode": access_mode,
+                     "par_policy": {"mode": "rigorous_fixed"},
+                     "intermediary_mode": "redeem"},
+        "market": {"depth": 400_000},
+        "run_model": {"baseline_rate": 30_000, "shifted_rate": 150_000,
+                      "deviation_threshold_bp": 200},
+        "rates": {"treasury_rate_daily": 100, "deposit_rate_daily": 20},
+        "mint_demand": {"daily_rate": 2_000},
+        "shocks": [
+            {"day": 1, "class": "confidence_only", "chain": "main",
+             "magnitude": 20_000},
+            {"day": 2, "class": "liveness_fault", "chain": "side", "duration": 2},
+        ],
+    }
+
+
+@pytest.mark.parametrize("access_mode", ["direct", "intermediated"])
+def test_golden_multi_holder(access_mode):
+    """Frozen digests of a many-agent run that reaches every routing path:
+    suspended-chain intake, demand sliced over holders, intermediated
+    buying and par-policy buybacks."""
+    out = run(parse_config(multi_holder_raw(access_mode)))
+    events = out.events
+    gamma = "issuer:2"  # issuers are indexed by sorted name
+    requests = [e for e in events
+                if e["type"] == "redemption_request" and not e["intervention"]]
+    # demand still queues while the side chain is halted
+    assert any(e["issuer"] == gamma and e["day"] in (2, 3) for e in requests)
+    assert any(e["type"] == "intervention" and e["kind"] == "buy" and e["placed"] > 0
+               for e in events)
+    if access_mode == "direct":
+        holders_by_day: dict = {}
+        for e in requests:
+            holders_by_day.setdefault((e["day"], e["issuer"]), set()).add(e["holder"])
+        assert any(len({h for h in holders if h.startswith("holder:")}) >= 2
+                   for holders in holders_by_day.values())
+    else:
+        buyers = {e["dst"] for e in events
+                  if e["type"] == "transfer" and e["instrument"].startswith("coin@")
+                  and e["dst"].startswith("intermediary:")}
+        assert buyers == {"intermediary:0", "intermediary:1"}
+    golden = json.loads((GOLDEN / "multi_holder.sha256.json").read_text())
+    assert output_digests(out) == golden[access_mode]
