@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import (PRESETS, ParseError, ValidationError, load_config,
+from .config import (ParseError, ValidationError, load_config, load_raw,
                      parse_config, preset_descriptions)
 from .engine import AuditFailure, run, sweep
 
@@ -25,18 +25,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_AUDIT = 2
 EXIT_IO = 3
-
-
-def _load_raw(path: str) -> dict:
-    if path in PRESETS:
-        return PRESETS[path]()
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"no such config file or preset: {path}")
-    try:
-        return json.loads(p.read_text())
-    except json.JSONDecodeError as err:
-        raise ParseError(f"{p}: line {err.lineno} column {err.colno}: {err.msg}") from err
 
 
 def cmd_run(args) -> int:
@@ -67,7 +55,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     try:
-        raw = _load_raw(args.config)
+        raw = load_raw(args.config)
         parse_config(raw)  # fail fast before the grid multiplies the error
         grid_raw = json.loads(Path(args.grid).read_text())
         grid = grid_raw.get("grid", grid_raw)

@@ -21,7 +21,7 @@ values too (1bp == 100).
                     count_excess_collateral (false)}]
     dealers       [{name, bank, capital, base_assets, exposures (0),
                     gsib (true), reserve_access, deposits,
-                    treasuries_bill (0), treasuries_long (0)}]
+                    treasuries_bill (0), treasuries_long (0)}], at least one
     intermediaries[{name, bank, deposits}]
     holders       [{name, bank, deposits (0), coins: {issuer: amount}}]
     treasury_buyers[{name, bank, deposits, treasuries_bill (0),
@@ -66,8 +66,8 @@ values too (1bp == 100).
       duration (0), chain ("main")}]
 
 Agent lists are canonicalized by name at load time, so declaration
-order never changes results. load_config accepts a file path or a
-preset name (see PRESETS).
+order never changes results. load_config accepts a preset name (see
+PRESETS) or a file path; a path is never read as a preset name.
 """
 
 from __future__ import annotations
@@ -77,6 +77,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .dynamics import LikelihoodBand, PriceParams, RunModel, ShockClass, ShockSpec, SystemicBand
+from .instruments import GENIUS_MAX_BILL_DAYS
 from .money import BP
 from .settlement import AccessMode, ParMode, ParPolicy
 
@@ -228,21 +229,22 @@ def _get(section: dict, key: str, default=None, required: bool = False):
     return default
 
 
-def load_config(path: str | Path) -> ScenarioConfig:
-    """Parse and validate a scenario file or named preset."""
+def load_raw(path: str | Path) -> dict:
+    """The unparsed scenario of a preset name or a JSON file."""
     if isinstance(path, str) and path in PRESETS:
-        return parse_config(PRESETS[path]())
+        return PRESETS[path]()
     p = Path(path)
     if not p.exists():
-        stem = p.name
-        if stem in PRESETS:
-            return parse_config(PRESETS[stem]())
         raise FileNotFoundError(f"no such config file or preset: {path}")
     try:
-        raw = json.loads(p.read_text())
+        return json.loads(p.read_text())
     except json.JSONDecodeError as err:
         raise ParseError(f"{p}: line {err.lineno} column {err.colno}: {err.msg}") from err
-    return parse_config(raw)
+
+
+def load_config(path: str | Path) -> ScenarioConfig:
+    """Parse and validate a scenario file or named preset."""
+    return parse_config(load_raw(path))
 
 
 def parse_config(raw: dict) -> ScenarioConfig:
@@ -273,7 +275,8 @@ def parse_config(raw: dict) -> ScenarioConfig:
         _require(bank in bank_names, f"unknown bank: {bank}")
         maturity = _get(entry, "bill_maturity_days", 45)
         if _get(entry, "genius_compliant", True):
-            _require(maturity <= 93, "compliant issuers hold bills of 93 days or less")
+            _require(maturity <= GENIUS_MAX_BILL_DAYS,
+                     f"compliant issuers hold bills of {GENIUS_MAX_BILL_DAYS} days or less")
         issuers.append(IssuerConfig(
             name=entry["name"], bank=bank, coins=coins, assets=assets,
             allocation=alloc, chain=_get(entry, "chain", "main"),
@@ -300,6 +303,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
             treasuries_bill=_get(entry, "treasuries_bill", 0),
             treasuries_long=_get(entry, "treasuries_long", 0),
         ))
+    _require(len(dealers) > 0, "at least one dealer")
 
     def simple(section: str) -> list:
         out = []

@@ -1,20 +1,21 @@
 """Scenario execution: world construction, the daily loop, outputs.
 
-The daily phase order is frozen for reproducibility:
+The daily phase order is frozen for reproducibility; run() makes one
+call per phase:
 
-  1. shocks and scheduled corrective burns
-  2. accruals (securities and deposit interest, operating cost)
-  3. redemption demand and request intake
-  4. mint demand
-  5. par-policy intervention
-  6. planning (funding committed, sale instructions produced)
-  7. settlement legs due: T+1 sale settlement, dealer offload, repo
-     second legs with declines, payout of funded requests
-  8. market clearing (carryover first, then today's orders, then
-     funding-gap liquidations) and price impact on marks
-  9. mint settlement, payout drain, delay sweep
- 10. secondary price update per issuer
- 11. analytics, audit, row emission
+  1. _open_day           shocks and scheduled corrective burns
+  2. _accrue             securities and deposit interest, operating cost
+  3. _redemption_demand  redemption demand and request intake
+  4. _mint_demand        mint demand
+  5. _interventions      par-policy intervention
+  6. _plan               funding committed, sale instructions produced
+  7. _settle_legs        legs due: T+1 sale settlement, dealer offload,
+                         repo second legs with declines, funded payouts
+  8. _clear_market       carryover first, then today's orders, then
+                         funding-gap liquidations; price impact on marks
+  9. _drain_queues       mint settlement, payout drain, delay sweep
+ 10. _update_prices      secondary price update per issuer
+ 11. _emit_rows          analytics, audit, row emission
 
 Identical configuration and seed give byte-identical outputs: agents
 are canonicalized by name, every iteration is over sorted keys, the
@@ -33,19 +34,19 @@ import json
 from dataclasses import dataclass, field
 
 from . import analytics
-from .config import ScenarioConfig, ValidationError
+from .config import ScenarioConfig
 from .dynamics import (AccessKind, ConfidenceState, InterventionResult, ShockState,
                        apply_shock, redemption_demand, run_corrective_burns,
                        update_secondary_price)
-from .instruments import PortfolioState, RepoRegistry, TreasuryBill
+from .instruments import PortfolioState, RepoRegistry, TreasuryBill, open_reverse_repo
 from .ledger import (FED, AgentId, AgentKind, DurationClass, Instrument,
                      InstrumentKind, LedgerWorld, Posting, coin_key, deposit_key,
                      reserves_key)
 from .market import DealerBook, DealerChain, Market, MarketParams
-from .money import BP, MICRO, PAR, Amount, mul_frac
+from .money import BP, MICRO, PAR, Amount, mul_div, mul_frac
 from .rng import SplitMix64
 from .settlement import (AccessMode, IssuerBook, MintDeclined, Route,
-                         SettlementEngine)
+                         SettlementEngine, intervene)
 
 
 class AuditFailure(Exception):
@@ -125,9 +126,14 @@ class Scenario:
     rng: SplitMix64
     shock_info: dict
     mint_buyer: AgentId
-    unserved_today: dict = field(default_factory=dict)
-    int_buy_requested: dict = field(default_factory=dict)
-    committed_coins: dict = field(default_factory=dict)  # (holder, issuer) -> amount
+    shocks_by_day: dict           # day -> shock specs
+    # run-wide accumulators
+    peak_dev: dict                # issuer key -> largest distance from par
+    peak_txn: dict                # issuer key -> largest redeemed + minted day
+    srf_total: Amount = 0
+    daily_rows: list = field(default_factory=list)
+    market_rows: list = field(default_factory=list)
+    analytics_rows: list = field(default_factory=list)
 
 
 def _endow_deposits(world: LedgerWorld, agent: AgentId, amount: Amount) -> None:
@@ -155,8 +161,6 @@ def _endow_coins(world: LedgerWorld, issuer: AgentId, holder: AgentId,
 
 
 def build_scenario(config: ScenarioConfig) -> Scenario:
-    from .instruments import open_reverse_repo
-
     world = LedgerWorld()
     world.add_agent(FED)
 
@@ -183,21 +187,14 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
 
     registry = RepoRegistry()
 
-    for cfg, agent in zip(config.dealers, dealer_agents):
+    for cfg, agent in zip(config.dealers + config.treasury_buyers,
+                          dealer_agents + buyer_agents):
         _endow_deposits(world, agent, cfg.deposits)
         if cfg.treasuries_bill:
             world.grant_tbill(agent, DurationClass.BILL, cfg.treasuries_bill)
         if cfg.treasuries_long:
             world.grant_tbill(agent, DurationClass.LONG, cfg.treasuries_long)
-    for cfg, agent in zip(config.treasury_buyers, buyer_agents):
-        _endow_deposits(world, agent, cfg.deposits)
-        if cfg.treasuries_bill:
-            world.grant_tbill(agent, DurationClass.BILL, cfg.treasuries_bill)
-        if cfg.treasuries_long:
-            world.grant_tbill(agent, DurationClass.LONG, cfg.treasuries_long)
-    for cfg in config.intermediaries:
-        _endow_deposits(world, agent_of[cfg.name], cfg.deposits)
-    for cfg in config.holders:
+    for cfg in config.intermediaries + config.holders:
         _endow_deposits(world, agent_of[cfg.name], cfg.deposits)
 
     issuer_books: dict[str, IssuerBook] = {}
@@ -217,17 +214,14 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
             chain=cfg.chain, mint_invest_frac=cfg.mint_invest_frac,
             operating_cost_per_day=cfg.operating_cost_per_day)
         issuer_cfg[agent.key] = cfg
-        principal = cfg.allocation["repo"]
-        if principal > 0:
-            if not dealer_agents:
-                raise ValidationError("repo allocation needs at least one dealer")
-            share, extra = divmod(principal, len(dealer_agents))
-            for k, dealer in enumerate(dealer_agents):
-                amount = share + (1 if k < extra else 0)
-                if amount > 0:
-                    open_reverse_repo(world, registry, agent, dealer, amount,
-                                      config.rates.haircut,
-                                      config.rates.repo_rate_daily, term=1)
+        # parse_config guarantees at least one dealer to borrow the repo
+        share, extra = divmod(cfg.allocation["repo"], len(dealer_agents))
+        for k, dealer in enumerate(dealer_agents):
+            amount = share + (1 if k < extra else 0)
+            if amount > 0:
+                open_reverse_repo(world, registry, agent, dealer, amount,
+                                  config.rates.haircut,
+                                  config.rates.repo_rate_daily, term=1)
 
     books: dict[str, DealerBook] = {}
     for cfg, agent in zip(config.dealers, dealer_agents):
@@ -269,6 +263,9 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         target = holder_agents[0] if holder_agents else buyer_agents[0]
         shock_info[agent.key] = {"agent": agent, "chain": cfg.chain,
                                  "mint_target": target}
+    shocks_by_day: dict[int, list] = {}
+    for spec in config.shocks:
+        shocks_by_day.setdefault(spec.day, []).append(spec)
 
     report = world.audit()
     if not report.ok:
@@ -278,7 +275,9 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         settle=settle, agent_of=agent_of, issuer_cfg=issuer_cfg,
         run_models=run_models, confidence=confidence,
         shock_state=ShockState(), rng=SplitMix64(config.seed),
-        shock_info=shock_info, mint_buyer=buyer_agents[0])
+        shock_info=shock_info, mint_buyer=buyer_agents[0],
+        shocks_by_day=shocks_by_day, peak_dev=dict.fromkeys(issuer_books, 0),
+        peak_txn=dict.fromkeys(issuer_books, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -286,40 +285,13 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _available_coins(scn: Scenario, holder: AgentId, issuer: AgentId) -> Amount:
-    held = scn.world.sheet(holder).asset(coin_key(issuer))
-    committed = scn.committed_coins.get((holder.key, issuer.key), 0)
-    return max(0, held - committed)
-
-
-def _commit_coins(scn: Scenario, holder: AgentId, issuer: AgentId, amount: Amount) -> None:
-    key = (holder.key, issuer.key)
-    scn.committed_coins[key] = scn.committed_coins.get(key, 0) + amount
-
-
-def _release_completed_commitments(scn: Scenario) -> None:
-    """Rebuild the committed-coin index from still-open requests."""
-    fresh: dict = {}
-    for key in sorted(scn.settle.issuers):
-        book = scn.settle.issuers[key]
-        for record in book.requests:
-            if record.completed:
-                continue
-            k = (record.request.holder.key, key)
-            fresh[k] = fresh.get(k, 0) + record.remaining
-    scn.committed_coins = fresh
+_COIN_HOLDING = (AgentKind.HOLDER, AgentKind.INTERMEDIARY, AgentKind.TREASURY_BUYER)
 
 
 def _coin_holders(scn: Scenario, issuer: AgentId) -> list:
-    out = []
-    for agent_key in sorted(scn.world.agents):
-        meta = scn.world.meta[agent_key]
-        if meta["kind"] in (AgentKind.HOLDER, AgentKind.INTERMEDIARY,
-                            AgentKind.TREASURY_BUYER):
-            agent = AgentId(meta["kind"], meta["index"])
-            if _available_coins(scn, agent, issuer) > 0:
-                out.append(agent)
-    return out
+    redeemable = scn.settle.redeemable
+    return [agent for agent in scn.world.agent_ids()
+            if agent.kind in _COIN_HOLDING and redeemable(agent, issuer) > 0]
 
 
 def _redeem_from_holders(scn: Scenario, book: IssuerBook, amount: Amount,
@@ -331,12 +303,11 @@ def _redeem_from_holders(scn: Scenario, book: IssuerBook, amount: Amount,
     for holder in _coin_holders(scn, issuer):
         if placed >= amount:
             break
-        slice_ = min(amount - placed, _available_coins(scn, holder, issuer))
+        slice_ = min(amount - placed, scn.settle.redeemable(holder, issuer))
         if slice_ <= 0:
             continue
         scn.settle.submit_redemption(book, holder, slice_, route,
                                      is_intervention=is_intervention)
-        _commit_coins(scn, holder, issuer, slice_)
         placed += slice_
     return placed
 
@@ -347,31 +318,28 @@ def _route_demand(scn: Scenario, book: IssuerBook, demand: Amount,
     if demand <= 0:
         return
     issuer = book.agent
-    key = issuer.key
     world = scn.world
     if book.chain in suspended:
         # intent exists but nothing can move on-chain; it queues
         route = (Route.DIRECT if book.access_mode is AccessMode.DIRECT
                  else Route.VIA_INTERMEDIARY)
         _redeem_from_holders(scn, book, demand, route)
-        scn.unserved_today[key] = scn.unserved_today.get(key, 0) + demand
+        book.day_unserved += demand
         return
     if book.access_mode is AccessMode.DIRECT:
-        remaining = demand - _redeem_from_holders(scn, book, demand, Route.DIRECT)
-        if remaining > 0:
-            scn.unserved_today[key] = scn.unserved_today.get(key, 0) + remaining
+        book.day_unserved += demand - _redeem_from_holders(scn, book, demand,
+                                                           Route.DIRECT)
         return
     # intermediated: the market maker buys at the secondary price, then
     # either redeems at par or warehouses the coins
-    price = scn.confidence[key].secondary_price
+    price = scn.confidence[issuer.key].secondary_price
     intermediaries = [a for a in world.agent_ids()
                       if a.kind is AgentKind.INTERMEDIARY]
     remaining = demand
     for im in intermediaries:
         if remaining <= 0:
             break
-        im_bank = world.bank_of(im)
-        funds = world.sheet(im).asset(deposit_key(im_bank))
+        funds = scn.settle.deposits_of(im)
         afford = funds * MICRO // price if price > 0 else 0
         budget = min(remaining, afford)
         if budget <= 0:
@@ -380,7 +348,7 @@ def _route_demand(scn: Scenario, book: IssuerBook, demand: Amount,
         for holder in _coin_holders(scn, issuer):
             if holder.kind is AgentKind.INTERMEDIARY:
                 continue
-            slice_ = min(budget - bought, _available_coins(scn, holder, issuer))
+            slice_ = min(budget - bought, scn.settle.redeemable(holder, issuer))
             if slice_ <= 0:
                 continue
             world.post_transfer(im, holder, Instrument(InstrumentKind.DEPOSIT),
@@ -393,40 +361,11 @@ def _route_demand(scn: Scenario, book: IssuerBook, demand: Amount,
                 break
         if bought > 0 and scn.config.policies.intermediary_mode == "redeem":
             scn.settle.submit_redemption(book, im, bought, Route.DIRECT)
-            _commit_coins(scn, im, issuer, bought)
         elif bought > 0:
-            world.emit("warehoused", intermediary=im.key, issuer=key, amount=bought)
+            world.emit("warehoused", intermediary=im.key, issuer=issuer.key,
+                       amount=bought)
         remaining -= bought
-    if remaining > 0:
-        scn.unserved_today[key] = scn.unserved_today.get(key, 0) + remaining
-
-
-def _run_intervention(scn: Scenario, book: IssuerBook, suspended: set) -> None:
-    from .settlement import intervene
-
-    key = book.agent.key
-    if book.chain in suspended:
-        return
-    conf = scn.confidence[key]
-    actions = intervene(book.policy, conf.secondary_price, scn.world, book.agent)
-    for action in actions:
-        if action.kind == "buy":
-            placed = _redeem_from_holders(scn, book, action.amount, Route.DIRECT,
-                                          is_intervention=True)
-            scn.int_buy_requested[key] = scn.int_buy_requested.get(key, 0) + placed
-            book.pin_target = action.pin_target
-            scn.world.emit("intervention", issuer=key, kind="buy",
-                           requested=action.amount, placed=placed,
-                           target=action.pin_target)
-        else:
-            try:
-                scn.settle.submit_mint(book, scn.mint_buyer, action.amount,
-                                       conf.secondary_price, is_intervention=True)
-                book.pin_target = action.pin_target
-                scn.world.emit("intervention", issuer=key, kind="mint",
-                               requested=action.amount, target=action.pin_target)
-            except MintDeclined as err:
-                scn.world.emit("intervention_declined", issuer=key, cause=str(err))
+    book.day_unserved += remaining
 
 
 def _fed_bill_purchase(scn: Scenario, issuer: AgentId, value: Amount) -> Amount:
@@ -443,7 +382,53 @@ def _fed_bill_purchase(scn: Scenario, issuer: AgentId, value: Amount) -> Amount:
     return moved
 
 
+def _issuer_portfolio(scn: Scenario, book: IssuerBook) -> PortfolioState:
+    world = scn.world
+    agent = book.agent
+    cfg = scn.issuer_cfg[agent.key]
+    bills = []
+    face = world.face_of(agent, DurationClass.BILL)
+    if face > 0:
+        bills.append(TreasuryBill(face=face,
+                                  maturity_day=cfg.bill_maturity_days,
+                                  market_price=world.price(DurationClass.BILL)))
+    face_long = world.face_of(agent, DurationClass.LONG)
+    if face_long > 0:
+        bills.append(TreasuryBill(face=face_long, maturity_day=365 * 5,
+                                  market_price=world.price(DurationClass.LONG)))
+    return PortfolioState(
+        treasury_face=face + face_long,
+        treasury_price=world.price(DurationClass.BILL),
+        deposits=scn.settle.deposits_of(agent),
+        rate_treasury=scn.config.rates.treasury_rate_daily,
+        rate_deposit=scn.config.rates.deposit_rate_daily,
+        repo_principal=scn.registry.total_principal(agent),
+        bills=bills,
+        repos=scn.registry.by_lender(agent),
+    )
+
+
+# ---------------------------------------------------------------------------
+# The daily phases
+# ---------------------------------------------------------------------------
+
+
+def _open_day(scn: Scenario, day: int) -> set:
+    """Phase 1: reset the day, apply its shocks and due corrective burns;
+    returns the chains halted today."""
+    world = scn.world
+    world.day = day
+    scn.market.begin_day()
+    scn.settle.begin_day()
+    for spec in scn.shocks_by_day.get(day, []):
+        apply_shock(spec, world, scn.shock_state, scn.shock_info, scn.rng,
+                    scn.config.price_model)
+    run_corrective_burns(world, scn.shock_state)
+    return scn.shock_state.suspended_chains(day)
+
+
 def _accrue(scn: Scenario) -> None:
+    """Phase 2: interest on opening balances, then operating costs."""
     rates = scn.config.rates
     world = scn.world
     for key in sorted(scn.settle.issuers):
@@ -466,7 +451,6 @@ def _accrue(scn: Scenario) -> None:
                 ])
         cost = book.operating_cost_per_day
         if cost > 0:
-            bank = world.bank_of(agent)
             balance = world.sheet(agent).asset(deposit_key(bank))
             paid = min(cost, balance)
             if paid > 0:
@@ -476,31 +460,209 @@ def _accrue(scn: Scenario) -> None:
                 ], event="operating_cost", issuer=key, amount=paid)
 
 
-def _issuer_portfolio(scn: Scenario, book: IssuerBook) -> PortfolioState:
+def _redemption_demand(scn: Scenario, suspended: set) -> None:
+    """Phase 3: each issuer's run-model demand, routed to coin holders."""
+    for key in sorted(scn.settle.issuers):
+        book = scn.settle.issuers[key]
+        model = scn.run_models[key]
+        conf = scn.confidence[key]
+        conf = ConfidenceState(secondary_price=conf.secondary_price,
+                               pending_delay_age=scn.settle.queue_age(book),
+                               last_shock=conf.last_shock)
+        scn.confidence[key] = conf
+        prior = model.sensitivity_state
+        coins = scn.settle.coins_outstanding(book.agent)
+        demand = redemption_demand(model, conf, coins)
+        if model.sensitivity_state is not prior:
+            scn.world.emit("regime_flip", issuer=key,
+                           state=model.sensitivity_state.value)
+        _route_demand(scn, book, demand, suspended)
+
+
+def _mint_demand(scn: Scenario, suspended: set) -> None:
+    """Phase 4: buyers ask each live issuer for a share of its coins."""
+    rate = scn.config.mint_daily_rate
+    if rate <= 0:
+        return
+    for key in sorted(scn.settle.issuers):
+        book = scn.settle.issuers[key]
+        if book.chain in suspended:
+            continue
+        amount = mul_frac(scn.settle.coins_outstanding(book.agent), rate)
+        if amount > 0:
+            try:
+                scn.settle.submit_mint(book, scn.mint_buyer, amount,
+                                       scn.confidence[key].secondary_price)
+            except MintDeclined as err:
+                scn.world.emit("mint_declined", issuer=key, cause=str(err))
+
+
+def _interventions(scn: Scenario, suspended: set) -> None:
+    """Phase 5: each live issuer's par policy buys coins back or mints."""
+    for key in sorted(scn.settle.issuers):
+        book = scn.settle.issuers[key]
+        if book.chain in suspended:
+            continue
+        price = scn.confidence[key].secondary_price
+        for action in intervene(book.policy, price, scn.world, book.agent):
+            if action.kind == "buy":
+                placed = _redeem_from_holders(scn, book, action.amount, Route.DIRECT,
+                                              is_intervention=True)
+                book.day_int_buy_requested += placed
+                book.pin_target = action.pin_target
+                scn.world.emit("intervention", issuer=key, kind="buy",
+                               requested=action.amount, placed=placed,
+                               target=action.pin_target)
+                continue
+            try:
+                scn.settle.submit_mint(book, scn.mint_buyer, action.amount, price,
+                                       is_intervention=True)
+                book.pin_target = action.pin_target
+                scn.world.emit("intervention", issuer=key, kind="mint",
+                               requested=action.amount, target=action.pin_target)
+            except MintDeclined as err:
+                scn.world.emit("intervention_declined", issuer=key, cause=str(err))
+
+
+def _plan(scn: Scenario, suspended: set) -> list:
+    """Phase 6: commit funding; returns the bill sales for the dealer market."""
+    instructions = scn.settle.plan_pending(suspended)
+    if not scn.config.policies.issuer_reserve_access:
+        return instructions
+    # bills monetize at the central bank instead of the dealer market
+    for instr in instructions:
+        proceeds = _fed_bill_purchase(scn, instr.issuer, instr.amount)
+        book = scn.settle.issuers[instr.issuer.key]
+        book.inflight_orders = max(0, book.inflight_orders - instr.amount)
+        book.pool += proceeds
+    return []
+
+
+def _settle_legs(scn: Scenario, suspended: set) -> list:
+    """Phase 7: legs due today; returns the funding gaps of declined rolls."""
+    settlements = scn.market.settle_due(scn.world, scn.registry)
+    scn.settle.credit_proceeds(settlements)
+    scn.market.offload_inventory(scn.world, scn.registry)
+    gaps = scn.settle.process_repo_legs()
+    scn.settle.payout_pass(suspended)
+    return gaps
+
+
+def _clear_market(scn: Scenario, instructions: list, gaps: list) -> dict:
+    """Phase 8: clear carryover, today's sales and gap liquidations, then
+    mark prices; returns each dealer's capacity before clearing."""
+    world, market = scn.world, scn.market
+    dealer_capacity = market.dealer_capacity(world)
+    reports = market.resubmit_carryover(world)
+    for instr in instructions:
+        reports.append(market.submit_sale(world, instr.issuer, instr.amount,
+                                          instr.duration, purpose="redemption"))
+    for gap in gaps:
+        reports += market.funding_gap_liquidation(world, gap.amount, gap.borrower)
+    for report in reports:
+        scn.settle.note_fill(report.seller.key, report.filled)
+    market.apply_day_impact(world, scn.registry)
+    scn.srf_total += market.day_srf_draws
+    return dealer_capacity
+
+
+def _drain_queues(scn: Scenario, suspended: set) -> None:
+    """Phase 9: settle mints, pay what today's cash funds, flag delays."""
+    scn.settle.mint_pass(suspended, scn.mint_buyer)
+    scn.settle.payout_pass(suspended)
+    scn.settle.sweep_delay_flags()
+
+
+def _update_prices(scn: Scenario) -> None:
+    """Phase 10: each issuer's secondary price from overdue and unserved
+    redemptions, shocks and executed interventions."""
+    for key in sorted(scn.settle.issuers):
+        book = scn.settle.issuers[key]
+        coins = scn.settle.coins_outstanding(book.agent)
+        overdue = scn.settle.overdue_amount(book) + book.day_unserved
+        shock_eff = scn.shock_state.price_effects.pop(key, 0)
+        completed = book.day_int_buy_completed + book.day_int_mint_completed
+        intervention = InterventionResult(
+            requested=max(book.day_int_buy_requested, completed),
+            completed=completed, pin_target=book.pin_target)
+        access = (AccessKind.DIRECT
+                  if book.access_mode is AccessMode.DIRECT
+                  else AccessKind.INTERMEDIATED)
+        conf = update_secondary_price(scn.confidence[key], overdue, coins, shock_eff,
+                                      access, intervention=intervention,
+                                      params=scn.config.price_model)
+        if shock_eff:
+            conf = dataclasses.replace(
+                conf, last_shock=scn.shock_state.last_shock.get(key))
+        scn.confidence[key] = conf
+        scn.peak_dev[key] = max(scn.peak_dev[key], abs(PAR - conf.secondary_price))
+        scn.peak_txn[key] = max(scn.peak_txn[key], book.day_completed + book.day_minted)
+
+
+def _emit_rows(scn: Scenario, day: int, dealer_capacity: dict) -> None:
+    """Phase 11: audit the world, then append the day's output rows."""
     world = scn.world
-    agent = book.agent
-    cfg = scn.issuer_cfg[agent.key]
-    bank = world.bank_of(agent)
-    bills = []
-    face = world.face_of(agent, DurationClass.BILL)
-    if face > 0:
-        bills.append(TreasuryBill(face=face,
-                                  maturity_day=cfg.bill_maturity_days,
-                                  market_price=world.price(DurationClass.BILL)))
-    face_long = world.face_of(agent, DurationClass.LONG)
-    if face_long > 0:
-        bills.append(TreasuryBill(face=face_long, maturity_day=365 * 5,
-                                  market_price=world.price(DurationClass.LONG)))
-    return PortfolioState(
-        treasury_face=face + face_long,
-        treasury_price=world.price(DurationClass.BILL),
-        deposits=world.sheet(agent).asset(deposit_key(bank)),
-        rate_treasury=scn.config.rates.treasury_rate_daily,
-        rate_deposit=scn.config.rates.deposit_rate_daily,
-        repo_principal=scn.registry.total_principal(agent),
-        bills=bills,
-        repos=scn.registry.by_lender(agent),
-    )
+    report = world.audit()
+    if not report.ok:
+        raise AuditFailure(day, report)
+    for key in sorted(scn.settle.issuers):
+        book = scn.settle.issuers[key]
+        agent = book.agent
+        cfg = scn.issuer_cfg[key]
+        sheet = world.sheet(agent)
+        assets = sheet.total_assets()
+        if cfg.count_excess_collateral:
+            assets += sum(max(0, p.collateral_value(world) - p.principal)
+                          for p in scn.registry.by_lender(agent))
+        coins = scn.settle.coins_outstanding(agent)
+        lev = analytics.leverage_ratio(assets, coins) if assets > 0 else None
+        liq = analytics.liquidity_metrics(_issuer_portfolio(scn, book), day)
+        if sheet.equity < 0 and book.insolvency_day is None:
+            book.insolvency_day = day
+            world.emit("insolvent", issuer=key, equity=sheet.equity)
+        scn.analytics_rows.append(analytics.analytics_row(
+            day, cfg.name, leverage=lev, liquidity=liq))
+        scn.daily_rows.append({
+            "day": day, "agent": cfg.name, "kind": "issuer",
+            "price": scn.confidence[key].secondary_price,
+            "coins": coins,
+            "requested": book.day_requested,
+            "completed": book.day_completed,
+            "delayed": book.delayed_total,
+            "overdue": scn.settle.overdue_amount(book),
+            "capacity": "",
+            "slr": "", "headroom": "",
+            "ratio": lev.ratio if lev else "",
+            "band": lev.band.value if lev else "",
+            "dla": liq.dla_frac, "wla": liq.wla_frac,
+            "wam": liq.wam_days, "wal": liq.wal_days,
+        })
+    name_of = {scn.agent_of[c.name].key: c.name for c in scn.config.dealers}
+    for dealer_key in sorted(scn.market.books):
+        book = scn.market.books[dealer_key]
+        slr_rep = book.slr_report(world, scn.market.params.slr_bound_override)
+        name = name_of[dealer_key]
+        scn.analytics_rows.append(analytics.analytics_row(
+            day, name, slr_report=slr_rep))
+        scn.daily_rows.append({
+            "day": day, "agent": name, "kind": "dealer",
+            "price": "", "coins": "", "requested": "", "completed": "",
+            "delayed": "", "overdue": "",
+            "capacity": dealer_capacity[dealer_key],
+            "slr": slr_rep.slr, "headroom": slr_rep.headroom_assets,
+            "ratio": "", "band": "", "dla": "", "wla": "", "wam": "", "wal": "",
+        })
+    capacity = sum(dealer_capacity.values())
+    for duration in sorted(DurationClass, key=lambda d: d.value):
+        scn.market_rows.append({
+            "day": day, "class": duration.value,
+            "price": world.price(duration),
+            "submitted": scn.market.day_submitted[duration],
+            "fills": scn.market.day_fills[duration],
+            "unfilled": scn.market.day_excess[duration],
+            "capacity": capacity,
+            "srf_draws": scn.market.day_srf_draws,
+        })
 
 
 # ---------------------------------------------------------------------------
@@ -512,217 +674,28 @@ def run(config: ScenarioConfig, on_day_end=None) -> RunOutput:
     """Execute the scenario; on_day_end(scenario, day) is a test hook
     called after each day's audit."""
     scn = build_scenario(config)
-    world = scn.world
-    daily_rows: list[dict] = []
-    market_rows: list[dict] = []
-    analytics_rows: list[dict] = []
-    shocks_by_day: dict[int, list] = {}
-    for spec in config.shocks:
-        shocks_by_day.setdefault(spec.day, []).append(spec)
-    peak_dev: dict[str, int] = {k: 0 for k in sorted(scn.settle.issuers)}
-    peak_txn: dict[str, int] = {k: 0 for k in sorted(scn.settle.issuers)}
-    srf_total = 0
-    capacity_day0 = None
-
     for day in range(config.horizon_days):
-        world.day = day
-        scn.market.begin_day()
-        scn.settle.begin_day()
-        scn.unserved_today = {}
-        scn.int_buy_requested = {}
-
-        # 1. shocks
-        for spec in shocks_by_day.get(day, []):
-            apply_shock(spec, world, scn.shock_state, scn.shock_info, scn.rng,
-                        config.price_model)
-        run_corrective_burns(world, scn.shock_state)
-        suspended = scn.shock_state.suspended_chains(day)
-
-        # 2. accruals
+        suspended = _open_day(scn, day)
         _accrue(scn)
-
-        # 3. demand
-        _release_completed_commitments(scn)
-        for key in sorted(scn.settle.issuers):
-            book = scn.settle.issuers[key]
-            model = scn.run_models[key]
-            conf = scn.confidence[key]
-            conf = ConfidenceState(secondary_price=conf.secondary_price,
-                                   pending_delay_age=scn.settle.queue_age(book),
-                                   last_shock=conf.last_shock)
-            scn.confidence[key] = conf
-            prior = model.sensitivity_state
-            coins = scn.settle.coins_outstanding(book.agent)
-            demand = redemption_demand(model, conf, coins)
-            if model.sensitivity_state is not prior:
-                world.emit("regime_flip", issuer=key,
-                           state=model.sensitivity_state.value)
-            _route_demand(scn, book, demand, suspended)
-
-        # 4. mint demand
-        if config.mint_daily_rate > 0:
-            for key in sorted(scn.settle.issuers):
-                book = scn.settle.issuers[key]
-                if book.chain in suspended:
-                    continue
-                coins = scn.settle.coins_outstanding(book.agent)
-                amount = mul_frac(coins, config.mint_daily_rate)
-                if amount > 0:
-                    try:
-                        scn.settle.submit_mint(book, scn.mint_buyer, amount,
-                                               scn.confidence[key].secondary_price)
-                    except MintDeclined as err:
-                        world.emit("mint_declined", issuer=key, cause=str(err))
-
-        # 5. intervention
-        for key in sorted(scn.settle.issuers):
-            _run_intervention(scn, scn.settle.issuers[key], suspended)
-
-        # 6. planning
-        instructions = scn.settle.plan_pending(suspended)
-        if config.policies.issuer_reserve_access:
-            # bills monetize at the central bank instead of the dealer market
-            for instr in instructions:
-                proceeds = _fed_bill_purchase(scn, instr.issuer, instr.amount)
-                book = scn.settle.issuers[instr.issuer.key]
-                book.inflight_orders = max(0, book.inflight_orders - instr.amount)
-                book.pool += proceeds
-            instructions = []
-
-        # 7. settlement legs due
-        settlements = scn.market.settle_due(world, scn.registry)
-        scn.settle.credit_proceeds(settlements)
-        scn.market.offload_inventory(world, scn.registry)
-        gaps = scn.settle.process_repo_legs(suspended)
-        scn.settle.payout_pass(suspended)
-
-        # 8. market clearing
-        capacity_now = scn.market.capacity(world)
-        if capacity_day0 is None:
-            capacity_day0 = capacity_now
-        dealer_capacity = {k: scn.market._dealer_available(world, scn.market.books[k])
-                           for k in sorted(scn.market.books)}
-        reports = scn.market.resubmit_carryover(world)
-        for instr in instructions:
-            reports.append(scn.market.submit_sale(world, instr.issuer, instr.amount,
-                                                  instr.duration,
-                                                  purpose="redemption"))
-        for gap in gaps:
-            reports += scn.market.funding_gap_liquidation(world, gap.amount,
-                                                          gap.borrower)
-        for report in reports:
-            scn.settle.note_fill(report.seller.key, report.filled)
-        scn.market.apply_day_impact(world, scn.registry)
-        srf_total += scn.market.day_srf_draws
-
-        # 9. mint settlement and payout drain
-        scn.settle.mint_pass(suspended, scn.mint_buyer)
-        scn.settle.payout_pass(suspended)
-        scn.settle.sweep_delay_flags()
-
-        # 10. price update
-        for key in sorted(scn.settle.issuers):
-            book = scn.settle.issuers[key]
-            conf = scn.confidence[key]
-            coins = scn.settle.coins_outstanding(book.agent)
-            overdue = scn.settle.overdue_amount(book) + scn.unserved_today.get(key, 0)
-            shock_eff = scn.shock_state.price_effects.pop(key, 0)
-            completed = book.day_int_buy_completed + book.day_int_mint_completed
-            requested = max(scn.int_buy_requested.get(key, 0), completed)
-            intervention = InterventionResult(
-                requested=requested, completed=completed,
-                pin_target=book.pin_target)
-            access = (AccessKind.DIRECT
-                      if book.access_mode is AccessMode.DIRECT
-                      else AccessKind.INTERMEDIATED)
-            conf = update_secondary_price(conf, overdue, coins, shock_eff, access,
-                                          intervention=intervention,
-                                          params=config.price_model)
-            if shock_eff:
-                conf = dataclasses.replace(
-                    conf, last_shock=scn.shock_state.last_shock.get(key))
-            scn.confidence[key] = conf
-            dev = abs(PAR - conf.secondary_price)
-            peak_dev[key] = max(peak_dev[key], dev)
-            peak_txn[key] = max(peak_txn[key],
-                                book.day_completed + book.day_minted)
-
-        # 11. analytics, audit, emission
-        report = world.audit()
-        if not report.ok:
-            raise AuditFailure(day, report)
-        for key in sorted(scn.settle.issuers):
-            book = scn.settle.issuers[key]
-            agent = book.agent
-            cfg = scn.issuer_cfg[key]
-            sheet = world.sheet(agent)
-            assets = sheet.total_assets()
-            if cfg.count_excess_collateral:
-                assets += sum(max(0, p.collateral_value(world) - p.principal)
-                              for p in scn.registry.by_lender(agent))
-            coins = scn.settle.coins_outstanding(agent)
-            lev = analytics.leverage_ratio(assets, coins) if assets > 0 else None
-            liq = analytics.liquidity_metrics(_issuer_portfolio(scn, book), day)
-            if sheet.equity < 0 and book.insolvency_day is None:
-                book.insolvency_day = day
-                world.emit("insolvent", issuer=key, equity=sheet.equity)
-            analytics_rows.append(analytics.analytics_row(
-                day, cfg.name, leverage=lev, liquidity=liq))
-            daily_rows.append({
-                "day": day, "agent": cfg.name, "kind": "issuer",
-                "price": scn.confidence[key].secondary_price,
-                "coins": coins,
-                "requested": book.day_requested,
-                "completed": book.day_completed,
-                "delayed": book.delayed_total,
-                "overdue": scn.settle.overdue_amount(book),
-                "capacity": "",
-                "slr": "", "headroom": "",
-                "ratio": lev.ratio if lev else "",
-                "band": lev.band.value if lev else "",
-                "dla": liq.dla_frac, "wla": liq.wla_frac,
-                "wam": liq.wam_days, "wal": liq.wal_days,
-            })
-        name_of = {scn.agent_of[c.name].key: c.name for c in config.dealers}
-        for dealer_key in sorted(scn.market.books):
-            book = scn.market.books[dealer_key]
-            slr_rep = book.slr_report(world, scn.market.params.slr_bound_override)
-            name = name_of[dealer_key]
-            analytics_rows.append(analytics.analytics_row(
-                day, name, slr_report=slr_rep))
-            daily_rows.append({
-                "day": day, "agent": name, "kind": "dealer",
-                "price": "", "coins": "", "requested": "", "completed": "",
-                "delayed": "", "overdue": "",
-                "capacity": dealer_capacity[dealer_key],
-                "slr": slr_rep.slr, "headroom": slr_rep.headroom_assets,
-                "ratio": "", "band": "", "dla": "", "wla": "", "wam": "", "wal": "",
-            })
-        for duration in sorted(DurationClass, key=lambda d: d.value):
-            market_rows.append({
-                "day": day, "class": duration.value,
-                "price": world.price(duration),
-                "submitted": scn.market.day_submitted[duration],
-                "fills": scn.market.day_fills[duration],
-                "unfilled": scn.market.day_excess[duration],
-                "capacity": capacity_now,
-                "srf_draws": scn.market.day_srf_draws,
-            })
+        _redemption_demand(scn, suspended)
+        _mint_demand(scn, suspended)
+        _interventions(scn, suspended)
+        instructions = _plan(scn, suspended)
+        gaps = _settle_legs(scn, suspended)
+        dealer_capacity = _clear_market(scn, instructions, gaps)
+        _drain_queues(scn, suspended)
+        _update_prices(scn)
+        _emit_rows(scn, day, dealer_capacity)
         if on_day_end is not None:
             on_day_end(scn, day)
-
-    summary = _summarize(scn, peak_dev, peak_txn, srf_total, capacity_day0 or 0)
-    daily_rows.sort(key=lambda r: (r["day"], r["agent"]))
-    analytics_rows.sort(key=lambda r: (r["day"], r["agent"]))
-    return RunOutput(daily_rows=daily_rows, market_rows=market_rows,
-                     analytics_rows=analytics_rows, summary=summary,
-                     events=list(world.events))
+    scn.daily_rows.sort(key=lambda r: (r["day"], r["agent"]))
+    scn.analytics_rows.sort(key=lambda r: (r["day"], r["agent"]))
+    return RunOutput(daily_rows=scn.daily_rows, market_rows=scn.market_rows,
+                     analytics_rows=scn.analytics_rows, summary=_summarize(scn),
+                     events=list(scn.world.events))
 
 
-def _summarize(scn: Scenario, peak_dev: dict, peak_txn: dict, srf_total: Amount,
-               capacity_day0: Amount) -> dict:
-    from .money import mul_div
-
+def _summarize(scn: Scenario) -> dict:
     config = scn.config
     world = scn.world
     canonical = json.dumps(config.canonical_dict(), sort_keys=True,
@@ -735,9 +708,9 @@ def _summarize(scn: Scenario, peak_dev: dict, peak_txn: dict, srf_total: Amount,
         if config.attack_cost:
             # diagnostic only: peak daily transacted value per unit of
             # attack cost, in micro units
-            incentive = mul_div(peak_txn[key], MICRO, config.attack_cost)
+            incentive = mul_div(scn.peak_txn[key], MICRO, config.attack_cost)
         issuers[cfg.name] = {
-            "peak_deviation_bp": peak_dev[key] // BP,
+            "peak_deviation_bp": scn.peak_dev[key] // BP,
             "max_delay_days": book.max_delay_days,
             "insolvency_day": book.insolvency_day,
             "requested_total": book.total_requested,
@@ -759,8 +732,8 @@ def _summarize(scn: Scenario, peak_dev: dict, peak_txn: dict, srf_total: Amount,
         "market": {
             "seller_volume": scn.market.seller_volume,
             "gross_volume": scn.market.gross_volume,
-            "srf_draws_total": srf_total,
-            "capacity_day0": capacity_day0,
+            "srf_draws_total": scn.srf_total,
+            "capacity_day0": scn.market_rows[0]["capacity"],
             "final_price_bill": world.price(DurationClass.BILL),
             "final_price_long": world.price(DurationClass.LONG),
         },

@@ -39,10 +39,6 @@ class WrongDay(InstrumentError):
     pass
 
 
-class IneligibleBill(InstrumentError):
-    pass
-
-
 @dataclass(frozen=True)
 class TreasuryBill:
     face: Amount
@@ -56,14 +52,6 @@ class TreasuryBill:
 
     def value(self) -> Amount:
         return mul_frac(self.face, self.market_price)
-
-
-def check_genius_eligible(bill: TreasuryBill, purchase_day: int) -> None:
-    """Compliant issuers may only buy bills maturing within 93 days."""
-    if bill.maturity_day - purchase_day > GENIUS_MAX_BILL_DAYS:
-        raise IneligibleBill(
-            f"bill matures in {bill.maturity_day - purchase_day} days, "
-            f"limit is {GENIUS_MAX_BILL_DAYS}")
 
 
 @dataclass

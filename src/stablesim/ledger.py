@@ -191,7 +191,8 @@ class LedgerWorld:
         self.day = 0
         self.seq = 0
         self.agents: dict[str, BalanceSheet] = {}
-        self.meta: dict[str, dict] = {}
+        self.ids: dict[str, AgentId] = {}
+        self.banks: dict[str, AgentId | None] = {}
         self.tbill_prices: dict[DurationClass, int] = {
             DurationClass.BILL: 1_000_000,
             DurationClass.LONG: 1_000_000,
@@ -207,10 +208,8 @@ class LedgerWorld:
         if bank is not None and bank.key not in self.agents:
             raise UnknownAgent(f"bank {bank} not registered")
         self.agents[agent.key] = BalanceSheet()
-        self.meta[agent.key] = {"kind": agent.kind, "index": agent.index, "bank": bank}
-
-    def has_agent(self, agent: AgentId) -> bool:
-        return agent.key in self.agents
+        self.ids[agent.key] = agent
+        self.banks[agent.key] = bank
 
     def sheet(self, agent: AgentId) -> BalanceSheet:
         try:
@@ -219,14 +218,14 @@ class LedgerWorld:
             raise UnknownAgent(f"unknown agent {agent}") from None
 
     def bank_of(self, agent: AgentId) -> AgentId:
-        bank = self.meta[agent.key]["bank"]
+        bank = self.banks[agent.key]
         if bank is None:
             raise LedgerError(f"{agent} has no deposit bank")
         return bank
 
     def agent_ids(self) -> list[AgentId]:
-        ids = [AgentId(m["kind"], m["index"]) for m in self.meta.values()]
-        return sorted(ids, key=lambda a: a.key)
+        """Registered agents in key order."""
+        return [self.ids[key] for key in sorted(self.ids)]
 
     # -- event log ---------------------------------------------------------
 
@@ -460,16 +459,15 @@ class LedgerWorld:
 
     def _check_deposit_matching(self) -> AuditCheck:
         for key in sorted(self.agents):
-            meta = self.meta[key]
             book = self.agents[key]
-            if meta["kind"] is AgentKind.BANK:
+            if self.ids[key].kind is AgentKind.BANK:
                 continue
             for akey, amount in sorted(book.assets.items()):
                 if not akey.startswith("deposit@"):
                     continue
                 bank_key = akey.split("@", 1)[1]
                 bank = self.agents.get(bank_key)
-                if bank is None or self.meta[bank_key]["kind"] is not AgentKind.BANK:
+                if bank is None or self.ids[bank_key].kind is not AgentKind.BANK:
                     return AuditCheck("deposit_matching", False, key,
                                       f"deposit asset at non-bank {bank_key}")
                 if bank.liability(f"deposit@{key}") != amount:
@@ -477,7 +475,7 @@ class LedgerWorld:
                                       f"deposit {amount} at {bank_key} has liability "
                                       f"{bank.liability(f'deposit@{key}')}")
         for key in sorted(self.agents):
-            if self.meta[key]["kind"] is not AgentKind.BANK:
+            if self.ids[key].kind is not AgentKind.BANK:
                 continue
             for lkey, amount in sorted(self.agents[key].liabilities.items()):
                 if not lkey.startswith("deposit@"):
@@ -526,7 +524,7 @@ class LedgerWorld:
             book = self.agents[key]
             agents.append({
                 "id": key,
-                "kind": self.meta[key]["kind"].value,
+                "kind": self.ids[key].kind.value,
                 "assets": [{"instrument": k, "amount": v}
                            for k, v in sorted(book.assets.items())],
                 "liabilities": [{"instrument": k, "amount": v}

@@ -213,10 +213,14 @@ class Market:
             cap = min(cap, affordable)
         return max(0, cap)
 
+    def dealer_capacity(self, world: LedgerWorld) -> dict:
+        """Dealer key -> fill volume that dealer can absorb right now."""
+        return {k: self._dealer_available(world, self.books[k])
+                for k in sorted(self.books)}
+
     def capacity(self, world: LedgerWorld) -> Amount:
         """Fill volume the dealer sector can absorb right now."""
-        return sum(self._dealer_available(world, self.books[k])
-                   for k in sorted(self.books))
+        return sum(self.dealer_capacity(world).values())
 
     # -- clearing ------------------------------------------------------------
 

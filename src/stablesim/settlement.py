@@ -191,8 +191,10 @@ class IssuerBook:
     day_requested: Amount = 0
     day_completed: Amount = 0
     day_minted: Amount = 0
+    day_int_buy_requested: Amount = 0
     day_int_buy_completed: Amount = 0
     day_int_mint_completed: Amount = 0
+    day_unserved: Amount = 0         # demand no holder could place today
     pin_target: int = 1_000_000
     total_requested: Amount = 0
     total_completed: Amount = 0
@@ -218,8 +220,9 @@ class GapInstruction:
 class SettlementEngine:
     """Drives every issuer's redemption queue one day at a time.
 
-    Owns planning, repo rollovers, the proceeds pool and the payout
-    pass; market clearing and price updates stay outside.
+    Owns planning, the coins promised to open requests, repo rollovers,
+    the proceeds pool and the payout pass; market clearing and price
+    updates stay outside.
     """
 
     def __init__(self, world: LedgerWorld, registry: RepoRegistry,
@@ -232,6 +235,8 @@ class SettlementEngine:
         self.repo_roll_rate = repo_roll_rate
         self.negative_carry_refusal = negative_carry_refusal
         self._next_request = 0
+        # (holder key, issuer key) -> coins promised to open requests
+        self.committed: dict[tuple[str, str], Amount] = {}
 
     # -- intake -----------------------------------------------------------
 
@@ -241,8 +246,10 @@ class SettlementEngine:
             book.day_requested = 0
             book.day_completed = 0
             book.day_minted = 0
+            book.day_int_buy_requested = 0
             book.day_int_buy_completed = 0
             book.day_int_mint_completed = 0
+            book.day_unserved = 0
             book.pin_target = PAR
 
     def coins_outstanding(self, issuer: AgentId) -> Amount:
@@ -251,6 +258,11 @@ class SettlementEngine:
     def deposits_of(self, agent: AgentId) -> Amount:
         bank = self.world.bank_of(agent)
         return self.world.sheet(agent).asset(deposit_key(bank))
+
+    def redeemable(self, holder: AgentId, issuer: AgentId) -> Amount:
+        """Coins the holder has not yet promised to an open request."""
+        held = self.world.sheet(holder).asset(coin_key(issuer))
+        return max(0, held - self.committed.get((holder.key, issuer.key), 0))
 
     def submit_redemption(self, book: IssuerBook, holder: AgentId, amount: Amount,
                           route: Route, is_intervention: bool = False) -> OpenRequest:
@@ -266,6 +278,8 @@ class SettlementEngine:
         self._next_request += 1
         record = OpenRequest(request=req, is_intervention=is_intervention)
         book.requests.append(record)
+        key = (holder.key, book.agent.key)
+        self.committed[key] = self.committed.get(key, 0) + amount
         book.day_requested += amount
         book.total_requested += amount
         self.world.emit("redemption_request", request_id=req.request_id,
@@ -392,7 +406,7 @@ class SettlementEngine:
 
     # -- repo rollovers -----------------------------------------------------------
 
-    def process_repo_legs(self, suspended_chains: set) -> list:
+    def process_repo_legs(self) -> list:
         """Roll every maturing repo except principal committed to funding.
 
         Returns the funding gaps pushed onto borrowers by declined
@@ -487,6 +501,10 @@ class SettlementEngine:
         record.deposits_used += deposit_part
         record.pool_used += pool_part
         record.paid += chunk
+        key = (req.holder.key, book.agent.key)
+        self.committed[key] -= chunk
+        if not self.committed[key]:
+            del self.committed[key]
         book.earmarked = max(0, book.earmarked - deposit_part)
         book.pool = max(0, book.pool - pool_part)
         book.day_completed += chunk

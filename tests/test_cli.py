@@ -24,6 +24,21 @@ def test_validate_rejects_bad_config(tmp_path, capsys):
 
 def test_missing_file_is_io_error(tmp_path):
     assert main(["run", str(tmp_path / "absent.json")]) == 3
+    # a path that ends in a preset name is still a path
+    assert main(["run", str(tmp_path / "calm"), "--out", str(tmp_path)]) == 3
+
+
+def test_config_without_dealers_is_invalid(tmp_path, capsys):
+    from stablesim.config import PRESETS
+
+    raw = PRESETS["calm"]()
+    raw["agents"]["dealers"] = []
+    path = tmp_path / "no_dealers.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", str(path)]) == 1
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "at least one dealer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_writes_all_outputs(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from stablesim.config import (PRESETS, ParseError, ValidationError, load_config,
                               parse_config, preset_descriptions)
 from stablesim.dynamics import UnknownShockClass
+from stablesim.instruments import GENIUS_MAX_BILL_DAYS
 from stablesim.settlement import AccessMode, ParMode
 
 
@@ -18,7 +19,8 @@ def minimal_raw():
                          "assets": 100_00,
                          "allocation": {"deposits": 100_00, "bills": 0,
                                         "repo": 0}}],
-            "dealers": [],
+            "dealers": [{"name": "d", "bank": "bank_a", "capital": 10_00,
+                         "base_assets": 1_000_00, "reserve_access": 100_00}],
             "holders": [{"name": "h", "bank": "bank_a",
                          "coins": {"usdx": 100_00}}],
             "treasury_buyers": [{"name": "tb", "bank": "bank_a",
@@ -85,6 +87,16 @@ def test_parse_error_carries_location(tmp_path):
 def test_missing_file_vs_preset(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_config(tmp_path / "absent.json")
+    # a path is never read as a preset name, even when it ends in one
+    with pytest.raises(FileNotFoundError):
+        load_config(tmp_path / "calm")
+
+
+def test_at_least_one_dealer():
+    raw = minimal_raw()
+    raw["agents"]["dealers"] = []
+    with pytest.raises(ValidationError, match="at least one dealer"):
+        parse_config(raw)
 
 
 def test_agent_lists_are_canonicalized():
@@ -133,7 +145,10 @@ def test_config_file_roundtrip(tmp_path):
 
 
 def test_compliant_issuer_rejects_long_bills():
+    assert GENIUS_MAX_BILL_DAYS == 93
     raw = minimal_raw()
+    raw["agents"]["issuers"][0]["bill_maturity_days"] = 93
+    parse_config(raw)
     raw["agents"]["issuers"][0]["bill_maturity_days"] = 94
     with pytest.raises(ValidationError, match="93 days"):
         parse_config(raw)

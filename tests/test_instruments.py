@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablesim.instruments import (IneligibleBill, InsufficientCollateral,
-                                   InsufficientCash, PortfolioState, RepoRegistry,
-                                   TreasuryBill, WrongDay, check_genius_eligible,
+from stablesim.instruments import (InsufficientCollateral, InsufficientCash,
+                                   PortfolioState, RepoRegistry, WrongDay,
                                    close_or_default_repo, default_loss,
                                    mark_treasuries, open_reverse_repo,
                                    required_collateral, roll_repo, step_portfolio)
@@ -177,14 +176,6 @@ def test_term_repo_margin_call_emitted_once_per_position():
     open_reverse_repo(world2, registry2, ISSUER, DEALER, 10_000_00,
                       haircut=20_000, rate=0, term=1)
     assert mark_treasuries(world2, registry2, -30_000) == []
-
-
-def test_genius_maturity_limit():
-    bill = TreasuryBill(face=100_00, maturity_day=93)
-    check_genius_eligible(bill, purchase_day=0)
-    late = TreasuryBill(face=100_00, maturity_day=94)
-    with pytest.raises(IneligibleBill):
-        check_genius_eligible(late, purchase_day=0)
 
 
 def portfolio(face=100_000_00, price=MICRO, deposits=0, r_t=0, r_d=0):

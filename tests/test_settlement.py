@@ -327,14 +327,18 @@ def test_funding_trackers_stay_consistent_across_random_runs():
                 assert 0 <= r.paid <= r.request.amount
                 assert r.deposits_used <= r.from_deposits
                 assert r.pool_used <= r.from_pool
-        # the committed-coin index is rebuilt before each routing pass;
-        # once fresh it never exceeds actual holdings
-        from stablesim.engine import _release_completed_commitments
-
-        _release_completed_commitments(scn)
-        for (holder_key, issuer_key), amount in scn.committed_coins.items():
+        # committed coins are exactly what open requests still owe, and
+        # never more than the holder has
+        owed: dict = {}
+        for key in sorted(scn.settle.issuers):
+            for r in scn.settle.issuers[key].requests:
+                if not r.completed:
+                    k = (r.request.holder.key, key)
+                    owed[k] = owed.get(k, 0) + r.remaining
+        assert scn.settle.committed == owed
+        for (holder_key, issuer_key), amount in scn.settle.committed.items():
             held = scn.world.agents[holder_key].asset(f"coin@{issuer_key}")
-            assert amount <= held
+            assert 0 < amount <= held
 
     for _ in range(120):
         deposits = rng.uniform_int(0, 4_000_00)
