@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablesim.instruments import (InsufficientCollateral, InsufficientCash,
-                                   PortfolioState, RepoRegistry, WrongDay,
+from stablesim.config import PRESETS, ValidationError, parse_config
+from stablesim.instruments import (GENIUS_MAX_BILL_DAYS, InsufficientCollateral,
+                                   InsufficientCash, PortfolioState, RepoRegistry, WrongDay,
                                    close_or_default_repo, default_loss,
                                    mark_treasuries, open_reverse_repo,
                                    required_collateral, roll_repo, step_portfolio)
@@ -176,6 +177,18 @@ def test_term_repo_margin_call_emitted_once_per_position():
     open_reverse_repo(world2, registry2, ISSUER, DEALER, 10_000_00,
                       haircut=20_000, rate=0, term=1)
     assert mark_treasuries(world2, registry2, -30_000) == []
+
+
+def test_genius_maturity_limit():
+    assert GENIUS_MAX_BILL_DAYS == 93
+    raw = PRESETS["calm"]()
+    issuer = raw["agents"]["issuers"][0]
+    issuer["genius_compliant"] = True
+    issuer["bill_maturity_days"] = 93
+    parse_config(raw)
+    issuer["bill_maturity_days"] = 94
+    with pytest.raises(ValidationError, match="93 days"):
+        parse_config(raw)
 
 
 def portfolio(face=100_000_00, price=MICRO, deposits=0, r_t=0, r_d=0):
