@@ -5,8 +5,9 @@
   stablesim validate <config>
   stablesim presets list
 
-Exit codes: 0 ok, 1 validation or parse failure, 2 audit failure,
-3 I/O failure. <config> is a JSON file path or a preset name.
+Exit codes: 0 ok, 1 validation or parse failure (including a world that
+cannot be built from the config), 2 audit failure, 3 I/O failure.
+<config> is a JSON file path or a preset name.
 """
 
 from __future__ import annotations
@@ -19,7 +20,18 @@ from pathlib import Path
 
 from .config import (ParseError, ValidationError, load_config, load_raw,
                      parse_config, preset_descriptions)
+from .dynamics import UnknownShockClass
 from .engine import AuditFailure, run, sweep
+from .instruments import InstrumentError
+from .ledger import LedgerError
+from .market import MarketError
+from .settlement import SettlementError
+
+# what parse_config raises for a config it rejects
+CONFIG_ERRORS = (ParseError, ValidationError, UnknownShockClass)
+# what the engine raises for a valid config it cannot carry out, such as repo
+# collateral the dealers cannot pledge when run() builds the world
+WORLD_ERRORS = (InstrumentError, LedgerError, MarketError, SettlementError)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -32,7 +44,7 @@ def cmd_run(args) -> int:
         config = load_config(args.config)
         if args.seed is not None:
             config = replace(config, seed=args.seed)
-    except (ParseError, ValidationError) as err:
+    except CONFIG_ERRORS as err:
         print(f"invalid config: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as err:
@@ -43,6 +55,9 @@ def cmd_run(args) -> int:
     except AuditFailure as err:
         print(str(err), file=sys.stderr)
         return EXIT_AUDIT
+    except WORLD_ERRORS as err:
+        print(f"invalid config: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         output.write(args.out)
     except OSError as err:
@@ -64,7 +79,7 @@ def cmd_sweep(args) -> int:
         for key, values in grid.items():
             if not isinstance(values, list):
                 raise ValidationError(f"grid values for {key} must be a list")
-    except (ParseError, ValidationError, json.JSONDecodeError) as err:
+    except (*CONFIG_ERRORS, json.JSONDecodeError) as err:
         print(f"invalid sweep input: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as err:
@@ -84,7 +99,7 @@ def cmd_sweep(args) -> int:
 def cmd_validate(args) -> int:
     try:
         load_config(args.config)
-    except (ParseError, ValidationError) as err:
+    except CONFIG_ERRORS as err:
         print(f"invalid: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as err:

@@ -6,49 +6,56 @@ every fraction, rate or price is an integer in micro units
 (1_000_000 == 1.0 == par == 100%); basis points are written as micro
 values too (1bp == 100).
 
+Nothing is coerced: integers are JSON integers (not 5.5, "5" or true),
+booleans are true or false. The integers of agent entries and shocks
+are >= 0; rates stay signed. A field left out takes the default in
+parentheses. Errors name the dotted path first, e.g. "market.depth:
+expected an integer, got 5.5" or "agents.holders[h_1].coins.usdx: ...".
+
   unit_scale      label documenting what one major unit means, e.g.
                   "USD" (minor unit = cent) or "USD_bn" (minor unit =
                   0.01 billion). Outputs are reported in minor units of
                   this scale. (default "USD")
   horizon_days    number of simulated business days (>= 1)
-  seed            64-bit seed for the fixed SplitMix64 generator
+  seed            64-bit seed for the fixed SplitMix64 generator (0)
   agents:
     banks         [{name}]
-    issuers       [{name, bank, chain, coins, assets,
-                    allocation: {deposits, bills, repo},
+    issuers       [{name, bank, chain ("main"), coins (> 0), assets,
+                    allocation: {deposits (0), bills (0), repo (0)},
                     bill_maturity_days (45), genius_compliant (true),
                     mint_invest_frac (0), operating_cost_per_day (0),
                     count_excess_collateral (false)}]
     dealers       [{name, bank, capital, base_assets, exposures (0),
-                    gsib (true), reserve_access, deposits,
+                    gsib (true), reserve_access, deposits (0),
                     treasuries_bill (0), treasuries_long (0)}], at least one
-    intermediaries[{name, bank, deposits}]
-    holders       [{name, bank, deposits (0), coins: {issuer: amount}}]
-    treasury_buyers[{name, bank, deposits, treasuries_bill (0),
-                    treasuries_long (0)}]
+    intermediaries[{name, bank, deposits (0), coins: {issuer: amount} ({})}]
+    holders       [{name, bank, deposits (0), coins: {issuer: amount} ({})}]
+    treasury_buyers[{name, bank, deposits (0), treasuries_bill (0),
+                    treasuries_long (0)}], at least one
   policies:
-    access_mode               "direct" | "intermediated"
-    par_policy                {mode: "rigorous_fixed" | "corridor" |
-                               "best_effort", corridor_bp}
+    access_mode               "direct" (default) | "intermediated"
+    par_policy                {mode: "best_effort" (default) | "corridor" |
+                               "rigorous_fixed", corridor_bp (0; > 0 for a corridor)}
     srf_enabled               false
     issuer_reserve_access     false   (issuers may hold central bank
                                        reserves; redemptions can then
                                        settle from reserves same-day)
     eslr_reform               false
-    intermediary_mode         "redeem" | "warehouse"
+    intermediary_mode         "redeem" (default) | "warehouse"
     negative_carry_refusal    true
-    slr_bound_bp              null    (override; else 3% / 5% by gsib)
+    slr_bound_bp              null    (override, > 0; else 3% / 5% by gsib)
   market:
     depth, impact_coeff_long (15000), impact_coeff_bill (5000),
     max_dislocation_bp (500), retention_frac (335648 micro,
     i.e. 72.5/216), flight_to_safety (false), bill_safety_lift (0),
     replacement_frac (0), offload_frac (250000), eslr_capacity_add (0)
   run_model:
-    baseline_rate, deviation_threshold_bp (300), shifted_rate,
+    baseline_rate (1000), deviation_threshold_bp (300),
+    shifted_rate (100000, > baseline_rate),
     recovery_days (5), delay_trigger_days (2), smooth (false)
   price_model:
     overdue_coeff (100000), failure_coeff (100000), reversion (500000),
-    min_price (100000), supply_incident_dip (5000)
+    min_price (100000, > 0), supply_incident_dip (5000)
   rates:
     treasury_rate_daily (0), deposit_rate_daily (0),
     repo_rate_daily (0), haircut (20000 = 2%)
@@ -72,14 +79,19 @@ PRESETS) or a file path; a path is never read as a preset name.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
-from .dynamics import LikelihoodBand, PriceParams, RunModel, ShockClass, ShockSpec, SystemicBand
+from .dynamics import (LikelihoodBand, PriceParams, RunModel, ShockClass, ShockSpec,
+                       SystemicBand, UnknownShockClass)
 from .instruments import GENIUS_MAX_BILL_DAYS
 from .money import BP
-from .settlement import AccessMode, ParMode, ParPolicy
+from .settlement import AccessMode, ParMode, ParPolicy, SettlementError
 
 
 class ParseError(Exception):
@@ -112,7 +124,7 @@ class DealerConfig:
     capital: int
     base_assets: int
     reserve_access: int
-    deposits: int
+    deposits: int = 0
     exposures: int = 0
     gsib: bool = True
     treasuries_bill: int = 0
@@ -132,7 +144,7 @@ class SimpleAgentConfig:
 @dataclass(frozen=True)
 class PolicyConfig:
     access_mode: AccessMode = AccessMode.DIRECT
-    par_policy: ParPolicy = ParPolicy(ParMode.BEST_EFFORT)
+    par_policy: ParPolicy = ParPolicy()
     srf_enabled: bool = False
     issuer_reserve_access: bool = False
     eslr_reform: bool = False
@@ -186,19 +198,19 @@ class RunModelConfig:
 @dataclass(frozen=True)
 class ScenarioConfig:
     horizon_days: int
-    seed: int
     banks: tuple
     issuers: tuple
     dealers: tuple
     intermediaries: tuple
     holders: tuple
     treasury_buyers: tuple
-    policies: PolicyConfig
     market: MarketConfig
-    run_model: RunModelConfig
-    price_model: PriceParams
-    rates: RatesConfig
-    shocks: tuple
+    seed: int = 0
+    policies: PolicyConfig = PolicyConfig()
+    run_model: RunModelConfig = RunModelConfig()
+    price_model: PriceParams = PriceParams()
+    rates: RatesConfig = RatesConfig()
+    shocks: tuple = ()
     mint_daily_rate: int = 0
     attack_cost: int | None = None
     unit_scale: str = "USD"
@@ -221,12 +233,142 @@ def _require(condition: bool, constraint: str) -> None:
         raise ValidationError(constraint)
 
 
-def _get(section: dict, key: str, default=None, required: bool = False):
-    if key in section:
-        return section[key]
-    if required:
-        raise ValidationError(f"missing field: {key}")
-    return default
+def _path(where: str, key) -> str:
+    return f"{where}.{key}" if where else str(key)
+
+
+def _wrong(where: str, expected: str, value) -> ValidationError:
+    return ValidationError(f"{where}: expected {expected}, got {json.dumps(value, default=repr)}")
+
+
+def _reader(kind: type, expected: str) -> Callable:
+    """(value, where, key) -> value, which must be exactly a `kind`."""
+    def read(value, where: str, key):
+        if type(value) is not kind:
+            raise _wrong(_path(where, key), expected, value)
+        return value
+    return read
+
+
+_int, _bool, _str = (_reader(int, "an integer"), _reader(bool, "true or false"),
+                     _reader(str, "a string"))
+_object, _list = _reader(dict, "an object"), _reader(list, "a list")
+_READERS = {"int": _int, "bool": _bool, "str": _str,
+            "int | None": lambda value, where, key: (
+                value if value is None else _int(value, where, key))}
+
+
+class _Read(NamedTuple):
+    """A field read by `read` from `key` (None: the field name; dotted: nested)."""
+    read: Callable
+    key: str | None = None
+
+
+@functools.cache
+def _schema(cls) -> tuple:
+    """Readers of the fields of `cls` whose kind has one; required fields."""
+    fields = dataclasses.fields(cls)
+    return ({f.name: _READERS[f.type] for f in fields if f.type in _READERS},
+            tuple(f.name for f in fields if f.default is dataclasses.MISSING
+                  and f.default_factory is dataclasses.MISSING))
+
+
+def _section(cls, raw, where: str, given: dict, amounts: bool = False):
+    """Read the JSON object `raw` at dotted path `where` into dataclass `cls`:
+    a present field through the reader of its kind, a missing one left to
+    its default. `given` maps a field to its value or to a `_Read` (renamed,
+    enum or nested fields). With `amounts`, integers must be >= 0."""
+    if type(raw) is not dict:
+        raise _wrong(where, "an object", raw)
+    readers, required = _schema(cls)
+    values = {}
+    for key, value in raw.items():
+        read = readers.get(key)
+        if read is not None and key not in given:
+            values[key] = value = read(value, where, key)
+            if amounts and type(value) is int and value < 0:
+                raise _wrong(_path(where, key), "an integer >= 0", value)
+    for name, spec in given.items():
+        if type(spec) is not _Read:
+            values[name] = spec
+            continue
+        read, key = spec
+        node, at, key = raw, where, key or name
+        while "." in key:
+            part, key = key.split(".", 1)
+            node, at = _object(node.get(part, {}), at, part), _path(at, part)
+        if key in node:
+            values[name] = read(node[key], at, key)
+        elif name in required:
+            raise ValidationError(f"missing field: {_path(at, key)}")
+    for name in required:
+        if name not in values:
+            raise ValidationError(f"missing field: {_path(where, name)}")
+    return cls(**values)
+
+
+def _of(cls, **given) -> Callable:  # the reader of a subsection parsed into `cls`
+    return lambda value, where, key: _section(cls, value, _path(where, key), given)
+
+
+def _enum(enum_cls, label: str, error=ValidationError) -> Callable:
+    members = {member.value: member for member in enum_cls}  # all values are str
+
+    def read(value, where: str, key):
+        if type(value) is str and value in members:
+            return members[value]
+        raise error(f"{_path(where, key)}: unknown {label}: {value}")
+    return read
+
+
+_ALLOCATION = {"deposits": 0, "bills": 0, "repo": 0}  # the default of each key
+
+
+def _holdings(value, where: str, key) -> dict:
+    """An object of amounts >= 0, e.g. coins by issuer name."""
+    for name, amount in _object(value, where, key).items():
+        if type(amount) is not int or amount < 0:
+            raise _wrong(f"{_path(where, key)}.{name}", "an integer >= 0", amount)
+    return dict(value)
+
+
+def _allocation(value, where: str, key) -> dict:
+    for k in _holdings(value, where, key):
+        _require(k in _ALLOCATION, f"{_path(where, key)}: unknown allocation key: {k}")
+    return {**_ALLOCATION, **value}
+
+
+_SHOCK = {"klass": _Read(_enum(ShockClass, "shock class", UnknownShockClass), "class"),
+          "likelihood_band": _Read(_enum(LikelihoodBand, "likelihood band"), "likelihood"),
+          "systemic_band": _Read(_enum(SystemicBand, "systemic band"), "systemic")}
+
+
+def _shocks(value, where: str, key) -> tuple:
+    shocks = []
+    for i, entry in enumerate(_list(value, where, key)):
+        at = f"{_path(where, key)}[{i}]"
+        _require("day" in _object(entry, "", at), f"missing field: {at}.day")  # no default here
+        shocks.append(_section(ShockSpec, entry, at, _SHOCK, amounts=True))
+    return tuple(sorted(shocks, key=lambda s: (s.day, s.klass.value, s.chain)))
+
+
+# The ScenarioConfig fields that are sections or read from other keys.
+_SCENARIO = {
+    "policies": _Read(_of(PolicyConfig,
+                          access_mode=_Read(_enum(AccessMode, "access mode")),
+                          par_policy=_Read(_of(
+                              ParPolicy, mode=_Read(_enum(ParMode, "par mode")),
+                              corridor_width=_Read(lambda v, at, k: _int(v, at, k) * BP,
+                                                   "corridor_bp"))))),
+    "market": _Read(_of(MarketConfig)),
+    "run_model": _Read(_of(RunModelConfig)),
+    "price_model": _Read(_of(PriceParams)),
+    "rates": _Read(_of(RatesConfig)),
+    "shocks": _Read(_shocks),
+    "mint_daily_rate": _Read(_int, "mint_demand.daily_rate"),
+    "attack_cost": _Read(_READERS["int | None"], "diagnostics.attack_cost"),
+}
+_HOLDER = {"coins": _Read(_holdings)}
 
 
 def load_raw(path: str | Path) -> dict:
@@ -248,221 +390,89 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 
 def parse_config(raw: dict) -> ScenarioConfig:
-    if not isinstance(raw, dict):
+    if type(raw) is not dict:
         raise ParseError("scenario must be a JSON object")
-    horizon = _get(raw, "horizon_days", required=True)
-    _require(isinstance(horizon, int) and horizon >= 1, "horizon_days>=1")
-    seed = _get(raw, "seed", 0)
-    _require(isinstance(seed, int) and 0 <= seed < 2 ** 64, "seed is a 64-bit integer")
+    _require("agents" in raw, "missing field: agents")
+    agents = _object(raw["agents"], "", "agents")
+    bank_names = {entry["name"] for _, entry in _named(agents, "banks")}
+    _require(len(bank_names) > 0, "agents.banks: at least one bank")
 
-    agents = _get(raw, "agents", required=True)
-    banks = _sorted_named(_get(agents, "banks", []), "banks")
-    bank_names = {b["name"] for b in banks}
-    _require(len(bank_names) > 0, "at least one bank")
-
-    issuers = []
-    for entry in _sorted_named(_get(agents, "issuers", []), "issuers"):
-        allocation = _get(entry, "allocation", required=True)
-        for k in allocation:
-            _require(k in ("deposits", "bills", "repo"), f"unknown allocation key: {k}")
-        alloc = {k: int(allocation.get(k, 0)) for k in ("deposits", "bills", "repo")}
-        _require(all(v >= 0 for v in alloc.values()), "allocation values>=0")
-        assets = _get(entry, "assets", required=True)
-        _require(sum(alloc.values()) == assets, "allocations≠assets")
-        coins = _get(entry, "coins", required=True)
-        _require(coins > 0, "coins>0")
-        bank = _get(entry, "bank", required=True)
-        _require(bank in bank_names, f"unknown bank: {bank}")
-        maturity = _get(entry, "bill_maturity_days", 45)
-        if _get(entry, "genius_compliant", True):
-            _require(maturity <= GENIUS_MAX_BILL_DAYS,
-                     f"compliant issuers hold bills of {GENIUS_MAX_BILL_DAYS} days or less")
-        issuers.append(IssuerConfig(
-            name=entry["name"], bank=bank, coins=coins, assets=assets,
-            allocation=alloc, chain=_get(entry, "chain", "main"),
-            bill_maturity_days=maturity,
-            genius_compliant=_get(entry, "genius_compliant", True),
-            mint_invest_frac=_get(entry, "mint_invest_frac", 0),
-            operating_cost_per_day=_get(entry, "operating_cost_per_day", 0),
-            count_excess_collateral=_get(entry, "count_excess_collateral", False),
-        ))
-    _require(len(issuers) > 0, "at least one issuer")
-
-    dealers = []
-    for entry in _sorted_named(_get(agents, "dealers", []), "dealers"):
-        bank = _get(entry, "bank", required=True)
-        _require(bank in bank_names, f"unknown bank: {bank}")
-        dealers.append(DealerConfig(
-            name=entry["name"], bank=bank,
-            capital=_get(entry, "capital", required=True),
-            base_assets=_get(entry, "base_assets", required=True),
-            reserve_access=_get(entry, "reserve_access", required=True),
-            deposits=_get(entry, "deposits", 0),
-            exposures=_get(entry, "exposures", 0),
-            gsib=_get(entry, "gsib", True),
-            treasuries_bill=_get(entry, "treasuries_bill", 0),
-            treasuries_long=_get(entry, "treasuries_long", 0),
-        ))
-    _require(len(dealers) > 0, "at least one dealer")
-
-    def simple(section: str) -> list:
-        out = []
-        for entry in _sorted_named(_get(agents, section, []), section):
-            bank = _get(entry, "bank", required=True)
-            _require(bank in bank_names, f"unknown bank: {bank}")
-            out.append(SimpleAgentConfig(
-                name=entry["name"], bank=bank,
-                deposits=_get(entry, "deposits", 0),
-                coins=dict(_get(entry, "coins", {})),
-                treasuries_bill=_get(entry, "treasuries_bill", 0),
-                treasuries_long=_get(entry, "treasuries_long", 0),
-            ))
+    def parse(section: str, cls, given: dict) -> dict:  # path -> entry, by name
+        out = {w: _section(cls, e, w, given, amounts=True) for w, e in _named(agents, section)}
+        for where, agent in out.items():
+            if agent.bank not in bank_names:
+                raise ValidationError(f"{where}.bank: unknown bank: {agent.bank}")
         return out
 
-    intermediaries = simple("intermediaries")
-    holders = simple("holders")
-    buyers = simple("treasury_buyers")
-    _require(len(buyers) > 0, "at least one treasury buyer")
+    issuers = parse("issuers", IssuerConfig, {"allocation": _Read(_allocation)})
+    dealers = parse("dealers", DealerConfig, {})
+    intermediaries = parse("intermediaries", SimpleAgentConfig, _HOLDER)
+    holders = parse("holders", SimpleAgentConfig, _HOLDER)
+    buyers = parse("treasury_buyers", SimpleAgentConfig, _HOLDER)
+    for section, entries in (("issuers", issuers), ("dealers", dealers),
+                             ("treasury_buyers", buyers)):
+        _require(len(entries) > 0, f"agents.{section}: at least one {section[:-1]}")
 
-    issuer_names = {i.name for i in issuers}
-    for group in (intermediaries, holders):
-        for agent in group:
-            for issuer_name in agent.coins:
-                _require(issuer_name in issuer_names, f"unknown issuer: {issuer_name}")
-    for issuer in issuers:
-        held = sum(a.coins.get(issuer.name, 0) for a in holders + intermediaries)
-        _require(held == issuer.coins,
-                 f"coins held ({held}) must equal coins outstanding "
-                 f"({issuer.coins}) for {issuer.name}")
+    held = dict.fromkeys((i.name for i in issuers.values()), 0)
+    for where, agent in {**intermediaries, **holders}.items():
+        for name, amount in agent.coins.items():
+            if name not in held:
+                raise ValidationError(f"{where}.coins.{name}: unknown issuer: {name}")
+            held[name] += amount
+    for where, issuer in issuers.items():
+        _require(sum(issuer.allocation.values()) == issuer.assets,
+                 f"{where}.assets: allocations≠assets")
+        _require(issuer.coins > 0, f"{where}.coins: must be > 0")
+        _require(held[issuer.name] == issuer.coins,
+                 f"{where}.coins: coins held ({held[issuer.name]}) must equal "
+                 f"coins outstanding ({issuer.coins}) for {issuer.name}")
+        _require(not issuer.genius_compliant or issuer.bill_maturity_days <= GENIUS_MAX_BILL_DAYS,
+                 f"{where}.bill_maturity_days: compliant issuers hold bills "
+                 f"of {GENIUS_MAX_BILL_DAYS} days or less")
 
-    pol = _get(raw, "policies", {})
-    par_raw = _get(pol, "par_policy", {"mode": "best_effort"})
-    mode = _parse_enum(ParMode, _get(par_raw, "mode", "best_effort"), "par mode")
-    policy = ParPolicy(mode, _get(par_raw, "corridor_bp", 0) * BP)
-    policies = PolicyConfig(
-        access_mode=_parse_enum(AccessMode, _get(pol, "access_mode", "direct"),
-                                "access mode"),
-        par_policy=policy,
-        srf_enabled=_get(pol, "srf_enabled", False),
-        issuer_reserve_access=_get(pol, "issuer_reserve_access", False),
-        eslr_reform=_get(pol, "eslr_reform", False),
-        intermediary_mode=_get(pol, "intermediary_mode", "redeem"),
-        negative_carry_refusal=_get(pol, "negative_carry_refusal", True),
-        slr_bound_bp=_get(pol, "slr_bound_bp", None),
-    )
+    try:
+        config = _section(ScenarioConfig, raw, "", dict(
+            _SCENARIO, banks=tuple(sorted(bank_names)), issuers=tuple(issuers.values()),
+            dealers=tuple(dealers.values()), intermediaries=tuple(intermediaries.values()),
+            holders=tuple(holders.values()), treasury_buyers=tuple(buyers.values())))
+    except SettlementError as err:  # from ParPolicy: a corridor needs a positive width
+        raise ValidationError(f"policies.par_policy.corridor_bp: {err}") from None
+    policies, market, run_model = config.policies, config.market, config.run_model
+    _require(config.horizon_days >= 1, "horizon_days: must be >= 1")
+    _require(0 <= config.seed < 2 ** 64, "seed: must be a 64-bit unsigned integer")
     _require(policies.intermediary_mode in ("redeem", "warehouse"),
-             "intermediary_mode in {redeem, warehouse}")
-    if policies.access_mode is AccessMode.INTERMEDIATED:
-        _require(len(intermediaries) > 0, "intermediated access needs an intermediary")
-
-    market_raw = _get(raw, "market", {})
-    market = MarketConfig(
-        depth=_get(market_raw, "depth", required=True),
-        impact_coeff_long=_get(market_raw, "impact_coeff_long", 15_000),
-        impact_coeff_bill=_get(market_raw, "impact_coeff_bill", 5_000),
-        max_dislocation_bp=_get(market_raw, "max_dislocation_bp", 500),
-        retention_frac=_get(market_raw, "retention_frac", 335_648),
-        flight_to_safety=_get(market_raw, "flight_to_safety", False),
-        bill_safety_lift=_get(market_raw, "bill_safety_lift", 0),
-        replacement_frac=_get(market_raw, "replacement_frac", 0),
-        offload_frac=_get(market_raw, "offload_frac", 250_000),
-        eslr_capacity_add=_get(market_raw, "eslr_capacity_add", 0),
-    )
-    _require(market.depth > 0, "market depth>0")
+             "policies.intermediary_mode: must be redeem or warehouse")
+    _require(policies.slr_bound_bp is None or policies.slr_bound_bp > 0,
+             "policies.slr_bound_bp: must be > 0")
+    _require(policies.access_mode is not AccessMode.INTERMEDIATED or intermediaries,
+             "policies.access_mode: intermediated access needs an intermediary")
+    _require(market.depth > 0, "market.depth: must be > 0")
     _require(market.impact_coeff_long >= market.impact_coeff_bill,
-             "impact_coeff_long>=impact_coeff_bill")
-    _require(0 <= market.retention_frac < 1_000_000, "retention_frac in [0,1)")
-
-    run_raw = _get(raw, "run_model", {})
-    run_model = RunModelConfig(
-        baseline_rate=_get(run_raw, "baseline_rate", 1_000),
-        deviation_threshold_bp=_get(run_raw, "deviation_threshold_bp", 300),
-        shifted_rate=_get(run_raw, "shifted_rate", 100_000),
-        recovery_days=_get(run_raw, "recovery_days", 5),
-        delay_trigger_days=_get(run_raw, "delay_trigger_days", 2),
-        smooth=_get(run_raw, "smooth", False),
-    )
+             "market.impact_coeff_long: must be >= impact_coeff_bill")
+    _require(0 <= market.retention_frac < 1_000_000,
+             "market.retention_frac: must be in [0, 1_000_000)")
     _require(run_model.shifted_rate > run_model.baseline_rate,
-             "shifted_rate>baseline_rate")
-    _require(run_model.deviation_threshold_bp > 0, "deviation_threshold_bp>0")
-
-    price_raw = _get(raw, "price_model", {})
-    price_model = PriceParams(
-        overdue_coeff=_get(price_raw, "overdue_coeff", 100_000),
-        failure_coeff=_get(price_raw, "failure_coeff", 100_000),
-        reversion=_get(price_raw, "reversion", 500_000),
-        min_price=_get(price_raw, "min_price", 100_000),
-        supply_incident_dip=_get(price_raw, "supply_incident_dip", 5_000),
-    )
-
-    rates_raw = _get(raw, "rates", {})
-    rates = RatesConfig(
-        treasury_rate_daily=_get(rates_raw, "treasury_rate_daily", 0),
-        deposit_rate_daily=_get(rates_raw, "deposit_rate_daily", 0),
-        repo_rate_daily=_get(rates_raw, "repo_rate_daily", 0),
-        haircut=_get(rates_raw, "haircut", 20_000),
-    )
-    _require(rates.haircut >= 0, "haircut>=0")
-
-    shocks = []
-    for entry in _get(raw, "shocks", []):
-        shocks.append(ShockSpec(
-            klass=_parse_shock_class(_get(entry, "class", required=True)),
-            likelihood_band=_parse_enum(LikelihoodBand,
-                                        _get(entry, "likelihood", "least"),
-                                        "likelihood band"),
-            systemic_band=_parse_enum(SystemicBand, _get(entry, "systemic", "medium"),
-                                      "systemic band"),
-            magnitude=_get(entry, "magnitude", None),
-            duration=_get(entry, "duration", 0),
-            chain=_get(entry, "chain", "main"),
-            day=_get(entry, "day", required=True),
-        ))
-    shocks.sort(key=lambda s: (s.day, s.klass.value, s.chain))
-    for shock in shocks:
-        _require(0 <= shock.day < horizon, "shock day within horizon")
-
-    mint_raw = _get(raw, "mint_demand", {})
-    diag_raw = _get(raw, "diagnostics", {})
-    attack_cost = _get(diag_raw, "attack_cost", None)
-    if attack_cost is not None:
-        _require(attack_cost > 0, "attack_cost>0")
-    return ScenarioConfig(
-        horizon_days=horizon, seed=seed,
-        banks=tuple(b["name"] for b in banks),
-        issuers=tuple(issuers), dealers=tuple(dealers),
-        intermediaries=tuple(intermediaries), holders=tuple(holders),
-        treasury_buyers=tuple(buyers),
-        policies=policies, market=market, run_model=run_model,
-        price_model=price_model, rates=rates, shocks=tuple(shocks),
-        mint_daily_rate=_get(mint_raw, "daily_rate", 0),
-        attack_cost=attack_cost,
-        unit_scale=_get(raw, "unit_scale", "USD"),
-    )
+             "run_model.shifted_rate: must be > baseline_rate")
+    _require(run_model.deviation_threshold_bp > 0, "run_model.deviation_threshold_bp: must be > 0")
+    _require(config.rates.haircut >= 0, "rates.haircut: must be >= 0")
+    _require(config.price_model.min_price > 0, "price_model.min_price: must be > 0")
+    _require(all(s.day < config.horizon_days for s in config.shocks), "shocks: day within horizon")
+    _require(config.attack_cost is None or config.attack_cost > 0,
+             "diagnostics.attack_cost: must be > 0")
+    return config
 
 
-def _sorted_named(entries: list, section: str) -> list:
-    names = [e.get("name") for e in entries]
-    _require(all(isinstance(n, str) and n for n in names),
-             f"every {section} entry needs a name")
-    _require(len(set(names)) == len(names), f"duplicate names in {section}")
-    return sorted(entries, key=lambda e: e["name"])
-
-
-def _parse_enum(enum_cls, value, label):
-    for member in enum_cls:
-        if member.value == value:
-            return member
-    raise ValidationError(f"unknown {label}: {value}")
-
-
-def _parse_shock_class(value) -> ShockClass:
-    for member in ShockClass:
-        if member.value == value:
-            return member
-    from .dynamics import UnknownShockClass
-
-    raise UnknownShockClass(str(value))
+def _named(agents: dict, section: str) -> list:
+    """(path, entry) for each entry of one agent list, sorted by name."""
+    where, named = f"agents.{section}", {}
+    for i, entry in enumerate(_list(agents.get(section, []), "", where)):
+        name = entry.get("name") if type(entry) is dict else None
+        if type(name) is not str or not name:
+            raise ValidationError(f"{where}[{i}]: every {section} entry is an object with a name")
+        if name in named:
+            raise ValidationError(f"{where}[{name}]: duplicate names in {section}")
+        named[name] = entry
+    return [(f"{where}[{name}]", named[name]) for name in sorted(named)]
 
 
 # ---------------------------------------------------------------------------
@@ -482,15 +492,11 @@ def _base_agents(coins: int, deposits: int, bills: int, repo: int,
             "allocation": {"deposits": deposits, "bills": bills, "repo": repo},
         }],
         "dealers": [
-            {"name": "dealer_1", "bank": "bank_a", "capital": dealer_capital,
+            {"name": name, "bank": "bank_a", "capital": dealer_capital,
              "base_assets": dealer_base, "reserve_access": dealer_ra,
              "deposits": dealer_deposits, "gsib": True,
-             "treasuries_long": dealer_long, "treasuries_bill": dealer_bills},
-            {"name": "dealer_2", "bank": "bank_a", "capital": dealer_capital,
-             "base_assets": dealer_base, "reserve_access": dealer_ra,
-             "deposits": dealer_deposits, "gsib": True,
-             "treasuries_long": dealer_long, "treasuries_bill": dealer_bills},
-        ],
+             "treasuries_long": dealer_long, "treasuries_bill": dealer_bills}
+            for name in ("dealer_1", "dealer_2")],
         "intermediaries": [{"name": "im_1", "bank": "bank_a",
                             "deposits": coins}],
         "holders": [{"name": "h_1", "bank": "bank_a",
@@ -544,15 +550,11 @@ def preset_march2020() -> dict:
                 "allocation": {"deposits": 0, "bills": 8_100, "repo": 24_300},
             }],
             "dealers": [
-                {"name": "dealer_1", "bank": "bank_a", "capital": 1_500,
+                {"name": name, "bank": "bank_a", "capital": 1_500,
                  "base_assets": 30_000, "reserve_access": 10_000,
                  "deposits": 40_000, "gsib": True,
-                 "treasuries_long": 30_000, "treasuries_bill": 10_000},
-                {"name": "dealer_2", "bank": "bank_a", "capital": 1_500,
-                 "base_assets": 30_000, "reserve_access": 10_000,
-                 "deposits": 40_000, "gsib": True,
-                 "treasuries_long": 30_000, "treasuries_bill": 10_000},
-            ],
+                 "treasuries_long": 30_000, "treasuries_bill": 10_000}
+                for name in ("dealer_1", "dealer_2")],
             "intermediaries": [{"name": "im_1", "bank": "bank_a",
                                 "deposits": 40_000}],
             "holders": [{"name": "h_1", "bank": "bank_a", "deposits": 0,
@@ -578,18 +580,15 @@ def preset_march2020() -> dict:
 
 def preset_slr_bound() -> dict:
     """Every dealer exactly at its leverage bound: zero fill capacity."""
-    coins = 100_000_00
-    agents = _base_agents(coins=coins, deposits=0, bills=6_000_000,
-                          repo=4_000_000, dealer_capital=500_000,
-                          dealer_base=10_000_000, dealer_ra=5_000_000,
-                          dealer_deposits=20_000_000, dealer_long=8_000_000,
-                          dealer_bills=2_000_000)
-    agents["issuers"][0]["assets"] = 10_000_000
     return {
         "unit_scale": "USD",
         "horizon_days": 5,
         "seed": 11,
-        "agents": agents,
+        "agents": _base_agents(coins=100_000_00, deposits=0, bills=6_000_000,
+                               repo=4_000_000, dealer_capital=500_000,
+                               dealer_base=10_000_000, dealer_ra=5_000_000,
+                               dealer_deposits=20_000_000, dealer_long=8_000_000,
+                               dealer_bills=2_000_000),
         "policies": {"access_mode": "direct",
                      "par_policy": {"mode": "best_effort"},
                      "srf_enabled": False},
@@ -642,7 +641,7 @@ def preset_regime_shift() -> dict:
 def preset_paxos_mint_error() -> dict:
     """Erroneous oversized mint corrected the same day; brief sub-par dip."""
     coins = 500_000_00
-    cfg = {
+    return {
         "unit_scale": "USD",
         "horizon_days": 14,
         "seed": 23,
@@ -663,7 +662,6 @@ def preset_paxos_mint_error() -> dict:
                     "likelihood": "moderate", "systemic": "high",
                     "magnitude": 600_000_000, "duration": 0, "chain": "main"}],
     }
-    return cfg
 
 
 PRESETS = {

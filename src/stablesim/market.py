@@ -239,9 +239,7 @@ class Market:
         order = SaleOrder(self._next_order, seller, duration, amount,
                           world.day, purpose)
         self._next_order += 1
-        avail = {}
-        for key in sorted(self.books):
-            avail[key] = self._dealer_available(world, self.books[key])
+        avail = self.dealer_capacity(world)
         total_avail = sum(avail.values())
         fill = min(amount, total_avail)
         allocations = _prorate(fill, avail)

@@ -65,7 +65,7 @@ class ParMode(Enum):
 
 @dataclass(frozen=True)
 class ParPolicy:
-    mode: ParMode
+    mode: ParMode = ParMode.BEST_EFFORT
     corridor_width: int = 0  # micro
 
     def __post_init__(self):

@@ -1,6 +1,17 @@
+import copy
+import csv
+import io
 import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablesim.cli import main
+from stablesim.config import PRESETS, ParseError, ValidationError, parse_config
+from stablesim.dynamics import UnknownShockClass
 
 
 def test_presets_list(capsys):
@@ -29,8 +40,6 @@ def test_missing_file_is_io_error(tmp_path):
 
 
 def test_config_without_dealers_is_invalid(tmp_path, capsys):
-    from stablesim.config import PRESETS
-
     raw = PRESETS["calm"]()
     raw["agents"]["dealers"] = []
     path = tmp_path / "no_dealers.json"
@@ -87,3 +96,123 @@ def test_audit_failure_exit_code(monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli, "run", broken)
     assert cli.main(["run", "calm", "--out", str(tmp_path)]) == 2
+
+
+def calm_with(path: str, value) -> dict:
+    """The calm preset with the value at a '/' path replaced."""
+    raw = PRESETS["calm"]()
+    *parents, leaf = path.split("/")
+    node = raw
+    for part in parents:
+        node = node[int(part)] if isinstance(node, list) else node[part]
+    node[int(leaf) if isinstance(node, list) else leaf] = value
+    return raw
+
+
+REJECTED = [
+    ("market/depth", "5", "market.depth"),
+    ("market/depth", 5.5, "market.depth"),
+    ("market/depth", True, "market.depth"),
+    ("agents/issuers/0/coins", "100", "agents.issuers[usdx].coins"),
+    ("run_model/baseline_rate", 20_000.5, "run_model.baseline_rate"),
+    ("policies/srf_enabled", "no", "policies.srf_enabled"),
+    ("shocks", [{"day": "1", "class": "liveness_fault"}], "shocks[0].day"),
+    ("agents/holders/0/coins", [1], "agents.holders[h_1].coins"),
+    ("agents/issuers/0/allocation/bills", 30_000_000.9,
+     "agents.issuers[usdx].allocation.bills"),
+    ("market", "x", "market"),
+    ("agents", [], "agents"),
+    ("policies/par_policy", {"mode": "corridor"}, "policies.par_policy.corridor_bp"),
+    ("shocks", [{"day": 1, "class": "solar_flare"}], "shocks[0].class"),
+    ("agents/holders/0/deposits", -5, "agents.holders[h_1].deposits"),
+]
+
+
+@pytest.mark.parametrize("path,value,field", REJECTED,
+                         ids=[f"{p}={v!r}" for p, v, _ in REJECTED])
+def test_rejected_config_exits_1_and_names_the_field(path, value, field,
+                                                     tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(calm_with(path, value)))
+    assert main(["validate", str(config)]) == 1
+    assert f"invalid: {field}" in capsys.readouterr().err
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert "invalid config" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_world_that_cannot_be_built_exits_1(tmp_path, capsys):
+    # every asset in repo: the dealers cannot pledge the collateral
+    raw = calm_with("agents/issuers/0/allocation",
+                    {"deposits": 0, "bills": 0, "repo": 102_000_000})
+    config = tmp_path / "all_repo.json"
+    config.write_text(json.dumps(raw))
+    assert main(["validate", str(config)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert "invalid config: InsufficientCollateral" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _leaves(node, path=()):
+    """Every (path, value) below a parsed JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, path + (key,))
+
+
+def _numbers_are_integers(out: Path) -> None:
+    def walk(value):
+        assert not isinstance(value, float), value
+        if isinstance(value, (dict, list)):
+            for item in (value.values() if isinstance(value, dict) else value):
+                walk(item)
+
+    for name in ("daily.csv", "market.csv", "analytics.csv"):
+        for row in csv.reader(io.StringIO((out / name).read_text())):
+            for cell in row:
+                try:
+                    float(cell)
+                except ValueError:
+                    continue
+                int(cell)  # a number that is not an integer fails here
+    walk(json.loads((out / "summary.json").read_text()))
+    for line in (out / "events.jsonl").read_text().splitlines():
+        walk(json.loads(line))
+
+
+MUTATIONS = ("str", "float", "bool", "list", "null", "negate", "delete")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(PRESETS)), st.data())
+def test_mutated_presets_are_rejected_or_run_cleanly(preset, data):
+    """A preset with one value swapped for another type, negated or
+    deleted is either rejected by parse_config, or the CLI runs it to
+    exit 0 or 1 without raising; exit 0 writes integers only."""
+    raw = PRESETS[preset]()
+    path, value = data.draw(st.sampled_from(list(_leaves(raw))))
+    kind = data.draw(st.sampled_from(MUTATIONS))
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "delete":
+        del parent[path[-1]]
+    elif kind == "negate":
+        parent[path[-1]] = -value if type(value) is int else -1
+    else:
+        parent[path[-1]] = {"str": str(value), "float": 0.5, "bool": True,
+                            "list": [value], "null": None}[kind]
+    try:
+        parse_config(copy.deepcopy(raw))
+    except (ValidationError, ParseError, UnknownShockClass):
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "mutated.json"
+        config.write_text(json.dumps(raw))
+        code = main(["run", str(config), "--out", str(Path(tmp) / "out")])
+        assert code in (0, 1)
+        if code == 0:
+            _numbers_are_integers(Path(tmp) / "out")

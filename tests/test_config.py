@@ -150,3 +150,81 @@ def test_compliant_issuer_rejects_long_bills():
         parse_config(raw)
     raw["agents"]["issuers"][0]["genius_compliant"] = False
     parse_config(raw)  # non-compliant issuers may hold longer paper
+
+
+def _set(path: str, value):
+    """A mutation of minimal_raw() that sets the value at a '/' path."""
+    def mutate(raw):
+        *parents, leaf = path.split("/")
+        node = raw
+        for part in parents:
+            node = node[int(part)] if isinstance(node, list) else node[part]
+        node[int(leaf) if isinstance(node, list) else leaf] = value
+    return mutate
+
+
+BAD_INPUTS = [
+    # integers are JSON integers: no strings, floats or booleans
+    ("market/depth", "5", "market.depth"),
+    ("market/depth", 5.5, "market.depth"),
+    ("market/depth", True, "market.depth"),
+    ("agents/issuers/0/coins", "100", "agents.issuers[usdx].coins"),
+    ("run_model", {"baseline_rate": 20_000.5}, "run_model.baseline_rate"),
+    ("agents/issuers/0/allocation/deposits", 10_000.0, "agents.issuers[usdx].allocation.deposits"),
+    ("agents/holders/0/coins/usdx", 100_00.0, "agents.holders[h].coins.usdx"),
+    ("seed", None, "seed"),
+    # booleans are true or false
+    ("policies", {"srf_enabled": "no"}, "policies.srf_enabled"),
+    ("agents/dealers/0/gsib", 1, "agents.dealers[d].gsib"),
+    # strings, objects and lists
+    ("agents/issuers/0/chain", 5, "agents.issuers[usdx].chain"),
+    ("agents/holders/0/coins", [1], "agents.holders[h].coins"),
+    ("market", "x", "market"),
+    ("agents", [], "agents"),
+    ("agents/holders", {"h": {}}, "agents.holders"),
+    ("agents/holders/0", "h", "agents.holders[0]"),
+    ("shocks", [{"day": "1", "class": "liveness_fault"}], "shocks[0].day"),
+    ("shocks", [{"class": "liveness_fault"}], "shocks[0].day"),
+    ("diagnostics", {"attack_cost": 1.5}, "diagnostics.attack_cost"),
+    # a missing required field and enums
+    ("market", {}, "market.depth"),
+    ("policies", {"access_mode": "teleport"}, "policies.access_mode"),
+    ("policies", {"par_policy": {"mode": "corridor"}}, "policies.par_policy.corridor_bp"),
+    # amounts in agent entries are >= 0; rates stay signed
+    ("agents/holders/0/deposits", -5, "agents.holders[h].deposits"),
+    ("agents/holders/0/coins/usdx", -1, "agents.holders[h].coins.usdx"),
+    ("agents/holders/0/treasuries_bill", -1, "agents.holders[h].treasuries_bill"),
+    ("agents/treasury_buyers/0/treasuries_long", -1, "agents.treasury_buyers[tb].treasuries_long"),
+    ("agents/dealers/0/capital", -1, "agents.dealers[d].capital"),
+    ("agents/dealers/0/base_assets", -1, "agents.dealers[d].base_assets"),
+    ("agents/dealers/0/reserve_access", -1, "agents.dealers[d].reserve_access"),
+    ("agents/dealers/0/exposures", -1, "agents.dealers[d].exposures"),
+    ("agents/dealers/0/deposits", -1, "agents.dealers[d].deposits"),
+    ("agents/issuers/0/operating_cost_per_day", -1, "agents.issuers[usdx].operating_cost_per_day"),
+    ("agents/issuers/0/mint_invest_frac", -1, "agents.issuers[usdx].mint_invest_frac"),
+    ("shocks", [{"day": 0, "class": "confidence_only", "magnitude": -1}], "shocks[0].magnitude"),
+    # values the run cannot carry
+    ("policies", {"slr_bound_bp": 0}, "policies.slr_bound_bp"),
+    ("price_model", {"min_price": 0}, "price_model.min_price"),
+]
+
+
+@pytest.mark.parametrize("path,value,field", BAD_INPUTS,
+                         ids=[f"{p}={v!r}" for p, v, _ in BAD_INPUTS])
+def test_bad_input_names_its_field(path, value, field):
+    raw = minimal_raw()
+    _set(path, value)(raw)
+    with pytest.raises(ValidationError) as err:
+        parse_config(raw)
+    message = str(err.value)
+    assert message.startswith(f"{field}:") or message == f"missing field: {field}", message
+
+
+def test_signed_rates_and_sections_left_out_parse():
+    raw = minimal_raw()
+    raw["rates"] = {"treasury_rate_daily": -1, "repo_rate_daily": -2}
+    raw["diagnostics"] = {"attack_cost": None}
+    cfg = parse_config(raw)
+    assert (cfg.rates.treasury_rate_daily, cfg.rates.repo_rate_daily) == (-1, -2)
+    assert cfg.attack_cost is None and cfg.mint_daily_rate == 0
+    assert cfg.seed == 1 and cfg.policies.srf_enabled is False
