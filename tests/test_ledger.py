@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, Instrument,
-                              InstrumentKind, InsufficientPosition, LedgerWorld,
-                              Posting, UnknownAgent, coin_key, deposit_key,
-                              reserves_key)
+from stablesim.ledger import (FED, AgentId, AgentKind, AuditCheck, DurationClass,
+                              Instrument, InstrumentKind, InsufficientPosition,
+                              LedgerWorld, Posting, UnknownAgent, coin_key,
+                              deposit_key, reserves_key)
 
 BANK_A = AgentId(AgentKind.BANK, 0)
 BANK_B = AgentId(AgentKind.BANK, 1)
@@ -169,3 +169,121 @@ def test_tbill_grant_transfer_and_mark():
     assert moved == 3_960_00
     assert world.face_of(HOLDER, DurationClass.BILL) == 4_000_00
     assert world.audit().ok
+
+
+# -- audit failures: each branch names its check, first agent and detail ------
+
+BANK_A_DEPOSITS = f"deposit@{BANK_A.key}"
+
+
+def faulty_world(*legs):
+    """The two-bank world with stray legs posted (equity follows them, so
+    double entry still holds)."""
+    world = two_bank_world()
+    world.post([Posting(agent, side, key, delta) for agent, side, key, delta in legs])
+    return world
+
+
+@pytest.mark.parametrize("legs, expected", [
+    pytest.param(
+        [(FED, "L", f"reserves@{BANK_A.key}", -1_00)],
+        ("reserve_conservation", "fed:0",
+         "reserve assets 600000 != central bank liability 599900"),
+        id="reserve_conservation"),
+    pytest.param(
+        [(HOLDER, "A", "deposit@issuer:0", 3_00)],
+        ("deposit_matching", "holder:0", "deposit asset at non-bank issuer:0"),
+        id="deposit_at_non_bank"),
+    pytest.param(
+        [(HOLDER, "A", "deposit@bank:7", 3_00)],
+        ("deposit_matching", "holder:0", "deposit asset at non-bank bank:7"),
+        id="deposit_at_unknown_agent"),
+    pytest.param(
+        [(HOLDER, "A", BANK_A_DEPOSITS, 7)],
+        ("deposit_matching", "holder:0", "deposit 500007 at bank:0 has liability 500000"),
+        id="deposit_amount_mismatch"),
+    pytest.param(
+        [(BANK_A, "L", "deposit@issuer:0", 5_00)],
+        ("deposit_matching", "bank:0", "orphan deposit liability to issuer:0"),
+        id="orphan_deposit_liability"),
+    pytest.param(
+        [(BANK_B, "L", "deposit@holder:9", 5_00)],
+        ("deposit_matching", "bank:1", "orphan deposit liability to holder:9"),
+        id="orphan_deposit_liability_unknown_agent"),
+    pytest.param(
+        [(ISSUER, "A", "repo@bank:0", 2_00)],
+        ("claim_matching", "issuer:0", "unmatched repo@bank:0 claim of 200"),
+        id="unmatched_repo_claim"),
+    pytest.param(
+        [(BANK_B, "A", "srf@holder:3", 2_00)],
+        ("claim_matching", "bank:1", "unmatched srf@holder:3 claim of 200"),
+        id="unmatched_srf_claim"),
+    pytest.param(
+        [(BANK_A, "L", "srf@fed:0", 4_00)],
+        ("claim_matching", "bank:0", "unmatched srf@fed:0 obligation of 400"),
+        id="unmatched_srf_obligation"),
+    pytest.param(
+        [(HOLDER, "L", "repo@issuer:0", 4_00)],
+        ("claim_matching", "holder:0", "unmatched repo@issuer:0 obligation of 400"),
+        id="unmatched_repo_obligation"),
+    pytest.param(
+        [(HOLDER, "A", coin_key(ISSUER), 9)],
+        ("claim_matching", "issuer:0", "coins held 9 != coins outstanding 0"),
+        id="coins_held_not_outstanding"),
+])
+def test_audit_failure_names_check_agent_and_detail(legs, expected):
+    name, agent, detail = expected
+    assert faulty_world(*legs).audit().failures() == [
+        AuditCheck(name, False, agent, detail)]
+
+
+def test_deposit_matching_reports_non_banks_first_then_sorted_keys():
+    world = faulty_world(
+        (BANK_A, "L", "deposit@issuer:0", 5_00),
+        (ISSUER, "A", "deposit@issuer:0", 1_00),
+        (HOLDER, "A", "deposit@issuer:0", 3_00),
+        (HOLDER, "A", "deposit@bank:7", 3_00),
+    )
+    assert world.audit().failures() == [AuditCheck(
+        "deposit_matching", False, "holder:0", "deposit asset at non-bank bank:7")]
+
+
+def test_claim_matching_reports_first_sheet_assets_in_stored_order():
+    world = faulty_world(
+        (ISSUER, "A", "srf@fed:0", 2_00),
+        (HOLDER, "L", "repo@issuer:0", 4_00),
+        (HOLDER, "A", "repo@bank:1", 1_00),
+        (HOLDER, "A", "repo@bank:0", 1_00),
+        (HOLDER, "A", coin_key(ISSUER), 9),
+    )
+    assert world.audit().failures() == [AuditCheck(
+        "claim_matching", False, "holder:0", "unmatched repo@bank:1 claim of 100")]
+    # coin totals are compared by coin key once every claim pairs off
+    world.post([Posting(ISSUER, "A", "srf@fed:0", -2_00),
+                Posting(HOLDER, "L", "repo@issuer:0", -4_00),
+                Posting(HOLDER, "A", "repo@bank:1", -1_00),
+                Posting(HOLDER, "A", "repo@bank:0", -1_00),
+                Posting(HOLDER, "A", coin_key(HOLDER), 9)])
+    assert world.audit().failures() == [AuditCheck(
+        "claim_matching", False, "holder:0", "coins held 9 != coins outstanding 0")]
+
+
+def test_audit_reports_every_failing_check_in_order():
+    world = faulty_world((FED, "L", f"reserves@{BANK_A.key}", -1_00),
+                         (HOLDER, "A", BANK_A_DEPOSITS, 7),
+                         (HOLDER, "A", coin_key(ISSUER), 9))
+    world.sheet(ISSUER).equity += 1
+    report = world.audit()
+    assert [c.name for c in report.checks] == [
+        "double_entry", "reserve_conservation", "deposit_matching",
+        "claim_matching"]
+    assert report.failures() == [
+        AuditCheck("double_entry", False, "issuer:0",
+                   "equity 100001 != assets-liabilities 100000"),
+        AuditCheck("reserve_conservation", False, "fed:0",
+                   "reserve assets 600000 != central bank liability 599900"),
+        AuditCheck("deposit_matching", False, "holder:0",
+                   "deposit 500007 at bank:0 has liability 500000"),
+        AuditCheck("claim_matching", False, "issuer:0",
+                   "coins held 9 != coins outstanding 0"),
+    ]
