@@ -6,7 +6,8 @@
   stablesim presets list
 
 Exit codes: 0 ok, 1 validation or parse failure (including a world that
-cannot be built from the config), 2 audit failure, 3 I/O failure.
+cannot be built from the config; `validate` builds it too), 2 audit
+failure, 3 I/O failure.
 <config> is a JSON file path or a preset name.
 """
 
@@ -21,7 +22,7 @@ from pathlib import Path
 from .config import (ParseError, ValidationError, load_config, load_raw,
                      parse_config, preset_descriptions)
 from .dynamics import UnknownShockClass
-from .engine import AuditFailure, run, sweep
+from .engine import AuditFailure, build_scenario, run, sweep
 from .instruments import InstrumentError
 from .ledger import LedgerError
 from .market import MarketError
@@ -30,7 +31,7 @@ from .settlement import SettlementError
 # what parse_config raises for a config it rejects
 CONFIG_ERRORS = (ParseError, ValidationError, UnknownShockClass)
 # what the engine raises for a valid config it cannot carry out, such as repo
-# collateral the dealers cannot pledge when run() builds the world
+# collateral the dealers cannot pledge when the world is built
 WORLD_ERRORS = (InstrumentError, LedgerError, MarketError, SettlementError)
 
 EXIT_OK = 0
@@ -97,14 +98,20 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    """Parse the config and build its world, as `run` does before day 0."""
     try:
-        load_config(args.config)
+        config = load_config(args.config)
     except CONFIG_ERRORS as err:
         print(f"invalid: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as err:
         print(str(err), file=sys.stderr)
         return EXIT_IO
+    try:
+        build_scenario(config)
+    except WORLD_ERRORS as err:
+        print(f"invalid config: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_VALIDATION
     print("ok")
     return EXIT_OK
 

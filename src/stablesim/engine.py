@@ -288,10 +288,15 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
 _COIN_HOLDING = (AgentKind.HOLDER, AgentKind.INTERMEDIARY, AgentKind.TREASURY_BUYER)
 
 
-def _coin_holders(scn: Scenario, issuer: AgentId) -> list:
+def _coin_holders(scn: Scenario, issuer: AgentId):
+    """Coin-holding agents with coins of `issuer` left to redeem, in key
+    order; lazy, so a caller that stops early looks at no more of them."""
+    world = scn.world
     redeemable = scn.settle.redeemable
-    return [agent for agent in scn.world.agent_ids()
-            if agent.kind in _COIN_HOLDING and redeemable(agent, issuer) > 0]
+    for key in sorted(world.coin_holders.get(coin_key(issuer), ())):
+        agent = world.ids[key]
+        if agent.kind in _COIN_HOLDING and redeemable(agent, issuer) > 0:
+            yield agent
 
 
 def _redeem_from_holders(scn: Scenario, book: IssuerBook, amount: Amount,

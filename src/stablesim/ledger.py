@@ -17,6 +17,7 @@ price and is re-derived on every mark.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import json
 from dataclasses import dataclass, field
@@ -192,6 +193,9 @@ class LedgerWorld:
         self.seq = 0
         self.agents: dict[str, BalanceSheet] = {}
         self.ids: dict[str, AgentId] = {}
+        self.sorted_keys: list[str] = []   # registered agent keys
+        # coin key -> keys of the agents holding a positive balance of it
+        self.coin_holders: dict[str, set[str]] = {}
         self.banks: dict[str, AgentId | None] = {}
         self.tbill_prices: dict[DurationClass, int] = {
             DurationClass.BILL: 1_000_000,
@@ -209,6 +213,7 @@ class LedgerWorld:
             raise UnknownAgent(f"bank {bank} not registered")
         self.agents[agent.key] = BalanceSheet()
         self.ids[agent.key] = agent
+        bisect.insort(self.sorted_keys, agent.key)
         self.banks[agent.key] = bank
 
     def sheet(self, agent: AgentId) -> BalanceSheet:
@@ -225,7 +230,7 @@ class LedgerWorld:
 
     def agent_ids(self) -> list[AgentId]:
         """Registered agents in key order."""
-        return [self.ids[key] for key in sorted(self.ids)]
+        return [self.ids[key] for key in self.sorted_keys]
 
     # -- event log ---------------------------------------------------------
 
@@ -242,7 +247,8 @@ class LedgerWorld:
 
         All legs are validated first: agents must exist and no position
         may go negative. Only then are balances and stored equity
-        updated, so an error cannot leave a half-applied batch.
+        updated, so an error cannot leave a half-applied batch. A coin
+        balance that crosses zero updates `coin_holders`.
         """
         staged: dict[tuple[str, str, str], int] = {}
         for p in postings:
@@ -266,6 +272,12 @@ class LedgerWorld:
             else:
                 positions[key] = new
             book.equity += delta if side == "A" else -delta
+            if side == "A" and (new == 0 or new == delta) and key.startswith("coin@"):
+                holders = self.coin_holders.setdefault(key, set())
+                if new:
+                    holders.add(agent_key)
+                else:
+                    holders.discard(agent_key)
         if event is not None:
             self.emit(event, **event_fields)
 
@@ -431,92 +443,99 @@ class LedgerWorld:
     # -- audit & snapshot -----------------------------------------------------
 
     def audit(self) -> AuditReport:
-        checks = []
-        checks.append(self._check_double_entry())
-        checks.append(self._check_reserve_conservation())
-        checks.append(self._check_deposit_matching())
-        checks.append(self._check_claim_matching())
-        return AuditReport(checks=tuple(checks))
+        """Run the four checks in one walk over the sheets in key order.
 
-    def _check_double_entry(self) -> AuditCheck:
-        for key in sorted(self.agents):
-            book = self.agents[key]
-            if book.equity != book.total_assets() - book.total_liabilities():
-                return AuditCheck("double_entry", False, key,
-                                  f"equity {book.equity} != assets-liabilities "
-                                  f"{book.total_assets() - book.total_liabilities()}")
-        return AuditCheck("double_entry", True)
+        - double_entry: stored equity is assets minus liabilities;
+        - reserve_conservation: reserves held equal the central bank's
+          reserve liabilities;
+        - deposit_matching: each non-bank deposit sits at a bank that owes
+          exactly it, then each bank deposit liability has that holder;
+        - claim_matching: each repo and SRF claim and obligation has its
+          mirror, then coins held equal coins outstanding per coin.
 
-    def _check_reserve_conservation(self) -> AuditCheck:
-        rkey = reserves_key()
-        held = sum(b.asset(rkey) for b in self.agents.values())
-        fed = self.agents.get(FED.key)
-        owed = sum(v for k, v in fed.liabilities.items() if k.startswith("reserves@")) if fed else 0
-        if held != owed:
-            return AuditCheck("reserve_conservation", False, FED.key,
-                              f"reserve assets {held} != central bank liability {owed}")
-        return AuditCheck("reserve_conservation", True)
-
-    def _check_deposit_matching(self) -> AuditCheck:
-        for key in sorted(self.agents):
-            book = self.agents[key]
-            if self.ids[key].kind is AgentKind.BANK:
-                continue
-            for akey, amount in sorted(book.assets.items()):
-                if not akey.startswith("deposit@"):
+        A failing check names the first failure in that order (a sheet's
+        deposit keys sorted, its claims in stored order).
+        """
+        agents, ids = self.agents, self.ids
+        bank_kind, fed_key, rkey = AgentKind.BANK, FED.key, reserves_key()
+        double_entry = deposit_asset = deposit_liability = claim = None
+        reserves_held = reserves_owed = 0
+        coins_held: dict[str, int] = {}
+        coins_owed: dict[str, int] = {}
+        for key in self.sorted_keys:
+            book = agents[key]
+            assets, liabilities = book.assets, book.liabilities
+            if double_entry is None:
+                net = sum(assets.values()) - sum(liabilities.values())
+                if book.equity != net:
+                    double_entry = (key, f"equity {book.equity} != assets-liabilities {net}")
+            is_bank = ids[key].kind is bank_kind
+            own_deposit = f"deposit@{key}"
+            faults = []   # (deposit key, detail) of this sheet
+            for akey, amount in assets.items():
+                kind, sep, cpty = akey.partition("@")
+                if not sep:
                     continue
-                bank_key = akey.split("@", 1)[1]
-                bank = self.agents.get(bank_key)
-                if bank is None or self.ids[bank_key].kind is not AgentKind.BANK:
-                    return AuditCheck("deposit_matching", False, key,
-                                      f"deposit asset at non-bank {bank_key}")
-                if bank.liability(f"deposit@{key}") != amount:
-                    return AuditCheck("deposit_matching", False, key,
-                                      f"deposit {amount} at {bank_key} has liability "
-                                      f"{bank.liability(f'deposit@{key}')}")
-        for key in sorted(self.agents):
-            if self.ids[key].kind is not AgentKind.BANK:
-                continue
-            for lkey, amount in sorted(self.agents[key].liabilities.items()):
-                if not lkey.startswith("deposit@"):
+                if kind == "coin":
+                    coins_held[akey] = coins_held.get(akey, 0) + amount
+                elif kind == "deposit":
+                    if is_bank:
+                        continue
+                    bank = agents.get(cpty)
+                    if bank is None or ids[cpty].kind is not bank_kind:
+                        faults.append((akey, f"deposit asset at non-bank {cpty}"))
+                    elif (owed := bank.liabilities.get(own_deposit, 0)) != amount:
+                        faults.append((akey, f"deposit {amount} at {cpty} has "
+                                             f"liability {owed}"))
+                elif kind == "repo" or kind == "srf":
+                    other = agents.get(cpty)
+                    if claim is None and (other is None or other.liabilities.get(
+                            f"{kind}@{key}", 0) != amount):
+                        claim = (key, f"unmatched {akey} claim of {amount}")
+                elif akey == rkey:
+                    reserves_held += amount
+            if faults and deposit_asset is None:
+                deposit_asset = (key, min(faults)[1])
+            faults = []
+            for lkey, amount in liabilities.items():
+                kind, sep, cpty = lkey.partition("@")
+                if not sep:
                     continue
-                holder_key = lkey.split("@", 1)[1]
-                holder = self.agents.get(holder_key)
-                if holder is None or holder.asset(f"deposit@{key}") != amount:
-                    return AuditCheck("deposit_matching", False, key,
-                                      f"orphan deposit liability to {holder_key}")
-        return AuditCheck("deposit_matching", True)
-
-    def _check_claim_matching(self) -> AuditCheck:
-        """Stablecoin, repo and SRF claims must pair off exactly."""
-        coin_assets: dict[str, int] = {}
-        coin_liabs: dict[str, int] = {}
-        for key in sorted(self.agents):
-            book = self.agents[key]
-            for akey, amount in book.assets.items():
-                if akey.startswith("coin@"):
-                    coin_assets[akey] = coin_assets.get(akey, 0) + amount
-                elif akey.startswith(("repo@", "srf@")):
-                    kind, cpty = akey.split("@", 1)
-                    other = self.agents.get(cpty)
-                    if other is None or other.liability(f"{kind}@{key}") != amount:
-                        return AuditCheck("claim_matching", False, key,
-                                          f"unmatched {akey} claim of {amount}")
-            for lkey, amount in book.liabilities.items():
-                if lkey.startswith("coin@"):
-                    coin_liabs[lkey] = coin_liabs.get(lkey, 0) + amount
-                elif lkey.startswith(("repo@", "srf@")):
-                    kind, cpty = lkey.split("@", 1)
-                    other = self.agents.get(cpty)
-                    if other is None or other.asset(f"{kind}@{key}") != amount:
-                        return AuditCheck("claim_matching", False, key,
-                                          f"unmatched {lkey} obligation of {amount}")
-        for ckey in sorted(set(coin_assets) | set(coin_liabs)):
-            if coin_assets.get(ckey, 0) != coin_liabs.get(ckey, 0):
-                return AuditCheck("claim_matching", False, ckey.split("@", 1)[1],
-                                  f"coins held {coin_assets.get(ckey, 0)} != "
-                                  f"coins outstanding {coin_liabs.get(ckey, 0)}")
-        return AuditCheck("claim_matching", True)
+                if kind == "coin":
+                    coins_owed[lkey] = coins_owed.get(lkey, 0) + amount
+                elif kind == "deposit":
+                    if not is_bank:
+                        continue
+                    holder = agents.get(cpty)
+                    if holder is None or holder.assets.get(own_deposit, 0) != amount:
+                        faults.append((lkey, f"orphan deposit liability to {cpty}"))
+                elif kind == "repo" or kind == "srf":
+                    other = agents.get(cpty)
+                    if claim is None and (other is None or other.assets.get(
+                            f"{kind}@{key}", 0) != amount):
+                        claim = (key, f"unmatched {lkey} obligation of {amount}")
+                elif kind == "reserves" and key == fed_key:
+                    reserves_owed += amount
+            if faults and deposit_liability is None:
+                deposit_liability = (key, min(faults)[1])
+        reserves = None
+        if reserves_held != reserves_owed:
+            reserves = (fed_key, f"reserve assets {reserves_held} != central bank "
+                                 f"liability {reserves_owed}")
+        if claim is None:
+            for ckey in sorted(coins_held.keys() | coins_owed.keys()):
+                held, owed = coins_held.get(ckey, 0), coins_owed.get(ckey, 0)
+                if held != owed:
+                    claim = (ckey.partition("@")[2],
+                             f"coins held {held} != coins outstanding {owed}")
+                    break
+        found = (("double_entry", double_entry),
+                 ("reserve_conservation", reserves),
+                 ("deposit_matching", deposit_asset or deposit_liability),
+                 ("claim_matching", claim))
+        return AuditReport(checks=tuple(
+            AuditCheck(name, True) if fault is None else AuditCheck(name, False, *fault)
+            for name, fault in found))
 
     def snapshot(self) -> WorldSnapshot:
         agents = []

@@ -179,7 +179,8 @@ class IssuerBook:
     chain: str = "main"
     mint_invest_frac: int = 0
     operating_cost_per_day: Amount = 0
-    requests: list = field(default_factory=list)
+    requests: list = field(default_factory=list)   # every request, as submitted
+    open: list = field(default_factory=list)       # the ones not completed yet
     mints: list = field(default_factory=list)
     # funding trackers
     pool: Amount = 0
@@ -278,6 +279,7 @@ class SettlementEngine:
         self._next_request += 1
         record = OpenRequest(request=req, is_intervention=is_intervention)
         book.requests.append(record)
+        book.open.append(record)
         key = (holder.key, book.agent.key)
         self.committed[key] = self.committed.get(key, 0) + amount
         book.day_requested += amount
@@ -315,10 +317,9 @@ class SettlementEngine:
             book = self.issuers[key]
             if book.chain in suspended_chains:
                 continue
-            for record in book.requests:
-                if record.planned or record.completed:
-                    continue
-                instructions += self._plan_one(book, record)
+            for record in book.open:
+                if not record.planned:
+                    instructions += self._plan_one(book, record)
             shortfall = self._pool_shortfall(book)
             if shortfall > 0:
                 instructions += self._commit_extra(book, shortfall)
@@ -367,8 +368,7 @@ class SettlementEngine:
         return out
 
     def _pool_shortfall(self, book: IssuerBook) -> Amount:
-        needs = sum(r.from_pool - r.pool_used for r in book.requests
-                    if r.planned and not r.completed)
+        needs = sum(r.from_pool - r.pool_used for r in book.open if r.planned)
         coverage = book.pool + book.inflight_orders + book.in_transit + book.nonroll_pending
         return max(0, needs - coverage)
 
@@ -465,16 +465,17 @@ class SettlementEngine:
         always payable; the pool slice pays as sale and non-rollover
         cash arrives (spare un-earmarked cash may cover settlement
         shortfalls). Each chunk burns the holder's coins and moves
-        deposits in one atomic posting pair.
+        deposits in one atomic posting pair. Completed requests leave
+        `book.open`.
         """
         for key in sorted(self.issuers):
             book = self.issuers[key]
             if book.chain in suspended_chains:
                 continue
-            for record in book.requests:
-                if record.completed or not record.planned:
-                    continue
-                self._try_pay(book, record)
+            for record in book.open:
+                if record.planned:
+                    self._try_pay(book, record)
+            book.open = [r for r in book.open if not r.completed]
 
     def _try_pay(self, book: IssuerBook, record: OpenRequest) -> None:
         world = self.world
@@ -574,13 +575,12 @@ class SettlementEngine:
     def overdue_amount(self, book: IssuerBook) -> Amount:
         """Open request volume older than its plan horizon."""
         day = self.world.day
-        return sum(r.remaining for r in book.requests
-                   if not r.completed and day - r.request.submitted_day > r.horizon)
+        return sum(r.remaining for r in book.open
+                   if day - r.request.submitted_day > r.horizon)
 
     def queue_age(self, book: IssuerBook) -> int:
         day = self.world.day
-        ages = [day - r.request.submitted_day - r.horizon
-                for r in book.requests if not r.completed]
+        ages = [day - r.request.submitted_day - r.horizon for r in book.open]
         overdue = [a for a in ages if a > 0]
         return max(overdue) if overdue else 0
 
@@ -589,8 +589,8 @@ class SettlementEngine:
         day = self.world.day
         for key in sorted(self.issuers):
             book = self.issuers[key]
-            for record in book.requests:
-                if record.completed or record.counted_delayed or not record.planned:
+            for record in book.open:
+                if record.counted_delayed or not record.planned:
                     continue
                 if day - record.request.submitted_day > record.horizon:
                     record.counted_delayed = True

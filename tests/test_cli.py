@@ -147,8 +147,8 @@ def test_world_that_cannot_be_built_exits_1(tmp_path, capsys):
                     {"deposits": 0, "bills": 0, "repo": 102_000_000})
     config = tmp_path / "all_repo.json"
     config.write_text(json.dumps(raw))
-    assert main(["validate", str(config)]) == 0
-    capsys.readouterr()
+    assert main(["validate", str(config)]) == 1
+    assert "invalid config: InsufficientCollateral" in capsys.readouterr().err
     assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 1
     assert "invalid config: InsufficientCollateral" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

@@ -521,11 +521,12 @@ def multi_holder_raw(access_mode: str) -> dict:
 
 
 @pytest.mark.parametrize("access_mode", ["direct", "intermediated"])
-def test_golden_multi_holder(access_mode):
+def test_golden_multi_holder(access_mode, check_indexes):
     """Frozen digests of a many-agent run that reaches every routing path:
     suspended-chain intake, demand sliced over holders, intermediated
-    buying and par-policy buybacks."""
-    out = run(parse_config(multi_holder_raw(access_mode)))
+    buying and par-policy buybacks; the open-request lists and the
+    coin-holder index are checked at every day end."""
+    out = run(parse_config(multi_holder_raw(access_mode)), on_day_end=check_indexes)
     events = out.events
     gamma = "issuer:2"  # issuers are indexed by sorted name
     requests = [e for e in events
