@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .config import (ParseError, ValidationError, load_config, load_raw,
@@ -42,9 +41,10 @@ EXIT_IO = 3
 
 def cmd_run(args) -> int:
     try:
-        config = load_config(args.config)
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
+        raw = load_raw(args.config)
+        if args.seed is not None and type(raw) is dict:
+            raw["seed"] = args.seed  # checked by parse_config like the file's seed
+        config = parse_config(raw)
     except CONFIG_ERRORS as err:
         print(f"invalid config: {err}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -102,7 +102,7 @@ def cmd_validate(args) -> int:
     try:
         config = load_config(args.config)
     except CONFIG_ERRORS as err:
-        print(f"invalid: {err}", file=sys.stderr)
+        print(f"invalid config: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as err:
         print(str(err), file=sys.stderr)

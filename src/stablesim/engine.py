@@ -267,7 +267,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     for spec in config.shocks:
         shocks_by_day.setdefault(spec.day, []).append(spec)
 
-    report = world.audit()
+    report = world.audit_changes()  # the full audit; a pass starts the change log
     if not report.ok:
         raise AuditFailure(-1, report)
     return Scenario(
@@ -605,9 +605,12 @@ def _update_prices(scn: Scenario) -> None:
 
 
 def _emit_rows(scn: Scenario, day: int, dealer_capacity: dict) -> None:
-    """Phase 11: audit the world, then append the day's output rows."""
+    """Phase 11: audit the world, then append the day's output rows. The
+    last day walks every sheet, which also catches a write that went
+    round the ledger's change log; the others check what changed."""
     world = scn.world
-    report = world.audit()
+    last = day == scn.config.horizon_days - 1
+    report = world.audit() if last else world.audit_changes()
     if not report.ok:
         raise AuditFailure(day, report)
     for key in sorted(scn.settle.issuers):
@@ -818,9 +821,9 @@ def sweep(raw_config: dict, grid: dict, out_dir=None) -> SweepReport:
     for index, combo in enumerate(combos):
         overrides = dict(zip(keys, combo))
         raw = json.loads(json.dumps(raw_config))
-        for dotted, value in overrides.items():
-            _set_path(raw, dotted, value)
         try:
+            for dotted, value in overrides.items():
+                _set_path(raw, dotted, value)
             output = run(parse_config(raw))
             points.append(SweepPoint(index, overrides, output.summary, None))
             if out_dir is not None:

@@ -1,10 +1,14 @@
 """Double-entry balance-sheet substrate for every agent in a simulation.
 
 Each agent carries an asset map, a liability map and a stored equity
-figure that the posting engine maintains; all mutation goes through
-``LedgerWorld.post`` (or the higher-level ``post_transfer``), which
-validates every leg before applying any of them, so a failed posting
-leaves the world byte-identical.
+figure that the posting engine maintains. Only two methods write a
+balance: ``LedgerWorld.post`` (reached through the higher-level
+``post_transfer`` and friends), which validates every leg before
+applying any of them, so a failed posting leaves the world
+byte-identical, and the Treasury re-mark ``remark_tbills``. Both bump
+the written sheets' ``version`` and, once ``audit_changes`` has started
+the change log, log their deltas, so it can check only what changed
+since its last call.
 
 Inside-money instruments (reserves, deposits, stablecoins, repo and
 SRF claims) always appear on exactly two balance sheets with equal
@@ -121,6 +125,7 @@ class BalanceSheet:
     assets: dict = field(default_factory=dict)
     liabilities: dict = field(default_factory=dict)
     equity: int = 0
+    version: int = 0   # bumped by every write to this sheet
 
     def asset(self, key: str) -> int:
         return self.assets.get(key, 0)
@@ -130,9 +135,6 @@ class BalanceSheet:
 
     def total_assets(self) -> int:
         return sum(self.assets.values())
-
-    def total_liabilities(self) -> int:
-        return sum(self.liabilities.values())
 
 
 @dataclass(frozen=True)
@@ -181,6 +183,10 @@ class WorldSnapshot:
         raise KeyError(key)
 
 
+_PASSED = AuditReport(checks=tuple(AuditCheck(name, True) for name in (
+    "double_entry", "reserve_conservation", "deposit_matching", "claim_matching")))
+
+
 class LedgerWorld:
     """Holds every balance sheet plus the clock, price table and event log.
 
@@ -203,6 +209,12 @@ class LedgerWorld:
         }
         self.tbill_face: dict[tuple[str, DurationClass], int] = {}
         self.events: list[dict] = []
+        # one dict per write since the last `audit_changes()`, (agent key,
+        # side, instrument key) -> delta; None until a call of it passes
+        self.changes: list[dict] | None = None
+        # running totals of the deltas `audit_changes()` has read
+        self.reserves_net = 0                  # reserves held minus owed
+        self.coins_net: dict[str, int] = {}    # coin key -> held minus owed, if not 0
 
     # -- registration ----------------------------------------------------
 
@@ -247,8 +259,11 @@ class LedgerWorld:
 
         All legs are validated first: agents must exist and no position
         may go negative. Only then are balances and stored equity
-        updated, so an error cannot leave a half-applied batch. A coin
-        balance that crosses zero updates `coin_holders`.
+        updated, so an error cannot leave a half-applied batch. Each
+        written sheet's `version` is bumped and, once `audit_changes()`
+        has started the log, the batch's deltas are appended to
+        `changes`. A coin balance that crosses zero updates
+        `coin_holders`.
         """
         staged: dict[tuple[str, str, str], int] = {}
         for p in postings:
@@ -272,12 +287,15 @@ class LedgerWorld:
             else:
                 positions[key] = new
             book.equity += delta if side == "A" else -delta
+            book.version += 1
             if side == "A" and (new == 0 or new == delta) and key.startswith("coin@"):
                 holders = self.coin_holders.setdefault(key, set())
                 if new:
                     holders.add(agent_key)
                 else:
                     holders.discard(agent_key)
+        if self.changes is not None:
+            self.changes.append(staged)
         if event is not None:
             self.emit(event, **event_fields)
 
@@ -424,6 +442,7 @@ class LedgerWorld:
             raise LedgerError("treasury price must stay positive")
         self.tbill_prices[duration] = new_price
         key = tbill_key(duration)
+        remarked: dict[tuple[str, str, str], int] = {}
         entries = sorted(self.tbill_face.items(), key=lambda kv: (kv[0][0], kv[0][1].value))
         for (agent_key, dur), face in entries:
             if dur is not duration:
@@ -439,6 +458,10 @@ class LedgerWorld:
             else:
                 book.assets[key] = new_value
             book.equity += delta
+            book.version += 1
+            remarked[(agent_key, "A", key)] = delta
+        if remarked and self.changes is not None:
+            self.changes.append(remarked)
 
     # -- audit & snapshot -----------------------------------------------------
 
@@ -536,6 +559,82 @@ class LedgerWorld:
         return AuditReport(checks=tuple(
             AuditCheck(name, True) if fault is None else AuditCheck(name, False, *fault)
             for name, fault in found))
+
+    def audit_changes(self) -> AuditReport:
+        """The checks of `audit()` on what was written since the last call.
+
+        The first call, and any call after a failure, is `audit()`
+        itself; a passing one starts the change log from zero running
+        totals, as a world that passes holds every reserve and coin it
+        owes. Later calls read and clear the log, add its deltas to
+        running totals of reserves held minus owed and of coins held
+        minus owed per coin key, and check double entry on each written
+        sheet and both ends of each written deposit, repo or SRF leg,
+        including a leg that dropped to zero. If every write since the
+        previous call went through `post` or `remark_tbills`, the whole
+        world passes `audit()` exactly when these checks do. On any
+        doubt it returns `audit()`, so a failing report names the same
+        checks, agents and details.
+        """
+        if self.changes is not None and self._changes_pass():
+            return _PASSED
+        report = self.audit()
+        self.changes = [] if report.ok else None
+        self.reserves_net, self.coins_net = 0, {}
+        return report
+
+    def _changes_pass(self) -> bool:
+        """Read and clear the change log into the running totals; whether
+        the written sheets and legs and the totals leave no doubt."""
+        net: dict[tuple[str, str, str], int] = {}
+        for staged in self.changes:
+            for leg, delta in staged.items():
+                net[leg] = net.get(leg, 0) + delta
+        self.changes = []
+        coins, rkey, fed_key = self.coins_net, reserves_key(), FED.key
+        for (key, side, ikey), delta in net.items():
+            kind, sep, cpty = ikey.partition("@")
+            if not sep:
+                continue
+            if kind == "coin":
+                total = coins.get(ikey, 0) + (delta if side == "A" else -delta)
+                if total:
+                    coins[ikey] = total
+                else:
+                    coins.pop(ikey, None)
+            elif kind == "reserves":
+                if side == "A" and ikey == rkey:
+                    self.reserves_net += delta
+                elif side == "L" and key == fed_key:
+                    self.reserves_net -= delta
+            elif kind in ("deposit", "repo", "srf") and not (
+                    self._entry_ok(key, side, ikey)
+                    and self._entry_ok(cpty, "L" if side == "A" else "A", f"{kind}@{key}")):
+                return False
+        agents = self.agents
+        return not coins and self.reserves_net == 0 and all(
+            (book := agents[key]).equity
+            == sum(book.assets.values()) - sum(book.liabilities.values())
+            for key in {agent for agent, _, _ in net})
+
+    def _entry_ok(self, key: str, side: str, ikey: str) -> bool:
+        """Whether `audit()` passes the deposit, repo or SRF entry `ikey`
+        on side `side` ('A' or 'L') of agent `key`; an absent one passes."""
+        book = self.agents.get(key)
+        amount = None if book is None else (
+            book.assets if side == "A" else book.liabilities).get(ikey)
+        if amount is None:
+            return True
+        kind, _, cpty = ikey.partition("@")
+        other = self.agents.get(cpty)
+        if kind == "deposit":
+            # audit() checks deposits held by non-banks and owed by banks
+            if (side == "A") == (self.ids[key].kind is AgentKind.BANK):
+                return True
+            if side == "A" and other is not None and self.ids[cpty].kind is not AgentKind.BANK:
+                return False
+        return other is not None and (
+            other.liabilities if side == "A" else other.assets).get(f"{kind}@{key}", 0) == amount
 
     def snapshot(self) -> WorldSnapshot:
         agents = []

@@ -68,7 +68,7 @@ def decompose(seller: Amount, retention: Amount) -> VolumeDecomposition:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class MarketParams:
     depth: Amount
     impact_coeff_long: int = 15_000     # micro decline at excess == depth
@@ -98,7 +98,8 @@ class DealerBook:
     base_assets is the dealer's balance sheet outside the simulation;
     on top of it sit inventory growth above the opening position,
     reserves drawn from the standing facility, and same-day clearing
-    reservations that settle tomorrow.
+    reservations that settle tomorrow. Only the last three fields
+    change during a run.
     """
 
     agent: AgentId
@@ -183,6 +184,9 @@ class Market:
         self.chain = chain
         self.books = books  # dealer key -> DealerBook
         self.buyer = buyer
+        # dealer key -> (sheet version, reserved_today, ra_used_today,
+        # reserve_access) when its capacity was computed, and that capacity
+        self._available: dict[str, tuple] = {}
         self._next_order = 0
         self.carryover: list[SaleOrder] = []
         self.pending: list[PendingSettlement] = []
@@ -214,9 +218,22 @@ class Market:
         return max(0, cap)
 
     def dealer_capacity(self, world: LedgerWorld) -> dict:
-        """Dealer key -> fill volume that dealer can absorb right now."""
-        return {k: self._dealer_available(world, self.books[k])
-                for k in sorted(self.books)}
+        """Dealer key -> fill volume that dealer can absorb right now.
+
+        Every input of `_dealer_available` lies on the dealer's sheet,
+        its book or the fixed market parameters, so a dealer whose sheet
+        version and book day fields are unchanged keeps its last value.
+        """
+        out = {}
+        for key in sorted(self.books):
+            book = self.books[key]
+            stamp = (world.agents[key].version, book.reserved_today,
+                     book.ra_used_today, book.reserve_access)
+            cached = self._available.get(key)
+            if cached is None or cached[0] != stamp:
+                cached = self._available[key] = (stamp, self._dealer_available(world, book))
+            out[key] = cached[1]
+        return out
 
     def capacity(self, world: LedgerWorld) -> Amount:
         """Fill volume the dealer sector can absorb right now."""

@@ -46,16 +46,3 @@ def ceil_div(num: int, den: int) -> int:
         raise ValueError(f"denominator must be positive, got {den}")
     return -((-num) // den)
 
-
-def fmt_micro(v: int) -> str:
-    """Render a micro-scaled value as a fixed six-decimal string."""
-    sign = "-" if v < 0 else ""
-    v = abs(v)
-    return f"{sign}{v // MICRO}.{v % MICRO:06d}"
-
-
-def fmt_cents(v: int) -> str:
-    """Render minor units as a fixed two-decimal string."""
-    sign = "-" if v < 0 else ""
-    v = abs(v)
-    return f"{sign}{v // 100}.{v % 100:02d}"

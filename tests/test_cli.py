@@ -67,6 +67,15 @@ def test_run_seed_override_changes_summary_seed(tmp_path):
     assert summary["seed"] == 99
 
 
+@pytest.mark.parametrize("seed", [-5, 2**70])
+def test_run_seed_override_is_checked_like_the_config_seed(seed, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["run", "calm", "--seed", str(seed), "--out", str(out_dir)]) == 1
+    assert ("invalid config: seed: must be a 64-bit unsigned integer"
+            in capsys.readouterr().err)
+    assert not out_dir.exists()
+
+
 def test_sweep_cli(tmp_path, capsys):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"grid": {"policies.srf_enabled": [False, True]}}))
@@ -82,6 +91,16 @@ def test_sweep_rejects_malformed_grid(tmp_path, capsys):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"grid": {"market.depth": 5}}))
     assert main(["sweep", "calm", "--grid", str(grid)]) == 1
+
+
+def test_sweep_grid_path_through_a_number_is_a_point_error(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"seed.x": [1]}))
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", "calm", "--grid", str(grid), "--out", str(out_dir)]) == 0
+    assert "swept 1 points (1 failed)" in capsys.readouterr().out
+    rows = list(csv.DictReader(io.StringIO((out_dir / "matrix.csv").read_text())))
+    assert [(r["status"], r["error"].split(":")[0]) for r in rows] == [("error", "TypeError")]
 
 
 def test_audit_failure_exit_code(monkeypatch, tmp_path):
@@ -135,9 +154,9 @@ def test_rejected_config_exits_1_and_names_the_field(path, value, field,
     config = tmp_path / "bad.json"
     config.write_text(json.dumps(calm_with(path, value)))
     assert main(["validate", str(config)]) == 1
-    assert f"invalid: {field}" in capsys.readouterr().err
+    assert f"invalid config: {field}" in capsys.readouterr().err
     assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 1
-    assert "invalid config" in capsys.readouterr().err
+    assert f"invalid config: {field}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -5,9 +5,9 @@ from pathlib import Path
 import pytest
 
 from stablesim.config import PRESETS, load_config, parse_config
-from stablesim.engine import build_scenario, run, sweep
+from stablesim.engine import AuditFailure, build_scenario, run, sweep
 from stablesim.instruments import step_portfolio
-from stablesim.ledger import DurationClass
+from stablesim.ledger import DurationClass, LedgerWorld, Posting, deposit_key
 from stablesim.money import PAR, mul_frac
 
 
@@ -236,6 +236,9 @@ def test_sweep_isolates_point_failures():
     statuses = {p.overrides["market.depth"]: p.error for p in report.points}
     assert statuses[1_000_00] is None
     assert statuses[-5] is not None
+    # a grid path through a number fails its point, not the sweep
+    report = sweep(raw, {"seed.x": [1]})
+    assert [(p.summary, p.error.split(":")[0]) for p in report.points] == [(None, "TypeError")]
 
 
 def test_audit_runs_every_day():
@@ -443,11 +446,12 @@ def output_digests(out) -> dict:
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
-def test_golden_fixture(preset):
+def test_golden_fixture(preset, check_ledger):
     """Frozen byte digests for every preset; any behavioral change must
-    consciously re-freeze tests/golden/<preset>.sha256.json."""
+    consciously re-freeze tests/golden/<preset>.sha256.json. The full audit
+    and fresh dealer capacities are checked at every day end."""
     golden = json.loads((GOLDEN / f"{preset}.sha256.json").read_text())
-    out = run(load_config(preset))
+    out = run(load_config(preset), on_day_end=check_ledger)
     for name, digest in output_digests(out).items():
         assert digest == golden[name], name
 
@@ -521,12 +525,18 @@ def multi_holder_raw(access_mode: str) -> dict:
 
 
 @pytest.mark.parametrize("access_mode", ["direct", "intermediated"])
-def test_golden_multi_holder(access_mode, check_indexes):
+def test_golden_multi_holder(access_mode, check_indexes, check_ledger):
     """Frozen digests of a many-agent run that reaches every routing path:
     suspended-chain intake, demand sliced over holders, intermediated
-    buying and par-policy buybacks; the open-request lists and the
-    coin-holder index are checked at every day end."""
-    out = run(parse_config(multi_holder_raw(access_mode)), on_day_end=check_indexes)
+    buying and par-policy buybacks; the open-request lists, the
+    coin-holder index, the full audit and fresh dealer capacities are
+    checked at every day end."""
+
+    def check(scn, day):
+        check_indexes(scn, day)
+        check_ledger(scn, day)
+
+    out = run(parse_config(multi_holder_raw(access_mode)), on_day_end=check)
     events = out.events
     gamma = "issuer:2"  # issuers are indexed by sorted name
     requests = [e for e in events
@@ -548,3 +558,57 @@ def test_golden_multi_holder(access_mode, check_indexes):
         assert buyers == {"intermediary:0", "intermediary:1"}
     golden = json.loads((GOLDEN / "multi_holder.sha256.json").read_text())
     assert output_digests(out) == golden[access_mode]
+
+
+def test_full_audit_runs_at_build_and_on_the_last_day(monkeypatch):
+    """Every other day checks only what changed, and a clean run never
+    falls back to the full walk."""
+    calls = []
+    full = LedgerWorld.audit
+
+    def counted(world):
+        calls.append(world.day)
+        return full(world)
+
+    monkeypatch.setattr(LedgerWorld, "audit", counted)
+    raw = multi_holder_raw("intermediated")
+    run(parse_config(raw))
+    assert calls == [0, raw["horizon_days"] - 1]
+
+
+def test_lone_leg_posted_after_a_day_fails_the_next_days_audit():
+    seen = {}
+
+    def corrupt(scn, day):
+        seen["world"] = scn.world
+        if day == 2:
+            holder = scn.agent_of["h_1"]
+            scn.world.post([Posting(holder, "A",
+                                    deposit_key(scn.world.bank_of(holder)), 7)])
+
+    with pytest.raises(AuditFailure) as caught:
+        run(load_config("calm"), on_day_end=corrupt)
+    assert caught.value.day == 3
+    assert caught.value.report == seen["world"].audit()
+    assert [c.name for c in caught.value.report.failures()] == ["deposit_matching"]
+
+
+@pytest.mark.parametrize("agent, day", [("holder:0", 3), ("intermediary:0", 9)])
+def test_write_round_the_ledger_still_fails_the_run(agent, day):
+    """A dict write from the hook is caught on the next day that writes the
+    sheet through the ledger, else by the last day's full audit."""
+    seen = {}
+
+    def corrupt(scn, today):
+        seen["world"] = world = scn.world
+        if today == 2:
+            assets = world.agents[agent].assets
+            key = deposit_key(world.bank_of(world.ids[agent]))
+            assets[key] = assets.get(key, 0) + 7
+
+    with pytest.raises(AuditFailure) as caught:
+        run(load_config("calm"), on_day_end=corrupt)
+    assert caught.value.day == day
+    assert caught.value.report == seen["world"].audit()
+    failure = caught.value.report.failures()[0]
+    assert (failure.name, failure.agent) == ("double_entry", agent)

@@ -51,11 +51,11 @@ def test_zero_transfer_leaves_world_unchanged():
 
 def test_reserve_transfer_conserves_central_bank_liability():
     world = two_bank_world()
-    total_before = world.sheet(FED).total_liabilities()
+    total_before = sum(world.sheet(FED).liabilities.values())
     world.post_transfer(BANK_A, BANK_B, Instrument(InstrumentKind.RESERVES), 100_00)
     assert world.sheet(BANK_A).asset(reserves_key()) == 5_000_00 - 100_00
     assert world.sheet(BANK_B).asset(reserves_key()) == 1_000_00 + 100_00
-    assert world.sheet(FED).total_liabilities() == total_before
+    assert sum(world.sheet(FED).liabilities.values()) == total_before
     assert world.audit().ok
 
 
@@ -287,3 +287,88 @@ def test_audit_reports_every_failing_check_in_order():
         AuditCheck("claim_matching", False, "issuer:0",
                    "coins held 9 != coins outstanding 0"),
     ]
+
+
+# -- change log and the check of what changed ---------------------------------
+
+def test_post_bumps_versions_and_logs_the_batch():
+    world = two_bank_world()
+    world.audit_changes()
+    before = {key: book.version for key, book in world.agents.items()}
+    world.post_transfer(HOLDER, ISSUER, Instrument(InstrumentKind.DEPOSIT), 100_00)
+    assert {key for key, book in world.agents.items()
+            if book.version != before[key]} == {FED.key, BANK_A.key, BANK_B.key,
+                                                 ISSUER.key, HOLDER.key}
+    assert world.changes == [{
+        (HOLDER.key, "A", BANK_A_DEPOSITS): -100_00,
+        (BANK_A.key, "L", f"deposit@{HOLDER.key}"): -100_00,
+        (BANK_B.key, "L", f"deposit@{ISSUER.key}"): 100_00,
+        (ISSUER.key, "A", deposit_key(BANK_B)): 100_00,
+        (BANK_A.key, "A", reserves_key()): -100_00,
+        (FED.key, "L", f"reserves@{BANK_A.key}"): -100_00,
+        (FED.key, "L", f"reserves@{BANK_B.key}"): 100_00,
+        (BANK_B.key, "A", reserves_key()): 100_00,
+    }]
+    assert world.audit_changes().ok
+    assert world.changes == []
+
+
+def test_remark_bumps_versions_and_logs_the_new_values():
+    world = two_bank_world()
+    world.grant_tbill(ISSUER, DurationClass.BILL, 10_000_00)
+    world.audit_changes()
+    version = world.sheet(ISSUER).version
+    world.remark_tbills(DurationClass.BILL, 990_000)
+    assert world.sheet(ISSUER).version > version
+    assert world.changes == [{(ISSUER.key, "A", "tbill/bill"): -100_00}]
+    assert world.audit_changes().ok
+
+
+def test_clean_writes_never_fall_back_to_the_full_audit(monkeypatch):
+    world = two_bank_world()
+    coin = Instrument(InstrumentKind.STABLECOIN, issuer=ISSUER)
+    assert world.audit_changes().ok
+    monkeypatch.setattr(world, "audit", lambda: pytest.fail("full audit ran"))
+    world.post_transfer(ISSUER, HOLDER, coin, 2_000_00)
+    world.post_transfer(HOLDER, ISSUER, Instrument(InstrumentKind.DEPOSIT), 5_000_00)
+    world.post_transfer(HOLDER, ISSUER, coin, 2_000_00)
+    world.grant_tbill(ISSUER, DurationClass.BILL, 10_000_00)
+    world.remark_tbills(DurationClass.BILL, 990_000)
+    assert world.audit_changes().ok
+
+
+@pytest.mark.parametrize("legs", [
+    pytest.param([(HOLDER, "A", BANK_A_DEPOSITS, 7)], id="lone_deposit_leg"),
+    pytest.param([(HOLDER, "A", BANK_A_DEPOSITS, -5_000_00)],
+                 id="deposit_popped_mirror_survives"),
+    pytest.param([(BANK_A, "L", f"deposit@{HOLDER.key}", -5_000_00)],
+                 id="deposit_liability_popped_mirror_survives"),
+    pytest.param([(HOLDER, "A", "deposit@issuer:0", 3_00)], id="deposit_at_non_bank"),
+    pytest.param([(BANK_B, "L", "deposit@holder:9", 5_00)], id="orphan_deposit_liability"),
+    pytest.param([(FED, "L", f"reserves@{BANK_A.key}", -1_00)], id="reserves"),
+    pytest.param([(HOLDER, "A", coin_key(ISSUER), 9)], id="coins"),
+    pytest.param([(ISSUER, "A", "repo@bank:0", 2_00)], id="repo_claim"),
+    pytest.param([(BANK_A, "L", "srf@fed:0", 4_00)], id="srf_obligation"),
+    pytest.param([(ISSUER, "A", "srf@fed:0", 2_00), (FED, "L", "srf@issuer:0", 1_00)],
+                 id="srf_claim_and_short_mirror"),
+])
+def test_audit_changes_reports_exactly_what_audit_reports(legs):
+    world = two_bank_world()
+    assert world.audit_changes().ok
+    world.post([Posting(agent, side, key, delta) for agent, side, key, delta in legs])
+    report = world.audit_changes()
+    assert not report.ok
+    assert report == world.audit()
+    assert world.changes is None  # the next call walks every sheet again
+
+
+def test_first_passing_call_starts_the_log():
+    world = faulty_world((HOLDER, "A", BANK_A_DEPOSITS, 7))
+    assert world.changes is None
+    assert world.audit_changes() == world.audit()
+    assert not world.audit().ok
+    world.post([Posting(HOLDER, "A", BANK_A_DEPOSITS, -7)])
+    assert world.changes is None
+    assert world.audit_changes().ok
+    world.post([Posting(HOLDER, "A", BANK_A_DEPOSITS, 7)])
+    assert world.changes == [{(HOLDER.key, "A", BANK_A_DEPOSITS): 7}]

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, LedgerWorld,
-                              Posting, deposit_key, reserves_key)
+from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, Instrument,
+                              InstrumentKind, LedgerWorld, Posting, deposit_key,
+                              reserves_key)
 from stablesim.instruments import RepoRegistry
 from stablesim.market import (DealerBook, DealerChain, Market, MarketError,
                               MarketParams, decompose)
@@ -232,3 +233,29 @@ def test_single_dealer_capacity_matches_leverage_headroom():
     market = Market(MarketParams(depth=10_000_00, retention_frac=0),
                     DealerChain([D1], 0), {D1.key: book}, BUYER)
     assert market.capacity(world) == 16_00
+
+
+def test_capacity_is_recomputed_only_for_a_dealer_that_changed(monkeypatch):
+    # dealer cash binds: capacity is what the retention slice can fund
+    world, market, _ = make_market(dealer_cash=1_000_00)
+    computed = []
+    available = market._dealer_available
+
+    def counted(world, book):
+        computed.append(book.agent.key)
+        return available(world, book)
+
+    monkeypatch.setattr(market, "_dealer_available", counted)
+    before = market.dealer_capacity(world)
+    assert market.dealer_capacity(world) == before
+    assert computed == [D1.key, D2.key]
+    # a write to D1's sheet alone, with no change to its book
+    world.post_transfer(D1, BUYER, Instrument(InstrumentKind.DEPOSIT), 500_00)
+    after = market.dealer_capacity(world)
+    assert computed == [D1.key, D2.key, D1.key]
+    assert after[D1.key] < before[D1.key] and after[D2.key] == before[D2.key]
+    assert after[D1.key] == available(world, market.books[D1.key])
+    # a book day field alone
+    market.books[D2.key].ra_used_today = 10**12
+    assert market.dealer_capacity(world)[D2.key] == 0
+    assert computed[-1] == D2.key

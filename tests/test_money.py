@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stablesim.money import MICRO, ceil_div, fmt_cents, fmt_micro, frac_of, mul_div, mul_frac
+from stablesim.money import MICRO, ceil_div, frac_of, mul_div, mul_frac
 
 
 def test_half_even_at_exact_half():
@@ -46,9 +46,3 @@ def test_ceil_div():
     assert ceil_div(9, 3) == 3
     assert ceil_div(0, 5) == 0
 
-
-def test_formatting():
-    assert fmt_micro(1_000_000) == "1.000000"
-    assert fmt_micro(-995_000) == "-0.995000"
-    assert fmt_cents(123_45) == "123.45"
-    assert fmt_cents(-7) == "-0.07"

@@ -305,7 +305,8 @@ def test_plan_pending_sale_funding_waits_for_the_market():
     assert not record.completed
 
 
-def test_funding_trackers_stay_consistent_across_random_runs(check_indexes):
+def test_funding_trackers_stay_consistent_across_random_runs(check_indexes,
+                                                            check_ledger):
     """Whitebox bookkeeping invariants, checked at every day end."""
     from stablesim.rng import SplitMix64
 
@@ -313,6 +314,7 @@ def test_funding_trackers_stay_consistent_across_random_runs(check_indexes):
 
     def check(scn, day):
         check_indexes(scn, day)
+        check_ledger(scn, day)
         for key in sorted(scn.settle.issuers):
             book = scn.settle.issuers[key]
             open_requests = [r for r in book.requests
