@@ -8,7 +8,8 @@ values too (1bp == 100).
 
 Nothing is coerced: integers are JSON integers (not 5.5, "5" or true),
 booleans are true or false. The integers of agent entries and shocks
-are >= 0; rates stay signed. A field left out takes the default in
+are >= 0; rates stay signed. A key not named below is rejected, e.g.
+"policies.srf_enabeld: unknown key". A field left out takes the default in
 parentheses. Errors name the dotted path first, e.g. "market.depth:
 expected an integer, got 5.5" or "agents.holders[h_1].coins.usdx: ...".
 
@@ -277,22 +278,28 @@ def _section(cls, raw, where: str, given: dict, amounts: bool = False):
     """Read the JSON object `raw` at dotted path `where` into dataclass `cls`:
     a present field through the reader of its kind, a missing one left to
     its default. `given` maps a field to its value or to a `_Read` (renamed,
-    enum or nested fields). With `amounts`, integers must be >= 0."""
+    enum or nested fields). With `amounts`, integers must be >= 0. A key
+    that no field is read from is rejected by its dotted path."""
     if type(raw) is not dict:
         raise _wrong(where, "an object", raw)
     readers, required = _schema(cls)
     values = {}
+    unread = {}        # the keys of `raw` no reader of a field's kind took
+    read_keys = set()  # the keys the `_Read` entries of `given` read
     for key, value in raw.items():
         read = readers.get(key)
-        if read is not None and key not in given:
-            values[key] = value = read(value, where, key)
-            if amounts and type(value) is int and value < 0:
-                raise _wrong(_path(where, key), "an integer >= 0", value)
+        if read is None or key in given:
+            unread[key] = value
+            continue
+        values[key] = value = read(value, where, key)
+        if amounts and type(value) is int and value < 0:
+            raise _wrong(_path(where, key), "an integer >= 0", value)
     for name, spec in given.items():
         if type(spec) is not _Read:
             values[name] = spec
             continue
         read, key = spec
+        read_keys.add(key or name)
         node, at, key = raw, where, key or name
         while "." in key:
             part, key = key.split(".", 1)
@@ -304,7 +311,21 @@ def _section(cls, raw, where: str, given: dict, amounts: bool = False):
     for name in required:
         if name not in values:
             raise ValidationError(f"missing field: {_path(where, name)}")
+    if unread:
+        _known_keys(unread, where, read_keys)
     return cls(**values)
+
+
+def _known_keys(raw: dict, where: str, read_keys) -> None:
+    """Reject a key of `raw` that is none of the dotted `read_keys` and no
+    object on the way to one of them."""
+    for key, value in raw.items():
+        if key in read_keys:
+            continue
+        below = {k.split(".", 1)[1] for k in read_keys if k.startswith(f"{key}.")}
+        if not below:
+            raise ValidationError(f"{_path(where, key)}: unknown key")
+        _known_keys(value, _path(where, key), below)
 
 
 def _of(cls, **given) -> Callable:  # the reader of a subsection parsed into `cls`
@@ -369,6 +390,7 @@ _SCENARIO = {
     "attack_cost": _Read(_READERS["int | None"], "diagnostics.attack_cost"),
 }
 _HOLDER = {"coins": _Read(_holdings)}
+_AGENT_LISTS = {"banks", "issuers", "dealers", "intermediaries", "holders", "treasury_buyers"}
 
 
 def load_raw(path: str | Path) -> dict:
@@ -394,7 +416,11 @@ def parse_config(raw: dict) -> ScenarioConfig:
         raise ParseError("scenario must be a JSON object")
     _require("agents" in raw, "missing field: agents")
     agents = _object(raw["agents"], "", "agents")
-    bank_names = {entry["name"] for _, entry in _named(agents, "banks")}
+    _known_keys(agents, "agents", _AGENT_LISTS)
+    bank_names = set()
+    for where, entry in _named(agents, "banks"):
+        _known_keys(entry, where, {"name"})
+        bank_names.add(entry["name"])
     _require(len(bank_names) > 0, "agents.banks: at least one bank")
 
     def parse(section: str, cls, given: dict) -> dict:  # path -> entry, by name
@@ -430,8 +456,9 @@ def parse_config(raw: dict) -> ScenarioConfig:
                  f"{where}.bill_maturity_days: compliant issuers hold bills "
                  f"of {GENIUS_MAX_BILL_DAYS} days or less")
 
+    read_above = {key: value for key, value in raw.items() if key != "agents"}
     try:
-        config = _section(ScenarioConfig, raw, "", dict(
+        config = _section(ScenarioConfig, read_above, "", dict(
             _SCENARIO, banks=tuple(sorted(bank_names)), issuers=tuple(issuers.values()),
             dealers=tuple(dealers.values()), intermediaries=tuple(intermediaries.values()),
             holders=tuple(holders.values()), treasury_buyers=tuple(buyers.values())))

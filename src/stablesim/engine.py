@@ -62,6 +62,9 @@ DAILY_FIELDS = ("day", "agent", "kind", "price", "coins", "requested",
                 "headroom", "ratio", "band", "dla", "wla", "wam", "wal")
 MARKET_FIELDS = ("day", "class", "price", "submitted", "fills", "unfilled",
                  "capacity", "srf_draws")
+# the encoder `json.dumps(e, sort_keys=True, separators=(",", ":"))` builds
+# on every call, built once
+_EVENT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 @dataclass
@@ -85,8 +88,8 @@ class RunOutput:
         return json.dumps(self.summary, sort_keys=True, indent=2) + "\n"
 
     def events_jsonl(self) -> str:
-        return "".join(json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n"
-                       for e in self.events)
+        encode = _EVENT_ENCODER.encode
+        return "".join(encode(e) + "\n" for e in self.events)
 
     def write(self, out_dir) -> None:
         from pathlib import Path
@@ -293,7 +296,8 @@ def _coin_holders(scn: Scenario, issuer: AgentId):
     order; lazy, so a caller that stops early looks at no more of them."""
     world = scn.world
     redeemable = scn.settle.redeemable
-    for key in sorted(world.coin_holders.get(coin_key(issuer), ())):
+    # a snapshot: intermediated buying moves coins during the walk
+    for key in tuple(world.coin_holders.get(coin_key(issuer), ())):
         agent = world.ids[key]
         if agent.kind in _COIN_HOLDING and redeemable(agent, issuer) > 0:
             yield agent

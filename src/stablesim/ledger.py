@@ -75,6 +75,10 @@ class DurationClass(Enum):
     BILL = "bill"
     LONG = "long"
 
+    # members are singletons: hash by identity in C, not through the
+    # Python-level `Enum.__hash__`, on the hot enum-keyed dicts
+    __hash__ = object.__hash__
+
 
 class InstrumentKind(Enum):
     RESERVES = "reserves"
@@ -200,8 +204,8 @@ class LedgerWorld:
         self.agents: dict[str, BalanceSheet] = {}
         self.ids: dict[str, AgentId] = {}
         self.sorted_keys: list[str] = []   # registered agent keys
-        # coin key -> keys of the agents holding a positive balance of it
-        self.coin_holders: dict[str, set[str]] = {}
+        # coin key -> sorted keys of the agents holding a positive balance of it
+        self.coin_holders: dict[str, list[str]] = {}
         self.banks: dict[str, AgentId | None] = {}
         self.tbill_prices: dict[DurationClass, int] = {
             DurationClass.BILL: 1_000_000,
@@ -289,11 +293,11 @@ class LedgerWorld:
             book.equity += delta if side == "A" else -delta
             book.version += 1
             if side == "A" and (new == 0 or new == delta) and key.startswith("coin@"):
-                holders = self.coin_holders.setdefault(key, set())
+                holders = self.coin_holders.setdefault(key, [])
                 if new:
-                    holders.add(agent_key)
+                    bisect.insort(holders, agent_key)
                 else:
-                    holders.discard(agent_key)
+                    del holders[bisect.bisect_left(holders, agent_key)]
         if self.changes is not None:
             self.changes.append(staged)
         if event is not None:

@@ -255,27 +255,55 @@ class Market:
         """
         order = SaleOrder(self._next_order, seller, duration, amount,
                           world.day, purpose)
+        return self._clear(world, order, self.dealer_capacity(world),
+                           first_submission)
+
+    def resubmit_carryover(self, world: LedgerWorld) -> list[FillReport]:
+        """Clear the queued unfilled remainders, in queue order, as new
+        orders that are not first submissions.
+
+        Dealer capacity is read once, and again only after an order
+        fills something: a zero fill writes no sheet and no book field,
+        so the capacity read before it is still exact after it.
+        """
+        queued, self.carryover = self.carryover, []
+        reports = []
+        avail = None
+        for order in queued:
+            if avail is None:
+                avail = self.dealer_capacity(world)
+            report = self._clear(world, order, avail, first_submission=False)
+            if report.filled:
+                avail = None
+            reports.append(report)
+        return reports
+
+    def _clear(self, world: LedgerWorld, order: SaleOrder, avail: dict,
+               first_submission: bool) -> FillReport:
+        """Give `order` the next order id and today's date and clear its
+        `remaining` against `avail`, each dealer's capacity right now."""
+        order.order_id = self._next_order
+        order.submitted_day = world.day
         self._next_order += 1
-        avail = self.dealer_capacity(world)
-        total_avail = sum(avail.values())
-        fill = min(amount, total_avail)
-        allocations = _prorate(fill, avail)
-        for key, alloc in allocations.items():
-            if alloc == 0:
-                continue
-            book = self.books[key]
-            ra_part = min(alloc, max(0, book.reserve_access - book.ra_used_today))
-            draw = alloc - ra_part
-            if draw > 0:
-                if not self.params.srf_enabled:
-                    raise MarketError("allocation beyond reserve access without SRF")
-                draw_srf(world, book, draw)
-                self.day_srf_draws += draw
-            book.ra_used_today += ra_part
-            book.reserved_today += alloc
-            self.pending.append(PendingSettlement(
-                settle_day=world.day + 1, seller=seller, dealer=book.agent,
-                duration=duration, value=alloc))
+        seller, duration, amount = order.seller, order.duration, order.remaining
+        fill = min(amount, sum(avail.values()))
+        if fill:
+            for key, alloc in _prorate(fill, avail).items():
+                if alloc == 0:
+                    continue
+                book = self.books[key]
+                ra_part = min(alloc, max(0, book.reserve_access - book.ra_used_today))
+                draw = alloc - ra_part
+                if draw > 0:
+                    if not self.params.srf_enabled:
+                        raise MarketError("allocation beyond reserve access without SRF")
+                    draw_srf(world, book, draw)
+                    self.day_srf_draws += draw
+                book.ra_used_today += ra_part
+                book.reserved_today += alloc
+                self.pending.append(PendingSettlement(
+                    settle_day=world.day + 1, seller=seller, dealer=book.agent,
+                    duration=duration, value=alloc))
         unfilled = amount - fill
         decomposition = None
         if first_submission:
@@ -291,19 +319,10 @@ class Market:
         self.day_fills[duration] += fill
         world.emit("sale_cleared", order_id=order.order_id, seller=seller.key,
                    duration=duration.value, requested=amount, filled=fill,
-                   unfilled=unfilled, purpose=purpose,
+                   unfilled=unfilled, purpose=order.purpose,
                    first_submission=first_submission)
         return FillReport(order.order_id, seller, duration, amount, fill,
                           unfilled, world.price(duration), decomposition)
-
-    def resubmit_carryover(self, world: LedgerWorld) -> list[FillReport]:
-        queued, self.carryover = self.carryover, []
-        reports = []
-        for order in queued:
-            reports.append(self.submit_sale(
-                world, order.seller, order.remaining, order.duration,
-                purpose=order.purpose, first_submission=False))
-        return reports
 
     # -- funding gaps -----------------------------------------------------------
 

@@ -13,7 +13,7 @@ def _check_indexes(scn, day):
                      if k.startswith("coin@"))
     for ckey in sorted(coin_keys):
         holding = {key for key, book in world.agents.items() if book.asset(ckey) > 0}
-        assert world.coin_holders.get(ckey, set()) == holding, (day, ckey)
+        assert world.coin_holders.get(ckey, []) == sorted(holding), (day, ckey)
 
 
 def _check_ledger(scn, day):
@@ -31,7 +31,7 @@ def _check_ledger(scn, day):
 def check_indexes():
     """`on_day_end` hook asserting that `IssuerBook.open` is the unfinished
     requests in submission order and `LedgerWorld.coin_holders` is exactly
-    the agents holding each coin."""
+    the agents holding each coin, in key order."""
     return _check_indexes
 
 

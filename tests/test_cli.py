@@ -144,6 +144,7 @@ REJECTED = [
     ("policies/par_policy", {"mode": "corridor"}, "policies.par_policy.corridor_bp"),
     ("shocks", [{"day": 1, "class": "solar_flare"}], "shocks[0].class"),
     ("agents/holders/0/deposits", -5, "agents.holders[h_1].deposits"),
+    ("policies/srf_enabeld", True, "policies.srf_enabeld"),
 ]
 
 
@@ -202,7 +203,7 @@ def _numbers_are_integers(out: Path) -> None:
         walk(json.loads(line))
 
 
-MUTATIONS = ("str", "float", "bool", "list", "null", "negate", "delete")
+MUTATIONS = ("str", "float", "bool", "list", "null", "negate", "delete", "insert")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -210,13 +211,23 @@ MUTATIONS = ("str", "float", "bool", "list", "null", "negate", "delete")
 def test_mutated_presets_are_rejected_or_run_cleanly(preset, data):
     """A preset with one value swapped for another type, negated or
     deleted is either rejected by parse_config, or the CLI runs it to
-    exit 0 or 1 without raising; exit 0 writes integers only."""
+    exit 0 or 1 without raising; exit 0 writes integers only. An object
+    with a key inserted is always rejected, naming that key."""
     raw = PRESETS[preset]()
     path, value = data.draw(st.sampled_from(list(_leaves(raw))))
     kind = data.draw(st.sampled_from(MUTATIONS))
     parent = raw
     for key in path[:-1]:
         parent = parent[key]
+    if kind == "insert":
+        # into the value if it is an object, else into the object holding it
+        target = value if isinstance(value, dict) else parent
+        if not isinstance(target, dict):
+            target = raw
+        target["zz_unknown"] = 1
+        with pytest.raises(ValidationError, match="zz_unknown"):
+            parse_config(raw)
+        return
     if kind == "delete":
         del parent[path[-1]]
     elif kind == "negate":

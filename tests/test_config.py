@@ -206,6 +206,16 @@ BAD_INPUTS = [
     # values the run cannot carry
     ("policies", {"slr_bound_bp": 0}, "policies.slr_bound_bp"),
     ("price_model", {"min_price": 0}, "price_model.min_price"),
+    # keys no field is read from
+    ("policies", {"srf_enabeld": True}, "policies.srf_enabeld"),
+    ("policies", {"par_policy": {"corridor_width": 5}}, "policies.par_policy.corridor_width"),
+    ("mint_demand", {"daily_rat": 1}, "mint_demand.daily_rat"),
+    ("banks", [], "banks"),
+    ("agents/holder", [], "agents.holder"),
+    ("agents/banks/0/kind", "bank", "agents.banks[bank_a].kind"),
+    ("agents/holders/0/coin", {"usdx": 1}, "agents.holders[h].coin"),
+    ("agents/dealers/0/klass", 1, "agents.dealers[d].klass"),
+    ("shocks", [{"day": 0, "class": "liveness_fault", "klass": "x"}], "shocks[0].klass"),
 ]
 
 
@@ -228,3 +238,12 @@ def test_signed_rates_and_sections_left_out_parse():
     assert (cfg.rates.treasury_rate_daily, cfg.rates.repo_rate_daily) == (-1, -2)
     assert cfg.attack_cost is None and cfg.mint_daily_rate == 0
     assert cfg.seed == 1 and cfg.policies.srf_enabled is False
+
+
+def test_misspelled_field_is_rejected_not_defaulted():
+    raw = minimal_raw()
+    raw["policies"] = {"srf_enabeld": True}
+    with pytest.raises(ValidationError, match=r"^policies\.srf_enabeld: unknown key$"):
+        parse_config(raw)
+    raw["policies"] = {"srf_enabled": True}
+    assert parse_config(raw).policies.srf_enabled is True

@@ -560,6 +560,26 @@ def test_golden_multi_holder(access_mode, check_indexes, check_ledger):
     assert output_digests(out) == golden[access_mode]
 
 
+def test_events_jsonl_is_json_dumps_of_each_event():
+    """The shared encoder renders every event exactly as `json.dumps` with
+    sorted keys and compact separators would, nested and non-int values
+    included."""
+    outputs = [run(load_config(preset)) for preset in sorted(PRESETS)]
+    outputs += [run(parse_config(multi_holder_raw(mode)))
+                for mode in ("direct", "intermediated")]
+    covered = set()
+    for out in outputs:
+        assert out.events_jsonl() == "".join(
+            json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n"
+            for e in out.events)
+        covered.update((e["type"], key, type(value).__name__)
+                       for e in out.events for key, value in e.items())
+    assert {("repo_open", "collateral", "dict"), ("mark", "classes", "list"),
+            ("shock_applied", "magnitude", "NoneType"),
+            ("sale_cleared", "first_submission", "bool"),
+            ("redemption_request", "intervention", "bool")} <= covered
+
+
 def test_full_audit_runs_at_build_and_on_the_last_day(monkeypatch):
     """Every other day checks only what changed, and a clean run never
     falls back to the full walk."""

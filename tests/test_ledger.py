@@ -372,3 +372,11 @@ def test_first_passing_call_starts_the_log():
     assert world.audit_changes().ok
     world.post([Posting(HOLDER, "A", BANK_A_DEPOSITS, 7)])
     assert world.changes == [{(HOLDER.key, "A", BANK_A_DEPOSITS): 7}]
+
+
+def test_duration_classes_hash_by_identity():
+    # the enum-keyed price, face and market dicts skip Enum.__hash__
+    assert DurationClass.__hash__ is object.__hash__
+    assert {d: d.value for d in DurationClass} == {DurationClass.BILL: "bill",
+                                                     DurationClass.LONG: "long"}
+    assert DurationClass("bill") is DurationClass.BILL

@@ -1,3 +1,6 @@
+import copy
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -259,3 +262,93 @@ def test_capacity_is_recomputed_only_for_a_dealer_that_changed(monkeypatch):
     market.books[D2.key].ra_used_today = 10**12
     assert market.dealer_capacity(world)[D2.key] == 0
     assert computed[-1] == D2.key
+
+
+def random_market(rng):
+    """A seeded market of 1-8 dealers, some without reserve access, with
+    SRF and retention each on or off, and a queue of carried-over orders."""
+    world = LedgerWorld()
+    for agent in (FED, BANK):
+        world.add_agent(agent)
+    world.add_agent(SELLER, bank=BANK)
+    world.add_agent(BUYER, bank=BANK)
+    endow(world, BUYER, 10**13)
+    dealers = [AgentId(AgentKind.BROKER_DEALER, i) for i in range(rng.randint(1, 8))]
+    books = {}
+    for dealer in dealers:
+        world.add_agent(dealer, bank=BANK)
+        endow(world, dealer, rng.randint(1, 5_000_00))
+        world.grant_tbill(dealer, DurationClass.LONG, rng.randint(0, 10_000_00))
+        books[dealer.key] = DealerBook(
+            agent=dealer, capital=rng.randint(5_000_00, 6_000_00),
+            base_assets=100_000_00,
+            reserve_access=rng.choice((0, rng.randint(1, 10_000_00))),
+            inventory_baseline=world.tbill_value(dealer))
+    retention = rng.choice((0, 335_648))
+    market = Market(MarketParams(depth=1_000_000_00, retention_frac=retention,
+                                 srf_enabled=rng.random() < 0.5),
+                    DealerChain(dealers, retention), books, BUYER)
+    for _ in range(rng.randint(1, 30)):
+        market.submit_sale(world, SELLER, rng.randint(1, 20_000_00),
+                           rng.choice(list(DurationClass)),
+                           purpose=rng.choice(("sale", "funding_gap")))
+    world.day = 1
+    market.begin_day()
+    return world, market
+
+
+def resubmit_through_submit_sale(world, market):
+    """Carryover cleared order by order through `submit_sale`."""
+    queued, market.carryover = market.carryover, []
+    return [market.submit_sale(world, order.seller, order.remaining, order.duration,
+                               purpose=order.purpose, first_submission=False)
+            for order in queued]
+
+
+def market_state(world, market):
+    return (world.events, world.seq, world.agents, world.tbill_face,
+            [(o.order_id, o.seller, o.duration, o.remaining, o.submitted_day, o.purpose)
+             for o in market.carryover],
+            market.pending, market.books, market._next_order, market.day_excess,
+            market.day_fills, market.day_submitted, market.day_srf_draws,
+            market.gross_volume, market.seller_volume)
+
+
+def test_resubmit_carryover_equals_clearing_each_order_through_submit_sale():
+    seen = {"filled": 0, "zero": 0, "srf_draws": 0}
+    for seed in range(60):
+        world, market = random_market(random.Random(seed))
+        ref_world, ref_market = copy.deepcopy((world, market))
+        reports = market.resubmit_carryover(world)
+        assert reports == resubmit_through_submit_sale(ref_world, ref_market), seed
+        assert market_state(world, market) == market_state(ref_world, ref_market), seed
+        assert world.audit().ok
+        seen["filled"] += sum(1 for r in reports if r.filled)
+        seen["zero"] += sum(1 for r in reports if not r.filled)
+        seen["srf_draws"] += market.day_srf_draws > 0
+    # the seeds reach fills, zero fills and SRF draws
+    assert all(seen.values()), seen
+
+
+def test_resubmit_carryover_reads_capacity_again_only_after_a_fill(monkeypatch):
+    from stablesim import market as market_module
+
+    prorated = []
+    prorate = market_module._prorate
+    monkeypatch.setattr(market_module, "_prorate",
+                        lambda total, shares: prorated.append(total) or prorate(total, shares))
+    zero_fills = 0
+    for seed in range(20):
+        world, market = random_market(random.Random(seed))
+        reads = []
+        capacity = market.dealer_capacity
+        monkeypatch.setattr(market, "dealer_capacity",
+                            lambda world: reads.append(1) or capacity(world))
+        prorated.clear()
+        reports = market.resubmit_carryover(world)
+        filled = sum(1 for r in reports if r.filled)
+        assert len(reads) <= 1 + filled, seed
+        # a zero fill runs no pro-rata split
+        assert prorated == [r.filled for r in reports if r.filled], seed
+        zero_fills += len(reports) - filled
+    assert zero_fills > 0
