@@ -39,9 +39,9 @@ from .dynamics import (AccessKind, ConfidenceState, InterventionResult, ShockSta
                        apply_shock, redemption_demand, run_corrective_burns,
                        update_secondary_price)
 from .instruments import PortfolioState, RepoRegistry, TreasuryBill, open_reverse_repo
-from .ledger import (FED, AgentId, AgentKind, DurationClass, Instrument,
-                     InstrumentKind, LedgerWorld, Posting, coin_key, deposit_key,
-                     reserves_key)
+from .ledger import (DEPOSIT, FED, AgentId, AgentKind, DurationClass, EventLog,
+                     Instrument, InstrumentKind, LedgerWorld, Posting, coin_key,
+                     deposit_key, reserves_key)
 from .market import DealerBook, DealerChain, Market, MarketParams
 from .money import BP, MICRO, PAR, Amount, mul_div, mul_frac
 from .rng import SplitMix64
@@ -62,9 +62,6 @@ DAILY_FIELDS = ("day", "agent", "kind", "price", "coins", "requested",
                 "headroom", "ratio", "band", "dla", "wla", "wam", "wal")
 MARKET_FIELDS = ("day", "class", "price", "submitted", "fills", "unfilled",
                  "capacity", "srf_draws")
-# the encoder `json.dumps(e, sort_keys=True, separators=(",", ":"))` builds
-# on every call, built once
-_EVENT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 @dataclass
@@ -73,7 +70,7 @@ class RunOutput:
     market_rows: list
     analytics_rows: list
     summary: dict
-    events: list
+    events: EventLog
 
     def daily_csv(self) -> str:
         return _csv(DAILY_FIELDS, self.daily_rows)
@@ -88,27 +85,36 @@ class RunOutput:
         return json.dumps(self.summary, sort_keys=True, indent=2) + "\n"
 
     def events_jsonl(self) -> str:
-        encode = _EVENT_ENCODER.encode
-        return "".join(encode(e) + "\n" for e in self.events)
+        return "".join(self.events.lines())
 
     def write(self, out_dir) -> None:
+        """Write the five files with the bytes of the string methods; the
+        CSVs and events are streamed through the writers those render
+        into."""
         from pathlib import Path
 
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "daily.csv").write_text(self.daily_csv())
-        (out / "market.csv").write_text(self.market_csv())
-        (out / "analytics.csv").write_text(self.analytics_csv())
+        for name, fields, rows in (("daily.csv", DAILY_FIELDS, self.daily_rows),
+                                   ("market.csv", MARKET_FIELDS, self.market_rows),
+                                   ("analytics.csv", analytics.ANALYTICS_FIELDS,
+                                    self.analytics_rows)):
+            with open(out / name, "w") as f:
+                _write_csv(f, fields, rows)
         (out / "summary.json").write_text(self.summary_json())
-        (out / "events.jsonl").write_text(self.events_jsonl())
+        with open(out / "events.jsonl", "w") as f:
+            f.writelines(self.events.lines())
+
+
+def _write_csv(out, fields, rows) -> None:
+    writer = csv.DictWriter(out, fieldnames=fields, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 def _csv(fields, rows) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    _write_csv(buf, fields, rows)
     return buf.getvalue()
 
 
@@ -360,8 +366,7 @@ def _route_demand(scn: Scenario, book: IssuerBook, demand: Amount,
             slice_ = min(budget - bought, scn.settle.redeemable(holder, issuer))
             if slice_ <= 0:
                 continue
-            world.post_transfer(im, holder, Instrument(InstrumentKind.DEPOSIT),
-                                mul_frac(slice_, price))
+            world.post_transfer(im, holder, DEPOSIT, mul_frac(slice_, price))
             world.post_transfer(holder, im,
                                 Instrument(InstrumentKind.STABLECOIN, issuer=issuer),
                                 slice_)
@@ -704,7 +709,7 @@ def run(config: ScenarioConfig, on_day_end=None) -> RunOutput:
     scn.analytics_rows.sort(key=lambda r: (r["day"], r["agent"]))
     return RunOutput(daily_rows=scn.daily_rows, market_rows=scn.market_rows,
                      analytics_rows=scn.analytics_rows, summary=_summarize(scn),
-                     events=list(scn.world.events))
+                     events=scn.world.events)
 
 
 def _summarize(scn: Scenario) -> dict:

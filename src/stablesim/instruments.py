@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ledger import AgentId, DurationClass, LedgerWorld, Posting
+from .ledger import DEPOSIT, AgentId, DurationClass, LedgerWorld, Posting
 from .money import MICRO, Amount, ceil_div, mul_div, mul_frac
 
 GENIUS_MAX_BILL_DAYS = 93
@@ -152,9 +152,7 @@ def open_reverse_repo(world: LedgerWorld, registry: RepoRegistry,
     if lender_deposits < principal:
         raise InsufficientCash(f"{lender} holds {lender_deposits}, needs {principal}")
 
-    from .ledger import Instrument, InstrumentKind
-
-    world.post_transfer(lender, borrower, Instrument(InstrumentKind.DEPOSIT), principal)
+    world.post_transfer(lender, borrower, DEPOSIT, principal)
     world.post([
         Posting(lender, "A", f"repo@{borrower.key}", principal),
         Posting(borrower, "L", f"repo@{lender.key}", principal),
@@ -189,11 +187,9 @@ def close_or_default_repo(world: LedgerWorld, registry: RepoRegistry,
     if pos.repo_id not in registry.positions:
         raise InstrumentError("position already settled")
 
-    from .ledger import Instrument, InstrumentKind
-
     if counterparty_performs:
         owed = pos.principal + pos.interest()
-        world.post_transfer(pos.borrower, pos.lender, Instrument(InstrumentKind.DEPOSIT), owed)
+        world.post_transfer(pos.borrower, pos.lender, DEPOSIT, owed)
         world.post([
             Posting(pos.lender, "A", f"repo@{pos.borrower.key}", -pos.principal),
             Posting(pos.borrower, "L", f"repo@{pos.lender.key}", -pos.principal),
@@ -244,12 +240,9 @@ def roll_repo(world: LedgerWorld, registry: RepoRegistry, pos: RepoPosition,
     try:
         new_collateral = _size_collateral(world, registry, pos.borrower,
                                           pos.principal, pos.haircut, mix or None)
-        from .ledger import Instrument, InstrumentKind
-
         interest = pos.interest()
         if interest:
-            world.post_transfer(pos.borrower, pos.lender,
-                                Instrument(InstrumentKind.DEPOSIT), interest)
+            world.post_transfer(pos.borrower, pos.lender, DEPOSIT, interest)
     except Exception:
         for duration, face in pos.collateral.items():
             registry._encumber(pos.borrower, duration, face)

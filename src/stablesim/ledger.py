@@ -24,8 +24,12 @@ from __future__ import annotations
 import bisect
 import copy
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+from typing import NamedTuple
 
 
 class LedgerError(Exception):
@@ -100,12 +104,20 @@ class Instrument:
     @property
     def key(self) -> str:
         if self.kind is InstrumentKind.TBILL:
-            return f"tbill/{self.duration.value}"
+            return tbill_key(self.duration)
         if self.kind is InstrumentKind.STABLECOIN:
             return f"coin@{self.issuer.key}"
         if self.kind is InstrumentKind.GOVT:
             return "govt"
         return f"{self.kind.value}@{self.counterparty.key}"
+
+
+DEPOSIT = Instrument(InstrumentKind.DEPOSIT)
+
+# each class's value and Treasury key, read without the Python-level enum
+# descriptor behind `.value`
+DURATION_NAME = {d: d.value for d in DurationClass}
+_TBILL_KEY = {d: f"tbill/{d.value}" for d in DurationClass}
 
 
 def reserves_key() -> str:
@@ -117,7 +129,7 @@ def deposit_key(bank: AgentId) -> str:
 
 
 def tbill_key(duration: DurationClass) -> str:
-    return f"tbill/{duration.value}"
+    return _TBILL_KEY[duration]
 
 
 def coin_key(issuer: AgentId) -> str:
@@ -141,8 +153,7 @@ class BalanceSheet:
         return sum(self.assets.values())
 
 
-@dataclass(frozen=True)
-class Posting:
+class Posting(NamedTuple):
     """One balance-sheet leg: side is 'A' (asset) or 'L' (liability)."""
 
     agent: AgentId
@@ -191,6 +202,116 @@ _PASSED = AuditReport(checks=tuple(AuditCheck(name, True) for name in (
     "double_entry", "reserve_conservation", "deposit_matching", "claim_matching")))
 
 
+# -- event log ----------------------------------------------------------------
+
+# the encoder `json.dumps(v, sort_keys=True, separators=(",", ":"))` builds
+# on every call, built once
+_EVENT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_RESERVED = ("day", "seq", "type")
+
+
+def _encode(value) -> str:
+    """`value` as `_EVENT_ENCODER` renders it, bools and None without it."""
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    return _EVENT_ENCODER.encode(value)
+
+
+class _Form:
+    """One event schema: a type and its field names in call order.
+
+    `keys` are the names of a row's `(day, seq, type, *values)`; the line
+    `template` holds them sorted, pre-encoded, with the type's value in
+    place, and `pick` takes the other values from a row in that order.
+    """
+
+    __slots__ = ("type", "keys", "template", "pick")
+
+    def __init__(self, event_type: str, names: tuple):
+        for name in names:
+            if name in _RESERVED:
+                raise LedgerError(f"event field {name!r} is reserved")
+        self.type = event_type
+        self.keys = _RESERVED + names
+        parts, slots = [], []
+        for key in sorted(self.keys):
+            if key == "type":
+                value = _EVENT_ENCODER.encode(event_type).replace("%", "%%")
+            else:
+                value = "%s"
+                slots.append(self.keys.index(key) + 1)   # a row starts with its form
+            parts.append(encode_basestring_ascii(key).replace("%", "%%") + ":" + value)
+        self.template = "{" + ",".join(parts) + "}\n"
+        self.pick = itemgetter(*slots)
+
+    def __reduce__(self):
+        # copies and pickles share the cached form
+        return _form, (self.type, self.keys[len(_RESERVED):])
+
+
+_FORMS: dict[tuple, _Form] = {}   # (type, *names) -> its form
+
+
+def _form(event_type: str, names: tuple) -> _Form:
+    key = (event_type, *names)
+    form = _FORMS.get(key)
+    if form is None:
+        form = _FORMS[key] = _Form(event_type, names)
+    return form
+
+
+def _as_dict(row: tuple) -> dict:
+    return dict(zip(row[0].keys, row[1:]))
+
+
+class EventLog(Sequence):
+    """The events of a run, held as rows `(form, day, seq, type, *values)`
+    and read as dicts `{"day", "seq", "type", **fields}`.
+
+    `lines()` renders each event as the JSON line `json.dumps(event,
+    sort_keys=True, separators=(",", ":")) + "\\n"`, from its form's
+    template.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows: list[tuple] = []
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [_as_dict(row) for row in self.rows[index]]
+        return _as_dict(self.rows[index])
+
+    def __iter__(self):
+        return map(_as_dict, self.rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, (EventLog, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"EventLog({list(self)!r})"
+
+    def lines(self):
+        """Each event's JSON line, in log order."""
+        quote = encode_basestring_ascii
+        for row in self.rows:
+            form = row[0]
+            # by exact type; `%s` renders an int as `int.__repr__` does
+            yield form.template % tuple([
+                v if (t := type(v)) is int else quote(v) if t is str else _encode(v)
+                for v in form.pick(row)])
+
+
 class LedgerWorld:
     """Holds every balance sheet plus the clock, price table and event log.
 
@@ -212,7 +333,7 @@ class LedgerWorld:
             DurationClass.LONG: 1_000_000,
         }
         self.tbill_face: dict[tuple[str, DurationClass], int] = {}
-        self.events: list[dict] = []
+        self.events = EventLog()
         # one dict per write since the last `audit_changes()`, (agent key,
         # side, instrument key) -> delta; None until a call of it passes
         self.changes: list[dict] | None = None
@@ -251,9 +372,10 @@ class LedgerWorld:
     # -- event log ---------------------------------------------------------
 
     def emit(self, event_type: str, **fields) -> None:
-        record = {"day": self.day, "seq": self.seq, "type": event_type}
-        record.update(fields)
-        self.events.append(record)
+        """Log one event; a field named `day`, `seq` or `type` raises
+        `LedgerError` when its schema is first seen."""
+        form = _FORMS.get((event_type, *fields)) or _form(event_type, tuple(fields))
+        self.events.rows.append((form, self.day, self.seq, event_type, *fields.values()))
         self.seq += 1
 
     # -- posting engine ----------------------------------------------------
@@ -269,21 +391,22 @@ class LedgerWorld:
         `changes`. A coin balance that crosses zero updates
         `coin_holders`.
         """
+        agents = self.agents
         staged: dict[tuple[str, str, str], int] = {}
-        for p in postings:
-            if p.agent.key not in self.agents:
-                raise UnknownAgent(f"unknown agent {p.agent}")
-            k = (p.agent.key, p.side, p.key)
-            staged[k] = staged.get(k, 0) + p.delta
+        for agent, side, key, delta in postings:
+            if agent.key not in agents:
+                raise UnknownAgent(f"unknown agent {agent}")
+            k = (agent.key, side, key)
+            staged[k] = staged.get(k, 0) + delta
         for (agent_key, side, key), delta in staged.items():
-            book = self.agents[agent_key]
-            current = book.asset(key) if side == "A" else book.liability(key)
+            book = agents[agent_key]
+            current = (book.assets if side == "A" else book.liabilities).get(key, 0)
             if current + delta < 0:
                 raise InsufficientPosition(agent_key, key, current, -delta)
         for (agent_key, side, key), delta in staged.items():
             if delta == 0:
                 continue
-            book = self.agents[agent_key]
+            book = agents[agent_key]
             positions = book.assets if side == "A" else book.liabilities
             new = positions.get(key, 0) + delta
             if new == 0:
@@ -447,10 +570,10 @@ class LedgerWorld:
         self.tbill_prices[duration] = new_price
         key = tbill_key(duration)
         remarked: dict[tuple[str, str, str], int] = {}
-        entries = sorted(self.tbill_face.items(), key=lambda kv: (kv[0][0], kv[0][1].value))
-        for (agent_key, dur), face in entries:
-            if dur is not duration:
-                continue
+        # one entry per agent in this class: agent key order
+        entries = sorted((agent_key, face) for (agent_key, dur), face
+                         in self.tbill_face.items() if dur is duration)
+        for agent_key, face in entries:
             book = self.agents[agent_key]
             old_value = book.asset(key)
             new_value = mul_frac(face, new_price)

@@ -24,10 +24,12 @@ prices never fall and may rise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import analytics
 from .instruments import RepoRegistry, mark_treasuries
-from .ledger import AgentId, DurationClass, FED, LedgerWorld, Posting, reserves_key
+from .ledger import (DEPOSIT, DURATION_NAME, FED, AgentId, DurationClass, LedgerWorld,
+                     Posting, reserves_key)
 from .money import MICRO, Amount, mul_div, mul_frac
 
 
@@ -150,12 +152,10 @@ class SaleOrder:
     seller: AgentId
     duration: DurationClass
     remaining: Amount
-    submitted_day: int
     purpose: str = "sale"
 
 
-@dataclass(frozen=True)
-class FillReport:
+class FillReport(NamedTuple):
     order_id: int
     seller: AgentId
     duration: DurationClass
@@ -253,8 +253,7 @@ class Market:
         submission only, so resubmitted remainders are not double
         counted in gross volume.
         """
-        order = SaleOrder(self._next_order, seller, duration, amount,
-                          world.day, purpose)
+        order = SaleOrder(self._next_order, seller, duration, amount, purpose)
         return self._clear(world, order, self.dealer_capacity(world),
                            first_submission)
 
@@ -280,10 +279,9 @@ class Market:
 
     def _clear(self, world: LedgerWorld, order: SaleOrder, avail: dict,
                first_submission: bool) -> FillReport:
-        """Give `order` the next order id and today's date and clear its
-        `remaining` against `avail`, each dealer's capacity right now."""
+        """Give `order` the next order id and clear its `remaining`
+        against `avail`, each dealer's capacity right now."""
         order.order_id = self._next_order
-        order.submitted_day = world.day
         self._next_order += 1
         seller, duration, amount = order.seller, order.duration, order.remaining
         fill = min(amount, sum(avail.values()))
@@ -318,7 +316,7 @@ class Market:
         self.day_excess[duration] += unfilled
         self.day_fills[duration] += fill
         world.emit("sale_cleared", order_id=order.order_id, seller=seller.key,
-                   duration=duration.value, requested=amount, filled=fill,
+                   duration=DURATION_NAME[duration], requested=amount, filled=fill,
                    unfilled=unfilled, purpose=order.purpose,
                    first_submission=first_submission)
         return FillReport(order.order_id, seller, duration, amount, fill,
@@ -386,7 +384,7 @@ class Market:
             entry[1] += p.value
             if got:
                 world.emit("sale_settled", seller=p.seller.key, dealer=p.dealer.key,
-                           duration=p.duration.value, proceeds=got)
+                           duration=DURATION_NAME[p.duration], proceeds=got)
         return {k: (v[0], v[1]) for k, v in proceeds.items()}
 
     def _deliver(self, world: LedgerWorld, seller: AgentId, payer: AgentId,
@@ -408,13 +406,11 @@ class Market:
     @staticmethod
     def _pay_capped(world: LedgerWorld, payer: AgentId, payee: AgentId,
                     value: Amount) -> Amount:
-        from .ledger import Instrument, InstrumentKind
-
         bank = world.bank_of(payer)
         have = world.sheet(payer).asset(f"deposit@{bank.key}")
         pay = min(value, have)
         if pay > 0:
-            world.post_transfer(payer, payee, Instrument(InstrumentKind.DEPOSIT), pay)
+            world.post_transfer(payer, payee, DEPOSIT, pay)
         return pay
 
     def price_impact(self, excess_flow: Amount, duration: DurationClass) -> int:

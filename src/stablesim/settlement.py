@@ -24,7 +24,7 @@ from enum import Enum
 
 from .instruments import (InstrumentError, RepoRegistry, close_or_default_repo,
                           open_reverse_repo, roll_repo)
-from .ledger import (AgentId, DurationClass, Instrument, InstrumentKind,
+from .ledger import (DEPOSIT, AgentId, DurationClass, Instrument, InstrumentKind,
                      InsufficientPosition, LedgerWorld, coin_key, deposit_key)
 from .money import MICRO, PAR, Amount, mul_frac
 
@@ -495,8 +495,7 @@ class SettlementEngine:
         world.post_transfer(req.holder, book.agent,
                             Instrument(InstrumentKind.STABLECOIN, issuer=book.agent),
                             chunk)
-        world.post_transfer(book.agent, req.holder,
-                            Instrument(InstrumentKind.DEPOSIT), chunk)
+        world.post_transfer(book.agent, req.holder, DEPOSIT, chunk)
         deposit_part = min(chunk, deposit_left)
         pool_part = chunk - deposit_part
         record.deposits_used += deposit_part
@@ -543,8 +542,7 @@ class SettlementEngine:
                     world.emit("leg_failed", leg="mint_deposit",
                                cause="buyer lacks deposits", issuer=key)
                     continue
-                world.post_transfer(order.buyer, book.agent,
-                                    Instrument(InstrumentKind.DEPOSIT), order.amount)
+                world.post_transfer(order.buyer, book.agent, DEPOSIT, order.amount)
                 world.post_transfer(book.agent, order.buyer,
                                     Instrument(InstrumentKind.STABLECOIN, issuer=book.agent),
                                     order.amount)
@@ -567,7 +565,7 @@ class SettlementEngine:
         if face <= 0:
             return
         actual = mul_frac(face, price)
-        world.post_transfer(book.agent, seller, Instrument(InstrumentKind.DEPOSIT), actual)
+        world.post_transfer(book.agent, seller, DEPOSIT, actual)
         world.transfer_tbill(seller, book.agent, DurationClass.BILL, face=face)
 
     # -- daily metrics ------------------------------------------------------------

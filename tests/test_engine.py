@@ -580,6 +580,25 @@ def test_events_jsonl_is_json_dumps_of_each_event():
             ("redemption_request", "intervention", "bool")} <= covered
 
 
+def test_written_files_are_the_string_outputs(tmp_path):
+    """`RunOutput.write` streams each file with the bytes its string method
+    returns."""
+    configs = {preset: load_config(preset) for preset in sorted(PRESETS)}
+    configs.update({f"multi_holder_{mode}": parse_config(multi_holder_raw(mode))
+                    for mode in ("direct", "intermediated")})
+    for name, cfg in configs.items():
+        out = run(cfg)
+        out.write(tmp_path / name)
+        for filename, text in (("daily.csv", out.daily_csv()),
+                               ("market.csv", out.market_csv()),
+                               ("analytics.csv", out.analytics_csv()),
+                               ("summary.json", out.summary_json()),
+                               ("events.jsonl", out.events_jsonl())):
+            assert (tmp_path / name / filename).read_bytes() == text.encode(), (name, filename)
+        assert sorted(p.name for p in (tmp_path / name).iterdir()) == [
+            "analytics.csv", "daily.csv", "events.jsonl", "market.csv", "summary.json"]
+
+
 def test_full_audit_runs_at_build_and_on_the_last_day(monkeypatch):
     """Every other day checks only what changed, and a clean run never
     falls back to the full walk."""

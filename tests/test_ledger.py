@@ -1,11 +1,16 @@
+import copy
+import json
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablesim.ledger import (FED, AgentId, AgentKind, AuditCheck, DurationClass,
-                              Instrument, InstrumentKind, InsufficientPosition,
-                              LedgerWorld, Posting, UnknownAgent, coin_key,
-                              deposit_key, reserves_key)
+from stablesim.ledger import (DURATION_NAME, FED, AgentId, AgentKind, AuditCheck,
+                              DurationClass, Instrument, InstrumentKind,
+                              InsufficientPosition, LedgerError, LedgerWorld, Posting,
+                              UnknownAgent, coin_key, deposit_key, reserves_key,
+                              tbill_key)
 
 BANK_A = AgentId(AgentKind.BANK, 0)
 BANK_B = AgentId(AgentKind.BANK, 1)
@@ -380,3 +385,80 @@ def test_duration_classes_hash_by_identity():
     assert {d: d.value for d in DurationClass} == {DurationClass.BILL: "bill",
                                                      DurationClass.LONG: "long"}
     assert DurationClass("bill") is DurationClass.BILL
+
+
+def test_duration_names_and_tbill_keys_are_the_enum_values():
+    for duration in DurationClass:
+        assert DURATION_NAME[duration] == duration.value
+        assert tbill_key(duration) == f"tbill/{duration.value}"
+        assert Instrument(InstrumentKind.TBILL, duration=duration).key == tbill_key(duration)
+
+
+# -- event log -------------------------------------------------------------------
+
+def canonical_line(event: dict) -> str:
+    return json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+# names and strings that quote, escape or read as `%` formats
+ADVERSARIAL = st.lists(st.sampled_from(["%", "%s", "%%", "%(day)s", '"', "\\", "\n", "\x00",
+                                        "\x1f", "\x7f", "é", "☃", "\U0001f600", "\ud800",
+                                        "a", "day", "type", " "]),
+                       max_size=4).map("".join)
+NAMES = (ADVERSARIAL | st.text(max_size=6)).filter(lambda n: n not in ("day", "seq", "type"))
+SCALARS = (st.integers() | st.integers(2**64 - 2, 2**64 + 2) | st.integers(-2**80, 2**80)
+           | st.booleans() | st.none() | st.floats() | ADVERSARIAL | st.text())
+VALUES = st.recursive(SCALARS, lambda inner: (
+    st.lists(inner, max_size=3) | st.tuples(inner, inner)
+    | st.dictionaries(ADVERSARIAL | st.text(max_size=4), inner, max_size=3)), max_leaves=8)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(-2**70, 2**70), ADVERSARIAL | st.text(max_size=6),
+                          st.dictionaries(NAMES, VALUES, max_size=5)),
+                min_size=1, max_size=4),
+       st.integers(0, 2**70))
+def test_event_lines_are_json_dumps_of_each_event(events, seq):
+    """Each rendered line is the event's `json.dumps` with sorted keys and
+    compact separators, whatever its names and values."""
+    world = LedgerWorld()
+    world.seq = seq
+    expected = []
+    for day, event_type, fields in events:
+        world.day = day
+        expected.append({"day": day, "seq": world.seq, "type": event_type, **fields})
+        world.emit(event_type, **fields)
+    assert [canonical_line(e) for e in expected] == list(world.events.lines())
+    assert list(world.events) == expected
+    assert world.seq == seq + len(events)
+
+
+@pytest.mark.parametrize("name", ["day", "seq", "type"])
+def test_reserved_event_field_raises_and_logs_nothing(name):
+    world = LedgerWorld()
+    with pytest.raises(LedgerError, match=f"event field '{name}' is reserved"):
+        world.emit("custom", amount=1, **{name: 5})
+    assert len(world.events) == 0 and world.seq == 0
+
+
+def test_event_log_reads_as_a_list_of_dicts():
+    world = LedgerWorld()
+    world.emit("open", amount=1)
+    world.day = 3
+    world.emit("close", amount=None, who="issuer:0")
+    expected = [{"day": 0, "seq": 0, "type": "open", "amount": 1},
+                {"day": 3, "seq": 1, "type": "close", "amount": None, "who": "issuer:0"}]
+    events = world.events
+    assert len(events) == 2
+    assert events[0] == expected[0] and events[-1] == expected[1]
+    assert events[1:] == expected[1:] and events[5:] == []
+    assert list(events) == expected and events == expected
+    assert events != expected[:1] and events != tuple(expected)
+    assert [e["type"] for e in events] == ["open", "close"]
+    assert list(events[1]) == ["day", "seq", "type", "amount", "who"]   # call order
+    for other in (copy.deepcopy(world).events, pickle.loads(pickle.dumps(events))):
+        assert other == events
+        assert other.rows[1][0] is events.rows[1][0]   # one form per schema
+    copied = copy.deepcopy(world)
+    copied.emit("open", amount=2)
+    assert copied.events != events and len(events) == 2

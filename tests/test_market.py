@@ -307,7 +307,7 @@ def resubmit_through_submit_sale(world, market):
 
 def market_state(world, market):
     return (world.events, world.seq, world.agents, world.tbill_face,
-            [(o.order_id, o.seller, o.duration, o.remaining, o.submitted_day, o.purpose)
+            [(o.order_id, o.seller, o.duration, o.remaining, o.purpose)
              for o in market.carryover],
             market.pending, market.books, market._next_order, market.day_excess,
             market.day_fills, market.day_submitted, market.day_srf_draws,
