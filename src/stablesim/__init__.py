@@ -14,7 +14,7 @@ from .instruments import (PortfolioState, RepoPosition, RepoRegistry,
                           mark_treasuries, open_reverse_repo, roll_repo,
                           step_portfolio)
 from .ledger import (AgentId, AgentKind, AuditReport, BalanceSheet, DurationClass,
-                     Instrument, InstrumentKind, LedgerWorld, WorldSnapshot)
+                     LedgerWorld, WorldSnapshot)
 from .market import (DealerBook, DealerChain, FillReport, Market, MarketParams,
                      VolumeDecomposition, decompose)
 from .money import MICRO, PAR, Amount, mul_div, mul_frac

@@ -389,7 +389,10 @@ _SCENARIO = {
     "mint_daily_rate": _Read(_int, "mint_demand.daily_rate"),
     "attack_cost": _Read(_READERS["int | None"], "diagnostics.attack_cost"),
 }
-_HOLDER = {"coins": _Read(_holdings)}
+# a holder or intermediary holds no Treasuries, a treasury buyer no coins:
+# the engine endows neither, so a config that sets them is rejected
+_HOLDER = {"coins": _Read(_holdings), "treasuries_bill": 0, "treasuries_long": 0}
+_BUYER = {"coins": {}}
 _AGENT_LISTS = {"banks", "issuers", "dealers", "intermediaries", "holders", "treasury_buyers"}
 
 
@@ -434,7 +437,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
     dealers = parse("dealers", DealerConfig, {})
     intermediaries = parse("intermediaries", SimpleAgentConfig, _HOLDER)
     holders = parse("holders", SimpleAgentConfig, _HOLDER)
-    buyers = parse("treasury_buyers", SimpleAgentConfig, _HOLDER)
+    buyers = parse("treasury_buyers", SimpleAgentConfig, _BUYER)
     for section, entries in (("issuers", issuers), ("dealers", dealers),
                              ("treasury_buyers", buyers)):
         _require(len(entries) > 0, f"agents.{section}: at least one {section[:-1]}")

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .ledger import AgentId, Instrument, InstrumentKind, LedgerWorld, coin_key
+from .ledger import AgentId, LedgerWorld, coin_key
 from .money import MICRO, PAR, Amount, mul_frac
 from .rng import SplitMix64
 
@@ -254,14 +254,10 @@ def apply_shock(spec: ShockSpec, world: LedgerWorld, state: ShockState,
             minted = mul_frac(coins, spec.magnitude or 0)
             if minted <= 0:
                 continue
-            world.post_transfer(issuer, holder,
-                                Instrument(InstrumentKind.STABLECOIN, issuer=issuer),
-                                minted)
+            world.transfer_coin(issuer, holder, issuer, minted)
             world.emit("uncontrolled_mint", issuer=key, amount=minted)
             if spec.duration <= 0:
-                world.post_transfer(holder, issuer,
-                                    Instrument(InstrumentKind.STABLECOIN, issuer=issuer),
-                                    minted)
+                world.transfer_coin(holder, issuer, issuer, minted)
                 world.emit("corrective_burn", issuer=key, amount=minted)
                 state.price_effects[key] = state.price_effects.get(key, 0) + \
                     params.supply_incident_dip
@@ -291,7 +287,5 @@ def run_corrective_burns(world: LedgerWorld, state: ShockState) -> None:
         held = world.sheet(holder).asset(coin_key(issuer))
         amount = min(amount, held)
         if amount > 0:
-            world.post_transfer(holder, issuer,
-                                Instrument(InstrumentKind.STABLECOIN, issuer=issuer),
-                                amount)
+            world.transfer_coin(holder, issuer, issuer, amount)
             world.emit("corrective_burn", issuer=issuer.key, amount=amount)

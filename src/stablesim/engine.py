@@ -39,9 +39,8 @@ from .dynamics import (AccessKind, ConfidenceState, InterventionResult, ShockSta
                        apply_shock, redemption_demand, run_corrective_burns,
                        update_secondary_price)
 from .instruments import PortfolioState, RepoRegistry, TreasuryBill, open_reverse_repo
-from .ledger import (DEPOSIT, FED, AgentId, AgentKind, DurationClass, EventLog,
-                     Instrument, InstrumentKind, LedgerWorld, Posting, coin_key,
-                     deposit_key, reserves_key)
+from .ledger import (DURATION_NAME, DURATIONS, FED, AgentId, AgentKind, DurationClass,
+                     EventLog, LedgerWorld, Posting, coin_key, deposit_key, reserves_key)
 from .market import DealerBook, DealerChain, Market, MarketParams
 from .money import BP, MICRO, PAR, Amount, mul_div, mul_frac
 from .rng import SplitMix64
@@ -152,9 +151,9 @@ def _endow_deposits(world: LedgerWorld, agent: AgentId, amount: Amount) -> None:
     bank = world.bank_of(agent)
     world.post([
         Posting(FED, "A", "govt", amount),
-        Posting(FED, "L", f"reserves@{bank.key}", amount),
+        Posting(FED, "L", reserves_key(bank), amount),
         Posting(bank, "A", reserves_key(), amount),
-        Posting(bank, "L", f"deposit@{agent.key}", amount),
+        Posting(bank, "L", deposit_key(agent), amount),
         Posting(agent, "A", deposit_key(bank), amount),
     ])
 
@@ -354,7 +353,7 @@ def _route_demand(scn: Scenario, book: IssuerBook, demand: Amount,
     for im in intermediaries:
         if remaining <= 0:
             break
-        funds = scn.settle.deposits_of(im)
+        funds = world.deposits(im)
         afford = funds * MICRO // price if price > 0 else 0
         budget = min(remaining, afford)
         if budget <= 0:
@@ -366,10 +365,8 @@ def _route_demand(scn: Scenario, book: IssuerBook, demand: Amount,
             slice_ = min(budget - bought, scn.settle.redeemable(holder, issuer))
             if slice_ <= 0:
                 continue
-            world.post_transfer(im, holder, DEPOSIT, mul_frac(slice_, price))
-            world.post_transfer(holder, im,
-                                Instrument(InstrumentKind.STABLECOIN, issuer=issuer),
-                                slice_)
+            world.transfer_deposit(im, holder, mul_frac(slice_, price))
+            world.transfer_coin(holder, im, issuer, slice_)
             bought += slice_
             if bought >= budget:
                 break
@@ -413,7 +410,7 @@ def _issuer_portfolio(scn: Scenario, book: IssuerBook) -> PortfolioState:
     return PortfolioState(
         treasury_face=face + face_long,
         treasury_price=world.price(DurationClass.BILL),
-        deposits=scn.settle.deposits_of(agent),
+        deposits=world.deposits(agent),
         rate_treasury=scn.config.rates.treasury_rate_daily,
         rate_deposit=scn.config.rates.deposit_rate_daily,
         repo_principal=scn.registry.total_principal(agent),
@@ -451,7 +448,7 @@ def _accrue(scn: Scenario) -> None:
         bank = world.bank_of(agent)
         # both legs accrue on start-of-day balances; rates were fixed at
         # the period open, so nothing compounds within the day
-        opening_deposits = world.sheet(agent).asset(deposit_key(bank))
+        opening_deposits = world.deposits(agent)
         if rates.treasury_rate_daily > 0:
             interest = mul_frac(world.tbill_value(agent), rates.treasury_rate_daily)
             if interest > 0:
@@ -460,17 +457,16 @@ def _accrue(scn: Scenario) -> None:
             interest = mul_frac(opening_deposits, rates.deposit_rate_daily)
             if interest > 0:
                 world.post([
-                    Posting(bank, "L", f"deposit@{agent.key}", interest),
+                    Posting(bank, "L", deposit_key(agent), interest),
                     Posting(agent, "A", deposit_key(bank), interest),
                 ])
         cost = book.operating_cost_per_day
         if cost > 0:
-            balance = world.sheet(agent).asset(deposit_key(bank))
-            paid = min(cost, balance)
+            paid = min(cost, world.deposits(agent))
             if paid > 0:
                 world.post([
                     Posting(agent, "A", deposit_key(bank), -paid),
-                    Posting(bank, "L", f"deposit@{agent.key}", -paid),
+                    Posting(bank, "L", deposit_key(agent), -paid),
                 ], event="operating_cost", issuer=key, amount=paid)
 
 
@@ -670,9 +666,9 @@ def _emit_rows(scn: Scenario, day: int, dealer_capacity: dict) -> None:
             "ratio": "", "band": "", "dla": "", "wla": "", "wam": "", "wal": "",
         })
     capacity = sum(dealer_capacity.values())
-    for duration in sorted(DurationClass, key=lambda d: d.value):
+    for duration in DURATIONS:
         scn.market_rows.append({
-            "day": day, "class": duration.value,
+            "day": day, "class": DURATION_NAME[duration],
             "price": world.price(duration),
             "submitted": scn.market.day_submitted[duration],
             "fills": scn.market.day_fills[duration],

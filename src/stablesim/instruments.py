@@ -17,10 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ledger import DEPOSIT, AgentId, DurationClass, LedgerWorld, Posting
+from .ledger import (DURATION_NAME, DURATIONS, AgentId, DurationClass, LedgerWorld, Posting,
+                     repo_key)
 from .money import MICRO, Amount, ceil_div, mul_div, mul_frac
 
 GENIUS_MAX_BILL_DAYS = 93
+# the pledged collateral of a new repo, and the classes a declined roll
+# sells: micro fractions of the value, 75% long off-the-run, 25% bills
+PLEDGE_MIX = {DurationClass.BILL: 250_000, DurationClass.LONG: 750_000}
 
 
 class InstrumentError(Exception):
@@ -112,7 +116,8 @@ class RepoRegistry:
         return [self.positions[i] for i in sorted(self.positions)]
 
     def by_lender(self, lender: AgentId) -> list[RepoPosition]:
-        return [p for p in self.open_positions() if p.lender == lender]
+        key = lender.key
+        return [p for p in self.open_positions() if p.lender.key == key]
 
     def encumbered_face(self, agent: AgentId, duration: DurationClass) -> int:
         return self.encumbered.get((agent.key, duration), 0)
@@ -137,28 +142,23 @@ def required_collateral(principal: Amount, haircut: int) -> Amount:
 
 def open_reverse_repo(world: LedgerWorld, registry: RepoRegistry,
                       lender: AgentId, borrower: AgentId, principal: Amount,
-                      haircut: int, rate: int, term: int = 1,
-                      collateral_mix: dict | None = None) -> RepoPosition:
-    """First leg: cash moves lender -> borrower against pledged Treasuries.
-
-    collateral_mix maps duration class to a micro fraction of the
-    required value; the borrower's pledged collateral defaults to 75%
-    long off-the-run, 25% bills.
-    """
+                      haircut: int, rate: int, term: int = 1) -> RepoPosition:
+    """First leg: cash moves lender -> borrower against Treasuries the
+    borrower pledges in `PLEDGE_MIX`."""
     if term < 1:
         raise InstrumentError("term must be at least one day")
-    faces = _size_collateral(world, registry, borrower, principal, haircut, collateral_mix)
-    lender_deposits = world.sheet(lender).asset(f"deposit@{world.bank_of(lender).key}")
+    faces = _size_collateral(world, registry, borrower, principal, haircut, PLEDGE_MIX)
+    lender_deposits = world.deposits(lender)
     if lender_deposits < principal:
         raise InsufficientCash(f"{lender} holds {lender_deposits}, needs {principal}")
 
-    world.post_transfer(lender, borrower, DEPOSIT, principal)
+    world.transfer_deposit(lender, borrower, principal)
     world.post([
-        Posting(lender, "A", f"repo@{borrower.key}", principal),
-        Posting(borrower, "L", f"repo@{lender.key}", principal),
+        Posting(lender, "A", repo_key(borrower), principal),
+        Posting(borrower, "L", repo_key(lender), principal),
     ], event="repo_open", lender=lender.key, borrower=borrower.key,
         principal=principal, haircut=haircut,
-        collateral={d.value: f for d, f in sorted(faces.items(), key=lambda kv: kv[0].value)})
+        collateral={DURATION_NAME[d]: faces[d] for d in DURATIONS if d in faces})
     pos = RepoPosition(
         repo_id=registry._next_id, lender=lender, borrower=borrower,
         principal=principal, haircut=haircut, rate=rate,
@@ -189,10 +189,10 @@ def close_or_default_repo(world: LedgerWorld, registry: RepoRegistry,
 
     if counterparty_performs:
         owed = pos.principal + pos.interest()
-        world.post_transfer(pos.borrower, pos.lender, DEPOSIT, owed)
+        world.transfer_deposit(pos.borrower, pos.lender, owed)
         world.post([
-            Posting(pos.lender, "A", f"repo@{pos.borrower.key}", -pos.principal),
-            Posting(pos.borrower, "L", f"repo@{pos.lender.key}", -pos.principal),
+            Posting(pos.lender, "A", repo_key(pos.borrower), -pos.principal),
+            Posting(pos.borrower, "L", repo_key(pos.lender), -pos.principal),
         ], event="repo_close", lender=pos.lender.key, borrower=pos.borrower.key,
             principal=pos.principal, interest=owed - pos.principal)
         self_release(registry, pos)
@@ -201,12 +201,12 @@ def close_or_default_repo(world: LedgerWorld, registry: RepoRegistry,
 
     loss = default_loss(pos.principal, pos.haircut, market_decline)
     world.post([
-        Posting(pos.lender, "A", f"repo@{pos.borrower.key}", -pos.principal),
-        Posting(pos.borrower, "L", f"repo@{pos.lender.key}", -pos.principal),
+        Posting(pos.lender, "A", repo_key(pos.borrower), -pos.principal),
+        Posting(pos.borrower, "L", repo_key(pos.lender), -pos.principal),
     ], event="repo_default", lender=pos.lender.key, borrower=pos.borrower.key,
         principal=pos.principal, decline=market_decline, loss=loss)
     self_release(registry, pos)
-    for duration in sorted(pos.collateral, key=lambda d: d.value):
+    for duration in [d for d in DURATIONS if d in pos.collateral]:
         world.transfer_tbill(pos.borrower, pos.lender, duration, face=pos.collateral[duration])
     del registry.positions[pos.repo_id]
     return SettlementOutcome(False, loss, pos.principal - loss, False)
@@ -239,10 +239,10 @@ def roll_repo(world: LedgerWorld, registry: RepoRegistry, pos: RepoPosition,
     self_release(registry, pos)
     try:
         new_collateral = _size_collateral(world, registry, pos.borrower,
-                                          pos.principal, pos.haircut, mix or None)
+                                          pos.principal, pos.haircut, mix or PLEDGE_MIX)
         interest = pos.interest()
         if interest:
-            world.post_transfer(pos.borrower, pos.lender, DEPOSIT, interest)
+            world.transfer_deposit(pos.borrower, pos.lender, interest)
     except Exception:
         for duration, face in pos.collateral.items():
             registry._encumber(pos.borrower, duration, face)
@@ -264,12 +264,13 @@ def roll_repo(world: LedgerWorld, registry: RepoRegistry, pos: RepoPosition,
 
 
 def _size_collateral(world: LedgerWorld, registry: RepoRegistry, borrower: AgentId,
-                     principal: Amount, haircut: int, mix: dict | None) -> dict:
-    mix = mix or {DurationClass.LONG: 750_000, DurationClass.BILL: 250_000}
+                     principal: Amount, haircut: int, mix: dict) -> dict:
+    """Faces pledging `principal` plus haircut, split by `mix`, micro
+    fractions per class; the last class takes the rest."""
     need = required_collateral(principal, haircut)
     faces: dict[DurationClass, int] = {}
     pledged = 0
-    classes = sorted(mix, key=lambda d: d.value)
+    classes = [d for d in DURATIONS if d in mix]
     for i, duration in enumerate(classes):
         target = need - pledged if i == len(classes) - 1 else mul_frac(need, mix[duration])
         price = world.price(duration)
@@ -291,13 +292,12 @@ def mark_treasuries(world: LedgerWorld, registry: RepoRegistry, price_tick: int,
     stands in for intraday margin cycles the day-grain clock cannot
     express.
     """
-    classes = [duration] if duration is not None else list(DurationClass)
-    for d in sorted(classes, key=lambda c: c.value):
+    classes = (duration,) if duration is not None else DURATIONS
+    for d in classes:
         new_price = mul_frac(world.price(d), MICRO + price_tick)
         world.remark_tbills(d, new_price)
     if price_tick != 0:
-        world.emit("mark", tick=price_tick,
-                   classes=[d.value for d in sorted(classes, key=lambda c: c.value)])
+        world.emit("mark", tick=price_tick, classes=[DURATION_NAME[d] for d in classes])
     calls = []
     for pos in registry.open_positions():
         if pos.overnight:
@@ -317,7 +317,7 @@ def mark_treasuries(world: LedgerWorld, registry: RepoRegistry, price_tick: int,
 
 def _top_up_collateral(world: LedgerWorld, registry: RepoRegistry,
                        pos: RepoPosition, shortfall: Amount) -> None:
-    for duration in sorted(DurationClass, key=lambda d: d.value):
+    for duration in DURATIONS:
         if shortfall <= 0:
             return
         free = registry.free_face(world, pos.borrower, duration)

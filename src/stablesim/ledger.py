@@ -1,14 +1,18 @@
 """Double-entry balance-sheet substrate for every agent in a simulation.
 
 Each agent carries an asset map, a liability map and a stored equity
-figure that the posting engine maintains. Only two methods write a
-balance: ``LedgerWorld.post`` (reached through the higher-level
-``post_transfer`` and friends), which validates every leg before
-applying any of them, so a failed posting leaves the world
-byte-identical, and the Treasury re-mark ``remark_tbills``. Both bump
-the written sheets' ``version`` and, once ``audit_changes`` has started
-the change log, log their deltas, so it can check only what changed
-since its last call.
+figure that the posting engine maintains. Only ``LedgerWorld.post``
+writes a balance: it validates every leg before applying any of them,
+so a failed posting leaves the world byte-identical, bumps the written
+sheets' ``version`` and, once ``audit_changes`` has started the change
+log, logs their deltas, so that check reads only what changed since its
+last call. Each settlement rail has one method that posts all of its
+legs: ``transfer_deposit``, ``transfer_coin`` (mint, burn or transfer)
+and ``transfer_tbill``; the Treasury re-mark ``remark_tbills`` posts
+its re-valuations too. This module owns the instrument-key format
+``"<kind>@<counterparty>"``: every key is built by ``deposit_key``,
+``reserves_key``, ``repo_key``, ``srf_key``, ``coin_key`` or
+``tbill_key``.
 
 Inside-money instruments (reserves, deposits, stablecoins, repo and
 SRF claims) always appear on exactly two balance sheets with equal
@@ -84,56 +88,38 @@ class DurationClass(Enum):
     __hash__ = object.__hash__
 
 
-class InstrumentKind(Enum):
-    RESERVES = "reserves"
-    DEPOSIT = "deposit"
-    TBILL = "tbill"
-    STABLECOIN = "coin"
-    REPO_LOAN = "repo"
-    SRF_LOAN = "srf"
-    GOVT = "govt"
-
-
-@dataclass(frozen=True)
-class Instrument:
-    kind: InstrumentKind
-    counterparty: AgentId | None = None
-    duration: DurationClass | None = None
-    issuer: AgentId | None = None
-
-    @property
-    def key(self) -> str:
-        if self.kind is InstrumentKind.TBILL:
-            return tbill_key(self.duration)
-        if self.kind is InstrumentKind.STABLECOIN:
-            return f"coin@{self.issuer.key}"
-        if self.kind is InstrumentKind.GOVT:
-            return "govt"
-        return f"{self.kind.value}@{self.counterparty.key}"
-
-
-DEPOSIT = Instrument(InstrumentKind.DEPOSIT)
-
+# the classes in value order, the order every per-class walk takes
+DURATIONS = tuple(sorted(DurationClass, key=lambda d: d.value))
 # each class's value and Treasury key, read without the Python-level enum
 # descriptor behind `.value`
-DURATION_NAME = {d: d.value for d in DurationClass}
-_TBILL_KEY = {d: f"tbill/{d.value}" for d in DurationClass}
+DURATION_NAME = {d: d.value for d in DURATIONS}
+_TBILL_KEY = {d: f"tbill/{d.value}" for d in DURATIONS}
 
 
-def reserves_key() -> str:
-    return f"reserves@{FED.key}"
+def deposit_key(cpty: AgentId) -> str:
+    """A deposit at bank `cpty`, or a bank's deposit owed to holder `cpty`."""
+    return "deposit@" + cpty.key
 
 
-def deposit_key(bank: AgentId) -> str:
-    return f"deposit@{bank.key}"
+def reserves_key(cpty: AgentId = FED) -> str:
+    """Reserves held at the central bank, or its reserves owed to bank `cpty`."""
+    return "reserves@" + cpty.key
+
+
+def repo_key(cpty: AgentId) -> str:
+    return "repo@" + cpty.key
+
+
+def srf_key(cpty: AgentId) -> str:
+    return "srf@" + cpty.key
+
+
+def coin_key(issuer: AgentId) -> str:
+    return "coin@" + issuer.key
 
 
 def tbill_key(duration: DurationClass) -> str:
     return _TBILL_KEY[duration]
-
-
-def coin_key(issuer: AgentId) -> str:
-    return f"coin@{issuer.key}"
 
 
 @dataclass
@@ -365,6 +351,10 @@ class LedgerWorld:
             raise LedgerError(f"{agent} has no deposit bank")
         return bank
 
+    def deposits(self, agent: AgentId) -> int:
+        """The deposits `agent` holds at its bank."""
+        return self.sheet(agent).asset(deposit_key(self.bank_of(agent)))
+
     def agent_ids(self) -> list[AgentId]:
         """Registered agents in key order."""
         return [self.ids[key] for key in self.sorted_keys]
@@ -426,17 +416,13 @@ class LedgerWorld:
         if event is not None:
             self.emit(event, **event_fields)
 
-    # -- generic transfer ---------------------------------------------------
+    # -- settlement rails ----------------------------------------------------
 
-    def post_transfer(self, frm: AgentId, to: AgentId, instrument: Instrument, amount: int) -> None:
-        """Move one instrument between two agents with all implied legs.
+    def _moves(self, frm: AgentId, to: AgentId, amount: int) -> bool:
+        """Check a transfer's arguments; whether it writes anything.
 
-        Deposits settle through the banking layer: a cross-bank move
-        debits the payer's bank of reserves and credits the payee's,
-        re-keying the central bank's reserve liability, so aggregate
-        deposits and reserves are conserved by construction. Stablecoin
-        moves to/from the issuing agent burn/mint the liability.
-        A zero-amount transfer leaves the world untouched.
+        A negative amount or an unknown agent raises; a zero amount or a
+        transfer to oneself leaves the world untouched.
         """
         if amount < 0:
             raise LedgerError("transfer amount must be non-negative")
@@ -444,58 +430,49 @@ class LedgerWorld:
             raise UnknownAgent(f"unknown agent {frm}")
         if to.key not in self.agents:
             raise UnknownAgent(f"unknown agent {to}")
-        if amount == 0 or frm == to:
-            return
-        kind = instrument.kind
-        if kind is InstrumentKind.DEPOSIT:
-            self._transfer_deposit(frm, to, amount)
-        elif kind is InstrumentKind.RESERVES:
-            self._transfer_reserves(frm, to, amount)
-        elif kind is InstrumentKind.TBILL:
-            self.transfer_tbill(frm, to, instrument.duration, value=amount)
-        elif kind is InstrumentKind.STABLECOIN:
-            self._transfer_coin(frm, to, instrument.issuer, amount)
-        else:
-            raise LedgerError(f"transfer not defined for {kind}")
+        return amount != 0 and frm.key != to.key
 
-    def _transfer_deposit(self, frm: AgentId, to: AgentId, amount: int) -> None:
+    def transfer_deposit(self, frm: AgentId, to: AgentId, amount: int) -> None:
+        """Pay `amount` of deposits from `frm` to `to` through their banks.
+
+        A cross-bank payment debits the payer's bank of reserves and
+        credits the payee's, re-keying the central bank's reserve
+        liability, so aggregate deposits and reserves are conserved by
+        construction.
+        """
+        if not self._moves(frm, to, amount):
+            return
         bank_f = self.bank_of(frm)
         bank_t = self.bank_of(to)
         legs = [
             Posting(frm, "A", deposit_key(bank_f), -amount),
-            Posting(bank_f, "L", f"deposit@{frm.key}", -amount),
-            Posting(bank_t, "L", f"deposit@{to.key}", amount),
+            Posting(bank_f, "L", deposit_key(frm), -amount),
+            Posting(bank_t, "L", deposit_key(to), amount),
             Posting(to, "A", deposit_key(bank_t), amount),
         ]
-        if bank_f != bank_t:
+        if bank_f.key != bank_t.key:
             legs += [
                 Posting(bank_f, "A", reserves_key(), -amount),
-                Posting(FED, "L", f"reserves@{bank_f.key}", -amount),
-                Posting(FED, "L", f"reserves@{bank_t.key}", amount),
+                Posting(FED, "L", reserves_key(bank_f), -amount),
+                Posting(FED, "L", reserves_key(bank_t), amount),
                 Posting(bank_t, "A", reserves_key(), amount),
             ]
         self.post(legs, event="transfer", instrument="deposit",
                   src=frm.key, dst=to.key, amount=amount)
 
-    def _transfer_reserves(self, frm: AgentId, to: AgentId, amount: int) -> None:
-        legs = [
-            Posting(frm, "A", reserves_key(), -amount),
-            Posting(FED, "L", f"reserves@{frm.key}", -amount),
-            Posting(FED, "L", f"reserves@{to.key}", amount),
-            Posting(to, "A", reserves_key(), amount),
-        ]
-        self.post(legs, event="transfer", instrument="reserves",
-                  src=frm.key, dst=to.key, amount=amount)
-
-    def _transfer_coin(self, frm: AgentId, to: AgentId, issuer: AgentId, amount: int) -> None:
+    def transfer_coin(self, frm: AgentId, to: AgentId, issuer: AgentId, amount: int) -> None:
+        """Move `amount` of `issuer`'s coin: a mint when `frm` is the
+        issuer, a burn when `to` is, a transfer between holders otherwise."""
+        if not self._moves(frm, to, amount):
+            return
         key = coin_key(issuer)
-        if frm == issuer:
+        if frm.key == issuer.key:
             legs = [
                 Posting(issuer, "L", key, amount),
                 Posting(to, "A", key, amount),
             ]
             label = "mint"
-        elif to == issuer:
+        elif to.key == issuer.key:
             legs = [
                 Posting(frm, "A", key, -amount),
                 Posting(issuer, "L", key, -amount),
@@ -515,9 +492,10 @@ class LedgerWorld:
         return self.tbill_prices[duration]
 
     def tbill_value(self, agent: AgentId, duration: DurationClass | None = None) -> int:
+        assets = self.sheet(agent).assets
         if duration is not None:
-            return self.sheet(agent).asset(tbill_key(duration))
-        return sum(self.sheet(agent).asset(tbill_key(d)) for d in DurationClass)
+            return assets.get(tbill_key(duration), 0)
+        return sum(assets.get(key, 0) for key in _TBILL_KEY.values())
 
     def face_of(self, agent: AgentId, duration: DurationClass) -> int:
         return self.tbill_face.get((agent.key, duration), 0)
@@ -532,17 +510,12 @@ class LedgerWorld:
         self.tbill_face[key] = self.tbill_face.get(key, 0) + face
 
     def transfer_tbill(self, frm: AgentId, to: AgentId, duration: DurationClass,
-                       face: int | None = None, value: int | None = None) -> int:
-        """Move Treasuries by face; returns the market value moved.
-
-        Callers may size the trade in market value instead; the face is
-        then derived at the current class price.
-        """
-        from .money import MICRO, mul_div, mul_frac
+                       face: int) -> int:
+        """Move up to `face` of Treasuries, at most what `frm` holds;
+        returns the market value moved."""
+        from .money import mul_frac
 
         price = self.price(duration)
-        if face is None:
-            face = mul_div(value, MICRO, price)
         face = min(face, self.face_of(frm, duration))
         moved_value = mul_frac(face, price)
         held_value = self.sheet(frm).asset(tbill_key(duration))
@@ -562,33 +535,23 @@ class LedgerWorld:
         return moved_value
 
     def remark_tbills(self, duration: DurationClass, new_price: int) -> None:
-        """Set a class price and re-derive every position's market value."""
+        """Set a class price and post each position's change in market
+        value, one leg per agent holding the class, in agent key order."""
         from .money import mul_frac
 
         if new_price <= 0:
             raise LedgerError("treasury price must stay positive")
         self.tbill_prices[duration] = new_price
         key = tbill_key(duration)
-        remarked: dict[tuple[str, str, str], int] = {}
-        # one entry per agent in this class: agent key order
-        entries = sorted((agent_key, face) for (agent_key, dur), face
-                         in self.tbill_face.items() if dur is duration)
-        for agent_key, face in entries:
-            book = self.agents[agent_key]
-            old_value = book.asset(key)
-            new_value = mul_frac(face, new_price)
-            delta = new_value - old_value
-            if delta == 0:
-                continue
-            if new_value == 0:
-                book.assets.pop(key, None)
-            else:
-                book.assets[key] = new_value
-            book.equity += delta
-            book.version += 1
-            remarked[(agent_key, "A", key)] = delta
-        if remarked and self.changes is not None:
-            self.changes.append(remarked)
+        agents, ids = self.agents, self.ids
+        legs = []
+        for agent_key, face in sorted((agent_key, face) for (agent_key, dur), face
+                                      in self.tbill_face.items() if dur is duration):
+            delta = mul_frac(face, new_price) - agents[agent_key].assets.get(key, 0)
+            if delta:
+                legs.append(Posting(ids[agent_key], "A", key, delta))
+        if legs:
+            self.post(legs)
 
     # -- audit & snapshot -----------------------------------------------------
 
@@ -697,11 +660,11 @@ class LedgerWorld:
         running totals of reserves held minus owed and of coins held
         minus owed per coin key, and check double entry on each written
         sheet and both ends of each written deposit, repo or SRF leg,
-        including a leg that dropped to zero. If every write since the
-        previous call went through `post` or `remark_tbills`, the whole
-        world passes `audit()` exactly when these checks do. On any
-        doubt it returns `audit()`, so a failing report names the same
-        checks, agents and details.
+        including a leg that dropped to zero. As `post` is the only writer,
+        the whole world passes `audit()` exactly when these checks do,
+        unless a sheet was edited around it. On any doubt it returns
+        `audit()`, so a failing report names the same checks, agents and
+        details.
         """
         if self.changes is not None and self._changes_pass():
             return _PASSED
@@ -779,7 +742,7 @@ class LedgerWorld:
         data = {
             "schema": "stablesim.world/1",
             "clock": {"day": self.day, "seq": self.seq},
-            "prices": {d.value: p for d, p in sorted(self.tbill_prices.items(), key=lambda kv: kv[0].value)},
+            "prices": {DURATION_NAME[d]: self.tbill_prices[d] for d in DURATIONS},
             "faces": [{"agent": a, "class": d.value, "face": f}
                       for (a, d), f in sorted(self.tbill_face.items(), key=lambda kv: (kv[0][0], kv[0][1].value))],
             "agents": agents,

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import analytics
-from .instruments import RepoRegistry, mark_treasuries
-from .ledger import (DEPOSIT, DURATION_NAME, FED, AgentId, DurationClass, LedgerWorld,
-                     Posting, reserves_key)
+from .instruments import PLEDGE_MIX, RepoRegistry, mark_treasuries
+from .ledger import (DURATION_NAME, DURATIONS, FED, AgentId, DurationClass, LedgerWorld,
+                     Posting, reserves_key, srf_key)
 from .money import MICRO, Amount, mul_div, mul_frac
 
 
@@ -138,10 +138,10 @@ def draw_srf(world: LedgerWorld, book: DealerBook, amount: Amount) -> None:
     """
     dealer = book.agent
     world.post([
-        Posting(FED, "A", f"srf@{dealer.key}", amount),
-        Posting(dealer, "L", f"srf@{FED.key}", amount),
+        Posting(FED, "A", srf_key(dealer), amount),
+        Posting(dealer, "L", srf_key(FED), amount),
         Posting(dealer, "A", reserves_key(), amount),
-        Posting(FED, "L", f"reserves@{dealer.key}", amount),
+        Posting(FED, "L", reserves_key(dealer), amount),
     ], event="srf_draw", dealer=dealer.key, amount=amount)
     book.srf_outstanding += amount
 
@@ -190,9 +190,9 @@ class Market:
         self._next_order = 0
         self.carryover: list[SaleOrder] = []
         self.pending: list[PendingSettlement] = []
-        self.day_excess: dict[DurationClass, Amount] = {d: 0 for d in DurationClass}
-        self.day_fills: dict[DurationClass, Amount] = {d: 0 for d in DurationClass}
-        self.day_submitted: dict[DurationClass, Amount] = {d: 0 for d in DurationClass}
+        self.day_excess: dict[DurationClass, Amount] = dict.fromkeys(DURATIONS, 0)
+        self.day_fills: dict[DurationClass, Amount] = dict.fromkeys(DURATIONS, 0)
+        self.day_submitted: dict[DurationClass, Amount] = dict.fromkeys(DURATIONS, 0)
         self.day_srf_draws: Amount = 0
         self.gross_volume: Amount = 0
         self.seller_volume: Amount = 0
@@ -211,9 +211,7 @@ class Market:
         else:
             cap = min(headroom, ra_left)
         if self.params.retention_frac > 0:
-            bank = world.bank_of(book.agent)
-            deposits = world.sheet(book.agent).asset(f"deposit@{bank.key}")
-            affordable = deposits * MICRO // self.params.retention_frac
+            affordable = world.deposits(book.agent) * MICRO // self.params.retention_frac
             cap = min(cap, affordable)
         return max(0, cap)
 
@@ -325,13 +323,12 @@ class Market:
     # -- funding gaps -----------------------------------------------------------
 
     def funding_gap_liquidation(self, world: LedgerWorld, gap: Amount,
-                                borrower: AgentId,
-                                collateral_mix: dict | None = None) -> list[FillReport]:
+                                borrower: AgentId) -> list[FillReport]:
         """A declined repo roll forces the borrower to refinance or sell.
 
         The replacement fraction finds funding off-market; the residual
-        is sold with the collateral's duration composition, propagating
-        stress to the long end.
+        is sold in the pledge mix of repo collateral, propagating stress
+        to the long end.
         """
         replaced = mul_frac(gap, self.params.replacement_frac)
         residual = gap - replaced
@@ -339,15 +336,13 @@ class Market:
                    replaced=replaced, residual=residual)
         if residual <= 0:
             return []
-        mix = collateral_mix or {DurationClass.LONG: 750_000, DurationClass.BILL: 250_000}
         reports = []
-        classes = sorted(mix, key=lambda d: d.value)
         allotted = 0
-        for i, duration in enumerate(classes):
-            if i == len(classes) - 1:
+        for i, duration in enumerate(DURATIONS):
+            if i == len(DURATIONS) - 1:
                 part = residual - allotted
             else:
-                part = mul_frac(residual, mix[duration])
+                part = mul_frac(residual, PLEDGE_MIX[duration])
             allotted += part
             if part > 0:
                 reports.append(self.submit_sale(world, borrower, part, duration,
@@ -406,11 +401,9 @@ class Market:
     @staticmethod
     def _pay_capped(world: LedgerWorld, payer: AgentId, payee: AgentId,
                     value: Amount) -> Amount:
-        bank = world.bank_of(payer)
-        have = world.sheet(payer).asset(f"deposit@{bank.key}")
-        pay = min(value, have)
+        pay = min(value, world.deposits(payer))
         if pay > 0:
-            world.post_transfer(payer, payee, DEPOSIT, pay)
+            world.transfer_deposit(payer, payee, pay)
         return pay
 
     def price_impact(self, excess_flow: Amount, duration: DurationClass) -> int:
@@ -431,7 +424,7 @@ class Market:
     def apply_day_impact(self, world: LedgerWorld, registry: RepoRegistry) -> dict:
         """Mark both duration classes off today's excess flow."""
         ticks = {}
-        for duration in sorted(DurationClass, key=lambda d: d.value):
+        for duration in DURATIONS:
             decline = self.price_impact(self.day_excess[duration], duration)
             ticks[duration] = -decline
             if decline != 0:
@@ -450,7 +443,7 @@ class Market:
             if growth <= 0:
                 continue
             target = mul_frac(growth, frac)
-            for duration in sorted(DurationClass, key=lambda d: d.value):
+            for duration in DURATIONS:
                 if target <= 0:
                     break
                 free_face = registry.free_face(world, book.agent, duration)
@@ -472,9 +465,9 @@ class Market:
     def begin_day(self) -> None:
         for key in sorted(self.books):
             self.books[key].ra_used_today = 0
-        self.day_excess = {d: 0 for d in DurationClass}
-        self.day_fills = {d: 0 for d in DurationClass}
-        self.day_submitted = {d: 0 for d in DurationClass}
+        self.day_excess = dict.fromkeys(DURATIONS, 0)
+        self.day_fills = dict.fromkeys(DURATIONS, 0)
+        self.day_submitted = dict.fromkeys(DURATIONS, 0)
         self.day_srf_draws = 0
 
 

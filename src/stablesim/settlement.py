@@ -24,8 +24,7 @@ from enum import Enum
 
 from .instruments import (InstrumentError, RepoRegistry, close_or_default_repo,
                           open_reverse_repo, roll_repo)
-from .ledger import (DEPOSIT, AgentId, DurationClass, Instrument, InstrumentKind,
-                     InsufficientPosition, LedgerWorld, coin_key, deposit_key)
+from .ledger import AgentId, DurationClass, InsufficientPosition, LedgerWorld, coin_key
 from .money import MICRO, PAR, Amount, mul_frac
 
 
@@ -256,10 +255,6 @@ class SettlementEngine:
     def coins_outstanding(self, issuer: AgentId) -> Amount:
         return self.world.sheet(issuer).liability(coin_key(issuer))
 
-    def deposits_of(self, agent: AgentId) -> Amount:
-        bank = self.world.bank_of(agent)
-        return self.world.sheet(agent).asset(deposit_key(bank))
-
     def redeemable(self, holder: AgentId, issuer: AgentId) -> Amount:
         """Coins the holder has not yet promised to an open request."""
         held = self.world.sheet(holder).asset(coin_key(issuer))
@@ -326,7 +321,7 @@ class SettlementEngine:
         return instructions
 
     def _spare_deposits(self, book: IssuerBook) -> Amount:
-        return max(0, self.deposits_of(book.agent) - book.earmarked - book.pool)
+        return max(0, self.world.deposits(book.agent) - book.earmarked - book.pool)
 
     def _free_sellable(self, book: IssuerBook) -> Amount:
         held = self.world.tbill_value(book.agent)
@@ -486,16 +481,13 @@ class SettlementEngine:
         pool_chunk = min(pool_left, pool_avail)
         chunk = deposit_left + pool_chunk
         chunk = min(chunk, record.remaining)
-        balance = self.deposits_of(book.agent)
-        chunk = min(chunk, balance)
+        chunk = min(chunk, world.deposits(book.agent))
         holder_coins = world.sheet(req.holder).asset(coin_key(book.agent))
         chunk = min(chunk, holder_coins)
         if chunk <= 0:
             return
-        world.post_transfer(req.holder, book.agent,
-                            Instrument(InstrumentKind.STABLECOIN, issuer=book.agent),
-                            chunk)
-        world.post_transfer(book.agent, req.holder, DEPOSIT, chunk)
+        world.transfer_coin(req.holder, book.agent, book.agent, chunk)
+        world.transfer_deposit(book.agent, req.holder, chunk)
         deposit_part = min(chunk, deposit_left)
         pool_part = chunk - deposit_part
         record.deposits_used += deposit_part
@@ -537,15 +529,13 @@ class SettlementEngine:
             for order in book.mints:
                 if order.completed_day is not None:
                     continue
-                buyer_funds = self.deposits_of(order.buyer)
+                buyer_funds = world.deposits(order.buyer)
                 if buyer_funds < order.amount:
                     world.emit("leg_failed", leg="mint_deposit",
                                cause="buyer lacks deposits", issuer=key)
                     continue
-                world.post_transfer(order.buyer, book.agent, DEPOSIT, order.amount)
-                world.post_transfer(book.agent, order.buyer,
-                                    Instrument(InstrumentKind.STABLECOIN, issuer=book.agent),
-                                    order.amount)
+                world.transfer_deposit(order.buyer, book.agent, order.amount)
+                world.transfer_coin(book.agent, order.buyer, book.agent, order.amount)
                 invest = mul_frac(order.amount, order.invest_frac)
                 if invest > 0:
                     self._buy_bills(book, treasury_seller, invest)
@@ -565,7 +555,7 @@ class SettlementEngine:
         if face <= 0:
             return
         actual = mul_frac(face, price)
-        world.post_transfer(book.agent, seller, DEPOSIT, actual)
+        world.transfer_deposit(book.agent, seller, actual)
         world.transfer_tbill(seller, book.agent, DurationClass.BILL, face=face)
 
     # -- daily metrics ------------------------------------------------------------

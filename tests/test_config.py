@@ -214,6 +214,11 @@ BAD_INPUTS = [
     ("agents/holder", [], "agents.holder"),
     ("agents/banks/0/kind", "bank", "agents.banks[bank_a].kind"),
     ("agents/holders/0/coin", {"usdx": 1}, "agents.holders[h].coin"),
+    # holdings the engine never endows
+    ("agents/holders/0/treasuries_bill", 5, "agents.holders[h].treasuries_bill"),
+    ("agents/intermediaries", [{"name": "im", "bank": "bank_a", "treasuries_long": 5}],
+     "agents.intermediaries[im].treasuries_long"),
+    ("agents/treasury_buyers/0/coins", {"usdx": 1}, "agents.treasury_buyers[tb].coins"),
     ("agents/dealers/0/klass", 1, "agents.dealers[d].klass"),
     ("shocks", [{"day": 0, "class": "liveness_fault", "klass": "x"}], "shocks[0].klass"),
 ]

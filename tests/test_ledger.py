@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablesim.ledger import (DURATION_NAME, FED, AgentId, AgentKind, AuditCheck,
-                              DurationClass, Instrument, InstrumentKind,
-                              InsufficientPosition, LedgerError, LedgerWorld, Posting,
-                              UnknownAgent, coin_key, deposit_key, reserves_key,
-                              tbill_key)
+from stablesim.ledger import (DURATION_NAME, DURATIONS, FED, AgentId, AgentKind, AuditCheck,
+                              DurationClass, InsufficientPosition, LedgerError, LedgerWorld,
+                              Posting, UnknownAgent, coin_key, deposit_key, repo_key,
+                              reserves_key, srf_key, tbill_key)
 
 BANK_A = AgentId(AgentKind.BANK, 0)
 BANK_B = AgentId(AgentKind.BANK, 1)
@@ -47,28 +46,74 @@ def deposit_total(world):
                if k.startswith("deposit@"))
 
 
+def world_state(world):
+    """Everything a transfer could write: sheets, faces, prices, clock,
+    events, versions and the change log."""
+    return (world.snapshot().to_json(), list(world.events.lines()),
+            {key: book.version for key, book in world.agents.items()},
+            world.changes, world.coin_holders)
+
+
 def test_zero_transfer_leaves_world_unchanged():
     world = two_bank_world()
     before = world.snapshot().to_json()
-    world.post_transfer(HOLDER, ISSUER, Instrument(InstrumentKind.DEPOSIT), 0)
+    world.transfer_deposit(HOLDER, ISSUER, 0)
+    world.transfer_coin(ISSUER, HOLDER, ISSUER, 0)
     assert world.snapshot().to_json() == before
 
 
-def test_reserve_transfer_conserves_central_bank_liability():
+@pytest.mark.parametrize("transfer", [
+    pytest.param(lambda w: w.transfer_deposit(HOLDER, HOLDER, 100_00), id="deposit"),
+    pytest.param(lambda w: w.transfer_coin(HOLDER, HOLDER, ISSUER, 100_00), id="coin"),
+    pytest.param(lambda w: w.transfer_coin(ISSUER, ISSUER, ISSUER, 100_00), id="coin_issuer"),
+])
+def test_self_transfer_leaves_world_byte_identical(transfer):
     world = two_bank_world()
-    total_before = sum(world.sheet(FED).liabilities.values())
-    world.post_transfer(BANK_A, BANK_B, Instrument(InstrumentKind.RESERVES), 100_00)
-    assert world.sheet(BANK_A).asset(reserves_key()) == 5_000_00 - 100_00
-    assert world.sheet(BANK_B).asset(reserves_key()) == 1_000_00 + 100_00
-    assert sum(world.sheet(FED).liabilities.values()) == total_before
-    assert world.audit().ok
+    world.transfer_coin(ISSUER, HOLDER, ISSUER, 500_00)
+    world.audit_changes()
+    before = copy.deepcopy(world_state(world))
+    transfer(world)
+    assert world_state(world) == before
+
+
+@pytest.mark.parametrize("transfer", [
+    pytest.param(lambda w: w.transfer_deposit(HOLDER, ISSUER, -1), id="deposit"),
+    pytest.param(lambda w: w.transfer_coin(HOLDER, ISSUER, ISSUER, -1), id="coin_burn"),
+    pytest.param(lambda w: w.transfer_coin(ISSUER, HOLDER, ISSUER, -1), id="coin_mint"),
+    pytest.param(lambda w: w.transfer_deposit(HOLDER, HOLDER, -1), id="deposit_self"),
+])
+def test_negative_transfer_raises_and_writes_nothing(transfer):
+    world = two_bank_world()
+    world.audit_changes()
+    before = copy.deepcopy(world_state(world))
+    with pytest.raises(LedgerError, match="transfer amount must be non-negative"):
+        transfer(world)
+    assert world_state(world) == before
+
+
+def test_deposits_read_the_balance_at_the_agents_bank():
+    world = two_bank_world()
+    assert world.deposits(HOLDER) == 5_000_00 and world.deposits(ISSUER) == 1_000_00
+    for agent in (FED, BANK_A):
+        with pytest.raises(LedgerError, match="has no deposit bank"):
+            world.deposits(agent)
+    with pytest.raises(UnknownAgent):
+        world.deposits(AgentId(AgentKind.HOLDER, 9))
+
+
+def test_instrument_keys_are_kind_at_counterparty():
+    assert deposit_key(BANK_A) == "deposit@bank:0"
+    assert reserves_key() == "reserves@fed:0" and reserves_key(BANK_B) == "reserves@bank:1"
+    assert repo_key(ISSUER) == "repo@issuer:0"
+    assert srf_key(FED) == "srf@fed:0"
+    assert coin_key(ISSUER) == "coin@issuer:0"
 
 
 def test_interbank_deposit_payment_replays_cross_bank_flow():
     # holder at bank A pays issuer at bank B: reserves follow the deposit
     world = two_bank_world()
     deposits_before = deposit_total(world)
-    world.post_transfer(HOLDER, ISSUER, Instrument(InstrumentKind.DEPOSIT), 1_000_00)
+    world.transfer_deposit(HOLDER, ISSUER, 1_000_00)
     assert world.sheet(HOLDER).asset(deposit_key(BANK_A)) == 4_000_00
     assert world.sheet(ISSUER).asset(deposit_key(BANK_B)) == 2_000_00
     assert world.sheet(BANK_A).asset(reserves_key()) == 4_000_00
@@ -81,27 +126,32 @@ def test_insufficient_deposit_is_atomic():
     world = two_bank_world()
     before = world.snapshot().to_json()
     with pytest.raises(InsufficientPosition):
-        world.post_transfer(ISSUER, HOLDER, Instrument(InstrumentKind.DEPOSIT),
-                            99_999_00)
+        world.transfer_deposit(ISSUER, HOLDER, 99_999_00)
     assert world.snapshot().to_json() == before
 
 
 def test_unknown_agent():
     world = two_bank_world()
     ghost = AgentId(AgentKind.HOLDER, 9)
-    with pytest.raises(UnknownAgent):
-        world.post_transfer(ghost, ISSUER, Instrument(InstrumentKind.DEPOSIT), 1)
+    for transfer in (lambda: world.transfer_deposit(ghost, ISSUER, 1),
+                     lambda: world.transfer_deposit(ISSUER, ghost, 0),
+                     lambda: world.transfer_coin(ISSUER, ghost, ISSUER, 1),
+                     lambda: world.transfer_coin(ghost, ghost, ISSUER, 0)):
+        with pytest.raises(UnknownAgent):
+            transfer()
 
 
 def test_coin_mint_transfer_burn_cycle():
     world = two_bank_world()
-    coin = Instrument(InstrumentKind.STABLECOIN, issuer=ISSUER)
-    world.post_transfer(ISSUER, HOLDER, coin, 500_00)
+    world.transfer_coin(ISSUER, HOLDER, ISSUER, 500_00)
     assert world.sheet(ISSUER).liability(coin_key(ISSUER)) == 500_00
     assert world.sheet(HOLDER).asset(coin_key(ISSUER)) == 500_00
-    world.post_transfer(HOLDER, ISSUER, coin, 200_00)
+    world.transfer_coin(HOLDER, ISSUER, ISSUER, 200_00)
     assert world.sheet(ISSUER).liability(coin_key(ISSUER)) == 300_00
     assert world.audit().ok
+    assert [(e["type"], e["instrument"], e["src"], e["dst"], e["amount"])
+            for e in world.events] == [("mint", "coin@issuer:0", "issuer:0", "holder:0", 500_00),
+                                       ("burn", "coin@issuer:0", "holder:0", "issuer:0", 200_00)]
 
 
 def test_fresh_world_audit_passes():
@@ -114,21 +164,20 @@ def test_fresh_world_audit_passes():
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
-                          st.integers(0, 400_00)), max_size=30))
+                          st.integers(0, 400_00), st.booleans()), max_size=30))
 def test_random_transfer_sequences_keep_audit_green(moves):
     world = two_bank_world()
-    coin = Instrument(InstrumentKind.STABLECOIN, issuer=ISSUER)
-    world.post_transfer(ISSUER, HOLDER, coin, 2_000_00)
+    world.transfer_coin(ISSUER, HOLDER, ISSUER, 2_000_00)
     agents = [HOLDER, ISSUER, BANK_A, BANK_B]
-    for a, b, amount in moves:
+    for a, b, amount, coin in moves:
         frm, to = agents[a], agents[b]
         try:
             if frm.kind is AgentKind.BANK or to.kind is AgentKind.BANK:
-                if frm.kind is AgentKind.BANK and to.kind is AgentKind.BANK:
-                    world.post_transfer(frm, to, Instrument(InstrumentKind.RESERVES),
-                                        amount)
                 continue
-            world.post_transfer(frm, to, Instrument(InstrumentKind.DEPOSIT), amount)
+            if coin:
+                world.transfer_coin(frm, to, ISSUER, amount)
+            else:
+                world.transfer_deposit(frm, to, amount)
         except InsufficientPosition:
             pass
         assert world.audit().ok
@@ -158,7 +207,7 @@ def test_snapshot_is_immutable_and_byte_stable():
     snap2 = world.snapshot()
     assert snap1.to_json() == snap2.to_json()
     equity_before = snap1.agent(HOLDER.key)["equity"]
-    world.post_transfer(HOLDER, ISSUER, Instrument(InstrumentKind.DEPOSIT), 100_00)
+    world.transfer_deposit(HOLDER, ISSUER, 100_00)
     assert snap1.agent(HOLDER.key)["equity"] == equity_before
     assert snap1.to_json() != world.snapshot().to_json()
 
@@ -300,7 +349,7 @@ def test_post_bumps_versions_and_logs_the_batch():
     world = two_bank_world()
     world.audit_changes()
     before = {key: book.version for key, book in world.agents.items()}
-    world.post_transfer(HOLDER, ISSUER, Instrument(InstrumentKind.DEPOSIT), 100_00)
+    world.transfer_deposit(HOLDER, ISSUER, 100_00)
     assert {key for key, book in world.agents.items()
             if book.version != before[key]} == {FED.key, BANK_A.key, BANK_B.key,
                                                  ISSUER.key, HOLDER.key}
@@ -329,14 +378,40 @@ def test_remark_bumps_versions_and_logs_the_new_values():
     assert world.audit_changes().ok
 
 
+def test_remark_writes_only_through_post(monkeypatch):
+    world = two_bank_world()
+    world.grant_tbill(ISSUER, DurationClass.BILL, 10_000_00)
+    world.grant_tbill(HOLDER, DurationClass.BILL, 3_000_00)
+    world.grant_tbill(HOLDER, DurationClass.LONG, 1_000_00)
+    world.audit_changes()
+    manual = copy.deepcopy(world)
+    posted = []
+    post = world.post
+    monkeypatch.setattr(world, "post", lambda legs, *args, **kwargs: (
+        posted.append(list(legs)), post(legs, *args, **kwargs)))
+    world.remark_tbills(DurationClass.BILL, 990_000)
+    # one leg per agent holding the class, in key order; no event
+    legs = [Posting(HOLDER, "A", "tbill/bill", -30_00),
+            Posting(ISSUER, "A", "tbill/bill", -100_00)]
+    assert posted == [legs]
+    manual.tbill_prices[DurationClass.BILL] = 990_000
+    manual.post(legs)
+    assert world_state(world) == world_state(manual)
+    assert world.changes == [{(HOLDER.key, "A", "tbill/bill"): -30_00,
+                              (ISSUER.key, "A", "tbill/bill"): -100_00}]
+    # a re-mark that moves no value posts nothing
+    world.remark_tbills(DurationClass.BILL, 990_000)
+    assert len(posted) == 1 and len(world.changes) == 1
+    assert world.audit_changes().ok
+
+
 def test_clean_writes_never_fall_back_to_the_full_audit(monkeypatch):
     world = two_bank_world()
-    coin = Instrument(InstrumentKind.STABLECOIN, issuer=ISSUER)
     assert world.audit_changes().ok
     monkeypatch.setattr(world, "audit", lambda: pytest.fail("full audit ran"))
-    world.post_transfer(ISSUER, HOLDER, coin, 2_000_00)
-    world.post_transfer(HOLDER, ISSUER, Instrument(InstrumentKind.DEPOSIT), 5_000_00)
-    world.post_transfer(HOLDER, ISSUER, coin, 2_000_00)
+    world.transfer_coin(ISSUER, HOLDER, ISSUER, 2_000_00)
+    world.transfer_deposit(HOLDER, ISSUER, 5_000_00)
+    world.transfer_coin(HOLDER, ISSUER, ISSUER, 2_000_00)
     world.grant_tbill(ISSUER, DurationClass.BILL, 10_000_00)
     world.remark_tbills(DurationClass.BILL, 990_000)
     assert world.audit_changes().ok
@@ -388,10 +463,11 @@ def test_duration_classes_hash_by_identity():
 
 
 def test_duration_names_and_tbill_keys_are_the_enum_values():
+    assert DURATIONS == tuple(sorted(DurationClass, key=lambda d: d.value))
+    assert DURATIONS == (DurationClass.BILL, DurationClass.LONG)
     for duration in DurationClass:
         assert DURATION_NAME[duration] == duration.value
         assert tbill_key(duration) == f"tbill/{duration.value}"
-        assert Instrument(InstrumentKind.TBILL, duration=duration).key == tbill_key(duration)
 
 
 # -- event log -------------------------------------------------------------------

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, Instrument,
-                              InstrumentKind, LedgerWorld, Posting, deposit_key,
-                              reserves_key)
+from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, LedgerWorld, Posting,
+                              deposit_key, reserves_key)
 from stablesim.instruments import RepoRegistry
 from stablesim.market import (DealerBook, DealerChain, Market, MarketError,
                               MarketParams, decompose)
@@ -253,7 +252,7 @@ def test_capacity_is_recomputed_only_for_a_dealer_that_changed(monkeypatch):
     assert market.dealer_capacity(world) == before
     assert computed == [D1.key, D2.key]
     # a write to D1's sheet alone, with no change to its book
-    world.post_transfer(D1, BUYER, Instrument(InstrumentKind.DEPOSIT), 500_00)
+    world.transfer_deposit(D1, BUYER, 500_00)
     after = market.dealer_capacity(world)
     assert computed == [D1.key, D2.key, D1.key]
     assert after[D1.key] < before[D1.key] and after[D2.key] == before[D2.key]
