@@ -15,11 +15,9 @@ from .instruments import (PortfolioState, RepoPosition, RepoRegistry,
                           step_portfolio)
 from .ledger import (AgentId, AgentKind, AuditReport, BalanceSheet, DurationClass,
                      LedgerWorld, WorldSnapshot)
-from .market import (DealerBook, DealerChain, FillReport, Market, MarketParams,
-                     VolumeDecomposition, decompose)
+from .market import DealerBook, FillReport, Market, VolumeDecomposition, decompose
 from .money import MICRO, PAR, Amount, mul_div, mul_frac
-from .settlement import (AccessMode, Funding, IssuerBook, ParMode, ParPolicy,
-                         RedemptionRequest, Route, SettlementEngine, intervene,
-                         plan_mint)
+from .settlement import (AccessMode, Funding, IssuerBook, ParMode, ParPolicy, Route,
+                         SettlementEngine, intervene, plan_mint)
 
 __version__ = "0.1.0"

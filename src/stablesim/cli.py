@@ -78,8 +78,8 @@ def cmd_sweep(args) -> int:
         if not isinstance(grid, dict):
             raise ValidationError("grid file must map parameter paths to value lists")
         for key, values in grid.items():
-            if not isinstance(values, list):
-                raise ValidationError(f"grid values for {key} must be a list")
+            if not isinstance(values, list) or not values:
+                raise ValidationError(f"grid values for {key} must be a non-empty list")
     except (*CONFIG_ERRORS, json.JSONDecodeError) as err:
         print(f"invalid sweep input: {err}", file=sys.stderr)
         return EXIT_VALIDATION

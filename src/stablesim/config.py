@@ -76,6 +76,11 @@ expected an integer, got 5.5" or "agents.holders[h_1].coins.usdx: ...".
 Agent lists are canonicalized by name at load time, so declaration
 order never changes results. load_config accepts a preset name (see
 PRESETS) or a file path; a path is never read as a preset name.
+
+The parsed sections are the model's parameters: the engine, the market
+and the settlement books read them as parsed (`Market` takes the
+`market` and `policies` sections), never a copy, so each range check
+lives once, in parse_config.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ from enum import Enum
 from .ledger import AgentId, LedgerWorld, coin_key
 from .money import MICRO, PAR, Amount, mul_frac
 from .rng import SplitMix64
+from .settlement import AccessMode
 
 
 class DynamicsError(Exception):
@@ -42,11 +43,6 @@ class UnknownShockClass(DynamicsError):
 class SensitivityState(Enum):
     INSENSITIVE = "insensitive"
     SENSITIVE = "sensitive"
-
-
-class AccessKind(Enum):
-    DIRECT = "direct"
-    INTERMEDIATED = "intermediated"
 
 
 @dataclass
@@ -138,7 +134,7 @@ class InterventionResult:
 
 def update_secondary_price(conf: ConfidenceState, unfilled_redemptions: Amount,
                            coins: Amount, shock_effect: int,
-                           access_mode: AccessKind,
+                           access_mode: AccessMode,
                            intervention: InterventionResult | None = None,
                            params: PriceParams = PriceParams()) -> ConfidenceState:
     """End-of-day price move from overdue redemptions, shocks and buys."""
@@ -146,11 +142,11 @@ def update_secondary_price(conf: ConfidenceState, unfilled_redemptions: Amount,
 
     pressure = 0
     if coins > 0 and unfilled_redemptions > 0:
-        coeff = (params.failure_coeff if access_mode is AccessKind.DIRECT
+        coeff = (params.failure_coeff if access_mode is AccessMode.DIRECT
                  else params.overdue_coeff)
         pressure = mul_div(unfilled_redemptions, coeff, coins)
     decline = pressure + shock_effect
-    if access_mode is AccessKind.DIRECT:
+    if access_mode is AccessMode.DIRECT:
         price = PAR - decline
     else:
         price = conf.secondary_price - decline
@@ -224,12 +220,12 @@ class ShockState:
 
 
 def apply_shock(spec: ShockSpec, world: LedgerWorld, state: ShockState,
-                issuers: dict, rng: SplitMix64,
+                issuers: dict, mint_target: AgentId, rng: SplitMix64,
                 params: PriceParams = PriceParams()) -> None:
     """Apply one catalog entry; effects depend on the shock class.
 
-    issuers maps issuer key to its chain id plus the holder that
-    receives erroneous mints.
+    issuers maps issuer key to its `IssuerBook`, whose `chain` the
+    shock's chain selects; mint_target receives erroneous mints.
     """
     if not isinstance(spec.klass, ShockClass):
         raise UnknownShockClass(str(spec.klass))
@@ -237,8 +233,8 @@ def apply_shock(spec: ShockSpec, world: LedgerWorld, state: ShockState,
                magnitude=spec.magnitude, duration=spec.duration,
                likelihood=spec.likelihood_band.value,
                systemic=spec.systemic_band.value)
-    on_chain = {key: info for key, info in sorted(issuers.items())
-                if info["chain"] == spec.chain}
+    on_chain = {key: book.agent for key, book in sorted(issuers.items())
+                if book.chain == spec.chain}
     if spec.klass in (ShockClass.LIVENESS_FAULT, ShockClass.CORRELATED_LIVENESS):
         until = world.day + max(1, spec.duration)
         state.suspended_until[spec.chain] = max(
@@ -247,25 +243,21 @@ def apply_shock(spec: ShockSpec, world: LedgerWorld, state: ShockState,
             state.last_shock[key] = spec.klass.value
         return
     if spec.klass is ShockClass.UNCONTROLLED_SUPPLY:
-        for key, info in on_chain.items():
-            issuer: AgentId = info["agent"]
-            holder: AgentId = info["mint_target"]
+        for key, issuer in on_chain.items():
             coins = world.sheet(issuer).liability(coin_key(issuer))
             minted = mul_frac(coins, spec.magnitude or 0)
             if minted <= 0:
                 continue
-            world.transfer_coin(issuer, holder, issuer, minted)
+            world.transfer_coin(issuer, mint_target, issuer, minted)
             world.emit("uncontrolled_mint", issuer=key, amount=minted)
             if spec.duration <= 0:
-                world.transfer_coin(holder, issuer, issuer, minted)
+                world.transfer_coin(mint_target, issuer, issuer, minted)
                 world.emit("corrective_burn", issuer=key, amount=minted)
-                state.price_effects[key] = state.price_effects.get(key, 0) + \
-                    params.supply_incident_dip
             else:
                 state.scheduled_burns.append(
-                    (world.day + spec.duration, issuer, holder, minted))
-                state.price_effects[key] = state.price_effects.get(key, 0) + \
-                    params.supply_incident_dip
+                    (world.day + spec.duration, issuer, mint_target, minted))
+            state.price_effects[key] = state.price_effects.get(key, 0) + \
+                params.supply_incident_dip
             state.last_shock[key] = spec.klass.value
         return
     if spec.klass is ShockClass.CONFIDENCE_ONLY:

@@ -35,13 +35,12 @@ from dataclasses import dataclass, field
 
 from . import analytics
 from .config import ScenarioConfig
-from .dynamics import (AccessKind, ConfidenceState, InterventionResult, ShockState,
-                       apply_shock, redemption_demand, run_corrective_burns,
-                       update_secondary_price)
+from .dynamics import (ConfidenceState, InterventionResult, ShockState, apply_shock,
+                       redemption_demand, run_corrective_burns, update_secondary_price)
 from .instruments import PortfolioState, RepoRegistry, TreasuryBill, open_reverse_repo
 from .ledger import (DURATION_NAME, DURATIONS, FED, AgentId, AgentKind, DurationClass,
                      EventLog, LedgerWorld, Posting, coin_key, deposit_key, reserves_key)
-from .market import DealerBook, DealerChain, Market, MarketParams
+from .market import DealerBook, Market
 from .money import BP, MICRO, PAR, Amount, mul_div, mul_frac
 from .rng import SplitMix64
 from .settlement import (AccessMode, IssuerBook, MintDeclined, Route,
@@ -132,7 +131,7 @@ class Scenario:
     confidence: dict
     shock_state: ShockState
     rng: SplitMix64
-    shock_info: dict
+    mint_target: AgentId          # receives an uncontrolled-supply shock's coins
     mint_buyer: AgentId
     shocks_by_day: dict           # day -> shock specs
     # run-wide accumulators
@@ -239,25 +238,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
             reserve_access=cfg.reserve_access,
             inventory_baseline=world.tbill_value(agent))
 
-    bound_override = (config.policies.slr_bound_bp * BP
-                      if config.policies.slr_bound_bp is not None else None)
-    params = MarketParams(
-        depth=config.market.depth,
-        impact_coeff_long=config.market.impact_coeff_long,
-        impact_coeff_bill=config.market.impact_coeff_bill,
-        max_dislocation=config.market.max_dislocation_bp * BP,
-        retention_frac=config.market.retention_frac,
-        flight_to_safety=config.market.flight_to_safety,
-        bill_safety_lift=config.market.bill_safety_lift,
-        replacement_frac=config.market.replacement_frac,
-        offload_frac=config.market.offload_frac,
-        eslr_capacity_add=config.market.eslr_capacity_add,
-        eslr_reform=config.policies.eslr_reform,
-        srf_enabled=config.policies.srf_enabled,
-        slr_bound_override=bound_override,
-    )
-    market = Market(params, DealerChain(dealer_agents, config.market.retention_frac),
-                    books, buyer_agents[0])
+    market = Market(config.market, config.policies, books, buyer_agents[0])
     settle = SettlementEngine(
         world, registry, issuer_books,
         treasury_rate=config.rates.treasury_rate_daily,
@@ -266,11 +247,6 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
 
     run_models = {key: config.run_model.build() for key in sorted(issuer_books)}
     confidence = {key: ConfidenceState() for key in sorted(issuer_books)}
-    shock_info = {}
-    for cfg, agent in zip(config.issuers, issuer_agents):
-        target = holder_agents[0] if holder_agents else buyer_agents[0]
-        shock_info[agent.key] = {"agent": agent, "chain": cfg.chain,
-                                 "mint_target": target}
     shocks_by_day: dict[int, list] = {}
     for spec in config.shocks:
         shocks_by_day.setdefault(spec.day, []).append(spec)
@@ -283,7 +259,8 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         settle=settle, agent_of=agent_of, issuer_cfg=issuer_cfg,
         run_models=run_models, confidence=confidence,
         shock_state=ShockState(), rng=SplitMix64(config.seed),
-        shock_info=shock_info, mint_buyer=buyer_agents[0],
+        mint_target=holder_agents[0] if holder_agents else buyer_agents[0],
+        mint_buyer=buyer_agents[0],
         shocks_by_day=shocks_by_day, peak_dev=dict.fromkeys(issuer_books, 0),
         peak_txn=dict.fromkeys(issuer_books, 0))
 
@@ -432,8 +409,8 @@ def _open_day(scn: Scenario, day: int) -> set:
     scn.market.begin_day()
     scn.settle.begin_day()
     for spec in scn.shocks_by_day.get(day, []):
-        apply_shock(spec, world, scn.shock_state, scn.shock_info, scn.rng,
-                    scn.config.price_model)
+        apply_shock(spec, world, scn.shock_state, scn.settle.issuers, scn.mint_target,
+                    scn.rng, scn.config.price_model)
     run_corrective_burns(world, scn.shock_state)
     return scn.shock_state.suspended_chains(day)
 
@@ -595,11 +572,8 @@ def _update_prices(scn: Scenario) -> None:
         intervention = InterventionResult(
             requested=max(book.day_int_buy_requested, completed),
             completed=completed, pin_target=book.pin_target)
-        access = (AccessKind.DIRECT
-                  if book.access_mode is AccessMode.DIRECT
-                  else AccessKind.INTERMEDIATED)
         conf = update_secondary_price(scn.confidence[key], overdue, coins, shock_eff,
-                                      access, intervention=intervention,
+                                      book.access_mode, intervention=intervention,
                                       params=scn.config.price_model)
         if shock_eff:
             conf = dataclasses.replace(
@@ -653,7 +627,7 @@ def _emit_rows(scn: Scenario, day: int, dealer_capacity: dict) -> None:
     name_of = {scn.agent_of[c.name].key: c.name for c in scn.config.dealers}
     for dealer_key in sorted(scn.market.books):
         book = scn.market.books[dealer_key]
-        slr_rep = book.slr_report(world, scn.market.params.slr_bound_override)
+        slr_rep = book.slr_report(world, scn.market.slr_bound)
         name = name_of[dealer_key]
         scn.analytics_rows.append(analytics.analytics_row(
             day, name, slr_report=slr_rep))

@@ -48,7 +48,6 @@ class TreasuryBill:
     face: Amount
     maturity_day: int
     market_price: int = MICRO  # fraction of face, micro units
-    on_the_run: bool = True
 
     def __post_init__(self):
         if self.market_price <= 0:

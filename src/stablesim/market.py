@@ -27,26 +27,15 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import analytics
+from .config import MarketConfig, PolicyConfig
 from .instruments import PLEDGE_MIX, RepoRegistry, mark_treasuries
 from .ledger import (DURATION_NAME, DURATIONS, FED, AgentId, DurationClass, LedgerWorld,
                      Posting, reserves_key, srf_key)
-from .money import MICRO, Amount, mul_div, mul_frac
+from .money import BP, MICRO, Amount, mul_div, mul_frac
 
 
 class MarketError(Exception):
     pass
-
-
-@dataclass
-class DealerChain:
-    dealers: list
-    retention_frac: int = 335_648  # micro; dealers keep ~one third of seller flow
-
-    def __post_init__(self):
-        if len(self.dealers) < 1:
-            raise MarketError("chain needs at least one dealer")
-        if not (0 <= self.retention_frac < MICRO):
-            raise MarketError("retention fraction must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -68,29 +57,6 @@ def decompose(seller: Amount, retention: Amount) -> VolumeDecomposition:
         interdealer=passed, buyer=passed,
         gross=seller + passed + passed,
     )
-
-
-@dataclass(frozen=True)
-class MarketParams:
-    depth: Amount
-    impact_coeff_long: int = 15_000     # micro decline at excess == depth
-    impact_coeff_bill: int = 5_000
-    max_dislocation: int = 50_000        # 5%
-    retention_frac: int = 335_648
-    flight_to_safety: bool = False
-    bill_safety_lift: int = 0            # micro rise at excess == depth
-    replacement_frac: int = 0            # micro share of a funding gap re-financed
-    offload_frac: int = 250_000          # micro share of retained inventory sold on per day
-    eslr_capacity_add: Amount = 0
-    eslr_reform: bool = False
-    srf_enabled: bool = False
-    slr_bound_override: int | None = None
-
-    def __post_init__(self):
-        if self.impact_coeff_long < self.impact_coeff_bill:
-            raise MarketError("long-duration impact must be at least bill impact")
-        if self.depth <= 0:
-            raise MarketError("market depth must be positive")
 
 
 @dataclass
@@ -163,7 +129,6 @@ class FillReport(NamedTuple):
     filled: Amount
     unfilled: Amount
     price: int
-    decomposition: VolumeDecomposition | None
 
 
 @dataclass
@@ -176,12 +141,19 @@ class PendingSettlement:
 
 
 class Market:
-    """Per-scenario market state: order queue, dealer books, prices."""
+    """Per-scenario market state: order queue, dealer books, prices.
 
-    def __init__(self, params: MarketParams, chain: DealerChain,
+    Reads its parameters from the parsed `market` and `policies`
+    sections, which `parse_config` has range-checked.
+    """
+
+    def __init__(self, params: MarketConfig, policies: PolicyConfig,
                  books: dict, buyer: AgentId):
         self.params = params
-        self.chain = chain
+        self.policies = policies
+        # micro; None leaves the 3% / 5% bound by gsib
+        self.slr_bound = (None if policies.slr_bound_bp is None
+                          else policies.slr_bound_bp * BP)
         self.books = books  # dealer key -> DealerBook
         self.buyer = buyer
         # dealer key -> (sheet version, reserved_today, ra_used_today,
@@ -200,13 +172,12 @@ class Market:
     # -- capacity ---------------------------------------------------------
 
     def _dealer_available(self, world: LedgerWorld, book: DealerBook) -> Amount:
-        bound = self.params.slr_bound_override
-        headroom = book.headroom(world, bound)
-        if self.params.eslr_reform and self.params.eslr_capacity_add > 0:
+        headroom = book.headroom(world, self.slr_bound)
+        if self.policies.eslr_reform and self.params.eslr_capacity_add > 0:
             share = self.params.eslr_capacity_add // len(self.books)
             headroom += share
         ra_left = max(0, book.reserve_access - book.ra_used_today)
-        if self.params.srf_enabled:
+        if self.policies.srf_enabled:
             cap = headroom if ra_left >= headroom else (headroom + ra_left) // 2
         else:
             cap = min(headroom, ra_left)
@@ -247,9 +218,8 @@ class Market:
         The fill is allocated across dealers pro rata by available
         capacity (largest remainder, ties by dealer id). The unfilled
         remainder is queued and resubmitted ahead of new orders on the
-        next clearing day. Volume decomposition is reported on first
-        submission only, so resubmitted remainders are not double
-        counted in gross volume.
+        next clearing day. Only a first submission adds to seller and
+        gross volume, so resubmitted remainders are not counted twice.
         """
         order = SaleOrder(self._next_order, seller, duration, amount, purpose)
         return self._clear(world, order, self.dealer_capacity(world),
@@ -291,7 +261,7 @@ class Market:
                 ra_part = min(alloc, max(0, book.reserve_access - book.ra_used_today))
                 draw = alloc - ra_part
                 if draw > 0:
-                    if not self.params.srf_enabled:
+                    if not self.policies.srf_enabled:
                         raise MarketError("allocation beyond reserve access without SRF")
                     draw_srf(world, book, draw)
                     self.day_srf_draws += draw
@@ -301,11 +271,9 @@ class Market:
                     settle_day=world.day + 1, seller=seller, dealer=book.agent,
                     duration=duration, value=alloc))
         unfilled = amount - fill
-        decomposition = None
         if first_submission:
             retention = mul_frac(amount, self.params.retention_frac)
-            decomposition = decompose(amount, retention)
-            self.gross_volume += decomposition.gross
+            self.gross_volume += decompose(amount, retention).gross
             self.seller_volume += amount
             self.day_submitted[duration] += amount
         if unfilled > 0:
@@ -318,7 +286,7 @@ class Market:
                    unfilled=unfilled, purpose=order.purpose,
                    first_submission=first_submission)
         return FillReport(order.order_id, seller, duration, amount, fill,
-                          unfilled, world.price(duration), decomposition)
+                          unfilled, world.price(duration))
 
     # -- funding gaps -----------------------------------------------------------
 
@@ -419,24 +387,20 @@ class Market:
         coeff = (self.params.impact_coeff_long if duration is DurationClass.LONG
                  else self.params.impact_coeff_bill)
         decline = mul_div(excess_flow, coeff, self.params.depth)
-        return min(decline, self.params.max_dislocation)
+        return min(decline, self.params.max_dislocation_bp * BP)
 
-    def apply_day_impact(self, world: LedgerWorld, registry: RepoRegistry) -> dict:
+    def apply_day_impact(self, world: LedgerWorld, registry: RepoRegistry) -> None:
         """Mark both duration classes off today's excess flow."""
-        ticks = {}
         for duration in DURATIONS:
             decline = self.price_impact(self.day_excess[duration], duration)
-            ticks[duration] = -decline
             if decline != 0:
                 mark_treasuries(world, registry, -decline, duration)
-        return ticks
 
-    def offload_inventory(self, world: LedgerWorld, registry: RepoRegistry) -> Amount:
+    def offload_inventory(self, world: LedgerWorld, registry: RepoRegistry) -> None:
         """Dealers distribute retained inventory on to ultimate buyers."""
         frac = self.params.offload_frac
         if frac <= 0:
-            return 0
-        sold = 0
+            return
         for key in sorted(self.books):
             book = self.books[key]
             growth = world.tbill_value(book.agent) - book.inventory_baseline
@@ -458,9 +422,7 @@ class Market:
                 if paid <= 0:
                     continue
                 world.transfer_tbill(book.agent, self.buyer, duration, face=face)
-                sold += value
                 target -= value
-        return sold
 
     def begin_day(self) -> None:
         for key in sorted(self.books):

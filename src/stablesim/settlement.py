@@ -73,20 +73,6 @@ class ParPolicy:
 
 
 @dataclass(frozen=True)
-class RedemptionRequest:
-    request_id: int
-    holder: AgentId
-    issuer: AgentId
-    amount: Amount
-    submitted_day: int
-    route: Route = Route.DIRECT
-
-    def __post_init__(self):
-        if self.amount <= 0:
-            raise SettlementError("redemption amount must be positive")
-
-
-@dataclass(frozen=True)
 class IssuerAction:
     kind: str       # "buy" or "mint"
     amount: Amount
@@ -137,7 +123,10 @@ def plan_mint(amount: Amount, book: IssuerBook, secondary_price: int,
 
 @dataclass
 class OpenRequest:
-    request: RedemptionRequest
+    request_id: int
+    holder: AgentId
+    amount: Amount
+    submitted_day: int
     planned: bool = False
     from_deposits: Amount = 0
     from_pool: Amount = 0
@@ -155,7 +144,7 @@ class OpenRequest:
 
     @property
     def remaining(self) -> Amount:
-        return self.request.amount - self.paid
+        return self.amount - self.paid
 
 
 @dataclass
@@ -195,7 +184,7 @@ class IssuerBook:
     day_int_buy_completed: Amount = 0
     day_int_mint_completed: Amount = 0
     day_unserved: Amount = 0         # demand no holder could place today
-    pin_target: int = 1_000_000
+    pin_target: int = PAR
     total_requested: Amount = 0
     total_completed: Amount = 0
     total_minted: Amount = 0
@@ -269,17 +258,18 @@ class SettlementEngine:
                 and holder.key not in book.eligible):
             raise IneligibleRedeemer(
                 f"{holder} is not on {book.agent}'s direct-redemption list")
-        req = RedemptionRequest(self._next_request, holder, book.agent,
-                                amount, self.world.day, route)
+        if amount <= 0:
+            raise SettlementError("redemption amount must be positive")
+        record = OpenRequest(self._next_request, holder, amount, self.world.day,
+                             is_intervention=is_intervention)
         self._next_request += 1
-        record = OpenRequest(request=req, is_intervention=is_intervention)
         book.requests.append(record)
         book.open.append(record)
         key = (holder.key, book.agent.key)
         self.committed[key] = self.committed.get(key, 0) + amount
         book.day_requested += amount
         book.total_requested += amount
-        self.world.emit("redemption_request", request_id=req.request_id,
+        self.world.emit("redemption_request", request_id=record.request_id,
                         issuer=book.agent.key, holder=holder.key, amount=amount,
                         route=route.value, intervention=is_intervention)
         return record
@@ -332,7 +322,7 @@ class SettlementEngine:
         return max(0, principal - book.nonroll_pending)
 
     def _plan_one(self, book: IssuerBook, record: OpenRequest) -> list:
-        amount = record.request.amount
+        amount = record.amount
         d = min(amount, self._spare_deposits(book))
         s = min(amount - d, self._free_sellable(book))
         # the rest is committed to repo non-rollover regardless of
@@ -352,7 +342,7 @@ class SettlementEngine:
         record.horizon = horizon
         book.earmarked += d
         book.nonroll_pending += n
-        self.world.emit("plan_created", request_id=record.request.request_id,
+        self.world.emit("plan_created", request_id=record.request_id,
                         issuer=book.agent.key, funding=funding.value,
                         from_deposits=d, from_sales=s, from_nonroll=n,
                         horizon=horizon)
@@ -474,7 +464,6 @@ class SettlementEngine:
 
     def _try_pay(self, book: IssuerBook, record: OpenRequest) -> None:
         world = self.world
-        req = record.request
         deposit_left = record.from_deposits - record.deposits_used
         pool_left = record.from_pool - record.pool_used
         pool_avail = book.pool + self._spare_deposits(book)
@@ -482,18 +471,18 @@ class SettlementEngine:
         chunk = deposit_left + pool_chunk
         chunk = min(chunk, record.remaining)
         chunk = min(chunk, world.deposits(book.agent))
-        holder_coins = world.sheet(req.holder).asset(coin_key(book.agent))
+        holder_coins = world.sheet(record.holder).asset(coin_key(book.agent))
         chunk = min(chunk, holder_coins)
         if chunk <= 0:
             return
-        world.transfer_coin(req.holder, book.agent, book.agent, chunk)
-        world.transfer_deposit(book.agent, req.holder, chunk)
+        world.transfer_coin(record.holder, book.agent, book.agent, chunk)
+        world.transfer_deposit(book.agent, record.holder, chunk)
         deposit_part = min(chunk, deposit_left)
         pool_part = chunk - deposit_part
         record.deposits_used += deposit_part
         record.pool_used += pool_part
         record.paid += chunk
-        key = (req.holder.key, book.agent.key)
+        key = (record.holder.key, book.agent.key)
         self.committed[key] -= chunk
         if not self.committed[key]:
             del self.committed[key]
@@ -505,17 +494,17 @@ class SettlementEngine:
             book.day_int_buy_completed += chunk
         if record.remaining == 0:
             record.completed_day = world.day
-            delay = world.day - req.submitted_day - record.horizon
+            delay = world.day - record.submitted_day - record.horizon
             if delay > 0:
                 book.max_delay_days = max(book.max_delay_days, delay)
                 if not record.counted_delayed:
                     record.counted_delayed = True
-                    book.delayed_total += req.amount
-            world.emit("redemption_completed", request_id=req.request_id,
-                       issuer=book.agent.key, holder=req.holder.key,
-                       amount=req.amount, delay_days=max(0, delay))
+                    book.delayed_total += record.amount
+            world.emit("redemption_completed", request_id=record.request_id,
+                       issuer=book.agent.key, holder=record.holder.key,
+                       amount=record.amount, delay_days=max(0, delay))
         else:
-            world.emit("redemption_partial", request_id=req.request_id,
+            world.emit("redemption_partial", request_id=record.request_id,
                        issuer=book.agent.key, paid=chunk,
                        remaining=record.remaining)
 
@@ -564,11 +553,11 @@ class SettlementEngine:
         """Open request volume older than its plan horizon."""
         day = self.world.day
         return sum(r.remaining for r in book.open
-                   if day - r.request.submitted_day > r.horizon)
+                   if day - r.submitted_day > r.horizon)
 
     def queue_age(self, book: IssuerBook) -> int:
         day = self.world.day
-        ages = [day - r.request.submitted_day - r.horizon for r in book.open]
+        ages = [day - r.submitted_day - r.horizon for r in book.open]
         overdue = [a for a in ages if a > 0]
         return max(overdue) if overdue else 0
 
@@ -580,13 +569,13 @@ class SettlementEngine:
             for record in book.open:
                 if record.counted_delayed or not record.planned:
                     continue
-                if day - record.request.submitted_day > record.horizon:
+                if day - record.submitted_day > record.horizon:
                     record.counted_delayed = True
-                    book.delayed_total += record.request.amount
+                    book.delayed_total += record.amount
                     book.max_delay_days = max(
                         book.max_delay_days,
-                        day - record.request.submitted_day - record.horizon)
+                        day - record.submitted_day - record.horizon)
                     self.world.emit("queue_delayed",
-                                    request_id=record.request.request_id,
+                                    request_id=record.request_id,
                                     issuer=key,
-                                    age=day - record.request.submitted_day)
+                                    age=day - record.submitted_day)

@@ -93,6 +93,16 @@ def test_sweep_rejects_malformed_grid(tmp_path, capsys):
     assert main(["sweep", "calm", "--grid", str(grid)]) == 1
 
 
+def test_sweep_rejects_an_empty_value_list(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"grid": {"seed": []}}))
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", "calm", "--grid", str(grid), "--out", str(out_dir)]) == 1
+    assert ("invalid sweep input: grid values for seed must be a non-empty list"
+            in capsys.readouterr().err)
+    assert not out_dir.exists()
+
+
 def test_sweep_grid_path_through_a_number_is_a_point_error(tmp_path, capsys):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"seed.x": [1]}))

@@ -206,6 +206,16 @@ BAD_INPUTS = [
     # values the run cannot carry
     ("policies", {"slr_bound_bp": 0}, "policies.slr_bound_bp"),
     ("price_model", {"min_price": 0}, "price_model.min_price"),
+    ("market/depth", 0, "market.depth"),
+    ("market/impact_coeff_long", 4_999, "market.impact_coeff_long"),
+    ("market/retention_frac", 1_000_000, "market.retention_frac"),
+    ("market/retention_frac", -1, "market.retention_frac"),
+    ("run_model", {"baseline_rate": 5_000, "shifted_rate": 5_000}, "run_model.shifted_rate"),
+    ("run_model", {"deviation_threshold_bp": 0}, "run_model.deviation_threshold_bp"),
+    ("policies", {"intermediary_mode": "hold"}, "policies.intermediary_mode"),
+    ("policies", {"access_mode": "intermediated"}, "policies.access_mode"),
+    ("rates", {"haircut": -1}, "rates.haircut"),
+    ("diagnostics", {"attack_cost": 0}, "diagnostics.attack_cost"),
     # keys no field is read from
     ("policies", {"srf_enabeld": True}, "policies.srf_enabeld"),
     ("policies", {"par_policy": {"corridor_width": 5}}, "policies.par_policy.corridor_width"),

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablesim.dynamics import (AccessKind, CONFIDENCE_BANDS, ConfidenceState,
+from stablesim.dynamics import (CONFIDENCE_BANDS, ConfidenceState,
                                 DynamicsError, InterventionResult, PriceParams,
                                 RunModel, SensitivityState, ShockClass, ShockSpec,
                                 ShockState, SystemicBand, UnknownShockClass,
@@ -12,6 +12,7 @@ from stablesim.ledger import (FED, AgentId, AgentKind, LedgerWorld, Posting,
                               coin_key)
 from stablesim.money import BP, MICRO, PAR, mul_frac
 from stablesim.rng import SplitMix64
+from stablesim.settlement import AccessMode, IssuerBook, ParPolicy
 
 
 def model(**kwargs):
@@ -83,24 +84,24 @@ def test_model_rejects_inverted_rates():
 
 
 def test_price_unchanged_without_pressure():
-    out = update_secondary_price(conf(), 0, 1_000_00, 0, AccessKind.INTERMEDIATED)
+    out = update_secondary_price(conf(), 0, 1_000_00, 0, AccessMode.INTERMEDIATED)
     assert out.secondary_price == PAR
 
 
 def test_overdue_pressure_moves_price_down():
     params = PriceParams(overdue_coeff=100_000)
     out = update_secondary_price(conf(), 10_00, 100_00, 0,
-                                 AccessKind.INTERMEDIATED, params=params)
+                                 AccessMode.INTERMEDIATED, params=params)
     assert out.secondary_price == PAR - 10_000  # 10% overdue at 0.1 coupling
 
 
 def test_direct_access_pins_par_unless_failing():
     params = PriceParams(failure_coeff=100_000)
     pinned = update_secondary_price(conf(price=990_000), 0, 100_00, 0,
-                                    AccessKind.DIRECT, params=params)
+                                    AccessMode.DIRECT, params=params)
     assert pinned.secondary_price == PAR
     failing = update_secondary_price(conf(), 10_00, 100_00, 0,
-                                     AccessKind.DIRECT, params=params)
+                                     AccessMode.DIRECT, params=params)
     assert failing.secondary_price < PAR
 
 
@@ -110,7 +111,7 @@ def test_reversion_reaches_par_exactly():
     days = 0
     while state.secondary_price != PAR:
         state = update_secondary_price(state, 0, 100_00, 0,
-                                       AccessKind.INTERMEDIATED, params=params)
+                                       AccessMode.INTERMEDIATED, params=params)
         days += 1
         assert days < 40
     assert state.secondary_price == PAR
@@ -120,7 +121,7 @@ def test_full_intervention_pins_to_target():
     result = InterventionResult(requested=100_00, completed=100_00,
                                 pin_target=PAR)
     out = update_secondary_price(conf(price=980_000), 50_00, 100_000_00, 0,
-                                 AccessKind.INTERMEDIATED, intervention=result)
+                                 AccessMode.INTERMEDIATED, intervention=result)
     assert out.secondary_price == PAR
 
 
@@ -128,7 +129,7 @@ def test_partial_intervention_lifts_proportionally():
     result = InterventionResult(requested=100_00, completed=50_00,
                                 pin_target=PAR)
     out = update_secondary_price(conf(price=980_000), 0, 100_000_00, 0,
-                                 AccessKind.INTERMEDIATED, intervention=result)
+                                 AccessMode.INTERMEDIATED, intervention=result)
     assert out.secondary_price == 990_000
 
 
@@ -151,10 +152,9 @@ def shock_world(coins=1_000_00):
             Posting(issuer, "L", coin_key(issuer), coins),
             Posting(HOLDER, "A", coin_key(issuer), coins),
         ])
-    issuers = {
-        ISSUER.key: {"agent": ISSUER, "chain": "alpha", "mint_target": HOLDER},
-        ISSUER2.key: {"agent": ISSUER2, "chain": "alpha", "mint_target": HOLDER},
-    }
+    issuers = {issuer.key: IssuerBook(agent=issuer, policy=ParPolicy(),
+                                      access_mode=AccessMode.DIRECT, chain="alpha")
+               for issuer in (ISSUER, ISSUER2)}
     return world, issuers
 
 
@@ -162,7 +162,7 @@ def test_liveness_fault_suspends_chain_for_duration():
     world, issuers = shock_world()
     state = ShockState()
     spec = ShockSpec(klass=ShockClass.LIVENESS_FAULT, duration=2, chain="alpha")
-    apply_shock(spec, world, state, issuers, SplitMix64(1))
+    apply_shock(spec, world, state, issuers, HOLDER, SplitMix64(1))
     assert state.suspended_chains(0) == {"alpha"}
     assert state.suspended_chains(1) == {"alpha"}
     assert state.suspended_chains(2) == set()
@@ -173,7 +173,7 @@ def test_correlated_liveness_hits_every_issuer_on_the_chain():
     state = ShockState()
     spec = ShockSpec(klass=ShockClass.CORRELATED_LIVENESS, duration=1,
                      chain="alpha")
-    apply_shock(spec, world, state, issuers, SplitMix64(1))
+    apply_shock(spec, world, state, issuers, HOLDER, SplitMix64(1))
     assert set(state.last_shock) == {ISSUER.key, ISSUER2.key}
 
 
@@ -182,7 +182,7 @@ def test_uncontrolled_supply_same_day_burn_round_trips():
     state = ShockState()
     spec = ShockSpec(klass=ShockClass.UNCONTROLLED_SUPPLY, magnitude=MICRO,
                      duration=0, chain="alpha")
-    apply_shock(spec, world, state, issuers, SplitMix64(1))
+    apply_shock(spec, world, state, issuers, HOLDER, SplitMix64(1))
     assert world.sheet(ISSUER).liability(coin_key(ISSUER)) == 1_000_00
     assert state.price_effects[ISSUER.key] == PriceParams().supply_incident_dip
     mints = [e for e in world.events if e["type"] == "uncontrolled_mint"]
@@ -199,7 +199,7 @@ def test_uncontrolled_supply_with_duration_degrades_leverage():
     state = ShockState()
     spec = ShockSpec(klass=ShockClass.UNCONTROLLED_SUPPLY, magnitude=100_000,
                      duration=3, chain="alpha")
-    apply_shock(spec, world, state, issuers, SplitMix64(1))
+    apply_shock(spec, world, state, issuers, HOLDER, SplitMix64(1))
     coins = world.sheet(ISSUER).liability(coin_key(ISSUER))
     assert coins == 104_500_00  # +10%
     after = leverage_ratio(100_000_00, coins)
@@ -218,7 +218,7 @@ def test_confidence_magnitude_sampled_within_band():
         state = ShockState()
         spec = ShockSpec(klass=ShockClass.CONFIDENCE_ONLY, magnitude=None,
                          systemic_band=SystemicBand.HIGH, chain="alpha")
-        apply_shock(spec, world, state, issuers, rng)
+        apply_shock(spec, world, state, issuers, HOLDER, rng)
         assert lo <= state.price_effects[ISSUER.key] <= hi
 
 
@@ -236,7 +236,7 @@ def test_unknown_shock_class():
         day = 0
 
     with pytest.raises(UnknownShockClass):
-        apply_shock(Fake(), world, ShockState(), issuers, SplitMix64(1))
+        apply_shock(Fake(), world, ShockState(), issuers, HOLDER, SplitMix64(1))
 
 
 def test_smooth_variant_ramps_between_rates():

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stablesim.config import MarketConfig, PolicyConfig
 from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, LedgerWorld, Posting,
                               deposit_key, reserves_key)
 from stablesim.instruments import RepoRegistry
-from stablesim.market import (DealerBook, DealerChain, Market, MarketError,
-                              MarketParams, decompose)
+from stablesim.market import DealerBook, Market, MarketError, decompose
 from stablesim.money import MICRO
 
 BANK = AgentId(AgentKind.BANK, 0)
@@ -31,7 +31,7 @@ def endow(world, agent, amount):
 
 def make_market(capital=10_000_00, base_assets=100_000_00, reserve_access=10**12,
                 dealer_cash=10**12, seller_bills=1_000_000_00, srf=False,
-                retention=335_648, **params):
+                retention=335_648, eslr_reform=False, **params):
     world = LedgerWorld()
     world.add_agent(FED)
     world.add_agent(BANK)
@@ -52,10 +52,9 @@ def make_market(capital=10_000_00, base_assets=100_000_00, reserve_access=10**12
             agent=dealer, capital=capital, base_assets=base_assets,
             reserve_access=reserve_access,
             inventory_baseline=world.tbill_value(dealer))
-    market = Market(MarketParams(depth=params.pop("depth", 1_000_000_00),
-                                 retention_frac=retention,
-                                 srf_enabled=srf, **params),
-                    DealerChain([D1, D2], retention),
+    market = Market(MarketConfig(depth=params.pop("depth", 1_000_000_00),
+                                 retention_frac=retention, **params),
+                    PolicyConfig(srf_enabled=srf, eslr_reform=eslr_reform),
                     books, BUYER)
     return world, market, RepoRegistry()
 
@@ -172,7 +171,7 @@ def test_price_impact_profile():
     world, market, _ = make_market(depth=100_000_00,
                                    impact_coeff_long=15_000,
                                    impact_coeff_bill=5_000,
-                                   max_dislocation=50_000)
+                                   max_dislocation_bp=500)
     assert market.price_impact(0, DurationClass.LONG) == 0
     half = market.price_impact(50_000_00, DurationClass.LONG)
     assert half == 7_500
@@ -232,8 +231,8 @@ def test_single_dealer_capacity_matches_leverage_headroom():
     endow(world, BUYER, 10**12)
     book = DealerBook(agent=D1, capital=5_80, base_assets=100_00,
                       reserve_access=10**9, inventory_baseline=0)
-    market = Market(MarketParams(depth=10_000_00, retention_frac=0),
-                    DealerChain([D1], 0), {D1.key: book}, BUYER)
+    market = Market(MarketConfig(depth=10_000_00, retention_frac=0), PolicyConfig(),
+                    {D1.key: book}, BUYER)
     assert market.capacity(world) == 16_00
 
 
@@ -284,9 +283,8 @@ def random_market(rng):
             reserve_access=rng.choice((0, rng.randint(1, 10_000_00))),
             inventory_baseline=world.tbill_value(dealer))
     retention = rng.choice((0, 335_648))
-    market = Market(MarketParams(depth=1_000_000_00, retention_frac=retention,
-                                 srf_enabled=rng.random() < 0.5),
-                    DealerChain(dealers, retention), books, BUYER)
+    market = Market(MarketConfig(depth=1_000_000_00, retention_frac=retention),
+                    PolicyConfig(srf_enabled=rng.random() < 0.5), books, BUYER)
     for _ in range(rng.randint(1, 30)):
         market.submit_sale(world, SELLER, rng.randint(1, 20_000_00),
                            rng.choice(list(DurationClass)),

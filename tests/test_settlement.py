@@ -60,7 +60,7 @@ def plan(world, amount, book=None, holder=HOLDER):
     instructions = settle.plan_pending(set())
     created = [e for e in world.events if e["type"] == "plan_created"]
     assert len(created) == 1
-    assert created[0]["request_id"] == record.request.request_id
+    assert created[0]["request_id"] == record.request_id
     return record, instructions, created[0]
 
 
@@ -100,6 +100,19 @@ def test_direct_route_needs_eligibility_under_intermediated_access():
     # the listed intermediary may redeem directly
     _, _, event = plan(world, 1_00, book=book, holder=IM)
     assert event["funding"] == Funding.FROM_DEPOSITS.value
+
+
+def test_redemption_amount_must_be_positive():
+    world = bare_world(issuer_deposits=10_000_00)
+    book = issuer_book()
+    settle = settlement_engine(world, book)
+    for amount in (0, -1_00):
+        with pytest.raises(SettlementError):
+            settle.submit_redemption(book, HOLDER, amount, Route.DIRECT)
+    assert book.requests == book.open == [] and settle.committed == {}
+    record = settle.submit_redemption(book, HOLDER, 1_00, Route.DIRECT)
+    assert (record.request_id, record.holder, record.amount, record.submitted_day) == \
+        (0, HOLDER, 1_00, 0)
 
 
 def test_submit_mint_declines():
@@ -327,7 +340,7 @@ def test_funding_trackers_stay_consistent_across_random_runs(check_indexes,
             assert book.in_transit >= 0
             assert book.nonroll_pending >= 0
             for r in open_requests:
-                assert 0 <= r.paid <= r.request.amount
+                assert 0 <= r.paid <= r.amount
                 assert r.deposits_used <= r.from_deposits
                 assert r.pool_used <= r.from_pool
         # committed coins are exactly what open requests still owe, and
@@ -336,7 +349,7 @@ def test_funding_trackers_stay_consistent_across_random_runs(check_indexes,
         for key in sorted(scn.settle.issuers):
             for r in scn.settle.issuers[key].requests:
                 if not r.completed:
-                    k = (r.request.holder.key, key)
+                    k = (r.holder.key, key)
                     owed[k] = owed.get(k, 0) + r.remaining
         assert scn.settle.committed == owed
         for (holder_key, issuer_key), amount in scn.settle.committed.items():
