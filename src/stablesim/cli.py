@@ -7,7 +7,8 @@
 
 Exit codes: 0 ok, 1 validation or parse failure (including a world that
 cannot be built from the config; `validate` builds it too), 2 audit
-failure, 3 I/O failure.
+failure, 3 I/O failure. `sweep` writes every point's row to matrix.csv,
+then exits 2 if any point failed its audit, else 1 if any point failed.
 <config> is a JSON file path or a preset name.
 """
 
@@ -91,10 +92,12 @@ def cmd_sweep(args) -> int:
     except OSError as err:
         print(f"cannot write outputs: {err}", file=sys.stderr)
         return EXIT_IO
-    failures = [p for p in report.points if p.error]
+    failures = [p.error for p in report.points if p.error]
     print(f"swept {len(report.points)} points "
           f"({len(failures)} failed) into {args.out}")
-    return EXIT_OK
+    if any(error.startswith(f"{AuditFailure.__name__}:") for error in failures):
+        return EXIT_AUDIT
+    return EXIT_VALIDATION if failures else EXIT_OK
 
 
 def cmd_validate(args) -> int:

@@ -157,14 +157,14 @@ def _endow_deposits(world: LedgerWorld, agent: AgentId, amount: Amount) -> None:
     ])
 
 
-def _endow_coins(world: LedgerWorld, issuer: AgentId, holder: AgentId,
-                 amount: Amount) -> None:
-    if amount <= 0:
+def _endow_coins(world: LedgerWorld, issuer: AgentId, holdings: list) -> None:
+    """Issue `issuer`'s coins to each `(holder, amount)` of `holdings` in
+    one posting."""
+    if not holdings:
         return
-    world.post([
-        Posting(issuer, "L", coin_key(issuer), amount),
-        Posting(holder, "A", coin_key(issuer), amount),
-    ])
+    key = coin_key(issuer)
+    world.post([Posting(issuer, "L", key, sum(amount for _, amount in holdings))]
+               + [Posting(holder, "A", key, amount) for holder, amount in holdings])
 
 
 def build_scenario(config: ScenarioConfig) -> Scenario:
@@ -210,10 +210,9 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         _endow_deposits(world, agent, cfg.allocation["deposits"] + cfg.allocation["repo"])
         if cfg.allocation["bills"]:
             world.grant_tbill(agent, DurationClass.BILL, cfg.allocation["bills"])
-        for holder_cfg in config.holders + config.intermediaries:
-            held = holder_cfg.coins.get(cfg.name, 0)
-            if held:
-                _endow_coins(world, agent, agent_of[holder_cfg.name], held)
+        _endow_coins(world, agent, [(agent_of[h.name], h.coins[cfg.name])
+                                    for h in config.holders + config.intermediaries
+                                    if h.coins.get(cfg.name)])
         eligible = {agent_of[i.name].key for i in config.intermediaries}
         issuer_books[agent.key] = IssuerBook(
             agent=agent, policy=config.policies.par_policy,

@@ -8,11 +8,13 @@ sheets' ``version`` and, once ``audit_changes`` has started the change
 log, logs their deltas, so that check reads only what changed since its
 last call. Each settlement rail has one method that posts all of its
 legs: ``transfer_deposit``, ``transfer_coin`` (mint, burn or transfer)
-and ``transfer_tbill``; the Treasury re-mark ``remark_tbills`` posts
-its re-valuations too. This module owns the instrument-key format
-``"<kind>@<counterparty>"``: every key is built by ``deposit_key``,
-``reserves_key``, ``repo_key``, ``srf_key``, ``coin_key`` or
-``tbill_key``.
+and ``transfer_tbill``. ``redeem_coins`` is the batch form of a coin
+burn followed by a deposit payment, for many holders of one issuer;
+the Treasury re-mark ``remark_tbills`` posts its re-valuations too.
+This module owns the instrument-key format ``"<kind>@<counterparty>"``:
+every key is built by ``deposit_key``, ``reserves_key``, ``repo_key``,
+``srf_key``, ``coin_key`` or ``tbill_key``, and each agent's own
+deposit and coin keys are kept from its registration.
 
 Inside-money instruments (reserves, deposits, stablecoins, repo and
 SRF claims) always appear on exactly two balance sheets with equal
@@ -240,6 +242,7 @@ class _Form:
 
 
 _FORMS: dict[tuple, _Form] = {}   # (type, *names) -> its form
+_RAIL_FIELDS = ("instrument", "src", "dst", "amount")   # a transfer rail's event
 
 
 def _form(event_type: str, names: tuple) -> _Form:
@@ -314,6 +317,10 @@ class LedgerWorld:
         # coin key -> sorted keys of the agents holding a positive balance of it
         self.coin_holders: dict[str, list[str]] = {}
         self.banks: dict[str, AgentId | None] = {}
+        # agent key -> (its deposit key at its bank, its bank's deposit key
+        # for it), for agents registered with a bank
+        self.deposit_keys: dict[str, tuple[str, str]] = {}
+        self.coin_keys: dict[str, str] = {}   # issuer key -> its coin key
         self.tbill_prices: dict[DurationClass, int] = {
             DurationClass.BILL: 1_000_000,
             DurationClass.LONG: 1_000_000,
@@ -338,6 +345,10 @@ class LedgerWorld:
         self.ids[agent.key] = agent
         bisect.insort(self.sorted_keys, agent.key)
         self.banks[agent.key] = bank
+        if bank is not None:
+            self.deposit_keys[agent.key] = (deposit_key(bank), deposit_key(agent))
+        if agent.kind is AgentKind.ISSUER:
+            self.coin_keys[agent.key] = coin_key(agent)
 
     def sheet(self, agent: AgentId) -> BalanceSheet:
         try:
@@ -351,9 +362,18 @@ class LedgerWorld:
             raise LedgerError(f"{agent} has no deposit bank")
         return bank
 
+    def _deposit_keys(self, agent: AgentId) -> tuple[str, str]:
+        """`agent`'s deposit key at its bank and its bank's key for it."""
+        keys = self.deposit_keys.get(agent.key)
+        if keys is None:
+            self.sheet(agent)   # an unknown agent raises UnknownAgent
+            raise LedgerError(f"{agent} has no deposit bank")
+        return keys
+
     def deposits(self, agent: AgentId) -> int:
         """The deposits `agent` holds at its bank."""
-        return self.sheet(agent).asset(deposit_key(self.bank_of(agent)))
+        held = self._deposit_keys(agent)[0]
+        return self.agents[agent.key].assets.get(held, 0)
 
     def agent_ids(self) -> list[AgentId]:
         """Registered agents in key order."""
@@ -388,19 +408,18 @@ class LedgerWorld:
                 raise UnknownAgent(f"unknown agent {agent}")
             k = (agent.key, side, key)
             staged[k] = staged.get(k, 0) + delta
+        writes = []   # (agent key, side, key, delta, sheet, its side's positions, new)
         for (agent_key, side, key), delta in staged.items():
-            book = agents[agent_key]
-            current = (book.assets if side == "A" else book.liabilities).get(key, 0)
-            if current + delta < 0:
-                raise InsufficientPosition(agent_key, key, current, -delta)
-        for (agent_key, side, key), delta in staged.items():
-            if delta == 0:
-                continue
             book = agents[agent_key]
             positions = book.assets if side == "A" else book.liabilities
-            new = positions.get(key, 0) + delta
+            current = positions.get(key, 0)
+            if current + delta < 0:
+                raise InsufficientPosition(agent_key, key, current, -delta)
+            if delta:
+                writes.append((agent_key, side, key, delta, book, positions, current + delta))
+        for agent_key, side, key, delta, book, positions, new in writes:
             if new == 0:
-                positions.pop(key, None)
+                del positions[key]
             else:
                 positions[key] = new
             book.equity += delta if side == "A" else -delta
@@ -442,13 +461,15 @@ class LedgerWorld:
         """
         if not self._moves(frm, to, amount):
             return
-        bank_f = self.bank_of(frm)
-        bank_t = self.bank_of(to)
+        held_f, owed_f = self._deposit_keys(frm)
+        held_t, owed_t = self._deposit_keys(to)
+        bank_f = self.banks[frm.key]
+        bank_t = self.banks[to.key]
         legs = [
-            Posting(frm, "A", deposit_key(bank_f), -amount),
-            Posting(bank_f, "L", deposit_key(frm), -amount),
-            Posting(bank_t, "L", deposit_key(to), amount),
-            Posting(to, "A", deposit_key(bank_t), amount),
+            Posting(frm, "A", held_f, -amount),
+            Posting(bank_f, "L", owed_f, -amount),
+            Posting(bank_t, "L", owed_t, amount),
+            Posting(to, "A", held_t, amount),
         ]
         if bank_f.key != bank_t.key:
             legs += [
@@ -485,6 +506,60 @@ class LedgerWorld:
             ]
             label = "transfer"
         self.post(legs, event=label, instrument=key, src=frm.key, dst=to.key, amount=amount)
+
+    def redeem_coins(self, issuer: AgentId, payouts: list) -> None:
+        """Pay out redemptions of `issuer`'s coin as one `post`.
+
+        Each `(holder, amount, note)` of `payouts` burns `amount` of the
+        holder's coins and pays the holder as many of the issuer's
+        deposits: the batch form of `transfer_coin(holder, issuer,
+        issuer, amount)` then `transfer_deposit(issuer, holder, amount)`,
+        whose `burn` and `transfer` events it logs in that order, each
+        pair followed by `note`, an event `(type, fields)`. A payout
+        builds only its own legs: the holder's coin debit and deposit
+        credit and its bank's deposit liability. The issuer's legs, and
+        the reserve legs between the issuer's bank and each other payee
+        bank, are summed once. Each position moves one way within the
+        batch, so it validates exactly when the payouts would one by
+        one; a batch that fails writes and logs nothing.
+        """
+        coin, src = coin_key(issuer), issuer.key
+        held_f, owed_f = self._deposit_keys(issuer)
+        banks, bank_f = self.banks, self.banks[src]
+        burn, transfer = _form("burn", _RAIL_FIELDS), _form("transfer", _RAIL_FIELDS)
+        day, seq = self.day, self.seq
+        legs, rows, total = [], [], 0
+        moved: dict[str, int] = {}   # payee bank key -> amount, other banks than the issuer's
+        for holder, amount, (event, fields) in payouts:
+            if amount <= 0:
+                raise LedgerError("payout amount must be positive")
+            held_t, owed_t = self._deposit_keys(holder)
+            bank_t, dst = banks[holder.key], holder.key
+            legs += (Posting(holder, "A", coin, -amount),
+                     Posting(holder, "A", held_t, amount),
+                     Posting(bank_t, "L", owed_t, amount))
+            total += amount
+            if bank_t.key != bank_f.key:
+                moved[bank_t.key] = moved.get(bank_t.key, 0) + amount
+            note = _FORMS.get((event, *fields)) or _form(event, tuple(fields))
+            rows += ((burn, day, seq, "burn", coin, dst, src, amount),
+                     (transfer, day, seq + 1, "transfer", "deposit", src, dst, amount),
+                     (note, day, seq + 2, event, *fields.values()))
+            seq += 3
+        legs += (Posting(issuer, "L", coin, -total),
+                 Posting(issuer, "A", held_f, -total),
+                 Posting(bank_f, "L", owed_f, -total))
+        if moved:
+            out = sum(moved.values())
+            legs += (Posting(bank_f, "A", reserves_key(), -out),
+                     Posting(FED, "L", reserves_key(bank_f), -out))
+            for key, amount in moved.items():
+                bank_t = self.ids[key]
+                legs += (Posting(FED, "L", reserves_key(bank_t), amount),
+                         Posting(bank_t, "A", reserves_key(), amount))
+        self.post(legs)
+        self.events.rows += rows
+        self.seq = seq
 
     # -- treasuries ----------------------------------------------------------
 

@@ -1,15 +1,16 @@
 """Redemption, minting and par-maintenance state machines.
 
 A redemption request escrows nothing up front: the holder keeps the
-coins until the paying leg runs, then coins burn and deposits move in
-one atomic batch, so a request that stalls in the queue leaves balance
-sheets untouched. Funding is committed at planning time from three
-sources in order of cost: the issuer's own deposits, outright bill
-sales (T+1 through the dealer market), and declining to roll maturing
-repo (same-day cash from the borrower, who is left with a funding gap).
-Sale and non-rollover cash is pooled per issuer and drawn first-in
-first-out; a request backed purely by deposits is therefore never
-blocked by market conditions.
+coins until the paying leg runs, so a request that stalls in the queue
+leaves balance sheets untouched. Each day's payout pass sizes an
+issuer's chunks against running balances, then burns the coins and
+moves the deposits of all of them in one atomic batch. Funding is
+committed at planning time from three sources in order of cost: the
+issuer's own deposits, outright bill sales (T+1 through the dealer
+market), and declining to roll maturing repo (same-day cash from the
+borrower, who is left with a funding gap). Sale and non-rollover cash
+is pooled per issuer and drawn first-in first-out; a request backed
+purely by deposits is therefore never blocked by market conditions.
 
 Par policy: a rigorously fixed regime stands ready to buy below par and
 mint above; a corridor acts only outside its band; best effort never
@@ -246,7 +247,8 @@ class SettlementEngine:
 
     def redeemable(self, holder: AgentId, issuer: AgentId) -> Amount:
         """Coins the holder has not yet promised to an open request."""
-        held = self.world.sheet(holder).asset(coin_key(issuer))
+        world = self.world
+        held = world.sheet(holder).assets.get(world.coin_keys[issuer.key], 0)
         return max(0, held - self.committed.get((holder.key, issuer.key), 0))
 
     def submit_redemption(self, book: IssuerBook, holder: AgentId, amount: Amount,
@@ -449,35 +451,73 @@ class SettlementEngine:
         The deposit slice of a request is earmarked at planning and is
         always payable; the pool slice pays as sale and non-rollover
         cash arrives (spare un-earmarked cash may cover settlement
-        shortfalls). Each chunk burns the holder's coins and moves
-        deposits in one atomic posting pair. Completed requests leave
+        shortfalls). Each chunk burns the holder's coins and pays it the
+        issuer's deposits. An issuer's chunks are sized against running
+        values of its deposits, pool and earmark and of the coins each
+        holder has left, then written as one atomic batch
+        (`LedgerWorld.redeem_coins`), so a pass that cannot be paid in
+        full raises before it writes anything. Completed requests leave
         `book.open`.
         """
         for key in sorted(self.issuers):
             book = self.issuers[key]
             if book.chain in suspended_chains:
                 continue
-            for record in book.open:
-                if record.planned:
-                    self._try_pay(book, record)
+            chunks = self._size_chunks(book)
+            if not chunks:
+                continue
+            self.world.redeem_coins(book.agent, [(record.holder, chunk, note)
+                                                 for record, chunk, _, note in chunks])
+            for record, chunk, deposit_part, _ in chunks:
+                self._apply_chunk(book, record, chunk, deposit_part)
             book.open = [r for r in book.open if not r.completed]
 
-    def _try_pay(self, book: IssuerBook, record: OpenRequest) -> None:
-        world = self.world
-        deposit_left = record.from_deposits - record.deposits_used
-        pool_left = record.from_pool - record.pool_used
-        pool_avail = book.pool + self._spare_deposits(book)
-        pool_chunk = min(pool_left, pool_avail)
-        chunk = deposit_left + pool_chunk
-        chunk = min(chunk, record.remaining)
-        chunk = min(chunk, world.deposits(book.agent))
-        holder_coins = world.sheet(record.holder).asset(coin_key(book.agent))
-        chunk = min(chunk, holder_coins)
-        if chunk <= 0:
-            return
-        world.transfer_coin(record.holder, book.agent, book.agent, chunk)
-        world.transfer_deposit(book.agent, record.holder, chunk)
-        deposit_part = min(chunk, deposit_left)
+    def _size_chunks(self, book: IssuerBook) -> list:
+        """The chunks a pass pays `book`'s open requests, oldest first, as
+        `(record, chunk, deposit part, note)`; `note` is the request's
+        `redemption_completed` or `redemption_partial` event. Reads the
+        world and changes nothing."""
+        world, issuer = self.world, book.agent
+        coin = world.coin_keys[issuer.key]
+        deposits = world.deposits(issuer)
+        pool, earmarked = book.pool, book.earmarked
+        coins_left: dict[str, Amount] = {}   # holder key -> coins after earlier chunks
+        chunks = []
+        for record in book.open:
+            if not record.planned:
+                continue
+            holder = record.holder.key
+            held = coins_left.get(holder)
+            if held is None:
+                held = world.agents[holder].assets.get(coin, 0)
+            deposit_left = record.from_deposits - record.deposits_used
+            pool_avail = pool + max(0, deposits - earmarked - pool)
+            pool_chunk = min(record.from_pool - record.pool_used, pool_avail)
+            chunk = min(deposit_left + pool_chunk, record.remaining, deposits, held)
+            if chunk <= 0:
+                continue
+            deposit_part = min(chunk, deposit_left)
+            coins_left[holder] = held - chunk
+            deposits -= chunk
+            earmarked = max(0, earmarked - deposit_part)
+            pool = max(0, pool - (chunk - deposit_part))
+            remaining = record.remaining - chunk
+            if remaining == 0:
+                delay = world.day - record.submitted_day - record.horizon
+                note = ("redemption_completed", {
+                    "request_id": record.request_id, "issuer": issuer.key,
+                    "holder": holder, "amount": record.amount,
+                    "delay_days": max(0, delay)})
+            else:
+                note = ("redemption_partial", {
+                    "request_id": record.request_id, "issuer": issuer.key,
+                    "paid": chunk, "remaining": remaining})
+            chunks.append((record, chunk, deposit_part, note))
+        return chunks
+
+    def _apply_chunk(self, book: IssuerBook, record: OpenRequest, chunk: Amount,
+                     deposit_part: Amount) -> None:
+        """Book a paid chunk on its request, the issuer and `committed`."""
         pool_part = chunk - deposit_part
         record.deposits_used += deposit_part
         record.pool_used += pool_part
@@ -493,20 +533,14 @@ class SettlementEngine:
         if record.is_intervention:
             book.day_int_buy_completed += chunk
         if record.remaining == 0:
-            record.completed_day = world.day
-            delay = world.day - record.submitted_day - record.horizon
+            day = self.world.day
+            record.completed_day = day
+            delay = day - record.submitted_day - record.horizon
             if delay > 0:
                 book.max_delay_days = max(book.max_delay_days, delay)
                 if not record.counted_delayed:
                     record.counted_delayed = True
                     book.delayed_total += record.amount
-            world.emit("redemption_completed", request_id=record.request_id,
-                       issuer=book.agent.key, holder=record.holder.key,
-                       amount=record.amount, delay_days=max(0, delay))
-        else:
-            world.emit("redemption_partial", request_id=record.request_id,
-                       issuer=book.agent.key, paid=chunk,
-                       remaining=record.remaining)
 
     def mint_pass(self, suspended_chains: set, treasury_seller: AgentId) -> None:
         """Settle queued mints: deposits in, coins out, optional bill buy."""

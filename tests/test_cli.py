@@ -107,10 +107,46 @@ def test_sweep_grid_path_through_a_number_is_a_point_error(tmp_path, capsys):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"seed.x": [1]}))
     out_dir = tmp_path / "sweep"
-    assert main(["sweep", "calm", "--grid", str(grid), "--out", str(out_dir)]) == 0
+    assert main(["sweep", "calm", "--grid", str(grid), "--out", str(out_dir)]) == 1
     assert "swept 1 points (1 failed)" in capsys.readouterr().out
     rows = list(csv.DictReader(io.StringIO((out_dir / "matrix.csv").read_text())))
     assert [(r["status"], r["error"].split(":")[0]) for r in rows] == [("error", "TypeError")]
+
+
+def test_sweep_where_every_point_fails_exits_1(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"grid": {"market.depth": [0, -5]}}))
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", "calm", "--grid", str(grid), "--out", str(out_dir)]) == 1
+    assert "swept 2 points (2 failed)" in capsys.readouterr().out
+    rows = list(csv.DictReader(io.StringIO((out_dir / "matrix.csv").read_text())))
+    assert [(r["status"], r["error"]) for r in rows] == [
+        ("error", "ValidationError: market.depth: must be > 0")] * 2
+
+
+def test_sweep_with_an_audit_failing_point_exits_2(monkeypatch, tmp_path, capsys):
+    from stablesim import engine
+    from stablesim.engine import AuditFailure
+    from stablesim.ledger import AuditCheck, AuditReport
+
+    run = engine.run
+
+    def broken(config):
+        if config.seed == 2:
+            report = AuditReport(checks=(AuditCheck("double_entry", False,
+                                                    "issuer:0", "forced"),))
+            raise AuditFailure(0, report)
+        return run(config)
+
+    monkeypatch.setattr(engine, "run", broken)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"grid": {"seed": [1, 2, 3]}}))
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", "calm", "--grid", str(grid), "--out", str(out_dir)]) == 2
+    assert "swept 3 points (1 failed)" in capsys.readouterr().out
+    rows = list(csv.DictReader(io.StringIO((out_dir / "matrix.csv").read_text())))
+    assert [(r["status"], r["error"].split(":")[0]) for r in rows] == [
+        ("ok", ""), ("error", "AuditFailure"), ("ok", "")]
 
 
 def test_audit_failure_exit_code(monkeypatch, tmp_path):

@@ -154,6 +154,62 @@ def test_coin_mint_transfer_burn_cycle():
                                        ("burn", "coin@issuer:0", "holder:0", "issuer:0", 200_00)]
 
 
+HOLDER_B = AgentId(AgentKind.HOLDER, 1)
+NOTES = [("note", {"n": n}) for n in range(3)]
+
+
+def redeeming_world():
+    """The two-bank world with a second holder at the issuer's bank, both
+    holders coined, and the change log started."""
+    world = two_bank_world()
+    world.add_agent(HOLDER_B, bank=BANK_B)
+    world.transfer_coin(ISSUER, HOLDER, ISSUER, 600_00)
+    world.transfer_coin(ISSUER, HOLDER_B, ISSUER, 200_00)
+    assert world.audit_changes().ok
+    return world
+
+
+def test_redeem_coins_writes_and_logs_what_the_rails_do():
+    world = redeeming_world()
+    rails = copy.deepcopy(world)
+    payouts = [(HOLDER, 300_00, NOTES[0]), (HOLDER_B, 200_00, NOTES[1]),
+               (HOLDER, 100_00, NOTES[2])]
+    world.redeem_coins(ISSUER, payouts)
+    for holder, amount, (event, fields) in payouts:
+        rails.transfer_coin(holder, ISSUER, ISSUER, amount)
+        rails.transfer_deposit(ISSUER, holder, amount)
+        rails.emit(event, **fields)
+    assert world.snapshot().to_json() == rails.snapshot().to_json()
+    assert list(world.events.lines()) == list(rails.events.lines())
+    assert world.coin_holders == rails.coin_holders == {coin_key(ISSUER): [HOLDER.key]}
+    # one change-log entry: the net of the rails' six
+    net: dict = {}
+    for staged in rails.changes:
+        for leg, delta in staged.items():
+            net[leg] = net.get(leg, 0) + delta
+    assert len(rails.changes) == 6 and world.changes == [net]
+    # the issuer's legs and the reserve legs to bank A are summed once
+    assert net[(BANK_B.key, "A", reserves_key())] == -400_00
+    assert net[(ISSUER.key, "L", coin_key(ISSUER))] == -600_00
+    assert world.audit_changes().ok
+
+
+@pytest.mark.parametrize("payouts, error", [
+    pytest.param([(HOLDER, 400_00, NOTES[0]), (HOLDER, 300_00, NOTES[1])],
+                 InsufficientPosition, id="coins_short_in_sum"),
+    pytest.param([(HOLDER, 600_00, NOTES[0]), (HOLDER_B, 200_00, NOTES[1]),
+                  (HOLDER, 0, NOTES[2])], LedgerError, id="zero_payout"),
+    pytest.param([(HOLDER, 100_00, NOTES[0]), (AgentId(AgentKind.HOLDER, 9), 1, NOTES[1])],
+                 UnknownAgent, id="unknown_holder"),
+])
+def test_failing_redeem_coins_writes_and_logs_nothing(payouts, error):
+    world = redeeming_world()
+    before = copy.deepcopy(world_state(world))
+    with pytest.raises(error):
+        world.redeem_coins(ISSUER, payouts)
+    assert world_state(world) == before
+
+
 def test_fresh_world_audit_passes():
     report = two_bank_world().audit()
     assert report.ok

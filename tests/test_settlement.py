@@ -1,10 +1,12 @@
+import copy
+
 import pytest
 
 from stablesim.config import parse_config
 from stablesim.engine import build_scenario, run
 from stablesim.instruments import RepoRegistry
-from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, LedgerWorld,
-                              Posting, deposit_key, reserves_key)
+from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, InsufficientPosition,
+                              LedgerWorld, Posting, coin_key, deposit_key, reserves_key)
 from stablesim.market import DealerBook, draw_srf
 from stablesim.money import PAR
 from stablesim.settlement import (AccessMode, Funding, IneligibleRedeemer, IssuerBook,
@@ -316,6 +318,194 @@ def test_plan_pending_sale_funding_waits_for_the_market():
     assert book.inflight_orders == 1_000_00
     scn.settle.payout_pass(set())
     assert not record.completed
+
+
+# ---------------------------------------------------------------------------
+# the payout pass: one batch per issuer
+# ---------------------------------------------------------------------------
+
+BANK_B = AgentId(AgentKind.BANK, 1)
+
+
+def endow_issuer(world, amount):
+    """Give the issuer `amount` of deposits at BANK, backed by reserves."""
+    world.post([
+        Posting(FED, "A", "govt", amount),
+        Posting(FED, "L", reserves_key(BANK), amount),
+        Posting(BANK, "A", reserves_key(), amount),
+        Posting(BANK, "L", deposit_key(ISSUER), amount),
+        Posting(ISSUER, "A", deposit_key(BANK), amount),
+    ])
+
+
+def payout_world(issuer_deposits, coins):
+    """The issuer banks at BANK with `issuer_deposits`, the holder at
+    BANK_B with `coins` of the issuer's coin."""
+    world = LedgerWorld()
+    for agent, bank in ((FED, None), (BANK, None), (BANK_B, None), (ISSUER, BANK),
+                        (HOLDER, BANK_B), (IM, BANK_B)):
+        world.add_agent(agent, bank=bank)
+    endow_issuer(world, issuer_deposits)
+    world.post([Posting(ISSUER, "L", coin_key(ISSUER), coins),
+                Posting(HOLDER, "A", coin_key(ISSUER), coins)])
+    return world
+
+
+def test_payout_pass_sizes_chunks_against_running_balances():
+    """Two requests of one holder in one pass. The first takes its
+    earmarked 300.00; the second gets its earmarked 300.00 plus 50.00 of
+    the spare deposits that arrived after planning, which leaves the
+    issuer none: 350.00 of 400.00."""
+    world = payout_world(issuer_deposits=600_00, coins=700_00)
+    book = issuer_book()
+    settle = settlement_engine(world, book)
+    first = settle.submit_redemption(book, HOLDER, 300_00, Route.DIRECT)
+    second = settle.submit_redemption(book, HOLDER, 400_00, Route.DIRECT)
+    assert settle.plan_pending(set()) == []
+    assert (first.from_deposits, first.from_pool) == (300_00, 0)
+    assert (second.from_deposits, second.from_pool) == (300_00, 100_00)
+    endow_issuer(world, 50_00)
+    logged = len(world.events)
+    settle.payout_pass(set())
+    assert (first.paid, first.completed_day) == (300_00, 0)
+    assert (second.paid, second.deposits_used, second.pool_used) == (350_00, 300_00, 50_00)
+    assert not second.completed and book.open == [second]
+    assert settle.committed == {(HOLDER.key, ISSUER.key): 50_00}
+    assert (book.earmarked, book.pool, book.day_completed) == (0, 0, 650_00)
+    assert world.deposits(ISSUER) == 0 and world.deposits(HOLDER) == 650_00
+    assert world.sheet(HOLDER).asset(coin_key(ISSUER)) == 50_00
+    assert world.sheet(ISSUER).liability(coin_key(ISSUER)) == 50_00
+    assert world.sheet(BANK).asset(reserves_key()) == 0
+    assert world.sheet(BANK_B).asset(reserves_key()) == 650_00
+    assert world.sheet(FED).liabilities == {reserves_key(BANK_B): 650_00}
+    assert world.audit().ok
+    coin, issuer, holder = coin_key(ISSUER), ISSUER.key, HOLDER.key
+    assert [{k: v for k, v in e.items() if k != "day"} for e in world.events[logged:]] == [
+        {"seq": 4, "type": "burn", "instrument": coin, "src": holder, "dst": issuer,
+         "amount": 300_00},
+        {"seq": 5, "type": "transfer", "instrument": "deposit", "src": issuer,
+         "dst": holder, "amount": 300_00},
+        {"seq": 6, "type": "redemption_completed", "request_id": 0, "issuer": issuer,
+         "holder": holder, "amount": 300_00, "delay_days": 0},
+        {"seq": 7, "type": "burn", "instrument": coin, "src": holder, "dst": issuer,
+         "amount": 350_00},
+        {"seq": 8, "type": "transfer", "instrument": "deposit", "src": issuer,
+         "dst": holder, "amount": 350_00},
+        {"seq": 9, "type": "redemption_partial", "request_id": 1, "issuer": issuer,
+         "paid": 350_00, "remaining": 50_00},
+    ]
+
+
+def test_payout_pass_pays_a_holder_no_more_than_its_coins_left():
+    """A holder with 500.00 of coins and two requests of 300.00: the
+    second is paid the 200.00 the first leaves."""
+    world = payout_world(issuer_deposits=1_000_00, coins=500_00)
+    book = issuer_book()
+    settle = settlement_engine(world, book)
+    first, second = (settle.submit_redemption(book, HOLDER, 300_00, Route.DIRECT)
+                     for _ in range(2))
+    settle.plan_pending(set())
+    settle.payout_pass(set())
+    assert first.completed and (second.paid, second.remaining) == (200_00, 100_00)
+    assert book.earmarked == 100_00 and world.deposits(ISSUER) == 500_00
+    assert world.coin_holders == {coin_key(ISSUER): []}
+    assert world.audit().ok
+
+
+def test_failing_payout_pass_writes_nothing():
+    """The issuer's bank holds reserves for each chunk but not for both:
+    the pass raises before it writes a sheet, a version, the change log,
+    the coin-holder index, an event or a request."""
+    world = payout_world(issuer_deposits=600_00, coins=650_00)
+    world.post([Posting(BANK, "A", reserves_key(), -100_00),
+                Posting(FED, "L", reserves_key(BANK), -100_00)])
+    assert world.audit_changes().ok
+    book = issuer_book()
+    settle = settlement_engine(world, book)
+    requests = [settle.submit_redemption(book, HOLDER, 300_00, Route.DIRECT)
+                for _ in range(2)]
+    settle.plan_pending(set())
+    before = copy.deepcopy((
+        world.snapshot().to_json(), {key: b.version for key, b in world.agents.items()},
+        world.changes, world.coin_holders, list(world.events.lines()),
+        settle.committed, book.earmarked, [(r.paid, r.deposits_used) for r in requests]))
+    with pytest.raises(InsufficientPosition) as raised:
+        settle.payout_pass(set())
+    assert (raised.value.agent, raised.value.key) == (BANK.key, reserves_key())
+    assert (raised.value.have, raised.value.need) == (500_00, 600_00)
+    assert (
+        world.snapshot().to_json(), {key: b.version for key, b in world.agents.items()},
+        world.changes, world.coin_holders, list(world.events.lines()),
+        settle.committed, book.earmarked, [(r.paid, r.deposits_used) for r in requests],
+    ) == before
+
+
+def many_holder_raw(holders: int) -> dict:
+    """`scenario_raw` with a second issuer, on chain "side" at bank_b, and
+    both issuers' coins split over `holders` holders at alternating
+    banks: holder i holds usdx unless 3 divides i, usdy if i is even."""
+    raw = scenario_raw(10_000_00, 0, 0)
+    agents = raw["agents"]
+    usdx = agents["issuers"][0]
+    agents["issuers"].append(dict(usdx, name="usdy", bank="bank_b", chain="side"))
+    agents["holders"] = [{"name": f"h{i}", "bank": ("bank_a", "bank_b")[i % 2],
+                          "deposits": 1_000_00, "coins": {}} for i in range(holders)]
+    for name, holds in (("usdx", lambda i: i % 3), ("usdy", lambda i: i % 2 == 0)):
+        owners = [h for i, h in enumerate(agents["holders"]) if holds(i)]
+        share, extra = divmod(10_000_00, len(owners))
+        for k, holder in enumerate(owners):
+            holder["coins"][name] = share + (1 if k < extra else 0)
+    return raw
+
+
+def test_payout_pass_posts_once_per_paying_issuer(monkeypatch):
+    scn = build_scenario(parse_config(many_holder_raw(12)))
+    world, settle = scn.world, scn.settle
+    for key in sorted(settle.issuers):
+        book = settle.issuers[key]
+        for holder_key in world.coin_holders[coin_key(book.agent)][:4]:
+            settle.submit_redemption(book, world.ids[holder_key], 100_00, Route.DIRECT)
+    settle.plan_pending(set())
+    posted = []
+    post = world.post
+    monkeypatch.setattr(world, "post", lambda legs, *args, **kwargs: (
+        posted.append(legs), post(legs, *args, **kwargs)))
+    settle.payout_pass({"side"})    # usdy's chain is halted: usdx pays alone
+    assert len(posted) == 1
+    settle.payout_pass(set())       # usdx has nothing left to pay
+    assert len(posted) == 2
+    assert all(not book.open and book.total_completed == 400_00
+               for book in settle.issuers.values())
+    burns = [e for e in world.events if e["type"] == "burn"]
+    assert len(burns) == 8
+    assert world.audit().ok
+
+
+def test_set_up_endows_each_issuers_coins_in_one_post(monkeypatch):
+    raw = many_holder_raw(12)
+    coin_posts = []
+    post = LedgerWorld.post
+
+    def spy(world, legs, *args, **kwargs):
+        if any(leg.key.startswith("coin@") for leg in legs):
+            coin_posts.append(legs)
+        return post(world, legs, *args, **kwargs)
+
+    monkeypatch.setattr(LedgerWorld, "post", spy)
+    scn = build_scenario(parse_config(raw))
+    assert len(coin_posts) == 2
+    world = scn.world
+    for name in ("usdx", "usdy"):
+        coin = coin_key(scn.agent_of[name])
+        holders = sorted(scn.agent_of[h["name"]].key for h in raw["agents"]["holders"]
+                         if name in h["coins"])
+        assert world.coin_holders[coin] == holders
+        assert holders == sorted(key for key, book in world.agents.items()
+                                 if book.asset(coin) > 0)
+    # agents are indexed by sorted name (h10 is holder:2), and kept in key order
+    assert world.coin_holders[coin_key(scn.agent_of["usdx"])] == [
+        "holder:1", "holder:10", "holder:2", "holder:3", "holder:4", "holder:6",
+        "holder:7", "holder:9"]
 
 
 def test_funding_trackers_stay_consistent_across_random_runs(check_indexes,
