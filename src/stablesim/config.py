@@ -24,8 +24,8 @@ expected an integer, got 5.5" or "agents.holders[h_1].coins.usdx: ...".
     issuers       [{name, bank, chain ("main"), coins (> 0), assets,
                     allocation: {deposits (0), bills (0), repo (0)},
                     bill_maturity_days (45), genius_compliant (true),
-                    mint_invest_frac (0), operating_cost_per_day (0),
-                    count_excess_collateral (false)}]
+                    mint_invest_frac (0, at most 1_000_000),
+                    operating_cost_per_day (0), count_excess_collateral (false)}]
     dealers       [{name, bank, capital, base_assets, exposures (0),
                     gsib (true), reserve_access, deposits (0),
                     treasuries_bill (0), treasuries_long (0)}], at least one
@@ -460,6 +460,8 @@ def parse_config(raw: dict) -> ScenarioConfig:
         _require(held[issuer.name] == issuer.coins,
                  f"{where}.coins: coins held ({held[issuer.name]}) must equal "
                  f"coins outstanding ({issuer.coins}) for {issuer.name}")
+        _require(issuer.mint_invest_frac <= 1_000_000,
+                 f"{where}.mint_invest_frac: must be <= 1_000_000")
         _require(not issuer.genius_compliant or issuer.bill_maturity_days <= GENIUS_MAX_BILL_DAYS,
                  f"{where}.bill_maturity_days: compliant issuers hold bills "
                  f"of {GENIUS_MAX_BILL_DAYS} days or less")

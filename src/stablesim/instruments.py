@@ -11,6 +11,10 @@ principal-protected up to the haircut; beyond it the lender's loss per
 unit of principal is the excess decline scaled down by the
 collateral-to-principal ratio: loss = principal * (decline - haircut)
 / (1 + haircut), rounded half to even once.
+
+This module is the only writer of the repo book (`RepoRegistry`) and
+the only place that pairs a deposit payment with a Treasury delivery
+(`deliver_tbills`).
 """
 
 from __future__ import annotations
@@ -104,7 +108,10 @@ def default_loss(principal: Amount, haircut: int, decline: int) -> Amount:
 
 
 class RepoRegistry:
-    """Open repo positions plus per-agent collateral encumbrance."""
+    """Open repo positions plus per-agent collateral encumbrance.
+
+    Only this module writes them; other modules read them and hand a
+    second leg that failed to `postpone`."""
 
     def __init__(self):
         self._next_id = 0
@@ -112,26 +119,60 @@ class RepoRegistry:
         self.encumbered: dict[tuple[str, DurationClass], int] = {}
 
     def open_positions(self) -> list[RepoPosition]:
-        return [self.positions[i] for i in sorted(self.positions)]
+        # ids only grow, so insertion order is id order
+        return list(self.positions.values())
 
     def by_lender(self, lender: AgentId) -> list[RepoPosition]:
         key = lender.key
         return [p for p in self.open_positions() if p.lender.key == key]
 
-    def encumbered_face(self, agent: AgentId, duration: DurationClass) -> int:
-        return self.encumbered.get((agent.key, duration), 0)
-
     def free_face(self, world: LedgerWorld, agent: AgentId, duration: DurationClass) -> int:
-        return world.face_of(agent, duration) - self.encumbered_face(agent, duration)
+        return world.face_of(agent, duration) - self.encumbered.get((agent.key, duration), 0)
+
+    def total_principal(self, lender: AgentId) -> Amount:
+        return sum(p.principal for p in self.by_lender(lender))
+
+    def postpone(self, world: LedgerWorld, pos: RepoPosition, leg: str, err: Exception) -> None:
+        """Log a second leg that failed today and move it to the next day."""
+        world.emit("leg_failed", leg=leg, cause=str(err), repo_id=pos.repo_id)
+        pos.second_leg_day += 1
+
+    def _check_due(self, world: LedgerWorld, pos: RepoPosition) -> None:
+        if world.day != pos.second_leg_day:
+            raise WrongDay(f"second leg is day {pos.second_leg_day}, today is {world.day}")
+        if pos.repo_id not in self.positions:
+            raise InstrumentError("position already settled")
+
+    def _add(self, world: LedgerWorld, lender: AgentId, borrower: AgentId,
+             principal: Amount, haircut: int, rate: int, term: int,
+             collateral: dict) -> RepoPosition:
+        """Book a position opened today under the next id; encumber its collateral."""
+        pos = RepoPosition(
+            repo_id=self._next_id, lender=lender, borrower=borrower,
+            principal=principal, haircut=haircut, rate=rate,
+            open_day=world.day, second_leg_day=world.day + term,
+        )
+        self._next_id += 1
+        self.positions[pos.repo_id] = pos
+        for duration, face in collateral.items():
+            self._pledge(pos, duration, face)
+        return pos
+
+    def _remove(self, pos: RepoPosition) -> None:
+        """Drop a settled position and release its collateral."""
+        del self.positions[pos.repo_id]
+        for duration, face in pos.collateral.items():
+            self._encumber(pos.borrower, duration, -face)
+
+    def _pledge(self, pos: RepoPosition, duration: DurationClass, face: int) -> None:
+        pos.collateral[duration] = pos.collateral.get(duration, 0) + face
+        self._encumber(pos.borrower, duration, face)
 
     def _encumber(self, agent: AgentId, duration: DurationClass, face: int) -> None:
         key = (agent.key, duration)
         self.encumbered[key] = self.encumbered.get(key, 0) + face
         if self.encumbered[key] == 0:
             del self.encumbered[key]
-
-    def total_principal(self, lender: AgentId) -> Amount:
-        return sum(p.principal for p in self.by_lender(lender))
 
 
 def required_collateral(principal: Amount, haircut: int) -> Amount:
@@ -146,7 +187,7 @@ def open_reverse_repo(world: LedgerWorld, registry: RepoRegistry,
     borrower pledges in `PLEDGE_MIX`."""
     if term < 1:
         raise InstrumentError("term must be at least one day")
-    faces = _size_collateral(world, registry, borrower, principal, haircut, PLEDGE_MIX)
+    faces = _size_collateral(world, registry, borrower, principal, haircut, PLEDGE_MIX, {})
     lender_deposits = world.deposits(lender)
     if lender_deposits < principal:
         raise InsufficientCash(f"{lender} holds {lender_deposits}, needs {principal}")
@@ -158,17 +199,7 @@ def open_reverse_repo(world: LedgerWorld, registry: RepoRegistry,
     ], event="repo_open", lender=lender.key, borrower=borrower.key,
         principal=principal, haircut=haircut,
         collateral={DURATION_NAME[d]: faces[d] for d in DURATIONS if d in faces})
-    pos = RepoPosition(
-        repo_id=registry._next_id, lender=lender, borrower=borrower,
-        principal=principal, haircut=haircut, rate=rate,
-        open_day=world.day, second_leg_day=world.day + term,
-        collateral={d: f for d, f in faces.items() if f},
-    )
-    registry._next_id += 1
-    registry.positions[pos.repo_id] = pos
-    for duration, face in pos.collateral.items():
-        registry._encumber(borrower, duration, face)
-    return pos
+    return registry._add(world, lender, borrower, principal, haircut, rate, term, faces)
 
 
 def close_or_default_repo(world: LedgerWorld, registry: RepoRegistry,
@@ -181,39 +212,29 @@ def close_or_default_repo(world: LedgerWorld, registry: RepoRegistry,
     default_loss and the collateral moves to the lender's book at the
     seized market value.
     """
-    if world.day != pos.second_leg_day:
-        raise WrongDay(f"second leg is day {pos.second_leg_day}, today is {world.day}")
-    if pos.repo_id not in registry.positions:
-        raise InstrumentError("position already settled")
-
+    registry._check_due(world, pos)
     if counterparty_performs:
         owed = pos.principal + pos.interest()
         world.transfer_deposit(pos.borrower, pos.lender, owed)
-        world.post([
-            Posting(pos.lender, "A", repo_key(pos.borrower), -pos.principal),
-            Posting(pos.borrower, "L", repo_key(pos.lender), -pos.principal),
-        ], event="repo_close", lender=pos.lender.key, borrower=pos.borrower.key,
-            principal=pos.principal, interest=owed - pos.principal)
-        self_release(registry, pos)
-        del registry.positions[pos.repo_id]
+        _unwind_principal(world, pos, "repo_close", interest=owed - pos.principal)
+        registry._remove(pos)
         return SettlementOutcome(True, 0, owed, True)
 
     loss = default_loss(pos.principal, pos.haircut, market_decline)
-    world.post([
-        Posting(pos.lender, "A", repo_key(pos.borrower), -pos.principal),
-        Posting(pos.borrower, "L", repo_key(pos.lender), -pos.principal),
-    ], event="repo_default", lender=pos.lender.key, borrower=pos.borrower.key,
-        principal=pos.principal, decline=market_decline, loss=loss)
-    self_release(registry, pos)
+    _unwind_principal(world, pos, "repo_default", decline=market_decline, loss=loss)
+    registry._remove(pos)
     for duration in [d for d in DURATIONS if d in pos.collateral]:
         world.transfer_tbill(pos.borrower, pos.lender, duration, face=pos.collateral[duration])
-    del registry.positions[pos.repo_id]
     return SettlementOutcome(False, loss, pos.principal - loss, False)
 
 
-def self_release(registry: RepoRegistry, pos: RepoPosition) -> None:
-    for duration, face in pos.collateral.items():
-        registry._encumber(pos.borrower, duration, -face)
+def _unwind_principal(world: LedgerWorld, pos: RepoPosition, event: str, **fields) -> None:
+    """Take the loan off both books, logging `event`."""
+    world.post([
+        Posting(pos.lender, "A", repo_key(pos.borrower), -pos.principal),
+        Posting(pos.borrower, "L", repo_key(pos.lender), -pos.principal),
+    ], event=event, lender=pos.lender.key, borrower=pos.borrower.key,
+        principal=pos.principal, **fields)
 
 
 def roll_repo(world: LedgerWorld, registry: RepoRegistry, pos: RepoPosition,
@@ -223,49 +244,35 @@ def roll_repo(world: LedgerWorld, registry: RepoRegistry, pos: RepoPosition,
     Only interest changes hands: the closing and opening principal legs
     between the same parties net to zero, so the ledger sees a single
     interest payment while the position record is replaced with
-    re-marked collateral. On any failure the old position and its
-    encumbrance are left intact.
+    re-marked collateral. The new collateral is sized counting the old
+    position's faces as free; negative interest is paid by the lender.
+    A roll that fails leaves the book untouched.
     """
-    if world.day != pos.second_leg_day:
-        raise WrongDay(f"second leg is day {pos.second_leg_day}, today is {world.day}")
-    if pos.repo_id not in registry.positions:
-        raise InstrumentError("position already settled")
-    mix = {}
+    registry._check_due(world, pos)
+    mix = PLEDGE_MIX
     total = pos.collateral_value(world)
     if total > 0:
-        for duration, face in pos.collateral.items():
-            mix[duration] = mul_div(mul_frac(face, world.price(duration)), MICRO, total)
-    self_release(registry, pos)
-    try:
-        new_collateral = _size_collateral(world, registry, pos.borrower,
-                                          pos.principal, pos.haircut, mix or PLEDGE_MIX)
-        interest = pos.interest()
-        if interest:
-            world.transfer_deposit(pos.borrower, pos.lender, interest)
-    except Exception:
-        for duration, face in pos.collateral.items():
-            registry._encumber(pos.borrower, duration, face)
-        raise
-    del registry.positions[pos.repo_id]
+        mix = {duration: mul_div(mul_frac(face, world.price(duration)), MICRO, total)
+               for duration, face in pos.collateral.items()}
+    new_collateral = _size_collateral(world, registry, pos.borrower, pos.principal,
+                                      pos.haircut, mix, pos.collateral)
+    interest = pos.interest()
+    if interest > 0:
+        world.transfer_deposit(pos.borrower, pos.lender, interest)
+    elif interest < 0:
+        world.transfer_deposit(pos.lender, pos.borrower, -interest)
     world.emit("repo_roll", lender=pos.lender.key, borrower=pos.borrower.key,
                principal=pos.principal, rate=new_rate, interest=interest)
-    new = RepoPosition(
-        repo_id=registry._next_id, lender=pos.lender, borrower=pos.borrower,
-        principal=pos.principal, haircut=pos.haircut, rate=new_rate,
-        open_day=world.day, second_leg_day=world.day + 1,
-        collateral=new_collateral,
-    )
-    registry._next_id += 1
-    registry.positions[new.repo_id] = new
-    for duration, face in new.collateral.items():
-        registry._encumber(pos.borrower, duration, face)
-    return new
+    registry._remove(pos)
+    return registry._add(world, pos.lender, pos.borrower, pos.principal, pos.haircut,
+                         new_rate, 1, new_collateral)
 
 
 def _size_collateral(world: LedgerWorld, registry: RepoRegistry, borrower: AgentId,
-                     principal: Amount, haircut: int, mix: dict) -> dict:
+                     principal: Amount, haircut: int, mix: dict, freed: dict) -> dict:
     """Faces pledging `principal` plus haircut, split by `mix`, micro
-    fractions per class; the last class takes the rest."""
+    fractions per class; the last class takes the rest. `freed` faces
+    per class count as free on top of the borrower's unencumbered ones."""
     need = required_collateral(principal, haircut)
     faces: dict[DurationClass, int] = {}
     pledged = 0
@@ -273,8 +280,8 @@ def _size_collateral(world: LedgerWorld, registry: RepoRegistry, borrower: Agent
     for i, duration in enumerate(classes):
         target = need - pledged if i == len(classes) - 1 else mul_frac(need, mix[duration])
         price = world.price(duration)
-        face = min(ceil_div(target * MICRO, price),
-                   registry.free_face(world, borrower, duration))
+        free = registry.free_face(world, borrower, duration) + freed.get(duration, 0)
+        face = min(ceil_div(target * MICRO, price), free)
         faces[duration] = face
         pledged += mul_frac(face, price)
     if pledged < need:
@@ -324,9 +331,25 @@ def _top_up_collateral(world: LedgerWorld, registry: RepoRegistry,
             continue
         price = world.price(duration)
         face = min(free, ceil_div(shortfall * MICRO, price))
-        pos.collateral[duration] = pos.collateral.get(duration, 0) + face
-        registry._encumber(pos.borrower, duration, face)
+        registry._pledge(pos, duration, face)
         shortfall -= mul_frac(face, price)
+
+
+def deliver_tbills(world: LedgerWorld, seller: AgentId, buyer: AgentId,
+                   duration: DurationClass, face: Amount, price: int) -> Amount:
+    """Delivery versus payment: `buyer` pays `face` at `price` out of its
+    deposits, capped at what it holds, and `seller` delivers the face
+    that payment buys. Returns the amount paid."""
+    value = mul_frac(face, price)
+    paid = min(value, world.deposits(buyer))
+    if paid <= 0:
+        return 0
+    world.transfer_deposit(buyer, seller, paid)
+    if paid < value:
+        face = mul_div(paid, MICRO, price)
+    if face > 0:
+        world.transfer_tbill(seller, buyer, duration, face=face)
+    return paid
 
 
 @dataclass

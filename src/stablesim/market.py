@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from . import analytics
 from .config import MarketConfig, PolicyConfig
-from .instruments import PLEDGE_MIX, RepoRegistry, mark_treasuries
+from .instruments import PLEDGE_MIX, RepoRegistry, deliver_tbills, mark_treasuries
 from .ledger import (DURATION_NAME, DURATIONS, FED, AgentId, DurationClass, LedgerWorld,
                      Posting, reserves_key, srf_key)
 from .money import BP, MICRO, Amount, mul_div, mul_frac
@@ -335,13 +335,10 @@ class Market:
             price = world.price(p.duration)
             face = mul_div(p.value, MICRO, price)
             face = min(face, registry.free_face(world, p.seller, p.duration))
-            got = 0
-            if face > 0:
-                retention_face = mul_frac(face, self.params.retention_frac)
-                got += self._deliver(world, p.seller, p.dealer, p.duration,
-                                     retention_face, price)
-                got += self._deliver(world, p.seller, self.buyer, p.duration,
-                                     face - retention_face, price)
+            retention_face = mul_frac(face, self.params.retention_frac)
+            got = deliver_tbills(world, p.seller, p.dealer, p.duration, retention_face, price)
+            got += deliver_tbills(world, p.seller, self.buyer, p.duration,
+                                  face - retention_face, price)
             entry = proceeds.setdefault(p.seller.key, [0, 0])
             entry[0] += got
             entry[1] += p.value
@@ -349,30 +346,6 @@ class Market:
                 world.emit("sale_settled", seller=p.seller.key, dealer=p.dealer.key,
                            duration=DURATION_NAME[p.duration], proceeds=got)
         return {k: (v[0], v[1]) for k, v in proceeds.items()}
-
-    def _deliver(self, world: LedgerWorld, seller: AgentId, payer: AgentId,
-                 duration: DurationClass, face: Amount, price: int) -> Amount:
-        """Delivery versus payment, scaled down if the payer is short of cash."""
-        if face <= 0:
-            return 0
-        value = mul_frac(face, price)
-        paid = self._pay_capped(world, payer, seller, value)
-        if paid <= 0:
-            return 0
-        if paid < value:
-            face = mul_div(paid, MICRO, price)
-            if face <= 0:
-                return paid
-        world.transfer_tbill(seller, payer, duration, face=face)
-        return paid
-
-    @staticmethod
-    def _pay_capped(world: LedgerWorld, payer: AgentId, payee: AgentId,
-                    value: Amount) -> Amount:
-        pay = min(value, world.deposits(payer))
-        if pay > 0:
-            world.transfer_deposit(payer, payee, pay)
-        return pay
 
     def price_impact(self, excess_flow: Amount, duration: DurationClass) -> int:
         """Fraction decline (micro) for flow beyond capacity.
@@ -411,18 +384,9 @@ class Market:
                 if target <= 0:
                     break
                 free_face = registry.free_face(world, book.agent, duration)
-                if free_face <= 0:
-                    continue
                 price = world.price(duration)
                 face = min(free_face, mul_div(target, MICRO, price))
-                if face <= 0:
-                    continue
-                value = mul_frac(face, price)
-                paid = self._pay_capped(world, self.buyer, book.agent, value)
-                if paid <= 0:
-                    continue
-                world.transfer_tbill(book.agent, self.buyer, duration, face=face)
-                target -= value
+                target -= deliver_tbills(world, book.agent, self.buyer, duration, face, price)
 
     def begin_day(self) -> None:
         for key in sorted(self.books):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .instruments import (InstrumentError, RepoRegistry, close_or_default_repo,
-                          open_reverse_repo, roll_repo)
+                          deliver_tbills, open_reverse_repo, roll_repo)
 from .ledger import AgentId, DurationClass, InsufficientPosition, LedgerWorld, coin_key
 from .money import MICRO, PAR, Amount, mul_frac
 
@@ -405,21 +405,18 @@ class SettlementEngine:
                if p.second_leg_day == self.world.day]
         for pos in due:
             book = self.issuers.get(pos.lender.key)
-            if book is None:
-                self._roll_safe(pos)
+            if book is None or book.nonroll_pending <= 0:
+                try:
+                    roll_repo(self.world, self.registry, pos, self.repo_roll_rate)
+                except (InsufficientPosition, InstrumentError) as err:
+                    self.registry.postpone(self.world, pos, "repo_roll", err)
                 continue
-            need = book.nonroll_pending
-            if need <= 0:
-                self._roll_safe(pos)
-                continue
-            decline = min(need, pos.principal)
+            decline = min(book.nonroll_pending, pos.principal)
             keep = pos.principal - decline
             try:
                 close_or_default_repo(self.world, self.registry, pos, True)
             except InsufficientPosition as err:
-                self.world.emit("leg_failed", leg="repo_second_leg", cause=str(err),
-                                repo_id=pos.repo_id)
-                pos.second_leg_day += 1
+                self.registry.postpone(self.world, pos, "repo_second_leg", err)
                 continue
             book.pool += decline
             book.nonroll_pending -= decline
@@ -434,14 +431,6 @@ class SettlementEngine:
                                     repo_id=pos.repo_id)
             gaps.append(GapInstruction(pos.borrower, decline))
         return gaps
-
-    def _roll_safe(self, pos) -> None:
-        try:
-            roll_repo(self.world, self.registry, pos, self.repo_roll_rate)
-        except (InsufficientPosition, InstrumentError) as err:
-            self.world.emit("leg_failed", leg="repo_roll", cause=str(err),
-                            repo_id=pos.repo_id)
-            pos.second_leg_day += 1
 
     # -- payout -----------------------------------------------------------------
 
@@ -575,11 +564,7 @@ class SettlementEngine:
         free = self.registry.free_face(world, seller, DurationClass.BILL)
         price = world.price(DurationClass.BILL)
         face = min(free, value * MICRO // price)
-        if face <= 0:
-            return
-        actual = mul_frac(face, price)
-        world.transfer_deposit(book.agent, seller, actual)
-        world.transfer_tbill(seller, book.agent, DurationClass.BILL, face=face)
+        deliver_tbills(world, seller, book.agent, DurationClass.BILL, face, price)
 
     # -- daily metrics ------------------------------------------------------------
 

@@ -113,6 +113,35 @@ def test_sweep_grid_path_through_a_number_is_a_point_error(tmp_path, capsys):
     assert [(r["status"], r["error"].split(":")[0]) for r in rows] == [("error", "TypeError")]
 
 
+def test_negative_repo_rate_runs_and_the_lender_pays_the_roll_interest(tmp_path):
+    raw = PRESETS["calm"]()
+    raw["rates"] = {**raw.get("rates", {}), "repo_rate_daily": -100}
+    path = tmp_path / "negative_repo.json"
+    path.write_text(json.dumps(raw))
+    out_dir = tmp_path / "out"
+    # exit 2 would be a failed audit
+    assert main(["run", str(path), "--out", str(out_dir)]) == 0
+    events = [json.loads(line) for line in (out_dir / "events.jsonl").read_text().splitlines()]
+    rolls = [e for e in events if e["type"] == "repo_roll"]
+    assert rolls and all(e["interest"] < 0 for e in rolls)
+
+
+def test_mint_invest_frac_above_one_is_rejected_before_the_run(tmp_path, capsys):
+    raw = PRESETS["regime_shift"]()
+    raw["mint_demand"] = {"daily_rate": 50_000}
+    raw["rates"] = {**raw.get("rates", {}), "treasury_rate_daily": 100}
+    for issuer in raw["agents"]["issuers"]:
+        issuer["mint_invest_frac"] = 2_000_000
+    path = tmp_path / "invest.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", str(path)]) == 1
+    assert "invalid config: agents.issuers[" in capsys.readouterr().err
+    for issuer in raw["agents"]["issuers"]:
+        issuer["mint_invest_frac"] = 1_000_000
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_sweep_where_every_point_fails_exits_1(tmp_path, capsys):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"grid": {"market.depth": [0, -5]}}))

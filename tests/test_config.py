@@ -215,6 +215,7 @@ BAD_INPUTS = [
     ("policies", {"intermediary_mode": "hold"}, "policies.intermediary_mode"),
     ("policies", {"access_mode": "intermediated"}, "policies.access_mode"),
     ("rates", {"haircut": -1}, "rates.haircut"),
+    ("agents/issuers/0/mint_invest_frac", 1_000_001, "agents.issuers[usdx].mint_invest_frac"),
     ("diagnostics", {"attack_cost": 0}, "diagnostics.attack_cost"),
     # keys no field is read from
     ("policies", {"srf_enabeld": True}, "policies.srf_enabeld"),

@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -7,12 +8,12 @@ from hypothesis import strategies as st
 from stablesim.config import PRESETS, ValidationError, parse_config
 from stablesim.instruments import (GENIUS_MAX_BILL_DAYS, InsufficientCollateral,
                                    InsufficientCash, PortfolioState, RepoRegistry, WrongDay,
-                                   close_or_default_repo, default_loss,
+                                   close_or_default_repo, default_loss, deliver_tbills,
                                    mark_treasuries, open_reverse_repo,
                                    required_collateral, roll_repo, step_portfolio)
-from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, LedgerWorld,
-                              Posting, deposit_key, reserves_key)
-from stablesim.money import MICRO, mul_frac
+from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, InsufficientPosition,
+                              LedgerWorld, Posting, deposit_key, reserves_key)
+from stablesim.money import MICRO, mul_div, mul_frac
 
 BANK = AgentId(AgentKind.BANK, 0)
 ISSUER = AgentId(AgentKind.ISSUER, 0)
@@ -101,6 +102,93 @@ def test_second_leg_on_wrong_day():
                             haircut=20_000, rate=0, term=1)
     with pytest.raises(WrongDay):
         close_or_default_repo(world, registry, pos, True)
+
+
+def test_default_moves_collateral_to_lender_and_releases_it():
+    world = repo_world(dealer_bills=30_000_00, dealer_long=90_000_00)
+    registry = RepoRegistry()
+    pos = open_reverse_repo(world, registry, ISSUER, DEALER, 10_000_00,
+                            haircut=20_000, rate=1_000, term=1)
+    pledged = dict(pos.collateral)
+    assert registry.encumbered == {(DEALER.key, d): f for d, f in pledged.items()}
+    world.day = 1
+    outcome = close_or_default_repo(world, registry, pos, False, market_decline=50_000)
+    loss = default_loss(10_000_00, 20_000, 50_000)
+    assert (outcome.performed, outcome.loss) == (False, loss)
+    assert outcome.cash_to_lender == 10_000_00 - loss
+    [event] = [e for e in world.events if e["type"] == "repo_default"]
+    assert (event["lender"], event["borrower"], event["principal"], event["loss"]) == (
+        ISSUER.key, DEALER.key, 10_000_00, loss)
+    for duration, face in pledged.items():
+        assert world.face_of(ISSUER, duration) == face
+    assert world.face_of(DEALER, DurationClass.BILL) == 30_000_00 - pledged[DurationClass.BILL]
+    assert world.face_of(DEALER, DurationClass.LONG) == 90_000_00 - pledged[DurationClass.LONG]
+    assert world.sheet(ISSUER).asset(f"repo@{DEALER.key}") == 0
+    assert registry.positions == {} and registry.encumbered == {}
+    assert world.audit().ok
+
+
+def repo_book(world, registry):
+    return (copy.deepcopy(registry.positions), dict(registry.encumbered),
+            registry._next_id, world.snapshot().to_json(), list(world.events))
+
+
+def test_roll_failing_on_collateral_leaves_the_book_untouched():
+    # exactly the pledge at par; a 1% fall leaves it short and nothing is free
+    world = repo_world(dealer_bills=2_550_00, dealer_long=7_650_00)
+    registry = RepoRegistry()
+    pos = open_reverse_repo(world, registry, ISSUER, DEALER, 10_000_00,
+                            haircut=20_000, rate=1_000, term=1)
+    assert registry.free_face(world, DEALER, DurationClass.BILL) == 0
+    mark_treasuries(world, registry, -10_000)
+    world.day = 1
+    before = repo_book(world, registry)
+    with pytest.raises(InsufficientCollateral):
+        roll_repo(world, registry, pos, new_rate=2_000)
+    assert repo_book(world, registry) == before
+
+
+def test_roll_failing_on_interest_cash_leaves_the_book_untouched():
+    world = repo_world(dealer_bills=30_000_00, dealer_long=90_000_00)
+    registry = RepoRegistry()
+    pos = open_reverse_repo(world, registry, ISSUER, DEALER, 10_000_00,
+                            haircut=20_000, rate=1_000, term=1)
+    world.transfer_deposit(DEALER, ISSUER, world.deposits(DEALER))
+    world.day = 1
+    before = repo_book(world, registry)
+    with pytest.raises(InsufficientPosition):
+        roll_repo(world, registry, pos, new_rate=2_000)
+    assert repo_book(world, registry) == before
+
+
+def test_roll_at_negative_rate_pays_interest_to_the_borrower():
+    world = repo_world(dealer_bills=30_000_00, dealer_long=90_000_00)
+    registry = RepoRegistry()
+    pos = open_reverse_repo(world, registry, ISSUER, DEALER, 10_000_00,
+                            haircut=20_000, rate=-1_000, term=1)
+    issuer_cash, dealer_cash = world.deposits(ISSUER), world.deposits(DEALER)
+    world.day = 1
+    roll_repo(world, registry, pos, new_rate=-1_000)
+    interest = mul_frac(10_000_00, -1_000)
+    assert world.events[-1]["interest"] == interest < 0
+    assert world.deposits(ISSUER) == issuer_cash + interest
+    assert world.deposits(DEALER) == dealer_cash - interest
+    assert world.audit().ok
+
+
+def test_deliver_tbills_caps_payment_and_scales_face():
+    world = repo_world(issuer_cash=1_00, dealer_bills=1_000_00)
+    mark_treasuries(world, RepoRegistry(), -20_000, DurationClass.BILL)
+    price = world.price(DurationClass.BILL)
+    paid = deliver_tbills(world, DEALER, ISSUER, DurationClass.BILL, 500_00, price)
+    assert paid == 1_00
+    assert world.deposits(ISSUER) == 0
+    bought = mul_div(1_00, MICRO, price)
+    assert world.face_of(ISSUER, DurationClass.BILL) == bought
+    # a buyer with no deposits pays nothing and receives nothing
+    assert deliver_tbills(world, DEALER, ISSUER, DurationClass.BILL, 500_00, price) == 0
+    assert world.face_of(ISSUER, DurationClass.BILL) == bought
+    assert world.audit().ok
 
 
 def test_default_inside_haircut_recovers_everything():

@@ -129,6 +129,17 @@ def test_settlement_pays_seller_and_conserves_deposits():
     assert world.audit().ok
 
 
+def test_offload_to_a_buyer_short_of_deposits_delivers_only_what_it_paid_for():
+    world, market, registry = make_market()
+    world.transfer_deposit(BUYER, SELLER, world.deposits(BUYER) - 1_00)
+    world.grant_tbill(D1, DurationClass.BILL, 100_000_00)  # above its baseline
+    market.offload_inventory(world, registry)
+    paid = 1_00 - world.deposits(BUYER)
+    assert paid > 0
+    assert world.tbill_value(BUYER) <= paid
+    assert world.audit().ok
+
+
 def test_reserve_access_caps_capacity_and_srf_lifts_it():
     # ample headroom, tight reserves
     world, market, _ = make_market(capital=50_000_00, reserve_access=10_000_00)
