@@ -18,6 +18,6 @@ from .ledger import (AgentId, AgentKind, AuditReport, BalanceSheet, DurationClas
 from .market import DealerBook, FillReport, Market, VolumeDecomposition, decompose
 from .money import MICRO, PAR, Amount, mul_div, mul_frac
 from .settlement import (AccessMode, Funding, IssuerBook, ParMode, ParPolicy, Route,
-                         SettlementEngine, intervene, plan_mint)
+                         SettlementEngine, intervene)
 
 __version__ = "0.1.0"

@@ -139,24 +139,6 @@ def liquidity_metrics(portfolio: PortfolioState, today: int) -> LiquidityReport:
     )
 
 
+# analytics.csv: the daily.csv columns these reports fill, on the same rows
 ANALYTICS_FIELDS = ("day", "agent", "ratio", "band", "slr", "headroom",
                     "dla", "wla", "wam", "wal")
-
-
-def analytics_row(day: int, agent: str,
-                  leverage: LeverageReport | None = None,
-                  slr_report: SlrReport | None = None,
-                  liquidity: LiquidityReport | None = None) -> dict:
-    """One report row per agent per day; inapplicable fields stay empty."""
-    return {
-        "day": day,
-        "agent": agent,
-        "ratio": leverage.ratio if leverage else "",
-        "band": leverage.band.value if leverage else "",
-        "slr": slr_report.slr if slr_report else "",
-        "headroom": slr_report.headroom_assets if slr_report else "",
-        "dla": liquidity.dla_frac if liquidity else "",
-        "wla": liquidity.wla_frac if liquidity else "",
-        "wam": liquidity.wam_days if liquidity else "",
-        "wal": liquidity.wal_days if liquidity else "",
-    }

@@ -78,9 +78,11 @@ order never changes results. load_config accepts a preset name (see
 PRESETS) or a file path; a path is never read as a preset name.
 
 The parsed sections are the model's parameters: the engine, the market
-and the settlement books read them as parsed (`Market` takes the
-`market` and `policies` sections), never a copy, so each range check
-lives once, in parse_config.
+and the settlement books read them as parsed, never a copy, so each
+range check lives once, in parse_config. `Market` takes the `market`
+and `policies` sections, `SettlementEngine` the `rates` and `policies`
+sections, and each `IssuerBook` and `DealerBook` holds its agent's
+`IssuerConfig` or `DealerConfig` as `book.config`.
 """
 
 from __future__ import annotations

@@ -68,7 +68,6 @@ class RunModel:
 class ConfidenceState:
     secondary_price: int = PAR
     pending_delay_age: int = 0
-    last_shock: str | None = None
 
     def __post_init__(self):
         if self.secondary_price <= 0:
@@ -164,7 +163,7 @@ def update_secondary_price(conf: ConfidenceState, unfilled_redemptions: Amount,
             step = max(1, min(step, abs(gap)))
             price += step if gap > 0 else -step
     price = max(params.min_price, price)
-    return replace(conf, secondary_price=price, last_shock=None)
+    return replace(conf, secondary_price=price)
 
 
 class ShockClass(Enum):
@@ -213,7 +212,6 @@ class ShockState:
     suspended_until: dict = field(default_factory=dict)   # chain -> day (exclusive)
     scheduled_burns: list = field(default_factory=list)   # (day, issuer, holder, amount)
     price_effects: dict = field(default_factory=dict)     # issuer key -> micro
-    last_shock: dict = field(default_factory=dict)        # issuer key -> class value
 
     def suspended_chains(self, day: int) -> set:
         return {chain for chain, until in self.suspended_until.items() if day < until}
@@ -224,8 +222,8 @@ def apply_shock(spec: ShockSpec, world: LedgerWorld, state: ShockState,
                 params: PriceParams = PriceParams()) -> None:
     """Apply one catalog entry; effects depend on the shock class.
 
-    issuers maps issuer key to its `IssuerBook`, whose `chain` the
-    shock's chain selects; mint_target receives erroneous mints.
+    issuers maps issuer key to its `IssuerBook`, whose configured chain
+    the shock's chain selects; mint_target receives erroneous mints.
     """
     if not isinstance(spec.klass, ShockClass):
         raise UnknownShockClass(str(spec.klass))
@@ -233,15 +231,13 @@ def apply_shock(spec: ShockSpec, world: LedgerWorld, state: ShockState,
                magnitude=spec.magnitude, duration=spec.duration,
                likelihood=spec.likelihood_band.value,
                systemic=spec.systemic_band.value)
-    on_chain = {key: book.agent for key, book in sorted(issuers.items())
-                if book.chain == spec.chain}
     if spec.klass in (ShockClass.LIVENESS_FAULT, ShockClass.CORRELATED_LIVENESS):
         until = world.day + max(1, spec.duration)
         state.suspended_until[spec.chain] = max(
             state.suspended_until.get(spec.chain, 0), until)
-        for key in on_chain:
-            state.last_shock[key] = spec.klass.value
         return
+    on_chain = {key: book.agent for key, book in sorted(issuers.items())
+                if book.config.chain == spec.chain}
     if spec.klass is ShockClass.UNCONTROLLED_SUPPLY:
         for key, issuer in on_chain.items():
             coins = world.sheet(issuer).liability(coin_key(issuer))
@@ -258,7 +254,6 @@ def apply_shock(spec: ShockSpec, world: LedgerWorld, state: ShockState,
                     (world.day + spec.duration, issuer, mint_target, minted))
             state.price_effects[key] = state.price_effects.get(key, 0) + \
                 params.supply_incident_dip
-            state.last_shock[key] = spec.klass.value
         return
     if spec.klass is ShockClass.CONFIDENCE_ONLY:
         magnitude = spec.magnitude
@@ -267,7 +262,6 @@ def apply_shock(spec: ShockSpec, world: LedgerWorld, state: ShockState,
             magnitude = rng.uniform_int(lo, hi)
         for key in on_chain:
             state.price_effects[key] = state.price_effects.get(key, 0) + magnitude
-            state.last_shock[key] = spec.klass.value
         return
     raise UnknownShockClass(str(spec.klass))
 

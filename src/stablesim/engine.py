@@ -26,7 +26,6 @@ numbers are integers.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import io
 import itertools
@@ -64,9 +63,11 @@ MARKET_FIELDS = ("day", "class", "price", "submitted", "fills", "unfilled",
 
 @dataclass
 class RunOutput:
+    """A run's outputs. analytics.csv is daily.csv's rows projected onto
+    `ANALYTICS_FIELDS`."""
+
     daily_rows: list
     market_rows: list
-    analytics_rows: list
     summary: dict
     events: EventLog
 
@@ -77,7 +78,7 @@ class RunOutput:
         return _csv(MARKET_FIELDS, self.market_rows)
 
     def analytics_csv(self) -> str:
-        return _csv(analytics.ANALYTICS_FIELDS, self.analytics_rows)
+        return _csv(analytics.ANALYTICS_FIELDS, self.daily_rows, extrasaction="ignore")
 
     def summary_json(self) -> str:
         return json.dumps(self.summary, sort_keys=True, indent=2) + "\n"
@@ -93,26 +94,27 @@ class RunOutput:
 
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        for name, fields, rows in (("daily.csv", DAILY_FIELDS, self.daily_rows),
-                                   ("market.csv", MARKET_FIELDS, self.market_rows),
-                                   ("analytics.csv", analytics.ANALYTICS_FIELDS,
-                                    self.analytics_rows)):
+        for name, fields, rows, extra in (
+                ("daily.csv", DAILY_FIELDS, self.daily_rows, "raise"),
+                ("market.csv", MARKET_FIELDS, self.market_rows, "raise"),
+                ("analytics.csv", analytics.ANALYTICS_FIELDS, self.daily_rows, "ignore")):
             with open(out / name, "w") as f:
-                _write_csv(f, fields, rows)
+                _write_csv(f, fields, rows, extra)
         (out / "summary.json").write_text(self.summary_json())
         with open(out / "events.jsonl", "w") as f:
             f.writelines(self.events.lines())
 
 
-def _write_csv(out, fields, rows) -> None:
-    writer = csv.DictWriter(out, fieldnames=fields, lineterminator="\n")
+def _write_csv(out, fields, rows, extrasaction: str = "raise") -> None:
+    writer = csv.DictWriter(out, fieldnames=fields, lineterminator="\n",
+                            extrasaction=extrasaction)
     writer.writeheader()
     writer.writerows(rows)
 
 
-def _csv(fields, rows) -> str:
+def _csv(fields, rows, extrasaction: str = "raise") -> str:
     buf = io.StringIO()
-    _write_csv(buf, fields, rows)
+    _write_csv(buf, fields, rows, extrasaction)
     return buf.getvalue()
 
 
@@ -126,7 +128,6 @@ class Scenario:
     market: Market
     settle: SettlementEngine
     agent_of: dict
-    issuer_cfg: dict
     run_models: dict
     confidence: dict
     shock_state: ShockState
@@ -140,7 +141,6 @@ class Scenario:
     srf_total: Amount = 0
     daily_rows: list = field(default_factory=list)
     market_rows: list = field(default_factory=list)
-    analytics_rows: list = field(default_factory=list)
 
 
 def _endow_deposits(world: LedgerWorld, agent: AgentId, amount: Amount) -> None:
@@ -205,7 +205,6 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         _endow_deposits(world, agent_of[cfg.name], cfg.deposits)
 
     issuer_books: dict[str, IssuerBook] = {}
-    issuer_cfg: dict[str, object] = {}
     for cfg, agent in zip(config.issuers, issuer_agents):
         _endow_deposits(world, agent, cfg.allocation["deposits"] + cfg.allocation["repo"])
         if cfg.allocation["bills"]:
@@ -213,13 +212,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         _endow_coins(world, agent, [(agent_of[h.name], h.coins[cfg.name])
                                     for h in config.holders + config.intermediaries
                                     if h.coins.get(cfg.name)])
-        eligible = {agent_of[i.name].key for i in config.intermediaries}
-        issuer_books[agent.key] = IssuerBook(
-            agent=agent, policy=config.policies.par_policy,
-            access_mode=config.policies.access_mode, eligible=eligible,
-            chain=cfg.chain, mint_invest_frac=cfg.mint_invest_frac,
-            operating_cost_per_day=cfg.operating_cost_per_day)
-        issuer_cfg[agent.key] = cfg
+        issuer_books[agent.key] = IssuerBook(agent, cfg)
         # parse_config guarantees at least one dealer to borrow the repo
         share, extra = divmod(cfg.allocation["repo"], len(dealer_agents))
         for k, dealer in enumerate(dealer_agents):
@@ -229,20 +222,10 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
                                   config.rates.haircut,
                                   config.rates.repo_rate_daily, term=1)
 
-    books: dict[str, DealerBook] = {}
-    for cfg, agent in zip(config.dealers, dealer_agents):
-        books[agent.key] = DealerBook(
-            agent=agent, capital=cfg.capital, base_assets=cfg.base_assets,
-            exposures=cfg.exposures, gsib=cfg.gsib,
-            reserve_access=cfg.reserve_access,
-            inventory_baseline=world.tbill_value(agent))
-
+    books = {agent.key: DealerBook(agent, cfg, inventory_baseline=world.tbill_value(agent))
+             for cfg, agent in zip(config.dealers, dealer_agents)}
     market = Market(config.market, config.policies, books, buyer_agents[0])
-    settle = SettlementEngine(
-        world, registry, issuer_books,
-        treasury_rate=config.rates.treasury_rate_daily,
-        repo_roll_rate=config.rates.repo_rate_daily,
-        negative_carry_refusal=config.policies.negative_carry_refusal)
+    settle = SettlementEngine(world, registry, issuer_books, config.rates, config.policies)
 
     run_models = {key: config.run_model.build() for key in sorted(issuer_books)}
     confidence = {key: ConfidenceState() for key in sorted(issuer_books)}
@@ -255,7 +238,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         raise AuditFailure(-1, report)
     return Scenario(
         config=config, world=world, registry=registry, market=market,
-        settle=settle, agent_of=agent_of, issuer_cfg=issuer_cfg,
+        settle=settle, agent_of=agent_of,
         run_models=run_models, confidence=confidence,
         shock_state=ShockState(), rng=SplitMix64(config.seed),
         mint_target=holder_agents[0] if holder_agents else buyer_agents[0],
@@ -309,14 +292,14 @@ def _route_demand(scn: Scenario, book: IssuerBook, demand: Amount,
         return
     issuer = book.agent
     world = scn.world
-    if book.chain in suspended:
+    direct = scn.config.policies.access_mode is AccessMode.DIRECT
+    if book.config.chain in suspended:
         # intent exists but nothing can move on-chain; it queues
-        route = (Route.DIRECT if book.access_mode is AccessMode.DIRECT
-                 else Route.VIA_INTERMEDIARY)
+        route = Route.DIRECT if direct else Route.VIA_INTERMEDIARY
         _redeem_from_holders(scn, book, demand, route)
         book.day_unserved += demand
         return
-    if book.access_mode is AccessMode.DIRECT:
+    if direct:
         book.day_unserved += demand - _redeem_from_holders(scn, book, demand,
                                                            Route.DIRECT)
         return
@@ -372,12 +355,11 @@ def _fed_bill_purchase(scn: Scenario, issuer: AgentId, value: Amount) -> Amount:
 def _issuer_portfolio(scn: Scenario, book: IssuerBook) -> PortfolioState:
     world = scn.world
     agent = book.agent
-    cfg = scn.issuer_cfg[agent.key]
     bills = []
     face = world.face_of(agent, DurationClass.BILL)
     if face > 0:
         bills.append(TreasuryBill(face=face,
-                                  maturity_day=cfg.bill_maturity_days,
+                                  maturity_day=book.config.bill_maturity_days,
                                   market_price=world.price(DurationClass.BILL)))
     face_long = world.face_of(agent, DurationClass.LONG)
     if face_long > 0:
@@ -436,7 +418,7 @@ def _accrue(scn: Scenario) -> None:
                     Posting(bank, "L", deposit_key(agent), interest),
                     Posting(agent, "A", deposit_key(bank), interest),
                 ])
-        cost = book.operating_cost_per_day
+        cost = book.config.operating_cost_per_day
         if cost > 0:
             paid = min(cost, world.deposits(agent))
             if paid > 0:
@@ -453,8 +435,7 @@ def _redemption_demand(scn: Scenario, suspended: set) -> None:
         model = scn.run_models[key]
         conf = scn.confidence[key]
         conf = ConfidenceState(secondary_price=conf.secondary_price,
-                               pending_delay_age=scn.settle.queue_age(book),
-                               last_shock=conf.last_shock)
+                               pending_delay_age=scn.settle.queue_age(book))
         scn.confidence[key] = conf
         prior = model.sensitivity_state
         coins = scn.settle.coins_outstanding(book.agent)
@@ -472,7 +453,7 @@ def _mint_demand(scn: Scenario, suspended: set) -> None:
         return
     for key in sorted(scn.settle.issuers):
         book = scn.settle.issuers[key]
-        if book.chain in suspended:
+        if book.config.chain in suspended:
             continue
         amount = mul_frac(scn.settle.coins_outstanding(book.agent), rate)
         if amount > 0:
@@ -487,10 +468,10 @@ def _interventions(scn: Scenario, suspended: set) -> None:
     """Phase 5: each live issuer's par policy buys coins back or mints."""
     for key in sorted(scn.settle.issuers):
         book = scn.settle.issuers[key]
-        if book.chain in suspended:
+        if book.config.chain in suspended:
             continue
         price = scn.confidence[key].secondary_price
-        for action in intervene(book.policy, price, scn.world, book.agent):
+        for action in intervene(scn.config.policies.par_policy, price, scn.world, book.agent):
             if action.kind == "buy":
                 placed = _redeem_from_holders(scn, book, action.amount, Route.DIRECT,
                                               is_intervention=True)
@@ -572,11 +553,9 @@ def _update_prices(scn: Scenario) -> None:
             requested=max(book.day_int_buy_requested, completed),
             completed=completed, pin_target=book.pin_target)
         conf = update_secondary_price(scn.confidence[key], overdue, coins, shock_eff,
-                                      book.access_mode, intervention=intervention,
+                                      scn.config.policies.access_mode,
+                                      intervention=intervention,
                                       params=scn.config.price_model)
-        if shock_eff:
-            conf = dataclasses.replace(
-                conf, last_shock=scn.shock_state.last_shock.get(key))
         scn.confidence[key] = conf
         scn.peak_dev[key] = max(scn.peak_dev[key], abs(PAR - conf.secondary_price))
         scn.peak_txn[key] = max(scn.peak_txn[key], book.day_completed + book.day_minted)
@@ -594,10 +573,9 @@ def _emit_rows(scn: Scenario, day: int, dealer_capacity: dict) -> None:
     for key in sorted(scn.settle.issuers):
         book = scn.settle.issuers[key]
         agent = book.agent
-        cfg = scn.issuer_cfg[key]
         sheet = world.sheet(agent)
         assets = sheet.total_assets()
-        if cfg.count_excess_collateral:
+        if book.config.count_excess_collateral:
             assets += sum(max(0, p.collateral_value(world) - p.principal)
                           for p in scn.registry.by_lender(agent))
         coins = scn.settle.coins_outstanding(agent)
@@ -606,10 +584,8 @@ def _emit_rows(scn: Scenario, day: int, dealer_capacity: dict) -> None:
         if sheet.equity < 0 and book.insolvency_day is None:
             book.insolvency_day = day
             world.emit("insolvent", issuer=key, equity=sheet.equity)
-        scn.analytics_rows.append(analytics.analytics_row(
-            day, cfg.name, leverage=lev, liquidity=liq))
         scn.daily_rows.append({
-            "day": day, "agent": cfg.name, "kind": "issuer",
+            "day": day, "agent": book.config.name, "kind": "issuer",
             "price": scn.confidence[key].secondary_price,
             "coins": coins,
             "requested": book.day_requested,
@@ -623,15 +599,11 @@ def _emit_rows(scn: Scenario, day: int, dealer_capacity: dict) -> None:
             "dla": liq.dla_frac, "wla": liq.wla_frac,
             "wam": liq.wam_days, "wal": liq.wal_days,
         })
-    name_of = {scn.agent_of[c.name].key: c.name for c in scn.config.dealers}
     for dealer_key in sorted(scn.market.books):
         book = scn.market.books[dealer_key]
         slr_rep = book.slr_report(world, scn.market.slr_bound)
-        name = name_of[dealer_key]
-        scn.analytics_rows.append(analytics.analytics_row(
-            day, name, slr_report=slr_rep))
         scn.daily_rows.append({
-            "day": day, "agent": name, "kind": "dealer",
+            "day": day, "agent": book.config.name, "kind": "dealer",
             "price": "", "coins": "", "requested": "", "completed": "",
             "delayed": "", "overdue": "",
             "capacity": dealer_capacity[dealer_key],
@@ -675,10 +647,8 @@ def run(config: ScenarioConfig, on_day_end=None) -> RunOutput:
         if on_day_end is not None:
             on_day_end(scn, day)
     scn.daily_rows.sort(key=lambda r: (r["day"], r["agent"]))
-    scn.analytics_rows.sort(key=lambda r: (r["day"], r["agent"]))
     return RunOutput(daily_rows=scn.daily_rows, market_rows=scn.market_rows,
-                     analytics_rows=scn.analytics_rows, summary=_summarize(scn),
-                     events=scn.world.events)
+                     summary=_summarize(scn), events=scn.world.events)
 
 
 def _summarize(scn: Scenario) -> dict:
@@ -689,13 +659,12 @@ def _summarize(scn: Scenario) -> dict:
     issuers = {}
     for key in sorted(scn.settle.issuers):
         book = scn.settle.issuers[key]
-        cfg = scn.issuer_cfg[key]
         incentive = None
         if config.attack_cost:
             # diagnostic only: peak daily transacted value per unit of
             # attack cost, in micro units
             incentive = mul_div(scn.peak_txn[key], MICRO, config.attack_cost)
-        issuers[cfg.name] = {
+        issuers[book.config.name] = {
             "peak_deviation_bp": scn.peak_dev[key] // BP,
             "max_delay_days": book.max_delay_days,
             "insolvency_day": book.insolvency_day,

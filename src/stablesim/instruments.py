@@ -207,15 +207,19 @@ def close_or_default_repo(world: LedgerWorld, registry: RepoRegistry,
                           market_decline: int = 0) -> SettlementOutcome:
     """Second leg: repayment with interest, or seizure and liquidation.
 
-    On default the lender takes the pledged collateral and recovers its
-    first-leg cash up to the haircut cushion; the reported loss follows
-    default_loss and the collateral moves to the lender's book at the
-    seized market value.
+    Principal plus interest below zero (a negative rate) is paid by the
+    lender, as a roll pays negative interest. On default the lender
+    takes the pledged collateral and recovers its first-leg cash up to
+    the haircut cushion; the reported loss follows default_loss and the
+    collateral moves to the lender's book at the seized market value.
     """
     registry._check_due(world, pos)
     if counterparty_performs:
         owed = pos.principal + pos.interest()
-        world.transfer_deposit(pos.borrower, pos.lender, owed)
+        if owed >= 0:
+            world.transfer_deposit(pos.borrower, pos.lender, owed)
+        else:
+            world.transfer_deposit(pos.lender, pos.borrower, -owed)
         _unwind_principal(world, pos, "repo_close", interest=owed - pos.principal)
         registry._remove(pos)
         return SettlementOutcome(True, 0, owed, True)

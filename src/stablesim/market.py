@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import analytics
-from .config import MarketConfig, PolicyConfig
+from .config import DealerConfig, MarketConfig, PolicyConfig
 from .instruments import PLEDGE_MIX, RepoRegistry, deliver_tbills, mark_treasuries
 from .ledger import (DURATION_NAME, DURATIONS, FED, AgentId, DurationClass, LedgerWorld,
                      Posting, reserves_key, srf_key)
@@ -63,33 +63,29 @@ def decompose(seller: Amount, retention: Amount) -> VolumeDecomposition:
 class DealerBook:
     """Recorded-assets state used for the leverage constraint.
 
-    base_assets is the dealer's balance sheet outside the simulation;
-    on top of it sit inventory growth above the opening position,
-    reserves drawn from the standing facility, and same-day clearing
-    reservations that settle tomorrow. Only the last three fields
-    change during a run.
+    The config's base_assets is the dealer's balance sheet outside the
+    simulation; on top of it sit inventory growth above the opening
+    position, reserves drawn from the standing facility, and same-day
+    clearing reservations that settle tomorrow. Only the last two
+    fields change during a run.
     """
 
     agent: AgentId
-    capital: Amount
-    base_assets: Amount
-    exposures: Amount = 0
-    gsib: bool = True
-    reserve_access: Amount = 0           # per-day settlement reserves
+    config: DealerConfig
     inventory_baseline: Amount = 0       # opening treasuries value
     reserved_today: Amount = 0
-    ra_used_today: Amount = 0
-    srf_outstanding: Amount = 0
+    ra_used_today: Amount = 0            # of config.reserve_access, per day
 
     def recorded_assets(self, world: LedgerWorld) -> Amount:
         inventory = world.tbill_value(self.agent)
         growth = max(0, inventory - self.inventory_baseline)
         reserves = world.sheet(self.agent).asset(reserves_key())
-        return self.base_assets + growth + reserves + self.reserved_today
+        return self.config.base_assets + growth + reserves + self.reserved_today
 
     def slr_report(self, world: LedgerWorld, bound_override: int | None = None) -> analytics.SlrReport:
-        return analytics.slr(self.capital, self.recorded_assets(world),
-                             self.exposures, self.gsib, bound_override)
+        cfg = self.config
+        return analytics.slr(cfg.capital, self.recorded_assets(world),
+                             cfg.exposures, cfg.gsib, bound_override)
 
     def headroom(self, world: LedgerWorld, bound_override: int | None = None) -> Amount:
         return self.slr_report(world, bound_override).headroom_assets
@@ -109,7 +105,6 @@ def draw_srf(world: LedgerWorld, book: DealerBook, amount: Amount) -> None:
         Posting(dealer, "A", reserves_key(), amount),
         Posting(FED, "L", reserves_key(dealer), amount),
     ], event="srf_draw", dealer=dealer.key, amount=amount)
-    book.srf_outstanding += amount
 
 
 @dataclass
@@ -156,8 +151,8 @@ class Market:
                           else policies.slr_bound_bp * BP)
         self.books = books  # dealer key -> DealerBook
         self.buyer = buyer
-        # dealer key -> (sheet version, reserved_today, ra_used_today,
-        # reserve_access) when its capacity was computed, and that capacity
+        # dealer key -> (sheet version, reserved_today, ra_used_today) when
+        # its capacity was computed, and that capacity
         self._available: dict[str, tuple] = {}
         self._next_order = 0
         self.carryover: list[SaleOrder] = []
@@ -176,7 +171,7 @@ class Market:
         if self.policies.eslr_reform and self.params.eslr_capacity_add > 0:
             share = self.params.eslr_capacity_add // len(self.books)
             headroom += share
-        ra_left = max(0, book.reserve_access - book.ra_used_today)
+        ra_left = max(0, book.config.reserve_access - book.ra_used_today)
         if self.policies.srf_enabled:
             cap = headroom if ra_left >= headroom else (headroom + ra_left) // 2
         else:
@@ -196,17 +191,12 @@ class Market:
         out = {}
         for key in sorted(self.books):
             book = self.books[key]
-            stamp = (world.agents[key].version, book.reserved_today,
-                     book.ra_used_today, book.reserve_access)
+            stamp = (world.agents[key].version, book.reserved_today, book.ra_used_today)
             cached = self._available.get(key)
             if cached is None or cached[0] != stamp:
                 cached = self._available[key] = (stamp, self._dealer_available(world, book))
             out[key] = cached[1]
         return out
-
-    def capacity(self, world: LedgerWorld) -> Amount:
-        """Fill volume the dealer sector can absorb right now."""
-        return sum(self.dealer_capacity(world).values())
 
     # -- clearing ------------------------------------------------------------
 
@@ -258,7 +248,7 @@ class Market:
                 if alloc == 0:
                     continue
                 book = self.books[key]
-                ra_part = min(alloc, max(0, book.reserve_access - book.ra_used_today))
+                ra_part = min(alloc, max(0, book.config.reserve_access - book.ra_used_today))
                 draw = alloc - ra_part
                 if draw > 0:
                     if not self.policies.srf_enabled:

@@ -22,11 +22,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from .instruments import (InstrumentError, RepoRegistry, close_or_default_repo,
                           deliver_tbills, open_reverse_repo, roll_repo)
-from .ledger import AgentId, DurationClass, InsufficientPosition, LedgerWorld, coin_key
+from .ledger import (AgentId, AgentKind, DurationClass, InsufficientPosition, LedgerWorld,
+                     coin_key)
 from .money import MICRO, PAR, Amount, mul_frac
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import IssuerConfig, PolicyConfig, RatesConfig
 
 
 class SettlementError(Exception):
@@ -106,17 +111,6 @@ def intervene(policy: ParPolicy, secondary_price: int, world: LedgerWorld,
     return []
 
 
-def plan_mint(amount: Amount, book: IssuerBook, secondary_price: int,
-              treasury_rate: int, negative_carry_refusal: bool) -> None:
-    """Check that a mint may be queued; raise if it is declined."""
-    if amount <= 0:
-        raise SettlementError("mint amount must be positive")
-    if negative_carry_refusal and treasury_rate <= 0:
-        raise MintDeclined("negative carry: securities yield nothing to invest in")
-    if book.policy.mode is ParMode.BEST_EFFORT and secondary_price < PAR:
-        raise MintDeclined("below par on the secondary market")
-
-
 # ---------------------------------------------------------------------------
 # Issuer-side settlement engine
 # ---------------------------------------------------------------------------
@@ -154,7 +148,6 @@ class MintOrder:
     issuer: AgentId
     amount: Amount
     submitted_day: int
-    invest_frac: int = 0
     is_intervention: bool = False
     completed_day: int | None = None
 
@@ -162,12 +155,7 @@ class MintOrder:
 @dataclass
 class IssuerBook:
     agent: AgentId
-    policy: ParPolicy
-    access_mode: AccessMode
-    eligible: set = field(default_factory=set)
-    chain: str = "main"
-    mint_invest_frac: int = 0
-    operating_cost_per_day: Amount = 0
+    config: IssuerConfig
     requests: list = field(default_factory=list)   # every request, as submitted
     open: list = field(default_factory=list)       # the ones not completed yet
     mints: list = field(default_factory=list)
@@ -212,18 +200,17 @@ class SettlementEngine:
 
     Owns planning, the coins promised to open requests, repo rollovers,
     the proceeds pool and the payout pass; market clearing and price
-    updates stay outside.
+    updates stay outside. Reads its parameters from the parsed `rates`
+    and `policies` sections.
     """
 
-    def __init__(self, world: LedgerWorld, registry: RepoRegistry,
-                 issuers: dict, treasury_rate: int = 0,
-                 repo_roll_rate: int = 0, negative_carry_refusal: bool = True):
+    def __init__(self, world: LedgerWorld, registry: RepoRegistry, issuers: dict,
+                 rates: RatesConfig, policies: PolicyConfig):
         self.world = world
         self.registry = registry
         self.issuers = issuers  # issuer key -> IssuerBook
-        self.treasury_rate = treasury_rate
-        self.repo_roll_rate = repo_roll_rate
-        self.negative_carry_refusal = negative_carry_refusal
+        self.rates = rates
+        self.policies = policies
         self._next_request = 0
         # (holder key, issuer key) -> coins promised to open requests
         self.committed: dict[tuple[str, str], Amount] = {}
@@ -253,13 +240,13 @@ class SettlementEngine:
 
     def submit_redemption(self, book: IssuerBook, holder: AgentId, amount: Amount,
                           route: Route, is_intervention: bool = False) -> OpenRequest:
-        """Queue a redemption request; coins stay with the holder until paid."""
-        if (book.access_mode is AccessMode.INTERMEDIATED
+        """Queue a redemption request; coins stay with the holder until paid.
+        Under intermediated access only intermediaries redeem directly."""
+        if (self.policies.access_mode is AccessMode.INTERMEDIATED
                 and route is Route.DIRECT
                 and not is_intervention
-                and holder.key not in book.eligible):
-            raise IneligibleRedeemer(
-                f"{holder} is not on {book.agent}'s direct-redemption list")
+                and holder.kind is not AgentKind.INTERMEDIARY):
+            raise IneligibleRedeemer(f"{holder} may not redeem directly from {book.agent}")
         if amount <= 0:
             raise SettlementError("redemption amount must be positive")
         record = OpenRequest(self._next_request, holder, amount, self.world.day,
@@ -278,13 +265,16 @@ class SettlementEngine:
 
     def submit_mint(self, book: IssuerBook, buyer: AgentId, amount: Amount,
                     secondary_price: int, is_intervention: bool = False) -> MintOrder:
-        """Queue a mint; aggregate deposits are unchanged by it."""
-        plan_mint(amount, book, secondary_price, self.treasury_rate,
-                  self.negative_carry_refusal)
+        """Queue a mint, or raise if it is declined; aggregate deposits are
+        unchanged by it."""
+        if amount <= 0:
+            raise SettlementError("mint amount must be positive")
+        if self.policies.negative_carry_refusal and self.rates.treasury_rate_daily <= 0:
+            raise MintDeclined("negative carry: securities yield nothing to invest in")
+        if self.policies.par_policy.mode is ParMode.BEST_EFFORT and secondary_price < PAR:
+            raise MintDeclined("below par on the secondary market")
         order = MintOrder(buyer=buyer, issuer=book.agent, amount=amount,
-                          submitted_day=self.world.day,
-                          invest_frac=book.mint_invest_frac,
-                          is_intervention=is_intervention)
+                          submitted_day=self.world.day, is_intervention=is_intervention)
         book.mints.append(order)
         self.world.emit("mint_request", issuer=book.agent.key, buyer=buyer.key,
                         amount=amount, intervention=is_intervention)
@@ -302,7 +292,7 @@ class SettlementEngine:
         instructions: list[SaleInstruction] = []
         for key in sorted(self.issuers):
             book = self.issuers[key]
-            if book.chain in suspended_chains:
+            if book.config.chain in suspended_chains:
                 continue
             for record in book.open:
                 if not record.planned:
@@ -407,7 +397,7 @@ class SettlementEngine:
             book = self.issuers.get(pos.lender.key)
             if book is None or book.nonroll_pending <= 0:
                 try:
-                    roll_repo(self.world, self.registry, pos, self.repo_roll_rate)
+                    roll_repo(self.world, self.registry, pos, self.rates.repo_rate_daily)
                 except (InsufficientPosition, InstrumentError) as err:
                     self.registry.postpone(self.world, pos, "repo_roll", err)
                 continue
@@ -425,7 +415,7 @@ class SettlementEngine:
                 try:
                     open_reverse_repo(self.world, self.registry, pos.lender,
                                       pos.borrower, keep, pos.haircut,
-                                      self.repo_roll_rate, term=1)
+                                      self.rates.repo_rate_daily, term=1)
                 except (InsufficientPosition, InstrumentError) as err:
                     self.world.emit("leg_failed", leg="repo_relend", cause=str(err),
                                     repo_id=pos.repo_id)
@@ -450,7 +440,7 @@ class SettlementEngine:
         """
         for key in sorted(self.issuers):
             book = self.issuers[key]
-            if book.chain in suspended_chains:
+            if book.config.chain in suspended_chains:
                 continue
             chunks = self._size_chunks(book)
             if not chunks:
@@ -536,7 +526,7 @@ class SettlementEngine:
         world = self.world
         for key in sorted(self.issuers):
             book = self.issuers[key]
-            if book.chain in suspended_chains:
+            if book.config.chain in suspended_chains:
                 continue
             for order in book.mints:
                 if order.completed_day is not None:
@@ -548,7 +538,7 @@ class SettlementEngine:
                     continue
                 world.transfer_deposit(order.buyer, book.agent, order.amount)
                 world.transfer_coin(book.agent, order.buyer, book.agent, order.amount)
-                invest = mul_frac(order.amount, order.invest_frac)
+                invest = mul_frac(order.amount, book.config.mint_invest_frac)
                 if invest > 0:
                     self._buy_bills(book, treasury_seller, invest)
                 order.completed_day = world.day

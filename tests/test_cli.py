@@ -126,6 +126,26 @@ def test_negative_repo_rate_runs_and_the_lender_pays_the_roll_interest(tmp_path)
     assert rolls and all(e["interest"] < 0 for e in rolls)
 
 
+@pytest.mark.parametrize("preset, rate", [("slr_bound", -600_000), ("march2020", -2_000_000)])
+def test_repo_closed_owing_less_than_zero_is_paid_by_the_lender(preset, rate, tmp_path):
+    """A repo declined for funding (or postponed, accruing more negative
+    interest) closes owing principal plus interest below zero. The lender
+    owes the difference; the issuer lending here has no deposits left, so
+    the leg is postponed each day and the run finishes."""
+    raw = PRESETS[preset]()
+    raw["rates"] = {**raw.get("rates", {}), "repo_rate_daily": rate}
+    path = tmp_path / "negative_close.json"
+    path.write_text(json.dumps(raw))
+    out_dir = tmp_path / "out"
+    # 1 would be an error mid-run, 2 a failed daily audit
+    assert main(["run", str(path), "--out", str(out_dir)]) == 0
+    events = [json.loads(line) for line in (out_dir / "events.jsonl").read_text().splitlines()]
+    legs = [e for e in events if e["type"] == "leg_failed" and e["leg"] == "repo_second_leg"]
+    assert legs and all(e["cause"].startswith("issuer:0 holds 0 of deposit@") for e in legs)
+    daily = csv.DictReader(io.StringIO((out_dir / "daily.csv").read_text()))
+    assert {row["day"] for row in daily} == {str(day) for day in range(raw["horizon_days"])}
+
+
 def test_mint_invest_frac_above_one_is_rejected_before_the_run(tmp_path, capsys):
     raw = PRESETS["regime_shift"]()
     raw["mint_demand"] = {"daily_rate": 50_000}

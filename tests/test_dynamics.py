@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stablesim.config import IssuerConfig
 from stablesim.dynamics import (CONFIDENCE_BANDS, ConfidenceState,
                                 DynamicsError, InterventionResult, PriceParams,
                                 RunModel, SensitivityState, ShockClass, ShockSpec,
@@ -12,7 +13,7 @@ from stablesim.ledger import (FED, AgentId, AgentKind, LedgerWorld, Posting,
                               coin_key)
 from stablesim.money import BP, MICRO, PAR, mul_frac
 from stablesim.rng import SplitMix64
-from stablesim.settlement import AccessMode, IssuerBook, ParPolicy
+from stablesim.settlement import AccessMode, IssuerBook
 
 
 def model(**kwargs):
@@ -152,8 +153,9 @@ def shock_world(coins=1_000_00):
             Posting(issuer, "L", coin_key(issuer), coins),
             Posting(HOLDER, "A", coin_key(issuer), coins),
         ])
-    issuers = {issuer.key: IssuerBook(agent=issuer, policy=ParPolicy(),
-                                      access_mode=AccessMode.DIRECT, chain="alpha")
+    issuers = {issuer.key: IssuerBook(issuer, IssuerConfig(
+                   name=issuer.key, bank="bank", coins=coins, assets=0, allocation={},
+                   chain="alpha"))
                for issuer in (ISSUER, ISSUER2)}
     return world, issuers
 
@@ -174,7 +176,11 @@ def test_correlated_liveness_hits_every_issuer_on_the_chain():
     spec = ShockSpec(klass=ShockClass.CORRELATED_LIVENESS, duration=1,
                      chain="alpha")
     apply_shock(spec, world, state, issuers, HOLDER, SplitMix64(1))
-    assert set(state.last_shock) == {ISSUER.key, ISSUER2.key}
+    assert state.suspended_until == {"alpha": 1}
+    halted = state.suspended_chains(0)
+    assert {key for key, book in issuers.items() if book.config.chain in halted} == \
+        {ISSUER.key, ISSUER2.key}
+    assert state.price_effects == {}
 
 
 def test_uncontrolled_supply_same_day_burn_round_trips():

@@ -1,11 +1,14 @@
+import csv
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import pytest
 
+from stablesim.analytics import ANALYTICS_FIELDS
 from stablesim.config import PRESETS, load_config, parse_config
-from stablesim.engine import AuditFailure, build_scenario, run, sweep
+from stablesim.engine import DAILY_FIELDS, AuditFailure, build_scenario, run, sweep
 from stablesim.instruments import step_portfolio
 from stablesim.ledger import DurationClass, LedgerWorld, Posting, deposit_key
 from stablesim.money import PAR, mul_frac
@@ -578,6 +581,22 @@ def test_events_jsonl_is_json_dumps_of_each_event():
             ("shock_applied", "magnitude", "NoneType"),
             ("sale_cleared", "first_submission", "bool"),
             ("redemption_request", "intervention", "bool")} <= covered
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS) + ["multi_holder_direct",
+                                                   "multi_holder_intermediated"])
+def test_analytics_csv_is_daily_csv_projected(name):
+    """analytics.csv holds daily.csv's rows, in the same order, cut down to
+    `ANALYTICS_FIELDS`."""
+    cfg = (load_config(name) if name in PRESETS
+           else parse_config(multi_holder_raw(name.removeprefix("multi_holder_"))))
+    out = run(cfg)
+    daily = list(csv.DictReader(io.StringIO(out.daily_csv())))
+    analytics = list(csv.DictReader(io.StringIO(out.analytics_csv())))
+    assert set(ANALYTICS_FIELDS) < set(DAILY_FIELDS)
+    assert [{k: row[k] for k in ANALYTICS_FIELDS} for row in daily] == analytics
+    assert out.analytics_csv().splitlines()[0] == ",".join(ANALYTICS_FIELDS)
+    assert len({(row["day"], row["agent"]) for row in daily}) == len(daily)
 
 
 def test_written_files_are_the_string_outputs(tmp_path):

@@ -176,6 +176,27 @@ def test_roll_at_negative_rate_pays_interest_to_the_borrower():
     assert world.audit().ok
 
 
+def test_close_owing_less_than_zero_is_paid_by_the_lender():
+    """At -150% a day the borrower owes principal plus interest below zero:
+    the lender pays it the difference and the loan leaves both books."""
+    world = repo_world(dealer_bills=30_000_00, dealer_long=90_000_00)
+    registry = RepoRegistry()
+    pos = open_reverse_repo(world, registry, ISSUER, DEALER, 10_000_00,
+                            haircut=20_000, rate=-1_500_000, term=1)
+    issuer_cash, dealer_cash = world.deposits(ISSUER), world.deposits(DEALER)
+    world.day = 1
+    outcome = close_or_default_repo(world, registry, pos, counterparty_performs=True)
+    owed = 10_000_00 + mul_frac(10_000_00, -1_500_000)
+    assert outcome.cash_to_lender == owed == -5_000_00
+    assert world.events[-1]["interest"] == owed - 10_000_00
+    assert world.deposits(ISSUER) == issuer_cash + owed
+    assert world.deposits(DEALER) == dealer_cash - owed
+    assert world.sheet(ISSUER).asset(f"repo@{DEALER.key}") == 0
+    assert world.sheet(DEALER).liability(f"repo@{ISSUER.key}") == 0
+    assert registry.positions == {} and registry.encumbered == {}
+    assert world.audit().ok
+
+
 def test_deliver_tbills_caps_payment_and_scales_face():
     world = repo_world(issuer_cash=1_00, dealer_bills=1_000_00)
     mark_treasuries(world, RepoRegistry(), -20_000, DurationClass.BILL)

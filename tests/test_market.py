@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablesim.config import MarketConfig, PolicyConfig
+from stablesim.config import DealerConfig, MarketConfig, PolicyConfig
 from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, LedgerWorld, Posting,
                               deposit_key, reserves_key)
 from stablesim.instruments import RepoRegistry
@@ -29,6 +29,16 @@ def endow(world, agent, amount):
     ])
 
 
+def dealer_config(dealer, capital, base_assets, reserve_access):
+    return DealerConfig(name=dealer.key, bank="bank", capital=capital,
+                        base_assets=base_assets, reserve_access=reserve_access)
+
+
+def capacity(market, world):
+    """Fill volume the dealer sector can absorb right now."""
+    return sum(market.dealer_capacity(world).values())
+
+
 def make_market(capital=10_000_00, base_assets=100_000_00, reserve_access=10**12,
                 dealer_cash=10**12, seller_bills=1_000_000_00, srf=False,
                 retention=335_648, eslr_reform=False, **params):
@@ -49,8 +59,7 @@ def make_market(capital=10_000_00, base_assets=100_000_00, reserve_access=10**12
     books = {}
     for dealer in (D1, D2):
         books[dealer.key] = DealerBook(
-            agent=dealer, capital=capital, base_assets=base_assets,
-            reserve_access=reserve_access,
+            dealer, dealer_config(dealer, capital, base_assets, reserve_access),
             inventory_baseline=world.tbill_value(dealer))
     market = Market(MarketConfig(depth=params.pop("depth", 1_000_000_00),
                                  retention_frac=retention, **params),
@@ -84,7 +93,7 @@ def test_full_fill_when_under_capacity():
 def test_zero_capacity_zero_fill():
     world, market, _ = make_market(capital=5_000_00, base_assets=100_000_00)
     # headroom: 5_000_00 / 5% - 100_000_00 = 0
-    assert market.capacity(world) == 0
+    assert capacity(market, world) == 0
     report = market.submit_sale(world, SELLER, 10_000_00, DurationClass.BILL)
     assert report.filled == 0
     assert report.unfilled == 10_000_00
@@ -143,11 +152,11 @@ def test_offload_to_a_buyer_short_of_deposits_delivers_only_what_it_paid_for():
 def test_reserve_access_caps_capacity_and_srf_lifts_it():
     # ample headroom, tight reserves
     world, market, _ = make_market(capital=50_000_00, reserve_access=10_000_00)
-    capped = market.capacity(world)
+    capped = capacity(market, world)
     assert capped == 2 * 10_000_00
     world2, market2, _ = make_market(capital=50_000_00, reserve_access=10_000_00,
                                      srf=True)
-    lifted = market2.capacity(world2)
+    lifted = capacity(market2, world2)
     assert lifted > capped
     headroom = sum(b.headroom(world2) for b in market2.books.values())
     assert lifted <= headroom
@@ -158,8 +167,8 @@ def test_srf_never_decreases_capacity_but_headroom_still_caps():
         world_off, market_off, _ = make_market(capital=capital, reserve_access=ra)
         world_on, market_on, _ = make_market(capital=capital, reserve_access=ra,
                                              srf=True)
-        off = market_off.capacity(world_off)
-        on = market_on.capacity(world_on)
+        off = capacity(market_off, world_off)
+        on = capacity(market_on, world_on)
         headroom = sum(b.headroom(world_on) for b in market_on.books.values())
         assert on >= off
         assert on <= headroom
@@ -168,7 +177,7 @@ def test_srf_never_decreases_capacity_but_headroom_still_caps():
 def test_srf_draw_consumes_headroom_at_clearing():
     world, market, _ = make_market(capital=9_000_00, reserve_access=0, srf=True)
     headroom0 = sum(b.headroom(world) for b in market.books.values())
-    cap = market.capacity(world)
+    cap = capacity(market, world)
     assert cap == headroom0 // 2
     report = market.submit_sale(world, SELLER, cap, DurationClass.BILL)
     assert report.filled == cap
@@ -215,10 +224,10 @@ def test_funding_gap_collateral_split():
 
 def test_eslr_reform_adds_capacity():
     world, market, _ = make_market(capital=5_000_00)  # at bound
-    assert market.capacity(world) == 0
+    assert capacity(market, world) == 0
     world2, market2, _ = make_market(capital=5_000_00, eslr_reform=True,
                                      eslr_capacity_add=500_00)
-    assert market2.capacity(world2) == 500_00
+    assert capacity(market2, world2) == 500_00
 
 
 @settings(max_examples=100, deadline=None)
@@ -240,11 +249,10 @@ def test_single_dealer_capacity_matches_leverage_headroom():
     world.add_agent(BUYER, bank=BANK)
     endow(world, D1, 10**12)
     endow(world, BUYER, 10**12)
-    book = DealerBook(agent=D1, capital=5_80, base_assets=100_00,
-                      reserve_access=10**9, inventory_baseline=0)
+    book = DealerBook(D1, dealer_config(D1, 5_80, 100_00, 10**9), inventory_baseline=0)
     market = Market(MarketConfig(depth=10_000_00, retention_frac=0), PolicyConfig(),
                     {D1.key: book}, BUYER)
-    assert market.capacity(world) == 16_00
+    assert capacity(market, world) == 16_00
 
 
 def test_capacity_is_recomputed_only_for_a_dealer_that_changed(monkeypatch):
@@ -289,9 +297,8 @@ def random_market(rng):
         endow(world, dealer, rng.randint(1, 5_000_00))
         world.grant_tbill(dealer, DurationClass.LONG, rng.randint(0, 10_000_00))
         books[dealer.key] = DealerBook(
-            agent=dealer, capital=rng.randint(5_000_00, 6_000_00),
-            base_assets=100_000_00,
-            reserve_access=rng.choice((0, rng.randint(1, 10_000_00))),
+            dealer, dealer_config(dealer, rng.randint(5_000_00, 6_000_00), 100_000_00,
+                                  rng.choice((0, rng.randint(1, 10_000_00)))),
             inventory_baseline=world.tbill_value(dealer))
     retention = rng.choice((0, 335_648))
     market = Market(MarketConfig(depth=1_000_000_00, retention_frac=retention),
@@ -349,9 +356,9 @@ def test_resubmit_carryover_reads_capacity_again_only_after_a_fill(monkeypatch):
     for seed in range(20):
         world, market = random_market(random.Random(seed))
         reads = []
-        capacity = market.dealer_capacity
+        read_capacity = market.dealer_capacity
         monkeypatch.setattr(market, "dealer_capacity",
-                            lambda world: reads.append(1) or capacity(world))
+                            lambda world: reads.append(1) or read_capacity(world))
         prorated.clear()
         reports = market.resubmit_carryover(world)
         filled = sum(1 for r in reports if r.filled)

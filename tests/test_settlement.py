@@ -2,11 +2,12 @@ import copy
 
 import pytest
 
-from stablesim.config import parse_config
+from stablesim.config import DealerConfig, IssuerConfig, PolicyConfig, RatesConfig, parse_config
 from stablesim.engine import build_scenario, run
 from stablesim.instruments import RepoRegistry
 from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, InsufficientPosition,
-                              LedgerWorld, Posting, coin_key, deposit_key, reserves_key)
+                              LedgerWorld, Posting, coin_key, deposit_key, reserves_key,
+                              srf_key)
 from stablesim.market import DealerBook, draw_srf
 from stablesim.money import PAR
 from stablesim.settlement import (AccessMode, Funding, IneligibleRedeemer, IssuerBook,
@@ -42,22 +43,23 @@ def bare_world(issuer_deposits=0, issuer_bills=0):
     return world
 
 
-def issuer_book(**kwargs):
-    defaults = dict(agent=ISSUER, policy=ParPolicy(ParMode.BEST_EFFORT),
-                    access_mode=AccessMode.DIRECT, eligible={IM.key})
-    defaults.update(kwargs)
-    return IssuerBook(**defaults)
+def issuer_book(**config):
+    """The issuer's book; `config` sets fields of its `IssuerConfig`."""
+    return IssuerBook(ISSUER, IssuerConfig(name="usdx", bank="bank", coins=1, assets=0,
+                                           allocation={}, **config))
 
 
-def settlement_engine(world, book, **kwargs):
-    return SettlementEngine(world, RepoRegistry(), {book.agent.key: book}, **kwargs)
+def settlement_engine(world, book, rates=RatesConfig(), **policies):
+    """An engine over `book` alone; `policies` sets fields of its `PolicyConfig`."""
+    return SettlementEngine(world, RepoRegistry(), {book.agent.key: book}, rates,
+                            PolicyConfig(**policies))
 
 
-def plan(world, amount, book=None, holder=HOLDER):
+def plan(world, amount, book=None, holder=HOLDER, **policies):
     """Submit one redemption and plan it; returns the request record, the
     sale instructions and the plan_created event."""
     book = book or issuer_book()
-    settle = settlement_engine(world, book)
+    settle = settlement_engine(world, book, **policies)
     record = settle.submit_redemption(book, holder, amount, Route.DIRECT)
     instructions = settle.plan_pending(set())
     created = [e for e in world.events if e["type"] == "plan_created"]
@@ -95,12 +97,14 @@ def test_plan_falls_back_to_repo_non_rollover():
 
 def test_direct_route_needs_eligibility_under_intermediated_access():
     world = bare_world(issuer_deposits=10_000_00)
-    book = issuer_book(access_mode=AccessMode.INTERMEDIATED)
+    book = issuer_book()
+    settle = settlement_engine(world, book, access_mode=AccessMode.INTERMEDIATED)
     with pytest.raises(IneligibleRedeemer):
-        settlement_engine(world, book).submit_redemption(book, HOLDER, 1_00,
-                                                         Route.DIRECT)
-    # the listed intermediary may redeem directly
-    _, _, event = plan(world, 1_00, book=book, holder=IM)
+        settle.submit_redemption(book, HOLDER, 1_00, Route.DIRECT)
+    # a holder may still take part in an issuer's intervention
+    settle.submit_redemption(book, HOLDER, 1_00, Route.DIRECT, is_intervention=True)
+    # an intermediary may redeem directly
+    _, _, event = plan(world, 1_00, holder=IM, access_mode=AccessMode.INTERMEDIATED)
     assert event["funding"] == Funding.FROM_DEPOSITS.value
 
 
@@ -119,23 +123,37 @@ def test_redemption_amount_must_be_positive():
 
 def test_submit_mint_declines():
     world = bare_world()
-    book = issuer_book(mint_invest_frac=500_000)
-    order = settlement_engine(world, book, treasury_rate=100).submit_mint(
-        book, HOLDER, 1_000_00, PAR)
-    assert (order.amount, order.invest_frac) == (1_000_00, 500_000)
+    book = issuer_book()
+    yielding = RatesConfig(treasury_rate_daily=100)
+    order = settlement_engine(world, book, yielding).submit_mint(book, HOLDER, 1_000_00, PAR)
+    assert (order.buyer, order.issuer, order.amount) == (HOLDER, ISSUER, 1_000_00)
     with pytest.raises(SettlementError):
-        settlement_engine(world, book, treasury_rate=100).submit_mint(
-            book, HOLDER, 0, PAR)
+        settlement_engine(world, book, yielding).submit_mint(book, HOLDER, 0, PAR)
     with pytest.raises(MintDeclined):
-        settlement_engine(world, book, treasury_rate=0).submit_mint(
+        settlement_engine(world, book, RatesConfig(treasury_rate_daily=0)).submit_mint(
             book, HOLDER, 1_000_00, PAR)
-    best_effort = issuer_book(policy=ParPolicy(ParMode.BEST_EFFORT))
+    best_effort = issuer_book()
     with pytest.raises(MintDeclined):
-        settlement_engine(world, best_effort, treasury_rate=100,
-                          negative_carry_refusal=False).submit_mint(
+        settlement_engine(world, best_effort, yielding, negative_carry_refusal=False,
+                          par_policy=ParPolicy(ParMode.BEST_EFFORT)).submit_mint(
             best_effort, HOLDER, 1_000_00, PAR - 1)
     assert book.mints == [order]
     assert best_effort.mints == []
+
+
+def test_mint_pass_invests_the_configured_fraction_in_bills():
+    world = bare_world()
+    endow(world, 1_000_00, agent=HOLDER)
+    world.grant_tbill(DEALER, DurationClass.BILL, 10_000_00)
+    book = issuer_book(mint_invest_frac=500_000)
+    settle = settlement_engine(world, book, RatesConfig(treasury_rate_daily=100))
+    order = settle.submit_mint(book, HOLDER, 1_000_00, PAR)
+    settle.mint_pass(set(), DEALER)
+    assert order.completed_day == 0 and book.total_minted == 1_000_00
+    assert world.sheet(HOLDER).asset(coin_key(ISSUER)) == 1_000_00
+    assert (world.deposits(ISSUER), world.tbill_value(ISSUER)) == (500_00, 500_00)
+    assert world.deposits(DEALER) == 500_00
+    assert world.audit().ok
 
 
 def coined_world(coins):
@@ -176,8 +194,8 @@ def test_best_effort_never_intervenes():
 def srf_setup():
     world = bare_world()
     world.grant_tbill(DEALER, DurationClass.LONG, 50_00)
-    book = DealerBook(agent=DEALER, capital=5_80, base_assets=100_00,
-                      exposures=0, gsib=True, reserve_access=0,
+    book = DealerBook(DEALER, DealerConfig(name="d", bank="bank", capital=5_80,
+                                           base_assets=100_00, reserve_access=0),
                       inventory_baseline=world.tbill_value(DEALER))
     return world, book
 
@@ -188,7 +206,7 @@ def test_draw_srf_grows_assets_and_trims_headroom():
     draw_srf(world, book, 10_00)
     assert world.sheet(DEALER).asset(reserves_key()) == 10_00
     assert world.sheet(FED).asset(f"srf@{DEALER.key}") == 10_00
-    assert book.srf_outstanding == 10_00
+    assert world.sheet(DEALER).liability(srf_key(FED)) == 10_00
     assert book.headroom(world) == 6_00
     assert world.audit().ok
 
@@ -327,14 +345,14 @@ def test_plan_pending_sale_funding_waits_for_the_market():
 BANK_B = AgentId(AgentKind.BANK, 1)
 
 
-def endow_issuer(world, amount):
-    """Give the issuer `amount` of deposits at BANK, backed by reserves."""
+def endow(world, amount, agent=ISSUER):
+    """Give `agent` `amount` of deposits at BANK, backed by reserves."""
     world.post([
         Posting(FED, "A", "govt", amount),
         Posting(FED, "L", reserves_key(BANK), amount),
         Posting(BANK, "A", reserves_key(), amount),
-        Posting(BANK, "L", deposit_key(ISSUER), amount),
-        Posting(ISSUER, "A", deposit_key(BANK), amount),
+        Posting(BANK, "L", deposit_key(agent), amount),
+        Posting(agent, "A", deposit_key(BANK), amount),
     ])
 
 
@@ -345,7 +363,7 @@ def payout_world(issuer_deposits, coins):
     for agent, bank in ((FED, None), (BANK, None), (BANK_B, None), (ISSUER, BANK),
                         (HOLDER, BANK_B), (IM, BANK_B)):
         world.add_agent(agent, bank=bank)
-    endow_issuer(world, issuer_deposits)
+    endow(world, issuer_deposits)
     world.post([Posting(ISSUER, "L", coin_key(ISSUER), coins),
                 Posting(HOLDER, "A", coin_key(ISSUER), coins)])
     return world
@@ -364,7 +382,7 @@ def test_payout_pass_sizes_chunks_against_running_balances():
     assert settle.plan_pending(set()) == []
     assert (first.from_deposits, first.from_pool) == (300_00, 0)
     assert (second.from_deposits, second.from_pool) == (300_00, 100_00)
-    endow_issuer(world, 50_00)
+    endow(world, 50_00)
     logged = len(world.events)
     settle.payout_pass(set())
     assert (first.paid, first.completed_day) == (300_00, 0)
