@@ -19,7 +19,7 @@ expected an integer, got 5.5" or "agents.holders[h_1].coins.usdx: ...".
                   this scale. (default "USD")
   horizon_days    number of simulated business days (>= 1)
   seed            64-bit seed for the fixed SplitMix64 generator (0)
-  agents:
+  agents:           every name, bank or agent, names one of them only
     banks         [{name}]
     issuers       [{name, bank, chain ("main"), coins (> 0), assets,
                     allocation: {deposits (0), bills (0), repo (0)},
@@ -223,9 +223,10 @@ class ScenarioConfig:
     attack_cost: int | None = None
     unit_scale: str = "USD"
 
-    def canonical_dict(self) -> dict:
-        """Stable rendering used for config hashing in summaries."""
-        return json.loads(json.dumps(self, default=_encode, sort_keys=True))
+    def canonical_json(self) -> str:
+        """Compact, key-sorted JSON of the config, hashed in summaries;
+        every dict in it is keyed by strings."""
+        return json.dumps(self, default=_encode, sort_keys=True, separators=(",", ":"))
 
 
 def _encode(obj):
@@ -427,10 +428,11 @@ def parse_config(raw: dict) -> ScenarioConfig:
     _require("agents" in raw, "missing field: agents")
     agents = _object(raw["agents"], "", "agents")
     _known_keys(agents, "agents", _AGENT_LISTS)
-    bank_names = set()
+    named = {}   # every bank and agent name -> its path: one name, one agent
     for where, entry in _named(agents, "banks"):
         _known_keys(entry, where, {"name"})
-        bank_names.add(entry["name"])
+        named[entry["name"]] = where
+    bank_names = set(named)
     _require(len(bank_names) > 0, "agents.banks: at least one bank")
 
     def parse(section: str, cls, given: dict) -> dict:  # path -> entry, by name
@@ -438,6 +440,10 @@ def parse_config(raw: dict) -> ScenarioConfig:
         for where, agent in out.items():
             if agent.bank not in bank_names:
                 raise ValidationError(f"{where}.bank: unknown bank: {agent.bank}")
+            if agent.name in named:
+                raise ValidationError(
+                    f"{where}.name: {agent.name} already names {named[agent.name]}")
+            named[agent.name] = where
         return out
 
     issuers = parse("issuers", IssuerConfig, {"allocation": _Read(_allocation)})

@@ -654,8 +654,7 @@ def run(config: ScenarioConfig, on_day_end=None) -> RunOutput:
 def _summarize(scn: Scenario) -> dict:
     config = scn.config
     world = scn.world
-    canonical = json.dumps(config.canonical_dict(), sort_keys=True,
-                           separators=(",", ":"))
+    canonical = config.canonical_json()
     issuers = {}
     for key in sorted(scn.settle.issuers):
         book = scn.settle.issuers[key]

@@ -14,7 +14,8 @@ collateral-to-principal ratio: loss = principal * (decline - haircut)
 
 This module is the only writer of the repo book (`RepoRegistry`) and
 the only place that pairs a deposit payment with a Treasury delivery
-(`deliver_tbills`).
+(`deliver_tbills`, which stages both on a ledger `TransferBatch`, so a
+whole settlement pass is written by one post).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ledger import (DURATION_NAME, DURATIONS, AgentId, DurationClass, LedgerWorld, Posting,
-                     repo_key)
+                     TransferBatch, repo_key)
 from .money import MICRO, Amount, ceil_div, mul_div, mul_frac
 
 GENIUS_MAX_BILL_DAYS = 93
@@ -126,7 +127,9 @@ class RepoRegistry:
         key = lender.key
         return [p for p in self.open_positions() if p.lender.key == key]
 
-    def free_face(self, world: LedgerWorld, agent: AgentId, duration: DurationClass) -> int:
+    def free_face(self, world: LedgerWorld | TransferBatch, agent: AgentId,
+                  duration: DurationClass) -> int:
+        """`agent`'s unencumbered face, of a world or of a batch's running faces."""
         return world.face_of(agent, duration) - self.encumbered.get((agent.key, duration), 0)
 
     def total_principal(self, lender: AgentId) -> Amount:
@@ -339,20 +342,20 @@ def _top_up_collateral(world: LedgerWorld, registry: RepoRegistry,
         shortfall -= mul_frac(face, price)
 
 
-def deliver_tbills(world: LedgerWorld, seller: AgentId, buyer: AgentId,
+def deliver_tbills(batch: TransferBatch, seller: AgentId, buyer: AgentId,
                    duration: DurationClass, face: Amount, price: int) -> Amount:
-    """Delivery versus payment: `buyer` pays `face` at `price` out of its
-    deposits, capped at what it holds, and `seller` delivers the face
-    that payment buys. Returns the amount paid."""
+    """Delivery versus payment, staged on `batch`: `buyer` pays `face` at
+    `price` out of its deposits, capped at what it holds, and `seller`
+    delivers the face that payment buys. Returns the amount paid."""
     value = mul_frac(face, price)
-    paid = min(value, world.deposits(buyer))
+    paid = min(value, batch.deposits(buyer))
     if paid <= 0:
         return 0
-    world.transfer_deposit(buyer, seller, paid)
+    batch.pay(buyer, seller, paid)
     if paid < value:
         face = mul_div(paid, MICRO, price)
     if face > 0:
-        world.transfer_tbill(seller, buyer, duration, face=face)
+        batch.deliver(seller, buyer, duration, face)
     return paid
 
 

@@ -10,7 +10,10 @@ last call. Each settlement rail has one method that posts all of its
 legs: ``transfer_deposit``, ``transfer_coin`` (mint, burn or transfer)
 and ``transfer_tbill``. ``redeem_coins`` is the batch form of a coin
 burn followed by a deposit payment, for many holders of one issuer;
-the Treasury re-mark ``remark_tbills`` posts its re-valuations too.
+``TransferBatch`` holds the deposit and Treasury rails, stages many
+payments and deliveries against running balances and writes them with
+one post (``transfer_deposit`` and ``transfer_tbill`` are a batch of
+one); the Treasury re-mark ``remark_tbills`` posts its re-valuations too.
 This module owns the instrument-key format ``"<kind>@<counterparty>"``:
 every key is built by ``deposit_key``, ``reserves_key``, ``repo_key``,
 ``srf_key``, ``coin_key`` or ``tbill_key``, and each agent's own
@@ -36,6 +39,8 @@ from enum import Enum
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import NamedTuple
+
+from .money import mul_frac
 
 
 class LedgerError(Exception):
@@ -238,14 +243,16 @@ class _Form:
 
     def __reduce__(self):
         # copies and pickles share the cached form
-        return _form, (self.type, self.keys[len(_RESERVED):])
+        return event_form, (self.type, self.keys[len(_RESERVED):])
 
 
 _FORMS: dict[tuple, _Form] = {}   # (type, *names) -> its form
 _RAIL_FIELDS = ("instrument", "src", "dst", "amount")   # a transfer rail's event
 
 
-def _form(event_type: str, names: tuple) -> _Form:
+def event_form(event_type: str, names: tuple) -> _Form:
+    """The schema of events of `event_type` with fields `names`, in that
+    order, for `LedgerWorld.emit_all`."""
     key = (event_type, *names)
     form = _FORMS.get(key)
     if form is None:
@@ -384,16 +391,28 @@ class LedgerWorld:
     def emit(self, event_type: str, **fields) -> None:
         """Log one event; a field named `day`, `seq` or `type` raises
         `LedgerError` when its schema is first seen."""
-        form = _FORMS.get((event_type, *fields)) or _form(event_type, tuple(fields))
+        form = _FORMS.get((event_type, *fields)) or event_form(event_type, tuple(fields))
         self.events.rows.append((form, self.day, self.seq, event_type, *fields.values()))
         self.seq += 1
 
+    def emit_all(self, events: list) -> None:
+        """Log `events`, each `(form, values)` with `form` from `event_form`
+        and `values` in its field order, as `emit` would one by one."""
+        rows, day, seq = self.events.rows, self.day, self.seq
+        for form, values in events:
+            rows.append((form, day, seq, form.type, *values))
+            seq += 1
+        self.seq = seq
+
     # -- posting engine ----------------------------------------------------
 
-    def post(self, postings: list[Posting], event: str | None = None, **event_fields) -> None:
+    def post(self, postings: list[Posting] | dict, event: str | None = None,
+             **event_fields) -> None:
         """Apply a batch of legs atomically.
 
-        All legs are validated first: agents must exist and no position
+        `postings` is a list of legs, or legs summed per position as
+        `{(agent key, side, key): delta}`, the way `TransferBatch` stages
+        them. All legs are validated first: agents must exist and no position
         may go negative. Only then are balances and stored equity
         updated, so an error cannot leave a half-applied batch. Each
         written sheet's `version` is bumped and, once `audit_changes()`
@@ -402,12 +421,18 @@ class LedgerWorld:
         `coin_holders`.
         """
         agents = self.agents
-        staged: dict[tuple[str, str, str], int] = {}
-        for agent, side, key, delta in postings:
-            if agent.key not in agents:
-                raise UnknownAgent(f"unknown agent {agent}")
-            k = (agent.key, side, key)
-            staged[k] = staged.get(k, 0) + delta
+        if type(postings) is dict:
+            staged = postings
+            for agent_key, _, _ in staged:
+                if agent_key not in agents:
+                    raise UnknownAgent(f"unknown agent {agent_key}")
+        else:
+            staged = {}
+            for agent, side, key, delta in postings:
+                if agent.key not in agents:
+                    raise UnknownAgent(f"unknown agent {agent}")
+                k = (agent.key, side, key)
+                staged[k] = staged.get(k, 0) + delta
         writes = []   # (agent key, side, key, delta, sheet, its side's positions, new)
         for (agent_key, side, key), delta in staged.items():
             book = agents[agent_key]
@@ -452,34 +477,11 @@ class LedgerWorld:
         return amount != 0 and frm.key != to.key
 
     def transfer_deposit(self, frm: AgentId, to: AgentId, amount: int) -> None:
-        """Pay `amount` of deposits from `frm` to `to` through their banks.
-
-        A cross-bank payment debits the payer's bank of reserves and
-        credits the payee's, re-keying the central bank's reserve
-        liability, so aggregate deposits and reserves are conserved by
-        construction.
-        """
-        if not self._moves(frm, to, amount):
-            return
-        held_f, owed_f = self._deposit_keys(frm)
-        held_t, owed_t = self._deposit_keys(to)
-        bank_f = self.banks[frm.key]
-        bank_t = self.banks[to.key]
-        legs = [
-            Posting(frm, "A", held_f, -amount),
-            Posting(bank_f, "L", owed_f, -amount),
-            Posting(bank_t, "L", owed_t, amount),
-            Posting(to, "A", held_t, amount),
-        ]
-        if bank_f.key != bank_t.key:
-            legs += [
-                Posting(bank_f, "A", reserves_key(), -amount),
-                Posting(FED, "L", reserves_key(bank_f), -amount),
-                Posting(FED, "L", reserves_key(bank_t), amount),
-                Posting(bank_t, "A", reserves_key(), amount),
-            ]
-        self.post(legs, event="transfer", instrument="deposit",
-                  src=frm.key, dst=to.key, amount=amount)
+        """Pay `amount` of deposits from `frm` to `to`: `TransferBatch.pay`
+        alone in its batch."""
+        batch = TransferBatch(self)
+        batch.pay(frm, to, amount)
+        batch.commit()
 
     def transfer_coin(self, frm: AgentId, to: AgentId, issuer: AgentId, amount: int) -> None:
         """Move `amount` of `issuer`'s coin: a mint when `frm` is the
@@ -526,9 +528,8 @@ class LedgerWorld:
         coin, src = coin_key(issuer), issuer.key
         held_f, owed_f = self._deposit_keys(issuer)
         banks, bank_f = self.banks, self.banks[src]
-        burn, transfer = _form("burn", _RAIL_FIELDS), _form("transfer", _RAIL_FIELDS)
-        day, seq = self.day, self.seq
-        legs, rows, total = [], [], 0
+        burn, transfer = event_form("burn", _RAIL_FIELDS), event_form("transfer", _RAIL_FIELDS)
+        legs, events, total = [], [], 0
         moved: dict[str, int] = {}   # payee bank key -> amount, other banks than the issuer's
         for holder, amount, (event, fields) in payouts:
             if amount <= 0:
@@ -541,11 +542,10 @@ class LedgerWorld:
             total += amount
             if bank_t.key != bank_f.key:
                 moved[bank_t.key] = moved.get(bank_t.key, 0) + amount
-            note = _FORMS.get((event, *fields)) or _form(event, tuple(fields))
-            rows += ((burn, day, seq, "burn", coin, dst, src, amount),
-                     (transfer, day, seq + 1, "transfer", "deposit", src, dst, amount),
-                     (note, day, seq + 2, event, *fields.values()))
-            seq += 3
+            note = _FORMS.get((event, *fields)) or event_form(event, tuple(fields))
+            events += ((burn, (coin, dst, src, amount)),
+                       (transfer, ("deposit", src, dst, amount)),
+                       (note, fields.values()))
         legs += (Posting(issuer, "L", coin, -total),
                  Posting(issuer, "A", held_f, -total),
                  Posting(bank_f, "L", owed_f, -total))
@@ -558,8 +558,7 @@ class LedgerWorld:
                 legs += (Posting(FED, "L", reserves_key(bank_t), amount),
                          Posting(bank_t, "A", reserves_key(), amount))
         self.post(legs)
-        self.events.rows += rows
-        self.seq = seq
+        self.emit_all(events)
 
     # -- treasuries ----------------------------------------------------------
 
@@ -577,8 +576,6 @@ class LedgerWorld:
 
     def grant_tbill(self, agent: AgentId, duration: DurationClass, face: int) -> None:
         """Endow an agent with Treasuries (world construction only)."""
-        from .money import mul_frac
-
         value = mul_frac(face, self.price(duration))
         self.post([Posting(agent, "A", tbill_key(duration), value)])
         key = (agent.key, duration)
@@ -586,34 +583,17 @@ class LedgerWorld:
 
     def transfer_tbill(self, frm: AgentId, to: AgentId, duration: DurationClass,
                        face: int) -> int:
-        """Move up to `face` of Treasuries, at most what `frm` holds;
-        returns the market value moved."""
-        from .money import mul_frac
-
-        price = self.price(duration)
-        face = min(face, self.face_of(frm, duration))
-        moved_value = mul_frac(face, price)
-        held_value = self.sheet(frm).asset(tbill_key(duration))
-        moved_value = min(moved_value, held_value)
-        if face <= 0:
-            return 0
-        self.post([
-            Posting(frm, "A", tbill_key(duration), -moved_value),
-            Posting(to, "A", tbill_key(duration), moved_value),
-        ], event="transfer", instrument=tbill_key(duration),
-            src=frm.key, dst=to.key, amount=moved_value, face=face)
-        self.tbill_face[(frm.key, duration)] -= face
-        if self.tbill_face[(frm.key, duration)] == 0:
-            del self.tbill_face[(frm.key, duration)]
-        key_to = (to.key, duration)
-        self.tbill_face[key_to] = self.tbill_face.get(key_to, 0) + face
-        return moved_value
+        """Move up to `face` of Treasuries, at most what `frm` holds:
+        `TransferBatch.deliver` alone in its batch; returns the market
+        value moved."""
+        batch = TransferBatch(self)
+        moved = batch.deliver(frm, to, duration, face)
+        batch.commit()
+        return moved
 
     def remark_tbills(self, duration: DurationClass, new_price: int) -> None:
         """Set a class price and post each position's change in market
         value, one leg per agent holding the class, in agent key order."""
-        from .money import mul_frac
-
         if new_price <= 0:
             raise LedgerError("treasury price must stay positive")
         self.tbill_prices[duration] = new_price
@@ -824,3 +804,113 @@ class LedgerWorld:
         }
         return WorldSnapshot(data=copy.deepcopy(data))
 
+
+
+class TransferBatch:
+    """Deposit payments and Treasury deliveries written by one `post`.
+
+    `pay` and `deliver` are the deposit and Treasury rails. Each stages
+    its legs on top of the ones before it: `deposits` and `face_of` read
+    the running values, and every debit is checked against them, so a
+    batch raises `InsufficientPosition` at the transfer where the same
+    transfers posted one by one would. `commit` posts the summed legs,
+    logs the staged events in order and updates `tbill_face`; a batch
+    that raises, or is never committed, writes and logs nothing.
+    """
+
+    __slots__ = ("world", "staged", "faces", "events")
+
+    def __init__(self, world: LedgerWorld):
+        self.world = world
+        self.staged: dict[tuple[str, str, str], int] = {}   # as `post` stages
+        self.faces: dict[tuple[str, DurationClass], int] = {}   # running `tbill_face`
+        self.events: list[tuple] = []   # (form, values), for `emit_all`
+
+    def _stage(self, legs: tuple) -> None:
+        """Add `legs`, each `((agent key, side, key), delta)`, after
+        checking that no debit takes a running position below zero."""
+        agents, staged = self.world.agents, self.staged
+        for leg, delta in legs:
+            if delta < 0:
+                agent_key, side, key = leg
+                book = agents[agent_key]
+                have = ((book.assets if side == "A" else book.liabilities).get(key, 0)
+                        + staged.get(leg, 0))
+                if have + delta < 0:
+                    raise InsufficientPosition(agent_key, key, have, -delta)
+        for leg, delta in legs:
+            staged[leg] = staged.get(leg, 0) + delta
+
+    def deposits(self, agent: AgentId) -> int:
+        """The deposits `agent` holds at its bank, staged legs included."""
+        held = self.world._deposit_keys(agent)[0]
+        return (self.world.agents[agent.key].assets.get(held, 0)
+                + self.staged.get((agent.key, "A", held), 0))
+
+    def face_of(self, agent: AgentId, duration: DurationClass) -> int:
+        face = self.faces.get((agent.key, duration))
+        return self.world.face_of(agent, duration) if face is None else face
+
+    def emit(self, event_type: str, **fields) -> None:
+        form = _FORMS.get((event_type, *fields)) or event_form(event_type, tuple(fields))
+        self.events.append((form, fields.values()))
+
+    def pay(self, frm: AgentId, to: AgentId, amount: int) -> None:
+        """Pay `amount` of deposits from `frm` to `to` through their banks.
+
+        A cross-bank payment debits the payer's bank of reserves and
+        credits the payee's, re-keying the central bank's reserve
+        liability, so aggregate deposits and reserves are conserved by
+        construction.
+        """
+        world = self.world
+        if not world._moves(frm, to, amount):
+            return
+        held_f, owed_f = world._deposit_keys(frm)
+        held_t, owed_t = world._deposit_keys(to)
+        bank_f, bank_t = world.banks[frm.key], world.banks[to.key]
+        legs = (((frm.key, "A", held_f), -amount), ((bank_f.key, "L", owed_f), -amount),
+                ((bank_t.key, "L", owed_t), amount), ((to.key, "A", held_t), amount))
+        if bank_f.key != bank_t.key:
+            legs += (((bank_f.key, "A", _RESERVES), -amount),
+                     ((FED.key, "L", reserves_key(bank_f)), -amount),
+                     ((FED.key, "L", reserves_key(bank_t)), amount),
+                     ((bank_t.key, "A", _RESERVES), amount))
+        self._stage(legs)
+        self.events.append((_DEPOSIT_TRANSFER, ("deposit", frm.key, to.key, amount)))
+
+    def deliver(self, frm: AgentId, to: AgentId, duration: DurationClass, face: int) -> int:
+        """Move up to `face` of Treasuries, at most what `frm` holds, at
+        the class price; returns the market value moved."""
+        key = tbill_key(duration)
+        have = self.face_of(frm, duration)
+        face = min(face, have)
+        held = self.world.sheet(frm).assets.get(key, 0) + self.staged.get((frm.key, "A", key), 0)
+        moved = min(mul_frac(face, self.world.price(duration)), held)
+        if face <= 0:
+            return 0
+        if to.key not in self.world.agents:
+            raise UnknownAgent(f"unknown agent {to}")
+        self._stage((((frm.key, "A", key), -moved), ((to.key, "A", key), moved)))
+        self.faces[(frm.key, duration)] = have - face
+        self.faces[(to.key, duration)] = self.face_of(to, duration) + face
+        self.events.append((_TBILL_TRANSFER, (key, frm.key, to.key, moved, face)))
+        return moved
+
+    def commit(self) -> None:
+        """Post the staged legs at once, log the staged events and update
+        `tbill_face`."""
+        world = self.world
+        if self.staged:
+            world.post(self.staged)
+        world.emit_all(self.events)
+        for key, face in self.faces.items():
+            if face:
+                world.tbill_face[key] = face
+            else:
+                world.tbill_face.pop(key, None)
+
+
+_RESERVES = reserves_key()
+_DEPOSIT_TRANSFER = event_form("transfer", _RAIL_FIELDS)
+_TBILL_TRANSFER = event_form("transfer", _RAIL_FIELDS + ("face",))

@@ -13,6 +13,12 @@ letting the dealer borrow reserves against Treasuries, but every draw
 grows recorded assets, so leverage headroom still caps the fill at
 (headroom + reserve_access) / 2 once reserves run short.
 
+A day's T+1 settlement is one ledger transfer batch: each delivery is
+sized against the running deposits and faces the ones before it leave,
+and the batch is written by one post. A day's carryover pass re-reads
+capacity after each fill; once a read sums to zero the rest of the
+queue fills nothing and is carried in one step.
+
 Volume accounting decomposes each submitted sale into seller volume,
 dealer retention, inter-dealer volume and buyer volume; gross volume is
 their chained sum. Price impact is linear in the flow that exceeds
@@ -30,7 +36,7 @@ from . import analytics
 from .config import DealerConfig, MarketConfig, PolicyConfig
 from .instruments import PLEDGE_MIX, RepoRegistry, deliver_tbills, mark_treasuries
 from .ledger import (DURATION_NAME, DURATIONS, FED, AgentId, DurationClass, LedgerWorld,
-                     Posting, reserves_key, srf_key)
+                     Posting, TransferBatch, event_form, reserves_key, srf_key)
 from .money import BP, MICRO, Amount, mul_div, mul_frac
 
 
@@ -114,6 +120,11 @@ class SaleOrder:
     duration: DurationClass
     remaining: Amount
     purpose: str = "sale"
+
+
+_SALE_CLEARED = event_form("sale_cleared", (
+    "order_id", "seller", "duration", "requested", "filled", "unfilled", "purpose",
+    "first_submission"))
 
 
 class FillReport(NamedTuple):
@@ -219,28 +230,24 @@ class Market:
         """Clear the queued unfilled remainders, in queue order, as new
         orders that are not first submissions.
 
-        Dealer capacity is read once, and again only after an order
-        fills something: a zero fill writes no sheet and no book field,
-        so the capacity read before it is still exact after it.
+        Dealer capacity is read before the first order and again after
+        each fill. Once a read sums to zero, the rest of the queue fills
+        nothing: a zero fill writes no sheet and no book field, so the
+        read stays exact, and those orders are carried in one step.
         """
         queued, self.carryover = self.carryover, []
         reports = []
-        avail = None
-        for order in queued:
-            if avail is None:
-                avail = self.dealer_capacity(world)
-            report = self._clear(world, order, avail, first_submission=False)
-            if report.filled:
-                avail = None
-            reports.append(report)
+        for i, order in enumerate(queued):
+            avail = self.dealer_capacity(world)
+            if not any(avail.values()):
+                return reports + self._record(world, [(o, 0) for o in queued[i:]], False)
+            reports.append(self._clear(world, order, avail, first_submission=False))
         return reports
 
     def _clear(self, world: LedgerWorld, order: SaleOrder, avail: dict,
                first_submission: bool) -> FillReport:
-        """Give `order` the next order id and clear its `remaining`
-        against `avail`, each dealer's capacity right now."""
-        order.order_id = self._next_order
-        self._next_order += 1
+        """Clear `order`'s `remaining` against `avail`, each dealer's
+        capacity right now, and record it."""
         seller, duration, amount = order.seller, order.duration, order.remaining
         fill = min(amount, sum(avail.values()))
         if fill:
@@ -260,23 +267,36 @@ class Market:
                 self.pending.append(PendingSettlement(
                     settle_day=world.day + 1, seller=seller, dealer=book.agent,
                     duration=duration, value=alloc))
-        unfilled = amount - fill
         if first_submission:
             retention = mul_frac(amount, self.params.retention_frac)
             self.gross_volume += decompose(amount, retention).gross
             self.seller_volume += amount
             self.day_submitted[duration] += amount
-        if unfilled > 0:
-            order.remaining = unfilled
-            self.carryover.append(order)
-        self.day_excess[duration] += unfilled
-        self.day_fills[duration] += fill
-        world.emit("sale_cleared", order_id=order.order_id, seller=seller.key,
-                   duration=DURATION_NAME[duration], requested=amount, filled=fill,
-                   unfilled=unfilled, purpose=order.purpose,
-                   first_submission=first_submission)
-        return FillReport(order.order_id, seller, duration, amount, fill,
-                          unfilled, world.price(duration))
+        return self._record(world, [(order, fill)], first_submission)[0]
+
+    def _record(self, world: LedgerWorld, cleared: list,
+                first_submission: bool) -> list[FillReport]:
+        """Give each `(order, fill)` of `cleared`, in order, the next order
+        id; queue what it left unfilled, add it to the day's tallies and
+        log its `sale_cleared`. Returns their reports."""
+        form, prices = _SALE_CLEARED, world.tbill_prices
+        events, reports = [], []
+        for order, fill in cleared:
+            order_id, self._next_order = self._next_order, self._next_order + 1
+            order.order_id = order_id
+            seller, duration, amount = order.seller, order.duration, order.remaining
+            unfilled = amount - fill
+            if unfilled > 0:
+                order.remaining = unfilled
+                self.carryover.append(order)
+            self.day_excess[duration] += unfilled
+            self.day_fills[duration] += fill
+            events.append((form, (order_id, seller.key, DURATION_NAME[duration], amount, fill,
+                                  unfilled, order.purpose, first_submission)))
+            reports.append(FillReport(order_id, seller, duration, amount, fill, unfilled,
+                                      prices[duration]))
+        world.emit_all(events)
+        return reports
 
     # -- funding gaps -----------------------------------------------------------
 
@@ -310,31 +330,38 @@ class Market:
     # -- settlement, impact, offload -------------------------------------------
 
     def settle_due(self, world: LedgerWorld, registry: RepoRegistry) -> dict:
-        """Run T+1 settlement for yesterday's fills.
+        """Run T+1 settlement for yesterday's fills as one transfer batch.
 
         The retention slice lands on the dealer's book against its own
         deposits; the pass-through goes straight to the ultimate buyer,
-        who pays the seller. Returns deposit proceeds per seller key.
+        who pays the seller. Each settlement is sized on the free face
+        the ones before it leave its seller. A pass that raises leaves
+        the world and the market untouched. Returns deposit proceeds per
+        seller key.
         """
-        due = [p for p in self.pending if p.settle_day <= world.day]
-        self.pending = [p for p in self.pending if p.settle_day > world.day]
+        day = world.day
+        due = [p for p in self.pending if p.settle_day <= day]
+        batch = TransferBatch(world)
         proceeds: dict[str, list] = {}
         for p in due:
-            book = self.books[p.dealer.key]
-            book.reserved_today = max(0, book.reserved_today - p.value)
             price = world.price(p.duration)
-            face = mul_div(p.value, MICRO, price)
-            face = min(face, registry.free_face(world, p.seller, p.duration))
+            face = min(mul_div(p.value, MICRO, price),
+                       registry.free_face(batch, p.seller, p.duration))
             retention_face = mul_frac(face, self.params.retention_frac)
-            got = deliver_tbills(world, p.seller, p.dealer, p.duration, retention_face, price)
-            got += deliver_tbills(world, p.seller, self.buyer, p.duration,
+            got = deliver_tbills(batch, p.seller, p.dealer, p.duration, retention_face, price)
+            got += deliver_tbills(batch, p.seller, self.buyer, p.duration,
                                   face - retention_face, price)
             entry = proceeds.setdefault(p.seller.key, [0, 0])
             entry[0] += got
             entry[1] += p.value
             if got:
-                world.emit("sale_settled", seller=p.seller.key, dealer=p.dealer.key,
+                batch.emit("sale_settled", seller=p.seller.key, dealer=p.dealer.key,
                            duration=DURATION_NAME[p.duration], proceeds=got)
+        batch.commit()
+        self.pending = [p for p in self.pending if p.settle_day > day]
+        for p in due:
+            book = self.books[p.dealer.key]
+            book.reserved_today = max(0, book.reserved_today - p.value)
         return {k: (v[0], v[1]) for k, v in proceeds.items()}
 
     def price_impact(self, excess_flow: Amount, duration: DurationClass) -> int:
@@ -364,6 +391,7 @@ class Market:
         frac = self.params.offload_frac
         if frac <= 0:
             return
+        batch = TransferBatch(world)
         for key in sorted(self.books):
             book = self.books[key]
             growth = world.tbill_value(book.agent) - book.inventory_baseline
@@ -373,10 +401,11 @@ class Market:
             for duration in DURATIONS:
                 if target <= 0:
                     break
-                free_face = registry.free_face(world, book.agent, duration)
+                free_face = registry.free_face(batch, book.agent, duration)
                 price = world.price(duration)
                 face = min(free_face, mul_div(target, MICRO, price))
-                target -= deliver_tbills(world, book.agent, self.buyer, duration, face, price)
+                target -= deliver_tbills(batch, book.agent, self.buyer, duration, face, price)
+        batch.commit()
 
     def begin_day(self) -> None:
         for key in sorted(self.books):

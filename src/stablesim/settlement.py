@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 from .instruments import (InstrumentError, RepoRegistry, close_or_default_repo,
                           deliver_tbills, open_reverse_repo, roll_repo)
 from .ledger import (AgentId, AgentKind, DurationClass, InsufficientPosition, LedgerWorld,
-                     coin_key)
+                     TransferBatch, coin_key)
 from .money import MICRO, PAR, Amount, mul_frac
 
 if TYPE_CHECKING:  # config imports this module
@@ -554,7 +554,9 @@ class SettlementEngine:
         free = self.registry.free_face(world, seller, DurationClass.BILL)
         price = world.price(DurationClass.BILL)
         face = min(free, value * MICRO // price)
-        deliver_tbills(world, seller, book.agent, DurationClass.BILL, face, price)
+        batch = TransferBatch(world)
+        deliver_tbills(batch, seller, book.agent, DurationClass.BILL, face, price)
+        batch.commit()
 
     # -- daily metrics ------------------------------------------------------------
 

@@ -240,6 +240,10 @@ REJECTED = [
     ("shocks", [{"day": 1, "class": "solar_flare"}], "shocks[0].class"),
     ("agents/holders/0/deposits", -5, "agents.holders[h_1].deposits"),
     ("policies/srf_enabeld", True, "policies.srf_enabeld"),
+    # a holder named like the bank used to fail its audit mid-run (exit 2),
+    # a dealer named like the issuer to share its daily.csv rows
+    ("agents/holders/0/name", "bank_a", "agents.holders[bank_a].name"),
+    ("agents/dealers/0/name", "usdx", "agents.dealers[usdx].name"),
 ]
 
 

@@ -231,6 +231,10 @@ BAD_INPUTS = [
      "agents.intermediaries[im].treasuries_long"),
     ("agents/treasury_buyers/0/coins", {"usdx": 1}, "agents.treasury_buyers[tb].coins"),
     ("agents/dealers/0/klass", 1, "agents.dealers[d].klass"),
+    # one name, one agent: a bank and an agent, or two agent lists, share none
+    ("agents/holders/0/name", "bank_a", "agents.holders[bank_a].name"),
+    ("agents/dealers/0/name", "usdx", "agents.dealers[usdx].name"),
+    ("agents/treasury_buyers/0/name", "h", "agents.treasury_buyers[h].name"),
     ("shocks", [{"day": 0, "class": "liveness_fault", "klass": "x"}], "shocks[0].klass"),
 ]
 

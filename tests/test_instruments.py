@@ -12,7 +12,7 @@ from stablesim.instruments import (GENIUS_MAX_BILL_DAYS, InsufficientCollateral,
                                    mark_treasuries, open_reverse_repo,
                                    required_collateral, roll_repo, step_portfolio)
 from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, InsufficientPosition,
-                              LedgerWorld, Posting, deposit_key, reserves_key)
+                              LedgerWorld, Posting, TransferBatch, deposit_key, reserves_key)
 from stablesim.money import MICRO, mul_div, mul_frac
 
 BANK = AgentId(AgentKind.BANK, 0)
@@ -201,13 +201,16 @@ def test_deliver_tbills_caps_payment_and_scales_face():
     world = repo_world(issuer_cash=1_00, dealer_bills=1_000_00)
     mark_treasuries(world, RepoRegistry(), -20_000, DurationClass.BILL)
     price = world.price(DurationClass.BILL)
-    paid = deliver_tbills(world, DEALER, ISSUER, DurationClass.BILL, 500_00, price)
+    batch = TransferBatch(world)
+    paid = deliver_tbills(batch, DEALER, ISSUER, DurationClass.BILL, 500_00, price)
     assert paid == 1_00
-    assert world.deposits(ISSUER) == 0
     bought = mul_div(1_00, MICRO, price)
-    assert world.face_of(ISSUER, DurationClass.BILL) == bought
-    # a buyer with no deposits pays nothing and receives nothing
-    assert deliver_tbills(world, DEALER, ISSUER, DurationClass.BILL, 500_00, price) == 0
+    assert (batch.deposits(ISSUER), batch.face_of(ISSUER, DurationClass.BILL)) == (0, bought)
+    # a buyer with no deposits left pays nothing and receives nothing
+    assert deliver_tbills(batch, DEALER, ISSUER, DurationClass.BILL, 500_00, price) == 0
+    assert world.deposits(ISSUER) == 1_00   # nothing is written before the commit
+    batch.commit()
+    assert world.deposits(ISSUER) == 0
     assert world.face_of(ISSUER, DurationClass.BILL) == bought
     assert world.audit().ok
 

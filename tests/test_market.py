@@ -1,16 +1,18 @@
+import collections
 import copy
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablesim.config import DealerConfig, MarketConfig, PolicyConfig
-from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, LedgerWorld, Posting,
-                              deposit_key, reserves_key)
+from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, InsufficientPosition,
+                              LedgerWorld, Posting, deposit_key, reserves_key)
 from stablesim.instruments import RepoRegistry
-from stablesim.market import DealerBook, Market, MarketError, decompose
-from stablesim.money import MICRO
+from stablesim.market import DealerBook, Market, MarketError, PendingSettlement, decompose
+from stablesim.money import MICRO, mul_div, mul_frac
 
 BANK = AgentId(AgentKind.BANK, 0)
 SELLER = AgentId(AgentKind.ISSUER, 0)
@@ -19,13 +21,18 @@ D2 = AgentId(AgentKind.BROKER_DEALER, 1)
 BUYER = AgentId(AgentKind.TREASURY_BUYER, 0)
 
 
-def endow(world, agent, amount):
+def endow(world, agent, amount, reserves=None):
+    """Deposits at the agent's bank, backed by as many reserves unless
+    `reserves` says how many; loans back the rest."""
+    bank = world.bank_of(agent)
+    reserves = amount if reserves is None else reserves
     world.post([
-        Posting(FED, "A", "govt", amount),
-        Posting(FED, "L", f"reserves@{BANK.key}", amount),
-        Posting(BANK, "A", reserves_key(), amount),
-        Posting(BANK, "L", f"deposit@{agent.key}", amount),
-        Posting(agent, "A", deposit_key(BANK), amount),
+        Posting(FED, "A", "govt", reserves),
+        Posting(FED, "L", f"reserves@{bank.key}", reserves),
+        Posting(bank, "A", reserves_key(), reserves),
+        Posting(bank, "A", "loans", amount - reserves),
+        Posting(bank, "L", f"deposit@{agent.key}", amount),
+        Posting(agent, "A", deposit_key(bank), amount),
     ])
 
 
@@ -330,18 +337,30 @@ def market_state(world, market):
 
 
 def test_resubmit_carryover_equals_clearing_each_order_through_submit_sale():
-    seen = {"filled": 0, "zero": 0, "srf_draws": 0}
+    seen = {"filled": 0, "zero": 0, "srf_draws": 0, "zero_step": 0, "carried_many": 0}
     for seed in range(60):
         world, market = random_market(random.Random(seed))
         ref_world, ref_market = copy.deepcopy((world, market))
+        reads = []   # the total capacity of each read
+        read_capacity = market.dealer_capacity
+        market.dealer_capacity = lambda world: (
+            reads.append(sum((avail := read_capacity(world)).values())) or avail)
         reports = market.resubmit_carryover(world)
+        del market.dealer_capacity
         assert reports == resubmit_through_submit_sale(ref_world, ref_market), seed
         assert market_state(world, market) == market_state(ref_world, ref_market), seed
         assert world.audit().ok
         seen["filled"] += sum(1 for r in reports if r.filled)
         seen["zero"] += sum(1 for r in reports if not r.filled)
         seen["srf_draws"] += market.day_srf_draws > 0
-    # the seeds reach fills, zero fills and SRF draws
+        # each read but a last one that sums to zero is followed by one fill;
+        # that last one starts the step carrying the rest of the queue
+        carried = len(reports) - len(reads) + 1 if reads and reads[-1] == 0 else 0
+        assert carried == sum(1 for r in reports if not r.filled), seed
+        seen["zero_step"] += carried > 0
+        seen["carried_many"] += carried > 1
+    # the seeds reach fills, zero fills, SRF draws and the zero-capacity
+    # step, some carrying several orders at once
     assert all(seen.values()), seen
 
 
@@ -367,3 +386,163 @@ def test_resubmit_carryover_reads_capacity_again_only_after_a_fill(monkeypatch):
         assert prorated == [r.filled for r in reports if r.filled], seed
         zero_fills += len(reports) - filled
     assert zero_fills > 0
+
+
+BANK_1 = AgentId(AgentKind.BANK, 1)
+
+
+def settlement_market(rng):
+    """A seeded market with settlements due today, most of them: issuers
+    and dealers sell, at two banks; the buyer may be short of deposits,
+    faces may be encumbered, and a seller may be due more than once."""
+    world = LedgerWorld()
+    for agent in (FED, BANK, BANK_1):
+        world.add_agent(agent)
+    sellers = [AgentId(AgentKind.ISSUER, i) for i in range(rng.randint(1, 3))]
+    dealers = [AgentId(AgentKind.BROKER_DEALER, i) for i in range(rng.randint(1, 3))]
+    for agent in sellers + dealers + [BUYER]:
+        world.add_agent(agent, bank=rng.choice((BANK, BANK_1)))
+        endow(world, agent, rng.choice((10**12, rng.randint(0, 40_000_00))))
+    registry = RepoRegistry()
+    for agent in sellers + dealers:
+        for duration in DurationClass:
+            face = rng.choice((0, rng.randint(1, 60_000_00)))
+            if face:
+                world.grant_tbill(agent, duration, face)
+            # collateral pledged to a repo: a part of the face, at most all of it
+            registry.encumbered[(agent.key, duration)] = rng.choice((0, 0, face // 2, face))
+    for duration in DurationClass:
+        world.remark_tbills(duration, rng.randint(900_000, 1_050_000))
+    books = {dealer.key: DealerBook(dealer, dealer_config(dealer, 10_000_00, 100_000_00, 0),
+                                    reserved_today=rng.randint(0, 10**9))
+             for dealer in dealers}
+    market = Market(MarketConfig(depth=1_000_000_00, retention_frac=rng.choice((0, 335_648))),
+                    PolicyConfig(), books, BUYER)
+    market.pending = [PendingSettlement(rng.choice((1, 1, 1, 2)), rng.choice(sellers + dealers),
+                                        rng.choice(dealers), rng.choice(list(DurationClass)),
+                                        rng.randint(1, 30_000_00))
+                      for _ in range(rng.randint(1, 12))]
+    world.day = 1
+    return world, market, registry
+
+
+def settle_one_by_one(world, market, registry, seen):
+    """T+1 settlement with one deposit and one Treasury post per delivery,
+    tallying in `seen` the cases the deliveries reach."""
+    def deliver(seller, buyer, duration, face, price):
+        value = mul_frac(face, price)
+        paid = min(value, world.deposits(buyer))
+        if paid <= 0:
+            return 0
+        world.transfer_deposit(buyer, seller, paid)
+        seen["buyer_short"] += paid < value
+        if buyer != seller:
+            seen["one_bank" if world.bank_of(buyer) == world.bank_of(seller)
+                 else "two_banks"] += 1
+        if paid < value:
+            face = mul_div(paid, MICRO, price)
+        if face > 0:
+            world.transfer_tbill(seller, buyer, duration, face=face)
+        return paid
+
+    due = [p for p in market.pending if p.settle_day <= world.day]
+    market.pending = [p for p in market.pending if p.settle_day > world.day]
+    proceeds, delivered = {}, set()
+    for p in due:
+        book = market.books[p.dealer.key]
+        book.reserved_today = max(0, book.reserved_today - p.value)
+        price = world.price(p.duration)
+        face = min(mul_div(p.value, MICRO, price),
+                   registry.free_face(world, p.seller, p.duration))
+        seen["no_free_face"] += face <= 0
+        retention_face = mul_frac(face, market.params.retention_frac)
+        got = deliver(p.seller, p.dealer, p.duration, retention_face, price)
+        got += deliver(p.seller, market.buyer, p.duration, face - retention_face, price)
+        entry = proceeds.setdefault(p.seller.key, [0, 0])
+        entry[0] += got
+        entry[1] += p.value
+        if got:
+            seen["dealer_sells"] += p.seller.kind is AgentKind.BROKER_DEALER
+            seen["delivers_twice"] += (p.seller.key, p.duration) in delivered
+            delivered.add((p.seller.key, p.duration))
+            world.emit("sale_settled", seller=p.seller.key, dealer=p.dealer.key,
+                       duration=p.duration.value, proceeds=got)
+    return {k: tuple(v) for k, v in proceeds.items()}
+
+
+def balances(sheet):
+    return sheet.assets, sheet.liabilities, sheet.equity
+
+
+def assert_unchanged(before, after):
+    (world0, market0), (world, market) = before, after
+    assert (world.events, world.seq, world.tbill_face, world.agents, world.changes) == (
+        world0.events, world0.seq, world0.tbill_face, world0.agents, world0.changes)
+    assert (market.pending, market.books) == (market0.pending, market0.books)
+
+
+def test_settle_due_in_one_batch_equals_one_post_per_delivery():
+    seen = collections.Counter()
+    for seed in range(80):
+        world, market, registry = settlement_market(random.Random(seed))
+        before = copy.deepcopy(world)
+        ref_world, ref_market = copy.deepcopy((world, market))
+        try:
+            expected = settle_one_by_one(ref_world, ref_market, registry, seen)
+        except InsufficientPosition as err:
+            # a pass that raises raises the same error and writes nothing
+            state = copy.deepcopy((world, market))
+            with pytest.raises(InsufficientPosition, match=re.escape(str(err))):
+                market.settle_due(world, registry)
+            assert_unchanged(state, (world, market))
+            seen["raised"] += 1
+            continue
+        assert market.settle_due(world, registry) == expected, seed
+        assert (world.events, world.seq, world.tbill_face) == (
+            ref_world.events, ref_world.seq, ref_world.tbill_face), seed
+        assert {k: balances(v) for k, v in world.agents.items()} == {
+            k: balances(v) for k, v in ref_world.agents.items()}, seed
+        assert (market.pending, market.books) == (ref_market.pending, ref_market.books), seed
+        for key, sheet in world.agents.items():
+            old = before.agents[key]
+            # a sheet whose balances moved has a new version, as it has
+            # after the posts one by one; capacity caching relies on it
+            if balances(sheet) != balances(old):
+                assert sheet.version != old.version, (seed, key)
+            if sheet.version != old.version:
+                assert ref_world.agents[key].version != old.version, (seed, key)
+        assert world.audit().ok, seed
+    # the seeds reach every case the batch sizes against running values
+    cases = ("buyer_short", "one_bank", "two_banks", "no_free_face", "dealer_sells",
+             "delivers_twice")
+    assert all(seen[case] for case in cases), seen
+
+
+def test_settlement_pass_that_fails_a_reserve_debit_writes_nothing():
+    # the buyer's bank holds reserves for one payment to the other bank, not two
+    world = LedgerWorld()
+    for agent in (FED, BANK, BANK_1):
+        world.add_agent(agent)
+    world.add_agent(SELLER, bank=BANK)
+    world.add_agent(D1, bank=BANK)
+    world.add_agent(BUYER, bank=BANK_1)
+    endow(world, BUYER, 100_000_00, reserves=15_000_00)
+    world.grant_tbill(SELLER, DurationClass.BILL, 50_000_00)
+    book = DealerBook(D1, dealer_config(D1, 10_000_00, 100_000_00, 0), reserved_today=20_000_00)
+    market = Market(MarketConfig(depth=1_000_000_00, retention_frac=0), PolicyConfig(),
+                    {D1.key: book}, BUYER)
+    market.pending = [PendingSettlement(1, SELLER, D1, DurationClass.BILL, 10_000_00)
+                      for _ in range(2)]
+    world.day = 1
+    world.audit_changes()   # start the change log
+    before = copy.deepcopy((world, market))
+    ref_world, ref_market = copy.deepcopy((world, market))
+    with pytest.raises(InsufficientPosition) as sequential:
+        settle_one_by_one(ref_world, ref_market, RepoRegistry(), collections.Counter())
+    # the posts one by one wrote the first settlement before the second raised
+    assert ref_world.seq > world.seq
+    with pytest.raises(InsufficientPosition) as batched:
+        market.settle_due(world, RepoRegistry())
+    assert str(batched.value) == str(sequential.value) == (
+        f"{BANK_1.key} holds {5_000_00} of {reserves_key()}, needs {10_000_00}")
+    assert_unchanged(before, (world, market))
