@@ -31,6 +31,7 @@ import io
 import itertools
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import analytics
 from .config import ScenarioConfig
@@ -78,7 +79,7 @@ class RunOutput:
         return _csv(MARKET_FIELDS, self.market_rows)
 
     def analytics_csv(self) -> str:
-        return _csv(analytics.ANALYTICS_FIELDS, self.daily_rows, extrasaction="ignore")
+        return _csv(analytics.ANALYTICS_FIELDS, self.daily_rows, project=True)
 
     def summary_json(self) -> str:
         return json.dumps(self.summary, sort_keys=True, indent=2) + "\n"
@@ -94,27 +95,34 @@ class RunOutput:
 
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        for name, fields, rows, extra in (
-                ("daily.csv", DAILY_FIELDS, self.daily_rows, "raise"),
-                ("market.csv", MARKET_FIELDS, self.market_rows, "raise"),
-                ("analytics.csv", analytics.ANALYTICS_FIELDS, self.daily_rows, "ignore")):
+        for name, fields, rows, project in (
+                ("daily.csv", DAILY_FIELDS, self.daily_rows, False),
+                ("market.csv", MARKET_FIELDS, self.market_rows, False),
+                ("analytics.csv", analytics.ANALYTICS_FIELDS, self.daily_rows, True)):
             with open(out / name, "w") as f:
-                _write_csv(f, fields, rows, extra)
+                _write_csv(f, fields, rows, project)
         (out / "summary.json").write_text(self.summary_json())
         with open(out / "events.jsonl", "w") as f:
             f.writelines(self.events.lines())
 
 
-def _write_csv(out, fields, rows, extrasaction: str = "raise") -> None:
-    writer = csv.DictWriter(out, fieldnames=fields, lineterminator="\n",
-                            extrasaction=extrasaction)
-    writer.writeheader()
-    writer.writerows(rows)
+def _write_csv(out, fields, rows, project: bool = False) -> None:
+    """Write `rows`, a list of dicts, as CSV under the header `fields`. Each row must
+    hold exactly those keys, or ValueError is raised before anything is
+    written; a projection takes `fields` from rows that hold more."""
+    if not project:
+        header = set(fields)
+        for row in rows:
+            if row.keys() != header:
+                raise ValueError(f"row fields {sorted(row.keys() ^ header)} differ from the header")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(fields)
+    writer.writerows(map(itemgetter(*fields), rows))
 
 
-def _csv(fields, rows, extrasaction: str = "raise") -> str:
+def _csv(fields, rows, project: bool = False) -> str:
     buf = io.StringIO()
-    _write_csv(buf, fields, rows, extrasaction)
+    _write_csv(buf, fields, rows, project)
     return buf.getvalue()
 
 
@@ -163,8 +171,9 @@ def _endow_coins(world: LedgerWorld, issuer: AgentId, holdings: list) -> None:
     if not holdings:
         return
     key = coin_key(issuer)
-    world.post([Posting(issuer, "L", key, sum(amount for _, amount in holdings))]
-               + [Posting(holder, "A", key, amount) for holder, amount in holdings])
+    legs = {(issuer.key, "L", key): sum(amount for _, amount in holdings)}
+    legs.update(((holder.key, "A", key), amount) for holder, amount in holdings)
+    world.post(legs)
 
 
 def build_scenario(config: ScenarioConfig) -> Scenario:

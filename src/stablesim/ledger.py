@@ -17,7 +17,9 @@ one); the Treasury re-mark ``remark_tbills`` posts its re-valuations too.
 This module owns the instrument-key format ``"<kind>@<counterparty>"``:
 every key is built by ``deposit_key``, ``reserves_key``, ``repo_key``,
 ``srf_key``, ``coin_key`` or ``tbill_key``, and each agent's own
-deposit and coin keys are kept from its registration.
+deposit and coin keys are kept from its registration. Events are logged
+as rows of their schema (`event_form`), and each schema compiles one
+writer, on its first rendered row, that renders a row as its JSON line.
 
 Inside-money instruments (reserves, deposits, stablecoins, repo and
 SRF claims) always appear on exactly two balance sheets with equal
@@ -37,7 +39,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from typing import NamedTuple
 
 from .money import mul_frac
@@ -217,12 +218,15 @@ def _encode(value) -> str:
 class _Form:
     """One event schema: a type and its field names in call order.
 
-    `keys` are the names of a row's `(day, seq, type, *values)`; the line
-    `template` holds them sorted, pre-encoded, with the type's value in
-    place, and `pick` takes the other values from a row in that order.
+    `keys` are the names of a row's `(day, seq, type, *values)`. `write(row)`
+    renders a row `(form, *values)` as its JSON line. Its first call
+    compiles the schema's writer: an f-string of the sorted keys' JSON
+    text, bound as names `p<i>`, and the values `r[<j>]`. A value of the
+    exact kind, int or str, that the first row held in its slot is
+    rendered directly, any other through `_encode`.
     """
 
-    __slots__ = ("type", "keys", "template", "pick")
+    __slots__ = ("type", "keys", "write")
 
     def __init__(self, event_type: str, names: tuple):
         for name in names:
@@ -230,16 +234,26 @@ class _Form:
                 raise LedgerError(f"event field {name!r} is reserved")
         self.type = event_type
         self.keys = _RESERVED + names
-        parts, slots = [], []
+        self.write = self._compile
+
+    def _compile(self, row: tuple) -> str:
+        scope = {"q": encode_basestring_ascii, "e": _encode}
+        slots, text = [], "{"
         for key in sorted(self.keys):
+            text += encode_basestring_ascii(key) + ":"
             if key == "type":
-                value = _EVENT_ENCODER.encode(event_type).replace("%", "%%")
-            else:
-                value = "%s"
-                slots.append(self.keys.index(key) + 1)   # a row starts with its form
-            parts.append(encode_basestring_ascii(key).replace("%", "%%") + ":" + value)
-        self.template = "{" + ",".join(parts) + "}\n"
-        self.pick = itemgetter(*slots)
+                text += _EVENT_ENCODER.encode(self.type) + ","
+                continue
+            j = self.keys.index(key) + 1   # a row starts with its form
+            r, kind = f"r[{j}]", type(row[j])
+            scope[f"p{len(slots)}"] = text
+            slots.append(f"{{p{len(slots)}}}{{" + (
+                f"{r} if type({r}) is int else e({r})" if kind is int else
+                f"q({r}) if type({r}) is str else e({r})" if kind is str else f"e({r})") + "}")
+            text = ","
+        scope[tail := f"p{len(slots)}"] = text[:-1] + "}\n"
+        self.write = eval('lambda r: f"' + "".join(slots) + "{" + tail + '}"', scope)
+        return self.write(row)
 
     def __reduce__(self):
         # copies and pickles share the cached form
@@ -269,8 +283,8 @@ class EventLog(Sequence):
     and read as dicts `{"day", "seq", "type", **fields}`.
 
     `lines()` renders each event as the JSON line `json.dumps(event,
-    sort_keys=True, separators=(",", ":")) + "\\n"`, from its form's
-    template.
+    sort_keys=True, separators=(",", ":")) + "\\n"` through its form's
+    writer.
     """
 
     __slots__ = ("rows",)
@@ -299,13 +313,8 @@ class EventLog(Sequence):
 
     def lines(self):
         """Each event's JSON line, in log order."""
-        quote = encode_basestring_ascii
         for row in self.rows:
-            form = row[0]
-            # by exact type; `%s` renders an int as `int.__repr__` does
-            yield form.template % tuple([
-                v if (t := type(v)) is int else quote(v) if t is str else _encode(v)
-                for v in form.pick(row)])
+            yield row[0].write(row)
 
 
 class LedgerWorld:
@@ -442,6 +451,7 @@ class LedgerWorld:
                 raise InsufficientPosition(agent_key, key, current, -delta)
             if delta:
                 writes.append((agent_key, side, key, delta, book, positions, current + delta))
+        joined: dict[str, list[str]] = {}   # coin key -> its new holders
         for agent_key, side, key, delta, book, positions, new in writes:
             if new == 0:
                 del positions[key]
@@ -450,11 +460,13 @@ class LedgerWorld:
             book.equity += delta if side == "A" else -delta
             book.version += 1
             if side == "A" and (new == 0 or new == delta) and key.startswith("coin@"):
-                holders = self.coin_holders.setdefault(key, [])
                 if new:
-                    bisect.insort(holders, agent_key)
+                    joined.setdefault(key, []).append(agent_key)
                 else:
+                    holders = self.coin_holders[key]
                     del holders[bisect.bisect_left(holders, agent_key)]
+        for key, keys in joined.items():
+            self.coin_holders[key] = sorted(self.coin_holders.get(key, []) + keys)
         if self.changes is not None:
             self.changes.append(staged)
         if event is not None:
@@ -488,26 +500,12 @@ class LedgerWorld:
         issuer, a burn when `to` is, a transfer between holders otherwise."""
         if not self._moves(frm, to, amount):
             return
-        key = coin_key(issuer)
-        if frm.key == issuer.key:
-            legs = [
-                Posting(issuer, "L", key, amount),
-                Posting(to, "A", key, amount),
-            ]
-            label = "mint"
-        elif to.key == issuer.key:
-            legs = [
-                Posting(frm, "A", key, -amount),
-                Posting(issuer, "L", key, -amount),
-            ]
-            label = "burn"
-        else:
-            legs = [
-                Posting(frm, "A", key, -amount),
-                Posting(to, "A", key, amount),
-            ]
-            label = "transfer"
-        self.post(legs, event=label, instrument=key, src=frm.key, dst=to.key, amount=amount)
+        key, minted, burned = coin_key(issuer), frm.key == issuer.key, to.key == issuer.key
+        # the issuer's leg is its coin liability, a holder's its coin asset
+        self.post([Posting(frm, "L", key, amount) if minted else Posting(frm, "A", key, -amount),
+                   Posting(to, "L", key, -amount) if burned else Posting(to, "A", key, amount)],
+                  event="mint" if minted else "burn" if burned else "transfer",
+                  instrument=key, src=frm.key, dst=to.key, amount=amount)
 
     def redeem_coins(self, issuer: AgentId, payouts: list) -> None:
         """Pay out redemptions of `issuer`'s coin as one `post`.

@@ -618,6 +618,28 @@ def test_written_files_are_the_string_outputs(tmp_path):
             "analytics.csv", "daily.csv", "events.jsonl", "market.csv", "summary.json"]
 
 
+@pytest.mark.parametrize("rows", ["daily_rows", "market_rows"])
+@pytest.mark.parametrize("edit", ["extra", "missing"])
+def test_csv_rows_hold_exactly_the_header_fields(tmp_path, rows, edit):
+    """A daily or market row with a key outside its header, or without one
+    of the header's keys, raises from the string method and from `write`;
+    analytics.csv projects the daily rows and ignores any other key."""
+    out = run(load_config("calm"))
+    analytics = out.analytics_csv()
+    row = getattr(out, rows)[1]
+    if edit == "extra":
+        row["zz_extra"] = 1
+    else:
+        del row["price"]
+    render = out.daily_csv if rows == "daily_rows" else out.market_csv
+    with pytest.raises(ValueError, match="differ from the header"):
+        render()
+    with pytest.raises(ValueError, match="differ from the header"):
+        out.write(tmp_path / "out")
+    if rows == "daily_rows" and edit == "extra":
+        assert out.analytics_csv() == analytics
+
+
 def test_full_audit_runs_at_build_and_on_the_last_day(monkeypatch):
     """Every other day checks only what changed, and a clean run never
     falls back to the full walk."""

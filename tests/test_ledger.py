@@ -565,6 +565,39 @@ def test_event_lines_are_json_dumps_of_each_event(events, seq):
     assert world.seq == seq + len(events)
 
 
+class _LoudInt(int):
+    def __str__(self):
+        return "loud"
+
+
+class _LoudStr(str):
+    def __str__(self):
+        return "loud"
+
+
+def test_event_lines_stay_json_dumps_when_value_kinds_change_between_rows():
+    """A schema's writer picks each slot's fast path from the first row it
+    renders; later rows of other kinds in that slot still render as the
+    event's `json.dumps`, and copies of the log render through the same form."""
+    odd = 'n"\\%s{p0}}{r[1]}é\x01\u2028'
+    others = [None, True, False, 1.5, -0.0, float("inf"), float("nan"), 2**200, -7, -2**70,
+              _LoudInt(5), _LoudStr("x"), "", odd, [1, odd, None], {odd: {"k": [True]}}]
+    world = LedgerWorld()
+    # first row: an int, a str, None and an odd str in the slots "i", "s", "o" and `odd`
+    world.emit("kinds", i=1, s="first", o=None, **{odd: odd})
+    for day, value in enumerate(others, start=1):
+        world.day = day
+        world.emit("kinds", i=value, s=value, o=value if day % 2 else 7, **{odd: value})
+    world.emit("kinds", i=2, s="last", o="str", **{odd: 0})
+    assert len({row[0] for row in world.events.rows}) == 1   # one schema
+    lines = list(world.events.lines())
+    assert lines == [canonical_line(e) for e in world.events]
+    assert json.loads(lines[0])[odd] == odd
+    for other in (copy.deepcopy(world).events, pickle.loads(pickle.dumps(world.events))):
+        assert list(other.lines()) == lines
+        assert all(a[0] is b[0] for a, b in zip(other.rows, world.events.rows))
+
+
 @pytest.mark.parametrize("name", ["day", "seq", "type"])
 def test_reserved_event_field_raises_and_logs_nothing(name):
     world = LedgerWorld()

@@ -505,7 +505,9 @@ def test_set_up_endows_each_issuers_coins_in_one_post(monkeypatch):
     post = LedgerWorld.post
 
     def spy(world, legs, *args, **kwargs):
-        if any(leg.key.startswith("coin@") for leg in legs):
+        # legs summed per position, {(agent key, side, key): delta}, or Postings
+        keys = [key for _, _, key in legs] if type(legs) is dict else [leg.key for leg in legs]
+        if any(key.startswith("coin@") for key in keys):
             coin_posts.append(legs)
         return post(world, legs, *args, **kwargs)
 
