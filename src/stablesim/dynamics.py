@@ -23,7 +23,7 @@ by a given or band-sampled magnitude.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .ledger import AgentId, LedgerWorld, coin_key
@@ -163,7 +163,7 @@ def update_secondary_price(conf: ConfidenceState, unfilled_redemptions: Amount,
             step = max(1, min(step, abs(gap)))
             price += step if gap > 0 else -step
     price = max(params.min_price, price)
-    return replace(conf, secondary_price=price)
+    return ConfidenceState(price, conf.pending_delay_age)
 
 
 class ShockClass(Enum):

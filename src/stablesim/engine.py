@@ -266,31 +266,30 @@ _COIN_HOLDING = (AgentKind.HOLDER, AgentKind.INTERMEDIARY, AgentKind.TREASURY_BU
 
 def _coin_holders(scn: Scenario, issuer: AgentId):
     """Coin-holding agents with coins of `issuer` left to redeem, in key
-    order; lazy, so a caller that stops early looks at no more of them."""
+    order, as `(agent, its redeemable coins)`; lazy, so a caller that
+    stops early looks at no more of them."""
     world = scn.world
     redeemable = scn.settle.redeemable
     # a snapshot: intermediated buying moves coins during the walk
     for key in tuple(world.coin_holders.get(coin_key(issuer), ())):
         agent = world.ids[key]
-        if agent.kind in _COIN_HOLDING and redeemable(agent, issuer) > 0:
-            yield agent
+        if agent.kind in _COIN_HOLDING and (coins := redeemable(agent, issuer)) > 0:
+            yield agent, coins
 
 
 def _redeem_from_holders(scn: Scenario, book: IssuerBook, amount: Amount,
                          route: Route, is_intervention: bool = False) -> Amount:
     """Queue redemptions of up to `amount`, sliced across coin holders in
-    key order, each giving its uncommitted coins; returns the amount placed."""
-    issuer = book.agent
-    placed = 0
-    for holder in _coin_holders(scn, issuer):
+    key order, each giving its uncommitted coins, as one batch; returns
+    the amount placed."""
+    slices, placed = [], 0
+    for holder, coins in _coin_holders(scn, book.agent):
         if placed >= amount:
             break
-        slice_ = min(amount - placed, scn.settle.redeemable(holder, issuer))
-        if slice_ <= 0:
-            continue
-        scn.settle.submit_redemption(book, holder, slice_, route,
-                                     is_intervention=is_intervention)
+        slice_ = min(amount - placed, coins)
+        slices.append((holder, slice_))
         placed += slice_
+    scn.settle.submit_redemptions(book, slices, route, is_intervention)
     return placed
 
 
@@ -327,12 +326,10 @@ def _route_demand(scn: Scenario, book: IssuerBook, demand: Amount,
         if budget <= 0:
             continue
         bought = 0
-        for holder in _coin_holders(scn, issuer):
+        for holder, coins in _coin_holders(scn, issuer):
             if holder.kind is AgentKind.INTERMEDIARY:
                 continue
-            slice_ = min(budget - bought, scn.settle.redeemable(holder, issuer))
-            if slice_ <= 0:
-                continue
+            slice_ = min(budget - bought, coins)
             world.transfer_deposit(im, holder, mul_frac(slice_, price))
             world.transfer_coin(holder, im, issuer, slice_)
             bought += slice_

@@ -419,15 +419,14 @@ class LedgerWorld:
              **event_fields) -> None:
         """Apply a batch of legs atomically.
 
-        `postings` is a list of legs, or legs summed per position as
-        `{(agent key, side, key): delta}`, the way `TransferBatch` stages
-        them. All legs are validated first: agents must exist and no position
-        may go negative. Only then are balances and stored equity
-        updated, so an error cannot leave a half-applied batch. Each
-        written sheet's `version` is bumped and, once `audit_changes()`
-        has started the log, the batch's deltas are appended to
-        `changes`. A coin balance that crosses zero updates
-        `coin_holders`.
+        `postings` is a list of legs, or legs summed per position, as
+        `{(agent key, side, key): delta}` from `TransferBatch` and
+        `redeem_coins`. All legs are validated first: agents must exist and no
+        position may go negative. Only then are balances and stored equity
+        updated, so an error cannot leave a half-applied batch. Each written
+        sheet's `version` is bumped and, once `audit_changes()` has started
+        the log, the batch's deltas are appended to `changes`. A coin balance
+        that crosses zero updates `coin_holders`.
         """
         agents = self.agents
         if type(postings) is dict:
@@ -511,51 +510,50 @@ class LedgerWorld:
         """Pay out redemptions of `issuer`'s coin as one `post`.
 
         Each `(holder, amount, note)` of `payouts` burns `amount` of the
-        holder's coins and pays the holder as many of the issuer's
-        deposits: the batch form of `transfer_coin(holder, issuer,
-        issuer, amount)` then `transfer_deposit(issuer, holder, amount)`,
-        whose `burn` and `transfer` events it logs in that order, each
-        pair followed by `note`, an event `(type, fields)`. A payout
-        builds only its own legs: the holder's coin debit and deposit
-        credit and its bank's deposit liability. The issuer's legs, and
-        the reserve legs between the issuer's bank and each other payee
-        bank, are summed once. Each position moves one way within the
-        batch, so it validates exactly when the payouts would one by
-        one; a batch that fails writes and logs nothing.
+        holder's coins and pays the holder as many of the issuer's deposits:
+        the batch form of `transfer_coin(holder, issuer, issuer, amount)` then
+        `transfer_deposit(issuer, holder, amount)`, whose `burn` and
+        `transfer` events it logs in that order, each pair followed by `note`,
+        an event `(type, fields)`. It stages the legs summed per position, as
+        `post` takes them: three per payout (the holder's coin debit and
+        deposit credit, its bank's deposit liability), then the issuer's legs
+        and the reserve legs from the issuer's bank to each other payee bank.
+        Each position moves one way within the batch, so it validates exactly
+        when the payouts would one by one; a batch that fails writes and logs
+        nothing.
         """
         coin, src = coin_key(issuer), issuer.key
         held_f, owed_f = self._deposit_keys(issuer)
-        banks, bank_f = self.banks, self.banks[src]
-        burn, transfer = event_form("burn", _RAIL_FIELDS), event_form("transfer", _RAIL_FIELDS)
-        legs, events, total = [], [], 0
+        banks, bank_f = self.banks, self.banks[src].key
+        staged, events, total = {}, [], 0   # staged: as `post` takes legs
         moved: dict[str, int] = {}   # payee bank key -> amount, other banks than the issuer's
         for holder, amount, (event, fields) in payouts:
             if amount <= 0:
                 raise LedgerError("payout amount must be positive")
             held_t, owed_t = self._deposit_keys(holder)
-            bank_t, dst = banks[holder.key], holder.key
-            legs += (Posting(holder, "A", coin, -amount),
-                     Posting(holder, "A", held_t, amount),
-                     Posting(bank_t, "L", owed_t, amount))
+            bank_t, dst = banks[holder.key].key, holder.key
+            for leg, delta in (((dst, "A", coin), -amount), ((dst, "A", held_t), amount),
+                               ((bank_t, "L", owed_t), amount)):
+                staged[leg] = staged.get(leg, 0) + delta
             total += amount
-            if bank_t.key != bank_f.key:
-                moved[bank_t.key] = moved.get(bank_t.key, 0) + amount
+            if bank_t != bank_f:
+                moved[bank_t] = moved.get(bank_t, 0) + amount
             note = _FORMS.get((event, *fields)) or event_form(event, tuple(fields))
-            events += ((burn, (coin, dst, src, amount)),
-                       (transfer, ("deposit", src, dst, amount)),
+            events += ((_COIN_BURN, (coin, dst, src, amount)),
+                       (_DEPOSIT_TRANSFER, ("deposit", src, dst, amount)),
                        (note, fields.values()))
-        legs += (Posting(issuer, "L", coin, -total),
-                 Posting(issuer, "A", held_f, -total),
-                 Posting(bank_f, "L", owed_f, -total))
+        legs = [((src, "L", coin), -total), ((src, "A", held_f), -total),
+                ((bank_f, "L", owed_f), -total)]
         if moved:
             out = sum(moved.values())
-            legs += (Posting(bank_f, "A", reserves_key(), -out),
-                     Posting(FED, "L", reserves_key(bank_f), -out))
+            legs += (((bank_f, "A", _RESERVES), -out),
+                     ((FED.key, "L", reserves_key(self.ids[bank_f])), -out))
             for key, amount in moved.items():
-                bank_t = self.ids[key]
-                legs += (Posting(FED, "L", reserves_key(bank_t), amount),
-                         Posting(bank_t, "A", reserves_key(), amount))
-        self.post(legs)
+                legs += (((FED.key, "L", reserves_key(self.ids[key])), amount),
+                         ((key, "A", _RESERVES), amount))
+        for leg, delta in legs:
+            staged[leg] = staged.get(leg, 0) + delta
+        self.post(staged)
         self.emit_all(events)
 
     # -- treasuries ----------------------------------------------------------
@@ -911,4 +909,5 @@ class TransferBatch:
 
 _RESERVES = reserves_key()
 _DEPOSIT_TRANSFER = event_form("transfer", _RAIL_FIELDS)
+_COIN_BURN = event_form("burn", _RAIL_FIELDS)
 _TBILL_TRANSFER = event_form("transfer", _RAIL_FIELDS + ("face",))

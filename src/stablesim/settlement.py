@@ -2,15 +2,18 @@
 
 A redemption request escrows nothing up front: the holder keeps the
 coins until the paying leg runs, so a request that stalls in the queue
-leaves balance sheets untouched. Each day's payout pass sizes an
-issuer's chunks against running balances, then burns the coins and
-moves the deposits of all of them in one atomic batch. Funding is
-committed at planning time from three sources in order of cost: the
-issuer's own deposits, outright bill sales (T+1 through the dealer
-market), and declining to roll maturing repo (same-day cash from the
-borrower, who is left with a funding gap). Sale and non-rollover cash
-is pooled per issuer and drawn first-in first-out; a request backed
-purely by deposits is therefore never blocked by market conditions.
+leaves balance sheets untouched. Each step works in passes per issuer:
+intake queues a batch of requests after checking all of them, planning
+funds an issuer's unplanned requests in one pass over its deposits and
+bills, and each day's payout pass sizes an issuer's chunks against
+running balances, then burns the coins and moves the deposits of all of
+them in one atomic batch. Funding is committed at planning time from
+three sources in order of cost: the issuer's own deposits, outright bill
+sales (T+1 through the dealer market), and declining to roll maturing
+repo (same-day cash from the borrower, who is left with a funding gap).
+Sale and non-rollover cash is pooled per issuer and drawn first-in
+first-out; a request backed purely by deposits is therefore never
+blocked by market conditions.
 
 Par policy: a rigorously fixed regime stands ready to buy below par and
 mint above; a corridor acts only outside its band; best effort never
@@ -27,7 +30,7 @@ from typing import TYPE_CHECKING
 from .instruments import (InstrumentError, RepoRegistry, close_or_default_repo,
                           deliver_tbills, open_reverse_repo, roll_repo)
 from .ledger import (AgentId, AgentKind, DurationClass, InsufficientPosition, LedgerWorld,
-                     TransferBatch, coin_key)
+                     TransferBatch, coin_key, event_form)
 from .money import MICRO, PAR, Amount, mul_frac
 
 if TYPE_CHECKING:  # config imports this module
@@ -60,6 +63,13 @@ class Funding(Enum):
     FROM_DEPOSITS = "from_deposits"
     SELL_TREASURIES = "sell_treasuries"
     REPO_NON_ROLLOVER = "repo_non_rollover"
+
+
+# the events of intake and planning, one row per request
+_REDEMPTION_REQUEST = event_form("redemption_request", (
+    "request_id", "issuer", "holder", "amount", "route", "intervention"))
+_PLAN_CREATED = event_form("plan_created", (
+    "request_id", "issuer", "funding", "from_deposits", "from_sales", "from_nonroll", "horizon"))
 
 
 class ParMode(Enum):
@@ -240,28 +250,40 @@ class SettlementEngine:
 
     def submit_redemption(self, book: IssuerBook, holder: AgentId, amount: Amount,
                           route: Route, is_intervention: bool = False) -> OpenRequest:
-        """Queue a redemption request; coins stay with the holder until paid.
-        Under intermediated access only intermediaries redeem directly."""
-        if (self.policies.access_mode is AccessMode.INTERMEDIATED
-                and route is Route.DIRECT
-                and not is_intervention
-                and holder.kind is not AgentKind.INTERMEDIARY):
-            raise IneligibleRedeemer(f"{holder} may not redeem directly from {book.agent}")
-        if amount <= 0:
-            raise SettlementError("redemption amount must be positive")
-        record = OpenRequest(self._next_request, holder, amount, self.world.day,
-                             is_intervention=is_intervention)
-        self._next_request += 1
-        book.requests.append(record)
-        book.open.append(record)
-        key = (holder.key, book.agent.key)
-        self.committed[key] = self.committed.get(key, 0) + amount
-        book.day_requested += amount
-        book.total_requested += amount
-        self.world.emit("redemption_request", request_id=record.request_id,
-                        issuer=book.agent.key, holder=holder.key, amount=amount,
-                        route=route.value, intervention=is_intervention)
-        return record
+        """Queue one redemption request: `submit_redemptions` of one slice."""
+        return self.submit_redemptions(book, [(holder, amount)], route, is_intervention)[0]
+
+    def submit_redemptions(self, book: IssuerBook, slices: list, route: Route,
+                           is_intervention: bool = False) -> list:
+        """Queue a request for each `(holder, amount)` of `slices`, in order;
+        coins stay with each holder until paid. Under intermediated access
+        only intermediaries redeem directly. Every slice is checked first,
+        so a batch that raises queues, commits and logs nothing."""
+        gated = (route is Route.DIRECT and not is_intervention
+                 and self.policies.access_mode is AccessMode.INTERMEDIATED)
+        for holder, amount in slices:
+            if gated and holder.kind is not AgentKind.INTERMEDIARY:
+                raise IneligibleRedeemer(f"{holder} may not redeem directly from {book.agent}")
+            if amount <= 0:
+                raise SettlementError("redemption amount must be positive")
+        issuer, day, committed = book.agent.key, self.world.day, self.committed
+        request_id, records, events, total = self._next_request, [], [], 0
+        for holder, amount in slices:
+            records.append(OpenRequest(request_id, holder, amount, day,
+                                       is_intervention=is_intervention))
+            key = (holder.key, issuer)
+            committed[key] = committed.get(key, 0) + amount
+            events.append((_REDEMPTION_REQUEST, (request_id, issuer, holder.key, amount,
+                                                 route.value, is_intervention)))
+            request_id += 1
+            total += amount
+        self._next_request = request_id
+        book.requests += records
+        book.open += records
+        book.day_requested += total
+        book.total_requested += total
+        self.world.emit_all(events)
+        return records
 
     def submit_mint(self, book: IssuerBook, buyer: AgentId, amount: Amount,
                     secondary_price: int, is_intervention: bool = False) -> MintOrder:
@@ -283,83 +305,59 @@ class SettlementEngine:
     # -- planning -----------------------------------------------------------
 
     def plan_pending(self, suspended_chains: set) -> list:
-        """Commit funding for unplanned requests; returns sale instructions.
-
-        Also tops up any shortfall between committed pool needs and the
-        cash actually in flight (sales can settle short when prices fall
-        between clearing and settlement).
+        """Commit funding for unplanned requests, oldest first, in one pass
+        per live issuer: spare deposits, then bills not yet sold or in
+        transit, then repo non-rollover; returns sale instructions.
+        Planning moves no money, so a pass reads the issuer's deposits and
+        bills once. It then tops up any shortfall between committed pool
+        needs and the cash actually in flight (sales can settle short when
+        prices fall between clearing and settlement).
         """
-        instructions: list[SaleInstruction] = []
+        world, instructions = self.world, []
         for key in sorted(self.issuers):
             book = self.issuers[key]
-            if book.config.chain in suspended_chains:
+            if book.config.chain in suspended_chains or not book.open:
                 continue
+            deposits, held = world.deposits(book.agent), world.tbill_value(book.agent)
+            events, needs = [], 0
             for record in book.open:
                 if not record.planned:
-                    instructions += self._plan_one(book, record)
-            shortfall = self._pool_shortfall(book)
+                    amount = record.amount
+                    d = min(amount, max(0, deposits - book.earmarked - book.pool))
+                    s = min(amount - d, max(0, held - book.inflight_orders - book.in_transit))
+                    # the rest is committed to repo non-rollover regardless of
+                    # solvency; uncollectable needs leave the request queued
+                    # and show up as delay
+                    n = amount - d - s
+                    funding = (Funding.REPO_NON_ROLLOVER if n > 0 else
+                               Funding.SELL_TREASURIES if s > 0 else Funding.FROM_DEPOSITS)
+                    horizon = 1 if s > 0 else 0
+                    record.planned = True
+                    record.from_deposits = d
+                    record.from_pool = s + n
+                    record.horizon = horizon
+                    book.earmarked += d
+                    book.nonroll_pending += n
+                    events.append((_PLAN_CREATED, (record.request_id, key, funding.value,
+                                                   d, s, n, horizon)))
+                    if s > 0:
+                        book.inflight_orders += s
+                        instructions.append(SaleInstruction(book.agent, s, DurationClass.BILL))
+                needs += record.from_pool - record.pool_used
+            world.emit_all(events)
+            shortfall = needs - (book.pool + book.inflight_orders + book.in_transit
+                                 + book.nonroll_pending)
             if shortfall > 0:
-                instructions += self._commit_extra(book, shortfall)
+                s = min(shortfall, max(0, held - book.inflight_orders - book.in_transit))
+                if s > 0:
+                    book.inflight_orders += s
+                    instructions.append(SaleInstruction(book.agent, s, DurationClass.BILL))
+                    shortfall -= s
+                if shortfall > 0:
+                    principal = self.registry.total_principal(book.agent)
+                    book.nonroll_pending += min(shortfall,
+                                                max(0, principal - book.nonroll_pending))
         return instructions
-
-    def _spare_deposits(self, book: IssuerBook) -> Amount:
-        return max(0, self.world.deposits(book.agent) - book.earmarked - book.pool)
-
-    def _free_sellable(self, book: IssuerBook) -> Amount:
-        held = self.world.tbill_value(book.agent)
-        return max(0, held - book.inflight_orders - book.in_transit)
-
-    def _free_nonroll(self, book: IssuerBook) -> Amount:
-        principal = self.registry.total_principal(book.agent)
-        return max(0, principal - book.nonroll_pending)
-
-    def _plan_one(self, book: IssuerBook, record: OpenRequest) -> list:
-        amount = record.amount
-        d = min(amount, self._spare_deposits(book))
-        s = min(amount - d, self._free_sellable(book))
-        # the rest is committed to repo non-rollover regardless of
-        # solvency; uncollectable needs leave the request queued and
-        # show up as delay
-        n = amount - d - s
-        if n > 0:
-            funding = Funding.REPO_NON_ROLLOVER
-        elif s > 0:
-            funding = Funding.SELL_TREASURIES
-        else:
-            funding = Funding.FROM_DEPOSITS
-        horizon = 1 if s > 0 else 0
-        record.planned = True
-        record.from_deposits = d
-        record.from_pool = s + n
-        record.horizon = horizon
-        book.earmarked += d
-        book.nonroll_pending += n
-        self.world.emit("plan_created", request_id=record.request_id,
-                        issuer=book.agent.key, funding=funding.value,
-                        from_deposits=d, from_sales=s, from_nonroll=n,
-                        horizon=horizon)
-        out = []
-        if s > 0:
-            book.inflight_orders += s
-            out.append(SaleInstruction(book.agent, s, DurationClass.BILL))
-        return out
-
-    def _pool_shortfall(self, book: IssuerBook) -> Amount:
-        needs = sum(r.from_pool - r.pool_used for r in book.open if r.planned)
-        coverage = book.pool + book.inflight_orders + book.in_transit + book.nonroll_pending
-        return max(0, needs - coverage)
-
-    def _commit_extra(self, book: IssuerBook, shortfall: Amount) -> list:
-        out = []
-        s = min(shortfall, self._free_sellable(book))
-        if s > 0:
-            book.inflight_orders += s
-            out.append(SaleInstruction(book.agent, s, DurationClass.BILL))
-            shortfall -= s
-        if shortfall > 0:
-            n = min(shortfall, self._free_nonroll(book))
-            book.nonroll_pending += n
-        return out
 
     # -- market feedback ------------------------------------------------------
 

@@ -1,4 +1,5 @@
 import copy
+import json
 
 import pytest
 
@@ -119,6 +120,75 @@ def test_redemption_amount_must_be_positive():
     record = settle.submit_redemption(book, HOLDER, 1_00, Route.DIRECT)
     assert (record.request_id, record.holder, record.amount, record.submitted_day) == \
         (0, HOLDER, 1_00, 0)
+
+
+def intake_state(world, settle, book):
+    return (list(world.events.lines()), world.seq, settle._next_request, settle.committed,
+            book.requests, book.open, book.day_requested, book.total_requested)
+
+
+@pytest.mark.parametrize("slices, error", [
+    pytest.param([(IM, 1_00), (HOLDER, 1_00)], IneligibleRedeemer, id="ineligible_holder"),
+    pytest.param([(IM, 1_00), (IM, 2_00), (IM, 0)], SettlementError, id="zero_amount"),
+])
+def test_failing_intake_batch_writes_nothing(slices, error):
+    """A batch is checked whole before it writes: an ineligible holder or
+    a non-positive amount late in it leaves no record, commitment,
+    counter or event, and the next request still gets id 0."""
+    world = bare_world(issuer_deposits=10_000_00)
+    book = issuer_book()
+    settle = settlement_engine(world, book, access_mode=AccessMode.INTERMEDIATED)
+    before = copy.deepcopy(intake_state(world, settle, book))
+    with pytest.raises(error):
+        settle.submit_redemptions(book, slices, Route.DIRECT)
+    assert intake_state(world, settle, book) == before
+    assert settle.submit_redemption(book, IM, 1_00, Route.DIRECT).request_id == 0
+
+
+def test_intake_batch_equals_batches_of_one():
+    slices = [(HOLDER, 1_00), (IM, 2_00), (HOLDER, 3_00)]
+    states = []
+    for batched in (True, False):
+        world = bare_world(issuer_deposits=10_000_00)
+        world.day = 4
+        book = issuer_book()
+        settle = settlement_engine(world, book)
+        if batched:
+            records = settle.submit_redemptions(book, slices, Route.VIA_INTERMEDIARY, True)
+        else:
+            records = [settle.submit_redemption(book, holder, amount, Route.VIA_INTERMEDIARY,
+                                                is_intervention=True)
+                       for holder, amount in slices]
+        assert records == book.requests
+        states.append(intake_state(world, settle, book))
+    assert states[0] == states[1]
+    events = [json.loads(line) for line in states[0][0]]
+    assert [(e["seq"], e["request_id"], e["amount"]) for e in events] == [
+        (0, 0, 1_00), (1, 1, 2_00), (2, 2, 3_00)]
+    assert states[0][3] == {(HOLDER.key, ISSUER.key): 4_00, (IM.key, ISSUER.key): 2_00}
+    assert states[0][6] == states[0][7] == 6_00
+
+
+def test_plan_pass_draws_each_source_in_turn():
+    """Three requests planned in one pass: the first takes deposits, the
+    second the rest of them and then bills, the third the bills left and
+    then repo non-rollover, each sized on what the ones before it took."""
+    world = bare_world(issuer_deposits=500_00, issuer_bills=500_00)
+    book = issuer_book()
+    settle = settlement_engine(world, book)
+    records = settle.submit_redemptions(book, [(HOLDER, 400_00)] * 3, Route.DIRECT)
+    instructions = settle.plan_pending(set())
+    assert [(r.from_deposits, r.from_pool, r.horizon) for r in records] == [
+        (400_00, 0, 0), (100_00, 300_00, 1), (0, 400_00, 1)]
+    assert instructions == [SaleInstruction(ISSUER, 300_00, DurationClass.BILL),
+                            SaleInstruction(ISSUER, 200_00, DurationClass.BILL)]
+    created = [(e["request_id"], e["funding"], e["from_sales"], e["from_nonroll"])
+               for e in world.events if e["type"] == "plan_created"]
+    assert created == [(0, Funding.FROM_DEPOSITS.value, 0, 0),
+                       (1, Funding.SELL_TREASURIES.value, 300_00, 0),
+                       (2, Funding.REPO_NON_ROLLOVER.value, 200_00, 200_00)]
+    assert (book.earmarked, book.inflight_orders, book.nonroll_pending) == \
+        (500_00, 500_00, 200_00)
 
 
 def test_submit_mint_declines():
