@@ -8,7 +8,8 @@
 Exit codes: 0 ok, 1 validation or parse failure (including a world that
 cannot be built from the config; `validate` builds it too), 2 audit
 failure, 3 I/O failure. `sweep` writes every point's row to matrix.csv,
-then exits 2 if any point failed its audit, else 1 if any point failed.
+then exits 2 if any point failed its audit, else 1 if any point failed;
+a point whose outputs cannot be written stops it with exit 3.
 <config> is a JSON file path or a preset name.
 """
 
@@ -75,7 +76,7 @@ def cmd_sweep(args) -> int:
         raw = load_raw(args.config)
         parse_config(raw)  # fail fast before the grid multiplies the error
         grid_raw = json.loads(Path(args.grid).read_text())
-        grid = grid_raw.get("grid", grid_raw)
+        grid = grid_raw.get("grid", grid_raw) if isinstance(grid_raw, dict) else grid_raw
         if not isinstance(grid, dict):
             raise ValidationError("grid file must map parameter paths to value lists")
         for key, values in grid.items():

@@ -32,14 +32,15 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from operator import itemgetter
+from pathlib import Path
 
 from . import analytics
-from .config import ScenarioConfig
+from .config import ScenarioConfig, parse_config
 from .dynamics import (ConfidenceState, InterventionResult, ShockState, apply_shock,
                        redemption_demand, run_corrective_burns, update_secondary_price)
 from .instruments import PortfolioState, RepoRegistry, TreasuryBill, open_reverse_repo
 from .ledger import (DURATION_NAME, DURATIONS, FED, AgentId, AgentKind, DurationClass,
-                     EventLog, LedgerWorld, Posting, coin_key, deposit_key, reserves_key)
+                     EventLog, LedgerWorld, coin_key, deposit_key, reserves_key)
 from .market import DealerBook, Market
 from .money import BP, MICRO, PAR, Amount, mul_div, mul_frac
 from .rng import SplitMix64
@@ -91,8 +92,6 @@ class RunOutput:
         """Write the five files with the bytes of the string methods; the
         CSVs and events are streamed through the writers those render
         into."""
-        from pathlib import Path
-
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for name, fields, rows, project in (
@@ -156,13 +155,11 @@ def _endow_deposits(world: LedgerWorld, agent: AgentId, amount: Amount) -> None:
     if amount <= 0:
         return
     bank = world.bank_of(agent)
-    world.post([
-        Posting(FED, "A", "govt", amount),
-        Posting(FED, "L", reserves_key(bank), amount),
-        Posting(bank, "A", reserves_key(), amount),
-        Posting(bank, "L", deposit_key(agent), amount),
-        Posting(agent, "A", deposit_key(bank), amount),
-    ])
+    world.post({(FED.key, "A", "govt"): amount,
+                (FED.key, "L", reserves_key(bank)): amount,
+                (bank.key, "A", reserves_key()): amount,
+                (bank.key, "L", deposit_key(agent)): amount,
+                (agent.key, "A", deposit_key(bank)): amount})
 
 
 def _endow_coins(world: LedgerWorld, issuer: AgentId, holdings: list) -> None:
@@ -420,18 +417,15 @@ def _accrue(scn: Scenario) -> None:
         if rates.deposit_rate_daily > 0:
             interest = mul_frac(opening_deposits, rates.deposit_rate_daily)
             if interest > 0:
-                world.post([
-                    Posting(bank, "L", deposit_key(agent), interest),
-                    Posting(agent, "A", deposit_key(bank), interest),
-                ])
+                world.post({(bank.key, "L", deposit_key(agent)): interest,
+                            (agent.key, "A", deposit_key(bank)): interest})
         cost = book.config.operating_cost_per_day
         if cost > 0:
             paid = min(cost, world.deposits(agent))
             if paid > 0:
-                world.post([
-                    Posting(agent, "A", deposit_key(bank), -paid),
-                    Posting(bank, "L", deposit_key(agent), -paid),
-                ], event="operating_cost", issuer=key, amount=paid)
+                world.post({(agent.key, "A", deposit_key(bank)): -paid,
+                            (bank.key, "L", deposit_key(agent)): -paid})
+                world.emit("operating_cost", issuer=key, amount=paid)
 
 
 def _redemption_demand(scn: Scenario, suspended: set) -> None:
@@ -760,12 +754,12 @@ def _set_path(raw: dict, dotted: str, value) -> None:
 def sweep(raw_config: dict, grid: dict, out_dir=None) -> SweepReport:
     """Run the Cartesian product of grid values over a base config.
 
-    Each point is an independent run of the overridden configuration;
-    failures are recorded per point without aborting the sweep. An
-    empty grid runs the baseline once.
+    Each point is an independent run of the overridden configuration; a
+    point that fails to parse or run is recorded as an error without
+    aborting the sweep. With `out_dir`, each run's outputs are written
+    after it is recorded, and an `OSError` writing them ends the sweep.
+    An empty grid runs the baseline once.
     """
-    from .config import parse_config
-
     keys = sorted(grid)
     values = [grid[k] for k in keys]
     combos = list(itertools.product(*values)) if keys else [()]
@@ -777,18 +771,15 @@ def sweep(raw_config: dict, grid: dict, out_dir=None) -> SweepReport:
             for dotted, value in overrides.items():
                 _set_path(raw, dotted, value)
             output = run(parse_config(raw))
-            points.append(SweepPoint(index, overrides, output.summary, None))
-            if out_dir is not None:
-                from pathlib import Path
-
-                output.write(Path(out_dir) / f"point_{index:03d}")
         except Exception as err:  # per-point isolation is the contract
             points.append(SweepPoint(index, overrides, None,
                                      f"{type(err).__name__}: {err}"))
+            continue
+        points.append(SweepPoint(index, overrides, output.summary, None))
+        if out_dir is not None:
+            output.write(Path(out_dir) / f"point_{index:03d}")
     report = SweepReport(points)
     if out_dir is not None:
-        from pathlib import Path
-
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "matrix.csv").write_text(report.matrix_csv())

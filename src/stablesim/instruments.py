@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ledger import (DURATION_NAME, DURATIONS, AgentId, DurationClass, LedgerWorld, Posting,
+from .ledger import (DURATION_NAME, DURATIONS, AgentId, DurationClass, LedgerWorld,
                      TransferBatch, repo_key)
 from .money import MICRO, Amount, ceil_div, mul_div, mul_frac
 
@@ -196,12 +196,11 @@ def open_reverse_repo(world: LedgerWorld, registry: RepoRegistry,
         raise InsufficientCash(f"{lender} holds {lender_deposits}, needs {principal}")
 
     world.transfer_deposit(lender, borrower, principal)
-    world.post([
-        Posting(lender, "A", repo_key(borrower), principal),
-        Posting(borrower, "L", repo_key(lender), principal),
-    ], event="repo_open", lender=lender.key, borrower=borrower.key,
-        principal=principal, haircut=haircut,
-        collateral={DURATION_NAME[d]: faces[d] for d in DURATIONS if d in faces})
+    world.post({(lender.key, "A", repo_key(borrower)): principal,
+                (borrower.key, "L", repo_key(lender)): principal})
+    world.emit("repo_open", lender=lender.key, borrower=borrower.key,
+               principal=principal, haircut=haircut,
+               collateral={DURATION_NAME[d]: faces[d] for d in DURATIONS if d in faces})
     return registry._add(world, lender, borrower, principal, haircut, rate, term, faces)
 
 
@@ -237,11 +236,10 @@ def close_or_default_repo(world: LedgerWorld, registry: RepoRegistry,
 
 def _unwind_principal(world: LedgerWorld, pos: RepoPosition, event: str, **fields) -> None:
     """Take the loan off both books, logging `event`."""
-    world.post([
-        Posting(pos.lender, "A", repo_key(pos.borrower), -pos.principal),
-        Posting(pos.borrower, "L", repo_key(pos.lender), -pos.principal),
-    ], event=event, lender=pos.lender.key, borrower=pos.borrower.key,
-        principal=pos.principal, **fields)
+    world.post({(pos.lender.key, "A", repo_key(pos.borrower)): -pos.principal,
+                (pos.borrower.key, "L", repo_key(pos.lender)): -pos.principal})
+    world.emit(event, lender=pos.lender.key, borrower=pos.borrower.key,
+               principal=pos.principal, **fields)
 
 
 def roll_repo(world: LedgerWorld, registry: RepoRegistry, pos: RepoPosition,

@@ -2,24 +2,27 @@
 
 Each agent carries an asset map, a liability map and a stored equity
 figure that the posting engine maintains. Only ``LedgerWorld.post``
-writes a balance: it validates every leg before applying any of them,
-so a failed posting leaves the world byte-identical, bumps the written
-sheets' ``version`` and, once ``audit_changes`` has started the change
-log, logs their deltas, so that check reads only what changed since its
-last call. Each settlement rail has one method that posts all of its
-legs: ``transfer_deposit``, ``transfer_coin`` (mint, burn or transfer)
-and ``transfer_tbill``. ``redeem_coins`` is the batch form of a coin
-burn followed by a deposit payment, for many holders of one issuer;
-``TransferBatch`` holds the deposit and Treasury rails, stages many
-payments and deliveries against running balances and writes them with
-one post (``transfer_deposit`` and ``transfer_tbill`` are a batch of
-one); the Treasury re-mark ``remark_tbills`` posts its re-valuations too.
-This module owns the instrument-key format ``"<kind>@<counterparty>"``:
-every key is built by ``deposit_key``, ``reserves_key``, ``repo_key``,
-``srf_key``, ``coin_key`` or ``tbill_key``, and each agent's own
-deposit and coin keys are kept from its registration. Events are logged
-as rows of their schema (`event_form`), and each schema compiles one
-writer, on its first rendered row, that renders a row as its JSON line.
+writes a balance, and it writes balances only: it takes the legs summed
+per position, ``{(agent key, side, key): delta}``, and logs no event (a
+rail that logs one emits it after its post). It validates every leg
+before applying any of them, so a failed posting leaves the world
+byte-identical, bumps the written sheets' ``version`` and, once
+``audit_changes`` has started the change log, logs their deltas, so that
+check reads only what changed since its last call. Each settlement rail
+has one method that posts all of its legs: ``transfer_deposit``,
+``transfer_coin`` (mint, burn or transfer) and ``transfer_tbill``.
+``redeem_coins`` is the batch form of a coin burn followed by a deposit
+payment, for many holders of one issuer; ``TransferBatch`` holds the
+deposit and Treasury rails, stages many payments and deliveries against
+running balances and writes them with one post (``transfer_deposit`` and
+``transfer_tbill`` are a batch of one); the Treasury re-mark
+``remark_tbills`` posts its re-valuations too. This module owns the
+instrument-key format ``"<kind>@<counterparty>"``: every key is built by
+``deposit_key``, ``reserves_key``, ``repo_key``, ``srf_key``,
+``coin_key`` or ``tbill_key``, and each agent's own deposit and coin
+keys are kept from its registration. Events are logged as rows of their
+schema (`event_form`), and each schema compiles one writer, on its first
+rendered row, that renders a row as its JSON line.
 
 Inside-money instruments (reserves, deposits, stablecoins, repo and
 SRF claims) always appear on exactly two balance sheets with equal
@@ -39,7 +42,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
 
 from .money import mul_frac
 
@@ -145,15 +147,6 @@ class BalanceSheet:
 
     def total_assets(self) -> int:
         return sum(self.assets.values())
-
-
-class Posting(NamedTuple):
-    """One balance-sheet leg: side is 'A' (asset) or 'L' (liability)."""
-
-    agent: AgentId
-    side: str
-    key: str
-    delta: int
 
 
 @dataclass(frozen=True)
@@ -415,32 +408,22 @@ class LedgerWorld:
 
     # -- posting engine ----------------------------------------------------
 
-    def post(self, postings: list[Posting] | dict, event: str | None = None,
-             **event_fields) -> None:
-        """Apply a batch of legs atomically.
+    def post(self, staged: dict) -> None:
+        """Apply a batch of legs atomically; log no event.
 
-        `postings` is a list of legs, or legs summed per position, as
-        `{(agent key, side, key): delta}` from `TransferBatch` and
-        `redeem_coins`. All legs are validated first: agents must exist and no
-        position may go negative. Only then are balances and stored equity
-        updated, so an error cannot leave a half-applied batch. Each written
-        sheet's `version` is bumped and, once `audit_changes()` has started
-        the log, the batch's deltas are appended to `changes`. A coin balance
-        that crosses zero updates `coin_holders`.
+        `staged` holds the legs summed per position, `{(agent key, side,
+        key): delta}` with side 'A' (asset) or 'L' (liability). All legs are
+        validated first: agents must exist and no position may go negative.
+        Only then are balances and stored equity updated, so an error cannot
+        leave a half-applied batch. Each written sheet's `version` is bumped
+        and, once `audit_changes()` has started the log, the batch's deltas
+        are appended to `changes`. A coin balance that crosses zero updates
+        `coin_holders`.
         """
         agents = self.agents
-        if type(postings) is dict:
-            staged = postings
-            for agent_key, _, _ in staged:
-                if agent_key not in agents:
-                    raise UnknownAgent(f"unknown agent {agent_key}")
-        else:
-            staged = {}
-            for agent, side, key, delta in postings:
-                if agent.key not in agents:
-                    raise UnknownAgent(f"unknown agent {agent}")
-                k = (agent.key, side, key)
-                staged[k] = staged.get(k, 0) + delta
+        for agent_key, _, _ in staged:
+            if agent_key not in agents:
+                raise UnknownAgent(f"unknown agent {agent_key}")
         writes = []   # (agent key, side, key, delta, sheet, its side's positions, new)
         for (agent_key, side, key), delta in staged.items():
             book = agents[agent_key]
@@ -468,8 +451,6 @@ class LedgerWorld:
             self.coin_holders[key] = sorted(self.coin_holders.get(key, []) + keys)
         if self.changes is not None:
             self.changes.append(staged)
-        if event is not None:
-            self.emit(event, **event_fields)
 
     # -- settlement rails ----------------------------------------------------
 
@@ -501,9 +482,9 @@ class LedgerWorld:
             return
         key, minted, burned = coin_key(issuer), frm.key == issuer.key, to.key == issuer.key
         # the issuer's leg is its coin liability, a holder's its coin asset
-        self.post([Posting(frm, "L", key, amount) if minted else Posting(frm, "A", key, -amount),
-                   Posting(to, "L", key, -amount) if burned else Posting(to, "A", key, amount)],
-                  event="mint" if minted else "burn" if burned else "transfer",
+        self.post({(frm.key, "L" if minted else "A", key): amount if minted else -amount,
+                   (to.key, "L" if burned else "A", key): -amount if burned else amount})
+        self.emit("mint" if minted else "burn" if burned else "transfer",
                   instrument=key, src=frm.key, dst=to.key, amount=amount)
 
     def redeem_coins(self, issuer: AgentId, payouts: list) -> None:
@@ -514,20 +495,20 @@ class LedgerWorld:
         the batch form of `transfer_coin(holder, issuer, issuer, amount)` then
         `transfer_deposit(issuer, holder, amount)`, whose `burn` and
         `transfer` events it logs in that order, each pair followed by `note`,
-        an event `(type, fields)`. It stages the legs summed per position, as
-        `post` takes them: three per payout (the holder's coin debit and
-        deposit credit, its bank's deposit liability), then the issuer's legs
-        and the reserve legs from the issuer's bank to each other payee bank.
-        Each position moves one way within the batch, so it validates exactly
-        when the payouts would one by one; a batch that fails writes and logs
-        nothing.
+        an event `(form, values)` as `emit_all` takes it. It stages the legs
+        summed per position, as `post` takes them: three per payout (the
+        holder's coin debit and deposit credit, its bank's deposit liability),
+        then the issuer's legs and the reserve legs from the issuer's bank to
+        each other payee bank. Each position moves one way within the batch,
+        so it validates exactly when the payouts would one by one; a batch
+        that fails writes and logs nothing.
         """
         coin, src = coin_key(issuer), issuer.key
         held_f, owed_f = self._deposit_keys(issuer)
         banks, bank_f = self.banks, self.banks[src].key
         staged, events, total = {}, [], 0   # staged: as `post` takes legs
         moved: dict[str, int] = {}   # payee bank key -> amount, other banks than the issuer's
-        for holder, amount, (event, fields) in payouts:
+        for holder, amount, note in payouts:
             if amount <= 0:
                 raise LedgerError("payout amount must be positive")
             held_t, owed_t = self._deposit_keys(holder)
@@ -538,10 +519,8 @@ class LedgerWorld:
             total += amount
             if bank_t != bank_f:
                 moved[bank_t] = moved.get(bank_t, 0) + amount
-            note = _FORMS.get((event, *fields)) or event_form(event, tuple(fields))
             events += ((_COIN_BURN, (coin, dst, src, amount)),
-                       (_DEPOSIT_TRANSFER, ("deposit", src, dst, amount)),
-                       (note, fields.values()))
+                       (_DEPOSIT_TRANSFER, ("deposit", src, dst, amount)), note)
         legs = [((src, "L", coin), -total), ((src, "A", held_f), -total),
                 ((bank_f, "L", owed_f), -total)]
         if moved:
@@ -573,7 +552,7 @@ class LedgerWorld:
     def grant_tbill(self, agent: AgentId, duration: DurationClass, face: int) -> None:
         """Endow an agent with Treasuries (world construction only)."""
         value = mul_frac(face, self.price(duration))
-        self.post([Posting(agent, "A", tbill_key(duration), value)])
+        self.post({(agent.key, "A", tbill_key(duration)): value})
         key = (agent.key, duration)
         self.tbill_face[key] = self.tbill_face.get(key, 0) + face
 
@@ -593,14 +572,13 @@ class LedgerWorld:
         if new_price <= 0:
             raise LedgerError("treasury price must stay positive")
         self.tbill_prices[duration] = new_price
-        key = tbill_key(duration)
-        agents, ids = self.agents, self.ids
-        legs = []
+        key, agents = tbill_key(duration), self.agents
+        legs = {}
         for agent_key, face in sorted((agent_key, face) for (agent_key, dur), face
                                       in self.tbill_face.items() if dur is duration):
             delta = mul_frac(face, new_price) - agents[agent_key].assets.get(key, 0)
             if delta:
-                legs.append(Posting(ids[agent_key], "A", key, delta))
+                legs[(agent_key, "A", key)] = delta
         if legs:
             self.post(legs)
 

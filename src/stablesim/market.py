@@ -36,7 +36,7 @@ from . import analytics
 from .config import DealerConfig, MarketConfig, PolicyConfig
 from .instruments import PLEDGE_MIX, RepoRegistry, deliver_tbills, mark_treasuries
 from .ledger import (DURATION_NAME, DURATIONS, FED, AgentId, DurationClass, LedgerWorld,
-                     Posting, TransferBatch, event_form, reserves_key, srf_key)
+                     TransferBatch, event_form, reserves_key, srf_key)
 from .money import BP, MICRO, Amount, mul_div, mul_frac
 
 
@@ -105,12 +105,11 @@ def draw_srf(world: LedgerWorld, book: DealerBook, amount: Amount) -> None:
     nothing nets, so leverage headroom falls one-for-one.
     """
     dealer = book.agent
-    world.post([
-        Posting(FED, "A", srf_key(dealer), amount),
-        Posting(dealer, "L", srf_key(FED), amount),
-        Posting(dealer, "A", reserves_key(), amount),
-        Posting(FED, "L", reserves_key(dealer), amount),
-    ], event="srf_draw", dealer=dealer.key, amount=amount)
+    world.post({(FED.key, "A", srf_key(dealer)): amount,
+                (dealer.key, "L", srf_key(FED)): amount,
+                (dealer.key, "A", reserves_key()): amount,
+                (FED.key, "L", reserves_key(dealer)): amount})
+    world.emit("srf_draw", dealer=dealer.key, amount=amount)
 
 
 @dataclass

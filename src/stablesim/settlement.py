@@ -65,11 +65,15 @@ class Funding(Enum):
     REPO_NON_ROLLOVER = "repo_non_rollover"
 
 
-# the events of intake and planning, one row per request
+# the events of intake and planning, one row per request, and of payout
 _REDEMPTION_REQUEST = event_form("redemption_request", (
     "request_id", "issuer", "holder", "amount", "route", "intervention"))
 _PLAN_CREATED = event_form("plan_created", (
     "request_id", "issuer", "funding", "from_deposits", "from_sales", "from_nonroll", "horizon"))
+_REDEMPTION_COMPLETED = event_form("redemption_completed", (
+    "request_id", "issuer", "holder", "amount", "delay_days"))
+_REDEMPTION_PARTIAL = event_form("redemption_partial", (
+    "request_id", "issuer", "paid", "remaining"))
 
 
 class ParMode(Enum):
@@ -452,8 +456,8 @@ class SettlementEngine:
     def _size_chunks(self, book: IssuerBook) -> list:
         """The chunks a pass pays `book`'s open requests, oldest first, as
         `(record, chunk, deposit part, note)`; `note` is the request's
-        `redemption_completed` or `redemption_partial` event. Reads the
-        world and changes nothing."""
+        `redemption_completed` or `redemption_partial` event as `(form,
+        values)`. Reads the world and changes nothing."""
         world, issuer = self.world, book.agent
         coin = world.coin_keys[issuer.key]
         deposits = world.deposits(issuer)
@@ -481,14 +485,10 @@ class SettlementEngine:
             remaining = record.remaining - chunk
             if remaining == 0:
                 delay = world.day - record.submitted_day - record.horizon
-                note = ("redemption_completed", {
-                    "request_id": record.request_id, "issuer": issuer.key,
-                    "holder": holder, "amount": record.amount,
-                    "delay_days": max(0, delay)})
+                note = (_REDEMPTION_COMPLETED, (record.request_id, issuer.key, holder,
+                                                record.amount, max(0, delay)))
             else:
-                note = ("redemption_partial", {
-                    "request_id": record.request_id, "issuer": issuer.key,
-                    "paid": chunk, "remaining": remaining})
+                note = (_REDEMPTION_PARTIAL, (record.request_id, issuer.key, chunk, remaining))
             chunks.append((record, chunk, deposit_part, note))
         return chunks
 

@@ -113,6 +113,32 @@ def test_sweep_grid_path_through_a_number_is_a_point_error(tmp_path, capsys):
     assert [(r["status"], r["error"].split(":")[0]) for r in rows] == [("error", "TypeError")]
 
 
+@pytest.mark.parametrize("text", ["[1]", "null", '"seed"'])
+def test_sweep_rejects_a_grid_file_that_is_not_an_object(text, tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(text)
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", "calm", "--grid", str(grid), "--out", str(out_dir)]) == 1
+    assert ("invalid sweep input: grid file must map parameter paths to value lists"
+            in capsys.readouterr().err)
+    assert not out_dir.exists()
+
+
+def test_sweep_that_cannot_write_a_point_exits_3(tmp_path, capsys):
+    """A point whose outputs fail to write is an I/O failure, not a second
+    row for the point: the sweep stops and writes no matrix."""
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"grid": {"seed": [1, 2]}}))
+    out_dir = tmp_path / "sweep"
+    out_dir.mkdir()
+    (out_dir / "point_000").write_text("")   # a file where point 0's directory goes
+    assert main(["sweep", "calm", "--grid", str(grid), "--out", str(out_dir)]) == 3
+    captured = capsys.readouterr()
+    assert "cannot write outputs: " in captured.err
+    assert "swept" not in captured.out
+    assert sorted(p.name for p in out_dir.iterdir()) == ["point_000"]
+
+
 def test_negative_repo_rate_runs_and_the_lender_pays_the_roll_interest(tmp_path):
     raw = PRESETS["calm"]()
     raw["rates"] = {**raw.get("rates", {}), "repo_rate_daily": -100}

@@ -9,8 +9,7 @@ from stablesim.dynamics import (CONFIDENCE_BANDS, ConfidenceState,
                                 ShockState, SystemicBand, UnknownShockClass,
                                 apply_shock, redemption_demand,
                                 run_corrective_burns, update_secondary_price)
-from stablesim.ledger import (FED, AgentId, AgentKind, LedgerWorld, Posting,
-                              coin_key)
+from stablesim.ledger import FED, AgentId, AgentKind, LedgerWorld, coin_key
 from stablesim.money import BP, MICRO, PAR, mul_frac
 from stablesim.rng import SplitMix64
 from stablesim.settlement import AccessMode, IssuerBook
@@ -149,10 +148,10 @@ def shock_world(coins=1_000_00):
     world.add_agent(ISSUER2)
     world.add_agent(HOLDER)
     for issuer in (ISSUER, ISSUER2):
-        world.post([
-            Posting(issuer, "L", coin_key(issuer), coins),
-            Posting(HOLDER, "A", coin_key(issuer), coins),
-        ])
+        world.post({
+            (issuer.key, "L", coin_key(issuer)): coins,
+            (HOLDER.key, "A", coin_key(issuer)): coins,
+        })
     issuers = {issuer.key: IssuerBook(issuer, IssuerConfig(
                    name=issuer.key, bank="bank", coins=coins, assets=0, allocation={},
                    chain="alpha"))
@@ -200,7 +199,7 @@ def test_uncontrolled_supply_with_duration_degrades_leverage():
     from stablesim.analytics import leverage_ratio
 
     world, issuers = shock_world(coins=95_000_00)
-    world.post([Posting(ISSUER, "A", "govt", 100_000_00)])
+    world.post({(ISSUER.key, "A", "govt"): 100_000_00})
     before = leverage_ratio(100_000_00, 95_000_00)
     state = ShockState()
     spec = ShockSpec(klass=ShockClass.UNCONTROLLED_SUPPLY, magnitude=100_000,

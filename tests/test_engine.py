@@ -10,7 +10,7 @@ from stablesim.analytics import ANALYTICS_FIELDS
 from stablesim.config import PRESETS, load_config, parse_config
 from stablesim.engine import DAILY_FIELDS, AuditFailure, build_scenario, run, sweep
 from stablesim.instruments import step_portfolio
-from stablesim.ledger import DurationClass, LedgerWorld, Posting, deposit_key
+from stablesim.ledger import DurationClass, LedgerWorld, deposit_key
 from stablesim.money import PAR, mul_frac
 
 
@@ -663,8 +663,7 @@ def test_lone_leg_posted_after_a_day_fails_the_next_days_audit():
         seen["world"] = scn.world
         if day == 2:
             holder = scn.agent_of["h_1"]
-            scn.world.post([Posting(holder, "A",
-                                    deposit_key(scn.world.bank_of(holder)), 7)])
+            scn.world.post({(holder.key, "A", deposit_key(scn.world.bank_of(holder))): 7})
 
     with pytest.raises(AuditFailure) as caught:
         run(load_config("calm"), on_day_end=corrupt)

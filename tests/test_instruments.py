@@ -12,7 +12,7 @@ from stablesim.instruments import (GENIUS_MAX_BILL_DAYS, InsufficientCollateral,
                                    mark_treasuries, open_reverse_repo,
                                    required_collateral, roll_repo, step_portfolio)
 from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, InsufficientPosition,
-                              LedgerWorld, Posting, TransferBatch, deposit_key, reserves_key)
+                              LedgerWorld, TransferBatch, deposit_key, reserves_key)
 from stablesim.money import MICRO, mul_div, mul_frac
 
 BANK = AgentId(AgentKind.BANK, 0)
@@ -29,13 +29,13 @@ def repo_world(issuer_cash=100_000_00, dealer_bills=0, dealer_long=0,
     world.add_agent(DEALER, bank=BANK)
     for agent, amount in ((ISSUER, issuer_cash), (DEALER, dealer_cash)):
         if amount:
-            world.post([
-                Posting(FED, "A", "govt", amount),
-                Posting(FED, "L", f"reserves@{BANK.key}", amount),
-                Posting(BANK, "A", reserves_key(), amount),
-                Posting(BANK, "L", f"deposit@{agent.key}", amount),
-                Posting(agent, "A", deposit_key(BANK), amount),
-            ])
+            world.post({
+                (FED.key, "A", "govt"): amount,
+                (FED.key, "L", f"reserves@{BANK.key}"): amount,
+                (BANK.key, "A", reserves_key()): amount,
+                (BANK.key, "L", f"deposit@{agent.key}"): amount,
+                (agent.key, "A", deposit_key(BANK)): amount,
+            })
     if dealer_bills:
         world.grant_tbill(DEALER, DurationClass.BILL, dealer_bills)
     if dealer_long:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from stablesim.ledger import (DURATION_NAME, DURATIONS, FED, AgentId, AgentKind, AuditCheck,
                               DurationClass, InsufficientPosition, LedgerError, LedgerWorld,
-                              Posting, UnknownAgent, coin_key, deposit_key, repo_key,
+                              UnknownAgent, coin_key, deposit_key, event_form, repo_key,
                               reserves_key, srf_key, tbill_key)
 
 BANK_A = AgentId(AgentKind.BANK, 0)
@@ -19,13 +19,13 @@ HOLDER = AgentId(AgentKind.HOLDER, 0)
 
 def endow_deposit(world, agent, amount):
     bank = world.bank_of(agent)
-    world.post([
-        Posting(FED, "A", "govt", amount),
-        Posting(FED, "L", f"reserves@{bank.key}", amount),
-        Posting(bank, "A", reserves_key(), amount),
-        Posting(bank, "L", f"deposit@{agent.key}", amount),
-        Posting(agent, "A", deposit_key(bank), amount),
-    ])
+    world.post({
+        (FED.key, "A", "govt"): amount,
+        (FED.key, "L", f"reserves@{bank.key}"): amount,
+        (bank.key, "A", reserves_key()): amount,
+        (bank.key, "L", f"deposit@{agent.key}"): amount,
+        (agent.key, "A", deposit_key(bank)): amount,
+    })
 
 
 def two_bank_world():
@@ -141,6 +141,18 @@ def test_unknown_agent():
             transfer()
 
 
+def test_a_burn_beyond_the_holding_logs_no_event():
+    """The event of a rail follows its write: a write that raises logs
+    nothing and bumps no sheet version."""
+    world = two_bank_world()
+    world.transfer_coin(ISSUER, HOLDER, ISSUER, 500_00)
+    assert world.audit_changes().ok
+    before = copy.deepcopy(world_state(world))
+    with pytest.raises(InsufficientPosition):
+        world.transfer_coin(HOLDER, ISSUER, ISSUER, 500_01)
+    assert world_state(world) == before
+
+
 def test_coin_mint_transfer_burn_cycle():
     world = two_bank_world()
     world.transfer_coin(ISSUER, HOLDER, ISSUER, 500_00)
@@ -155,7 +167,7 @@ def test_coin_mint_transfer_burn_cycle():
 
 
 HOLDER_B = AgentId(AgentKind.HOLDER, 1)
-NOTES = [("note", {"n": n}) for n in range(3)]
+NOTES = [(event_form("note", ("n",)), (n,)) for n in range(3)]
 
 
 def redeeming_world():
@@ -175,10 +187,10 @@ def test_redeem_coins_writes_and_logs_what_the_rails_do():
     payouts = [(HOLDER, 300_00, NOTES[0]), (HOLDER_B, 200_00, NOTES[1]),
                (HOLDER, 100_00, NOTES[2])]
     world.redeem_coins(ISSUER, payouts)
-    for holder, amount, (event, fields) in payouts:
+    for holder, amount, note in payouts:
         rails.transfer_coin(holder, ISSUER, ISSUER, amount)
         rails.transfer_deposit(ISSUER, holder, amount)
-        rails.emit(event, **fields)
+        rails.emit_all([note])
     assert world.snapshot().to_json() == rails.snapshot().to_json()
     assert list(world.events.lines()) == list(rails.events.lines())
     assert world.coin_holders == rails.coin_holders == {coin_key(ISSUER): [HOLDER.key]}
@@ -290,7 +302,7 @@ def faulty_world(*legs):
     """The two-bank world with stray legs posted (equity follows them, so
     double entry still holds)."""
     world = two_bank_world()
-    world.post([Posting(agent, side, key, delta) for agent, side, key, delta in legs])
+    world.post({(agent.key, side, key): delta for agent, side, key, delta in legs})
     return world
 
 
@@ -369,11 +381,11 @@ def test_claim_matching_reports_first_sheet_assets_in_stored_order():
     assert world.audit().failures() == [AuditCheck(
         "claim_matching", False, "holder:0", "unmatched repo@bank:1 claim of 100")]
     # coin totals are compared by coin key once every claim pairs off
-    world.post([Posting(ISSUER, "A", "srf@fed:0", -2_00),
-                Posting(HOLDER, "L", "repo@issuer:0", -4_00),
-                Posting(HOLDER, "A", "repo@bank:1", -1_00),
-                Posting(HOLDER, "A", "repo@bank:0", -1_00),
-                Posting(HOLDER, "A", coin_key(HOLDER), 9)])
+    world.post({(ISSUER.key, "A", "srf@fed:0"): -2_00,
+                (HOLDER.key, "L", "repo@issuer:0"): -4_00,
+                (HOLDER.key, "A", "repo@bank:1"): -1_00,
+                (HOLDER.key, "A", "repo@bank:0"): -1_00,
+                (HOLDER.key, "A", coin_key(HOLDER)): 9})
     assert world.audit().failures() == [AuditCheck(
         "claim_matching", False, "holder:0", "coins held 9 != coins outstanding 0")]
 
@@ -443,13 +455,13 @@ def test_remark_writes_only_through_post(monkeypatch):
     manual = copy.deepcopy(world)
     posted = []
     post = world.post
-    monkeypatch.setattr(world, "post", lambda legs, *args, **kwargs: (
-        posted.append(list(legs)), post(legs, *args, **kwargs)))
+    monkeypatch.setattr(world, "post", lambda legs: (
+        posted.append(list(legs.items())), post(legs)))
     world.remark_tbills(DurationClass.BILL, 990_000)
     # one leg per agent holding the class, in key order; no event
-    legs = [Posting(HOLDER, "A", "tbill/bill", -30_00),
-            Posting(ISSUER, "A", "tbill/bill", -100_00)]
-    assert posted == [legs]
+    legs = {(HOLDER.key, "A", "tbill/bill"): -30_00,
+            (ISSUER.key, "A", "tbill/bill"): -100_00}
+    assert posted == [list(legs.items())]
     manual.tbill_prices[DurationClass.BILL] = 990_000
     manual.post(legs)
     assert world_state(world) == world_state(manual)
@@ -491,7 +503,7 @@ def test_clean_writes_never_fall_back_to_the_full_audit(monkeypatch):
 def test_audit_changes_reports_exactly_what_audit_reports(legs):
     world = two_bank_world()
     assert world.audit_changes().ok
-    world.post([Posting(agent, side, key, delta) for agent, side, key, delta in legs])
+    world.post({(agent.key, side, key): delta for agent, side, key, delta in legs})
     report = world.audit_changes()
     assert not report.ok
     assert report == world.audit()
@@ -503,10 +515,10 @@ def test_first_passing_call_starts_the_log():
     assert world.changes is None
     assert world.audit_changes() == world.audit()
     assert not world.audit().ok
-    world.post([Posting(HOLDER, "A", BANK_A_DEPOSITS, -7)])
+    world.post({(HOLDER.key, "A", BANK_A_DEPOSITS): -7})
     assert world.changes is None
     assert world.audit_changes().ok
-    world.post([Posting(HOLDER, "A", BANK_A_DEPOSITS, 7)])
+    world.post({(HOLDER.key, "A", BANK_A_DEPOSITS): 7})
     assert world.changes == [{(HOLDER.key, "A", BANK_A_DEPOSITS): 7}]
 
 

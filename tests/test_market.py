@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from stablesim.config import DealerConfig, MarketConfig, PolicyConfig
 from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, InsufficientPosition,
-                              LedgerWorld, Posting, deposit_key, reserves_key)
+                              LedgerWorld, UnknownAgent, deposit_key, reserves_key)
 from stablesim.instruments import RepoRegistry
-from stablesim.market import DealerBook, Market, MarketError, PendingSettlement, decompose
+from stablesim.market import (DealerBook, Market, MarketError, PendingSettlement, decompose,
+                              draw_srf)
 from stablesim.money import MICRO, mul_div, mul_frac
 
 BANK = AgentId(AgentKind.BANK, 0)
@@ -26,14 +27,14 @@ def endow(world, agent, amount, reserves=None):
     `reserves` says how many; loans back the rest."""
     bank = world.bank_of(agent)
     reserves = amount if reserves is None else reserves
-    world.post([
-        Posting(FED, "A", "govt", reserves),
-        Posting(FED, "L", f"reserves@{bank.key}", reserves),
-        Posting(bank, "A", reserves_key(), reserves),
-        Posting(bank, "A", "loans", amount - reserves),
-        Posting(bank, "L", f"deposit@{agent.key}", amount),
-        Posting(agent, "A", deposit_key(bank), amount),
-    ])
+    world.post({
+        (FED.key, "A", "govt"): reserves,
+        (FED.key, "L", f"reserves@{bank.key}"): reserves,
+        (bank.key, "A", reserves_key()): reserves,
+        (bank.key, "A", "loans"): amount - reserves,
+        (bank.key, "L", f"deposit@{agent.key}"): amount,
+        (agent.key, "A", deposit_key(bank)): amount,
+    })
 
 
 def dealer_config(dealer, capital, base_assets, reserve_access):
@@ -260,6 +261,23 @@ def test_single_dealer_capacity_matches_leverage_headroom():
     market = Market(MarketConfig(depth=10_000_00, retention_frac=0), PolicyConfig(),
                     {D1.key: book}, BUYER)
     assert capacity(market, world) == 16_00
+
+
+def test_srf_draw_for_an_unregistered_dealer_logs_no_event():
+    """The draw's event follows its write: a draw that raises logs nothing
+    and bumps no sheet version."""
+    world = LedgerWorld()
+    world.add_agent(FED)
+    world.add_agent(BANK)
+    world.add_agent(D2, bank=BANK)
+    endow(world, D2, 100_00)
+    book = DealerBook(D1, dealer_config(D1, 5_80, 100_00, 10**9), inventory_baseline=0)
+    before = (world.snapshot().to_json(), list(world.events.lines()),
+              {key: sheet.version for key, sheet in world.agents.items()})
+    with pytest.raises(UnknownAgent):
+        draw_srf(world, book, 10_00)
+    assert (world.snapshot().to_json(), list(world.events.lines()),
+            {key: sheet.version for key, sheet in world.agents.items()}) == before
 
 
 def test_capacity_is_recomputed_only_for_a_dealer_that_changed(monkeypatch):

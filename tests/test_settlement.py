@@ -7,7 +7,7 @@ from stablesim.config import DealerConfig, IssuerConfig, PolicyConfig, RatesConf
 from stablesim.engine import build_scenario, run
 from stablesim.instruments import RepoRegistry
 from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, InsufficientPosition,
-                              LedgerWorld, Posting, coin_key, deposit_key, reserves_key,
+                              LedgerWorld, coin_key, deposit_key, reserves_key,
                               srf_key)
 from stablesim.market import DealerBook, draw_srf
 from stablesim.money import PAR
@@ -32,13 +32,13 @@ def bare_world(issuer_deposits=0, issuer_bills=0):
     world.add_agent(IM, bank=BANK)
     world.add_agent(DEALER, bank=BANK)
     if issuer_deposits:
-        world.post([
-            Posting(FED, "A", "govt", issuer_deposits),
-            Posting(FED, "L", f"reserves@{BANK.key}", issuer_deposits),
-            Posting(BANK, "A", reserves_key(), issuer_deposits),
-            Posting(BANK, "L", f"deposit@{ISSUER.key}", issuer_deposits),
-            Posting(ISSUER, "A", deposit_key(BANK), issuer_deposits),
-        ])
+        world.post({
+            (FED.key, "A", "govt"): issuer_deposits,
+            (FED.key, "L", f"reserves@{BANK.key}"): issuer_deposits,
+            (BANK.key, "A", reserves_key()): issuer_deposits,
+            (BANK.key, "L", f"deposit@{ISSUER.key}"): issuer_deposits,
+            (ISSUER.key, "A", deposit_key(BANK)): issuer_deposits,
+        })
     if issuer_bills:
         world.grant_tbill(ISSUER, DurationClass.BILL, issuer_bills)
     return world
@@ -228,10 +228,10 @@ def test_mint_pass_invests_the_configured_fraction_in_bills():
 
 def coined_world(coins):
     world = bare_world()
-    world.post([
-        Posting(ISSUER, "L", f"coin@{ISSUER.key}", coins),
-        Posting(HOLDER, "A", f"coin@{ISSUER.key}", coins),
-    ])
+    world.post({
+        (ISSUER.key, "L", f"coin@{ISSUER.key}"): coins,
+        (HOLDER.key, "A", f"coin@{ISSUER.key}"): coins,
+    })
     return world
 
 
@@ -417,13 +417,13 @@ BANK_B = AgentId(AgentKind.BANK, 1)
 
 def endow(world, amount, agent=ISSUER):
     """Give `agent` `amount` of deposits at BANK, backed by reserves."""
-    world.post([
-        Posting(FED, "A", "govt", amount),
-        Posting(FED, "L", reserves_key(BANK), amount),
-        Posting(BANK, "A", reserves_key(), amount),
-        Posting(BANK, "L", deposit_key(agent), amount),
-        Posting(agent, "A", deposit_key(BANK), amount),
-    ])
+    world.post({
+        (FED.key, "A", "govt"): amount,
+        (FED.key, "L", reserves_key(BANK)): amount,
+        (BANK.key, "A", reserves_key()): amount,
+        (BANK.key, "L", deposit_key(agent)): amount,
+        (agent.key, "A", deposit_key(BANK)): amount,
+    })
 
 
 def payout_world(issuer_deposits, coins):
@@ -434,8 +434,8 @@ def payout_world(issuer_deposits, coins):
                         (HOLDER, BANK_B), (IM, BANK_B)):
         world.add_agent(agent, bank=bank)
     endow(world, issuer_deposits)
-    world.post([Posting(ISSUER, "L", coin_key(ISSUER), coins),
-                Posting(HOLDER, "A", coin_key(ISSUER), coins)])
+    world.post({(ISSUER.key, "L", coin_key(ISSUER)): coins,
+                (HOLDER.key, "A", coin_key(ISSUER)): coins})
     return world
 
 
@@ -505,8 +505,8 @@ def test_failing_payout_pass_writes_nothing():
     the pass raises before it writes a sheet, a version, the change log,
     the coin-holder index, an event or a request."""
     world = payout_world(issuer_deposits=600_00, coins=650_00)
-    world.post([Posting(BANK, "A", reserves_key(), -100_00),
-                Posting(FED, "L", reserves_key(BANK), -100_00)])
+    world.post({(BANK.key, "A", reserves_key()): -100_00,
+                (FED.key, "L", reserves_key(BANK)): -100_00})
     assert world.audit_changes().ok
     book = issuer_book()
     settle = settlement_engine(world, book)
@@ -574,12 +574,10 @@ def test_set_up_endows_each_issuers_coins_in_one_post(monkeypatch):
     coin_posts = []
     post = LedgerWorld.post
 
-    def spy(world, legs, *args, **kwargs):
-        # legs summed per position, {(agent key, side, key): delta}, or Postings
-        keys = [key for _, _, key in legs] if type(legs) is dict else [leg.key for leg in legs]
-        if any(key.startswith("coin@") for key in keys):
+    def spy(world, legs):
+        if any(key.startswith("coin@") for _, _, key in legs):
             coin_posts.append(legs)
-        return post(world, legs, *args, **kwargs)
+        return post(world, legs)
 
     monkeypatch.setattr(LedgerWorld, "post", spy)
     scn = build_scenario(parse_config(raw))
