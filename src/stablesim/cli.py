@@ -6,10 +6,11 @@
   stablesim presets list
 
 Exit codes: 0 ok, 1 validation or parse failure (including a world that
-cannot be built from the config; `validate` builds it too), 2 audit
-failure, 3 I/O failure. `sweep` writes every point's row to matrix.csv,
-then exits 2 if any point failed its audit, else 1 if any point failed;
-a point whose outputs cannot be written stops it with exit 3.
+cannot be built from the config; `validate` builds it too, and a command
+line it rejects), 2 audit failure, 3 I/O failure. `sweep` writes every
+point's row to matrix.csv, then exits 2 if any point failed its audit,
+else 1 if any point failed; a point whose outputs cannot be written
+stops it with exit 3.
 <config> is a JSON file path or a preset name.
 """
 
@@ -75,14 +76,14 @@ def cmd_sweep(args) -> int:
     try:
         raw = load_raw(args.config)
         parse_config(raw)  # fail fast before the grid multiplies the error
-        grid_raw = json.loads(Path(args.grid).read_text())
+        grid_raw = json.loads(Path(args.grid).read_text(encoding="utf-8"))
         grid = grid_raw.get("grid", grid_raw) if isinstance(grid_raw, dict) else grid_raw
         if not isinstance(grid, dict):
             raise ValidationError("grid file must map parameter paths to value lists")
         for key, values in grid.items():
             if not isinstance(values, list) or not values:
                 raise ValidationError(f"grid values for {key} must be a non-empty list")
-    except (*CONFIG_ERRORS, json.JSONDecodeError) as err:
+    except (*CONFIG_ERRORS, json.JSONDecodeError, UnicodeDecodeError) as err:
         print(f"invalid sweep input: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as err:
@@ -129,8 +130,17 @@ def cmd_presets(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with a rejected command line exiting 1: its own code, 2,
+    is the audit-failure code here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stablesim",
         description="Deterministic stablecoin redemption-stress simulator")
     sub = parser.add_subparsers(dest="command", required=True)

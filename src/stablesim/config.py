@@ -412,7 +412,9 @@ def load_raw(path: str | Path) -> dict:
     if not p.exists():
         raise FileNotFoundError(f"no such config file or preset: {path}")
     try:
-        return json.loads(p.read_text())
+        return json.loads(p.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{p}: byte {err.start}: not UTF-8 text") from err
     except json.JSONDecodeError as err:
         raise ParseError(f"{p}: line {err.lineno} column {err.colno}: {err.msg}") from err
 

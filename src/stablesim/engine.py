@@ -403,8 +403,7 @@ def _accrue(scn: Scenario) -> None:
     """Phase 2: interest on opening balances, then operating costs."""
     rates = scn.config.rates
     world = scn.world
-    for key in sorted(scn.settle.issuers):
-        book = scn.settle.issuers[key]
+    for key, book in scn.settle.issuers.items():
         agent = book.agent
         bank = world.bank_of(agent)
         # both legs accrue on start-of-day balances; rates were fixed at
@@ -430,8 +429,7 @@ def _accrue(scn: Scenario) -> None:
 
 def _redemption_demand(scn: Scenario, suspended: set) -> None:
     """Phase 3: each issuer's run-model demand, routed to coin holders."""
-    for key in sorted(scn.settle.issuers):
-        book = scn.settle.issuers[key]
+    for key, book in scn.settle.issuers.items():
         model = scn.run_models[key]
         conf = scn.confidence[key]
         conf = ConfidenceState(secondary_price=conf.secondary_price,
@@ -451,8 +449,7 @@ def _mint_demand(scn: Scenario, suspended: set) -> None:
     rate = scn.config.mint_daily_rate
     if rate <= 0:
         return
-    for key in sorted(scn.settle.issuers):
-        book = scn.settle.issuers[key]
+    for key, book in scn.settle.issuers.items():
         if book.config.chain in suspended:
             continue
         amount = mul_frac(scn.settle.coins_outstanding(book.agent), rate)
@@ -466,8 +463,7 @@ def _mint_demand(scn: Scenario, suspended: set) -> None:
 
 def _interventions(scn: Scenario, suspended: set) -> None:
     """Phase 5: each live issuer's par policy buys coins back or mints."""
-    for key in sorted(scn.settle.issuers):
-        book = scn.settle.issuers[key]
+    for key, book in scn.settle.issuers.items():
         if book.config.chain in suspended:
             continue
         price = scn.confidence[key].secondary_price
@@ -499,9 +495,8 @@ def _plan(scn: Scenario, suspended: set) -> list:
     # bills monetize at the central bank instead of the dealer market
     for instr in instructions:
         proceeds = _fed_bill_purchase(scn, instr.issuer, instr.amount)
-        book = scn.settle.issuers[instr.issuer.key]
-        book.inflight_orders = max(0, book.inflight_orders - instr.amount)
-        book.pool += proceeds
+        scn.settle.note_fill(instr.issuer.key, instr.amount)
+        scn.settle.credit_proceeds({instr.issuer.key: (proceeds, instr.amount)})
     return []
 
 
@@ -543,8 +538,7 @@ def _drain_queues(scn: Scenario, suspended: set) -> None:
 def _update_prices(scn: Scenario) -> None:
     """Phase 10: each issuer's secondary price from overdue and unserved
     redemptions, shocks and executed interventions."""
-    for key in sorted(scn.settle.issuers):
-        book = scn.settle.issuers[key]
+    for key, book in scn.settle.issuers.items():
         coins = scn.settle.coins_outstanding(book.agent)
         overdue = scn.settle.overdue_amount(book) + book.day_unserved
         shock_eff = scn.shock_state.price_effects.pop(key, 0)
@@ -570,8 +564,7 @@ def _emit_rows(scn: Scenario, day: int, dealer_capacity: dict) -> None:
     report = world.audit() if last else world.audit_changes()
     if not report.ok:
         raise AuditFailure(day, report)
-    for key in sorted(scn.settle.issuers):
-        book = scn.settle.issuers[key]
+    for key, book in scn.settle.issuers.items():
         agent = book.agent
         sheet = world.sheet(agent)
         assets = sheet.total_assets()
@@ -599,8 +592,7 @@ def _emit_rows(scn: Scenario, day: int, dealer_capacity: dict) -> None:
             "dla": liq.dla_frac, "wla": liq.wla_frac,
             "wam": liq.wam_days, "wal": liq.wal_days,
         })
-    for dealer_key in sorted(scn.market.books):
-        book = scn.market.books[dealer_key]
+    for dealer_key, book in scn.market.books.items():
         slr_rep = book.slr_report(world, scn.market.slr_bound)
         scn.daily_rows.append({
             "day": day, "agent": book.config.name, "kind": "dealer",
@@ -656,8 +648,7 @@ def _summarize(scn: Scenario) -> dict:
     world = scn.world
     canonical = config.canonical_json()
     issuers = {}
-    for key in sorted(scn.settle.issuers):
-        book = scn.settle.issuers[key]
+    for key, book in scn.settle.issuers.items():
         incentive = None
         if config.attack_cost:
             # diagnostic only: peak daily transacted value per unit of

@@ -159,7 +159,7 @@ class Market:
         # micro; None leaves the 3% / 5% bound by gsib
         self.slr_bound = (None if policies.slr_bound_bp is None
                           else policies.slr_bound_bp * BP)
-        self.books = books  # dealer key -> DealerBook
+        self.books = dict(sorted(books.items()))  # dealer key -> DealerBook, in key order
         self.buyer = buyer
         # dealer key -> (sheet version, reserved_today, ra_used_today) when
         # its capacity was computed, and that capacity
@@ -199,8 +199,7 @@ class Market:
         version and book day fields are unchanged keeps its last value.
         """
         out = {}
-        for key in sorted(self.books):
-            book = self.books[key]
+        for key, book in self.books.items():
             stamp = (world.agents[key].version, book.reserved_today, book.ra_used_today)
             cached = self._available.get(key)
             if cached is None or cached[0] != stamp:
@@ -391,8 +390,7 @@ class Market:
         if frac <= 0:
             return
         batch = TransferBatch(world)
-        for key in sorted(self.books):
-            book = self.books[key]
+        for key, book in self.books.items():
             growth = world.tbill_value(book.agent) - book.inventory_baseline
             if growth <= 0:
                 continue
@@ -407,8 +405,8 @@ class Market:
         batch.commit()
 
     def begin_day(self) -> None:
-        for key in sorted(self.books):
-            self.books[key].ra_used_today = 0
+        for book in self.books.values():
+            book.ra_used_today = 0
         self.day_excess = dict.fromkeys(DURATIONS, 0)
         self.day_fills = dict.fromkeys(DURATIONS, 0)
         self.day_submitted = dict.fromkeys(DURATIONS, 0)

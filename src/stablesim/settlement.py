@@ -137,23 +137,26 @@ class OpenRequest:
     amount: Amount
     submitted_day: int
     planned: bool = False
-    from_deposits: Amount = 0
-    from_pool: Amount = 0
+    # funding committed at planning and not yet paid out: earmarked
+    # deposits, and sale or non-rollover cash drawn from the pool
+    deposit_left: Amount = 0
+    pool_left: Amount = 0
     horizon: int = 0
     paid: Amount = 0
-    deposits_used: Amount = 0
-    pool_used: Amount = 0
-    completed_day: int | None = None
     is_intervention: bool = False
     counted_delayed: bool = False
 
     @property
     def completed(self) -> bool:
-        return self.completed_day is not None
+        return self.paid == self.amount
 
     @property
     def remaining(self) -> Amount:
         return self.amount - self.paid
+
+    def delay(self, day: int) -> int:
+        """Days past the plan horizon on `day`; overdue when positive."""
+        return day - self.submitted_day - self.horizon
 
 
 @dataclass
@@ -163,7 +166,6 @@ class MintOrder:
     amount: Amount
     submitted_day: int
     is_intervention: bool = False
-    completed_day: int | None = None
 
 
 @dataclass
@@ -172,7 +174,7 @@ class IssuerBook:
     config: IssuerConfig
     requests: list = field(default_factory=list)   # every request, as submitted
     open: list = field(default_factory=list)       # the ones not completed yet
-    mints: list = field(default_factory=list)
+    mints: list = field(default_factory=list)     # the mints not settled yet
     # funding trackers
     pool: Amount = 0
     earmarked: Amount = 0
@@ -222,7 +224,7 @@ class SettlementEngine:
                  rates: RatesConfig, policies: PolicyConfig):
         self.world = world
         self.registry = registry
-        self.issuers = issuers  # issuer key -> IssuerBook
+        self.issuers = dict(sorted(issuers.items()))  # issuer key -> IssuerBook, in key order
         self.rates = rates
         self.policies = policies
         self._next_request = 0
@@ -232,8 +234,7 @@ class SettlementEngine:
     # -- intake -----------------------------------------------------------
 
     def begin_day(self) -> None:
-        for key in sorted(self.issuers):
-            book = self.issuers[key]
+        for book in self.issuers.values():
             book.day_requested = 0
             book.day_completed = 0
             book.day_minted = 0
@@ -318,8 +319,7 @@ class SettlementEngine:
         prices fall between clearing and settlement).
         """
         world, instructions = self.world, []
-        for key in sorted(self.issuers):
-            book = self.issuers[key]
+        for key, book in self.issuers.items():
             if book.config.chain in suspended_chains or not book.open:
                 continue
             deposits, held = world.deposits(book.agent), world.tbill_value(book.agent)
@@ -337,8 +337,8 @@ class SettlementEngine:
                                Funding.SELL_TREASURIES if s > 0 else Funding.FROM_DEPOSITS)
                     horizon = 1 if s > 0 else 0
                     record.planned = True
-                    record.from_deposits = d
-                    record.from_pool = s + n
+                    record.deposit_left = d
+                    record.pool_left = s + n
                     record.horizon = horizon
                     book.earmarked += d
                     book.nonroll_pending += n
@@ -347,7 +347,7 @@ class SettlementEngine:
                     if s > 0:
                         book.inflight_orders += s
                         instructions.append(SaleInstruction(book.agent, s, DurationClass.BILL))
-                needs += record.from_pool - record.pool_used
+                needs += record.pool_left
             world.emit_all(events)
             shortfall = needs - (book.pool + book.inflight_orders + book.in_transit
                                  + book.nonroll_pending)
@@ -435,29 +435,47 @@ class SettlementEngine:
         shortfalls). Each chunk burns the holder's coins and pays it the
         issuer's deposits. An issuer's chunks are sized against running
         values of its deposits, pool and earmark and of the coins each
-        holder has left, then written as one atomic batch
-        (`LedgerWorld.redeem_coins`), so a pass that cannot be paid in
-        full raises before it writes anything. Completed requests leave
+        holder has left, written as one atomic batch
+        (`LedgerWorld.redeem_coins`), then booked on the requests, the
+        issuer and `committed`; a pass that cannot be paid in full
+        raises before it changes anything. Completed requests leave
         `book.open`.
         """
-        for key in sorted(self.issuers):
-            book = self.issuers[key]
+        day, committed = self.world.day, self.committed
+        for key, book in self.issuers.items():
             if book.config.chain in suspended_chains:
                 continue
-            chunks = self._size_chunks(book)
+            chunks, pool, earmarked = self._size_chunks(book)
             if not chunks:
                 continue
             self.world.redeem_coins(book.agent, [(record.holder, chunk, note)
                                                  for record, chunk, _, note in chunks])
+            book.pool, book.earmarked = pool, earmarked
             for record, chunk, deposit_part, _ in chunks:
-                self._apply_chunk(book, record, chunk, deposit_part)
+                record.deposit_left -= deposit_part
+                record.pool_left -= chunk - deposit_part
+                record.paid += chunk
+                book.day_completed += chunk
+                book.total_completed += chunk
+                owed = (record.holder.key, key)
+                committed[owed] -= chunk
+                if not committed[owed]:
+                    del committed[owed]
+                if record.is_intervention:
+                    book.day_int_buy_completed += chunk
+                if record.completed and record.delay(day) > 0:
+                    book.max_delay_days = max(book.max_delay_days, record.delay(day))
+                    if not record.counted_delayed:
+                        record.counted_delayed = True
+                        book.delayed_total += record.amount
             book.open = [r for r in book.open if not r.completed]
 
-    def _size_chunks(self, book: IssuerBook) -> list:
+    def _size_chunks(self, book: IssuerBook) -> tuple:
         """The chunks a pass pays `book`'s open requests, oldest first, as
-        `(record, chunk, deposit part, note)`; `note` is the request's
-        `redemption_completed` or `redemption_partial` event as `(form,
-        values)`. Reads the world and changes nothing."""
+        `(record, chunk, deposit part, note)`, and the pool and earmark
+        left after them; `note` is the request's `redemption_completed`
+        or `redemption_partial` event as `(form, values)`. Reads the
+        world and changes nothing."""
         world, issuer = self.world, book.agent
         coin = world.coin_keys[issuer.key]
         deposits = world.deposits(issuer)
@@ -471,81 +489,51 @@ class SettlementEngine:
             held = coins_left.get(holder)
             if held is None:
                 held = world.agents[holder].assets.get(coin, 0)
-            deposit_left = record.from_deposits - record.deposits_used
-            pool_avail = pool + max(0, deposits - earmarked - pool)
-            pool_chunk = min(record.from_pool - record.pool_used, pool_avail)
-            chunk = min(deposit_left + pool_chunk, record.remaining, deposits, held)
+            # a planned request's unpaid funding adds up to its remaining amount
+            pool_chunk = min(record.pool_left, max(pool, deposits - earmarked))
+            chunk = min(record.deposit_left + pool_chunk, deposits, held)
             if chunk <= 0:
                 continue
-            deposit_part = min(chunk, deposit_left)
+            deposit_part = min(chunk, record.deposit_left)
             coins_left[holder] = held - chunk
             deposits -= chunk
             earmarked = max(0, earmarked - deposit_part)
             pool = max(0, pool - (chunk - deposit_part))
             remaining = record.remaining - chunk
             if remaining == 0:
-                delay = world.day - record.submitted_day - record.horizon
                 note = (_REDEMPTION_COMPLETED, (record.request_id, issuer.key, holder,
-                                                record.amount, max(0, delay)))
+                                                record.amount, max(0, record.delay(world.day))))
             else:
                 note = (_REDEMPTION_PARTIAL, (record.request_id, issuer.key, chunk, remaining))
             chunks.append((record, chunk, deposit_part, note))
-        return chunks
-
-    def _apply_chunk(self, book: IssuerBook, record: OpenRequest, chunk: Amount,
-                     deposit_part: Amount) -> None:
-        """Book a paid chunk on its request, the issuer and `committed`."""
-        pool_part = chunk - deposit_part
-        record.deposits_used += deposit_part
-        record.pool_used += pool_part
-        record.paid += chunk
-        key = (record.holder.key, book.agent.key)
-        self.committed[key] -= chunk
-        if not self.committed[key]:
-            del self.committed[key]
-        book.earmarked = max(0, book.earmarked - deposit_part)
-        book.pool = max(0, book.pool - pool_part)
-        book.day_completed += chunk
-        book.total_completed += chunk
-        if record.is_intervention:
-            book.day_int_buy_completed += chunk
-        if record.remaining == 0:
-            day = self.world.day
-            record.completed_day = day
-            delay = day - record.submitted_day - record.horizon
-            if delay > 0:
-                book.max_delay_days = max(book.max_delay_days, delay)
-                if not record.counted_delayed:
-                    record.counted_delayed = True
-                    book.delayed_total += record.amount
+        return chunks, pool, earmarked
 
     def mint_pass(self, suspended_chains: set, treasury_seller: AgentId) -> None:
-        """Settle queued mints: deposits in, coins out, optional bill buy."""
+        """Settle queued mints: deposits in, coins out, optional bill buy.
+        A mint whose buyer lacks the deposits stays queued."""
         world = self.world
-        for key in sorted(self.issuers):
-            book = self.issuers[key]
+        for key, book in self.issuers.items():
             if book.config.chain in suspended_chains:
                 continue
+            queued = []
             for order in book.mints:
-                if order.completed_day is not None:
-                    continue
-                buyer_funds = world.deposits(order.buyer)
-                if buyer_funds < order.amount:
+                if world.deposits(order.buyer) < order.amount:
                     world.emit("leg_failed", leg="mint_deposit",
                                cause="buyer lacks deposits", issuer=key)
+                    queued.append(order)
                     continue
                 world.transfer_deposit(order.buyer, book.agent, order.amount)
                 world.transfer_coin(book.agent, order.buyer, book.agent, order.amount)
                 invest = mul_frac(order.amount, book.config.mint_invest_frac)
                 if invest > 0:
                     self._buy_bills(book, treasury_seller, invest)
-                order.completed_day = world.day
                 book.day_minted += order.amount
                 book.total_minted += order.amount
                 if order.is_intervention:
                     book.day_int_mint_completed += order.amount
                 world.emit("mint_completed", issuer=key, buyer=order.buyer.key,
                            amount=order.amount)
+            book.mints = queued
 
     def _buy_bills(self, book: IssuerBook, seller: AgentId, value: Amount) -> None:
         world = self.world
@@ -561,30 +549,23 @@ class SettlementEngine:
     def overdue_amount(self, book: IssuerBook) -> Amount:
         """Open request volume older than its plan horizon."""
         day = self.world.day
-        return sum(r.remaining for r in book.open
-                   if day - r.submitted_day > r.horizon)
+        return sum(r.remaining for r in book.open if r.delay(day) > 0)
 
     def queue_age(self, book: IssuerBook) -> int:
         day = self.world.day
-        ages = [day - r.submitted_day - r.horizon for r in book.open]
-        overdue = [a for a in ages if a > 0]
-        return max(overdue) if overdue else 0
+        return max([0, *(r.delay(day) for r in book.open)])
 
     def sweep_delay_flags(self) -> None:
         """Count still-open requests as delayed once they pass their horizon."""
         day = self.world.day
-        for key in sorted(self.issuers):
-            book = self.issuers[key]
+        for key, book in self.issuers.items():
             for record in book.open:
                 if record.counted_delayed or not record.planned:
                     continue
-                if day - record.submitted_day > record.horizon:
+                delay = record.delay(day)
+                if delay > 0:
                     record.counted_delayed = True
                     book.delayed_total += record.amount
-                    book.max_delay_days = max(
-                        book.max_delay_days,
-                        day - record.submitted_day - record.horizon)
-                    self.world.emit("queue_delayed",
-                                    request_id=record.request_id,
-                                    issuer=key,
-                                    age=day - record.submitted_day)
+                    book.max_delay_days = max(book.max_delay_days, delay)
+                    self.world.emit("queue_delayed", request_id=record.request_id,
+                                    issuer=key, age=day - record.submitted_day)

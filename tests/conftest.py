@@ -3,8 +3,7 @@ import pytest
 
 def _check_indexes(scn, day):
     """The settlement and ledger indexes agree with full scans."""
-    for key in sorted(scn.settle.issuers):
-        book = scn.settle.issuers[key]
+    for key, book in scn.settle.issuers.items():
         unfinished = [r for r in book.requests if not r.completed]
         assert [id(r) for r in book.open] == [id(r) for r in unfinished], (day, key)
     world = scn.world
@@ -22,8 +21,8 @@ def _check_ledger(scn, day):
     world, market = scn.world, scn.market
     report = world.audit()
     assert report.ok, (day, report.failures())
-    fresh = {key: market._dealer_available(world, market.books[key])
-             for key in sorted(market.books)}
+    fresh = {key: market._dealer_available(world, book)
+             for key, book in market.books.items()}
     assert market.dealer_capacity(world) == fresh, day
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablesim.cli import main
-from stablesim.config import PRESETS, ParseError, ValidationError, parse_config
+from stablesim.config import PRESETS, ParseError, ValidationError, load_raw, parse_config
 from stablesim.dynamics import UnknownShockClass
 
 
@@ -122,6 +122,46 @@ def test_sweep_rejects_a_grid_file_that_is_not_an_object(text, tmp_path, capsys)
     assert ("invalid sweep input: grid file must map parameter paths to value lists"
             in capsys.readouterr().err)
     assert not out_dir.exists()
+
+
+def test_config_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff")
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_raw(str(bad))
+    assert main(["validate", str(bad)]) == 1
+    assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("invalid config: ") == 2 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_grid_file_that_is_not_utf8_is_rejected(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_bytes(b"\xff")
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", "calm", "--grid", str(grid), "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err.startswith("invalid sweep input: ")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [[], ["run"], ["run", "calm", "--seed", "x"],
+                                  ["sweep", "calm"], ["bogus"], ["run", "calm", "--bogus"]])
+def test_rejected_command_line_exits_1(argv, capsys):
+    """argparse's own exit code for a command line it rejects is 2, which
+    the CLI reserves for an audit failure."""
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 1
+    assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: stablesim")
 
 
 def test_sweep_that_cannot_write_a_point_exits_3(tmp_path, capsys):

@@ -563,6 +563,26 @@ def test_golden_multi_holder(access_mode, check_indexes, check_ledger):
     assert output_digests(out) == golden[access_mode]
 
 
+@pytest.mark.parametrize("access_mode", ["direct", "intermediated"])
+def test_golden_multi_holder_reserve_access(access_mode, check_indexes, check_ledger):
+    """Frozen digests of the many-agent run with issuers selling bills to the
+    Fed: each sale is booked on the funding trackers as a fill and its
+    proceeds, and mint demand settles alongside."""
+
+    def check(scn, day):
+        check_indexes(scn, day)
+        check_ledger(scn, day)
+
+    raw = multi_holder_raw(access_mode)
+    raw["policies"]["issuer_reserve_access"] = True
+    out = run(parse_config(raw), on_day_end=check)
+    kinds = [e["type"] for e in out.events]
+    assert kinds.count("reserve_access_sale") == 17
+    assert kinds.count("mint_completed") == 22
+    golden = json.loads((GOLDEN / "multi_holder.sha256.json").read_text())
+    assert output_digests(out) == golden[f"{access_mode}_reserve_access"]
+
+
 def test_events_jsonl_is_json_dumps_of_each_event():
     """The shared encoder renders every event exactly as `json.dumps` with
     sorted keys and compact separators would, nested and non-int values

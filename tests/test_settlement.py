@@ -178,7 +178,7 @@ def test_plan_pass_draws_each_source_in_turn():
     settle = settlement_engine(world, book)
     records = settle.submit_redemptions(book, [(HOLDER, 400_00)] * 3, Route.DIRECT)
     instructions = settle.plan_pending(set())
-    assert [(r.from_deposits, r.from_pool, r.horizon) for r in records] == [
+    assert [(r.deposit_left, r.pool_left, r.horizon) for r in records] == [
         (400_00, 0, 0), (100_00, 300_00, 1), (0, 400_00, 1)]
     assert instructions == [SaleInstruction(ISSUER, 300_00, DurationClass.BILL),
                             SaleInstruction(ISSUER, 200_00, DurationClass.BILL)]
@@ -219,10 +219,34 @@ def test_mint_pass_invests_the_configured_fraction_in_bills():
     settle = settlement_engine(world, book, RatesConfig(treasury_rate_daily=100))
     order = settle.submit_mint(book, HOLDER, 1_000_00, PAR)
     settle.mint_pass(set(), DEALER)
-    assert order.completed_day == 0 and book.total_minted == 1_000_00
+    assert book.mints == [] and book.total_minted == 1_000_00
     assert world.sheet(HOLDER).asset(coin_key(ISSUER)) == 1_000_00
     assert (world.deposits(ISSUER), world.tbill_value(ISSUER)) == (500_00, 500_00)
     assert world.deposits(DEALER) == 500_00
+    assert world.audit().ok
+
+
+def test_mint_waits_in_the_queue_until_its_buyer_is_funded():
+    """A buyer short of deposits fails the mint's deposit leg and the order
+    stays queued; once funded, it settles once, on that later day, and
+    leaves the queue."""
+    world = bare_world()
+    book = issuer_book()
+    settle = settlement_engine(world, book, RatesConfig(treasury_rate_daily=100))
+    order = settle.submit_mint(book, HOLDER, 1_000_00, PAR)
+    settle.mint_pass(set(), DEALER)
+    assert [(e["leg"], e["issuer"]) for e in world.events if e["type"] == "leg_failed"] == [
+        ("mint_deposit", ISSUER.key)]
+    assert book.mints == [order] and book.total_minted == 0
+    world.day = 1
+    endow(world, 1_000_00, agent=HOLDER)
+    settle.mint_pass(set(), DEALER)
+    settle.mint_pass(set(), DEALER)
+    assert [(e["day"], e["buyer"], e["amount"]) for e in world.events
+            if e["type"] == "mint_completed"] == [(1, HOLDER.key, 1_000_00)]
+    assert book.mints == [] and (book.day_minted, book.total_minted) == (1_000_00, 1_000_00)
+    assert world.sheet(HOLDER).asset(coin_key(ISSUER)) == 1_000_00
+    assert world.deposits(ISSUER) == 1_000_00 and world.deposits(HOLDER) == 0
     assert world.audit().ok
 
 
@@ -387,8 +411,8 @@ def test_payout_pass_pays_deposit_funded_request_same_day():
     created = [e for e in scn.world.events if e["type"] == "plan_created"]
     assert created[-1]["funding"] == Funding.FROM_DEPOSITS.value
     scn.settle.payout_pass(set())
-    assert record.completed
-    assert record.completed_day == 0
+    assert record.completed and book.open == []
+    assert (record.paid, record.deposit_left, record.pool_left) == (1_000_00, 0, 0)
     assert scn.settle.coins_outstanding(book.agent) == coins_before - 1_000_00
     assert total_bank_deposits(scn.world) == total_before
     assert scn.world.audit().ok
@@ -450,13 +474,13 @@ def test_payout_pass_sizes_chunks_against_running_balances():
     first = settle.submit_redemption(book, HOLDER, 300_00, Route.DIRECT)
     second = settle.submit_redemption(book, HOLDER, 400_00, Route.DIRECT)
     assert settle.plan_pending(set()) == []
-    assert (first.from_deposits, first.from_pool) == (300_00, 0)
-    assert (second.from_deposits, second.from_pool) == (300_00, 100_00)
+    assert (first.deposit_left, first.pool_left) == (300_00, 0)
+    assert (second.deposit_left, second.pool_left) == (300_00, 100_00)
     endow(world, 50_00)
     logged = len(world.events)
     settle.payout_pass(set())
-    assert (first.paid, first.completed_day) == (300_00, 0)
-    assert (second.paid, second.deposits_used, second.pool_used) == (350_00, 300_00, 50_00)
+    assert first.completed and (first.paid, first.deposit_left, first.pool_left) == (300_00, 0, 0)
+    assert (second.paid, second.deposit_left, second.pool_left) == (350_00, 0, 50_00)
     assert not second.completed and book.open == [second]
     assert settle.committed == {(HOLDER.key, ISSUER.key): 50_00}
     assert (book.earmarked, book.pool, book.day_completed) == (0, 0, 650_00)
@@ -516,7 +540,8 @@ def test_failing_payout_pass_writes_nothing():
     before = copy.deepcopy((
         world.snapshot().to_json(), {key: b.version for key, b in world.agents.items()},
         world.changes, world.coin_holders, list(world.events.lines()),
-        settle.committed, book.earmarked, [(r.paid, r.deposits_used) for r in requests]))
+        settle.committed, book.earmarked, book.pool, book.open,
+        [(r.paid, r.deposit_left, r.pool_left) for r in requests]))
     with pytest.raises(InsufficientPosition) as raised:
         settle.payout_pass(set())
     assert (raised.value.agent, raised.value.key) == (BANK.key, reserves_key())
@@ -524,8 +549,52 @@ def test_failing_payout_pass_writes_nothing():
     assert (
         world.snapshot().to_json(), {key: b.version for key, b in world.agents.items()},
         world.changes, world.coin_holders, list(world.events.lines()),
-        settle.committed, book.earmarked, [(r.paid, r.deposits_used) for r in requests],
+        settle.committed, book.earmarked, book.pool, book.open,
+        [(r.paid, r.deposit_left, r.pool_left) for r in requests],
     ) == before
+
+
+def test_delay_is_counted_once_per_request():
+    """Two requests funded by repo non-rollover (horizon 0) that no cash
+    reaches on day 0. On day 1 the first completes on its first overdue
+    day: its amount counts as delayed once and sets the longest delay,
+    with no `queue_delayed` event. The second stays open and the sweep
+    flags it once; paying it later moves the longest delay only."""
+    world = payout_world(issuer_deposits=1, coins=400_00)
+    book = issuer_book()
+    settle = settlement_engine(world, book)
+    first, second = settle.submit_redemptions(book, [(HOLDER, 200_00)] * 2, Route.DIRECT)
+    settle.plan_pending(set())
+    assert (first.deposit_left, first.pool_left, first.horizon) == (1, 199_99, 0)
+    settle.payout_pass(set())
+    settle.sweep_delay_flags()
+    assert (first.paid, book.delayed_total) == (1, 0)
+
+    def flagged():
+        return [(e["day"], e["request_id"], e["age"]) for e in world.events
+                if e["type"] == "queue_delayed"]
+
+    world.day = 1
+    endow(world, 199_99)
+    settle.payout_pass(set())
+    assert first.completed and book.open == [second]
+    assert (book.delayed_total, book.max_delay_days) == (200_00, 1)
+    assert flagged() == []
+    assert [e["delay_days"] for e in world.events if e["type"] == "redemption_completed"] == [1]
+    settle.sweep_delay_flags()
+    assert flagged() == [(1, second.request_id, 1)]
+    assert (book.delayed_total, book.max_delay_days) == (400_00, 1)
+    assert (settle.overdue_amount(book), settle.queue_age(book)) == (200_00, 1)
+    world.day = 2
+    settle.sweep_delay_flags()
+    assert flagged() == [(1, second.request_id, 1)] and book.delayed_total == 400_00
+    world.day = 3
+    endow(world, 200_00)
+    settle.payout_pass(set())
+    assert second.completed and book.open == []
+    assert (book.delayed_total, book.max_delay_days) == (400_00, 3)
+    assert settle.overdue_amount(book) == settle.queue_age(book) == 0
+    assert world.audit().ok
 
 
 def many_holder_raw(holders: int) -> dict:
@@ -549,8 +618,7 @@ def many_holder_raw(holders: int) -> dict:
 def test_payout_pass_posts_once_per_paying_issuer(monkeypatch):
     scn = build_scenario(parse_config(many_holder_raw(12)))
     world, settle = scn.world, scn.settle
-    for key in sorted(settle.issuers):
-        book = settle.issuers[key]
+    for book in settle.issuers.values():
         for holder_key in world.coin_holders[coin_key(book.agent)][:4]:
             settle.submit_redemption(book, world.ids[holder_key], 100_00, Route.DIRECT)
     settle.plan_pending(set())
@@ -606,26 +674,30 @@ def test_funding_trackers_stay_consistent_across_random_runs(check_indexes,
     def check(scn, day):
         check_indexes(scn, day)
         check_ledger(scn, day)
-        for key in sorted(scn.settle.issuers):
-            book = scn.settle.issuers[key]
+        for key, book in scn.settle.issuers.items():
             open_requests = [r for r in book.requests
                              if r.planned and not r.completed]
-            earmark_due = sum(r.from_deposits - r.deposits_used
-                              for r in open_requests)
-            assert book.earmarked == earmark_due
+            assert book.earmarked == sum(r.deposit_left for r in open_requests)
             assert book.pool >= 0
             assert book.inflight_orders >= 0
             assert book.in_transit >= 0
             assert book.nonroll_pending >= 0
             for r in open_requests:
                 assert 0 <= r.paid <= r.amount
-                assert r.deposits_used <= r.from_deposits
-                assert r.pool_used <= r.from_pool
+                assert r.deposit_left >= 0 and r.pool_left >= 0
+                # the funding not yet paid out is what the request has left
+                assert r.deposit_left + r.pool_left == r.remaining
+            for r in book.requests:
+                if r.completed:
+                    assert r.deposit_left == r.pool_left == 0
+            # the mint buyer is funded, so each mint settles the day it is
+            # asked and leaves the queue
+            assert book.mints == []
         # committed coins are exactly what open requests still owe, and
         # never more than the holder has
         owed: dict = {}
-        for key in sorted(scn.settle.issuers):
-            for r in scn.settle.issuers[key].requests:
+        for key, book in scn.settle.issuers.items():
+            for r in book.requests:
                 if not r.completed:
                     k = (r.holder.key, key)
                     owed[k] = owed.get(k, 0) + r.remaining
