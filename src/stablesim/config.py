@@ -28,7 +28,8 @@ expected an integer, got 5.5" or "agents.holders[h_1].coins.usdx: ...".
                     operating_cost_per_day (0), count_excess_collateral (false)}]
     dealers       [{name, bank, capital, base_assets, exposures (0),
                     gsib (true), reserve_access, deposits (0),
-                    treasuries_bill (0), treasuries_long (0)}], at least one
+                    treasuries_bill (0), treasuries_long (0)}], at least one;
+                    base_assets + exposures > 0
     intermediaries[{name, bank, deposits (0), coins: {issuer: amount} ({})}]
     holders       [{name, bank, deposits (0), coins: {issuer: amount} ({})}]
     treasury_buyers[{name, bank, deposits (0), treasuries_bill (0),
@@ -475,6 +476,9 @@ def parse_config(raw: dict) -> ScenarioConfig:
         _require(not issuer.genius_compliant or issuer.bill_maturity_days <= GENIUS_MAX_BILL_DAYS,
                  f"{where}.bill_maturity_days: compliant issuers hold bills "
                  f"of {GENIUS_MAX_BILL_DAYS} days or less")
+    for where, dealer in dealers.items():   # the leverage ratio divides by their sum
+        _require(dealer.base_assets + dealer.exposures > 0,
+                 f"{where}.base_assets: base_assets + exposures must be > 0")
 
     read_above = {key: value for key, value in raw.items() if key != "agents"}
     try:

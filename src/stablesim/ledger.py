@@ -30,7 +30,9 @@ amounts. Treasuries and the central bank's government claim are
 outside assets with no matching liability. Treasury positions are
 tracked as face amounts per duration class in ``tbill_face``; the
 balance-sheet entry carries the market value at the current class
-price and is re-derived on every mark.
+price and is re-derived on every mark. One private checker audits all
+of this, fed two ways: ``audit`` passes it every sheet in key order,
+``audit_changes`` the sheets and legs written since its last call.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from __future__ import annotations
 import bisect
 import copy
 import json
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -185,8 +188,8 @@ class WorldSnapshot:
         raise KeyError(key)
 
 
-_PASSED = AuditReport(checks=tuple(AuditCheck(name, True) for name in (
-    "double_entry", "reserve_conservation", "deposit_matching", "claim_matching")))
+_CHECKS = ("double_entry", "reserve_conservation", "deposit_matching", "claim_matching")
+_PASSED = AuditReport(checks=tuple(AuditCheck(name, True) for name in _CHECKS))
 
 
 # -- event log ----------------------------------------------------------------
@@ -339,9 +342,6 @@ class LedgerWorld:
         # one dict per write since the last `audit_changes()`, (agent key,
         # side, instrument key) -> delta; None until a call of it passes
         self.changes: list[dict] | None = None
-        # running totals of the deltas `audit_changes()` has read
-        self.reserves_net = 0                  # reserves held minus owed
-        self.coins_net: dict[str, int] = {}    # coin key -> held minus owed, if not 0
 
     # -- registration ----------------------------------------------------
 
@@ -585,7 +585,7 @@ class LedgerWorld:
     # -- audit & snapshot -----------------------------------------------------
 
     def audit(self) -> AuditReport:
-        """Run the four checks in one walk over the sheets in key order.
+        """Run the four checks on every sheet, in key order.
 
         - double_entry: stored equity is assets minus liabilities;
         - reserve_conservation: reserves held equal the central bank's
@@ -598,37 +598,86 @@ class LedgerWorld:
         A failing check names the first failure in that order (a sheet's
         deposit keys sorted, its claims in stored order).
         """
+        agents, keys = self.agents, self.sorted_keys
+        return self._check(keys, ((key, ((book := agents[key]).assets, book.liabilities))
+                                  for key in keys))
+
+    def audit_changes(self) -> AuditReport:
+        """The checks of `audit()` on what was written since the last call.
+
+        The first call, and any call after a failure, is `audit()` itself;
+        a passing one starts the change log. Later calls clear the log and
+        pass `audit()`'s checker the written sheets, the summed deltas of
+        the coin and reserve legs, and the current amounts of the written
+        deposit, repo and SRF positions and of their mirrors. As `post` is
+        the only writer, the world passes `audit()` exactly when these do,
+        unless a sheet was edited around it; on a failure it returns
+        `audit()`, which names the same checks, agents and details.
+        """
+        if self.changes is not None:
+            net: dict[tuple[str, str, str], int] = {}
+            for staged in self.changes:
+                for leg, delta in staged.items():
+                    net[leg] = net.get(leg, 0) + delta
+            self.changes = []
+            # agent key -> (assets, liabilities), indexed by `side == "L"`
+            agents, legs = self.agents, defaultdict(lambda: ({}, {}))
+            for (key, side, ikey), delta in net.items():
+                kind, _, cpty = ikey.partition("@")
+                if kind == "deposit" or kind == "repo" or kind == "srf":
+                    mkey, other = f"{kind}@{key}", agents.get(cpty)   # the mirror's key
+                    if other is not None and (cpty, "L" if side == "A" else "A", mkey) not in net:
+                        positions = other.liabilities if side == "A" else other.assets
+                        if amount := positions.get(mkey):
+                            legs[cpty][side == "A"][mkey] = amount
+                    book = agents[key]
+                    if not (delta := (book.assets if side == "A" else book.liabilities).get(ikey)):
+                        continue   # gone: its mirror, if any, is checked against the zero
+                elif kind != "coin" and kind != "reserves":
+                    continue
+                legs[key][side == "L"][ikey] = delta
+            report = self._check({key: None for key, _, _ in net}, legs.items())
+            if report.ok:
+                return report
+        report = self.audit()
+        self.changes = [] if report.ok else None
+        return report
+
+    def _check(self, sheets, legs) -> AuditReport:
+        """The four checks of `audit()`: double entry on the sheets of
+        `sheets` (agent keys), the rest on `legs`, each `(agent key,
+        (assets, liabilities))` with both sides `{instrument key: amount}`.
+        Each deposit, repo or SRF amount is matched against its mirror on
+        the world's sheets; reserves and coins held and owed are summed
+        from zero. Fed in key order, faults come in `audit()`'s order.
+        """
         agents, ids = self.agents, self.ids
         bank_kind, fed_key, rkey = AgentKind.BANK, FED.key, reserves_key()
-        double_entry = deposit_asset = deposit_liability = claim = None
-        reserves_held = reserves_owed = 0
-        coins_held: dict[str, int] = {}
-        coins_owed: dict[str, int] = {}
-        for key in self.sorted_keys:
+        double_entry = claim = None
+        for key in sheets:
             book = agents[key]
-            assets, liabilities = book.assets, book.liabilities
-            if double_entry is None:
-                net = sum(assets.values()) - sum(liabilities.values())
-                if book.equity != net:
-                    double_entry = (key, f"equity {book.equity} != assets-liabilities {net}")
+            if book.equity != (net := sum(book.assets.values()) - sum(book.liabilities.values())):
+                double_entry = (key, f"equity {book.equity} != assets-liabilities {net}")
+                break
+        faults, orphans = [], []   # (agent key, deposit key, detail) of each side
+        reserves_held = reserves_owed = 0
+        coins_held, coins_owed = {}, {}   # coin key -> amount
+        for key, (assets, liabilities) in legs:
             is_bank = ids[key].kind is bank_kind
             own_deposit = f"deposit@{key}"
-            faults = []   # (deposit key, detail) of this sheet
             for akey, amount in assets.items():
                 kind, sep, cpty = akey.partition("@")
                 if not sep:
                     continue
                 if kind == "coin":
                     coins_held[akey] = coins_held.get(akey, 0) + amount
-                elif kind == "deposit":
-                    if is_bank:
-                        continue
+                elif kind == "deposit" and not is_bank:
                     bank = agents.get(cpty)
                     if bank is None or ids[cpty].kind is not bank_kind:
-                        faults.append((akey, f"deposit asset at non-bank {cpty}"))
+                        faults.append((key, akey, f"deposit asset at non-bank {cpty}"))
                     elif (owed := bank.liabilities.get(own_deposit, 0)) != amount:
-                        faults.append((akey, f"deposit {amount} at {cpty} has "
-                                             f"liability {owed}"))
+                        faults.append((key, akey, f"deposit {amount} at {cpty} has "
+                                                  f"liability {owed}"))
                 elif kind == "repo" or kind == "srf":
                     other = agents.get(cpty)
                     if claim is None and (other is None or other.liabilities.get(
@@ -636,21 +685,16 @@ class LedgerWorld:
                         claim = (key, f"unmatched {akey} claim of {amount}")
                 elif akey == rkey:
                     reserves_held += amount
-            if faults and deposit_asset is None:
-                deposit_asset = (key, min(faults)[1])
-            faults = []
             for lkey, amount in liabilities.items():
                 kind, sep, cpty = lkey.partition("@")
                 if not sep:
                     continue
                 if kind == "coin":
                     coins_owed[lkey] = coins_owed.get(lkey, 0) + amount
-                elif kind == "deposit":
-                    if not is_bank:
-                        continue
+                elif kind == "deposit" and is_bank:
                     holder = agents.get(cpty)
                     if holder is None or holder.assets.get(own_deposit, 0) != amount:
-                        faults.append((lkey, f"orphan deposit liability to {cpty}"))
+                        orphans.append((key, lkey, f"orphan deposit liability to {cpty}"))
                 elif kind == "repo" or kind == "srf":
                     other = agents.get(cpty)
                     if claim is None and (other is None or other.assets.get(
@@ -658,102 +702,22 @@ class LedgerWorld:
                         claim = (key, f"unmatched {lkey} obligation of {amount}")
                 elif kind == "reserves" and key == fed_key:
                     reserves_owed += amount
-            if faults and deposit_liability is None:
-                deposit_liability = (key, min(faults)[1])
-        reserves = None
-        if reserves_held != reserves_owed:
-            reserves = (fed_key, f"reserve assets {reserves_held} != central bank "
-                                 f"liability {reserves_owed}")
-        if claim is None:
+        reserves = None if reserves_held == reserves_owed else (fed_key, (
+            f"reserve assets {reserves_held} != central bank liability {reserves_owed}"))
+        if claim is None and coins_held != coins_owed:
             for ckey in sorted(coins_held.keys() | coins_owed.keys()):
                 held, owed = coins_held.get(ckey, 0), coins_owed.get(ckey, 0)
                 if held != owed:
                     claim = (ckey.partition("@")[2],
                              f"coins held {held} != coins outstanding {owed}")
                     break
-        found = (("double_entry", double_entry),
-                 ("reserve_conservation", reserves),
-                 ("deposit_matching", deposit_asset or deposit_liability),
-                 ("claim_matching", claim))
+        deposits = min(faults or orphans, default=None)
+        found = (double_entry, reserves, deposits and (deposits[0], deposits[2]), claim)
+        if not any(found):
+            return _PASSED
         return AuditReport(checks=tuple(
             AuditCheck(name, True) if fault is None else AuditCheck(name, False, *fault)
-            for name, fault in found))
-
-    def audit_changes(self) -> AuditReport:
-        """The checks of `audit()` on what was written since the last call.
-
-        The first call, and any call after a failure, is `audit()`
-        itself; a passing one starts the change log from zero running
-        totals, as a world that passes holds every reserve and coin it
-        owes. Later calls read and clear the log, add its deltas to
-        running totals of reserves held minus owed and of coins held
-        minus owed per coin key, and check double entry on each written
-        sheet and both ends of each written deposit, repo or SRF leg,
-        including a leg that dropped to zero. As `post` is the only writer,
-        the whole world passes `audit()` exactly when these checks do,
-        unless a sheet was edited around it. On any doubt it returns
-        `audit()`, so a failing report names the same checks, agents and
-        details.
-        """
-        if self.changes is not None and self._changes_pass():
-            return _PASSED
-        report = self.audit()
-        self.changes = [] if report.ok else None
-        self.reserves_net, self.coins_net = 0, {}
-        return report
-
-    def _changes_pass(self) -> bool:
-        """Read and clear the change log into the running totals; whether
-        the written sheets and legs and the totals leave no doubt."""
-        net: dict[tuple[str, str, str], int] = {}
-        for staged in self.changes:
-            for leg, delta in staged.items():
-                net[leg] = net.get(leg, 0) + delta
-        self.changes = []
-        coins, rkey, fed_key = self.coins_net, reserves_key(), FED.key
-        for (key, side, ikey), delta in net.items():
-            kind, sep, cpty = ikey.partition("@")
-            if not sep:
-                continue
-            if kind == "coin":
-                total = coins.get(ikey, 0) + (delta if side == "A" else -delta)
-                if total:
-                    coins[ikey] = total
-                else:
-                    coins.pop(ikey, None)
-            elif kind == "reserves":
-                if side == "A" and ikey == rkey:
-                    self.reserves_net += delta
-                elif side == "L" and key == fed_key:
-                    self.reserves_net -= delta
-            elif kind in ("deposit", "repo", "srf") and not (
-                    self._entry_ok(key, side, ikey)
-                    and self._entry_ok(cpty, "L" if side == "A" else "A", f"{kind}@{key}")):
-                return False
-        agents = self.agents
-        return not coins and self.reserves_net == 0 and all(
-            (book := agents[key]).equity
-            == sum(book.assets.values()) - sum(book.liabilities.values())
-            for key in {agent for agent, _, _ in net})
-
-    def _entry_ok(self, key: str, side: str, ikey: str) -> bool:
-        """Whether `audit()` passes the deposit, repo or SRF entry `ikey`
-        on side `side` ('A' or 'L') of agent `key`; an absent one passes."""
-        book = self.agents.get(key)
-        amount = None if book is None else (
-            book.assets if side == "A" else book.liabilities).get(ikey)
-        if amount is None:
-            return True
-        kind, _, cpty = ikey.partition("@")
-        other = self.agents.get(cpty)
-        if kind == "deposit":
-            # audit() checks deposits held by non-banks and owed by banks
-            if (side == "A") == (self.ids[key].kind is AgentKind.BANK):
-                return True
-            if side == "A" and other is not None and self.ids[cpty].kind is not AgentKind.BANK:
-                return False
-        return other is not None and (
-            other.liabilities if side == "A" else other.assets).get(f"{kind}@{key}", 0) == amount
+            for name, fault in zip(_CHECKS, found)))
 
     def snapshot(self) -> WorldSnapshot:
         agents = []

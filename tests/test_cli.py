@@ -339,6 +339,25 @@ def test_world_that_cannot_be_built_exits_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_dealer_without_recorded_assets_exits_1(tmp_path, capsys):
+    # opening Treasuries are not recorded assets, so base_assets 0 and no
+    # exposures leave the leverage ratio nothing to divide by on day 0
+    raw = calm_with("agents/issuers/0/allocation/repo", 0)
+    issuer = raw["agents"]["issuers"][0]
+    issuer["assets"] = sum(issuer["allocation"].values())
+    raw["agents"]["dealers"].append(
+        {"name": "dealer_3", "bank": "bank_a", "capital": 10, "base_assets": 0,
+         "reserve_access": 0, "treasuries_long": 5_000_000})
+    config = tmp_path / "bare_dealer.json"
+    config.write_text(json.dumps(raw))
+    field = "invalid config: agents.dealers[dealer_3].base_assets"
+    assert main(["validate", str(config)]) == 1
+    assert field in capsys.readouterr().err
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _leaves(node, path=()):
     """Every (path, value) below a parsed JSON document."""
     items = node.items() if isinstance(node, dict) else enumerate(node)

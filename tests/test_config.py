@@ -217,6 +217,7 @@ BAD_INPUTS = [
     ("rates", {"haircut": -1}, "rates.haircut"),
     ("agents/issuers/0/mint_invest_frac", 1_000_001, "agents.issuers[usdx].mint_invest_frac"),
     ("diagnostics", {"attack_cost": 0}, "diagnostics.attack_cost"),
+    ("agents/dealers/0/base_assets", 0, "agents.dealers[d].base_assets"),
     # keys no field is read from
     ("policies", {"srf_enabeld": True}, "policies.srf_enabeld"),
     ("policies", {"par_policy": {"corridor_width": 5}}, "policies.par_policy.corridor_width"),

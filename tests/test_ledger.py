@@ -522,6 +522,69 @@ def test_first_passing_call_starts_the_log():
     assert world.changes == [{(HOLDER.key, "A", BANK_A_DEPOSITS): 7}]
 
 
+# every kind of key: the four matched kinds, coins, Treasuries, the
+# central bank's government claim and an unknown kind, at registered and
+# unknown counterparties
+LEG_AGENTS = [FED, BANK_A, BANK_B, ISSUER, HOLDER]
+LEG_KEYS = ([f"{kind}@{cpty}" for kind in ("deposit", "repo", "srf", "widget")
+             for cpty in ("fed:0", "bank:0", "bank:1", "issuer:0", "holder:0", "bank:7")]
+            + [reserves_key(), reserves_key(BANK_A), reserves_key(BANK_B), "reserves@holder:9",
+               coin_key(ISSUER), coin_key(HOLDER), "tbill/bill", "govt"])
+WHOLE = None   # a delta that takes the whole position off
+
+
+def mirror_leg(world, agent_key, side, key):
+    """The position that matches `(agent_key, side, key)`, if any."""
+    kind, _, cpty = key.partition("@")
+    other = "L" if side == "A" else "A"
+    if kind in ("deposit", "repo", "srf"):
+        leg = (cpty, other, f"{kind}@{agent_key}")
+    elif key == reserves_key() and side == "A":
+        leg = (FED.key, "L", f"reserves@{agent_key}")
+    elif kind == "reserves" and agent_key == FED.key and side == "L":
+        leg = (cpty, "A", reserves_key())
+    elif kind == "coin" and cpty != agent_key:
+        leg = (cpty, "L", key)
+    else:
+        return None
+    return leg if leg[0] in world.agents else None
+
+
+LEG = st.tuples(st.sampled_from(LEG_AGENTS), st.sampled_from("AL"), st.sampled_from(LEG_KEYS),
+                st.one_of(st.integers(-3_00, 3_00), st.just(WHOLE)), st.booleans())
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.lists(st.lists(LEG, min_size=1, max_size=4), min_size=1, max_size=3),
+                max_size=6))
+def test_audit_changes_agrees_with_the_full_audit(rounds):
+    """Random batches, each leg alone or with its mirror, checked every 1-3
+    batches: the change audit passes exactly when the full audit does and
+    reports what it reports when it fails."""
+    world = two_bank_world()
+    assert world.audit_changes().ok
+    for batches in rounds:
+        for batch in batches:
+            staged = {}
+            for agent, side, key, delta, mirrored in batch:
+                leg = (agent.key, side, key)
+                if delta is WHOLE:
+                    book = world.agents[agent.key]
+                    delta = -(book.assets if side == "A" else book.liabilities).get(key, 0)
+                mirror = mirror_leg(world, *leg) if mirrored else None
+                for position in (leg, mirror) if mirror else (leg,):
+                    staged[position] = staged.get(position, 0) + delta
+            try:
+                world.post(staged)
+            except InsufficientPosition:
+                pass
+        report = world.audit_changes()
+        full = world.audit()
+        assert report.ok == full.ok
+        if not full.ok:
+            assert report == full
+
+
 def test_duration_classes_hash_by_identity():
     # the enum-keyed price, face and market dicts skip Enum.__hash__
     assert DurationClass.__hash__ is object.__hash__
