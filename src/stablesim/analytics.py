@@ -86,22 +86,28 @@ def leverage_ratio(assets: Amount, coins_outstanding: Amount) -> LeverageReport:
     return LeverageReport(ratio=ratio, band=classify_fdicia(ratio))
 
 
-def slr(capital: Amount, assets: Amount, exposures: Amount, gsib: bool,
-        bound_override: int | None = None) -> SlrReport:
-    """Supplementary leverage ratio and the asset headroom to its bound.
+def slr_bound(gsib: bool, bound_override: int | None = None) -> int:
+    """The SLR floor (micro): the override if set, else 5% or 3% by gsib."""
+    return bound_override if bound_override is not None else (
+        SLR_GSIB_BOUND if gsib else SLR_BASE_BOUND)
 
-    headroom is the largest extra unweighted asset amount that keeps
-    capital / (assets + exposures + headroom) at or above the bound,
-    floored at zero.
-    """
-    denom = assets + exposures
+
+def slr_headroom(capital: Amount, denom: Amount, bound: int) -> Amount:
+    """The largest extra unweighted asset amount that keeps capital /
+    (denom + headroom) at or above `bound`, floored at zero; `denom` is
+    assets plus exposures."""
     if denom <= 0:
         raise NonPositiveDenominator(f"assets + exposures must be positive, got {denom}")
-    bound = bound_override if bound_override is not None else (
-        SLR_GSIB_BOUND if gsib else SLR_BASE_BOUND)
-    ratio = mul_div(capital, MICRO, denom)
-    headroom = max(0, capital * MICRO // bound - denom)
-    return SlrReport(slr=ratio, lower_bound=bound, headroom_assets=headroom)
+    return max(0, capital * MICRO // bound - denom)
+
+
+def slr(capital: Amount, assets: Amount, exposures: Amount, gsib: bool,
+        bound_override: int | None = None) -> SlrReport:
+    """Supplementary leverage ratio, its bound and `slr_headroom`."""
+    denom, bound = assets + exposures, slr_bound(gsib, bound_override)
+    headroom = slr_headroom(capital, denom, bound)   # raises on denom <= 0 first
+    return SlrReport(slr=mul_div(capital, MICRO, denom), lower_bound=bound,
+                     headroom_assets=headroom)
 
 
 def portfolio_holdings(portfolio: PortfolioState, today: int) -> list[tuple[Amount, int, int]]:

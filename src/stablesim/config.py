@@ -46,11 +46,13 @@ expected an integer, got 5.5" or "agents.holders[h_1].coins.usdx: ...".
     intermediary_mode         "redeem" (default) | "warehouse"
     negative_carry_refusal    true
     slr_bound_bp              null    (override, > 0; else 3% / 5% by gsib)
-  market:
-    depth, impact_coeff_long (15000), impact_coeff_bill (5000),
-    max_dislocation_bp (500), retention_frac (335648 micro,
-    i.e. 72.5/216), flight_to_safety (false), bill_safety_lift (0),
-    replacement_frac (0), offload_frac (250000), eslr_capacity_add (0)
+  market:           every integer >= 0
+    depth (> 0), impact_coeff_long (15000, >= impact_coeff_bill),
+    impact_coeff_bill (5000), max_dislocation_bp (500, < 10000: a
+    decline stops short of a zero price), retention_frac (335648 micro,
+    i.e. 72.5/216; < 1_000_000), flight_to_safety (false),
+    bill_safety_lift (0), replacement_frac (0, at most 1_000_000),
+    offload_frac (250000, at most 1_000_000), eslr_capacity_add (0)
   run_model:
     baseline_rate (1000), deviation_threshold_bp (300),
     shifted_rate (100000, > baseline_rate),
@@ -498,10 +500,14 @@ def parse_config(raw: dict) -> ScenarioConfig:
     _require(policies.access_mode is not AccessMode.INTERMEDIATED or intermediaries,
              "policies.access_mode: intermediated access needs an intermediary")
     _require(market.depth > 0, "market.depth: must be > 0")
+    for name, value in vars(market).items():
+        _require(type(value) is not int or value >= 0, f"market.{name}: must be >= 0")
     _require(market.impact_coeff_long >= market.impact_coeff_bill,
              "market.impact_coeff_long: must be >= impact_coeff_bill")
-    _require(0 <= market.retention_frac < 1_000_000,
-             "market.retention_frac: must be in [0, 1_000_000)")
+    _require(market.retention_frac < 1_000_000, "market.retention_frac: must be < 1_000_000")
+    for name in ("replacement_frac", "offload_frac"):
+        _require(getattr(market, name) <= 1_000_000, f"market.{name}: must be <= 1_000_000")
+    _require(market.max_dislocation_bp < 10_000, "market.max_dislocation_bp: must be < 10_000")
     _require(run_model.shifted_rate > run_model.baseline_rate,
              "run_model.shifted_rate: must be > baseline_rate")
     _require(run_model.deviation_threshold_bp > 0, "run_model.deviation_threshold_bp: must be > 0")

@@ -14,8 +14,9 @@ collateral-to-principal ratio: loss = principal * (decline - haircut)
 
 This module is the only writer of the repo book (`RepoRegistry`) and
 the only place that pairs a deposit payment with a Treasury delivery
-(`deliver_tbills`, which stages both on a ledger `TransferBatch`, so a
-whole settlement pass is written by one post).
+(`deliver_tbills`, which stages both as one leg tuple on a ledger
+`TransferBatch` through `pay_and_deliver`, so a whole settlement pass is
+written by one post).
 """
 
 from __future__ import annotations
@@ -23,13 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ledger import (DURATION_NAME, DURATIONS, AgentId, DurationClass, LedgerWorld,
-                     TransferBatch, repo_key)
+                     TransferBatch, event_form, repo_key)
 from .money import MICRO, Amount, ceil_div, mul_div, mul_frac
 
 GENIUS_MAX_BILL_DAYS = 93
 # the pledged collateral of a new repo, and the classes a declined roll
 # sells: micro fractions of the value, 75% long off-the-run, 25% bills
 PLEDGE_MIX = {DurationClass.BILL: 250_000, DurationClass.LONG: 750_000}
+_REPO_ROLL = event_form("repo_roll", ("lender", "borrower", "principal", "rate", "interest"))
 
 
 class InstrumentError(Exception):
@@ -254,11 +256,12 @@ def roll_repo(world: LedgerWorld, registry: RepoRegistry, pos: RepoPosition,
     A roll that fails leaves the book untouched.
     """
     registry._check_due(world, pos)
-    mix = PLEDGE_MIX
-    total = pos.collateral_value(world)
-    if total > 0:
-        mix = {duration: mul_div(mul_frac(face, world.price(duration)), MICRO, total)
-               for duration, face in pos.collateral.items()}
+    prices = world.tbill_prices
+    values = {duration: mul_frac(face, prices[duration])
+              for duration, face in pos.collateral.items()}
+    total = sum(values.values())
+    mix = PLEDGE_MIX if total <= 0 else {
+        duration: mul_div(value, MICRO, total) for duration, value in values.items()}
     new_collateral = _size_collateral(world, registry, pos.borrower, pos.principal,
                                       pos.haircut, mix, pos.collateral)
     interest = pos.interest()
@@ -266,8 +269,8 @@ def roll_repo(world: LedgerWorld, registry: RepoRegistry, pos: RepoPosition,
         world.transfer_deposit(pos.borrower, pos.lender, interest)
     elif interest < 0:
         world.transfer_deposit(pos.lender, pos.borrower, -interest)
-    world.emit("repo_roll", lender=pos.lender.key, borrower=pos.borrower.key,
-               principal=pos.principal, rate=new_rate, interest=interest)
+    world.emit_all(((_REPO_ROLL, (pos.lender.key, pos.borrower.key, pos.principal,
+                                  new_rate, interest)),))
     registry._remove(pos)
     return registry._add(world, pos.lender, pos.borrower, pos.principal, pos.haircut,
                          new_rate, 1, new_collateral)
@@ -342,18 +345,17 @@ def _top_up_collateral(world: LedgerWorld, registry: RepoRegistry,
 
 def deliver_tbills(batch: TransferBatch, seller: AgentId, buyer: AgentId,
                    duration: DurationClass, face: Amount, price: int) -> Amount:
-    """Delivery versus payment, staged on `batch`: `buyer` pays `face` at
-    `price` out of its deposits, capped at what it holds, and `seller`
-    delivers the face that payment buys. Returns the amount paid."""
+    """Delivery versus payment, staged on `batch` in one check pass:
+    `buyer` pays `face` at `price` out of its deposits, capped at what it
+    holds, and `seller` delivers the face that payment buys. Returns the
+    amount paid."""
     value = mul_frac(face, price)
     paid = min(value, batch.deposits(buyer))
     if paid <= 0:
         return 0
-    batch.pay(buyer, seller, paid)
     if paid < value:
         face = mul_div(paid, MICRO, price)
-    if face > 0:
-        batch.deliver(seller, buyer, duration, face)
+    batch.pay_and_deliver(buyer, seller, paid, duration, face)
     return paid
 
 

@@ -14,10 +14,11 @@ grows recorded assets, so leverage headroom still caps the fill at
 (headroom + reserve_access) / 2 once reserves run short.
 
 A day's T+1 settlement is one ledger transfer batch: each delivery is
-sized against the running deposits and faces the ones before it leave,
-and the batch is written by one post. A day's carryover pass re-reads
-capacity after each fill; once a read sums to zero the rest of the
-queue fills nothing and is carried in one step.
+staged with its payment in one pass, sized against the running deposits
+and faces the ones before it leave, and written by one post. A day's
+carryover pass re-reads capacity after each fill; once a read sums to
+zero the rest of the queue fills nothing and is carried in one step,
+logged order by order and reported by none.
 
 Volume accounting decomposes each submitted sale into seller volume,
 dealer retention, inter-dealer volume and buyer volume; gross volume is
@@ -30,13 +31,14 @@ prices never fall and may rise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 from . import analytics
 from .config import DealerConfig, MarketConfig, PolicyConfig
 from .instruments import PLEDGE_MIX, RepoRegistry, deliver_tbills, mark_treasuries
 from .ledger import (DURATION_NAME, DURATIONS, FED, AgentId, DurationClass, LedgerWorld,
-                     TransferBatch, event_form, reserves_key, srf_key)
+                     TransferBatch, event_form, reserves_key, srf_key, tbill_key)
 from .money import BP, MICRO, Amount, mul_div, mul_frac
 
 
@@ -65,6 +67,12 @@ def decompose(seller: Amount, retention: Amount) -> VolumeDecomposition:
     )
 
 
+# the asset keys `DealerBook.recorded_assets` reads; unpacking fails at
+# import if a duration class is added
+_BILLS, _LONGS = map(tbill_key, DURATIONS)
+_RESERVES = reserves_key()
+
+
 @dataclass
 class DealerBook:
     """Recorded-assets state used for the leverage constraint.
@@ -83,10 +91,11 @@ class DealerBook:
     ra_used_today: Amount = 0            # of config.reserve_access, per day
 
     def recorded_assets(self, world: LedgerWorld) -> Amount:
-        inventory = world.tbill_value(self.agent)
-        growth = max(0, inventory - self.inventory_baseline)
-        reserves = world.sheet(self.agent).asset(reserves_key())
-        return self.config.base_assets + growth + reserves + self.reserved_today
+        """Base assets, inventory growth, reserves and today's
+        reservations, off one lookup of the dealer's asset dict."""
+        assets = world.agents[self.agent.key].assets
+        growth = max(0, assets.get(_BILLS, 0) + assets.get(_LONGS, 0) - self.inventory_baseline)
+        return self.config.base_assets + growth + assets.get(_RESERVES, 0) + self.reserved_today
 
     def slr_report(self, world: LedgerWorld, bound_override: int | None = None) -> analytics.SlrReport:
         cfg = self.config
@@ -94,7 +103,10 @@ class DealerBook:
                              cfg.exposures, cfg.gsib, bound_override)
 
     def headroom(self, world: LedgerWorld, bound_override: int | None = None) -> Amount:
-        return self.slr_report(world, bound_override).headroom_assets
+        """`slr_report(...).headroom_assets`, without building the report."""
+        cfg = self.config
+        return analytics.slr_headroom(cfg.capital, self.recorded_assets(world) + cfg.exposures,
+                                      analytics.slr_bound(cfg.gsib, bound_override))
 
 
 def draw_srf(world: LedgerWorld, book: DealerBook, amount: Amount) -> None:
@@ -107,7 +119,7 @@ def draw_srf(world: LedgerWorld, book: DealerBook, amount: Amount) -> None:
     dealer = book.agent
     world.post({(FED.key, "A", srf_key(dealer)): amount,
                 (dealer.key, "L", srf_key(FED)): amount,
-                (dealer.key, "A", reserves_key()): amount,
+                (dealer.key, "A", _RESERVES): amount,
                 (FED.key, "L", reserves_key(dealer)): amount})
     world.emit("srf_draw", dealer=dealer.key, amount=amount)
 
@@ -124,6 +136,7 @@ class SaleOrder:
 _SALE_CLEARED = event_form("sale_cleared", (
     "order_id", "seller", "duration", "requested", "filled", "unfilled", "purpose",
     "first_submission"))
+_SALE_SETTLED = event_form("sale_settled", ("seller", "dealer", "duration", "proceeds"))
 
 
 class FillReport(NamedTuple):
@@ -226,26 +239,29 @@ class Market:
 
     def resubmit_carryover(self, world: LedgerWorld) -> list[FillReport]:
         """Clear the queued unfilled remainders, in queue order, as new
-        orders that are not first submissions.
+        orders that are not first submissions; returns the reports of
+        those cleared against capacity.
 
         Dealer capacity is read before the first order and again after
         each fill. Once a read sums to zero, the rest of the queue fills
         nothing: a zero fill writes no sheet and no book field, so the
-        read stays exact, and those orders are carried in one step.
+        read stays exact, and those orders are carried, and logged, in
+        one step.
         """
         queued, self.carryover = self.carryover, []
         reports = []
         for i, order in enumerate(queued):
             avail = self.dealer_capacity(world)
             if not any(avail.values()):
-                return reports + self._record(world, [(o, 0) for o in queued[i:]], False)
+                self._record(world, zip(queued[i:], repeat(0)), False)
+                break
             reports.append(self._clear(world, order, avail, first_submission=False))
         return reports
 
     def _clear(self, world: LedgerWorld, order: SaleOrder, avail: dict,
                first_submission: bool) -> FillReport:
         """Clear `order`'s `remaining` against `avail`, each dealer's
-        capacity right now, and record it."""
+        capacity right now, record it and return its report."""
         seller, duration, amount = order.seller, order.duration, order.remaining
         fill = min(amount, sum(avail.values()))
         if fill:
@@ -270,31 +286,31 @@ class Market:
             self.gross_volume += decompose(amount, retention).gross
             self.seller_volume += amount
             self.day_submitted[duration] += amount
-        return self._record(world, [(order, fill)], first_submission)[0]
+        self._record(world, ((order, fill),), first_submission)
+        return FillReport(order.order_id, seller, duration, amount, fill, amount - fill,
+                          world.tbill_prices[duration])
 
-    def _record(self, world: LedgerWorld, cleared: list,
-                first_submission: bool) -> list[FillReport]:
+    def _record(self, world: LedgerWorld, cleared, first_submission: bool) -> None:
         """Give each `(order, fill)` of `cleared`, in order, the next order
         id; queue what it left unfilled, add it to the day's tallies and
-        log its `sale_cleared`. Returns their reports."""
-        form, prices = _SALE_CLEARED, world.tbill_prices
-        events, reports = [], []
+        log its `sale_cleared`."""
+        carryover, excess, fills = self.carryover, self.day_excess, self.day_fills
+        order_id, events = self._next_order, []
         for order, fill in cleared:
-            order_id, self._next_order = self._next_order, self._next_order + 1
             order.order_id = order_id
-            seller, duration, amount = order.seller, order.duration, order.remaining
+            duration, amount = order.duration, order.remaining
             unfilled = amount - fill
             if unfilled > 0:
                 order.remaining = unfilled
-                self.carryover.append(order)
-            self.day_excess[duration] += unfilled
-            self.day_fills[duration] += fill
-            events.append((form, (order_id, seller.key, DURATION_NAME[duration], amount, fill,
-                                  unfilled, order.purpose, first_submission)))
-            reports.append(FillReport(order_id, seller, duration, amount, fill, unfilled,
-                                      prices[duration]))
+                carryover.append(order)
+            excess[duration] += unfilled
+            fills[duration] += fill
+            events.append((_SALE_CLEARED, (order_id, order.seller.key, DURATION_NAME[duration],
+                                           amount, fill, unfilled, order.purpose,
+                                           first_submission)))
+            order_id += 1
+        self._next_order = order_id
         world.emit_all(events)
-        return reports
 
     # -- funding gaps -----------------------------------------------------------
 
@@ -333,28 +349,30 @@ class Market:
         The retention slice lands on the dealer's book against its own
         deposits; the pass-through goes straight to the ultimate buyer,
         who pays the seller. Each settlement is sized on the free face
-        the ones before it leave its seller. A pass that raises leaves
-        the world and the market untouched. Returns deposit proceeds per
-        seller key.
+        the ones before it leave its seller, and one with none delivers
+        nothing. A pass that raises leaves the world and the market
+        untouched. Returns deposit proceeds per seller key.
         """
         day = world.day
         due = [p for p in self.pending if p.settle_day <= day]
         batch = TransferBatch(world)
+        prices, retention_frac, buyer = world.tbill_prices, self.params.retention_frac, self.buyer
         proceeds: dict[str, list] = {}
         for p in due:
-            price = world.price(p.duration)
-            face = min(mul_div(p.value, MICRO, price),
-                       registry.free_face(batch, p.seller, p.duration))
-            retention_face = mul_frac(face, self.params.retention_frac)
-            got = deliver_tbills(batch, p.seller, p.dealer, p.duration, retention_face, price)
-            got += deliver_tbills(batch, p.seller, self.buyer, p.duration,
-                                  face - retention_face, price)
-            entry = proceeds.setdefault(p.seller.key, [0, 0])
-            entry[0] += got
+            seller, duration = p.seller, p.duration
+            entry = proceeds.setdefault(seller.key, [0, 0])
             entry[1] += p.value
+            price = prices[duration]
+            face = min(mul_div(p.value, MICRO, price), registry.free_face(batch, seller, duration))
+            if face <= 0:
+                continue
+            retention_face = mul_frac(face, retention_frac)
+            got = deliver_tbills(batch, seller, p.dealer, duration, retention_face, price)
+            got += deliver_tbills(batch, seller, buyer, duration, face - retention_face, price)
             if got:
-                batch.emit("sale_settled", seller=p.seller.key, dealer=p.dealer.key,
-                           duration=DURATION_NAME[p.duration], proceeds=got)
+                entry[0] += got
+                batch.events.append((_SALE_SETTLED, (seller.key, p.dealer.key,
+                                                     DURATION_NAME[duration], got)))
         batch.commit()
         self.pending = [p for p in self.pending if p.settle_day > day]
         for p in due:

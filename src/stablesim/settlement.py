@@ -393,8 +393,8 @@ class SettlementEngine:
         declined principal lands in the proceeds pool.
         """
         gaps: list[GapInstruction] = []
-        due = [p for p in self.registry.open_positions()
-               if p.second_leg_day == self.world.day]
+        day = self.world.day
+        due = [p for p in self.registry.positions.values() if p.second_leg_day == day]
         for pos in due:
             book = self.issuers.get(pos.lender.key)
             if book is None or book.nonroll_pending <= 0:

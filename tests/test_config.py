@@ -210,6 +210,21 @@ BAD_INPUTS = [
     ("market/impact_coeff_long", 4_999, "market.impact_coeff_long"),
     ("market/retention_frac", 1_000_000, "market.retention_frac"),
     ("market/retention_frac", -1, "market.retention_frac"),
+    # every market integer is >= 0; fractions of a flow are at most all of
+    # it, and a capped decline leaves a positive price
+    ("market/impact_coeff_bill", -1, "market.impact_coeff_bill"),
+    ("market", {"depth": 1_000_00, "impact_coeff_long": -1, "impact_coeff_bill": -2},
+     "market.impact_coeff_long"),
+    ("market/bill_safety_lift", -1, "market.bill_safety_lift"),
+    ("market/eslr_capacity_add", -1, "market.eslr_capacity_add"),
+    ("market/max_dislocation_bp", -100, "market.max_dislocation_bp"),
+    ("market/max_dislocation_bp", 10_000, "market.max_dislocation_bp"),
+    ("market/max_dislocation_bp", 20_000, "market.max_dislocation_bp"),
+    ("market/replacement_frac", -1, "market.replacement_frac"),
+    ("market/replacement_frac", 1_000_001, "market.replacement_frac"),
+    ("market/replacement_frac", 2_000_000, "market.replacement_frac"),
+    ("market/offload_frac", -1, "market.offload_frac"),
+    ("market/offload_frac", 1_000_001, "market.offload_frac"),
     ("run_model", {"baseline_rate": 5_000, "shifted_rate": 5_000}, "run_model.shifted_rate"),
     ("run_model", {"deviation_threshold_bp": 0}, "run_model.deviation_threshold_bp"),
     ("policies", {"intermediary_mode": "hold"}, "policies.intermediary_mode"),
@@ -259,6 +274,16 @@ def test_signed_rates_and_sections_left_out_parse():
     assert (cfg.rates.treasury_rate_daily, cfg.rates.repo_rate_daily) == (-1, -2)
     assert cfg.attack_cost is None and cfg.mint_daily_rate == 0
     assert cfg.seed == 1 and cfg.policies.srf_enabled is False
+
+
+def test_market_values_at_their_bounds_parse():
+    raw = minimal_raw()
+    raw["market"].update(max_dislocation_bp=9_999, replacement_frac=1_000_000,
+                         offload_frac=1_000_000, retention_frac=0, impact_coeff_bill=0,
+                         impact_coeff_long=0, bill_safety_lift=0, eslr_capacity_add=0)
+    market = parse_config(raw).market
+    assert (market.max_dislocation_bp, market.replacement_frac, market.offload_frac) == (
+        9_999, 1_000_000, 1_000_000)
 
 
 def test_misspelled_field_is_rejected_not_defaulted():

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from stablesim.config import DealerConfig, MarketConfig, PolicyConfig
 from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, InsufficientPosition,
-                              LedgerWorld, UnknownAgent, deposit_key, reserves_key)
+                              LedgerWorld, TransferBatch, UnknownAgent, deposit_key,
+                              reserves_key)
 from stablesim.instruments import RepoRegistry
 from stablesim.market import (DealerBook, Market, MarketError, PendingSettlement, decompose,
                               draw_srf)
@@ -354,56 +355,76 @@ def market_state(world, market):
             market.gross_volume, market.seller_volume)
 
 
+def cleared_rows(world, since):
+    """(order id, requested, filled, unfilled) of each `sale_cleared` logged
+    from event `since` on."""
+    return [(e["order_id"], e["requested"], e["filled"], e["unfilled"])
+            for e in world.events[since:] if e["type"] == "sale_cleared"]
+
+
 def test_resubmit_carryover_equals_clearing_each_order_through_submit_sale():
-    seen = {"filled": 0, "zero": 0, "srf_draws": 0, "zero_step": 0, "carried_many": 0}
+    seen = {"filled": 0, "carried": 0, "srf_draws": 0, "carried_many": 0}
     for seed in range(60):
         world, market = random_market(random.Random(seed))
         ref_world, ref_market = copy.deepcopy((world, market))
+        queued, logged = len(market.carryover), len(world.events)
         reads = []   # the total capacity of each read
         read_capacity = market.dealer_capacity
         market.dealer_capacity = lambda world: (
             reads.append(sum((avail := read_capacity(world)).values())) or avail)
         reports = market.resubmit_carryover(world)
         del market.dealer_capacity
-        assert reports == resubmit_through_submit_sale(ref_world, ref_market), seed
+        expected = resubmit_through_submit_sale(ref_world, ref_market)
+        # the orders cleared against capacity report, each with a fill; the
+        # carried ones are logged with the same ids and tallies, unreported
+        assert reports == [r for r in expected if r.filled], seed
+        rows = cleared_rows(world, logged)
+        assert rows == cleared_rows(ref_world, logged) and len(rows) == queued, seed
         assert market_state(world, market) == market_state(ref_world, ref_market), seed
         assert world.audit().ok
-        seen["filled"] += sum(1 for r in reports if r.filled)
-        seen["zero"] += sum(1 for r in reports if not r.filled)
-        seen["srf_draws"] += market.day_srf_draws > 0
         # each read but a last one that sums to zero is followed by one fill;
         # that last one starts the step carrying the rest of the queue
-        carried = len(reports) - len(reads) + 1 if reads and reads[-1] == 0 else 0
-        assert carried == sum(1 for r in reports if not r.filled), seed
-        seen["zero_step"] += carried > 0
+        step = bool(reads) and reads[-1] == 0
+        assert len(reads) - step == len(reports), seed
+        carried = queued - len(reports)
+        assert carried == sum(1 for _, _, filled, _ in rows if not filled), seed
+        assert carried == (queued - len(reads) + 1 if step else 0), seed
+        seen["filled"] += len(reports)
+        seen["carried"] += carried > 0
         seen["carried_many"] += carried > 1
-    # the seeds reach fills, zero fills, SRF draws and the zero-capacity
-    # step, some carrying several orders at once
+        seen["srf_draws"] += market.day_srf_draws > 0
+    # the seeds reach fills, SRF draws and the step carrying the rest of the
+    # queue, some carrying several orders at once
     assert all(seen.values()), seen
 
 
 def test_resubmit_carryover_reads_capacity_again_only_after_a_fill(monkeypatch):
     from stablesim import market as market_module
 
-    prorated = []
-    prorate = market_module._prorate
+    prorated, built = [], []
+    prorate, report = market_module._prorate, market_module.FillReport
     monkeypatch.setattr(market_module, "_prorate",
                         lambda total, shares: prorated.append(total) or prorate(total, shares))
-    zero_fills = 0
+    monkeypatch.setattr(market_module, "FillReport", lambda *fields: (
+        built.append(fields[4]) or report(*fields)))
+    carried = 0
     for seed in range(20):
         world, market = random_market(random.Random(seed))
+        queued, logged = len(market.carryover), len(world.events)
         reads = []
         read_capacity = market.dealer_capacity
         monkeypatch.setattr(market, "dealer_capacity",
                             lambda world: reads.append(1) or read_capacity(world))
         prorated.clear()
+        built.clear()
         reports = market.resubmit_carryover(world)
-        filled = sum(1 for r in reports if r.filled)
-        assert len(reads) <= 1 + filled, seed
-        # a zero fill runs no pro-rata split
-        assert prorated == [r.filled for r in reports if r.filled], seed
-        zero_fills += len(reports) - filled
-    assert zero_fills > 0
+        assert len(reads) <= 1 + len(reports), seed
+        # a carried order runs no pro-rata split and builds no report
+        fills = [r.filled for r in reports]
+        assert prorated == built == fills and all(fills), seed
+        assert len(cleared_rows(world, logged)) == queued, seed
+        carried += queued - len(reports)
+    assert carried > 0
 
 
 BANK_1 = AgentId(AgentKind.BANK, 1)
@@ -533,6 +554,55 @@ def test_settle_due_in_one_batch_equals_one_post_per_delivery():
     # the seeds reach every case the batch sizes against running values
     cases = ("buyer_short", "one_bank", "two_banks", "no_free_face", "dealer_sells",
              "delivers_twice")
+    assert all(seen[case] for case in cases), seen
+
+
+def test_pay_and_deliver_stages_as_pay_then_deliver():
+    """One check pass over a payment and its delivery stages the legs,
+    faces and events of `pay` then `deliver`, and raises where they do."""
+    seen = collections.Counter()
+    for seed in range(80):
+        rng = random.Random(seed)
+        world, _, _ = settlement_market(rng)
+        agents = [world.ids[key] for key in world.sorted_keys if world.banks[key] is not None]
+        before = copy.deepcopy(world)
+        one, two = TransferBatch(world), TransferBatch(world)
+        for _ in range(rng.randint(1, 12)):
+            buyer, seller = rng.choice(agents), rng.choice(agents)
+            duration = rng.choice(list(DurationClass))
+            amount = rng.choice((0, rng.randint(1, 40_000_00)))
+            face = rng.choice((0, rng.randint(1, 60_000_00)))
+            staged = copy.deepcopy((one.staged, one.faces, one.events))
+            try:
+                two.pay(buyer, seller, amount)
+                expected = two.deliver(seller, buyer, duration, face)
+            except InsufficientPosition as err:
+                # the first failing debit raises, and nothing is staged
+                with pytest.raises(InsufficientPosition, match=f"^{re.escape(str(err))}$"):
+                    one.pay_and_deliver(buyer, seller, amount, duration, face)
+                assert (one.staged, one.faces, one.events) == staged, seed
+                seen["raised"] += 1
+                break
+            assert one.pay_and_deliver(buyer, seller, amount, duration, face) == expected, seed
+            assert list(one.staged.items()) == list(two.staged.items()), seed
+            assert (one.faces, one.events) == (two.faces, two.events), seed
+            seen["delivered"] += expected > 0
+            seen["no_face"] += expected == 0
+            seen["unpaid"] += amount == 0 or buyer == seller
+            if amount and buyer != seller:
+                seen["one_bank" if world.bank_of(buyer) == world.bank_of(seller)
+                     else "two_banks"] += 1
+        # a batch writes nothing before its commit
+        assert (world.events, world.seq, world.tbill_face, world.agents) == (
+            before.events, before.seq, before.tbill_face, before.agents), seed
+        other = copy.deepcopy(world)
+        two.world = other
+        one.commit()
+        two.commit()
+        assert (world.events, world.tbill_face, world.agents) == (
+            other.events, other.tbill_face, other.agents), seed
+        assert world.audit().ok, seed
+    cases = ("raised", "delivered", "no_face", "unpaid", "one_bank", "two_banks")
     assert all(seen[case] for case in cases), seen
 
 
