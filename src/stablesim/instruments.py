@@ -14,9 +14,8 @@ collateral-to-principal ratio: loss = principal * (decline - haircut)
 
 This module is the only writer of the repo book (`RepoRegistry`) and
 the only place that pairs a deposit payment with a Treasury delivery
-(`deliver_tbills`, which stages both as one leg tuple on a ledger
-`TransferBatch` through `pay_and_deliver`, so a whole settlement pass is
-written by one post).
+(`deliver_tbills`, which stages both on a ledger `TransferBatch`, so a
+whole settlement pass is written by one post).
 """
 
 from __future__ import annotations
@@ -345,17 +344,18 @@ def _top_up_collateral(world: LedgerWorld, registry: RepoRegistry,
 
 def deliver_tbills(batch: TransferBatch, seller: AgentId, buyer: AgentId,
                    duration: DurationClass, face: Amount, price: int) -> Amount:
-    """Delivery versus payment, staged on `batch` in one check pass:
-    `buyer` pays `face` at `price` out of its deposits, capped at what it
-    holds, and `seller` delivers the face that payment buys. Returns the
-    amount paid."""
+    """Delivery versus payment, staged on `batch`: `buyer` pays `face` at
+    `price` out of its deposits, capped at what it holds, and `seller`
+    delivers the face that payment buys. Returns the amount paid."""
     value = mul_frac(face, price)
     paid = min(value, batch.deposits(buyer))
     if paid <= 0:
         return 0
+    batch.pay(buyer, seller, paid)
     if paid < value:
         face = mul_div(paid, MICRO, price)
-    batch.pay_and_deliver(buyer, seller, paid, duration, face)
+    if face > 0:
+        batch.deliver(seller, buyer, duration, face)
     return paid
 
 

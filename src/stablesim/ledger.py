@@ -135,6 +135,11 @@ def tbill_key(duration: DurationClass) -> str:
     return _TBILL_KEY[duration]
 
 
+def treasury_value(assets: dict) -> int:
+    """The market value of the Treasuries in `assets`, every class."""
+    return sum([assets.get(key, 0) for key in _TBILL_KEY.values()])
+
+
 @dataclass
 class BalanceSheet:
     assets: dict = field(default_factory=dict)
@@ -544,7 +549,7 @@ class LedgerWorld:
         assets = self.sheet(agent).assets
         if duration is not None:
             return assets.get(tbill_key(duration), 0)
-        return sum(assets.get(key, 0) for key in _TBILL_KEY.values())
+        return treasury_value(assets)
 
     def face_of(self, agent: AgentId, duration: DurationClass) -> int:
         return self.tbill_face.get((agent.key, duration), 0)
@@ -747,14 +752,13 @@ class LedgerWorld:
 class TransferBatch:
     """Deposit payments and Treasury deliveries written by one `post`.
 
-    `pay` and `deliver` are the deposit and Treasury rails, and
-    `pay_and_deliver` a payment with the delivery it buys. Each stages its
-    legs on top of the ones before it: `deposits` and `face_of` read the
-    running values, and every debit is checked against them, so a batch
-    raises `InsufficientPosition` at the transfer where the same transfers
-    posted one by one would. `commit` posts the summed legs, logs the
-    staged events in order and updates `tbill_face`; a batch that raises,
-    or is never committed, writes and logs nothing.
+    `pay` and `deliver` are the deposit and Treasury rails. Each stages
+    its legs on top of the ones before it: `deposits` and `face_of` read
+    the running values, and every debit is checked against them, so a
+    batch raises `InsufficientPosition` at the transfer where the same
+    transfers posted one by one would. `commit` posts the summed legs,
+    logs the staged events in order and updates `tbill_face`; a batch
+    that raises, or is never committed, writes and logs nothing.
     """
 
     __slots__ = ("world", "staged", "faces", "events")
@@ -765,10 +769,9 @@ class TransferBatch:
         self.faces: dict[tuple[str, DurationClass], int] = {}   # running `tbill_face`
         self.events: list[tuple] = []   # (form, values), for `emit_all`
 
-    def _stage(self, legs: tuple, events: tuple = (), faces: tuple = ()) -> None:
+    def _stage(self, legs: tuple) -> None:
         """Add `legs`, each `((agent key, side, key), delta)`, after
-        checking that no debit takes a running position below zero; then
-        stage `events` and set the running `faces`."""
+        checking that no debit takes a running position below zero."""
         agents, staged = self.world.agents, self.staged
         for leg, delta in legs:
             if delta < 0:
@@ -780,8 +783,6 @@ class TransferBatch:
                     raise InsufficientPosition(agent_key, key, have, -delta)
         for leg, delta in legs:
             staged[leg] = staged.get(leg, 0) + delta
-        self.events += events
-        self.faces.update(faces)
 
     def deposits(self, agent: AgentId) -> int:
         """The deposits `agent` holds at its bank, staged legs included."""
@@ -793,13 +794,21 @@ class TransferBatch:
         face = self.faces.get((agent.key, duration))
         return self.world.face_of(agent, duration) if face is None else face
 
-    def _payment(self, frm: AgentId, to: AgentId, amount: int) -> tuple:
-        """`(legs, events)` of a deposit payment, empty when it moves
-        nothing. Across banks, reserves move with it, so deposits and
-        reserves are conserved by construction."""
+    def emit(self, event_type: str, **fields) -> None:
+        form = _FORMS.get((event_type, *fields)) or event_form(event_type, tuple(fields))
+        self.events.append((form, fields.values()))
+
+    def pay(self, frm: AgentId, to: AgentId, amount: int) -> None:
+        """Pay `amount` of deposits from `frm` to `to` through their banks.
+
+        A cross-bank payment debits the payer's bank of reserves and
+        credits the payee's, re-keying the central bank's reserve
+        liability, so aggregate deposits and reserves are conserved by
+        construction.
+        """
         world = self.world
         if not world._moves(frm, to, amount):
-            return (), ()
+            return
         held_f, owed_f = world._deposit_keys(frm)
         held_t, owed_t = world._deposit_keys(to)
         bank_f, bank_t = world.banks[frm.key], world.banks[to.key]
@@ -810,49 +819,25 @@ class TransferBatch:
                      ((FED.key, "L", reserves_key(bank_f)), -amount),
                      ((FED.key, "L", reserves_key(bank_t)), amount),
                      ((bank_t.key, "A", _RESERVES), amount))
-        return legs, ((_DEPOSIT_TRANSFER, ("deposit", frm.key, to.key, amount)),)
-
-    def _delivery(self, frm: AgentId, to: AgentId, duration: DurationClass,
-                  face: int) -> tuple:
-        """`(legs, events, faces, value)` of a delivery of up to `face`, at
-        most what `frm` holds, at the class price: `faces` are the running
-        faces it leaves. All empty and 0 when it moves nothing."""
-        world, key = self.world, _TBILL_KEY[duration]
-        assets = world.sheet(frm).assets
-        have = self.face_of(frm, duration)
-        face = min(face, have)
-        if face <= 0:
-            return (), (), (), 0
-        if to.key not in world.agents:
-            raise UnknownAgent(f"unknown agent {to}")
-        debit = (frm.key, "A", key)
-        moved = min(mul_frac(face, world.tbill_prices[duration]),
-                    assets.get(key, 0) + self.staged.get(debit, 0))
-        # a delivery to oneself leaves the face where it was
-        faces = (((frm.key, duration), have),) if frm.key == to.key else (
-            ((frm.key, duration), have - face), ((to.key, duration), self.face_of(to, duration) + face))
-        return (((debit, -moved), ((to.key, "A", key), moved)),
-                ((_TBILL_TRANSFER, (key, frm.key, to.key, moved, face)),), faces, moved)
-
-    def pay(self, frm: AgentId, to: AgentId, amount: int) -> None:
-        """Pay `amount` of deposits from `frm` to `to` through their banks."""
-        self._stage(*self._payment(frm, to, amount))
+        self._stage(legs)
+        self.events.append((_DEPOSIT_TRANSFER, ("deposit", frm.key, to.key, amount)))
 
     def deliver(self, frm: AgentId, to: AgentId, duration: DurationClass, face: int) -> int:
         """Move up to `face` of Treasuries, at most what `frm` holds, at
         the class price; returns the market value moved."""
-        legs, events, faces, moved = self._delivery(frm, to, duration, face)
-        self._stage(legs, events, faces)
-        return moved
-
-    def pay_and_deliver(self, buyer: AgentId, seller: AgentId, amount: int,
-                        duration: DurationClass, face: int) -> int:
-        """`pay(buyer, seller, amount)` then `deliver(seller, buyer,
-        duration, face)`, one leg tuple checked in one pass (its Treasury
-        legs touch no position of the payment's); returns the value delivered."""
-        paid, payment = self._payment(buyer, seller, amount)
-        legs, events, faces, moved = self._delivery(seller, buyer, duration, face)
-        self._stage(paid + legs, payment + events, faces)
+        key = tbill_key(duration)
+        have = self.face_of(frm, duration)
+        face = min(face, have)
+        held = self.world.sheet(frm).assets.get(key, 0) + self.staged.get((frm.key, "A", key), 0)
+        moved = min(mul_frac(face, self.world.price(duration)), held)
+        if face <= 0:
+            return 0
+        if to.key not in self.world.agents:
+            raise UnknownAgent(f"unknown agent {to}")
+        self._stage((((frm.key, "A", key), -moved), ((to.key, "A", key), moved)))
+        self.faces[(frm.key, duration)] = have - face
+        self.faces[(to.key, duration)] = self.face_of(to, duration) + face
+        self.events.append((_TBILL_TRANSFER, (key, frm.key, to.key, moved, face)))
         return moved
 
     def commit(self) -> None:

@@ -14,11 +14,11 @@ grows recorded assets, so leverage headroom still caps the fill at
 (headroom + reserve_access) / 2 once reserves run short.
 
 A day's T+1 settlement is one ledger transfer batch: each delivery is
-staged with its payment in one pass, sized against the running deposits
-and faces the ones before it leave, and written by one post. A day's
-carryover pass re-reads capacity after each fill; once a read sums to
-zero the rest of the queue fills nothing and is carried in one step,
-logged order by order and reported by none.
+sized against the running deposits and faces the ones before it leave,
+and the batch is written by one post. A day's carryover pass re-reads
+capacity after each fill; once a read sums to zero the rest of the
+queue fills nothing and is carried in one step, logged order by order
+and reported by none.
 
 Volume accounting decomposes each submitted sale into seller volume,
 dealer retention, inter-dealer volume and buyer volume; gross volume is
@@ -38,7 +38,7 @@ from . import analytics
 from .config import DealerConfig, MarketConfig, PolicyConfig
 from .instruments import PLEDGE_MIX, RepoRegistry, deliver_tbills, mark_treasuries
 from .ledger import (DURATION_NAME, DURATIONS, FED, AgentId, DurationClass, LedgerWorld,
-                     TransferBatch, event_form, reserves_key, srf_key, tbill_key)
+                     TransferBatch, event_form, reserves_key, srf_key, treasury_value)
 from .money import BP, MICRO, Amount, mul_div, mul_frac
 
 
@@ -67,9 +67,6 @@ def decompose(seller: Amount, retention: Amount) -> VolumeDecomposition:
     )
 
 
-# the asset keys `DealerBook.recorded_assets` reads; unpacking fails at
-# import if a duration class is added
-_BILLS, _LONGS = map(tbill_key, DURATIONS)
 _RESERVES = reserves_key()
 
 
@@ -94,7 +91,7 @@ class DealerBook:
         """Base assets, inventory growth, reserves and today's
         reservations, off one lookup of the dealer's asset dict."""
         assets = world.agents[self.agent.key].assets
-        growth = max(0, assets.get(_BILLS, 0) + assets.get(_LONGS, 0) - self.inventory_baseline)
+        growth = max(0, treasury_value(assets) - self.inventory_baseline)
         return self.config.base_assets + growth + assets.get(_RESERVES, 0) + self.reserved_today
 
     def slr_report(self, world: LedgerWorld, bound_override: int | None = None) -> analytics.SlrReport:
@@ -136,7 +133,6 @@ class SaleOrder:
 _SALE_CLEARED = event_form("sale_cleared", (
     "order_id", "seller", "duration", "requested", "filled", "unfilled", "purpose",
     "first_submission"))
-_SALE_SETTLED = event_form("sale_settled", ("seller", "dealer", "duration", "proceeds"))
 
 
 class FillReport(NamedTuple):
@@ -371,8 +367,8 @@ class Market:
             got += deliver_tbills(batch, seller, buyer, duration, face - retention_face, price)
             if got:
                 entry[0] += got
-                batch.events.append((_SALE_SETTLED, (seller.key, p.dealer.key,
-                                                     DURATION_NAME[duration], got)))
+                batch.emit("sale_settled", seller=seller.key, dealer=p.dealer.key,
+                           duration=DURATION_NAME[duration], proceeds=got)
         batch.commit()
         self.pending = [p for p in self.pending if p.settle_day > day]
         for p in due:

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from stablesim.config import DealerConfig, MarketConfig, PolicyConfig
 from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, InsufficientPosition,
-                              LedgerWorld, TransferBatch, UnknownAgent, deposit_key,
-                              reserves_key)
+                              LedgerWorld, UnknownAgent, deposit_key, reserves_key)
 from stablesim.instruments import RepoRegistry
 from stablesim.market import (DealerBook, Market, MarketError, PendingSettlement, decompose,
                               draw_srf)
@@ -554,55 +553,6 @@ def test_settle_due_in_one_batch_equals_one_post_per_delivery():
     # the seeds reach every case the batch sizes against running values
     cases = ("buyer_short", "one_bank", "two_banks", "no_free_face", "dealer_sells",
              "delivers_twice")
-    assert all(seen[case] for case in cases), seen
-
-
-def test_pay_and_deliver_stages_as_pay_then_deliver():
-    """One check pass over a payment and its delivery stages the legs,
-    faces and events of `pay` then `deliver`, and raises where they do."""
-    seen = collections.Counter()
-    for seed in range(80):
-        rng = random.Random(seed)
-        world, _, _ = settlement_market(rng)
-        agents = [world.ids[key] for key in world.sorted_keys if world.banks[key] is not None]
-        before = copy.deepcopy(world)
-        one, two = TransferBatch(world), TransferBatch(world)
-        for _ in range(rng.randint(1, 12)):
-            buyer, seller = rng.choice(agents), rng.choice(agents)
-            duration = rng.choice(list(DurationClass))
-            amount = rng.choice((0, rng.randint(1, 40_000_00)))
-            face = rng.choice((0, rng.randint(1, 60_000_00)))
-            staged = copy.deepcopy((one.staged, one.faces, one.events))
-            try:
-                two.pay(buyer, seller, amount)
-                expected = two.deliver(seller, buyer, duration, face)
-            except InsufficientPosition as err:
-                # the first failing debit raises, and nothing is staged
-                with pytest.raises(InsufficientPosition, match=f"^{re.escape(str(err))}$"):
-                    one.pay_and_deliver(buyer, seller, amount, duration, face)
-                assert (one.staged, one.faces, one.events) == staged, seed
-                seen["raised"] += 1
-                break
-            assert one.pay_and_deliver(buyer, seller, amount, duration, face) == expected, seed
-            assert list(one.staged.items()) == list(two.staged.items()), seed
-            assert (one.faces, one.events) == (two.faces, two.events), seed
-            seen["delivered"] += expected > 0
-            seen["no_face"] += expected == 0
-            seen["unpaid"] += amount == 0 or buyer == seller
-            if amount and buyer != seller:
-                seen["one_bank" if world.bank_of(buyer) == world.bank_of(seller)
-                     else "two_banks"] += 1
-        # a batch writes nothing before its commit
-        assert (world.events, world.seq, world.tbill_face, world.agents) == (
-            before.events, before.seq, before.tbill_face, before.agents), seed
-        other = copy.deepcopy(world)
-        two.world = other
-        one.commit()
-        two.commit()
-        assert (world.events, world.tbill_face, world.agents) == (
-            other.events, other.tbill_face, other.agents), seed
-        assert world.audit().ok, seed
-    cases = ("raised", "delivered", "no_face", "unpaid", "one_bank", "two_banks")
     assert all(seen[case] for case in cases), seen
 
 
