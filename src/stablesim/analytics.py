@@ -110,39 +110,44 @@ def slr(capital: Amount, assets: Amount, exposures: Amount, gsib: bool,
                      headroom_assets=headroom)
 
 
-def portfolio_holdings(portfolio: PortfolioState, today: int) -> list[tuple[Amount, int, int]]:
-    """(value, days to maturity, days to final life) per holding.
+def portfolio_holdings(portfolio: PortfolioState, today: int) -> list[tuple[Amount, int]]:
+    """(value, days to maturity) per holding, which is also its days to
+    final life.
 
     Deposits are demand money (one day); overnight repo counts as
     daily-liquid; bills run to their maturity date.
     """
-    holdings: list[tuple[Amount, int, int]] = []
+    holdings: list[tuple[Amount, int]] = []
     if portfolio.deposits > 0:
-        holdings.append((portfolio.deposits, 1, 1))
+        holdings.append((portfolio.deposits, 1))
     for pos in portfolio.repos:
-        days = max(1, pos.second_leg_day - today)
-        holdings.append((pos.principal, days, days))
+        holdings.append((pos.principal, max(1, pos.second_leg_day - today)))
     for bill in portfolio.bills:
-        days = max(1, bill.maturity_day - today)
-        holdings.append((bill.value(), days, days))
+        holdings.append((bill.value(), max(1, bill.maturity_day - today)))
     return holdings
 
 
 def liquidity_metrics(portfolio: PortfolioState, today: int) -> LiquidityReport:
-    holdings = portfolio_holdings(portfolio, today)
-    total = sum(v for v, _, _ in holdings)
+    return holdings_liquidity(portfolio_holdings(portfolio, today))
+
+
+def holdings_liquidity(holdings: list) -> LiquidityReport:
+    """The liquidity of `holdings`, `(value, days to maturity)` pairs: the
+    daily and weekly liquid shares and the value-weighted days to
+    maturity, which is also the weighted life."""
+    total = daily = weekly = days = 0
+    for value, maturity in holdings:
+        total += value
+        days += value * maturity
+        if maturity <= 5:
+            weekly += value
+            if maturity <= 1:
+                daily += value
     if total <= 0:
         return LiquidityReport(0, 0, 0, 0)
-    daily = sum(v for v, m, _ in holdings if m <= 1)
-    weekly = sum(v for v, m, _ in holdings if m <= 5)
-    wam = mul_div(sum(v * m for v, m, _ in holdings), MICRO, total)
-    wal = mul_div(sum(v * life for v, _, life in holdings), MICRO, total)
-    return LiquidityReport(
-        dla_frac=frac_of(daily, total),
-        wla_frac=frac_of(weekly, total),
-        wam_days=wam,
-        wal_days=wal,
-    )
+    wam = mul_div(days, MICRO, total)
+    return LiquidityReport(dla_frac=frac_of(daily, total), wla_frac=frac_of(weekly, total),
+                           wam_days=wam, wal_days=wam)
 
 
 # analytics.csv: the daily.csv columns these reports fill, on the same rows

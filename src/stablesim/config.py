@@ -48,8 +48,8 @@ expected an integer, got 5.5" or "agents.holders[h_1].coins.usdx: ...".
     slr_bound_bp              null    (override, > 0; else 3% / 5% by gsib)
   market:           every integer >= 0
     depth (> 0), impact_coeff_long (15000, >= impact_coeff_bill),
-    impact_coeff_bill (5000), max_dislocation_bp (500, < 10000: a
-    decline stops short of a zero price), retention_frac (335648 micro,
+    impact_coeff_bill (5000), max_dislocation_bp (500, < 5000: a capped
+    decline keeps a price of 1 micro at 1), retention_frac (335648 micro,
     i.e. 72.5/216; < 1_000_000), flight_to_safety (false),
     bill_safety_lift (0), replacement_frac (0, at most 1_000_000),
     offload_frac (250000, at most 1_000_000), eslr_capacity_add (0)
@@ -234,7 +234,7 @@ class ScenarioConfig:
 
 def _encode(obj):
     if hasattr(obj, "__dataclass_fields__"):
-        return {k: getattr(obj, k) for k in obj.__dataclass_fields__}
+        return obj.__dict__   # exactly the fields: no config dataclass sets more
     if hasattr(obj, "value"):
         return obj.value
     raise TypeError(f"cannot encode {type(obj)}")
@@ -507,7 +507,9 @@ def parse_config(raw: dict) -> ScenarioConfig:
     _require(market.retention_frac < 1_000_000, "market.retention_frac: must be < 1_000_000")
     for name in ("replacement_frac", "offload_frac"):
         _require(getattr(market, name) <= 1_000_000, f"market.{name}: must be <= 1_000_000")
-    _require(market.max_dislocation_bp < 10_000, "market.max_dislocation_bp: must be < 10_000")
+    # below 50% a capped decline rounds a price of 1 micro to at least 1;
+    # at 50% it rounds half to even, to 0
+    _require(market.max_dislocation_bp < 5_000, "market.max_dislocation_bp: must be < 5_000")
     _require(run_model.shifted_rate > run_model.baseline_rate,
              "run_model.shifted_rate: must be > baseline_rate")
     _require(run_model.deviation_threshold_bp > 0, "run_model.deviation_threshold_bp: must be > 0")

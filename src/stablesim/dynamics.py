@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .ledger import AgentId, LedgerWorld, coin_key
-from .money import MICRO, PAR, Amount, mul_frac
+from .money import MICRO, PAR, Amount, mul_div, mul_frac
 from .rng import SplitMix64
 from .settlement import AccessMode
 
@@ -137,8 +137,6 @@ def update_secondary_price(conf: ConfidenceState, unfilled_redemptions: Amount,
                            intervention: InterventionResult | None = None,
                            params: PriceParams = PriceParams()) -> ConfidenceState:
     """End-of-day price move from overdue redemptions, shocks and buys."""
-    from .money import mul_div
-
     pressure = 0
     if coins > 0 and unfilled_redemptions > 0:
         coeff = (params.failure_coeff if access_mode is AccessMode.DIRECT

@@ -38,7 +38,7 @@ from . import analytics
 from .config import ScenarioConfig, parse_config
 from .dynamics import (ConfidenceState, InterventionResult, ShockState, apply_shock,
                        redemption_demand, run_corrective_burns, update_secondary_price)
-from .instruments import PortfolioState, RepoRegistry, TreasuryBill, open_reverse_repo
+from .instruments import RepoRegistry, open_reverse_repo
 from .ledger import (DURATION_NAME, DURATIONS, FED, AgentId, AgentKind, DurationClass,
                      EventLog, LedgerWorld, coin_key, deposit_key, reserves_key)
 from .market import DealerBook, Market
@@ -261,14 +261,15 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
 _COIN_HOLDING = (AgentKind.HOLDER, AgentKind.INTERMEDIARY, AgentKind.TREASURY_BUYER)
 
 
-def _coin_holders(scn: Scenario, issuer: AgentId):
+def _coin_holders(scn: Scenario, issuer: AgentId, moving: bool = False):
     """Coin-holding agents with coins of `issuer` left to redeem, in key
     order, as `(agent, its redeemable coins)`; lazy, so a caller that
-    stops early looks at no more of them."""
+    stops early looks at no more of them. A caller that moves coins
+    during the walk sets `moving`, and walks a copy of the holders."""
     world = scn.world
     redeemable = scn.settle.redeemable
-    # a snapshot: intermediated buying moves coins during the walk
-    for key in tuple(world.coin_holders.get(coin_key(issuer), ())):
+    keys = world.coin_holders.get(world.coin_keys[issuer.key], ())
+    for key in tuple(keys) if moving else keys:
         agent = world.ids[key]
         if agent.kind in _COIN_HOLDING and (coins := redeemable(agent, issuer)) > 0:
             yield agent, coins
@@ -323,7 +324,7 @@ def _route_demand(scn: Scenario, book: IssuerBook, demand: Amount,
         if budget <= 0:
             continue
         bought = 0
-        for holder, coins in _coin_holders(scn, issuer):
+        for holder, coins in _coin_holders(scn, issuer, moving=True):
             if holder.kind is AgentKind.INTERMEDIARY:
                 continue
             slice_ = min(budget - bought, coins)
@@ -355,29 +356,20 @@ def _fed_bill_purchase(scn: Scenario, issuer: AgentId, value: Amount) -> Amount:
     return moved
 
 
-def _issuer_portfolio(scn: Scenario, book: IssuerBook) -> PortfolioState:
-    world = scn.world
-    agent = book.agent
-    bills = []
-    face = world.face_of(agent, DurationClass.BILL)
-    if face > 0:
-        bills.append(TreasuryBill(face=face,
-                                  maturity_day=book.config.bill_maturity_days,
-                                  market_price=world.price(DurationClass.BILL)))
-    face_long = world.face_of(agent, DurationClass.LONG)
-    if face_long > 0:
-        bills.append(TreasuryBill(face=face_long, maturity_day=365 * 5,
-                                  market_price=world.price(DurationClass.LONG)))
-    return PortfolioState(
-        treasury_face=face + face_long,
-        treasury_price=world.price(DurationClass.BILL),
-        deposits=world.deposits(agent),
-        rate_treasury=scn.config.rates.treasury_rate_daily,
-        rate_deposit=scn.config.rates.deposit_rate_daily,
-        repo_principal=scn.registry.total_principal(agent),
-        bills=bills,
-        repos=scn.registry.by_lender(agent),
-    )
+def _issuer_holdings(world: LedgerWorld, book: IssuerBook, repos: list, day: int) -> list:
+    """The issuer's `(value, days to maturity)` holdings on `day`, as
+    `analytics.portfolio_holdings` reads them: its deposits, its repos,
+    its bills at their configured maturity and its long Treasuries at
+    five years."""
+    agent, prices = book.agent, world.tbill_prices
+    deposits = world.deposits(agent)
+    holdings = [(deposits, 1)] if deposits > 0 else []
+    holdings += [(p.principal, max(1, p.second_leg_day - day)) for p in repos]
+    for duration, maturity in ((DurationClass.BILL, book.config.bill_maturity_days),
+                               (DurationClass.LONG, 365 * 5)):
+        if (face := world.face_of(agent, duration)) > 0:
+            holdings.append((mul_frac(face, prices[duration]), max(1, maturity - day)))
+    return holdings
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +424,8 @@ def _redemption_demand(scn: Scenario, suspended: set) -> None:
     for key, book in scn.settle.issuers.items():
         model = scn.run_models[key]
         conf = scn.confidence[key]
-        conf = ConfidenceState(secondary_price=conf.secondary_price,
-                               pending_delay_age=scn.settle.queue_age(book))
-        scn.confidence[key] = conf
+        if (age := scn.settle.queue_age(book)) != conf.pending_delay_age:
+            conf = scn.confidence[key] = ConfidenceState(conf.secondary_price, age)
         prior = model.sensitivity_state
         coins = scn.settle.coins_outstanding(book.agent)
         demand = redemption_demand(model, conf, coins)
@@ -543,9 +534,10 @@ def _update_prices(scn: Scenario) -> None:
         overdue = scn.settle.overdue_amount(book) + book.day_unserved
         shock_eff = scn.shock_state.price_effects.pop(key, 0)
         completed = book.day_int_buy_completed + book.day_int_mint_completed
+        # a day with nothing completed has no intervention to price
         intervention = InterventionResult(
             requested=max(book.day_int_buy_requested, completed),
-            completed=completed, pin_target=book.pin_target)
+            completed=completed, pin_target=book.pin_target) if completed else None
         conf = update_secondary_price(scn.confidence[key], overdue, coins, shock_eff,
                                       scn.config.policies.access_mode,
                                       intervention=intervention,
@@ -568,12 +560,12 @@ def _emit_rows(scn: Scenario, day: int, dealer_capacity: dict) -> None:
         agent = book.agent
         sheet = world.sheet(agent)
         assets = sheet.total_assets()
+        repos = scn.registry.by_lender(agent)
         if book.config.count_excess_collateral:
-            assets += sum(max(0, p.collateral_value(world) - p.principal)
-                          for p in scn.registry.by_lender(agent))
+            assets += sum(max(0, p.collateral_value(world) - p.principal) for p in repos)
         coins = scn.settle.coins_outstanding(agent)
         lev = analytics.leverage_ratio(assets, coins) if assets > 0 else None
-        liq = analytics.liquidity_metrics(_issuer_portfolio(scn, book), day)
+        liq = analytics.holdings_liquidity(_issuer_holdings(world, book, repos, day))
         if sheet.equity < 0 and book.insolvency_day is None:
             book.insolvency_day = day
             world.emit("insolvent", issuer=key, equity=sheet.equity)

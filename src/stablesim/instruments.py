@@ -20,17 +20,17 @@ whole settlement pass is written by one post).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .ledger import (DURATION_NAME, DURATIONS, AgentId, DurationClass, LedgerWorld,
-                     TransferBatch, event_form, repo_key)
+from .ledger import (DURATION_NAME, DURATIONS, AgentId, DurationClass, InsufficientPosition,
+                     LedgerWorld, TransferBatch, repo_key)
 from .money import MICRO, Amount, ceil_div, mul_div, mul_frac
 
 GENIUS_MAX_BILL_DAYS = 93
 # the pledged collateral of a new repo, and the classes a declined roll
 # sells: micro fractions of the value, 75% long off-the-run, 25% bills
 PLEDGE_MIX = {DurationClass.BILL: 250_000, DurationClass.LONG: 750_000}
-_REPO_ROLL = event_form("repo_roll", ("lender", "borrower", "principal", "rate", "interest"))
 
 
 class InstrumentError(Exception):
@@ -110,7 +110,8 @@ def default_loss(principal: Amount, haircut: int, decline: int) -> Amount:
 
 
 class RepoRegistry:
-    """Open repo positions plus per-agent collateral encumbrance.
+    """Open repo positions plus per-agent collateral encumbrance, indexed
+    by second-leg day and by lender.
 
     Only this module writes them; other modules read them and hand a
     second leg that failed to `postpone`."""
@@ -119,14 +120,22 @@ class RepoRegistry:
         self._next_id = 0
         self.positions: dict[int, RepoPosition] = {}
         self.encumbered: dict[tuple[str, DurationClass], int] = {}
+        # second-leg day -> id -> position, and lender key -> id -> position
+        self._due_on: dict[int, dict[int, RepoPosition]] = defaultdict(dict)
+        self._lent_by: dict[str, dict[int, RepoPosition]] = defaultdict(dict)
 
     def open_positions(self) -> list[RepoPosition]:
         # ids only grow, so insertion order is id order
         return list(self.positions.values())
 
+    def due(self, day: int) -> list[RepoPosition]:
+        """The open positions whose second leg falls on `day`, in id order."""
+        bucket = self._due_on.get(day, {})
+        return [bucket[repo_id] for repo_id in sorted(bucket)]
+
     def by_lender(self, lender: AgentId) -> list[RepoPosition]:
-        key = lender.key
-        return [p for p in self.open_positions() if p.lender.key == key]
+        """`lender`'s open positions, in id order."""
+        return list(self._lent_by.get(lender.key, {}).values())
 
     def free_face(self, world: LedgerWorld | TransferBatch, agent: AgentId,
                   duration: DurationClass) -> int:
@@ -134,12 +143,16 @@ class RepoRegistry:
         return world.face_of(agent, duration) - self.encumbered.get((agent.key, duration), 0)
 
     def total_principal(self, lender: AgentId) -> Amount:
-        return sum(p.principal for p in self.by_lender(lender))
+        return sum(p.principal for p in self._lent_by.get(lender.key, {}).values())
 
-    def postpone(self, world: LedgerWorld, pos: RepoPosition, leg: str, err: Exception) -> None:
-        """Log a second leg that failed today and move it to the next day."""
-        world.emit("leg_failed", leg=leg, cause=str(err), repo_id=pos.repo_id)
+    def postpone(self, log: LedgerWorld | TransferBatch, pos: RepoPosition, leg: str,
+                 err: Exception) -> None:
+        """Log a second leg that failed today, on a world or a batch, and
+        move it to the next day."""
+        log.emit("leg_failed", leg=leg, cause=str(err), repo_id=pos.repo_id)
+        self._undue(pos)
         pos.second_leg_day += 1
+        self._due_on[pos.second_leg_day][pos.repo_id] = pos
 
     def _check_due(self, world: LedgerWorld, pos: RepoPosition) -> None:
         if world.day != pos.second_leg_day:
@@ -157,16 +170,45 @@ class RepoRegistry:
             open_day=world.day, second_leg_day=world.day + term,
         )
         self._next_id += 1
-        self.positions[pos.repo_id] = pos
+        self._index(pos)
         for duration, face in collateral.items():
             self._pledge(pos, duration, face)
         return pos
 
     def _remove(self, pos: RepoPosition) -> None:
         """Drop a settled position and release its collateral."""
-        del self.positions[pos.repo_id]
+        self._unindex(pos)
         for duration, face in pos.collateral.items():
             self._encumber(pos.borrower, duration, -face)
+
+    def _reopen(self, pos: RepoPosition, day: int, rate: int, collateral: dict) -> None:
+        """Reopen `pos` overnight on `day` under the next id at `rate`,
+        pledging `collateral` in place of its old collateral."""
+        self._unindex(pos)
+        old, borrower = pos.collateral, pos.borrower
+        for duration in DURATIONS:
+            if face := collateral.get(duration, 0) - old.get(duration, 0):
+                self._encumber(borrower, duration, face)
+        pos.repo_id, pos.rate, pos.collateral = self._next_id, rate, collateral
+        pos.open_day, pos.second_leg_day = day, day + 1
+        self._next_id += 1
+        self._index(pos)
+
+    def _index(self, pos: RepoPosition) -> None:
+        self.positions[pos.repo_id] = pos
+        self._due_on[pos.second_leg_day][pos.repo_id] = pos
+        self._lent_by[pos.lender.key][pos.repo_id] = pos
+
+    def _unindex(self, pos: RepoPosition) -> None:
+        del self.positions[pos.repo_id]
+        del self._lent_by[pos.lender.key][pos.repo_id]
+        self._undue(pos)
+
+    def _undue(self, pos: RepoPosition) -> None:
+        bucket = self._due_on[pos.second_leg_day]
+        del bucket[pos.repo_id]
+        if not bucket:
+            del self._due_on[pos.second_leg_day]
 
     def _pledge(self, pos: RepoPosition, duration: DurationClass, face: int) -> None:
         pos.collateral[duration] = pos.collateral.get(duration, 0) + face
@@ -191,7 +233,8 @@ def open_reverse_repo(world: LedgerWorld, registry: RepoRegistry,
     borrower pledges in `PLEDGE_MIX`."""
     if term < 1:
         raise InstrumentError("term must be at least one day")
-    faces = _size_collateral(world, registry, borrower, principal, haircut, PLEDGE_MIX, {})
+    faces = _size_collateral(world, registry, borrower, principal, haircut,
+                             PLEDGE_MIX.items(), MICRO, {})
     lender_deposits = world.deposits(lender)
     if lender_deposits < principal:
         raise InsufficientCash(f"{lender} holds {lender_deposits}, needs {principal}")
@@ -245,55 +288,78 @@ def _unwind_principal(world: LedgerWorld, pos: RepoPosition, event: str, **field
 
 def roll_repo(world: LedgerWorld, registry: RepoRegistry, pos: RepoPosition,
               new_rate: int) -> RepoPosition:
-    """Close the maturing position at par and reopen overnight.
+    """Close the maturing position at par and reopen it overnight: the
+    step of `roll_repos` for one position, written at once.
 
     Only interest changes hands: the closing and opening principal legs
     between the same parties net to zero, so the ledger sees a single
-    interest payment while the position record is replaced with
-    re-marked collateral. The new collateral is sized counting the old
-    position's faces as free; negative interest is paid by the lender.
-    A roll that fails leaves the book untouched.
+    interest payment while the position is renumbered under the next id
+    with re-marked collateral. The new collateral is sized counting the
+    old position's faces as free; negative interest is paid by the
+    lender. A roll that fails raises and leaves the book untouched.
     """
+    batch = TransferBatch(world)
+    _roll(batch, registry, pos, new_rate)
+    batch.commit()
+    return pos
+
+
+def roll_repos(world: LedgerWorld, registry: RepoRegistry, positions: list,
+               new_rate: int) -> None:
+    """Roll `positions` in order, as `roll_repo` would one by one, with
+    their interest and events staged on one batch. A roll that fails is
+    postponed instead, its `leg_failed` row in its place in the log."""
+    batch = TransferBatch(world)
+    for pos in positions:
+        try:
+            _roll(batch, registry, pos, new_rate)
+        except (InsufficientPosition, InstrumentError) as err:
+            registry.postpone(batch, pos, "repo_roll", err)
+    batch.commit()
+
+
+def _roll(batch: TransferBatch, registry: RepoRegistry, pos: RepoPosition,
+          new_rate: int) -> None:
+    world = batch.world
     registry._check_due(world, pos)
-    prices = world.tbill_prices
-    values = {duration: mul_frac(face, prices[duration])
-              for duration, face in pos.collateral.items()}
-    total = sum(values.values())
-    mix = PLEDGE_MIX if total <= 0 else {
-        duration: mul_div(value, MICRO, total) for duration, value in values.items()}
-    new_collateral = _size_collateral(world, registry, pos.borrower, pos.principal,
-                                      pos.haircut, mix, pos.collateral)
+    prices, old = world.tbill_prices, pos.collateral
+    # the mix of the collateral at today's prices, else the pledge mix
+    values = [(d, mul_frac(old[d], prices[d])) for d in DURATIONS if d in old]
+    if (total := sum([value for _, value in values])) <= 0:
+        values, total = PLEDGE_MIX.items(), MICRO
+    collateral = _size_collateral(world, registry, pos.borrower, pos.principal,
+                                  pos.haircut, values, total, old)
     interest = pos.interest()
     if interest > 0:
-        world.transfer_deposit(pos.borrower, pos.lender, interest)
+        batch.pay(pos.borrower, pos.lender, interest)
     elif interest < 0:
-        world.transfer_deposit(pos.lender, pos.borrower, -interest)
-    world.emit_all(((_REPO_ROLL, (pos.lender.key, pos.borrower.key, pos.principal,
-                                  new_rate, interest)),))
-    registry._remove(pos)
-    return registry._add(world, pos.lender, pos.borrower, pos.principal, pos.haircut,
-                         new_rate, 1, new_collateral)
+        batch.pay(pos.lender, pos.borrower, -interest)
+    batch.emit("repo_roll", lender=pos.lender.key, borrower=pos.borrower.key,
+               principal=pos.principal, rate=new_rate, interest=interest)
+    registry._reopen(pos, world.day, new_rate, collateral)
 
 
 def _size_collateral(world: LedgerWorld, registry: RepoRegistry, borrower: AgentId,
-                     principal: Amount, haircut: int, mix: dict, freed: dict) -> dict:
-    """Faces pledging `principal` plus haircut, split by `mix`, micro
-    fractions per class; the last class takes the rest. `freed` faces
-    per class count as free on top of the borrower's unencumbered ones."""
+                     principal: Amount, haircut: int, weights, total: int,
+                     freed: dict) -> dict:
+    """Faces pledging `principal` plus haircut, split by `weights`, pairs
+    `(class, weight)` in class order: a class takes its weight's micro
+    fraction of `total`, the last class the rest. `freed` faces per class
+    count as free on top of the borrower's unencumbered ones."""
     need = required_collateral(principal, haircut)
     faces: dict[DurationClass, int] = {}
-    pledged = 0
-    classes = [d for d in DURATIONS if d in mix]
-    for i, duration in enumerate(classes):
-        target = need - pledged if i == len(classes) - 1 else mul_frac(need, mix[duration])
-        price = world.price(duration)
+    pledged, last, prices = 0, len(weights) - 1, world.tbill_prices
+    for i, (duration, weight) in enumerate(weights):
+        target = need - pledged if i == last else mul_frac(need, mul_div(weight, MICRO, total))
+        price = prices[duration]
         free = registry.free_face(world, borrower, duration) + freed.get(duration, 0)
         face = min(ceil_div(target * MICRO, price), free)
-        faces[duration] = face
+        if face:
+            faces[duration] = face
         pledged += mul_frac(face, price)
     if pledged < need:
         raise InsufficientCollateral(f"{borrower} pledges {pledged}, needs {need}")
-    return {d: f for d, f in faces.items() if f}
+    return faces
 
 
 def mark_treasuries(world: LedgerWorld, registry: RepoRegistry, price_tick: int,

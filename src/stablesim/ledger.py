@@ -417,45 +417,66 @@ class LedgerWorld:
         """Apply a batch of legs atomically; log no event.
 
         `staged` holds the legs summed per position, `{(agent key, side,
-        key): delta}` with side 'A' (asset) or 'L' (liability). All legs are
-        validated first: agents must exist and no position may go negative.
-        Only then are balances and stored equity updated, so an error cannot
-        leave a half-applied batch. Each written sheet's `version` is bumped
-        and, once `audit_changes()` has started the log, the batch's deltas
-        are appended to `changes`. A coin balance that crosses zero updates
-        `coin_holders`.
+        key): delta}` with side 'A' (asset) or 'L' (liability). Each leg is
+        checked and written in one pass; a leg of an unknown agent, or one
+        taking a position below zero, takes back the legs before it and
+        raises `UnknownAgent` if any leg names one, else
+        `InsufficientPosition`, so a failed batch changes nothing (positions
+        reaching zero are dropped after the pass, keeping key order). Each
+        written sheet's `version` is bumped and, once `audit_changes()` has
+        started the log, the batch's deltas are appended to `changes`. A
+        coin balance that crosses zero updates `coin_holders`.
         """
-        agents = self.agents
-        for agent_key, _, _ in staged:
-            if agent_key not in agents:
-                raise UnknownAgent(f"unknown agent {agent_key}")
-        writes = []   # (agent key, side, key, delta, sheet, its side's positions, new)
-        for (agent_key, side, key), delta in staged.items():
-            book = agents[agent_key]
-            positions = book.assets if side == "A" else book.liabilities
-            current = positions.get(key, 0)
-            if current + delta < 0:
-                raise InsufficientPosition(agent_key, key, current, -delta)
-            if delta:
-                writes.append((agent_key, side, key, delta, book, positions, current + delta))
-        joined: dict[str, list[str]] = {}   # coin key -> its new holders
-        for agent_key, side, key, delta, book, positions, new in writes:
-            if new == 0:
-                del positions[key]
-            else:
-                positions[key] = new
-            book.equity += delta if side == "A" else -delta
-            book.version += 1
-            if side == "A" and (new == 0 or new == delta) and key.startswith("coin@"):
-                if new:
-                    joined.setdefault(key, []).append(agent_key)
-                else:
-                    holders = self.coin_holders[key]
-                    del holders[bisect.bisect_left(holders, agent_key)]
+        agents, emptied, left = self.agents, [], []
+        joined: dict[str, list[str]] = defaultdict(list)   # coin key -> its new holders
+        for leg, delta in staged.items():
+            agent_key, side, key = leg
+            if (book := agents.get(agent_key)) is not None:
+                positions = book.assets if side == "A" else book.liabilities
+                current = positions.get(key, 0)
+                if (new := current + delta) >= 0:
+                    if delta:
+                        positions[key] = new
+                        book.equity += delta if side == "A" else -delta
+                        book.version += 1
+                        if not new:
+                            emptied.append((positions, key))
+                        if (not new or not current) and side == "A" and key.startswith("coin@"):
+                            if new:
+                                joined[key].append(agent_key)
+                            else:
+                                left.append((key, agent_key))
+                    continue
+            self._undo(staged, leg)
+            for unknown, _, _ in staged:
+                if unknown not in agents:
+                    raise UnknownAgent(f"unknown agent {unknown}")
+            raise InsufficientPosition(agent_key, key, current, -delta)
+        for positions, key in emptied:
+            del positions[key]
+        for key, agent_key in left:
+            holders = self.coin_holders[key]
+            del holders[bisect.bisect_left(holders, agent_key)]
         for key, keys in joined.items():
             self.coin_holders[key] = sorted(self.coin_holders.get(key, []) + keys)
         if self.changes is not None:
             self.changes.append(staged)
+
+    def _undo(self, staged: dict, stop: tuple) -> None:
+        """Take back the legs of `staged` that `post` wrote before `stop`; no
+        position is stored at zero, so one taken back to zero was opened."""
+        for leg, delta in staged.items():
+            if leg is stop:
+                return
+            if delta:
+                book, (_, side, key) = self.agents[leg[0]], leg
+                positions = book.assets if side == "A" else book.liabilities
+                if old := positions[key] - delta:
+                    positions[key] = old
+                else:
+                    del positions[key]
+                book.equity -= delta if side == "A" else -delta
+                book.version -= 1
 
     # -- settlement rails ----------------------------------------------------
 
@@ -513,14 +534,15 @@ class LedgerWorld:
         banks, bank_f = self.banks, self.banks[src].key
         staged, events, total = {}, [], 0   # staged: as `post` takes legs
         moved: dict[str, int] = {}   # payee bank key -> amount, other banks than the issuer's
+        get = staged.get
         for holder, amount, note in payouts:
             if amount <= 0:
                 raise LedgerError("payout amount must be positive")
             held_t, owed_t = self._deposit_keys(holder)
             bank_t, dst = banks[holder.key].key, holder.key
-            for leg, delta in (((dst, "A", coin), -amount), ((dst, "A", held_t), amount),
-                               ((bank_t, "L", owed_t), amount)):
-                staged[leg] = staged.get(leg, 0) + delta
+            staged[leg] = get(leg := (dst, "A", coin), 0) - amount
+            staged[leg] = get(leg := (dst, "A", held_t), 0) + amount
+            staged[leg] = get(leg := (bank_t, "L", owed_t), 0) + amount
             total += amount
             if bank_t != bank_f:
                 moved[bank_t] = moved.get(bank_t, 0) + amount

@@ -28,7 +28,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from .instruments import (InstrumentError, RepoRegistry, close_or_default_repo,
-                          deliver_tbills, open_reverse_repo, roll_repo)
+                          deliver_tbills, open_reverse_repo, roll_repos)
 from .ledger import (AgentId, AgentKind, DurationClass, InsufficientPosition, LedgerWorld,
                      TransferBatch, coin_key, event_form)
 from .money import MICRO, PAR, Amount, mul_frac
@@ -130,7 +130,7 @@ def intervene(policy: ParPolicy, secondary_price: int, world: LedgerWorld,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class OpenRequest:
     request_id: int
     holder: AgentId
@@ -245,7 +245,7 @@ class SettlementEngine:
             book.pin_target = PAR
 
     def coins_outstanding(self, issuer: AgentId) -> Amount:
-        return self.world.sheet(issuer).liability(coin_key(issuer))
+        return self.world.sheet(issuer).liabilities.get(self.world.coin_keys[issuer.key], 0)
 
     def redeemable(self, holder: AgentId, issuer: AgentId) -> Amount:
         """Coins the holder has not yet promised to an open request."""
@@ -273,13 +273,14 @@ class SettlementEngine:
                 raise SettlementError("redemption amount must be positive")
         issuer, day, committed = book.agent.key, self.world.day, self.committed
         request_id, records, events, total = self._next_request, [], [], 0
+        route = route.value
         for holder, amount in slices:
             records.append(OpenRequest(request_id, holder, amount, day,
                                        is_intervention=is_intervention))
             key = (holder.key, issuer)
             committed[key] = committed.get(key, 0) + amount
             events.append((_REDEMPTION_REQUEST, (request_id, issuer, holder.key, amount,
-                                                 route.value, is_intervention)))
+                                                 route, is_intervention)))
             request_id += 1
             total += amount
         self._next_request = request_id
@@ -319,35 +320,44 @@ class SettlementEngine:
         prices fall between clearing and settlement).
         """
         world, instructions = self.world, []
+        deposits_only, sale, nonroll = (Funding.FROM_DEPOSITS.value, Funding.SELL_TREASURIES.value,
+                                        Funding.REPO_NON_ROLLOVER.value)
         for key, book in self.issuers.items():
             if book.config.chain in suspended_chains or not book.open:
                 continue
             deposits, held = world.deposits(book.agent), world.tbill_value(book.agent)
+            # the trackers planning moves, written back after the pass; spare
+            # deposits are neither pooled nor earmarked, unsold bills neither
+            # in transit nor ordered
+            earmarked, inflight, nonroll_pending = (book.earmarked, book.inflight_orders,
+                                                    book.nonroll_pending)
+            spare, unsold = deposits - book.pool, held - book.in_transit
             events, needs = [], 0
             for record in book.open:
                 if not record.planned:
                     amount = record.amount
-                    d = min(amount, max(0, deposits - book.earmarked - book.pool))
-                    s = min(amount - d, max(0, held - book.inflight_orders - book.in_transit))
+                    d = min(amount, max(0, spare - earmarked))
+                    s = min(amount - d, max(0, unsold - inflight))
                     # the rest is committed to repo non-rollover regardless of
                     # solvency; uncollectable needs leave the request queued
                     # and show up as delay
                     n = amount - d - s
-                    funding = (Funding.REPO_NON_ROLLOVER if n > 0 else
-                               Funding.SELL_TREASURIES if s > 0 else Funding.FROM_DEPOSITS)
+                    funding = nonroll if n > 0 else sale if s > 0 else deposits_only
                     horizon = 1 if s > 0 else 0
                     record.planned = True
                     record.deposit_left = d
                     record.pool_left = s + n
                     record.horizon = horizon
-                    book.earmarked += d
-                    book.nonroll_pending += n
-                    events.append((_PLAN_CREATED, (record.request_id, key, funding.value,
+                    earmarked += d
+                    nonroll_pending += n
+                    events.append((_PLAN_CREATED, (record.request_id, key, funding,
                                                    d, s, n, horizon)))
                     if s > 0:
-                        book.inflight_orders += s
+                        inflight += s
                         instructions.append(SaleInstruction(book.agent, s, DurationClass.BILL))
                 needs += record.pool_left
+            book.earmarked, book.inflight_orders, book.nonroll_pending = (
+                earmarked, inflight, nonroll_pending)
             world.emit_all(events)
             shortfall = needs - (book.pool + book.inflight_orders + book.in_transit
                                  + book.nonroll_pending)
@@ -393,35 +403,36 @@ class SettlementEngine:
         declined principal lands in the proceeds pool.
         """
         gaps: list[GapInstruction] = []
-        day = self.world.day
-        due = [p for p in self.registry.positions.values() if p.second_leg_day == day]
-        for pos in due:
+        world, registry, rate = self.world, self.registry, self.rates.repo_rate_daily
+        rolls = []   # the rolls since the last decline, written before the next one
+        for pos in registry.due(world.day):
             book = self.issuers.get(pos.lender.key)
             if book is None or book.nonroll_pending <= 0:
-                try:
-                    roll_repo(self.world, self.registry, pos, self.rates.repo_rate_daily)
-                except (InsufficientPosition, InstrumentError) as err:
-                    self.registry.postpone(self.world, pos, "repo_roll", err)
+                rolls.append(pos)
                 continue
+            if rolls:
+                roll_repos(world, registry, rolls, rate)
+                rolls = []
             decline = min(book.nonroll_pending, pos.principal)
             keep = pos.principal - decline
             try:
-                close_or_default_repo(self.world, self.registry, pos, True)
+                close_or_default_repo(world, registry, pos, True)
             except InsufficientPosition as err:
-                self.registry.postpone(self.world, pos, "repo_second_leg", err)
+                registry.postpone(world, pos, "repo_second_leg", err)
                 continue
             book.pool += decline
             book.nonroll_pending -= decline
             if keep > 0:
                 # re-lend the undeclined balance overnight
                 try:
-                    open_reverse_repo(self.world, self.registry, pos.lender,
-                                      pos.borrower, keep, pos.haircut,
-                                      self.rates.repo_rate_daily, term=1)
+                    open_reverse_repo(world, registry, pos.lender, pos.borrower, keep,
+                                      pos.haircut, rate, term=1)
                 except (InsufficientPosition, InstrumentError) as err:
-                    self.world.emit("leg_failed", leg="repo_relend", cause=str(err),
-                                    repo_id=pos.repo_id)
+                    world.emit("leg_failed", leg="repo_relend", cause=str(err),
+                               repo_id=pos.repo_id)
             gaps.append(GapInstruction(pos.borrower, decline))
+        if rolls:
+            roll_repos(world, registry, rolls, rate)
         return gaps
 
     # -- payout -----------------------------------------------------------------
@@ -443,7 +454,7 @@ class SettlementEngine:
         """
         day, committed = self.world.day, self.committed
         for key, book in self.issuers.items():
-            if book.config.chain in suspended_chains:
+            if not book.open or book.config.chain in suspended_chains:
                 continue
             chunks, pool, earmarked = self._size_chunks(book)
             if not chunks:
@@ -451,24 +462,29 @@ class SettlementEngine:
             self.world.redeem_coins(book.agent, [(record.holder, chunk, note)
                                                  for record, chunk, _, note in chunks])
             book.pool, book.earmarked = pool, earmarked
+            total = bought = 0
             for record, chunk, deposit_part, _ in chunks:
                 record.deposit_left -= deposit_part
                 record.pool_left -= chunk - deposit_part
                 record.paid += chunk
-                book.day_completed += chunk
-                book.total_completed += chunk
+                total += chunk
                 owed = (record.holder.key, key)
-                committed[owed] -= chunk
-                if not committed[owed]:
+                if left := committed[owed] - chunk:
+                    committed[owed] = left
+                else:
                     del committed[owed]
                 if record.is_intervention:
-                    book.day_int_buy_completed += chunk
-                if record.completed and record.delay(day) > 0:
-                    book.max_delay_days = max(book.max_delay_days, record.delay(day))
+                    bought += chunk
+                if record.paid == record.amount and (
+                        delay := day - record.submitted_day - record.horizon) > 0:
+                    book.max_delay_days = max(book.max_delay_days, delay)
                     if not record.counted_delayed:
                         record.counted_delayed = True
                         book.delayed_total += record.amount
-            book.open = [r for r in book.open if not r.completed]
+            book.day_completed += total
+            book.total_completed += total
+            book.day_int_buy_completed += bought
+            book.open = [r for r in book.open if r.paid != r.amount]
 
     def _size_chunks(self, book: IssuerBook) -> tuple:
         """The chunks a pass pays `book`'s open requests, oldest first, as
@@ -476,9 +492,9 @@ class SettlementEngine:
         left after them; `note` is the request's `redemption_completed`
         or `redemption_partial` event as `(form, values)`. Reads the
         world and changes nothing."""
-        world, issuer = self.world, book.agent
-        coin = world.coin_keys[issuer.key]
-        deposits = world.deposits(issuer)
+        world, issuer = self.world, book.agent.key
+        day, agents, coin = world.day, world.agents, world.coin_keys[issuer]
+        deposits = world.deposits(book.agent)
         pool, earmarked = book.pool, book.earmarked
         coins_left: dict[str, Amount] = {}   # holder key -> coins after earlier chunks
         chunks = []
@@ -488,23 +504,23 @@ class SettlementEngine:
             holder = record.holder.key
             held = coins_left.get(holder)
             if held is None:
-                held = world.agents[holder].assets.get(coin, 0)
+                held = agents[holder].assets.get(coin, 0)
             # a planned request's unpaid funding adds up to its remaining amount
+            deposit_left = record.deposit_left
             pool_chunk = min(record.pool_left, max(pool, deposits - earmarked))
-            chunk = min(record.deposit_left + pool_chunk, deposits, held)
+            chunk = min(deposit_left + pool_chunk, deposits, held)
             if chunk <= 0:
                 continue
-            deposit_part = min(chunk, record.deposit_left)
+            deposit_part = min(chunk, deposit_left)
             coins_left[holder] = held - chunk
             deposits -= chunk
             earmarked = max(0, earmarked - deposit_part)
             pool = max(0, pool - (chunk - deposit_part))
-            remaining = record.remaining - chunk
-            if remaining == 0:
-                note = (_REDEMPTION_COMPLETED, (record.request_id, issuer.key, holder,
-                                                record.amount, max(0, record.delay(world.day))))
+            if remaining := record.amount - record.paid - chunk:
+                note = (_REDEMPTION_PARTIAL, (record.request_id, issuer, chunk, remaining))
             else:
-                note = (_REDEMPTION_PARTIAL, (record.request_id, issuer.key, chunk, remaining))
+                note = (_REDEMPTION_COMPLETED, (record.request_id, issuer, holder, record.amount,
+                                                max(0, day - record.submitted_day - record.horizon)))
             chunks.append((record, chunk, deposit_part, note))
         return chunks, pool, earmarked
 

@@ -1,12 +1,16 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablesim.analytics import (CapitalBand, NonPositiveAssets,
                                  NonPositiveDenominator, classify_fdicia,
-                                 leverage_ratio, liquidity_metrics, slr)
+                                 holdings_liquidity, leverage_ratio, liquidity_metrics, slr)
+from stablesim.engine import _issuer_holdings
 from stablesim.instruments import PortfolioState, RepoPosition, TreasuryBill
-from stablesim.ledger import AgentId, AgentKind
+from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, LedgerWorld, deposit_key,
+                              reserves_key)
 from stablesim.money import MICRO
 
 
@@ -156,3 +160,45 @@ def test_dla_never_exceeds_wla_and_trimming_long_raises_wla(holdings):
                             treasury_price=MICRO, deposits=0,
                             rate_treasury=0, rate_deposit=0, bills=trimmed)
         assert liquidity_metrics(p2, today=0).wla_frac >= report.wla_frac
+
+
+BANK = AgentId(AgentKind.BANK, 0)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(deposits=st.integers(0, 10**9), bills=st.integers(0, 10**9), longs=st.integers(0, 10**9),
+       prices=st.tuples(st.integers(1, 2 * MICRO), st.integers(1, 2 * MICRO)),
+       maturity=st.integers(1, 400), today=st.integers(0, 2_000),
+       repos=st.lists(st.tuples(st.integers(0, 10**9), st.integers(-5, 30)), max_size=6))
+def test_issuer_holdings_agree_with_the_portfolio_liquidity(deposits, bills, longs, prices,
+                                                            maturity, today, repos):
+    """Phase 11 reads an issuer's liquidity from `(value, days)` holdings
+    built off the world; they give the report of the `PortfolioState`
+    with the same deposits, bills, long Treasuries and repos, empty books
+    included."""
+    world = LedgerWorld()
+    for agent, bank in ((FED, None), (BANK, None), (LENDER, BANK)):
+        world.add_agent(agent, bank=bank)
+    if deposits:
+        world.post({(FED.key, "A", "govt"): deposits,
+                    (FED.key, "L", reserves_key(BANK)): deposits,
+                    (BANK.key, "A", reserves_key()): deposits,
+                    (BANK.key, "L", deposit_key(LENDER)): deposits,
+                    (LENDER.key, "A", deposit_key(BANK)): deposits})
+    held = []
+    for duration, face, price, days in ((DurationClass.BILL, bills, prices[0], maturity),
+                                        (DurationClass.LONG, longs, prices[1], 365 * 5)):
+        if face:
+            world.grant_tbill(LENDER, duration, face)
+            held.append(TreasuryBill(face=face, maturity_day=days, market_price=price))
+        world.remark_tbills(duration, price)
+    book = [RepoPosition(repo_id=i, lender=LENDER, borrower=DEALER, principal=principal,
+                         haircut=20_000, rate=0, open_day=today, second_leg_day=today + days)
+            for i, (principal, days) in enumerate(repos)]
+    portfolio = PortfolioState(treasury_face=bills + longs, treasury_price=prices[0],
+                               deposits=deposits, rate_treasury=0, rate_deposit=0,
+                               repo_principal=sum(p.principal for p in book),
+                               bills=held, repos=book)
+    issuer = SimpleNamespace(agent=LENDER, config=SimpleNamespace(bill_maturity_days=maturity))
+    assert holdings_liquidity(_issuer_holdings(world, issuer, book, today)) == \
+        liquidity_metrics(portfolio, today)

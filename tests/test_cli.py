@@ -310,6 +310,10 @@ REJECTED = [
     # a dealer named like the issuer to share its daily.csv rows
     ("agents/holders/0/name", "bank_a", "agents.holders[bank_a].name"),
     ("agents/dealers/0/name", "usdx", "agents.dealers[usdx].name"),
+    # a capped decline of half or more rounds a price of 1 micro to 0: the
+    # run used to pass validate and then fail its ledger mid-run
+    ("market/max_dislocation_bp", 5_000, "market.max_dislocation_bp"),
+    ("market/max_dislocation_bp", 9_999, "market.max_dislocation_bp"),
 ]
 
 

@@ -218,6 +218,8 @@ BAD_INPUTS = [
     ("market/bill_safety_lift", -1, "market.bill_safety_lift"),
     ("market/eslr_capacity_add", -1, "market.eslr_capacity_add"),
     ("market/max_dislocation_bp", -100, "market.max_dislocation_bp"),
+    ("market/max_dislocation_bp", 5_000, "market.max_dislocation_bp"),
+    ("market/max_dislocation_bp", 9_999, "market.max_dislocation_bp"),
     ("market/max_dislocation_bp", 10_000, "market.max_dislocation_bp"),
     ("market/max_dislocation_bp", 20_000, "market.max_dislocation_bp"),
     ("market/replacement_frac", -1, "market.replacement_frac"),
@@ -278,12 +280,12 @@ def test_signed_rates_and_sections_left_out_parse():
 
 def test_market_values_at_their_bounds_parse():
     raw = minimal_raw()
-    raw["market"].update(max_dislocation_bp=9_999, replacement_frac=1_000_000,
+    raw["market"].update(max_dislocation_bp=4_999, replacement_frac=1_000_000,
                          offload_frac=1_000_000, retention_frac=0, impact_coeff_bill=0,
                          impact_coeff_long=0, bill_safety_lift=0, eslr_capacity_add=0)
     market = parse_config(raw).market
     assert (market.max_dislocation_bp, market.replacement_frac, market.offload_frac) == (
-        9_999, 1_000_000, 1_000_000)
+        4_999, 1_000_000, 1_000_000)
 
 
 def test_misspelled_field_is_rejected_not_defaulted():

@@ -10,7 +10,7 @@ from stablesim.instruments import (GENIUS_MAX_BILL_DAYS, InsufficientCollateral,
                                    InsufficientCash, PortfolioState, RepoRegistry, WrongDay,
                                    close_or_default_repo, default_loss, deliver_tbills,
                                    mark_treasuries, open_reverse_repo,
-                                   required_collateral, roll_repo, step_portfolio)
+                                   required_collateral, roll_repo, roll_repos, step_portfolio)
 from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, InsufficientPosition,
                               LedgerWorld, TransferBatch, deposit_key, reserves_key)
 from stablesim.money import MICRO, mul_div, mul_frac
@@ -159,6 +159,44 @@ def test_roll_failing_on_interest_cash_leaves_the_book_untouched():
     with pytest.raises(InsufficientPosition):
         roll_repo(world, registry, pos, new_rate=2_000)
     assert repo_book(world, registry) == before
+
+
+def test_roll_pass_postpones_only_the_roll_that_fails():
+    """A pass rolls as rolls one by one would: the middle roll's borrower
+    has no free face left after a fall in prices, so that roll alone is
+    postponed, its `leg_failed` row between its neighbours' rows, and
+    the roll after it still pays its interest and takes the next id."""
+    short = AgentId(AgentKind.BROKER_DEALER, 1)
+    world = repo_world(dealer_bills=30_000_00, dealer_long=90_000_00)
+    world.add_agent(short, bank=BANK)
+    world.transfer_deposit(ISSUER, short, 1_000_00)
+    world.grant_tbill(short, DurationClass.BILL, 2_550_00)
+    world.grant_tbill(short, DurationClass.LONG, 7_650_00)
+    registry = RepoRegistry()
+    positions = [open_reverse_repo(world, registry, ISSUER, borrower, 10_000_00,
+                                   haircut=20_000, rate=1_000, term=1)
+                 for borrower in (DEALER, short, DEALER)]
+    assert registry.free_face(world, short, DurationClass.BILL) == 0
+    mark_treasuries(world, registry, -10_000)
+    world.day = 1
+    one_by_one = copy.deepcopy((world, registry))
+    roll_repos(world, registry, positions, new_rate=2_000)
+
+    single, singles = one_by_one
+    for pos in singles.open_positions():
+        try:
+            roll_repo(single, singles, pos, new_rate=2_000)
+        except InsufficientCollateral as err:
+            singles.postpone(single, pos, "repo_roll", err)
+    assert repo_book(world, registry) == repo_book(single, singles)
+    assert [(p.repo_id, p.borrower, p.second_leg_day) for p in registry.due(2)] == [
+        (1, short, 2), (3, DEALER, 2), (4, DEALER, 2)]
+    rows = [(e["type"], e.get("leg"), e.get("src")) for e in world.events][-5:]
+    assert rows == [("transfer", None, DEALER.key), ("repo_roll", None, None),
+                    ("leg_failed", "repo_roll", None),
+                    ("transfer", None, DEALER.key), ("repo_roll", None, None)]
+    assert registry.open_positions() == registry.by_lender(ISSUER) == registry.due(2)
+    assert world.audit().ok
 
 
 def test_roll_at_negative_rate_pays_interest_to_the_borrower():

@@ -47,10 +47,11 @@ def deposit_total(world):
 
 
 def world_state(world):
-    """Everything a transfer could write: sheets, faces, prices, clock,
-    events, versions and the change log."""
+    """Everything a transfer could write: sheets and the order of their
+    keys, faces, prices, clock, events, versions and the change log."""
     return (world.snapshot().to_json(), list(world.events.lines()),
-            {key: book.version for key, book in world.agents.items()},
+            {key: (book.version, list(book.assets), list(book.liabilities))
+             for key, book in world.agents.items()},
             world.changes, world.coin_holders)
 
 
@@ -206,19 +207,41 @@ def test_redeem_coins_writes_and_logs_what_the_rails_do():
     assert world.audit_changes().ok
 
 
-@pytest.mark.parametrize("payouts, error", [
-    pytest.param([(HOLDER, 400_00, NOTES[0]), (HOLDER, 300_00, NOTES[1])],
+def redeem(*payouts):
+    return lambda world: world.redeem_coins(ISSUER, list(payouts))
+
+
+# legs `post` writes before a short leg, then an unknown agent's: a
+# sheet's first key written to zero, the holder leaving the coin's
+# holders, a position opened; all of them are taken back, in place, and
+# the unknown agent is named
+SHORT_BEFORE_UNKNOWN = {
+    (HOLDER.key, "A", deposit_key(BANK_A)): -5_000_00,
+    (HOLDER_B.key, "A", coin_key(ISSUER)): -200_00,
+    (ISSUER.key, "L", coin_key(ISSUER)): -200_00,
+    (HOLDER_B.key, "A", deposit_key(BANK_B)): 200_00,
+    (BANK_B.key, "L", deposit_key(HOLDER_B)): 200_00,
+    (HOLDER.key, "A", coin_key(ISSUER)): -700_00,
+    ("holder:9", "A", coin_key(ISSUER)): 1,
+}
+
+
+@pytest.mark.parametrize("write, error", [
+    pytest.param(redeem((HOLDER, 400_00, NOTES[0]), (HOLDER, 300_00, NOTES[1])),
                  InsufficientPosition, id="coins_short_in_sum"),
-    pytest.param([(HOLDER, 600_00, NOTES[0]), (HOLDER_B, 200_00, NOTES[1]),
-                  (HOLDER, 0, NOTES[2])], LedgerError, id="zero_payout"),
-    pytest.param([(HOLDER, 100_00, NOTES[0]), (AgentId(AgentKind.HOLDER, 9), 1, NOTES[1])],
+    pytest.param(redeem((HOLDER, 600_00, NOTES[0]), (HOLDER_B, 200_00, NOTES[1]),
+                        (HOLDER, 0, NOTES[2])), LedgerError, id="zero_payout"),
+    pytest.param(redeem((HOLDER, 100_00, NOTES[0]), (AgentId(AgentKind.HOLDER, 9), 1, NOTES[1])),
                  UnknownAgent, id="unknown_holder"),
+    pytest.param(lambda world: world.post(SHORT_BEFORE_UNKNOWN),
+                 UnknownAgent, id="post_short_leg_before_unknown_agent"),
 ])
-def test_failing_redeem_coins_writes_and_logs_nothing(payouts, error):
+def test_failing_redeem_coins_writes_and_logs_nothing(write, error):
+    """A payout batch, or any post, that raises leaves the world as it was."""
     world = redeeming_world()
     before = copy.deepcopy(world_state(world))
     with pytest.raises(error):
-        world.redeem_coins(ISSUER, payouts)
+        write(world)
     assert world_state(world) == before
 
 
