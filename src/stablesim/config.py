@@ -53,13 +53,13 @@ expected an integer, got 5.5" or "agents.holders[h_1].coins.usdx: ...".
     i.e. 72.5/216; < 1_000_000), flight_to_safety (false),
     bill_safety_lift (0), replacement_frac (0, at most 1_000_000),
     offload_frac (250000, at most 1_000_000), eslr_capacity_add (0)
-  run_model:
+  run_model:        every integer >= 0
     baseline_rate (1000), deviation_threshold_bp (300),
     shifted_rate (100000, > baseline_rate),
     recovery_days (5), delay_trigger_days (2), smooth (false)
-  price_model:
+  price_model:      every integer >= 0
     overdue_coeff (100000), failure_coeff (100000), reversion (500000),
-    min_price (100000, > 0), supply_incident_dip (5000)
+    min_price (100000, > 0, at most 1_000_000), supply_incident_dip (5000)
   rates:
     treasury_rate_daily (0), deposit_rate_daily (0),
     repo_rate_daily (0), haircut (20000 = 2%)
@@ -500,8 +500,6 @@ def parse_config(raw: dict) -> ScenarioConfig:
     _require(policies.access_mode is not AccessMode.INTERMEDIATED or intermediaries,
              "policies.access_mode: intermediated access needs an intermediary")
     _require(market.depth > 0, "market.depth: must be > 0")
-    for name, value in vars(market).items():
-        _require(type(value) is not int or value >= 0, f"market.{name}: must be >= 0")
     _require(market.impact_coeff_long >= market.impact_coeff_bill,
              "market.impact_coeff_long: must be >= impact_coeff_bill")
     _require(market.retention_frac < 1_000_000, "market.retention_frac: must be < 1_000_000")
@@ -515,9 +513,14 @@ def parse_config(raw: dict) -> ScenarioConfig:
     _require(run_model.deviation_threshold_bp > 0, "run_model.deviation_threshold_bp: must be > 0")
     _require(config.rates.haircut >= 0, "rates.haircut: must be >= 0")
     _require(config.price_model.min_price > 0, "price_model.min_price: must be > 0")
+    _require(config.price_model.min_price <= 1_000_000,
+             "price_model.min_price: must be <= 1_000_000")
     _require(all(s.day < config.horizon_days for s in config.shocks), "shocks: day within horizon")
     _require(config.attack_cost is None or config.attack_cost > 0,
              "diagnostics.attack_cost: must be > 0")
+    for section in ("market", "run_model", "price_model"):
+        for name, value in vars(getattr(config, section)).items():
+            _require(type(value) is not int or value >= 0, f"{section}.{name}: must be >= 0")
     return config
 
 

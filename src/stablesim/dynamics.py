@@ -238,7 +238,7 @@ def apply_shock(spec: ShockSpec, world: LedgerWorld, state: ShockState,
                 if book.config.chain == spec.chain}
     if spec.klass is ShockClass.UNCONTROLLED_SUPPLY:
         for key, issuer in on_chain.items():
-            coins = world.sheet(issuer).liability(coin_key(issuer))
+            coins = world.coins_outstanding(issuer)
             minted = mul_frac(coins, spec.magnitude or 0)
             if minted <= 0:
                 continue

@@ -261,18 +261,30 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
 _COIN_HOLDING = (AgentKind.HOLDER, AgentKind.INTERMEDIARY, AgentKind.TREASURY_BUYER)
 
 
-def _coin_holders(scn: Scenario, issuer: AgentId, moving: bool = False):
+def _coin_holders(scn: Scenario, issuer: AgentId):
     """Coin-holding agents with coins of `issuer` left to redeem, in key
     order, as `(agent, its redeemable coins)`; lazy, so a caller that
-    stops early looks at no more of them. A caller that moves coins
-    during the walk sets `moving`, and walks a copy of the holders."""
+    stops early looks at no more of them. No coins may move during the
+    walk."""
     world = scn.world
     redeemable = scn.settle.redeemable
-    keys = world.coin_holders.get(world.coin_keys[issuer.key], ())
-    for key in tuple(keys) if moving else keys:
+    for key in world.coin_holders.get(world.coin_keys[issuer.key], ()):
         agent = world.ids[key]
         if agent.kind in _COIN_HOLDING and (coins := redeemable(agent, issuer)) > 0:
             yield agent, coins
+
+
+def _slices(amount: Amount, holders) -> tuple[list, Amount]:
+    """Slice `amount` across `holders`, `(agent, coins)` pairs in order,
+    each giving up to its coins; returns the slices and their sum."""
+    slices, placed = [], 0
+    for holder, coins in holders:
+        if placed >= amount:
+            break
+        slice_ = min(amount - placed, coins)
+        slices.append((holder, slice_))
+        placed += slice_
+    return slices, placed
 
 
 def _redeem_from_holders(scn: Scenario, book: IssuerBook, amount: Amount,
@@ -280,13 +292,7 @@ def _redeem_from_holders(scn: Scenario, book: IssuerBook, amount: Amount,
     """Queue redemptions of up to `amount`, sliced across coin holders in
     key order, each giving its uncommitted coins, as one batch; returns
     the amount placed."""
-    slices, placed = [], 0
-    for holder, coins in _coin_holders(scn, book.agent):
-        if placed >= amount:
-            break
-        slice_ = min(amount - placed, coins)
-        slices.append((holder, slice_))
-        placed += slice_
+    slices, placed = _slices(amount, _coin_holders(scn, book.agent))
     scn.settle.submit_redemptions(book, slices, route, is_intervention)
     return placed
 
@@ -321,20 +327,13 @@ def _route_demand(scn: Scenario, book: IssuerBook, demand: Amount,
         funds = world.deposits(im)
         afford = funds * MICRO // price if price > 0 else 0
         budget = min(remaining, afford)
-        if budget <= 0:
-            continue
-        bought = 0
-        for holder, coins in _coin_holders(scn, issuer, moving=True):
-            if holder.kind is AgentKind.INTERMEDIARY:
-                continue
-            slice_ = min(budget - bought, coins)
+        slices, bought = _slices(budget, ((h, c) for h, c in _coin_holders(scn, issuer)
+                                          if h.kind is not AgentKind.INTERMEDIARY))
+        for holder, slice_ in slices:
             world.transfer_deposit(im, holder, mul_frac(slice_, price))
             world.transfer_coin(holder, im, issuer, slice_)
-            bought += slice_
-            if bought >= budget:
-                break
         if bought > 0 and scn.config.policies.intermediary_mode == "redeem":
-            scn.settle.submit_redemption(book, im, bought, Route.DIRECT)
+            scn.settle.submit_redemptions(book, [(im, bought)], Route.DIRECT)
         elif bought > 0:
             world.emit("warehoused", intermediary=im.key, issuer=issuer.key,
                        amount=bought)
@@ -351,7 +350,12 @@ def _fed_bill_purchase(scn: Scenario, issuer: AgentId, value: Amount) -> Amount:
     if face <= 0:
         return 0
     moved = world.transfer_tbill(issuer, FED, DurationClass.BILL, face=face)
-    _endow_deposits(world, issuer, moved)
+    # paid in new reserves; the bills are the Fed's asset, so no outside claim
+    bank = world.bank_of(issuer)
+    world.post({(FED.key, "L", reserves_key(bank)): moved,
+                (bank.key, "A", reserves_key()): moved,
+                (bank.key, "L", deposit_key(issuer)): moved,
+                (issuer.key, "A", deposit_key(bank)): moved})
     world.emit("reserve_access_sale", issuer=issuer.key, proceeds=moved)
     return moved
 
@@ -427,7 +431,7 @@ def _redemption_demand(scn: Scenario, suspended: set) -> None:
         if (age := scn.settle.queue_age(book)) != conf.pending_delay_age:
             conf = scn.confidence[key] = ConfidenceState(conf.secondary_price, age)
         prior = model.sensitivity_state
-        coins = scn.settle.coins_outstanding(book.agent)
+        coins = scn.world.coins_outstanding(book.agent)
         demand = redemption_demand(model, conf, coins)
         if model.sensitivity_state is not prior:
             scn.world.emit("regime_flip", issuer=key,
@@ -443,7 +447,7 @@ def _mint_demand(scn: Scenario, suspended: set) -> None:
     for key, book in scn.settle.issuers.items():
         if book.config.chain in suspended:
             continue
-        amount = mul_frac(scn.settle.coins_outstanding(book.agent), rate)
+        amount = mul_frac(scn.world.coins_outstanding(book.agent), rate)
         if amount > 0:
             try:
                 scn.settle.submit_mint(book, scn.mint_buyer, amount,
@@ -530,7 +534,7 @@ def _update_prices(scn: Scenario) -> None:
     """Phase 10: each issuer's secondary price from overdue and unserved
     redemptions, shocks and executed interventions."""
     for key, book in scn.settle.issuers.items():
-        coins = scn.settle.coins_outstanding(book.agent)
+        coins = scn.world.coins_outstanding(book.agent)
         overdue = scn.settle.overdue_amount(book) + book.day_unserved
         shock_eff = scn.shock_state.price_effects.pop(key, 0)
         completed = book.day_int_buy_completed + book.day_int_mint_completed
@@ -563,7 +567,7 @@ def _emit_rows(scn: Scenario, day: int, dealer_capacity: dict) -> None:
         repos = scn.registry.by_lender(agent)
         if book.config.count_excess_collateral:
             assets += sum(max(0, p.collateral_value(world) - p.principal) for p in repos)
-        coins = scn.settle.coins_outstanding(agent)
+        coins = world.coins_outstanding(agent)
         lev = analytics.leverage_ratio(assets, coins) if assets > 0 else None
         liq = analytics.holdings_liquidity(_issuer_holdings(world, book, repos, day))
         if sheet.equity < 0 and book.insolvency_day is None:
@@ -654,7 +658,7 @@ def _summarize(scn: Scenario) -> dict:
             "completed_total": book.total_completed,
             "delayed_total": book.delayed_total,
             "minted_total": book.total_minted,
-            "final_coins": scn.settle.coins_outstanding(book.agent),
+            "final_coins": world.coins_outstanding(book.agent),
             "final_price": scn.confidence[key].secondary_price,
             "final_equity": world.sheet(book.agent).equity,
             "attack_incentive_ratio": incentive,

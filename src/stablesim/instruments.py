@@ -286,29 +286,15 @@ def _unwind_principal(world: LedgerWorld, pos: RepoPosition, event: str, **field
                principal=pos.principal, **fields)
 
 
-def roll_repo(world: LedgerWorld, registry: RepoRegistry, pos: RepoPosition,
-              new_rate: int) -> RepoPosition:
-    """Close the maturing position at par and reopen it overnight: the
-    step of `roll_repos` for one position, written at once.
-
-    Only interest changes hands: the closing and opening principal legs
-    between the same parties net to zero, so the ledger sees a single
-    interest payment while the position is renumbered under the next id
-    with re-marked collateral. The new collateral is sized counting the
-    old position's faces as free; negative interest is paid by the
-    lender. A roll that fails raises and leaves the book untouched.
-    """
-    batch = TransferBatch(world)
-    _roll(batch, registry, pos, new_rate)
-    batch.commit()
-    return pos
-
-
 def roll_repos(world: LedgerWorld, registry: RepoRegistry, positions: list,
                new_rate: int) -> None:
-    """Roll `positions` in order, as `roll_repo` would one by one, with
-    their interest and events staged on one batch. A roll that fails is
-    postponed instead, its `leg_failed` row in its place in the log."""
+    """Close each of `positions` at par and reopen it overnight, in order,
+    staging the interest and events on one batch. Only interest changes
+    hands, as the closing and opening principal legs net to zero; each
+    position is renumbered in place under the next id, its collateral
+    re-sized at today's prices counting its old faces as free. Negative
+    interest is paid by the lender. A roll that fails is postponed
+    instead, its `leg_failed` row in its place in the log."""
     batch = TransferBatch(world)
     for pos in positions:
         try:

@@ -20,9 +20,11 @@ running balances and writes them with one post (``transfer_deposit`` and
 instrument-key format ``"<kind>@<counterparty>"``: every key is built by
 ``deposit_key``, ``reserves_key``, ``repo_key``, ``srf_key``,
 ``coin_key`` or ``tbill_key``, and each agent's own deposit and coin
-keys are kept from its registration. Events are logged as rows of their
-schema (`event_form`), and each schema compiles one writer, on its first
-rendered row, that renders a row as its JSON line.
+keys are kept from its registration; ``deposits`` and
+``coins_outstanding`` are the readers of those balances. Events are
+logged as rows of their schema (`event_form`), and each schema compiles
+one writer, on its first rendered row, that renders a row as its JSON
+line.
 
 Inside-money instruments (reserves, deposits, stablecoins, repo and
 SRF claims) always appear on exactly two balance sheets with equal
@@ -389,6 +391,10 @@ class LedgerWorld:
         held = self._deposit_keys(agent)[0]
         return self.agents[agent.key].assets.get(held, 0)
 
+    def coins_outstanding(self, issuer: AgentId) -> int:
+        """The coins `issuer` has issued and not yet burned."""
+        return self.sheet(issuer).liabilities.get(self.coin_keys[issuer.key], 0)
+
     def agent_ids(self) -> list[AgentId]:
         """Registered agents in key order."""
         return [self.ids[key] for key in self.sorted_keys]
@@ -567,11 +573,8 @@ class LedgerWorld:
     def price(self, duration: DurationClass) -> int:
         return self.tbill_prices[duration]
 
-    def tbill_value(self, agent: AgentId, duration: DurationClass | None = None) -> int:
-        assets = self.sheet(agent).assets
-        if duration is not None:
-            return assets.get(tbill_key(duration), 0)
-        return treasury_value(assets)
+    def tbill_value(self, agent: AgentId) -> int:
+        return treasury_value(self.sheet(agent).assets)
 
     def face_of(self, agent: AgentId, duration: DurationClass) -> int:
         return self.tbill_face.get((agent.key, duration), 0)

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 from .instruments import (InstrumentError, RepoRegistry, close_or_default_repo,
                           deliver_tbills, open_reverse_repo, roll_repos)
 from .ledger import (AgentId, AgentKind, DurationClass, InsufficientPosition, LedgerWorld,
-                     TransferBatch, coin_key, event_form)
+                     TransferBatch, event_form)
 from .money import MICRO, PAR, Amount, mul_frac
 
 if TYPE_CHECKING:  # config imports this module
@@ -107,7 +107,7 @@ def intervene(policy: ParPolicy, secondary_price: int, world: LedgerWorld,
     (or create) the deviation's share of coins outstanding, measured
     from par for the fixed regime and from the corridor edge otherwise.
     """
-    coins = world.sheet(issuer).liability(coin_key(issuer))
+    coins = world.coins_outstanding(issuer)
     deviation = PAR - secondary_price
     if policy.mode is ParMode.BEST_EFFORT or coins <= 0:
         return []
@@ -244,19 +244,11 @@ class SettlementEngine:
             book.day_unserved = 0
             book.pin_target = PAR
 
-    def coins_outstanding(self, issuer: AgentId) -> Amount:
-        return self.world.sheet(issuer).liabilities.get(self.world.coin_keys[issuer.key], 0)
-
     def redeemable(self, holder: AgentId, issuer: AgentId) -> Amount:
         """Coins the holder has not yet promised to an open request."""
         world = self.world
         held = world.sheet(holder).assets.get(world.coin_keys[issuer.key], 0)
         return max(0, held - self.committed.get((holder.key, issuer.key), 0))
-
-    def submit_redemption(self, book: IssuerBook, holder: AgentId, amount: Amount,
-                          route: Route, is_intervention: bool = False) -> OpenRequest:
-        """Queue one redemption request: `submit_redemptions` of one slice."""
-        return self.submit_redemptions(book, [(holder, amount)], route, is_intervention)[0]
 
     def submit_redemptions(self, book: IssuerBook, slices: list, route: Route,
                            is_intervention: bool = False) -> list:

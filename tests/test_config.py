@@ -229,6 +229,19 @@ BAD_INPUTS = [
     ("market/offload_frac", 1_000_001, "market.offload_frac"),
     ("run_model", {"baseline_rate": 5_000, "shifted_rate": 5_000}, "run_model.shifted_rate"),
     ("run_model", {"deviation_threshold_bp": 0}, "run_model.deviation_threshold_bp"),
+    # every run_model and price_model integer is >= 0, as in market; a
+    # price floor above par would pin the coin above par
+    ("run_model", {"baseline_rate": -1}, "run_model.baseline_rate"),
+    ("run_model", {"baseline_rate": -5, "shifted_rate": -1}, "run_model.baseline_rate"),
+    ("run_model", {"recovery_days": -1}, "run_model.recovery_days"),
+    ("run_model", {"delay_trigger_days": -1}, "run_model.delay_trigger_days"),
+    ("price_model", {"overdue_coeff": -100_000}, "price_model.overdue_coeff"),
+    ("price_model", {"failure_coeff": -1}, "price_model.failure_coeff"),
+    ("price_model", {"reversion": -1}, "price_model.reversion"),
+    ("price_model", {"supply_incident_dip": -1}, "price_model.supply_incident_dip"),
+    ("price_model", {"min_price": -1}, "price_model.min_price"),
+    ("price_model", {"min_price": 1_000_001}, "price_model.min_price"),
+    ("price_model", {"min_price": 2_000_000}, "price_model.min_price"),
     ("policies", {"intermediary_mode": "hold"}, "policies.intermediary_mode"),
     ("policies", {"access_mode": "intermediated"}, "policies.access_mode"),
     ("rates", {"haircut": -1}, "rates.haircut"),
@@ -286,6 +299,16 @@ def test_market_values_at_their_bounds_parse():
     market = parse_config(raw).market
     assert (market.max_dislocation_bp, market.replacement_frac, market.offload_frac) == (
         4_999, 1_000_000, 1_000_000)
+
+
+def test_model_values_at_their_bounds_parse():
+    raw = minimal_raw()
+    raw["run_model"] = {"baseline_rate": 0, "shifted_rate": 1, "recovery_days": 0,
+                        "delay_trigger_days": 0}
+    raw["price_model"] = {"overdue_coeff": 0, "failure_coeff": 0, "reversion": 0,
+                          "supply_incident_dip": 0, "min_price": 1_000_000}
+    cfg = parse_config(raw)
+    assert (cfg.run_model.baseline_rate, cfg.price_model.min_price) == (0, 1_000_000)
 
 
 def test_misspelled_field_is_rejected_not_defaulted():

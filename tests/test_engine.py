@@ -8,9 +8,10 @@ import pytest
 
 from stablesim.analytics import ANALYTICS_FIELDS
 from stablesim.config import PRESETS, load_config, parse_config
-from stablesim.engine import DAILY_FIELDS, AuditFailure, build_scenario, run, sweep
+from stablesim.engine import (DAILY_FIELDS, AuditFailure, _fed_bill_purchase, build_scenario,
+                              run, sweep)
 from stablesim.instruments import step_portfolio
-from stablesim.ledger import DurationClass, LedgerWorld, deposit_key
+from stablesim.ledger import FED, DurationClass, LedgerWorld, deposit_key
 from stablesim.money import PAR, mul_frac
 
 
@@ -122,6 +123,22 @@ def test_issuer_reserve_access_removes_sale_delays():
     assert unblocked.summary["market"]["seller_volume"] == 0
 
 
+def test_reserve_access_sale_leaves_both_equities_unchanged():
+    """A bill sale to the central bank swaps the issuer's bills for
+    deposits and pays for them in new reserves: the Fed gains the bills
+    and owes the reserves, so neither side's equity moves."""
+    raw = PRESETS["march2020"]()
+    raw["policies"]["issuer_reserve_access"] = True
+    scn = build_scenario(parse_config(raw))
+    world, issuer = scn.world, scn.settle.issuers["issuer:0"].agent
+    equities = (world.sheet(FED).equity, world.sheet(issuer).equity)
+    deposits = world.deposits(issuer)
+    moved = _fed_bill_purchase(scn, issuer, 7_776)
+    assert moved > 0 and world.deposits(issuer) == deposits + moved
+    assert (world.sheet(FED).equity, world.sheet(issuer).equity) == equities
+    assert world.audit().ok
+
+
 def test_rigorous_fixed_restores_par_within_one_tick():
     raw = PRESETS["calm"]()
     raw["horizon_days"] = 6
@@ -157,7 +174,7 @@ def test_eq1_progression_matches_engine_accrual():
         deposits=scn.world.sheet(issuer).asset(f"deposit@{bank.key}"),
         rate_treasury=2_000, rate_deposit=1_000,
         repo_principal=scn.registry.total_principal(issuer))
-    redeemed = mul_frac(scn.settle.coins_outstanding(issuer), 1)
+    redeemed = mul_frac(scn.world.coins_outstanding(issuer), 1)
     expected = step_portfolio(start, 0, -redeemed)
 
     totals = []
@@ -581,6 +598,76 @@ def test_golden_multi_holder_reserve_access(access_mode, check_indexes, check_le
     assert kinds.count("mint_completed") == 22
     golden = json.loads((GOLDEN / "multi_holder.sha256.json").read_text())
     assert output_digests(out) == golden[f"{access_mode}_reserve_access"]
+
+
+def intermediated_buying_raw(intermediary_mode: str) -> dict:
+    """One issuer, five holders and three intermediaries under
+    intermediated access.
+
+    im_1 and im_2 can afford only part of a day's demand, so a holder's
+    coins are split between two intermediaries; im_3 also holds coins
+    of its own, which no intermediary buys. A confidence shock on day 2
+    moves the price the intermediaries pay.
+    """
+    return {
+        "horizon_days": 10, "seed": 3,
+        "agents": {
+            "banks": [{"name": "bank_a"}, {"name": "bank_b"}],
+            "issuers": [{"name": "usdx", "bank": "bank_a", "coins": 1_000_000,
+                         "assets": 1_000_000,
+                         "allocation": {"deposits": 200_000, "bills": 700_000,
+                                        "repo": 100_000}}],
+            "dealers": [{"name": "dealer_1", "bank": "bank_b", "capital": 200_000,
+                         "base_assets": 4_000_000, "reserve_access": 150_000,
+                         "deposits": 500_000, "treasuries_bill": 300_000,
+                         "treasuries_long": 300_000}],
+            "intermediaries": [
+                {"name": "im_1", "bank": "bank_a", "deposits": 15_000},
+                {"name": "im_2", "bank": "bank_b", "deposits": 60_000},
+                {"name": "im_3", "bank": "bank_a", "deposits": 500_000,
+                 "coins": {"usdx": 50_000}},
+            ],
+            "holders": [
+                {"name": f"h_{i}", "bank": "bank_a" if i % 2 else "bank_b",
+                 "coins": {"usdx": coins}}
+                for i, coins in ((1, 40_000), (2, 110_000), (3, 300_000),
+                                 (4, 200_000), (5, 300_000))
+            ],
+            "treasury_buyers": [{"name": "tb_1", "bank": "bank_a",
+                                 "deposits": 5_000_000}],
+        },
+        "policies": {"access_mode": "intermediated",
+                     "intermediary_mode": intermediary_mode,
+                     "par_policy": {"mode": "rigorous_fixed"}},
+        "market": {"depth": 400_000},
+        "run_model": {"baseline_rate": 40_000, "shifted_rate": 150_000,
+                      "deviation_threshold_bp": 200},
+        "shocks": [{"day": 2, "class": "confidence_only", "magnitude": 30_000}],
+    }
+
+
+@pytest.mark.parametrize("intermediary_mode", ["redeem", "warehouse"])
+def test_golden_intermediated_buying(intermediary_mode, check_indexes, check_ledger):
+    """Frozen digests of intermediaries buying coins from holders in key
+    order, each up to what it can afford at the secondary price, then
+    redeeming or warehousing them; the indexes, the full audit and fresh
+    dealer capacities are checked at every day end."""
+
+    def check(scn, day):
+        check_indexes(scn, day)
+        check_ledger(scn, day)
+
+    out = run(parse_config(intermediated_buying_raw(intermediary_mode)), on_day_end=check)
+    buyers_of: dict = {}
+    for e in out.events:
+        if (e["type"] == "transfer" and e["instrument"].startswith("coin@")
+                and e["dst"].startswith("intermediary:")):
+            assert e["src"].startswith("holder:"), e
+            buyers_of.setdefault((e["day"], e["src"]), set()).add(e["dst"])
+    assert any(len(buyers) == 2 for buyers in buyers_of.values())
+    assert set().union(*buyers_of.values()) == {f"intermediary:{i}" for i in range(3)}
+    golden = json.loads((GOLDEN / "intermediated_buying.sha256.json").read_text())
+    assert output_digests(out) == golden[intermediary_mode]
 
 
 def test_events_jsonl_is_json_dumps_of_each_event():

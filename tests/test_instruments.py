@@ -1,4 +1,5 @@
 import copy
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,9 @@ from stablesim.instruments import (GENIUS_MAX_BILL_DAYS, InsufficientCollateral,
                                    InsufficientCash, PortfolioState, RepoRegistry, WrongDay,
                                    close_or_default_repo, default_loss, deliver_tbills,
                                    mark_treasuries, open_reverse_repo,
-                                   required_collateral, roll_repo, roll_repos, step_portfolio)
-from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, InsufficientPosition,
-                              LedgerWorld, TransferBatch, deposit_key, reserves_key)
+                                   required_collateral, roll_repos, step_portfolio)
+from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, LedgerWorld,
+                              TransferBatch, deposit_key, reserves_key, tbill_key)
 from stablesim.money import MICRO, mul_div, mul_frac
 
 BANK = AgentId(AgentKind.BANK, 0)
@@ -133,7 +134,25 @@ def repo_book(world, registry):
             registry._next_id, world.snapshot().to_json(), list(world.events))
 
 
-def test_roll_failing_on_collateral_leaves_the_book_untouched():
+def assert_roll_postponed(world, registry, pos, cause):
+    """Rolling `pos` alone fails: the position keeps its id, rate and
+    collateral and is due a day later, one `leg_failed` row logs a
+    `cause` like the given one, and no balance moves."""
+    balances = copy.deepcopy((world.agents, world.tbill_face))
+    kept = (pos.repo_id, pos.rate, dict(pos.collateral), dict(registry.encumbered))
+    logged = len(world.events)
+    roll_repos(world, registry, [pos], new_rate=2_000)
+    assert (world.agents, world.tbill_face) == balances
+    assert (pos.repo_id, pos.rate, dict(pos.collateral), dict(registry.encumbered)) == kept
+    assert registry.open_positions() == registry.due(world.day + 1) == [pos]
+    assert pos.second_leg_day == world.day + 1 and registry.due(world.day) == []
+    [row] = list(world.events)[logged:]
+    assert (row["type"], row["leg"], row["repo_id"]) == ("leg_failed", "repo_roll", pos.repo_id)
+    assert re.fullmatch(cause, row["cause"]), row["cause"]
+    assert world.audit().ok
+
+
+def test_roll_failing_on_collateral_is_postponed():
     # exactly the pledge at par; a 1% fall leaves it short and nothing is free
     world = repo_world(dealer_bills=2_550_00, dealer_long=7_650_00)
     registry = RepoRegistry()
@@ -142,27 +161,22 @@ def test_roll_failing_on_collateral_leaves_the_book_untouched():
     assert registry.free_face(world, DEALER, DurationClass.BILL) == 0
     mark_treasuries(world, registry, -10_000)
     world.day = 1
-    before = repo_book(world, registry)
-    with pytest.raises(InsufficientCollateral):
-        roll_repo(world, registry, pos, new_rate=2_000)
-    assert repo_book(world, registry) == before
+    assert_roll_postponed(world, registry, pos, rf"{DEALER} pledges \d+, needs 1020000")
 
 
-def test_roll_failing_on_interest_cash_leaves_the_book_untouched():
+def test_roll_failing_on_interest_cash_is_postponed():
     world = repo_world(dealer_bills=30_000_00, dealer_long=90_000_00)
     registry = RepoRegistry()
     pos = open_reverse_repo(world, registry, ISSUER, DEALER, 10_000_00,
                             haircut=20_000, rate=1_000, term=1)
     world.transfer_deposit(DEALER, ISSUER, world.deposits(DEALER))
     world.day = 1
-    before = repo_book(world, registry)
-    with pytest.raises(InsufficientPosition):
-        roll_repo(world, registry, pos, new_rate=2_000)
-    assert repo_book(world, registry) == before
+    assert_roll_postponed(world, registry, pos,
+                          rf"{DEALER.key} holds 0 of {deposit_key(BANK)}, needs \d+")
 
 
 def test_roll_pass_postpones_only_the_roll_that_fails():
-    """A pass rolls as rolls one by one would: the middle roll's borrower
+    """A pass rolls as passes of one position would: the middle roll's borrower
     has no free face left after a fall in prices, so that roll alone is
     postponed, its `leg_failed` row between its neighbours' rows, and
     the roll after it still pays its interest and takes the next id."""
@@ -184,10 +198,7 @@ def test_roll_pass_postpones_only_the_roll_that_fails():
 
     single, singles = one_by_one
     for pos in singles.open_positions():
-        try:
-            roll_repo(single, singles, pos, new_rate=2_000)
-        except InsufficientCollateral as err:
-            singles.postpone(single, pos, "repo_roll", err)
+        roll_repos(single, singles, [pos], new_rate=2_000)
     assert repo_book(world, registry) == repo_book(single, singles)
     assert [(p.repo_id, p.borrower, p.second_leg_day) for p in registry.due(2)] == [
         (1, short, 2), (3, DEALER, 2), (4, DEALER, 2)]
@@ -206,7 +217,7 @@ def test_roll_at_negative_rate_pays_interest_to_the_borrower():
                             haircut=20_000, rate=-1_000, term=1)
     issuer_cash, dealer_cash = world.deposits(ISSUER), world.deposits(DEALER)
     world.day = 1
-    roll_repo(world, registry, pos, new_rate=-1_000)
+    roll_repos(world, registry, [pos], new_rate=-1_000)
     interest = mul_frac(10_000_00, -1_000)
     assert world.events[-1]["interest"] == interest < 0
     assert world.deposits(ISSUER) == issuer_cash + interest
@@ -284,13 +295,11 @@ def test_roll_keeps_cash_flat_except_interest():
                             haircut=20_000, rate=2_000, term=1)
     cash_before = world.sheet(ISSUER).asset(deposit_key(BANK))
     world.day = 1
-    new = roll_repo(world, registry, pos, new_rate=3_000)
+    roll_repos(world, registry, [pos], new_rate=3_000)
     interest = mul_frac(10_000_00, 2_000)
     assert world.sheet(ISSUER).asset(deposit_key(BANK)) == cash_before + interest
-    assert new.rate == 3_000
-    assert new.second_leg_day == 2
-    assert new.principal == pos.principal
-    assert registry.open_positions() == [new]
+    assert (pos.repo_id, pos.rate, pos.second_leg_day, pos.principal) == (1, 3_000, 2, 10_000_00)
+    assert registry.open_positions() == [pos]
     assert world.audit().ok
 
 
@@ -307,7 +316,7 @@ def test_mark_one_percent_on_position():
     world.grant_tbill(ISSUER, DurationClass.BILL, 100_000_00)
     registry = RepoRegistry()
     mark_treasuries(world, registry, -10_000, DurationClass.BILL)
-    assert world.tbill_value(ISSUER, DurationClass.BILL) == 99_000_00
+    assert world.sheet(ISSUER).asset(tbill_key(DurationClass.BILL)) == 99_000_00
     assert world.audit().ok
 
 
@@ -400,7 +409,7 @@ def test_roll_at_higher_rate_prices_next_period_interest():
     pos = open_reverse_repo(world, registry, ISSUER, DEALER, 10_000_00,
                             haircut=20_000, rate=1_000, term=1)
     world.day = 1
-    rolled = roll_repo(world, registry, pos, new_rate=4_000)
+    roll_repos(world, registry, [pos], new_rate=4_000)
     world.day = 2
-    outcome = close_or_default_repo(world, registry, rolled, True)
+    outcome = close_or_default_repo(world, registry, pos, True)
     assert outcome.cash_to_lender == 10_000_00 + mul_frac(10_000_00, 4_000)

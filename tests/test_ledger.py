@@ -306,9 +306,9 @@ def test_snapshot_is_immutable_and_byte_stable():
 def test_tbill_grant_transfer_and_mark():
     world = two_bank_world()
     world.grant_tbill(ISSUER, DurationClass.BILL, 10_000_00)
-    assert world.tbill_value(ISSUER, DurationClass.BILL) == 10_000_00
+    assert world.tbill_value(ISSUER) == 10_000_00
     world.remark_tbills(DurationClass.BILL, 990_000)
-    assert world.tbill_value(ISSUER, DurationClass.BILL) == 9_900_00
+    assert world.tbill_value(ISSUER) == 9_900_00
     assert world.audit().ok
     moved = world.transfer_tbill(ISSUER, HOLDER, DurationClass.BILL, face=4_000_00)
     assert moved == 3_960_00

@@ -61,7 +61,7 @@ def plan(world, amount, book=None, holder=HOLDER, **policies):
     sale instructions and the plan_created event."""
     book = book or issuer_book()
     settle = settlement_engine(world, book, **policies)
-    record = settle.submit_redemption(book, holder, amount, Route.DIRECT)
+    [record] = settle.submit_redemptions(book, [(holder, amount)], Route.DIRECT)
     instructions = settle.plan_pending(set())
     created = [e for e in world.events if e["type"] == "plan_created"]
     assert len(created) == 1
@@ -101,9 +101,9 @@ def test_direct_route_needs_eligibility_under_intermediated_access():
     book = issuer_book()
     settle = settlement_engine(world, book, access_mode=AccessMode.INTERMEDIATED)
     with pytest.raises(IneligibleRedeemer):
-        settle.submit_redemption(book, HOLDER, 1_00, Route.DIRECT)
+        settle.submit_redemptions(book, [(HOLDER, 1_00)], Route.DIRECT)
     # a holder may still take part in an issuer's intervention
-    settle.submit_redemption(book, HOLDER, 1_00, Route.DIRECT, is_intervention=True)
+    settle.submit_redemptions(book, [(HOLDER, 1_00)], Route.DIRECT, is_intervention=True)
     # an intermediary may redeem directly
     _, _, event = plan(world, 1_00, holder=IM, access_mode=AccessMode.INTERMEDIATED)
     assert event["funding"] == Funding.FROM_DEPOSITS.value
@@ -115,9 +115,9 @@ def test_redemption_amount_must_be_positive():
     settle = settlement_engine(world, book)
     for amount in (0, -1_00):
         with pytest.raises(SettlementError):
-            settle.submit_redemption(book, HOLDER, amount, Route.DIRECT)
+            settle.submit_redemptions(book, [(HOLDER, amount)], Route.DIRECT)
     assert book.requests == book.open == [] and settle.committed == {}
-    record = settle.submit_redemption(book, HOLDER, 1_00, Route.DIRECT)
+    [record] = settle.submit_redemptions(book, [(HOLDER, 1_00)], Route.DIRECT)
     assert (record.request_id, record.holder, record.amount, record.submitted_day) == \
         (0, HOLDER, 1_00, 0)
 
@@ -142,7 +142,7 @@ def test_failing_intake_batch_writes_nothing(slices, error):
     with pytest.raises(error):
         settle.submit_redemptions(book, slices, Route.DIRECT)
     assert intake_state(world, settle, book) == before
-    assert settle.submit_redemption(book, IM, 1_00, Route.DIRECT).request_id == 0
+    assert settle.submit_redemptions(book, [(IM, 1_00)], Route.DIRECT)[0].request_id == 0
 
 
 def test_intake_batch_equals_batches_of_one():
@@ -156,9 +156,8 @@ def test_intake_batch_equals_batches_of_one():
         if batched:
             records = settle.submit_redemptions(book, slices, Route.VIA_INTERMEDIARY, True)
         else:
-            records = [settle.submit_redemption(book, holder, amount, Route.VIA_INTERMEDIARY,
-                                                is_intervention=True)
-                       for holder, amount in slices]
+            records = [record for one in slices for record in settle.submit_redemptions(
+                book, [one], Route.VIA_INTERMEDIARY, is_intervention=True)]
         assert records == book.requests
         states.append(intake_state(world, settle, book))
     assert states[0] == states[1]
@@ -391,7 +390,7 @@ def test_coins_outstanding_tracks_mints_minus_redemptions():
     def watch(scn, day):
         key = ISSUER.key
         book = scn.settle.issuers[key]
-        coins = scn.settle.coins_outstanding(book.agent)
+        coins = scn.world.coins_outstanding(book.agent)
         seen.append((coins, book.total_minted - book.total_completed))
 
     run(parse_config(scenario_raw(10_000_00, 0, 0, mint_rate=100_000)),
@@ -405,15 +404,15 @@ def test_payout_pass_pays_deposit_funded_request_same_day():
     book = scn.settle.issuers["issuer:0"]
     holder = scn.agent_of["h1"]
     total_before = total_bank_deposits(scn.world)
-    coins_before = scn.settle.coins_outstanding(book.agent)
-    record = scn.settle.submit_redemption(book, holder, 1_000_00, Route.DIRECT)
+    coins_before = scn.world.coins_outstanding(book.agent)
+    [record] = scn.settle.submit_redemptions(book, [(holder, 1_000_00)], Route.DIRECT)
     assert scn.settle.plan_pending(set()) == []
     created = [e for e in scn.world.events if e["type"] == "plan_created"]
     assert created[-1]["funding"] == Funding.FROM_DEPOSITS.value
     scn.settle.payout_pass(set())
     assert record.completed and book.open == []
     assert (record.paid, record.deposit_left, record.pool_left) == (1_000_00, 0, 0)
-    assert scn.settle.coins_outstanding(book.agent) == coins_before - 1_000_00
+    assert scn.world.coins_outstanding(book.agent) == coins_before - 1_000_00
     assert total_bank_deposits(scn.world) == total_before
     assert scn.world.audit().ok
 
@@ -422,7 +421,7 @@ def test_plan_pending_sale_funding_waits_for_the_market():
     scn = build_scenario(parse_config(scenario_raw(0, 10_000_00, 0, baseline_rate=1)))
     book = scn.settle.issuers["issuer:0"]
     holder = scn.agent_of["h1"]
-    record = scn.settle.submit_redemption(book, holder, 1_000_00, Route.DIRECT)
+    [record] = scn.settle.submit_redemptions(book, [(holder, 1_000_00)], Route.DIRECT)
     instructions = scn.settle.plan_pending(set())
     created = [e for e in scn.world.events if e["type"] == "plan_created"]
     assert created[-1]["funding"] == Funding.SELL_TREASURIES.value
@@ -471,8 +470,8 @@ def test_payout_pass_sizes_chunks_against_running_balances():
     world = payout_world(issuer_deposits=600_00, coins=700_00)
     book = issuer_book()
     settle = settlement_engine(world, book)
-    first = settle.submit_redemption(book, HOLDER, 300_00, Route.DIRECT)
-    second = settle.submit_redemption(book, HOLDER, 400_00, Route.DIRECT)
+    first, second = settle.submit_redemptions(book, [(HOLDER, 300_00), (HOLDER, 400_00)],
+                                              Route.DIRECT)
     assert settle.plan_pending(set()) == []
     assert (first.deposit_left, first.pool_left) == (300_00, 0)
     assert (second.deposit_left, second.pool_left) == (300_00, 100_00)
@@ -514,8 +513,7 @@ def test_payout_pass_pays_a_holder_no_more_than_its_coins_left():
     world = payout_world(issuer_deposits=1_000_00, coins=500_00)
     book = issuer_book()
     settle = settlement_engine(world, book)
-    first, second = (settle.submit_redemption(book, HOLDER, 300_00, Route.DIRECT)
-                     for _ in range(2))
+    first, second = settle.submit_redemptions(book, [(HOLDER, 300_00)] * 2, Route.DIRECT)
     settle.plan_pending(set())
     settle.payout_pass(set())
     assert first.completed and (second.paid, second.remaining) == (200_00, 100_00)
@@ -534,8 +532,7 @@ def test_failing_payout_pass_writes_nothing():
     assert world.audit_changes().ok
     book = issuer_book()
     settle = settlement_engine(world, book)
-    requests = [settle.submit_redemption(book, HOLDER, 300_00, Route.DIRECT)
-                for _ in range(2)]
+    requests = settle.submit_redemptions(book, [(HOLDER, 300_00)] * 2, Route.DIRECT)
     settle.plan_pending(set())
     before = copy.deepcopy((
         world.snapshot().to_json(), {key: b.version for key, b in world.agents.items()},
@@ -619,8 +616,9 @@ def test_payout_pass_posts_once_per_paying_issuer(monkeypatch):
     scn = build_scenario(parse_config(many_holder_raw(12)))
     world, settle = scn.world, scn.settle
     for book in settle.issuers.values():
-        for holder_key in world.coin_holders[coin_key(book.agent)][:4]:
-            settle.submit_redemption(book, world.ids[holder_key], 100_00, Route.DIRECT)
+        holders = world.coin_holders[coin_key(book.agent)][:4]
+        settle.submit_redemptions(book, [(world.ids[key], 100_00) for key in holders],
+                                  Route.DIRECT)
     settle.plan_pending(set())
     posted = []
     post = world.post
