@@ -64,7 +64,7 @@ expected an integer, got 5.5" or "agents.holders[h_1].coins.usdx: ...".
     treasury_rate_daily (0), deposit_rate_daily (0),
     repo_rate_daily (0), haircut (20000 = 2%)
   mint_demand:
-    daily_rate (0)  micro fraction of coins minted per day by buyers
+    daily_rate (0, >= 0)  micro fraction of coins minted per day by buyers
   diagnostics:
     attack_cost (null)  when set, the summary reports each issuer's
                         attack-incentive ratio: peak daily transacted
@@ -512,6 +512,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
              "run_model.shifted_rate: must be > baseline_rate")
     _require(run_model.deviation_threshold_bp > 0, "run_model.deviation_threshold_bp: must be > 0")
     _require(config.rates.haircut >= 0, "rates.haircut: must be >= 0")
+    _require(config.mint_daily_rate >= 0, "mint_demand.daily_rate: must be >= 0")
     _require(config.price_model.min_price > 0, "price_model.min_price: must be > 0")
     _require(config.price_model.min_price <= 1_000_000,
              "price_model.min_price: must be <= 1_000_000")

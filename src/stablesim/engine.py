@@ -20,7 +20,8 @@ call per phase:
 Identical configuration and seed give byte-identical outputs: agents
 are canonicalized by name, every iteration is over sorted keys, the
 only randomness is the fixed SplitMix64 stream, and all emitted
-numbers are integers.
+numbers are integers. The summary's redemption totals, peak deviation,
+seller volume and facility draws are folds of the daily and market rows.
 """
 
 from __future__ import annotations
@@ -135,6 +136,7 @@ class Scenario:
     market: Market
     settle: SettlementEngine
     agent_of: dict
+    intermediaries: list          # the registered intermediaries, in key order
     run_models: dict
     confidence: dict
     shock_state: ShockState
@@ -142,10 +144,7 @@ class Scenario:
     mint_target: AgentId          # receives an uncontrolled-supply shock's coins
     mint_buyer: AgentId
     shocks_by_day: dict           # day -> shock specs
-    # run-wide accumulators
-    peak_dev: dict                # issuer key -> largest distance from par
     peak_txn: dict                # issuer key -> largest redeemed + minted day
-    srf_total: Amount = 0
     daily_rows: list = field(default_factory=list)
     market_rows: list = field(default_factory=list)
 
@@ -194,7 +193,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
 
     issuer_agents = register(AgentKind.ISSUER, config.issuers)
     dealer_agents = register(AgentKind.BROKER_DEALER, config.dealers)
-    register(AgentKind.INTERMEDIARY, config.intermediaries)
+    intermediaries = sorted(register(AgentKind.INTERMEDIARY, config.intermediaries))
     holder_agents = register(AgentKind.HOLDER, config.holders)
     buyer_agents = register(AgentKind.TREASURY_BUYER, config.treasury_buyers)
 
@@ -244,13 +243,12 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         raise AuditFailure(-1, report)
     return Scenario(
         config=config, world=world, registry=registry, market=market,
-        settle=settle, agent_of=agent_of,
+        settle=settle, agent_of=agent_of, intermediaries=intermediaries,
         run_models=run_models, confidence=confidence,
         shock_state=ShockState(), rng=SplitMix64(config.seed),
         mint_target=holder_agents[0] if holder_agents else buyer_agents[0],
         mint_buyer=buyer_agents[0],
-        shocks_by_day=shocks_by_day, peak_dev=dict.fromkeys(issuer_books, 0),
-        peak_txn=dict.fromkeys(issuer_books, 0))
+        shocks_by_day=shocks_by_day, peak_txn=dict.fromkeys(issuer_books, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +316,8 @@ def _route_demand(scn: Scenario, book: IssuerBook, demand: Amount,
     # intermediated: the market maker buys at the secondary price, then
     # either redeems at par or warehouses the coins
     price = scn.confidence[issuer.key].secondary_price
-    intermediaries = [a for a in world.agent_ids()
-                      if a.kind is AgentKind.INTERMEDIARY]
     remaining = demand
-    for im in intermediaries:
+    for im in scn.intermediaries:
         if remaining <= 0:
             break
         funds = world.deposits(im)
@@ -519,7 +515,6 @@ def _clear_market(scn: Scenario, instructions: list, gaps: list) -> dict:
     for report in reports:
         scn.settle.note_fill(report.seller.key, report.filled)
     market.apply_day_impact(world, scn.registry)
-    scn.srf_total += market.day_srf_draws
     return dealer_capacity
 
 
@@ -547,7 +542,6 @@ def _update_prices(scn: Scenario) -> None:
                                       intervention=intervention,
                                       params=scn.config.price_model)
         scn.confidence[key] = conf
-        scn.peak_dev[key] = max(scn.peak_dev[key], abs(PAR - conf.secondary_price))
         scn.peak_txn[key] = max(scn.peak_txn[key], book.day_completed + book.day_minted)
 
 
@@ -643,19 +637,28 @@ def _summarize(scn: Scenario) -> dict:
     config = scn.config
     world = scn.world
     canonical = config.canonical_json()
+    # issuer name -> [requested, completed, largest distance from par] of its rows
+    folds = {book.config.name: [0, 0, 0] for book in scn.settle.issuers.values()}
+    for row in scn.daily_rows:
+        if row["kind"] == "issuer":
+            fold = folds[row["agent"]]
+            fold[0] += row["requested"]
+            fold[1] += row["completed"]
+            fold[2] = max(fold[2], abs(PAR - row["price"]))
     issuers = {}
     for key, book in scn.settle.issuers.items():
+        requested, completed, deviation = folds[book.config.name]
         incentive = None
         if config.attack_cost:
             # diagnostic only: peak daily transacted value per unit of
             # attack cost, in micro units
             incentive = mul_div(scn.peak_txn[key], MICRO, config.attack_cost)
         issuers[book.config.name] = {
-            "peak_deviation_bp": scn.peak_dev[key] // BP,
+            "peak_deviation_bp": deviation // BP,
             "max_delay_days": book.max_delay_days,
             "insolvency_day": book.insolvency_day,
-            "requested_total": book.total_requested,
-            "completed_total": book.total_completed,
+            "requested_total": requested,
+            "completed_total": completed,
             "delayed_total": book.delayed_total,
             "minted_total": book.total_minted,
             "final_coins": world.coins_outstanding(book.agent),
@@ -671,9 +674,10 @@ def _summarize(scn: Scenario) -> dict:
         "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
         "issuers": issuers,
         "market": {
-            "seller_volume": scn.market.seller_volume,
+            "seller_volume": sum(row["submitted"] for row in scn.market_rows),
             "gross_volume": scn.market.gross_volume,
-            "srf_draws_total": scn.srf_total,
+            # each day's draws repeat on every class's row
+            "srf_draws_total": sum(row["srf_draws"] for row in scn.market_rows[::len(DURATIONS)]),
             "capacity_day0": scn.market_rows[0]["capacity"],
             "final_price_bill": world.price(DurationClass.BILL),
             "final_price_long": world.price(DurationClass.LONG),

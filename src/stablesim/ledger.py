@@ -34,13 +34,13 @@ tracked as face amounts per duration class in ``tbill_face``; the
 balance-sheet entry carries the market value at the current class
 price and is re-derived on every mark. One private checker audits all
 of this, fed two ways: ``audit`` passes it every sheet in key order,
-``audit_changes`` the sheets and legs written since its last call.
+``audit_changes`` the sheets and legs written since its last call, each
+deposit, repo or SRF position as it stands, for the checker to match.
 """
 
 from __future__ import annotations
 
 import bisect
-import copy
 import json
 from collections import defaultdict
 from collections.abc import Sequence
@@ -332,7 +332,6 @@ class LedgerWorld:
         self.seq = 0
         self.agents: dict[str, BalanceSheet] = {}
         self.ids: dict[str, AgentId] = {}
-        self.sorted_keys: list[str] = []   # registered agent keys
         # coin key -> sorted keys of the agents holding a positive balance of it
         self.coin_holders: dict[str, list[str]] = {}
         self.banks: dict[str, AgentId | None] = {}
@@ -359,7 +358,6 @@ class LedgerWorld:
             raise UnknownAgent(f"bank {bank} not registered")
         self.agents[agent.key] = BalanceSheet()
         self.ids[agent.key] = agent
-        bisect.insort(self.sorted_keys, agent.key)
         self.banks[agent.key] = bank
         if bank is not None:
             self.deposit_keys[agent.key] = (deposit_key(bank), deposit_key(agent))
@@ -394,10 +392,6 @@ class LedgerWorld:
     def coins_outstanding(self, issuer: AgentId) -> int:
         """The coins `issuer` has issued and not yet burned."""
         return self.sheet(issuer).liabilities.get(self.coin_keys[issuer.key], 0)
-
-    def agent_ids(self) -> list[AgentId]:
-        """Registered agents in key order."""
-        return [self.ids[key] for key in self.sorted_keys]
 
     # -- event log ---------------------------------------------------------
 
@@ -628,7 +622,7 @@ class LedgerWorld:
         A failing check names the first failure in that order (a sheet's
         deposit keys sorted, its claims in stored order).
         """
-        agents, keys = self.agents, self.sorted_keys
+        agents, keys = self.agents, sorted(self.agents)
         return self._check(keys, ((key, ((book := agents[key]).assets, book.liabilities))
                                   for key in keys))
 
@@ -638,11 +632,14 @@ class LedgerWorld:
         The first call, and any call after a failure, is `audit()` itself;
         a passing one starts the change log. Later calls clear the log and
         pass `audit()`'s checker the written sheets, the summed deltas of
-        the coin and reserve legs, and the current amounts of the written
-        deposit, repo and SRF positions and of their mirrors. As `post` is
-        the only writer, the world passes `audit()` exactly when these do,
-        unless a sheet was edited around it; on a failure it returns
-        `audit()`, which names the same checks, agents and details.
+        the coin and reserve legs, and each written deposit, repo and SRF
+        position as it stands, zero if it is gone, which the checker
+        matches against its mirror (a bank's deposit at a bank is fed as
+        the owing bank's liability, the side `audit()` checks it from).
+        As `post` is the only writer, the world passes `audit()` exactly
+        when these do, unless a sheet was edited around it; on a failure
+        it returns `audit()`, which names the same checks, agents and
+        details.
         """
         if self.changes is not None:
             net: dict[tuple[str, str, str], int] = {}
@@ -651,18 +648,15 @@ class LedgerWorld:
                     net[leg] = net.get(leg, 0) + delta
             self.changes = []
             # agent key -> (assets, liabilities), indexed by `side == "L"`
-            agents, legs = self.agents, defaultdict(lambda: ({}, {}))
+            agents, ids, legs = self.agents, self.ids, defaultdict(lambda: ({}, {}))
             for (key, side, ikey), delta in net.items():
                 kind, _, cpty = ikey.partition("@")
+                if kind == "deposit" and side == "A" and ids[key].kind is AgentKind.BANK:
+                    key, side, ikey = cpty, "L", f"deposit@{key}"   # checked from the owing side
                 if kind == "deposit" or kind == "repo" or kind == "srf":
-                    mkey, other = f"{kind}@{key}", agents.get(cpty)   # the mirror's key
-                    if other is not None and (cpty, "L" if side == "A" else "A", mkey) not in net:
-                        positions = other.liabilities if side == "A" else other.assets
-                        if amount := positions.get(mkey):
-                            legs[cpty][side == "A"][mkey] = amount
-                    book = agents[key]
-                    if not (delta := (book.assets if side == "A" else book.liabilities).get(ikey)):
-                        continue   # gone: its mirror, if any, is checked against the zero
+                    if (book := agents.get(key)) is None:
+                        continue
+                    delta = (book.assets if side == "A" else book.liabilities).get(ikey, 0)
                 elif kind != "coin" and kind != "reserves":
                     continue
                 legs[key][side == "L"][ikey] = delta
@@ -770,7 +764,7 @@ class LedgerWorld:
                       for (a, d), f in sorted(self.tbill_face.items(), key=lambda kv: (kv[0][0], kv[0][1].value))],
             "agents": agents,
         }
-        return WorldSnapshot(data=copy.deepcopy(data))
+        return WorldSnapshot(data=data)
 
 
 

@@ -181,7 +181,6 @@ class Market:
         self.day_submitted: dict[DurationClass, Amount] = dict.fromkeys(DURATIONS, 0)
         self.day_srf_draws: Amount = 0
         self.gross_volume: Amount = 0
-        self.seller_volume: Amount = 0
 
     # -- capacity ---------------------------------------------------------
 
@@ -226,8 +225,9 @@ class Market:
         The fill is allocated across dealers pro rata by available
         capacity (largest remainder, ties by dealer id). The unfilled
         remainder is queued and resubmitted ahead of new orders on the
-        next clearing day. Only a first submission adds to seller and
-        gross volume, so resubmitted remainders are not counted twice.
+        next clearing day. Only a first submission adds to the day's
+        submitted (seller) volume and to gross volume, so resubmitted
+        remainders are not counted twice.
         """
         order = SaleOrder(self._next_order, seller, duration, amount, purpose)
         return self._clear(world, order, self.dealer_capacity(world),
@@ -280,7 +280,6 @@ class Market:
         if first_submission:
             retention = mul_frac(amount, self.params.retention_frac)
             self.gross_volume += decompose(amount, retention).gross
-            self.seller_volume += amount
             self.day_submitted[duration] += amount
         self._record(world, ((order, fill),), first_submission)
         return FillReport(order.order_id, seller, duration, amount, fill, amount - fill,

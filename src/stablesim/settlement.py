@@ -13,7 +13,8 @@ sales (T+1 through the dealer market), and declining to roll maturing
 repo (same-day cash from the borrower, who is left with a funding gap).
 Sale and non-rollover cash is pooled per issuer and drawn first-in
 first-out; a request backed purely by deposits is therefore never
-blocked by market conditions.
+blocked by market conditions. An issuer's earmark is read from its open
+requests, the sum of their `deposit_left`, at each planning and payout pass.
 
 Par policy: a rigorously fixed regime stands ready to buy below par and
 mint above; a corridor acts only outside its band; best effort never
@@ -137,8 +138,8 @@ class OpenRequest:
     amount: Amount
     submitted_day: int
     planned: bool = False
-    # funding committed at planning and not yet paid out: earmarked
-    # deposits, and sale or non-rollover cash drawn from the pool
+    # funding committed at planning and not yet paid out: deposits, which
+    # the issuer's earmark sums, and sale or non-rollover cash from the pool
     deposit_left: Amount = 0
     pool_left: Amount = 0
     horizon: int = 0
@@ -177,7 +178,6 @@ class IssuerBook:
     mints: list = field(default_factory=list)     # the mints not settled yet
     # funding trackers
     pool: Amount = 0
-    earmarked: Amount = 0
     inflight_orders: Amount = 0
     in_transit: Amount = 0
     nonroll_pending: Amount = 0
@@ -190,8 +190,6 @@ class IssuerBook:
     day_int_mint_completed: Amount = 0
     day_unserved: Amount = 0         # demand no holder could place today
     pin_target: int = PAR
-    total_requested: Amount = 0
-    total_completed: Amount = 0
     total_minted: Amount = 0
     delayed_total: Amount = 0
     max_delay_days: int = 0
@@ -279,7 +277,6 @@ class SettlementEngine:
         book.requests += records
         book.open += records
         book.day_requested += total
-        book.total_requested += total
         self.world.emit_all(events)
         return records
 
@@ -318,17 +315,17 @@ class SettlementEngine:
             if book.config.chain in suspended_chains or not book.open:
                 continue
             deposits, held = world.deposits(book.agent), world.tbill_value(book.agent)
-            # the trackers planning moves, written back after the pass; spare
-            # deposits are neither pooled nor earmarked, unsold bills neither
-            # in transit nor ordered
-            earmarked, inflight, nonroll_pending = (book.earmarked, book.inflight_orders,
-                                                    book.nonroll_pending)
+            # spare deposits are neither pooled nor in the earmark, unsold
+            # bills neither in transit nor ordered; the trackers planning
+            # moves are written back after the pass
+            earmark = sum(r.deposit_left for r in book.open)
+            inflight, nonroll_pending = book.inflight_orders, book.nonroll_pending
             spare, unsold = deposits - book.pool, held - book.in_transit
             events, needs = [], 0
             for record in book.open:
                 if not record.planned:
                     amount = record.amount
-                    d = min(amount, max(0, spare - earmarked))
+                    d = min(amount, max(0, spare - earmark))
                     s = min(amount - d, max(0, unsold - inflight))
                     # the rest is committed to repo non-rollover regardless of
                     # solvency; uncollectable needs leave the request queued
@@ -340,7 +337,7 @@ class SettlementEngine:
                     record.deposit_left = d
                     record.pool_left = s + n
                     record.horizon = horizon
-                    earmarked += d
+                    earmark += d
                     nonroll_pending += n
                     events.append((_PLAN_CREATED, (record.request_id, key, funding,
                                                    d, s, n, horizon)))
@@ -348,8 +345,7 @@ class SettlementEngine:
                         inflight += s
                         instructions.append(SaleInstruction(book.agent, s, DurationClass.BILL))
                 needs += record.pool_left
-            book.earmarked, book.inflight_orders, book.nonroll_pending = (
-                earmarked, inflight, nonroll_pending)
+            book.inflight_orders, book.nonroll_pending = inflight, nonroll_pending
             world.emit_all(events)
             shortfall = needs - (book.pool + book.inflight_orders + book.in_transit
                                  + book.nonroll_pending)
@@ -432,9 +428,9 @@ class SettlementEngine:
     def payout_pass(self, suspended_chains: set) -> None:
         """Pay funded requests, oldest first, in partial chunks.
 
-        The deposit slice of a request is earmarked at planning and is
+        The deposit slice of a request is set aside at planning and is
         always payable; the pool slice pays as sale and non-rollover
-        cash arrives (spare un-earmarked cash may cover settlement
+        cash arrives (spare cash outside the earmark may cover settlement
         shortfalls). Each chunk burns the holder's coins and pays it the
         issuer's deposits. An issuer's chunks are sized against running
         values of its deposits, pool and earmark and of the coins each
@@ -448,12 +444,12 @@ class SettlementEngine:
         for key, book in self.issuers.items():
             if not book.open or book.config.chain in suspended_chains:
                 continue
-            chunks, pool, earmarked = self._size_chunks(book)
+            chunks, pool = self._size_chunks(book)
             if not chunks:
                 continue
             self.world.redeem_coins(book.agent, [(record.holder, chunk, note)
                                                  for record, chunk, _, note in chunks])
-            book.pool, book.earmarked = pool, earmarked
+            book.pool = pool
             total = bought = 0
             for record, chunk, deposit_part, _ in chunks:
                 record.deposit_left -= deposit_part
@@ -474,20 +470,19 @@ class SettlementEngine:
                         record.counted_delayed = True
                         book.delayed_total += record.amount
             book.day_completed += total
-            book.total_completed += total
             book.day_int_buy_completed += bought
             book.open = [r for r in book.open if r.paid != r.amount]
 
     def _size_chunks(self, book: IssuerBook) -> tuple:
         """The chunks a pass pays `book`'s open requests, oldest first, as
-        `(record, chunk, deposit part, note)`, and the pool and earmark
-        left after them; `note` is the request's `redemption_completed`
+        `(record, chunk, deposit part, note)`, and the pool left after
+        them; `note` is the request's `redemption_completed`
         or `redemption_partial` event as `(form, values)`. Reads the
         world and changes nothing."""
         world, issuer = self.world, book.agent.key
         day, agents, coin = world.day, world.agents, world.coin_keys[issuer]
         deposits = world.deposits(book.agent)
-        pool, earmarked = book.pool, book.earmarked
+        pool, earmark = book.pool, sum(r.deposit_left for r in book.open)
         coins_left: dict[str, Amount] = {}   # holder key -> coins after earlier chunks
         chunks = []
         for record in book.open:
@@ -499,14 +494,14 @@ class SettlementEngine:
                 held = agents[holder].assets.get(coin, 0)
             # a planned request's unpaid funding adds up to its remaining amount
             deposit_left = record.deposit_left
-            pool_chunk = min(record.pool_left, max(pool, deposits - earmarked))
+            pool_chunk = min(record.pool_left, max(pool, deposits - earmark))
             chunk = min(deposit_left + pool_chunk, deposits, held)
             if chunk <= 0:
                 continue
             deposit_part = min(chunk, deposit_left)
             coins_left[holder] = held - chunk
             deposits -= chunk
-            earmarked = max(0, earmarked - deposit_part)
+            earmark -= deposit_part
             pool = max(0, pool - (chunk - deposit_part))
             if remaining := record.amount - record.paid - chunk:
                 note = (_REDEMPTION_PARTIAL, (record.request_id, issuer, chunk, remaining))
@@ -514,7 +509,7 @@ class SettlementEngine:
                 note = (_REDEMPTION_COMPLETED, (record.request_id, issuer, holder, record.amount,
                                                 max(0, day - record.submitted_day - record.horizon)))
             chunks.append((record, chunk, deposit_part, note))
-        return chunks, pool, earmarked
+        return chunks, pool
 
     def mint_pass(self, suspended_chains: set, treasury_seller: AgentId) -> None:
         """Settle queued mints: deposits in, coins out, optional bill buy.

@@ -245,6 +245,8 @@ BAD_INPUTS = [
     ("policies", {"intermediary_mode": "hold"}, "policies.intermediary_mode"),
     ("policies", {"access_mode": "intermediated"}, "policies.access_mode"),
     ("rates", {"haircut": -1}, "rates.haircut"),
+    # a negative mint rate would be ignored, not minted at
+    ("mint_demand", {"daily_rate": -5}, "mint_demand.daily_rate"),
     ("agents/issuers/0/mint_invest_frac", 1_000_001, "agents.issuers[usdx].mint_invest_frac"),
     ("diagnostics", {"attack_cost": 0}, "diagnostics.attack_cost"),
     ("agents/dealers/0/base_assets", 0, "agents.dealers[d].base_assets"),

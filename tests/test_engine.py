@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 from pathlib import Path
@@ -12,7 +13,7 @@ from stablesim.engine import (DAILY_FIELDS, AuditFailure, _fed_bill_purchase, bu
                               run, sweep)
 from stablesim.instruments import step_portfolio
 from stablesim.ledger import FED, DurationClass, LedgerWorld, deposit_key
-from stablesim.money import PAR, mul_frac
+from stablesim.money import BP, PAR, mul_frac
 
 
 def issuer_rows(out, name="usdx"):
@@ -668,6 +669,78 @@ def test_golden_intermediated_buying(intermediary_mode, check_indexes, check_led
     assert set().union(*buyers_of.values()) == {f"intermediary:{i}" for i in range(3)}
     golden = json.loads((GOLDEN / "intermediated_buying.sha256.json").read_text())
     assert output_digests(out) == golden[intermediary_mode]
+
+
+def test_intermediaries_buy_in_key_order_past_ten(check_indexes, check_ledger):
+    """With twelve intermediaries, each affording a small share of a day's
+    demand, the purchases walk them in key order: intermediary:10 and
+    intermediary:11 buy before intermediary:2."""
+    raw = intermediated_buying_raw("redeem")
+    raw["agents"]["intermediaries"] = [{"name": f"im_{i:02d}", "bank": "bank_a",
+                                        "deposits": 6_000} for i in range(12)]
+    raw["agents"]["intermediaries"][11]["coins"] = {"usdx": 50_000}   # as im_3 held
+
+    def check(scn, day):
+        check_indexes(scn, day)
+        check_ledger(scn, day)
+
+    out = run(parse_config(raw), on_day_end=check)
+    buyers_by_day: dict = {}   # day -> intermediaries in order of their first purchase
+    for e in out.events:
+        if (e["type"] == "transfer" and e["instrument"].startswith("coin@")
+                and e["dst"].startswith("intermediary:")):
+            buyers = buyers_by_day.setdefault(e["day"], [])
+            if e["dst"] not in buyers:
+                buyers.append(e["dst"])
+    assert buyers_by_day
+    for buyers in buyers_by_day.values():
+        assert buyers == sorted(buyers)
+    assert buyers_by_day[0][:5] == ["intermediary:0", "intermediary:1", "intermediary:10",
+                                    "intermediary:11", "intermediary:2"]
+
+
+def _bench_scaled(**args) -> dict:
+    """`scaled()` of bench/scenarios.py, the generated many-agent books."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "scenarios.py"
+    spec = importlib.util.spec_from_file_location("bench_scenarios", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.scaled(**args)
+
+
+def test_summary_totals_are_the_folds_of_the_rows():
+    """Every preset at two seeds and a small generated book with the SRF
+    on: each issuer's totals and peak deviation in summary.json are folds
+    of its daily.csv rows (the requests also of its request events), and
+    the market's seller volume and facility draws folds of market.csv,
+    whose rows repeat each day's draws on every class."""
+    configs = []
+    for preset in sorted(PRESETS):
+        for seed in (1, 2):
+            raw = PRESETS[preset]()
+            raw["seed"] = seed
+            configs.append(raw)
+    raw = _bench_scaled(holders=10, issuers=3, horizon=12, dealers=8, funded=False, seed=1)
+    raw["policies"]["srf_enabled"] = True
+    configs.append(raw)
+    for raw in configs:
+        out = run(parse_config(raw))
+        # issuers are indexed by sorted name
+        for i, (name, summary) in enumerate(sorted(out.summary["issuers"].items())):
+            rows = issuer_rows(out, name)
+            assert summary["requested_total"] == sum(r["requested"] for r in rows) == sum(
+                e["amount"] for e in out.events
+                if e["type"] == "redemption_request" and e["issuer"] == f"issuer:{i}")
+            assert summary["completed_total"] == sum(r["completed"] for r in rows)
+            assert summary["peak_deviation_bp"] == max(abs(PAR - r["price"]) for r in rows) // BP
+        market = out.summary["market"]
+        assert market["seller_volume"] == sum(r["submitted"] for r in out.market_rows)
+        by_day: dict = {}
+        for row in out.market_rows:
+            by_day.setdefault(row["day"], set()).add(row["srf_draws"])
+        assert all(len(day_draws) == 1 for day_draws in by_day.values())
+        assert market["srf_draws_total"] == sum(d for (d,) in by_day.values())
+    assert market["srf_draws_total"] > 0   # the generated book, run last, draws on the SRF
 
 
 def test_events_jsonl_is_json_dumps_of_each_event():

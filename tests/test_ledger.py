@@ -508,24 +508,36 @@ def test_clean_writes_never_fall_back_to_the_full_audit(monkeypatch):
     assert world.audit_changes().ok
 
 
-@pytest.mark.parametrize("legs", [
-    pytest.param([(HOLDER, "A", BANK_A_DEPOSITS, 7)], id="lone_deposit_leg"),
-    pytest.param([(HOLDER, "A", BANK_A_DEPOSITS, -5_000_00)],
+# each row: a matched pair the world holds first, then the faulty legs
+@pytest.mark.parametrize("held, legs", [
+    pytest.param([], [(HOLDER, "A", BANK_A_DEPOSITS, 7)], id="lone_deposit_leg"),
+    pytest.param([], [(HOLDER, "A", BANK_A_DEPOSITS, -5_000_00)],
                  id="deposit_popped_mirror_survives"),
-    pytest.param([(BANK_A, "L", f"deposit@{HOLDER.key}", -5_000_00)],
+    pytest.param([], [(BANK_A, "L", f"deposit@{HOLDER.key}", -5_000_00)],
                  id="deposit_liability_popped_mirror_survives"),
-    pytest.param([(HOLDER, "A", "deposit@issuer:0", 3_00)], id="deposit_at_non_bank"),
-    pytest.param([(BANK_B, "L", "deposit@holder:9", 5_00)], id="orphan_deposit_liability"),
-    pytest.param([(FED, "L", f"reserves@{BANK_A.key}", -1_00)], id="reserves"),
-    pytest.param([(HOLDER, "A", coin_key(ISSUER), 9)], id="coins"),
-    pytest.param([(ISSUER, "A", "repo@bank:0", 2_00)], id="repo_claim"),
-    pytest.param([(BANK_A, "L", "srf@fed:0", 4_00)], id="srf_obligation"),
-    pytest.param([(ISSUER, "A", "srf@fed:0", 2_00), (FED, "L", "srf@issuer:0", 1_00)],
+    pytest.param([], [(HOLDER, "A", "deposit@issuer:0", 3_00)], id="deposit_at_non_bank"),
+    pytest.param([], [(BANK_B, "L", "deposit@holder:9", 5_00)], id="orphan_deposit_liability"),
+    pytest.param([], [(FED, "L", f"reserves@{BANK_A.key}", -1_00)], id="reserves"),
+    pytest.param([], [(HOLDER, "A", coin_key(ISSUER), 9)], id="coins"),
+    pytest.param([], [(ISSUER, "A", "repo@bank:0", 2_00)], id="repo_claim"),
+    pytest.param([], [(BANK_A, "L", "srf@fed:0", 4_00)], id="srf_obligation"),
+    pytest.param([], [(ISSUER, "A", "srf@fed:0", 2_00), (FED, "L", "srf@issuer:0", 1_00)],
                  id="srf_claim_and_short_mirror"),
+    pytest.param([(ISSUER, "A", repo_key(BANK_A), 2_00), (BANK_A, "L", repo_key(ISSUER), 2_00)],
+                 [(ISSUER, "A", repo_key(BANK_A), -2_00)], id="repo_popped_mirror_survives"),
+    pytest.param([(BANK_A, "L", srf_key(FED), 4_00), (FED, "A", srf_key(BANK_A), 4_00)],
+                 [(BANK_A, "L", srf_key(FED), -4_00)], id="srf_popped_mirror_survives"),
+    # the full audit matches a bank's deposit at a bank from the owing side
+    pytest.param([(BANK_A, "A", deposit_key(BANK_B), 3_00),
+                  (BANK_B, "L", deposit_key(BANK_A), 3_00)],
+                 [(BANK_A, "A", deposit_key(BANK_B), -3_00)],
+                 id="bank_deposit_popped_mirror_survives"),
 ])
-def test_audit_changes_reports_exactly_what_audit_reports(legs):
+def test_audit_changes_reports_exactly_what_audit_reports(held, legs):
     world = two_bank_world()
-    assert world.audit_changes().ok
+    if held:
+        world.post({(agent.key, side, key): delta for agent, side, key, delta in held})
+    assert world.audit().ok and world.audit_changes().ok
     world.post({(agent.key, side, key): delta for agent, side, key, delta in legs})
     report = world.audit_changes()
     assert not report.ok

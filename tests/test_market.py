@@ -351,7 +351,7 @@ def market_state(world, market):
              for o in market.carryover],
             market.pending, market.books, market._next_order, market.day_excess,
             market.day_fills, market.day_submitted, market.day_srf_draws,
-            market.gross_volume, market.seller_volume)
+            market.gross_volume)
 
 
 def cleared_rows(world, since):

@@ -124,7 +124,7 @@ def test_redemption_amount_must_be_positive():
 
 def intake_state(world, settle, book):
     return (list(world.events.lines()), world.seq, settle._next_request, settle.committed,
-            book.requests, book.open, book.day_requested, book.total_requested)
+            book.requests, book.open, book.day_requested)
 
 
 @pytest.mark.parametrize("slices, error", [
@@ -165,7 +165,7 @@ def test_intake_batch_equals_batches_of_one():
     assert [(e["seq"], e["request_id"], e["amount"]) for e in events] == [
         (0, 0, 1_00), (1, 1, 2_00), (2, 2, 3_00)]
     assert states[0][3] == {(HOLDER.key, ISSUER.key): 4_00, (IM.key, ISSUER.key): 2_00}
-    assert states[0][6] == states[0][7] == 6_00
+    assert states[0][6] == 6_00
 
 
 def test_plan_pass_draws_each_source_in_turn():
@@ -186,8 +186,7 @@ def test_plan_pass_draws_each_source_in_turn():
     assert created == [(0, Funding.FROM_DEPOSITS.value, 0, 0),
                        (1, Funding.SELL_TREASURIES.value, 300_00, 0),
                        (2, Funding.REPO_NON_ROLLOVER.value, 200_00, 200_00)]
-    assert (book.earmarked, book.inflight_orders, book.nonroll_pending) == \
-        (500_00, 500_00, 200_00)
+    assert (book.inflight_orders, book.nonroll_pending) == (500_00, 200_00)
 
 
 def test_submit_mint_declines():
@@ -385,13 +384,14 @@ def test_sell_treasuries_completes_next_day():
 
 
 def test_coins_outstanding_tracks_mints_minus_redemptions():
-    seen = []
+    seen, completed = [], []
 
     def watch(scn, day):
         key = ISSUER.key
         book = scn.settle.issuers[key]
         coins = scn.world.coins_outstanding(book.agent)
-        seen.append((coins, book.total_minted - book.total_completed))
+        completed.append(book.day_completed)
+        seen.append((coins, book.total_minted - sum(completed)))
 
     run(parse_config(scenario_raw(10_000_00, 0, 0, mint_rate=100_000)),
         on_day_end=watch)
@@ -482,7 +482,7 @@ def test_payout_pass_sizes_chunks_against_running_balances():
     assert (second.paid, second.deposit_left, second.pool_left) == (350_00, 0, 50_00)
     assert not second.completed and book.open == [second]
     assert settle.committed == {(HOLDER.key, ISSUER.key): 50_00}
-    assert (book.earmarked, book.pool, book.day_completed) == (0, 0, 650_00)
+    assert (book.pool, book.day_completed) == (0, 650_00)
     assert world.deposits(ISSUER) == 0 and world.deposits(HOLDER) == 650_00
     assert world.sheet(HOLDER).asset(coin_key(ISSUER)) == 50_00
     assert world.sheet(ISSUER).liability(coin_key(ISSUER)) == 50_00
@@ -517,7 +517,7 @@ def test_payout_pass_pays_a_holder_no_more_than_its_coins_left():
     settle.plan_pending(set())
     settle.payout_pass(set())
     assert first.completed and (second.paid, second.remaining) == (200_00, 100_00)
-    assert book.earmarked == 100_00 and world.deposits(ISSUER) == 500_00
+    assert second.deposit_left == 100_00 and world.deposits(ISSUER) == 500_00
     assert world.coin_holders == {coin_key(ISSUER): []}
     assert world.audit().ok
 
@@ -537,7 +537,7 @@ def test_failing_payout_pass_writes_nothing():
     before = copy.deepcopy((
         world.snapshot().to_json(), {key: b.version for key, b in world.agents.items()},
         world.changes, world.coin_holders, list(world.events.lines()),
-        settle.committed, book.earmarked, book.pool, book.open,
+        settle.committed, book.pool, book.open,
         [(r.paid, r.deposit_left, r.pool_left) for r in requests]))
     with pytest.raises(InsufficientPosition) as raised:
         settle.payout_pass(set())
@@ -546,7 +546,7 @@ def test_failing_payout_pass_writes_nothing():
     assert (
         world.snapshot().to_json(), {key: b.version for key, b in world.agents.items()},
         world.changes, world.coin_holders, list(world.events.lines()),
-        settle.committed, book.earmarked, book.pool, book.open,
+        settle.committed, book.pool, book.open,
         [(r.paid, r.deposit_left, r.pool_left) for r in requests],
     ) == before
 
@@ -628,7 +628,7 @@ def test_payout_pass_posts_once_per_paying_issuer(monkeypatch):
     assert len(posted) == 1
     settle.payout_pass(set())       # usdx has nothing left to pay
     assert len(posted) == 2
-    assert all(not book.open and book.total_completed == 400_00
+    assert all(not book.open and book.day_completed == 400_00
                for book in settle.issuers.values())
     burns = [e for e in world.events if e["type"] == "burn"]
     assert len(burns) == 8
@@ -675,7 +675,6 @@ def test_funding_trackers_stay_consistent_across_random_runs(check_indexes,
         for key, book in scn.settle.issuers.items():
             open_requests = [r for r in book.requests
                              if r.planned and not r.completed]
-            assert book.earmarked == sum(r.deposit_left for r in open_requests)
             assert book.pool >= 0
             assert book.inflight_orders >= 0
             assert book.in_transit >= 0
