@@ -102,7 +102,7 @@ from .dynamics import (LikelihoodBand, PriceParams, RunModel, ShockClass, ShockS
                        SystemicBand, UnknownShockClass)
 from .instruments import GENIUS_MAX_BILL_DAYS
 from .money import BP
-from .settlement import AccessMode, ParMode, ParPolicy, SettlementError
+from .settlement import AccessMode, ParMode, ParPolicy
 
 
 class ParseError(Exception):
@@ -483,14 +483,14 @@ def parse_config(raw: dict) -> ScenarioConfig:
                  f"{where}.base_assets: base_assets + exposures must be > 0")
 
     read_above = {key: value for key, value in raw.items() if key != "agents"}
-    try:
-        config = _section(ScenarioConfig, read_above, "", dict(
-            _SCENARIO, banks=tuple(sorted(bank_names)), issuers=tuple(issuers.values()),
-            dealers=tuple(dealers.values()), intermediaries=tuple(intermediaries.values()),
-            holders=tuple(holders.values()), treasury_buyers=tuple(buyers.values())))
-    except SettlementError as err:  # from ParPolicy: a corridor needs a positive width
-        raise ValidationError(f"policies.par_policy.corridor_bp: {err}") from None
+    config = _section(ScenarioConfig, read_above, "", dict(
+        _SCENARIO, banks=tuple(sorted(bank_names)), issuers=tuple(issuers.values()),
+        dealers=tuple(dealers.values()), intermediaries=tuple(intermediaries.values()),
+        holders=tuple(holders.values()), treasury_buyers=tuple(buyers.values())))
     policies, market, run_model = config.policies, config.market, config.run_model
+    _require(policies.par_policy.mode is not ParMode.CORRIDOR
+             or policies.par_policy.corridor_width > 0,
+             "policies.par_policy.corridor_bp: corridor width must be positive")
     _require(config.horizon_days >= 1, "horizon_days: must be >= 1")
     _require(0 <= config.seed < 2 ** 64, "seed: must be a 64-bit unsigned integer")
     _require(policies.intermediary_mode in ("redeem", "warehouse"),

@@ -143,7 +143,6 @@ class Scenario:
     rng: SplitMix64
     mint_target: AgentId          # receives an uncontrolled-supply shock's coins
     mint_buyer: AgentId
-    shocks_by_day: dict           # day -> shock specs
     peak_txn: dict                # issuer key -> largest redeemed + minted day
     daily_rows: list = field(default_factory=list)
     market_rows: list = field(default_factory=list)
@@ -234,9 +233,6 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
 
     run_models = {key: config.run_model.build() for key in sorted(issuer_books)}
     confidence = {key: ConfidenceState() for key in sorted(issuer_books)}
-    shocks_by_day: dict[int, list] = {}
-    for spec in config.shocks:
-        shocks_by_day.setdefault(spec.day, []).append(spec)
 
     report = world.audit_changes()  # the full audit; a pass starts the change log
     if not report.ok:
@@ -247,8 +243,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         run_models=run_models, confidence=confidence,
         shock_state=ShockState(), rng=SplitMix64(config.seed),
         mint_target=holder_agents[0] if holder_agents else buyer_agents[0],
-        mint_buyer=buyer_agents[0],
-        shocks_by_day=shocks_by_day, peak_txn=dict.fromkeys(issuer_books, 0))
+        mint_buyer=buyer_agents[0], peak_txn=dict.fromkeys(issuer_books, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -259,16 +254,19 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
 _COIN_HOLDING = (AgentKind.HOLDER, AgentKind.INTERMEDIARY, AgentKind.TREASURY_BUYER)
 
 
-def _coin_holders(scn: Scenario, issuer: AgentId):
-    """Coin-holding agents with coins of `issuer` left to redeem, in key
-    order, as `(agent, its redeemable coins)`; lazy, so a caller that
-    stops early looks at no more of them. No coins may move during the
-    walk."""
+def _coin_holders(scn: Scenario, book: IssuerBook):
+    """Coin-holding agents with coins of `book`'s issuer left to redeem,
+    in key order, as `(agent, coins held less those its open requests at
+    the issuer have left unpaid)`; lazy, so a caller that stops early
+    looks at no more of them. No coins may move during the walk."""
     world = scn.world
-    redeemable = scn.settle.redeemable
-    for key in world.coin_holders.get(world.coin_keys[issuer.key], ()):
+    coin, agents, promised = world.coin_keys[book.agent.key], world.agents, {}
+    for r in book.open:
+        promised[r.holder.key] = promised.get(r.holder.key, 0) + r.remaining
+    for key in world.coin_holders.get(coin, ()):
         agent = world.ids[key]
-        if agent.kind in _COIN_HOLDING and (coins := redeemable(agent, issuer)) > 0:
+        if agent.kind in _COIN_HOLDING and (
+                coins := agents[key].assets.get(coin, 0) - promised.get(key, 0)) > 0:
             yield agent, coins
 
 
@@ -288,9 +286,9 @@ def _slices(amount: Amount, holders) -> tuple[list, Amount]:
 def _redeem_from_holders(scn: Scenario, book: IssuerBook, amount: Amount,
                          route: Route, is_intervention: bool = False) -> Amount:
     """Queue redemptions of up to `amount`, sliced across coin holders in
-    key order, each giving its uncommitted coins, as one batch; returns
+    key order, each giving its coins not yet promised, as one batch; returns
     the amount placed."""
-    slices, placed = _slices(amount, _coin_holders(scn, book.agent))
+    slices, placed = _slices(amount, _coin_holders(scn, book))
     scn.settle.submit_redemptions(book, slices, route, is_intervention)
     return placed
 
@@ -323,7 +321,7 @@ def _route_demand(scn: Scenario, book: IssuerBook, demand: Amount,
         funds = world.deposits(im)
         afford = funds * MICRO // price if price > 0 else 0
         budget = min(remaining, afford)
-        slices, bought = _slices(budget, ((h, c) for h, c in _coin_holders(scn, issuer)
+        slices, bought = _slices(budget, ((h, c) for h, c in _coin_holders(scn, book)
                                           if h.kind is not AgentKind.INTERMEDIARY))
         for holder, slice_ in slices:
             world.transfer_deposit(im, holder, mul_frac(slice_, price))
@@ -384,9 +382,10 @@ def _open_day(scn: Scenario, day: int) -> set:
     world.day = day
     scn.market.begin_day()
     scn.settle.begin_day()
-    for spec in scn.shocks_by_day.get(day, []):
-        apply_shock(spec, world, scn.shock_state, scn.settle.issuers, scn.mint_target,
-                    scn.rng, scn.config.price_model)
+    for spec in scn.config.shocks:   # in (day, class, chain) order from parse_config
+        if spec.day == day:
+            apply_shock(spec, world, scn.shock_state, scn.settle.issuers, scn.mint_target,
+                        scn.rng, scn.config.price_model)
     run_corrective_burns(world, scn.shock_state)
     return scn.shock_state.suspended_chains(day)
 

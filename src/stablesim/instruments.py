@@ -12,15 +12,15 @@ unit of principal is the excess decline scaled down by the
 collateral-to-principal ratio: loss = principal * (decline - haircut)
 / (1 + haircut), rounded half to even once.
 
-This module is the only writer of the repo book (`RepoRegistry`) and
-the only place that pairs a deposit payment with a Treasury delivery
-(`deliver_tbills`, which stages both on a ledger `TransferBatch`, so a
-whole settlement pass is written by one post).
+This module is the only writer of the repo book (`RepoRegistry`, one
+id-ordered dict of open positions, which the due legs and a lender's
+book scan) and the only place that pairs a deposit payment with a
+Treasury delivery (`deliver_tbills`, which stages both on a ledger
+`TransferBatch`, so a whole settlement pass is written by one post).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .ledger import (DURATION_NAME, DURATIONS, AgentId, DurationClass, InsufficientPosition,
@@ -110,8 +110,9 @@ def default_loss(principal: Amount, haircut: int, decline: int) -> Amount:
 
 
 class RepoRegistry:
-    """Open repo positions plus per-agent collateral encumbrance, indexed
-    by second-leg day and by lender.
+    """Open repo positions, one id-ordered dict, plus per-agent
+    collateral encumbrance. Ids only grow and a roll re-inserts a
+    position under the next id, so insertion order is id order.
 
     Only this module writes them; other modules read them and hand a
     second leg that failed to `postpone`."""
@@ -120,22 +121,18 @@ class RepoRegistry:
         self._next_id = 0
         self.positions: dict[int, RepoPosition] = {}
         self.encumbered: dict[tuple[str, DurationClass], int] = {}
-        # second-leg day -> id -> position, and lender key -> id -> position
-        self._due_on: dict[int, dict[int, RepoPosition]] = defaultdict(dict)
-        self._lent_by: dict[str, dict[int, RepoPosition]] = defaultdict(dict)
 
     def open_positions(self) -> list[RepoPosition]:
-        # ids only grow, so insertion order is id order
         return list(self.positions.values())
 
     def due(self, day: int) -> list[RepoPosition]:
         """The open positions whose second leg falls on `day`, in id order."""
-        bucket = self._due_on.get(day, {})
-        return [bucket[repo_id] for repo_id in sorted(bucket)]
+        return [p for p in self.positions.values() if p.second_leg_day == day]
 
     def by_lender(self, lender: AgentId) -> list[RepoPosition]:
         """`lender`'s open positions, in id order."""
-        return list(self._lent_by.get(lender.key, {}).values())
+        key = lender.key
+        return [p for p in self.positions.values() if p.lender.key == key]
 
     def free_face(self, world: LedgerWorld | TransferBatch, agent: AgentId,
                   duration: DurationClass) -> int:
@@ -143,16 +140,14 @@ class RepoRegistry:
         return world.face_of(agent, duration) - self.encumbered.get((agent.key, duration), 0)
 
     def total_principal(self, lender: AgentId) -> Amount:
-        return sum(p.principal for p in self._lent_by.get(lender.key, {}).values())
+        return sum(p.principal for p in self.by_lender(lender))
 
     def postpone(self, log: LedgerWorld | TransferBatch, pos: RepoPosition, leg: str,
                  err: Exception) -> None:
         """Log a second leg that failed today, on a world or a batch, and
         move it to the next day."""
         log.emit("leg_failed", leg=leg, cause=str(err), repo_id=pos.repo_id)
-        self._undue(pos)
         pos.second_leg_day += 1
-        self._due_on[pos.second_leg_day][pos.repo_id] = pos
 
     def _check_due(self, world: LedgerWorld, pos: RepoPosition) -> None:
         if world.day != pos.second_leg_day:
@@ -170,21 +165,21 @@ class RepoRegistry:
             open_day=world.day, second_leg_day=world.day + term,
         )
         self._next_id += 1
-        self._index(pos)
+        self.positions[pos.repo_id] = pos
         for duration, face in collateral.items():
             self._pledge(pos, duration, face)
         return pos
 
     def _remove(self, pos: RepoPosition) -> None:
         """Drop a settled position and release its collateral."""
-        self._unindex(pos)
+        del self.positions[pos.repo_id]
         for duration, face in pos.collateral.items():
             self._encumber(pos.borrower, duration, -face)
 
     def _reopen(self, pos: RepoPosition, day: int, rate: int, collateral: dict) -> None:
         """Reopen `pos` overnight on `day` under the next id at `rate`,
         pledging `collateral` in place of its old collateral."""
-        self._unindex(pos)
+        del self.positions[pos.repo_id]
         old, borrower = pos.collateral, pos.borrower
         for duration in DURATIONS:
             if face := collateral.get(duration, 0) - old.get(duration, 0):
@@ -192,23 +187,7 @@ class RepoRegistry:
         pos.repo_id, pos.rate, pos.collateral = self._next_id, rate, collateral
         pos.open_day, pos.second_leg_day = day, day + 1
         self._next_id += 1
-        self._index(pos)
-
-    def _index(self, pos: RepoPosition) -> None:
         self.positions[pos.repo_id] = pos
-        self._due_on[pos.second_leg_day][pos.repo_id] = pos
-        self._lent_by[pos.lender.key][pos.repo_id] = pos
-
-    def _unindex(self, pos: RepoPosition) -> None:
-        del self.positions[pos.repo_id]
-        del self._lent_by[pos.lender.key][pos.repo_id]
-        self._undue(pos)
-
-    def _undue(self, pos: RepoPosition) -> None:
-        bucket = self._due_on[pos.second_leg_day]
-        del bucket[pos.repo_id]
-        if not bucket:
-            del self._due_on[pos.second_leg_day]
 
     def _pledge(self, pos: RepoPosition, duration: DurationClass, face: int) -> None:
         pos.collateral[duration] = pos.collateral.get(duration, 0) + face

@@ -14,7 +14,9 @@ repo (same-day cash from the borrower, who is left with a funding gap).
 Sale and non-rollover cash is pooled per issuer and drawn first-in
 first-out; a request backed purely by deposits is therefore never
 blocked by market conditions. An issuer's earmark is read from its open
-requests, the sum of their `deposit_left`, at each planning and payout pass.
+requests, the sum of their `deposit_left`, at each planning and payout pass;
+a holder's promised coins are read from them too, the sum of their unpaid
+`amount - paid`.
 
 Par policy: a rigorously fixed regime stands ready to buy below par and
 mint above; a corridor acts only outside its band; best effort never
@@ -87,10 +89,6 @@ class ParMode(Enum):
 class ParPolicy:
     mode: ParMode = ParMode.BEST_EFFORT
     corridor_width: int = 0  # micro
-
-    def __post_init__(self):
-        if self.mode is ParMode.CORRIDOR and self.corridor_width <= 0:
-            raise SettlementError("corridor width must be positive")
 
 
 @dataclass(frozen=True)
@@ -212,10 +210,9 @@ class GapInstruction:
 class SettlementEngine:
     """Drives every issuer's redemption queue one day at a time.
 
-    Owns planning, the coins promised to open requests, repo rollovers,
-    the proceeds pool and the payout pass; market clearing and price
-    updates stay outside. Reads its parameters from the parsed `rates`
-    and `policies` sections.
+    Owns planning, repo rollovers, the proceeds pool and the payout
+    pass; market clearing and price updates stay outside. Reads its
+    parameters from the parsed `rates` and `policies` sections.
     """
 
     def __init__(self, world: LedgerWorld, registry: RepoRegistry, issuers: dict,
@@ -226,8 +223,6 @@ class SettlementEngine:
         self.rates = rates
         self.policies = policies
         self._next_request = 0
-        # (holder key, issuer key) -> coins promised to open requests
-        self.committed: dict[tuple[str, str], Amount] = {}
 
     # -- intake -----------------------------------------------------------
 
@@ -242,18 +237,12 @@ class SettlementEngine:
             book.day_unserved = 0
             book.pin_target = PAR
 
-    def redeemable(self, holder: AgentId, issuer: AgentId) -> Amount:
-        """Coins the holder has not yet promised to an open request."""
-        world = self.world
-        held = world.sheet(holder).assets.get(world.coin_keys[issuer.key], 0)
-        return max(0, held - self.committed.get((holder.key, issuer.key), 0))
-
     def submit_redemptions(self, book: IssuerBook, slices: list, route: Route,
                            is_intervention: bool = False) -> list:
         """Queue a request for each `(holder, amount)` of `slices`, in order;
         coins stay with each holder until paid. Under intermediated access
         only intermediaries redeem directly. Every slice is checked first,
-        so a batch that raises queues, commits and logs nothing."""
+        so a batch that raises queues and logs nothing."""
         gated = (route is Route.DIRECT and not is_intervention
                  and self.policies.access_mode is AccessMode.INTERMEDIATED)
         for holder, amount in slices:
@@ -261,14 +250,12 @@ class SettlementEngine:
                 raise IneligibleRedeemer(f"{holder} may not redeem directly from {book.agent}")
             if amount <= 0:
                 raise SettlementError("redemption amount must be positive")
-        issuer, day, committed = book.agent.key, self.world.day, self.committed
+        issuer, day = book.agent.key, self.world.day
         request_id, records, events, total = self._next_request, [], [], 0
         route = route.value
         for holder, amount in slices:
             records.append(OpenRequest(request_id, holder, amount, day,
                                        is_intervention=is_intervention))
-            key = (holder.key, issuer)
-            committed[key] = committed.get(key, 0) + amount
             events.append((_REDEMPTION_REQUEST, (request_id, issuer, holder.key, amount,
                                                  route, is_intervention)))
             request_id += 1
@@ -435,13 +422,12 @@ class SettlementEngine:
         issuer's deposits. An issuer's chunks are sized against running
         values of its deposits, pool and earmark and of the coins each
         holder has left, written as one atomic batch
-        (`LedgerWorld.redeem_coins`), then booked on the requests, the
-        issuer and `committed`; a pass that cannot be paid in full
-        raises before it changes anything. Completed requests leave
-        `book.open`.
+        (`LedgerWorld.redeem_coins`), then booked on the requests and the
+        issuer; a pass that cannot be paid in full raises before it
+        changes anything. Completed requests leave `book.open`.
         """
-        day, committed = self.world.day, self.committed
-        for key, book in self.issuers.items():
+        day = self.world.day
+        for book in self.issuers.values():
             if not book.open or book.config.chain in suspended_chains:
                 continue
             chunks, pool = self._size_chunks(book)
@@ -456,11 +442,6 @@ class SettlementEngine:
                 record.pool_left -= chunk - deposit_part
                 record.paid += chunk
                 total += chunk
-                owed = (record.holder.key, key)
-                if left := committed[owed] - chunk:
-                    committed[owed] = left
-                else:
-                    del committed[owed]
                 if record.is_intervention:
                     bought += chunk
                 if record.paid == record.amount and (

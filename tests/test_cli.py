@@ -314,6 +314,10 @@ REJECTED = [
     # run used to pass validate and then fail its ledger mid-run
     ("market/max_dislocation_bp", 5_000, "market.max_dislocation_bp"),
     ("market/max_dislocation_bp", 9_999, "market.max_dislocation_bp"),
+    ("market/max_dislocation_bp", 10_000, "market.max_dislocation_bp"),
+    # calm has no mint_demand section: the row sets the whole section; a
+    # negative rate used to be accepted and ignored
+    ("mint_demand", {"daily_rate": -1}, "mint_demand.daily_rate"),
 ]
 
 

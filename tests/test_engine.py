@@ -113,6 +113,23 @@ def test_correlated_liveness_hits_both_issuers():
         assert out.summary["issuers"][name]["max_delay_days"] >= 1
 
 
+def test_shocks_apply_in_day_class_chain_order():
+    """Shocks listed out of order apply by day, then class, then chain:
+    two on day 1 and one on day 3."""
+    raw = PRESETS["calm"]()
+    raw["horizon_days"] = 5
+    raw["shocks"] = [
+        {"day": 3, "class": "confidence_only", "magnitude": 10_000},
+        {"day": 1, "class": "liveness_fault", "duration": 1, "chain": "side"},
+        {"day": 1, "class": "confidence_only", "magnitude": 10_000},
+    ]
+    out = run(parse_config(raw))
+    assert [(e["day"], e["klass"], e["chain"]) for e in out.events
+            if e["type"] == "shock_applied"] == [
+        (1, "confidence_only", "main"), (1, "liveness_fault", "side"),
+        (3, "confidence_only", "main")]
+
+
 def test_issuer_reserve_access_removes_sale_delays():
     base = PRESETS["slr_bound"]()
     blocked = run(parse_config(base))

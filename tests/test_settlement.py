@@ -1,10 +1,11 @@
 import copy
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from stablesim.config import DealerConfig, IssuerConfig, PolicyConfig, RatesConfig, parse_config
-from stablesim.engine import build_scenario, run
+from stablesim.engine import _coin_holders, build_scenario, run
 from stablesim.instruments import RepoRegistry
 from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, InsufficientPosition,
                               LedgerWorld, coin_key, deposit_key, reserves_key,
@@ -54,6 +55,14 @@ def settlement_engine(world, book, rates=RatesConfig(), **policies):
     """An engine over `book` alone; `policies` sets fields of its `PolicyConfig`."""
     return SettlementEngine(world, RepoRegistry(), {book.agent.key: book}, rates,
                             PolicyConfig(**policies))
+
+
+def promised(book):
+    """Holder key -> the coins its open requests at `book` have left unpaid."""
+    owed = {}
+    for r in book.open:
+        owed[r.holder.key] = owed.get(r.holder.key, 0) + r.remaining
+    return owed
 
 
 def plan(world, amount, book=None, holder=HOLDER, **policies):
@@ -116,14 +125,14 @@ def test_redemption_amount_must_be_positive():
     for amount in (0, -1_00):
         with pytest.raises(SettlementError):
             settle.submit_redemptions(book, [(HOLDER, amount)], Route.DIRECT)
-    assert book.requests == book.open == [] and settle.committed == {}
+    assert book.requests == book.open == [] and promised(book) == {}
     [record] = settle.submit_redemptions(book, [(HOLDER, 1_00)], Route.DIRECT)
     assert (record.request_id, record.holder, record.amount, record.submitted_day) == \
         (0, HOLDER, 1_00, 0)
 
 
 def intake_state(world, settle, book):
-    return (list(world.events.lines()), world.seq, settle._next_request, settle.committed,
+    return (list(world.events.lines()), world.seq, settle._next_request, promised(book),
             book.requests, book.open, book.day_requested)
 
 
@@ -164,7 +173,7 @@ def test_intake_batch_equals_batches_of_one():
     events = [json.loads(line) for line in states[0][0]]
     assert [(e["seq"], e["request_id"], e["amount"]) for e in events] == [
         (0, 0, 1_00), (1, 1, 2_00), (2, 2, 3_00)]
-    assert states[0][3] == {(HOLDER.key, ISSUER.key): 4_00, (IM.key, ISSUER.key): 2_00}
+    assert states[0][3] == {HOLDER.key: 4_00, IM.key: 2_00}
     assert states[0][6] == 6_00
 
 
@@ -481,7 +490,7 @@ def test_payout_pass_sizes_chunks_against_running_balances():
     assert first.completed and (first.paid, first.deposit_left, first.pool_left) == (300_00, 0, 0)
     assert (second.paid, second.deposit_left, second.pool_left) == (350_00, 0, 50_00)
     assert not second.completed and book.open == [second]
-    assert settle.committed == {(HOLDER.key, ISSUER.key): 50_00}
+    assert promised(book) == {HOLDER.key: 50_00}
     assert (book.pool, book.day_completed) == (0, 650_00)
     assert world.deposits(ISSUER) == 0 and world.deposits(HOLDER) == 650_00
     assert world.sheet(HOLDER).asset(coin_key(ISSUER)) == 50_00
@@ -522,6 +531,24 @@ def test_payout_pass_pays_a_holder_no_more_than_its_coins_left():
     assert world.audit().ok
 
 
+def test_holder_walk_after_a_partial_payout_offers_the_coins_not_promised():
+    """A holder with 1,000.00 of coins asks for 300.00 and 400.00 and is
+    paid 650.00: of its 350.00 left, 50.00 stay promised to the open
+    request, so the next walk offers 300.00, not 350.00 less the request's
+    whole 400.00."""
+    world = payout_world(issuer_deposits=600_00, coins=1_000_00)
+    book = issuer_book()
+    settle = settlement_engine(world, book)
+    _, second = settle.submit_redemptions(book, [(HOLDER, 300_00), (HOLDER, 400_00)],
+                                          Route.DIRECT)
+    settle.plan_pending(set())
+    endow(world, 50_00)
+    settle.payout_pass(set())
+    assert book.open == [second] and (second.amount, second.paid) == (400_00, 350_00)
+    assert world.sheet(HOLDER).asset(coin_key(ISSUER)) == 350_00
+    assert list(_coin_holders(SimpleNamespace(world=world), book)) == [(HOLDER, 300_00)]
+
+
 def test_failing_payout_pass_writes_nothing():
     """The issuer's bank holds reserves for each chunk but not for both:
     the pass raises before it writes a sheet, a version, the change log,
@@ -537,7 +564,7 @@ def test_failing_payout_pass_writes_nothing():
     before = copy.deepcopy((
         world.snapshot().to_json(), {key: b.version for key, b in world.agents.items()},
         world.changes, world.coin_holders, list(world.events.lines()),
-        settle.committed, book.pool, book.open,
+        promised(book), book.pool, book.open,
         [(r.paid, r.deposit_left, r.pool_left) for r in requests]))
     with pytest.raises(InsufficientPosition) as raised:
         settle.payout_pass(set())
@@ -546,7 +573,7 @@ def test_failing_payout_pass_writes_nothing():
     assert (
         world.snapshot().to_json(), {key: b.version for key, b in world.agents.items()},
         world.changes, world.coin_holders, list(world.events.lines()),
-        settle.committed, book.pool, book.open,
+        promised(book), book.pool, book.open,
         [(r.paid, r.deposit_left, r.pool_left) for r in requests],
     ) == before
 
@@ -690,18 +717,10 @@ def test_funding_trackers_stay_consistent_across_random_runs(check_indexes,
             # the mint buyer is funded, so each mint settles the day it is
             # asked and leaves the queue
             assert book.mints == []
-        # committed coins are exactly what open requests still owe, and
-        # never more than the holder has
-        owed: dict = {}
-        for key, book in scn.settle.issuers.items():
-            for r in book.requests:
-                if not r.completed:
-                    k = (r.holder.key, key)
-                    owed[k] = owed.get(k, 0) + r.remaining
-        assert scn.settle.committed == owed
-        for (holder_key, issuer_key), amount in scn.settle.committed.items():
-            held = scn.world.agents[holder_key].asset(f"coin@{issuer_key}")
-            assert 0 < amount <= held
+            # no holder has promised more coins than it holds
+            for holder_key, amount in promised(book).items():
+                held = scn.world.agents[holder_key].asset(f"coin@{key}")
+                assert 0 < amount <= held
 
     for _ in range(120):
         deposits = rng.uniform_int(0, 4_000_00)
