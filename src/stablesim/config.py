@@ -7,8 +7,9 @@ every fraction, rate or price is an integer in micro units
 values too (1bp == 100).
 
 Nothing is coerced: integers are JSON integers (not 5.5, "5" or true),
-booleans are true or false. The integers of agent entries and shocks
-are >= 0; rates stay signed. A key not named below is rejected, e.g.
+booleans are true or false. The integers of agent entries, shocks and
+the market, run_model and price_model sections are >= 0; rates stay
+signed. A key not named below is rejected, e.g.
 "policies.srf_enabeld: unknown key". A field left out takes the default in
 parentheses. Errors name the dotted path first, e.g. "market.depth:
 expected an integer, got 5.5" or "agents.holders[h_1].coins.usdx: ...".
@@ -343,6 +344,10 @@ def _of(cls, **given) -> Callable:  # the reader of a subsection parsed into `cl
     return lambda value, where, key: _section(cls, value, _path(where, key), given)
 
 
+def _amounts_of(cls) -> Callable:  # the same, for a subsection of integers >= 0
+    return lambda value, where, key: _section(cls, value, _path(where, key), {}, amounts=True)
+
+
 def _enum(enum_cls, label: str, error=ValidationError) -> Callable:
     members = {member.value: member for member in enum_cls}  # all values are str
 
@@ -392,9 +397,9 @@ _SCENARIO = {
                               ParPolicy, mode=_Read(_enum(ParMode, "par mode")),
                               corridor_width=_Read(lambda v, at, k: _int(v, at, k) * BP,
                                                    "corridor_bp"))))),
-    "market": _Read(_of(MarketConfig)),
-    "run_model": _Read(_of(RunModelConfig)),
-    "price_model": _Read(_of(PriceParams)),
+    "market": _Read(_amounts_of(MarketConfig)),
+    "run_model": _Read(_amounts_of(RunModelConfig)),
+    "price_model": _Read(_amounts_of(PriceParams)),
     "rates": _Read(_of(RatesConfig)),
     "shocks": _Read(_shocks),
     "mint_daily_rate": _Read(_int, "mint_demand.daily_rate"),
@@ -519,9 +524,6 @@ def parse_config(raw: dict) -> ScenarioConfig:
     _require(all(s.day < config.horizon_days for s in config.shocks), "shocks: day within horizon")
     _require(config.attack_cost is None or config.attack_cost > 0,
              "diagnostics.attack_cost: must be > 0")
-    for section in ("market", "run_model", "price_model"):
-        for name, value in vars(getattr(config, section)).items():
-            _require(type(value) is not int or value >= 0, f"{section}.{name}: must be >= 0")
     return config
 
 

@@ -260,8 +260,6 @@ def apply_shock(spec: ShockSpec, world: LedgerWorld, state: ShockState,
             magnitude = rng.uniform_int(lo, hi)
         for key in on_chain:
             state.price_effects[key] = state.price_effects.get(key, 0) + magnitude
-        return
-    raise UnknownShockClass(str(spec.klass))
 
 
 def run_corrective_burns(world: LedgerWorld, state: ShockState) -> None:

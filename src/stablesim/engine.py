@@ -479,14 +479,13 @@ def _interventions(scn: Scenario, suspended: set) -> None:
 
 def _plan(scn: Scenario, suspended: set) -> list:
     """Phase 6: commit funding; returns the bill sales for the dealer market."""
-    instructions = scn.settle.plan_pending(suspended)
+    instructions = scn.settle.plan_pending(suspended, scn.market.unsettled())
     if not scn.config.policies.issuer_reserve_access:
         return instructions
     # bills monetize at the central bank instead of the dealer market
     for instr in instructions:
         proceeds = _fed_bill_purchase(scn, instr.issuer, instr.amount)
-        scn.settle.note_fill(instr.issuer.key, instr.amount)
-        scn.settle.credit_proceeds({instr.issuer.key: (proceeds, instr.amount)})
+        scn.settle.credit_proceeds({instr.issuer.key: proceeds})
     return []
 
 
@@ -505,14 +504,12 @@ def _clear_market(scn: Scenario, instructions: list, gaps: list) -> dict:
     mark prices; returns each dealer's capacity before clearing."""
     world, market = scn.world, scn.market
     dealer_capacity = market.dealer_capacity(world)
-    reports = market.resubmit_carryover(world)
+    market.resubmit_carryover(world)
     for instr in instructions:
-        reports.append(market.submit_sale(world, instr.issuer, instr.amount,
-                                          instr.duration, purpose="redemption"))
+        market.submit_sale(world, instr.issuer, instr.amount, DurationClass.BILL,
+                           purpose="redemption")
     for gap in gaps:
-        reports += market.funding_gap_liquidation(world, gap.amount, gap.borrower)
-    for report in reports:
-        scn.settle.note_fill(report.seller.key, report.filled)
+        market.funding_gap_liquidation(world, gap.amount, gap.borrower)
     market.apply_day_impact(world, scn.registry)
     return dealer_capacity
 

@@ -614,8 +614,9 @@ class LedgerWorld:
         - double_entry: stored equity is assets minus liabilities;
         - reserve_conservation: reserves held equal the central bank's
           reserve liabilities;
-        - deposit_matching: each non-bank deposit sits at a bank that owes
-          exactly it, then each bank deposit liability has that holder;
+        - deposit_matching: each deposit sits at a bank that owes exactly
+          it and no non-bank owes one, then each bank deposit liability has
+          that holder;
         - claim_matching: each repo and SRF claim and obligation has its
           mirror, then coins held equal coins outstanding per coin.
 
@@ -634,12 +635,10 @@ class LedgerWorld:
         pass `audit()`'s checker the written sheets, the summed deltas of
         the coin and reserve legs, and each written deposit, repo and SRF
         position as it stands, zero if it is gone, which the checker
-        matches against its mirror (a bank's deposit at a bank is fed as
-        the owing bank's liability, the side `audit()` checks it from).
-        As `post` is the only writer, the world passes `audit()` exactly
-        when these do, unless a sheet was edited around it; on a failure
-        it returns `audit()`, which names the same checks, agents and
-        details.
+        matches against its mirror. As `post` is the only writer, the
+        world passes `audit()` exactly when these do, unless a sheet was
+        edited around it; on a failure it returns `audit()`, which names
+        the same checks, agents and details.
         """
         if self.changes is not None:
             net: dict[tuple[str, str, str], int] = {}
@@ -648,11 +647,9 @@ class LedgerWorld:
                     net[leg] = net.get(leg, 0) + delta
             self.changes = []
             # agent key -> (assets, liabilities), indexed by `side == "L"`
-            agents, ids, legs = self.agents, self.ids, defaultdict(lambda: ({}, {}))
+            agents, legs = self.agents, defaultdict(lambda: ({}, {}))
             for (key, side, ikey), delta in net.items():
-                kind, _, cpty = ikey.partition("@")
-                if kind == "deposit" and side == "A" and ids[key].kind is AgentKind.BANK:
-                    key, side, ikey = cpty, "L", f"deposit@{key}"   # checked from the owing side
+                kind = ikey.partition("@")[0]
                 if kind == "deposit" or kind == "repo" or kind == "srf":
                     if (book := agents.get(key)) is None:
                         continue
@@ -695,7 +692,7 @@ class LedgerWorld:
                     continue
                 if kind == "coin":
                     coins_held[akey] = coins_held.get(akey, 0) + amount
-                elif kind == "deposit" and not is_bank:
+                elif kind == "deposit":
                     bank = agents.get(cpty)
                     if bank is None or ids[cpty].kind is not bank_kind:
                         faults.append((key, akey, f"deposit asset at non-bank {cpty}"))
@@ -715,7 +712,9 @@ class LedgerWorld:
                     continue
                 if kind == "coin":
                     coins_owed[lkey] = coins_owed.get(lkey, 0) + amount
-                elif kind == "deposit" and is_bank:
+                elif kind == "deposit" and not is_bank:
+                    faults.append((key, lkey, f"deposit liability to {cpty} on non-bank"))
+                elif kind == "deposit":
                     holder = agents.get(cpty)
                     if holder is None or holder.assets.get(own_deposit, 0) != amount:
                         orphans.append((key, lkey, f"orphan deposit liability to {cpty}"))

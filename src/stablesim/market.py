@@ -17,8 +17,9 @@ A day's T+1 settlement is one ledger transfer batch: each delivery is
 sized against the running deposits and faces the ones before it leave,
 and the batch is written by one post. A day's carryover pass re-reads
 capacity after each fill; once a read sums to zero the rest of the
-queue fills nothing and is carried in one step, logged order by order
-and reported by none.
+queue fills nothing and is carried in one step, logged order by order.
+Planning reads each seller's sales not yet settled from the queue and
+the pending settlements (`unsettled`).
 
 Volume accounting decomposes each submitted sale into seller volume,
 dealer retention, inter-dealer volume and buyer volume; gross volume is
@@ -218,25 +219,24 @@ class Market:
     # -- clearing ------------------------------------------------------------
 
     def submit_sale(self, world: LedgerWorld, seller: AgentId, amount: Amount,
-                    duration: DurationClass, purpose: str = "sale",
-                    first_submission: bool = True) -> FillReport:
-        """Clear one order against today's remaining dealer capacity.
+                    duration: DurationClass, purpose: str = "sale") -> FillReport:
+        """Clear one new order against today's remaining dealer capacity.
 
         The fill is allocated across dealers pro rata by available
         capacity (largest remainder, ties by dealer id). The unfilled
         remainder is queued and resubmitted ahead of new orders on the
-        next clearing day. Only a first submission adds to the day's
-        submitted (seller) volume and to gross volume, so resubmitted
-        remainders are not counted twice.
+        next clearing day. A new order adds to the day's submitted
+        (seller) volume and to gross volume; a resubmitted remainder
+        does not, so it is not counted twice.
         """
         order = SaleOrder(self._next_order, seller, duration, amount, purpose)
-        return self._clear(world, order, self.dealer_capacity(world),
-                           first_submission)
+        fill = self._clear(world, order, self.dealer_capacity(world), first_submission=True)
+        return FillReport(order.order_id, seller, duration, amount, fill, amount - fill,
+                          world.tbill_prices[duration])
 
-    def resubmit_carryover(self, world: LedgerWorld) -> list[FillReport]:
+    def resubmit_carryover(self, world: LedgerWorld) -> None:
         """Clear the queued unfilled remainders, in queue order, as new
-        orders that are not first submissions; returns the reports of
-        those cleared against capacity.
+        orders that are not first submissions.
 
         Dealer capacity is read before the first order and again after
         each fill. Once a read sums to zero, the rest of the queue fills
@@ -245,19 +245,17 @@ class Market:
         one step.
         """
         queued, self.carryover = self.carryover, []
-        reports = []
         for i, order in enumerate(queued):
             avail = self.dealer_capacity(world)
             if not any(avail.values()):
                 self._record(world, zip(queued[i:], repeat(0)), False)
                 break
-            reports.append(self._clear(world, order, avail, first_submission=False))
-        return reports
+            self._clear(world, order, avail, first_submission=False)
 
     def _clear(self, world: LedgerWorld, order: SaleOrder, avail: dict,
-               first_submission: bool) -> FillReport:
+               first_submission: bool) -> Amount:
         """Clear `order`'s `remaining` against `avail`, each dealer's
-        capacity right now, record it and return its report."""
+        capacity right now, record it and return its fill."""
         seller, duration, amount = order.seller, order.duration, order.remaining
         fill = min(amount, sum(avail.values()))
         if fill:
@@ -282,8 +280,7 @@ class Market:
             self.gross_volume += decompose(amount, retention).gross
             self.day_submitted[duration] += amount
         self._record(world, ((order, fill),), first_submission)
-        return FillReport(order.order_id, seller, duration, amount, fill, amount - fill,
-                          world.tbill_prices[duration])
+        return fill
 
     def _record(self, world: LedgerWorld, cleared, first_submission: bool) -> None:
         """Give each `(order, fill)` of `cleared`, in order, the next order
@@ -310,7 +307,7 @@ class Market:
     # -- funding gaps -----------------------------------------------------------
 
     def funding_gap_liquidation(self, world: LedgerWorld, gap: Amount,
-                                borrower: AgentId) -> list[FillReport]:
+                                borrower: AgentId) -> None:
         """A declined repo roll forces the borrower to refinance or sell.
 
         The replacement fraction finds funding off-market; the residual
@@ -322,8 +319,7 @@ class Market:
         world.emit("funding_gap", borrower=borrower.key, gap=gap,
                    replaced=replaced, residual=residual)
         if residual <= 0:
-            return []
-        reports = []
+            return
         allotted = 0
         for i, duration in enumerate(DURATIONS):
             if i == len(DURATIONS) - 1:
@@ -332,9 +328,7 @@ class Market:
                 part = mul_frac(residual, PLEDGE_MIX[duration])
             allotted += part
             if part > 0:
-                reports.append(self.submit_sale(world, borrower, part, duration,
-                                                purpose="funding_gap"))
-        return reports
+                self.submit_sale(world, borrower, part, duration, purpose="funding_gap")
 
     # -- settlement, impact, offload -------------------------------------------
 
@@ -346,17 +340,15 @@ class Market:
         who pays the seller. Each settlement is sized on the free face
         the ones before it leave its seller, and one with none delivers
         nothing. A pass that raises leaves the world and the market
-        untouched. Returns deposit proceeds per seller key.
+        untouched. Returns the cash each seller received, by seller key.
         """
         day = world.day
         due = [p for p in self.pending if p.settle_day <= day]
         batch = TransferBatch(world)
         prices, retention_frac, buyer = world.tbill_prices, self.params.retention_frac, self.buyer
-        proceeds: dict[str, list] = {}
+        proceeds: dict[str, Amount] = {}
         for p in due:
             seller, duration = p.seller, p.duration
-            entry = proceeds.setdefault(seller.key, [0, 0])
-            entry[1] += p.value
             price = prices[duration]
             face = min(mul_div(p.value, MICRO, price), registry.free_face(batch, seller, duration))
             if face <= 0:
@@ -365,7 +357,7 @@ class Market:
             got = deliver_tbills(batch, seller, p.dealer, duration, retention_face, price)
             got += deliver_tbills(batch, seller, buyer, duration, face - retention_face, price)
             if got:
-                entry[0] += got
+                proceeds[seller.key] = proceeds.get(seller.key, 0) + got
                 batch.emit("sale_settled", seller=seller.key, dealer=p.dealer.key,
                            duration=DURATION_NAME[duration], proceeds=got)
         batch.commit()
@@ -373,7 +365,18 @@ class Market:
         for p in due:
             book = self.books[p.dealer.key]
             book.reserved_today = max(0, book.reserved_today - p.value)
-        return {k: (v[0], v[1]) for k, v in proceeds.items()}
+        return proceeds
+
+    def unsettled(self) -> dict:
+        """Seller key -> the value of its sales not yet settled: the
+        unfilled remainders queued for the next clearing and the fills
+        awaiting T+1 settlement."""
+        out: dict[str, Amount] = {}
+        for order in self.carryover:
+            out[order.seller.key] = out.get(order.seller.key, 0) + order.remaining
+        for p in self.pending:
+            out[p.seller.key] = out.get(p.seller.key, 0) + p.value
+        return out
 
     def price_impact(self, excess_flow: Amount, duration: DurationClass) -> int:
         """Fraction decline (micro) for flow beyond capacity.

@@ -16,7 +16,9 @@ first-out; a request backed purely by deposits is therefore never
 blocked by market conditions. An issuer's earmark is read from its open
 requests, the sum of their `deposit_left`, at each planning and payout pass;
 a holder's promised coins are read from them too, the sum of their unpaid
-`amount - paid`.
+`amount - paid`. The bills an issuer is selling are read from the market
+at each planning pass: its queued remainders and its fills awaiting T+1
+settlement.
 
 Par policy: a rigorously fixed regime stands ready to buy below par and
 mint above; a corridor acts only outside its band; best effort never
@@ -176,8 +178,6 @@ class IssuerBook:
     mints: list = field(default_factory=list)     # the mints not settled yet
     # funding trackers
     pool: Amount = 0
-    inflight_orders: Amount = 0
-    in_transit: Amount = 0
     nonroll_pending: Amount = 0
     # daily metrics
     day_requested: Amount = 0
@@ -196,9 +196,9 @@ class IssuerBook:
 
 @dataclass(frozen=True)
 class SaleInstruction:
+    """A bill sale for the dealer market."""
     issuer: AgentId
     amount: Amount
-    duration: DurationClass
 
 
 @dataclass(frozen=True)
@@ -286,10 +286,13 @@ class SettlementEngine:
 
     # -- planning -----------------------------------------------------------
 
-    def plan_pending(self, suspended_chains: set) -> list:
+    def plan_pending(self, suspended_chains: set, unsettled: dict) -> list:
         """Commit funding for unplanned requests, oldest first, in one pass
-        per live issuer: spare deposits, then bills not yet sold or in
-        transit, then repo non-rollover; returns sale instructions.
+        per live issuer: spare deposits, then bills not yet being sold,
+        then repo non-rollover; returns bill sale instructions.
+        `unsettled` maps a seller key to the value of its sales the
+        market has not settled yet (`Market.unsettled`); an issuer's
+        running sales start from it.
         Planning moves no money, so a pass reads the issuer's deposits and
         bills once. It then tops up any shortfall between committed pool
         needs and the cash actually in flight (sales can settle short when
@@ -302,18 +305,18 @@ class SettlementEngine:
             if book.config.chain in suspended_chains or not book.open:
                 continue
             deposits, held = world.deposits(book.agent), world.tbill_value(book.agent)
-            # spare deposits are neither pooled nor in the earmark, unsold
-            # bills neither in transit nor ordered; the trackers planning
-            # moves are written back after the pass
+            # spare deposits are neither pooled nor in the earmark, and the
+            # bills free to sell are those not being sold already; pending
+            # non-rollover is written back after the pass
             earmark = sum(r.deposit_left for r in book.open)
-            inflight, nonroll_pending = book.inflight_orders, book.nonroll_pending
-            spare, unsold = deposits - book.pool, held - book.in_transit
+            selling, nonroll_pending = unsettled.get(key, 0), book.nonroll_pending
+            spare = deposits - book.pool
             events, needs = [], 0
             for record in book.open:
                 if not record.planned:
                     amount = record.amount
                     d = min(amount, max(0, spare - earmark))
-                    s = min(amount - d, max(0, unsold - inflight))
+                    s = min(amount - d, max(0, held - selling))
                     # the rest is committed to repo non-rollover regardless of
                     # solvency; uncollectable needs leave the request queued
                     # and show up as delay
@@ -329,18 +332,16 @@ class SettlementEngine:
                     events.append((_PLAN_CREATED, (record.request_id, key, funding,
                                                    d, s, n, horizon)))
                     if s > 0:
-                        inflight += s
-                        instructions.append(SaleInstruction(book.agent, s, DurationClass.BILL))
+                        selling += s
+                        instructions.append(SaleInstruction(book.agent, s))
                 needs += record.pool_left
-            book.inflight_orders, book.nonroll_pending = inflight, nonroll_pending
+            book.nonroll_pending = nonroll_pending
             world.emit_all(events)
-            shortfall = needs - (book.pool + book.inflight_orders + book.in_transit
-                                 + book.nonroll_pending)
+            shortfall = needs - (book.pool + selling + book.nonroll_pending)
             if shortfall > 0:
-                s = min(shortfall, max(0, held - book.inflight_orders - book.in_transit))
+                s = min(shortfall, max(0, held - selling))
                 if s > 0:
-                    book.inflight_orders += s
-                    instructions.append(SaleInstruction(book.agent, s, DurationClass.BILL))
+                    instructions.append(SaleInstruction(book.agent, s))
                     shortfall -= s
                 if shortfall > 0:
                     principal = self.registry.total_principal(book.agent)
@@ -348,25 +349,15 @@ class SettlementEngine:
                                                 max(0, principal - book.nonroll_pending))
         return instructions
 
-    # -- market feedback ------------------------------------------------------
-
-    def note_fill(self, issuer_key: str, filled: Amount) -> None:
-        book = self.issuers.get(issuer_key)
-        if book is None or filled <= 0:
-            return
-        take = min(filled, book.inflight_orders)
-        book.inflight_orders -= take
-        book.in_transit += take
+    # -- sale proceeds ------------------------------------------------------
 
     def credit_proceeds(self, settlements: dict) -> None:
-        """settlements: seller key -> (cash received, value expected)."""
-        for key in sorted(settlements):
+        """Pool each issuer's cash of `settlements`, seller key -> cash
+        received."""
+        for key, got in settlements.items():
             book = self.issuers.get(key)
-            if book is None:
-                continue
-            got, expected = settlements[key]
-            book.pool += got
-            book.in_transit = max(0, book.in_transit - expected)
+            if book is not None:
+                book.pool += got
 
     # -- repo rollovers -----------------------------------------------------------
 

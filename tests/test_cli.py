@@ -236,7 +236,8 @@ def test_sweep_where_every_point_fails_exits_1(tmp_path, capsys):
     assert "swept 2 points (2 failed)" in capsys.readouterr().out
     rows = list(csv.DictReader(io.StringIO((out_dir / "matrix.csv").read_text())))
     assert [(r["status"], r["error"]) for r in rows] == [
-        ("error", "ValidationError: market.depth: must be > 0")] * 2
+        ("error", "ValidationError: market.depth: must be > 0"),
+        ("error", "ValidationError: market.depth: expected an integer >= 0, got -5")]
 
 
 def test_sweep_with_an_audit_failing_point_exits_2(monkeypatch, tmp_path, capsys):

@@ -725,6 +725,27 @@ def _bench_scaled(**args) -> dict:
     return module.scaled(**args)
 
 
+@pytest.mark.parametrize("srf", ["off", "on"])
+def test_golden_sales_in_transit(srf, check_ledger):
+    """Frozen digests of a generated book whose unfunded issuers sell
+    bills to dealers short of reserves, so issuer sales are in flight
+    at day ends: cleared and awaiting T+1 settlement, and without the
+    SRF also carried over unfilled to the next day's clearing. The full
+    audit and fresh dealer capacities are checked at every day end."""
+    raw = _bench_scaled(holders=10, issuers=3, horizon=12, dealers=8, funded=False, seed=1)
+    raw["policies"]["srf_enabled"] = srf == "on"
+    out = run(parse_config(raw), on_day_end=check_ledger)
+    events = out.events
+    assert any(e["type"] == "sale_settled" and e["seller"].startswith("issuer:")
+               for e in events)
+    carried = any(e["type"] == "sale_cleared" and e["purpose"] == "redemption"
+                  and not e["first_submission"] for e in events)
+    # with the SRF on, draws fill every issuer sale on the day it is made
+    assert carried == (srf == "off")
+    golden = json.loads((GOLDEN / "sales_in_transit.sha256.json").read_text())
+    assert output_digests(out) == golden[f"srf_{srf}"]
+
+
 def test_summary_totals_are_the_folds_of_the_rows():
     """Every preset at two seeds and a small generated book with the SRF
     on: each issuer's totals and peak deviation in summary.json are folds

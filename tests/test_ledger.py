@@ -356,6 +356,14 @@ def faulty_world(*legs):
         ("deposit_matching", "bank:1", "orphan deposit liability to holder:9"),
         id="orphan_deposit_liability_unknown_agent"),
     pytest.param(
+        [(BANK_A, "A", deposit_key(BANK_B), 5)],
+        ("deposit_matching", "bank:0", "deposit 5 at bank:1 has liability 0"),
+        id="bank_deposit_at_bank_without_liability"),
+    pytest.param(
+        [(HOLDER, "L", deposit_key(BANK_A), 5)],
+        ("deposit_matching", "holder:0", "deposit liability to bank:0 on non-bank"),
+        id="deposit_liability_on_non_bank"),
+    pytest.param(
         [(ISSUER, "A", "repo@bank:0", 2_00)],
         ("claim_matching", "issuer:0", "unmatched repo@bank:0 claim of 200"),
         id="unmatched_repo_claim"),
@@ -527,11 +535,14 @@ def test_clean_writes_never_fall_back_to_the_full_audit(monkeypatch):
                  [(ISSUER, "A", repo_key(BANK_A), -2_00)], id="repo_popped_mirror_survives"),
     pytest.param([(BANK_A, "L", srf_key(FED), 4_00), (FED, "A", srf_key(BANK_A), 4_00)],
                  [(BANK_A, "L", srf_key(FED), -4_00)], id="srf_popped_mirror_survives"),
-    # the full audit matches a bank's deposit at a bank from the owing side
     pytest.param([(BANK_A, "A", deposit_key(BANK_B), 3_00),
                   (BANK_B, "L", deposit_key(BANK_A), 3_00)],
                  [(BANK_A, "A", deposit_key(BANK_B), -3_00)],
                  id="bank_deposit_popped_mirror_survives"),
+    pytest.param([], [(BANK_A, "A", deposit_key(BANK_B), 5)],
+                 id="bank_deposit_at_bank_without_liability"),
+    pytest.param([], [(HOLDER, "L", deposit_key(BANK_A), 5)],
+                 id="deposit_liability_on_non_bank"),
 ])
 def test_audit_changes_reports_exactly_what_audit_reports(held, legs):
     world = two_bank_world()

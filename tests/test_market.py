@@ -130,6 +130,23 @@ def test_absorbing_a_fill_reduces_dealer_slr():
     assert world.audit().ok
 
 
+def test_unsettled_sums_each_sellers_queued_and_pending_sales():
+    """A sale larger than capacity is in flight whole: its fill awaits T+1
+    settlement and its remainder is queued. Settlement takes the fill off,
+    and a carryover pass with no capacity leaves the remainder."""
+    world, market, registry = make_market(capital=5_100_00)
+    fill = market.submit_sale(world, SELLER, 20_000_00, DurationClass.BILL).filled
+    market.submit_sale(world, D1, 1_000_00, DurationClass.LONG, purpose="funding_gap")
+    assert 0 < fill < 20_000_00
+    assert market.unsettled() == {SELLER.key: 20_000_00, D1.key: 1_000_00}
+    world.day = 1
+    market.begin_day()
+    market.settle_due(world, registry)
+    market.books[D1.key].ra_used_today = market.books[D2.key].ra_used_today = 10**12
+    market.resubmit_carryover(world)
+    assert market.unsettled() == {SELLER.key: 20_000_00 - fill, D1.key: 1_000_00}
+
+
 def test_settlement_pays_seller_and_conserves_deposits():
     world, market, registry = make_market()
     def deposits():
@@ -138,9 +155,10 @@ def test_settlement_pays_seller_and_conserves_deposits():
     total_before = deposits()
     report = market.submit_sale(world, SELLER, 40_000_00, DurationClass.BILL)
     world.day = 1
+    assert market.unsettled() == {SELLER.key: 40_000_00}
     proceeds = market.settle_due(world, registry)
-    got, expected = proceeds[SELLER.key]
-    assert expected == 40_000_00
+    assert market.unsettled() == {}
+    got = proceeds[SELLER.key]
     assert abs(got - 40_000_00) <= 1
     assert deposits() == total_before
     assert world.audit().ok
@@ -218,16 +236,14 @@ def test_flight_to_safety_lifts_bills():
 
 def test_funding_gap_full_replacement_sells_nothing():
     world, market, _ = make_market(replacement_frac=MICRO - 1)
-    reports = market.funding_gap_liquidation(world, 100_00, D1)
-    assert sum(r.requested for r in reports) <= 1  # fully refinanced
+    market.funding_gap_liquidation(world, 100_00, D1)
+    assert sum(market.day_submitted.values()) <= 1  # fully refinanced
 
 
 def test_funding_gap_collateral_split():
     world, market, _ = make_market(replacement_frac=0)
-    reports = market.funding_gap_liquidation(world, 100_00, D1)
-    by_class = {r.duration: r.requested for r in reports}
-    assert by_class[DurationClass.LONG] == 75_00
-    assert by_class[DurationClass.BILL] == 25_00
+    market.funding_gap_liquidation(world, 100_00, D1)
+    assert market.day_submitted == {DurationClass.LONG: 75_00, DurationClass.BILL: 25_00}
 
 
 def test_eslr_reform_adds_capacity():
@@ -337,12 +353,11 @@ def random_market(rng):
     return world, market
 
 
-def resubmit_through_submit_sale(world, market):
-    """Carryover cleared order by order through `submit_sale`."""
+def resubmit_order_by_order(world, market):
+    """Carryover cleared order by order, each against a fresh capacity read."""
     queued, market.carryover = market.carryover, []
-    return [market.submit_sale(world, order.seller, order.remaining, order.duration,
-                               purpose=order.purpose, first_submission=False)
-            for order in queued]
+    for order in queued:
+        market._clear(world, order, market.dealer_capacity(world), first_submission=False)
 
 
 def market_state(world, market):
@@ -361,7 +376,7 @@ def cleared_rows(world, since):
             for e in world.events[since:] if e["type"] == "sale_cleared"]
 
 
-def test_resubmit_carryover_equals_clearing_each_order_through_submit_sale():
+def test_resubmit_carryover_equals_clearing_each_order_alone():
     seen = {"filled": 0, "carried": 0, "srf_draws": 0, "carried_many": 0}
     for seed in range(60):
         world, market = random_market(random.Random(seed))
@@ -371,12 +386,11 @@ def test_resubmit_carryover_equals_clearing_each_order_through_submit_sale():
         read_capacity = market.dealer_capacity
         market.dealer_capacity = lambda world: (
             reads.append(sum((avail := read_capacity(world)).values())) or avail)
-        reports = market.resubmit_carryover(world)
+        market.resubmit_carryover(world)
         del market.dealer_capacity
-        expected = resubmit_through_submit_sale(ref_world, ref_market)
-        # the orders cleared against capacity report, each with a fill; the
-        # carried ones are logged with the same ids and tallies, unreported
-        assert reports == [r for r in expected if r.filled], seed
+        resubmit_order_by_order(ref_world, ref_market)
+        # every order is logged with the same id, fill and tallies, and the
+        # world and the market end the same
         rows = cleared_rows(world, logged)
         assert rows == cleared_rows(ref_world, logged) and len(rows) == queued, seed
         assert market_state(world, market) == market_state(ref_world, ref_market), seed
@@ -384,11 +398,11 @@ def test_resubmit_carryover_equals_clearing_each_order_through_submit_sale():
         # each read but a last one that sums to zero is followed by one fill;
         # that last one starts the step carrying the rest of the queue
         step = bool(reads) and reads[-1] == 0
-        assert len(reads) - step == len(reports), seed
-        carried = queued - len(reports)
-        assert carried == sum(1 for _, _, filled, _ in rows if not filled), seed
+        filled = sum(1 for _, _, fill, _ in rows if fill)
+        assert len(reads) - step == filled, seed
+        carried = queued - filled
         assert carried == (queued - len(reads) + 1 if step else 0), seed
-        seen["filled"] += len(reports)
+        seen["filled"] += filled
         seen["carried"] += carried > 0
         seen["carried_many"] += carried > 1
         seen["srf_draws"] += market.day_srf_draws > 0
@@ -416,13 +430,14 @@ def test_resubmit_carryover_reads_capacity_again_only_after_a_fill(monkeypatch):
                             lambda world: reads.append(1) or read_capacity(world))
         prorated.clear()
         built.clear()
-        reports = market.resubmit_carryover(world)
-        assert len(reads) <= 1 + len(reports), seed
-        # a carried order runs no pro-rata split and builds no report
-        fills = [r.filled for r in reports]
-        assert prorated == built == fills and all(fills), seed
-        assert len(cleared_rows(world, logged)) == queued, seed
-        carried += queued - len(reports)
+        market.resubmit_carryover(world)
+        rows = cleared_rows(world, logged)
+        fills = [fill for _, _, fill, _ in rows if fill]
+        assert len(reads) <= 1 + len(fills), seed
+        # a carried order runs no pro-rata split, and no order builds a report
+        assert prorated == fills and built == [], seed
+        assert len(rows) == queued, seed
+        carried += queued - len(fills)
     assert carried > 0
 
 
@@ -496,16 +511,14 @@ def settle_one_by_one(world, market, registry, seen):
         retention_face = mul_frac(face, market.params.retention_frac)
         got = deliver(p.seller, p.dealer, p.duration, retention_face, price)
         got += deliver(p.seller, market.buyer, p.duration, face - retention_face, price)
-        entry = proceeds.setdefault(p.seller.key, [0, 0])
-        entry[0] += got
-        entry[1] += p.value
         if got:
+            proceeds[p.seller.key] = proceeds.get(p.seller.key, 0) + got
             seen["dealer_sells"] += p.seller.kind is AgentKind.BROKER_DEALER
             seen["delivers_twice"] += (p.seller.key, p.duration) in delivered
             delivered.add((p.seller.key, p.duration))
             world.emit("sale_settled", seller=p.seller.key, dealer=p.dealer.key,
                        duration=p.duration.value, proceeds=got)
-    return {k: tuple(v) for k, v in proceeds.items()}
+    return proceeds
 
 
 def balances(sheet):

@@ -71,7 +71,7 @@ def plan(world, amount, book=None, holder=HOLDER, **policies):
     book = book or issuer_book()
     settle = settlement_engine(world, book, **policies)
     [record] = settle.submit_redemptions(book, [(holder, amount)], Route.DIRECT)
-    instructions = settle.plan_pending(set())
+    instructions = settle.plan_pending(set(), {})
     created = [e for e in world.events if e["type"] == "plan_created"]
     assert len(created) == 1
     assert created[0]["request_id"] == record.request_id
@@ -93,7 +93,7 @@ def test_plan_sells_bills_with_one_day_settlement():
     assert event["funding"] == Funding.SELL_TREASURIES.value
     assert event["from_sales"] == 1_000_00
     assert event["horizon"] == record.horizon == 1
-    assert instructions == [SaleInstruction(ISSUER, 1_000_00, DurationClass.BILL)]
+    assert instructions == [SaleInstruction(ISSUER, 1_000_00)]
 
 
 def test_plan_falls_back_to_repo_non_rollover():
@@ -185,17 +185,35 @@ def test_plan_pass_draws_each_source_in_turn():
     book = issuer_book()
     settle = settlement_engine(world, book)
     records = settle.submit_redemptions(book, [(HOLDER, 400_00)] * 3, Route.DIRECT)
-    instructions = settle.plan_pending(set())
+    instructions = settle.plan_pending(set(), {})
     assert [(r.deposit_left, r.pool_left, r.horizon) for r in records] == [
         (400_00, 0, 0), (100_00, 300_00, 1), (0, 400_00, 1)]
-    assert instructions == [SaleInstruction(ISSUER, 300_00, DurationClass.BILL),
-                            SaleInstruction(ISSUER, 200_00, DurationClass.BILL)]
+    assert instructions == [SaleInstruction(ISSUER, 300_00),
+                            SaleInstruction(ISSUER, 200_00)]
     created = [(e["request_id"], e["funding"], e["from_sales"], e["from_nonroll"])
                for e in world.events if e["type"] == "plan_created"]
     assert created == [(0, Funding.FROM_DEPOSITS.value, 0, 0),
                        (1, Funding.SELL_TREASURIES.value, 300_00, 0),
                        (2, Funding.REPO_NON_ROLLOVER.value, 200_00, 200_00)]
-    assert (book.inflight_orders, book.nonroll_pending) == (500_00, 200_00)
+    assert book.nonroll_pending == 200_00
+
+
+def test_plan_sells_only_the_bills_not_already_being_sold():
+    """The issuer holds 1,000.00 of bills, 700.00 of them sold and not yet
+    settled. A 500.00 request sells the 300.00 left and takes 200.00 from
+    repo non-rollover. When 800.00 of the sales then settle for no cash,
+    the next pass sells another 100.00: the pool needs 500.00, and 200.00
+    of sales and 200.00 of non-rollover are in flight."""
+    world = bare_world(issuer_bills=1_000_00)
+    book = issuer_book()
+    settle = settlement_engine(world, book)
+    [record] = settle.submit_redemptions(book, [(HOLDER, 500_00)], Route.DIRECT)
+    assert settle.plan_pending(set(), {ISSUER.key: 700_00, DEALER.key: 5_000_00}) == [
+        SaleInstruction(ISSUER, 300_00)]
+    assert (record.deposit_left, record.pool_left) == (0, 500_00)
+    assert book.nonroll_pending == 200_00
+    assert settle.plan_pending(set(), {ISSUER.key: 200_00}) == [SaleInstruction(ISSUER, 100_00)]
+    assert book.nonroll_pending == 200_00
 
 
 def test_submit_mint_declines():
@@ -415,7 +433,7 @@ def test_payout_pass_pays_deposit_funded_request_same_day():
     total_before = total_bank_deposits(scn.world)
     coins_before = scn.world.coins_outstanding(book.agent)
     [record] = scn.settle.submit_redemptions(book, [(holder, 1_000_00)], Route.DIRECT)
-    assert scn.settle.plan_pending(set()) == []
+    assert scn.settle.plan_pending(set(), scn.market.unsettled()) == []
     created = [e for e in scn.world.events if e["type"] == "plan_created"]
     assert created[-1]["funding"] == Funding.FROM_DEPOSITS.value
     scn.settle.payout_pass(set())
@@ -431,13 +449,15 @@ def test_plan_pending_sale_funding_waits_for_the_market():
     book = scn.settle.issuers["issuer:0"]
     holder = scn.agent_of["h1"]
     [record] = scn.settle.submit_redemptions(book, [(holder, 1_000_00)], Route.DIRECT)
-    instructions = scn.settle.plan_pending(set())
+    instructions = scn.settle.plan_pending(set(), scn.market.unsettled())
     created = [e for e in scn.world.events if e["type"] == "plan_created"]
     assert created[-1]["funding"] == Funding.SELL_TREASURIES.value
-    assert instructions == [SaleInstruction(book.agent, 1_000_00, DurationClass.BILL)]
-    assert book.inflight_orders == 1_000_00
+    assert instructions == [SaleInstruction(book.agent, 1_000_00)]
     scn.settle.payout_pass(set())
     assert not record.completed
+    # the sale is in flight in the market, filled or carried over
+    scn.market.submit_sale(scn.world, book.agent, 1_000_00, DurationClass.BILL)
+    assert scn.market.unsettled() == {book.agent.key: 1_000_00}
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +501,7 @@ def test_payout_pass_sizes_chunks_against_running_balances():
     settle = settlement_engine(world, book)
     first, second = settle.submit_redemptions(book, [(HOLDER, 300_00), (HOLDER, 400_00)],
                                               Route.DIRECT)
-    assert settle.plan_pending(set()) == []
+    assert settle.plan_pending(set(), {}) == []
     assert (first.deposit_left, first.pool_left) == (300_00, 0)
     assert (second.deposit_left, second.pool_left) == (300_00, 100_00)
     endow(world, 50_00)
@@ -523,7 +543,7 @@ def test_payout_pass_pays_a_holder_no_more_than_its_coins_left():
     book = issuer_book()
     settle = settlement_engine(world, book)
     first, second = settle.submit_redemptions(book, [(HOLDER, 300_00)] * 2, Route.DIRECT)
-    settle.plan_pending(set())
+    settle.plan_pending(set(), {})
     settle.payout_pass(set())
     assert first.completed and (second.paid, second.remaining) == (200_00, 100_00)
     assert second.deposit_left == 100_00 and world.deposits(ISSUER) == 500_00
@@ -541,7 +561,7 @@ def test_holder_walk_after_a_partial_payout_offers_the_coins_not_promised():
     settle = settlement_engine(world, book)
     _, second = settle.submit_redemptions(book, [(HOLDER, 300_00), (HOLDER, 400_00)],
                                           Route.DIRECT)
-    settle.plan_pending(set())
+    settle.plan_pending(set(), {})
     endow(world, 50_00)
     settle.payout_pass(set())
     assert book.open == [second] and (second.amount, second.paid) == (400_00, 350_00)
@@ -560,7 +580,7 @@ def test_failing_payout_pass_writes_nothing():
     book = issuer_book()
     settle = settlement_engine(world, book)
     requests = settle.submit_redemptions(book, [(HOLDER, 300_00)] * 2, Route.DIRECT)
-    settle.plan_pending(set())
+    settle.plan_pending(set(), {})
     before = copy.deepcopy((
         world.snapshot().to_json(), {key: b.version for key, b in world.agents.items()},
         world.changes, world.coin_holders, list(world.events.lines()),
@@ -588,7 +608,7 @@ def test_delay_is_counted_once_per_request():
     book = issuer_book()
     settle = settlement_engine(world, book)
     first, second = settle.submit_redemptions(book, [(HOLDER, 200_00)] * 2, Route.DIRECT)
-    settle.plan_pending(set())
+    settle.plan_pending(set(), {})
     assert (first.deposit_left, first.pool_left, first.horizon) == (1, 199_99, 0)
     settle.payout_pass(set())
     settle.sweep_delay_flags()
@@ -646,7 +666,7 @@ def test_payout_pass_posts_once_per_paying_issuer(monkeypatch):
         holders = world.coin_holders[coin_key(book.agent)][:4]
         settle.submit_redemptions(book, [(world.ids[key], 100_00) for key in holders],
                                   Route.DIRECT)
-    settle.plan_pending(set())
+    settle.plan_pending(set(), scn.market.unsettled())
     posted = []
     post = world.post
     monkeypatch.setattr(world, "post", lambda legs, *args, **kwargs: (
@@ -703,8 +723,6 @@ def test_funding_trackers_stay_consistent_across_random_runs(check_indexes,
             open_requests = [r for r in book.requests
                              if r.planned and not r.completed]
             assert book.pool >= 0
-            assert book.inflight_orders >= 0
-            assert book.in_transit >= 0
             assert book.nonroll_pending >= 0
             for r in open_requests:
                 assert 0 <= r.paid <= r.amount
