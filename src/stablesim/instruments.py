@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ledger import (DURATION_NAME, DURATIONS, AgentId, DurationClass, InsufficientPosition,
-                     LedgerWorld, TransferBatch, repo_key)
+                     LedgerWorld, TransferBatch, event_form, repo_key)
 from .money import MICRO, Amount, ceil_div, mul_div, mul_frac
 
 GENIUS_MAX_BILL_DAYS = 93
@@ -74,6 +74,9 @@ class RepoPosition:
     open_day: int
     second_leg_day: int
     collateral: dict = field(default_factory=dict)  # DurationClass -> face
+    # the class prices at which a roll found `collateral` a fixed point of
+    # its sizing, with no class cut to its free face; None once it changes
+    sized_at: tuple | None = None
 
     @property
     def term_days(self) -> int:
@@ -176,21 +179,26 @@ class RepoRegistry:
         for duration, face in pos.collateral.items():
             self._encumber(pos.borrower, duration, -face)
 
-    def _reopen(self, pos: RepoPosition, day: int, rate: int, collateral: dict) -> None:
+    def _reopen(self, pos: RepoPosition, day: int, rate: int, collateral: dict,
+                sized_at: tuple | None) -> None:
         """Reopen `pos` overnight on `day` under the next id at `rate`,
-        pledging `collateral` in place of its old collateral."""
+        pledging `collateral` in place of its old collateral, stamped
+        `sized_at`."""
         del self.positions[pos.repo_id]
         old, borrower = pos.collateral, pos.borrower
-        for duration in DURATIONS:
-            if face := collateral.get(duration, 0) - old.get(duration, 0):
-                self._encumber(borrower, duration, face)
+        if collateral != old:
+            for duration in DURATIONS:
+                if face := collateral.get(duration, 0) - old.get(duration, 0):
+                    self._encumber(borrower, duration, face)
         pos.repo_id, pos.rate, pos.collateral = self._next_id, rate, collateral
+        pos.sized_at = sized_at
         pos.open_day, pos.second_leg_day = day, day + 1
         self._next_id += 1
         self.positions[pos.repo_id] = pos
 
     def _pledge(self, pos: RepoPosition, duration: DurationClass, face: int) -> None:
         pos.collateral[duration] = pos.collateral.get(duration, 0) + face
+        pos.sized_at = None
         self._encumber(pos.borrower, duration, face)
 
     def _encumber(self, agent: AgentId, duration: DurationClass, face: int) -> None:
@@ -212,8 +220,8 @@ def open_reverse_repo(world: LedgerWorld, registry: RepoRegistry,
     borrower pledges in `PLEDGE_MIX`."""
     if term < 1:
         raise InstrumentError("term must be at least one day")
-    faces = _size_collateral(world, registry, borrower, principal, haircut,
-                             PLEDGE_MIX.items(), MICRO, {})
+    faces, _ = _size_collateral(world, registry, borrower, principal, haircut,
+                                PLEDGE_MIX.items(), MICRO, {})
     lender_deposits = world.deposits(lender)
     if lender_deposits < principal:
         raise InsufficientCash(f"{lender} holds {lender_deposits}, needs {principal}")
@@ -271,60 +279,93 @@ def roll_repos(world: LedgerWorld, registry: RepoRegistry, positions: list,
     staging the interest and events on one batch. Only interest changes
     hands, as the closing and opening principal legs net to zero; each
     position is renumbered in place under the next id, its collateral
-    re-sized at today's prices counting its old faces as free. Negative
-    interest is paid by the lender. A roll that fails is postponed
-    instead, its `leg_failed` row in its place in the log."""
+    re-sized at today's prices counting its old faces as free (`_resize`).
+    Negative interest is paid by the lender. A roll that fails is
+    postponed instead, its `leg_failed` row in its place in the log.
+
+    A position stamped with today's class prices (`sized_at`) keeps its
+    faces without re-sizing them, and this is exact. A roll stamps a
+    position only when the sizing returned its old faces with no class
+    cut to its free face; every other write of its collateral (an open,
+    a margin top-up) clears the stamp. A position's principal and
+    haircut never change, so at the same prices and faces every weight,
+    target and uncapped face `ceil_div(target * MICRO, price)` is what
+    it was, and equal to the old face. The cap `free + old` is at least
+    `old`, as free face is never negative (a sale or a top-up takes at
+    most the free face), so `min(uncapped, free + old) == old` whatever
+    the borrower's free face is now. `pledged` and `need` are unchanged
+    too, so the sizing cannot raise. A fixed point reached with a class
+    cut to `free + old` is not stamped: it moves once the borrower's
+    free face grows."""
+    prices = tuple(world.tbill_prices[d] for d in DURATIONS)
     batch = TransferBatch(world)
     for pos in positions:
         try:
-            _roll(batch, registry, pos, new_rate)
+            _roll(batch, registry, pos, new_rate, prices)
         except (InsufficientPosition, InstrumentError) as err:
             registry.postpone(batch, pos, "repo_roll", err)
     batch.commit()
 
 
+_REPO_ROLL = event_form("repo_roll", ("lender", "borrower", "principal", "rate", "interest"))
+
+
 def _roll(batch: TransferBatch, registry: RepoRegistry, pos: RepoPosition,
-          new_rate: int) -> None:
+          new_rate: int, prices: tuple) -> None:
     world = batch.world
     registry._check_due(world, pos)
-    prices, old = world.tbill_prices, pos.collateral
-    # the mix of the collateral at today's prices, else the pledge mix
-    values = [(d, mul_frac(old[d], prices[d])) for d in DURATIONS if d in old]
-    if (total := sum([value for _, value in values])) <= 0:
-        values, total = PLEDGE_MIX.items(), MICRO
-    collateral = _size_collateral(world, registry, pos.borrower, pos.principal,
-                                  pos.haircut, values, total, old)
+    collateral, sized_at = pos.collateral, pos.sized_at
+    if sized_at != prices:
+        collateral, capped = _resize(world, registry, pos)
+        sized_at = None if capped or collateral != pos.collateral else prices
     interest = pos.interest()
     if interest > 0:
         batch.pay(pos.borrower, pos.lender, interest)
     elif interest < 0:
         batch.pay(pos.lender, pos.borrower, -interest)
-    batch.emit("repo_roll", lender=pos.lender.key, borrower=pos.borrower.key,
-               principal=pos.principal, rate=new_rate, interest=interest)
-    registry._reopen(pos, world.day, new_rate, collateral)
+    batch.events.append((_REPO_ROLL, (pos.lender.key, pos.borrower.key, pos.principal,
+                                      new_rate, interest)))
+    registry._reopen(pos, world.day, new_rate, collateral, sized_at)
+
+
+def _resize(world: LedgerWorld, registry: RepoRegistry, pos: RepoPosition) -> tuple[dict, bool]:
+    """`_size_collateral` for `pos` at today's prices, in the mix of its
+    collateral's values (else the pledge mix), its old faces counted as
+    free."""
+    prices, old = world.tbill_prices, pos.collateral
+    values = [(d, mul_frac(old[d], prices[d])) for d in DURATIONS if d in old]
+    if (total := sum([value for _, value in values])) <= 0:
+        values, total = PLEDGE_MIX.items(), MICRO
+    return _size_collateral(world, registry, pos.borrower, pos.principal,
+                            pos.haircut, values, total, old)
 
 
 def _size_collateral(world: LedgerWorld, registry: RepoRegistry, borrower: AgentId,
                      principal: Amount, haircut: int, weights, total: int,
-                     freed: dict) -> dict:
+                     freed: dict) -> tuple[dict, bool]:
     """Faces pledging `principal` plus haircut, split by `weights`, pairs
     `(class, weight)` in class order: a class takes its weight's micro
-    fraction of `total`, the last class the rest. `freed` faces per class
-    count as free on top of the borrower's unencumbered ones."""
+    fraction of `total`, the last class the rest, each at most its free
+    face. `freed` faces per class count as free on top of the borrower's
+    unencumbered ones. Also returns whether any class was cut to its free
+    face; a roll whose sizing returns the old faces uncut is a fixed
+    point at these prices (see `roll_repos`)."""
     need = required_collateral(principal, haircut)
     faces: dict[DurationClass, int] = {}
-    pledged, last, prices = 0, len(weights) - 1, world.tbill_prices
+    pledged, last, prices, capped = 0, len(weights) - 1, world.tbill_prices, False
     for i, (duration, weight) in enumerate(weights):
         target = need - pledged if i == last else mul_frac(need, mul_div(weight, MICRO, total))
         price = prices[duration]
+        face = ceil_div(target * MICRO, price)
         free = registry.free_face(world, borrower, duration) + freed.get(duration, 0)
-        face = min(ceil_div(target * MICRO, price), free)
+        if face > free:
+            face, capped = free, True
         if face:
             faces[duration] = face
         pledged += mul_frac(face, price)
     if pledged < need:
         raise InsufficientCollateral(f"{borrower} pledges {pledged}, needs {need}")
-    return faces
+    return faces, capped
 
 
 def mark_treasuries(world: LedgerWorld, registry: RepoRegistry, price_tick: int,

@@ -612,8 +612,9 @@ class LedgerWorld:
         """Run the four checks on every sheet, in key order.
 
         - double_entry: stored equity is assets minus liabilities;
-        - reserve_conservation: reserves held equal the central bank's
-          reserve liabilities;
+        - reserve_conservation: each reserves asset is held at the central
+          bank and each reserves liability is on its sheet, then reserves
+          held equal the central bank's reserve liabilities;
         - deposit_matching: each deposit sits at a bank that owes exactly
           it and no non-bank owes one, then each bank deposit liability has
           that holder;
@@ -670,11 +671,12 @@ class LedgerWorld:
         (assets, liabilities))` with both sides `{instrument key: amount}`.
         Each deposit, repo or SRF amount is matched against its mirror on
         the world's sheets; reserves and coins held and owed are summed
-        from zero. Fed in key order, faults come in `audit()`'s order.
+        from zero, and a reserves leg off the central bank fails at once.
+        Fed in key order, faults come in `audit()`'s order.
         """
         agents, ids = self.agents, self.ids
         bank_kind, fed_key, rkey = AgentKind.BANK, FED.key, reserves_key()
-        double_entry = claim = None
+        double_entry = claim = reserves = None
         for key in sheets:
             book = agents[key]
             if book.equity != (net := sum(book.assets.values()) - sum(book.liabilities.values())):
@@ -704,8 +706,10 @@ class LedgerWorld:
                     if claim is None and (other is None or other.liabilities.get(
                             f"{kind}@{key}", 0) != amount):
                         claim = (key, f"unmatched {akey} claim of {amount}")
-                elif akey == rkey:
+                elif kind == "reserves":
                     reserves_held += amount
+                    if akey != rkey and reserves is None:
+                        reserves = (key, f"reserves asset {akey} off the central bank")
             for lkey, amount in liabilities.items():
                 kind, sep, cpty = lkey.partition("@")
                 if not sep:
@@ -723,10 +727,13 @@ class LedgerWorld:
                     if claim is None and (other is None or other.assets.get(
                             f"{kind}@{key}", 0) != amount):
                         claim = (key, f"unmatched {lkey} obligation of {amount}")
-                elif kind == "reserves" and key == fed_key:
+                elif kind == "reserves":
                     reserves_owed += amount
-        reserves = None if reserves_held == reserves_owed else (fed_key, (
-            f"reserve assets {reserves_held} != central bank liability {reserves_owed}"))
+                    if key != fed_key and reserves is None:
+                        reserves = (key, f"reserves liability {lkey} off the central bank")
+        if reserves is None and reserves_held != reserves_owed:
+            reserves = (fed_key, (
+                f"reserve assets {reserves_held} != central bank liability {reserves_owed}"))
         if claim is None and coins_held != coins_owed:
             for ckey in sorted(coins_held.keys() | coins_owed.keys()):
                 held, owed = coins_held.get(ckey, 0), coins_owed.get(ckey, 0)

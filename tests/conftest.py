@@ -1,5 +1,8 @@
 import pytest
 
+from stablesim.instruments import _resize
+from stablesim.ledger import DURATIONS
+
 
 def _check_indexes(scn, day):
     """The settlement and ledger indexes agree with full scans."""
@@ -16,14 +19,22 @@ def _check_indexes(scn, day):
 
 
 def _check_ledger(scn, day):
-    """The full audit passes, and each dealer's capacity, cached or not,
-    is what `_dealer_available` computes afresh."""
-    world, market = scn.world, scn.market
+    """The full audit passes; each dealer's capacity, cached or not, is
+    what `_dealer_available` computes afresh; each repo position stamped
+    with today's prices re-sizes, uncut, to the faces it holds; and no
+    agent's encumbered face exceeds its face."""
+    world, market, registry = scn.world, scn.market, scn.registry
     report = world.audit()
     assert report.ok, (day, report.failures())
     fresh = {key: market._dealer_available(world, book)
              for key, book in market.books.items()}
     assert market.dealer_capacity(world) == fresh, day
+    prices = tuple(world.tbill_prices[d] for d in DURATIONS)
+    for pos in registry.open_positions():
+        if pos.sized_at == prices:
+            assert _resize(world, registry, pos) == (pos.collateral, False), (day, pos.repo_id)
+    for (key, duration), face in registry.encumbered.items():
+        assert 0 < face <= world.tbill_face.get((key, duration), 0), (day, key, duration)
 
 
 @pytest.fixture
@@ -37,6 +48,7 @@ def check_indexes():
 @pytest.fixture
 def check_ledger():
     """`on_day_end` hook asserting that the world passes the full `audit()`
-    after the engine's check of what changed, and that the market's cached
-    dealer capacities are exact."""
+    after the engine's check of what changed, that the market's cached
+    dealer capacities are exact, that every roll stamp still marks a fixed
+    point of the collateral sizing and that encumbrance stays within face."""
     return _check_ledger

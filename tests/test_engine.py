@@ -746,6 +746,28 @@ def test_golden_sales_in_transit(srf, check_ledger):
     assert output_digests(out) == golden[f"srf_{srf}"]
 
 
+def test_golden_repo_rolls(check_ledger):
+    """Frozen digests of the generated book above with the dealers' bills
+    and bonds cut to 60% and the SRF off: their overnight repos roll while
+    prices move, some rolls cannot pledge enough and are postponed, and
+    term positions fall below margin and are topped up. The full audit,
+    fresh dealer capacities and the roll stamps are checked at every day
+    end."""
+    raw = _bench_scaled(holders=10, issuers=3, horizon=12, dealers=8, funded=False, seed=1)
+    for dealer in raw["agents"]["dealers"]:
+        dealer["treasuries_bill"] = dealer["treasuries_bill"] * 60 // 100
+        dealer["treasuries_long"] = dealer["treasuries_long"] * 60 // 100
+    raw["policies"]["srf_enabled"] = False
+    out = run(parse_config(raw), on_day_end=check_ledger)
+    kinds = [e["type"] for e in out.events]
+    assert kinds.count("repo_roll") == 189
+    assert kinds.count("margin_call") == 42
+    assert sum(1 for e in out.events
+               if e["type"] == "leg_failed" and e["leg"] == "repo_roll") == 21
+    golden = json.loads((GOLDEN / "repo_rolls.sha256.json").read_text())
+    assert output_digests(out) == golden
+
+
 def test_summary_totals_are_the_folds_of_the_rows():
     """Every preset at two seeds and a small generated book with the SRF
     on: each issuer's totals and peak deviation in summary.json are folds

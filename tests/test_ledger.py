@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,11 @@ from hypothesis import strategies as st
 
 from stablesim.ledger import (DURATION_NAME, DURATIONS, FED, AgentId, AgentKind, AuditCheck,
                               DurationClass, InsufficientPosition, LedgerError, LedgerWorld,
-                              UnknownAgent, coin_key, deposit_key, event_form, repo_key,
-                              reserves_key, srf_key, tbill_key)
+                              TransferBatch, UnknownAgent, coin_key, deposit_key, event_form,
+                              repo_key, reserves_key, srf_key, tbill_key)
+from stablesim.instruments import (InstrumentError, RepoRegistry, close_or_default_repo,
+                                   open_reverse_repo)
+from stablesim.market import draw_srf
 
 BANK_A = AgentId(AgentKind.BANK, 0)
 BANK_B = AgentId(AgentKind.BANK, 1)
@@ -364,6 +368,15 @@ def faulty_world(*legs):
         ("deposit_matching", "holder:0", "deposit liability to bank:0 on non-bank"),
         id="deposit_liability_on_non_bank"),
     pytest.param(
+        [(BANK_A, "A", reserves_key(BANK_B), 5)],
+        ("reserve_conservation", "bank:0", "reserves asset reserves@bank:1 off the central bank"),
+        id="reserves_asset_at_a_bank"),
+    pytest.param(
+        [(HOLDER, "L", reserves_key(BANK_A), 5)],
+        ("reserve_conservation", "holder:0",
+         "reserves liability reserves@bank:0 off the central bank"),
+        id="reserves_liability_off_the_central_bank"),
+    pytest.param(
         [(ISSUER, "A", "repo@bank:0", 2_00)],
         ("claim_matching", "issuer:0", "unmatched repo@bank:0 claim of 200"),
         id="unmatched_repo_claim"),
@@ -543,6 +556,9 @@ def test_clean_writes_never_fall_back_to_the_full_audit(monkeypatch):
                  id="bank_deposit_at_bank_without_liability"),
     pytest.param([], [(HOLDER, "L", deposit_key(BANK_A), 5)],
                  id="deposit_liability_on_non_bank"),
+    pytest.param([], [(BANK_A, "A", reserves_key(BANK_B), 5)], id="reserves_asset_at_a_bank"),
+    pytest.param([], [(HOLDER, "L", reserves_key(BANK_A), 5)],
+                 id="reserves_liability_off_the_central_bank"),
 ])
 def test_audit_changes_reports_exactly_what_audit_reports(held, legs):
     world = two_bank_world()
@@ -629,6 +645,75 @@ def test_audit_changes_agrees_with_the_full_audit(rounds):
         assert report.ok == full.ok
         if not full.ok:
             assert report == full
+
+
+DEALER = AgentId(AgentKind.BROKER_DEALER, 0)
+STRAY_AGENTS = [FED, BANK_A, BANK_B, ISSUER, HOLDER, DEALER]
+# every audited kind at every agent, and at an unknown one
+STRAY_KEYS = [f"{kind}@{cpty}" for kind in ("deposit", "reserves", "coin", "repo", "srf")
+              for cpty in ("fed:0", "bank:0", "bank:1", "issuer:0", "holder:0", "dealer:0",
+                           "bank:7")]
+
+
+def rail(world, registry, step, amount):
+    """One rail call of the stray-leg world: a deposit payment, a mint, a
+    redemption, a batch paying for bills, a repo opened or closed, or an
+    SRF draw."""
+    if step == 0:
+        world.transfer_deposit(HOLDER, ISSUER, amount)
+    elif step == 1:
+        world.transfer_coin(ISSUER, HOLDER, ISSUER, amount)
+    elif step == 2:
+        world.redeem_coins(ISSUER, [(HOLDER, amount, NOTES[0])])
+    elif step == 3:
+        batch = TransferBatch(world)
+        batch.pay(ISSUER, DEALER, amount)
+        batch.deliver(DEALER, ISSUER, DurationClass.BILL, amount)
+        batch.commit()
+    elif step == 4:
+        open_reverse_repo(world, registry, ISSUER, DEALER, amount, haircut=20_000, rate=0)
+    elif step == 5 and registry.positions:
+        pos = registry.open_positions()[0]
+        world.day = pos.second_leg_day
+        close_or_default_repo(world, registry, pos, counterparty_performs=amount % 2 == 0)
+    elif step == 6:
+        draw_srf(world, SimpleNamespace(agent=DEALER), amount)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(1, 400_00)), max_size=6),
+       st.sampled_from(STRAY_AGENTS), st.sampled_from("AL"), st.sampled_from(STRAY_KEYS),
+       st.sampled_from([5, -5]), st.booleans())
+def test_every_stray_leg_fails_both_audits(rails, agent, side, key, delta, balanced):
+    """After random rail calls, one stray deposit, reserves, coin, repo or
+    SRF leg on any sheet, alone or with a leg on the other side that keeps
+    the sheet's net worth, fails the full audit and the change audit with
+    the same report."""
+    world = two_bank_world()
+    world.add_agent(DEALER, bank=BANK_B)
+    world.transfer_deposit(HOLDER, DEALER, 1_000_00)
+    world.grant_tbill(DEALER, DurationClass.BILL, 10_000_00)
+    world.grant_tbill(DEALER, DurationClass.LONG, 10_000_00)
+    # an unaudited position on each side of every sheet, for the balancing leg
+    world.post({leg: 1_00 for key in world.agents for leg in ((key, "A", "other"),
+                                                              (key, "L", "other"))})
+    registry = RepoRegistry()
+    for step, amount in rails:
+        try:
+            rail(world, registry, step, amount)
+        except (InsufficientPosition, InstrumentError):
+            pass
+    assert world.audit().ok and world.audit_changes().ok
+    legs = {(agent.key, side, key): delta}
+    if balanced:
+        legs[(agent.key, "L" if side == "A" else "A", "other")] = delta
+    try:
+        world.post(legs)
+    except InsufficientPosition:
+        return   # no such position to take 5 off
+    report = world.audit_changes()
+    assert not report.ok
+    assert report == world.audit()
 
 
 def test_duration_classes_hash_by_identity():
