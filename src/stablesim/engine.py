@@ -479,7 +479,7 @@ def _interventions(scn: Scenario, suspended: set) -> None:
 
 def _plan(scn: Scenario, suspended: set) -> list:
     """Phase 6: commit funding; returns the bill sales for the dealer market."""
-    instructions = scn.settle.plan_pending(suspended, scn.market.unsettled())
+    instructions = scn.settle.plan_pending(suspended, scn.market.unsettled(scn.settle.issuers))
     if not scn.config.policies.issuer_reserve_access:
         return instructions
     # bills monetize at the central bank instead of the dealer market

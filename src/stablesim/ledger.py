@@ -19,12 +19,15 @@ running balances and writes them with one post (``transfer_deposit`` and
 ``remark_tbills`` posts its re-valuations too. This module owns the
 instrument-key format ``"<kind>@<counterparty>"``: every key is built by
 ``deposit_key``, ``reserves_key``, ``repo_key``, ``srf_key``,
-``coin_key`` or ``tbill_key``, and each agent's own deposit and coin
-keys are kept from its registration; ``deposits`` and
-``coins_outstanding`` are the readers of those balances. Events are
-logged as rows of their schema (`event_form`), and each schema compiles
-one writer, on its first rendered row, that renders a row as its JSON
-line.
+``coin_key`` or ``tbill_key``. Each issuer's coin key is kept from its
+registration, and each agent's deposit legs and its bank's reserve legs
+from their first use, so the payment rails stage stored legs;
+``deposits`` and ``coins_outstanding`` are the readers of those
+balances. Events are
+logged in the batches their rails build, each event ``(form, values)``
+of its schema (`event_form`); the log keeps a batch's list as it was
+handed over, and each schema compiles one writer, on its first rendered
+event, that renders an event as its JSON line.
 
 Inside-money instruments (reserves, deposits, stablecoins, repo and
 SRF claims) always appear on exactly two balance sheets with equal
@@ -46,6 +49,7 @@ from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 from .money import mul_frac
@@ -221,11 +225,13 @@ def _encode(value) -> str:
 class _Form:
     """One event schema: a type and its field names in call order.
 
-    `keys` are the names of a row's `(day, seq, type, *values)`. `write(row)`
-    renders a row `(form, *values)` as its JSON line. Its first call
-    compiles the schema's writer: an f-string of the sorted keys' JSON
-    text, bound as names `p<i>`, and the values `r[<j>]`. A value of the
-    exact kind, int or str, that the first row held in its slot is
+    `keys` are the names of an event's `(day, seq, type, *values)`.
+    `write(day_text, seq, values)` renders an event as its JSON line, its
+    day given as JSON text, which `EventLog.lines` renders once a day, and
+    its seq as an exact int or as JSON text. Its first call compiles the
+    schema's writer: an f-string of the sorted keys' JSON text, bound as
+    names `p<i>`, and the arguments `d`, `s` and `v[<j>]`. A value of the
+    exact kind, int or str, that the first event held in its slot is
     rendered directly, any other through `_encode`.
     """
 
@@ -239,24 +245,28 @@ class _Form:
         self.keys = _RESERVED + names
         self.write = self._compile
 
-    def _compile(self, row: tuple) -> str:
+    def _compile(self, day_text: str, seq, values) -> str:
         scope = {"q": encode_basestring_ascii, "e": _encode}
+        # each key's argument and the kind of its first value, in key order;
+        # `type` is constant text, and the day and seq come ready (kind None)
+        sources = (("d", None), ("s", None), None,
+                   *((f"v[{j}]", type(v)) for j, v in enumerate(values)))
         slots, text = [], "{"
         for key in sorted(self.keys):
             text += encode_basestring_ascii(key) + ":"
             if key == "type":
                 text += _EVENT_ENCODER.encode(self.type) + ","
                 continue
-            j = self.keys.index(key) + 1   # a row starts with its form
-            r, kind = f"r[{j}]", type(row[j])
+            r, kind = sources[self.keys.index(key)]
             scope[f"p{len(slots)}"] = text
             slots.append(f"{{p{len(slots)}}}{{" + (
+                r if kind is None else
                 f"{r} if type({r}) is int else e({r})" if kind is int else
                 f"q({r}) if type({r}) is str else e({r})" if kind is str else f"e({r})") + "}")
             text = ","
         scope[tail := f"p{len(slots)}"] = text[:-1] + "}\n"
-        self.write = eval('lambda r: f"' + "".join(slots) + "{" + tail + '}"', scope)
-        return self.write(row)
+        self.write = eval('lambda d, s, v: f"' + "".join(slots) + "{" + tail + '}"', scope)
+        return self.write(day_text, seq, values)
 
     def __reduce__(self):
         # copies and pickles share the cached form
@@ -277,34 +287,61 @@ def event_form(event_type: str, names: tuple) -> _Form:
     return form
 
 
-def _as_dict(row: tuple) -> dict:
-    return dict(zip(row[0].keys, row[1:]))
-
-
 class EventLog(Sequence):
-    """The events of a run, held as rows `(form, day, seq, type, *values)`
-    and read as dicts `{"day", "seq", "type", **fields}`.
+    """The events of a run, held as the batches they were logged in and
+    read as dicts `{"day", "seq", "type", **fields}`.
 
-    `lines()` renders each event as the JSON line `json.dumps(event,
-    sort_keys=True, separators=(",", ":")) + "\\n"` through its form's
-    writer.
+    Each of `batches` is `(day, first seq, events)`, `events` the list of
+    `(form, values)` that `LedgerWorld.emit_all` was handed (a list of one
+    for `emit`): the log keeps that list, and its caller does not touch it
+    again. `starts` holds each batch's index in the log, which indexing and
+    slicing bisect. `lines()` renders each event as the JSON line
+    `json.dumps(event, sort_keys=True, separators=(",", ":")) + "\\n"`
+    through its form's writer.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("batches", "starts", "size")
 
     def __init__(self):
-        self.rows: list[tuple] = []
+        self.batches: list[tuple] = []
+        self.starts: list[int] = []
+        self.size = 0
+
+    def _log(self, day: int, seq: int, events: list) -> None:
+        """Keep `events`, a non-empty batch numbered from `seq`."""
+        self.batches.append((day, seq, events))
+        self.starts.append(self.size)
+        self.size += len(events)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self.size
+
+    def _from(self, index: int):
+        """The events from log index `index` on, as dicts."""
+        if index >= self.size:
+            return
+        b = bisect.bisect_right(self.starts, index) - 1
+        skip = index - self.starts[b]
+        for day, seq, events in islice(self.batches, b, None):
+            for i in range(skip, len(events)):
+                form, values = events[i]
+                yield dict(zip(form.keys, (day, seq + i, form.type, *values)))
+            skip = 0
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [_as_dict(row) for row in self.rows[index]]
-        return _as_dict(self.rows[index])
+            start, stop, step = index.indices(self.size)
+            if step == 1:
+                return list(islice(self._from(start), max(0, stop - start)))
+            return [self[i] for i in range(start, stop, step)]
+        if index < 0:
+            index += self.size
+        if not 0 <= index < self.size:
+            raise IndexError("event index out of range")
+        return next(self._from(index))
 
     def __iter__(self):
-        return map(_as_dict, self.rows)
+        return self._from(0)
 
     def __eq__(self, other):
         if not isinstance(other, (EventLog, list)):
@@ -316,8 +353,18 @@ class EventLog(Sequence):
 
     def lines(self):
         """Each event's JSON line, in log order."""
-        for row in self.rows:
-            yield row[0].write(row)
+        last = text = None   # the day as JSON text, rendered once a day
+        for day, seq, events in self.batches:
+            if day is not last:
+                last, text = day, str(day) if type(day) is int else _encode(day)
+            if type(seq) is int:   # so is each seq after it
+                for form, values in events:
+                    yield form.write(text, seq, values)
+                    seq += 1
+            else:
+                for form, values in events:
+                    yield form.write(text, _encode(seq), values)
+                    seq += 1
 
 
 class LedgerWorld:
@@ -335,9 +382,13 @@ class LedgerWorld:
         # coin key -> sorted keys of the agents holding a positive balance of it
         self.coin_holders: dict[str, list[str]] = {}
         self.banks: dict[str, AgentId | None] = {}
-        # agent key -> (its deposit key at its bank, its bank's deposit key
-        # for it), for agents registered with a bank
-        self.deposit_keys: dict[str, tuple[str, str]] = {}
+        # agent key -> its deposit account, stored on its first use: its
+        # deposit leg, its bank's deposit liability leg for it (each
+        # `(agent key, side, key)`, as `post` takes legs) and the bank's key
+        self.accounts: dict[str, tuple[tuple, tuple, str]] = {}
+        # bank key -> its reserves leg and the central bank's reserve
+        # liability leg to it, stored with its first depositor's account
+        self.reserve_legs: dict[str, tuple[tuple, tuple]] = {}
         self.coin_keys: dict[str, str] = {}   # issuer key -> its coin key
         self.tbill_prices: dict[DurationClass, int] = {
             DurationClass.BILL: 1_000_000,
@@ -359,8 +410,6 @@ class LedgerWorld:
         self.agents[agent.key] = BalanceSheet()
         self.ids[agent.key] = agent
         self.banks[agent.key] = bank
-        if bank is not None:
-            self.deposit_keys[agent.key] = (deposit_key(bank), deposit_key(agent))
         if agent.kind is AgentKind.ISSUER:
             self.coin_keys[agent.key] = coin_key(agent)
 
@@ -376,18 +425,29 @@ class LedgerWorld:
             raise LedgerError(f"{agent} has no deposit bank")
         return bank
 
-    def _deposit_keys(self, agent: AgentId) -> tuple[str, str]:
-        """`agent`'s deposit key at its bank and its bank's key for it."""
-        keys = self.deposit_keys.get(agent.key)
-        if keys is None:
-            self.sheet(agent)   # an unknown agent raises UnknownAgent
-            raise LedgerError(f"{agent} has no deposit bank")
-        return keys
+    def _account(self, agent: AgentId) -> tuple[tuple, tuple, str]:
+        """`agent`'s deposit account, as `accounts` holds it. The first use
+        stores it, and its bank's `reserve_legs` if they are not stored yet:
+        building them at registration made set-up slower, as the garbage
+        collector walks every new tuple of a thousand-holder world."""
+        account = self.accounts.get(agent.key)
+        if account is None:
+            bank = self.banks.get(agent.key)
+            if bank is None:
+                self.sheet(agent)   # an unknown agent raises UnknownAgent
+                raise LedgerError(f"{agent} has no deposit bank")
+            bank_key = bank.key
+            account = self.accounts[agent.key] = ((agent.key, "A", deposit_key(bank)),
+                                                  (bank_key, "L", deposit_key(agent)), bank_key)
+            if bank_key not in self.reserve_legs:
+                self.reserve_legs[bank_key] = ((bank_key, "A", _RESERVES),
+                                               (FED.key, "L", reserves_key(bank)))
+        return account
 
     def deposits(self, agent: AgentId) -> int:
         """The deposits `agent` holds at its bank."""
-        held = self._deposit_keys(agent)[0]
-        return self.agents[agent.key].assets.get(held, 0)
+        held = self._account(agent)[0]
+        return self.agents[agent.key].assets.get(held[2], 0)
 
     def coins_outstanding(self, issuer: AgentId) -> int:
         """The coins `issuer` has issued and not yet burned."""
@@ -396,20 +456,20 @@ class LedgerWorld:
     # -- event log ---------------------------------------------------------
 
     def emit(self, event_type: str, **fields) -> None:
-        """Log one event; a field named `day`, `seq` or `type` raises
-        `LedgerError` when its schema is first seen."""
+        """Log one event, a batch of one; a field named `day`, `seq` or
+        `type` raises `LedgerError` when its schema is first seen."""
         form = _FORMS.get((event_type, *fields)) or event_form(event_type, tuple(fields))
-        self.events.rows.append((form, self.day, self.seq, event_type, *fields.values()))
+        self.events._log(self.day, self.seq, [(form, (*fields.values(),))])
         self.seq += 1
 
     def emit_all(self, events: list) -> None:
         """Log `events`, each `(form, values)` with `form` from `event_form`
-        and `values` in its field order, as `emit` would one by one."""
-        rows, day, seq = self.events.rows, self.day, self.seq
-        for form, values in events:
-            rows.append((form, day, seq, form.type, *values))
-            seq += 1
-        self.seq = seq
+        and `values` a tuple in its field order, as `emit` would one by one.
+        The log keeps the list as one batch: the caller hands it over and
+        does not touch it again."""
+        if events:
+            self.events._log(self.day, self.seq, events)
+            self.seq += len(events)
 
     # -- posting engine ----------------------------------------------------
 
@@ -530,33 +590,31 @@ class LedgerWorld:
         that fails writes and logs nothing.
         """
         coin, src = coin_key(issuer), issuer.key
-        held_f, owed_f = self._deposit_keys(issuer)
-        banks, bank_f = self.banks, self.banks[src].key
+        held_f, owed_f, bank_f = self._account(issuer)
         staged, events, total = {}, [], 0   # staged: as `post` takes legs
         moved: dict[str, int] = {}   # payee bank key -> amount, other banks than the issuer's
         get = staged.get
         for holder, amount, note in payouts:
             if amount <= 0:
                 raise LedgerError("payout amount must be positive")
-            held_t, owed_t = self._deposit_keys(holder)
-            bank_t, dst = banks[holder.key].key, holder.key
+            held_t, owed_t, bank_t = self._account(holder)
+            dst = holder.key
             staged[leg] = get(leg := (dst, "A", coin), 0) - amount
-            staged[leg] = get(leg := (dst, "A", held_t), 0) + amount
-            staged[leg] = get(leg := (bank_t, "L", owed_t), 0) + amount
+            staged[held_t] = get(held_t, 0) + amount
+            staged[owed_t] = get(owed_t, 0) + amount
             total += amount
             if bank_t != bank_f:
                 moved[bank_t] = moved.get(bank_t, 0) + amount
             events += ((_COIN_BURN, (coin, dst, src, amount)),
                        (_DEPOSIT_TRANSFER, ("deposit", src, dst, amount)), note)
-        legs = [((src, "L", coin), -total), ((src, "A", held_f), -total),
-                ((bank_f, "L", owed_f), -total)]
+        legs = [((src, "L", coin), -total), (held_f, -total), (owed_f, -total)]
         if moved:
             out = sum(moved.values())
-            legs += (((bank_f, "A", _RESERVES), -out),
-                     ((FED.key, "L", reserves_key(self.ids[bank_f])), -out))
+            reserves, owed = self.reserve_legs[bank_f]
+            legs += ((reserves, -out), (owed, -out))
             for key, amount in moved.items():
-                legs += (((FED.key, "L", reserves_key(self.ids[key])), amount),
-                         ((key, "A", _RESERVES), amount))
+                reserves, owed = self.reserve_legs[key]
+                legs += ((owed, amount), (reserves, amount))
         for leg, delta in legs:
             staged[leg] = staged.get(leg, 0) + delta
         self.post(staged)
@@ -811,9 +869,8 @@ class TransferBatch:
 
     def deposits(self, agent: AgentId) -> int:
         """The deposits `agent` holds at its bank, staged legs included."""
-        held = self.world._deposit_keys(agent)[0]
-        return (self.world.agents[agent.key].assets.get(held, 0)
-                + self.staged.get((agent.key, "A", held), 0))
+        held = self.world._account(agent)[0]
+        return self.world.agents[agent.key].assets.get(held[2], 0) + self.staged.get(held, 0)
 
     def face_of(self, agent: AgentId, duration: DurationClass) -> int:
         face = self.faces.get((agent.key, duration))
@@ -821,7 +878,7 @@ class TransferBatch:
 
     def emit(self, event_type: str, **fields) -> None:
         form = _FORMS.get((event_type, *fields)) or event_form(event_type, tuple(fields))
-        self.events.append((form, fields.values()))
+        self.events.append((form, (*fields.values(),)))
 
     def pay(self, frm: AgentId, to: AgentId, amount: int) -> None:
         """Pay `amount` of deposits from `frm` to `to` through their banks.
@@ -829,22 +886,38 @@ class TransferBatch:
         A cross-bank payment debits the payer's bank of reserves and
         credits the payee's, re-keying the central bank's reserve
         liability, so aggregate deposits and reserves are conserved by
-        construction.
+        construction. The legs are the stored ones (`accounts`,
+        `reserve_legs`); the debits are checked in order, the
+        payer's deposit, its bank's deposit liability, its bank's reserves
+        and the central bank's reserve liability, before any leg is staged.
         """
         world = self.world
         if not world._moves(frm, to, amount):
             return
-        held_f, owed_f = world._deposit_keys(frm)
-        held_t, owed_t = world._deposit_keys(to)
-        bank_f, bank_t = world.banks[frm.key], world.banks[to.key]
-        legs = (((frm.key, "A", held_f), -amount), ((bank_f.key, "L", owed_f), -amount),
-                ((bank_t.key, "L", owed_t), amount), ((to.key, "A", held_t), amount))
-        if bank_f.key != bank_t.key:
-            legs += (((bank_f.key, "A", _RESERVES), -amount),
-                     ((FED.key, "L", reserves_key(bank_f)), -amount),
-                     ((FED.key, "L", reserves_key(bank_t)), amount),
-                     ((bank_t.key, "A", _RESERVES), amount))
-        self._stage(legs)
+        held_f, owed_f, bank_f = world._account(frm)
+        held_t, owed_t, bank_t = world._account(to)
+        debits = (held_f, owed_f)
+        if cross := bank_f != bank_t:
+            reserves_f, owed_by_fed_f = world.reserve_legs[bank_f]
+            debits += (reserves_f, owed_by_fed_f)
+        agents, staged = world.agents, self.staged
+        get = staged.get
+        for leg in debits:   # as `_stage` checks them, then the legs in order
+            agent_key, side, key = leg
+            book = agents[agent_key]
+            have = (book.assets if side == "A" else book.liabilities).get(key, 0) + get(leg, 0)
+            if have < amount:
+                raise InsufficientPosition(agent_key, key, have, amount)
+        staged[held_f] = get(held_f, 0) - amount
+        staged[owed_f] = get(owed_f, 0) - amount
+        staged[owed_t] = get(owed_t, 0) + amount
+        staged[held_t] = get(held_t, 0) + amount
+        if cross:
+            reserves_t, owed_by_fed_t = world.reserve_legs[bank_t]
+            staged[reserves_f] = get(reserves_f, 0) - amount
+            staged[owed_by_fed_f] = get(owed_by_fed_f, 0) - amount
+            staged[owed_by_fed_t] = get(owed_by_fed_t, 0) + amount
+            staged[reserves_t] = get(reserves_t, 0) + amount
         self.events.append((_DEPOSIT_TRANSFER, ("deposit", frm.key, to.key, amount)))
 
     def deliver(self, frm: AgentId, to: AgentId, duration: DurationClass, face: int) -> int:

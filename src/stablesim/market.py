@@ -18,8 +18,10 @@ sized against the running deposits and faces the ones before it leave,
 and the batch is written by one post. A day's carryover pass re-reads
 capacity after each fill; once a read sums to zero the rest of the
 queue fills nothing and is carried in one step, logged order by order.
-Planning reads each seller's sales not yet settled from the queue and
-the pending settlements (`unsettled`).
+Planning reads the issuers' sales not yet settled from the queue and
+the pending settlements (`unsettled`). Capacity is cached per dealer:
+its sheet reads by sheet version, the capacity by that version and the
+dealer's day fields.
 
 Volume accounting decomposes each submitted sale into seller volume,
 dealer retention, inter-dealer volume and buyer volume; gross volume is
@@ -88,22 +90,30 @@ class DealerBook:
     reserved_today: Amount = 0
     ra_used_today: Amount = 0            # of config.reserve_access, per day
 
-    def recorded_assets(self, world: LedgerWorld) -> Amount:
-        """Base assets, inventory growth, reserves and today's
-        reservations, off one lookup of the dealer's asset dict."""
+    def on_sheet(self, world: LedgerWorld) -> Amount:
+        """The part of recorded assets on the dealer's sheet: inventory
+        growth over the opening position plus reserves."""
         assets = world.agents[self.agent.key].assets
-        growth = max(0, treasury_value(assets) - self.inventory_baseline)
-        return self.config.base_assets + growth + assets.get(_RESERVES, 0) + self.reserved_today
+        return max(0, treasury_value(assets) - self.inventory_baseline) + assets.get(_RESERVES, 0)
+
+    def recorded_assets(self, world: LedgerWorld, on_sheet: Amount | None = None) -> Amount:
+        """Base assets, `on_sheet` (read from `world` when not given) and
+        today's reservations."""
+        if on_sheet is None:
+            on_sheet = self.on_sheet(world)
+        return self.config.base_assets + on_sheet + self.reserved_today
 
     def slr_report(self, world: LedgerWorld, bound_override: int | None = None) -> analytics.SlrReport:
         cfg = self.config
         return analytics.slr(cfg.capital, self.recorded_assets(world),
                              cfg.exposures, cfg.gsib, bound_override)
 
-    def headroom(self, world: LedgerWorld, bound_override: int | None = None) -> Amount:
+    def headroom(self, world: LedgerWorld, bound_override: int | None = None,
+                 on_sheet: Amount | None = None) -> Amount:
         """`slr_report(...).headroom_assets`, without building the report."""
         cfg = self.config
-        return analytics.slr_headroom(cfg.capital, self.recorded_assets(world) + cfg.exposures,
+        return analytics.slr_headroom(cfg.capital,
+                                      self.recorded_assets(world, on_sheet) + cfg.exposures,
                                       analytics.slr_bound(cfg.gsib, bound_override))
 
 
@@ -171,8 +181,8 @@ class Market:
                           else policies.slr_bound_bp * BP)
         self.books = dict(sorted(books.items()))  # dealer key -> DealerBook, in key order
         self.buyer = buyer
-        # dealer key -> (sheet version, reserved_today, ra_used_today) when
-        # its capacity was computed, and that capacity
+        # dealer key -> (sheet version, reserved_today, ra_used_today,
+        # capacity, `_sheet_reads`) when its capacity was last computed
         self._available: dict[str, tuple] = {}
         self._next_order = 0
         self.carryover: list[SaleOrder] = []
@@ -185,8 +195,18 @@ class Market:
 
     # -- capacity ---------------------------------------------------------
 
-    def _dealer_available(self, world: LedgerWorld, book: DealerBook) -> Amount:
-        headroom = book.headroom(world, self.slr_bound)
+    @staticmethod
+    def _sheet_reads(world: LedgerWorld, book: DealerBook) -> tuple[Amount, Amount]:
+        """What a dealer's capacity reads off its sheet: `book.on_sheet`
+        and its deposits."""
+        return book.on_sheet(world), world.deposits(book.agent)
+
+    def _dealer_available(self, world: LedgerWorld, book: DealerBook,
+                          reads: tuple[Amount, Amount]) -> Amount:
+        """The dealer's capacity, off `reads` (its `_sheet_reads`) and its
+        book."""
+        on_sheet, deposits = reads
+        headroom = book.headroom(world, self.slr_bound, on_sheet)
         if self.policies.eslr_reform and self.params.eslr_capacity_add > 0:
             share = self.params.eslr_capacity_add // len(self.books)
             headroom += share
@@ -196,7 +216,7 @@ class Market:
         else:
             cap = min(headroom, ra_left)
         if self.params.retention_frac > 0:
-            affordable = world.deposits(book.agent) * MICRO // self.params.retention_frac
+            affordable = deposits * MICRO // self.params.retention_frac
             cap = min(cap, affordable)
         return max(0, cap)
 
@@ -205,15 +225,21 @@ class Market:
 
         Every input of `_dealer_available` lies on the dealer's sheet,
         its book or the fixed market parameters, so a dealer whose sheet
-        version and book day fields are unchanged keeps its last value.
+        version and book day fields are unchanged keeps its last value;
+        one whose sheet version alone is unchanged, as after a fill that
+        drew no reserves, is recomputed from its last sheet reads.
         """
-        out = {}
+        out, available = {}, self._available
         for key, book in self.books.items():
-            stamp = (world.agents[key].version, book.reserved_today, book.ra_used_today)
-            cached = self._available.get(key)
-            if cached is None or cached[0] != stamp:
-                cached = self._available[key] = (stamp, self._dealer_available(world, book))
-            out[key] = cached[1]
+            version = world.agents[key].version
+            cached = available.get(key)
+            if (cached is None or cached[0] != version or cached[1] != book.reserved_today
+                    or cached[2] != book.ra_used_today):
+                reads = (cached[4] if cached is not None and cached[0] == version
+                         else self._sheet_reads(world, book))
+                cached = available[key] = (version, book.reserved_today, book.ra_used_today,
+                                           self._dealer_available(world, book, reads), reads)
+            out[key] = cached[3]
         return out
 
     # -- clearing ------------------------------------------------------------
@@ -367,15 +393,17 @@ class Market:
             book.reserved_today = max(0, book.reserved_today - p.value)
         return proceeds
 
-    def unsettled(self) -> dict:
-        """Seller key -> the value of its sales not yet settled: the
-        unfilled remainders queued for the next clearing and the fills
-        awaiting T+1 settlement."""
+    def unsettled(self, sellers) -> dict:
+        """Seller key -> the value of its sales not yet settled, for each
+        key of `sellers` with any: the unfilled remainders queued for the
+        next clearing and the fills awaiting T+1 settlement."""
         out: dict[str, Amount] = {}
         for order in self.carryover:
-            out[order.seller.key] = out.get(order.seller.key, 0) + order.remaining
+            if (key := order.seller.key) in sellers:
+                out[key] = out.get(key, 0) + order.remaining
         for p in self.pending:
-            out[p.seller.key] = out.get(p.seller.key, 0) + p.value
+            if (key := p.seller.key) in sellers:
+                out[key] = out.get(key, 0) + p.value
         return out
 
     def price_impact(self, excess_flow: Amount, duration: DurationClass) -> int:

@@ -20,13 +20,13 @@ def _check_indexes(scn, day):
 
 def _check_ledger(scn, day):
     """The full audit passes; each dealer's capacity, cached or not, is
-    what `_dealer_available` computes afresh; each repo position stamped
-    with today's prices re-sizes, uncut, to the faces it holds; and no
-    agent's encumbered face exceeds its face."""
+    what `_dealer_available` computes from a fresh read of its sheet;
+    each repo position stamped with today's prices re-sizes, uncut, to
+    the faces it holds; and no agent's encumbered face exceeds its face."""
     world, market, registry = scn.world, scn.market, scn.registry
     report = world.audit()
     assert report.ok, (day, report.failures())
-    fresh = {key: market._dealer_available(world, book)
+    fresh = {key: market._dealer_available(world, book, market._sheet_reads(world, book))
              for key, book in market.books.items()}
     assert market.dealer_capacity(world) == fresh, day
     prices = tuple(world.tbill_prices[d] for d in DURATIONS)

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import pickle
 from types import SimpleNamespace
 
@@ -133,6 +134,57 @@ def test_insufficient_deposit_is_atomic():
     with pytest.raises(InsufficientPosition):
         world.transfer_deposit(ISSUER, HOLDER, 99_999_00)
     assert world.snapshot().to_json() == before
+
+
+# each debit leg of a cross-bank payment from HOLDER (bank A) to ISSUER
+# (bank B), in the order `TransferBatch.pay` checks them
+PAY_DEBITS = [(HOLDER.key, "A", deposit_key(BANK_A)), (BANK_A.key, "L", deposit_key(HOLDER)),
+              (BANK_A.key, "A", reserves_key()), (FED.key, "L", reserves_key(BANK_A))]
+
+
+@pytest.mark.parametrize("short", PAY_DEBITS, ids=["deposit", "deposit_liability",
+                                                   "reserves", "reserve_liability"])
+def test_pay_raises_at_the_first_short_debit_and_stages_nothing(short):
+    """A payment is checked against the running positions, debit by
+    debit; the first short one is named, and the failed payment leaves
+    the batch's legs and events and the world as they were."""
+    world = two_bank_world()
+    world.post({short: -4_000_00})   # that leg alone now holds 1,000.00
+    batch = TransferBatch(world)
+    batch.pay(HOLDER, ISSUER, 500_00)
+    staged, events = dict(batch.staged), list(batch.events)
+    before = copy.deepcopy(world_state(world))
+    with pytest.raises(InsufficientPosition) as raised:
+        batch.pay(HOLDER, ISSUER, 3_000_00)
+    error = raised.value
+    assert (error.agent, error.key, error.have, error.need) == (
+        short[0], short[2], 500_00, 3_000_00)
+    assert batch.staged == staged and list(batch.staged) == list(staged)
+    assert batch.events == events
+    assert world_state(world) == before
+
+
+def test_pay_stages_its_legs_in_order():
+    world = two_bank_world()
+    world.add_agent(HOLDER_B, bank=BANK_B)
+    batch = TransferBatch(world)
+    batch.pay(ISSUER, HOLDER_B, 100_00)   # both at bank B
+    assert list(batch.staged.items()) == [
+        ((ISSUER.key, "A", deposit_key(BANK_B)), -100_00),
+        ((BANK_B.key, "L", deposit_key(ISSUER)), -100_00),
+        ((BANK_B.key, "L", deposit_key(HOLDER_B)), 100_00),
+        ((HOLDER_B.key, "A", deposit_key(BANK_B)), 100_00)]
+    batch = TransferBatch(world)
+    batch.pay(HOLDER, ISSUER, 200_00)   # bank A to bank B
+    assert list(batch.staged.items()) == [
+        ((HOLDER.key, "A", deposit_key(BANK_A)), -200_00),
+        ((BANK_A.key, "L", deposit_key(HOLDER)), -200_00),
+        ((BANK_B.key, "L", deposit_key(ISSUER)), 200_00),
+        ((ISSUER.key, "A", deposit_key(BANK_B)), 200_00),
+        ((BANK_A.key, "A", reserves_key()), -200_00),
+        ((FED.key, "L", reserves_key(BANK_A)), -200_00),
+        ((FED.key, "L", reserves_key(BANK_B)), 200_00),
+        ((BANK_B.key, "A", reserves_key()), 200_00)]
 
 
 def test_unknown_agent():
@@ -734,6 +786,11 @@ def test_duration_names_and_tbill_keys_are_the_enum_values():
 
 # -- event log -------------------------------------------------------------------
 
+def forms(log) -> list:
+    """The form of each event of `log`, in log order."""
+    return [form for _, _, batch in log.batches for form, _ in batch]
+
+
 def canonical_line(event: dict) -> str:
     return json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -795,13 +852,13 @@ def test_event_lines_stay_json_dumps_when_value_kinds_change_between_rows():
         world.day = day
         world.emit("kinds", i=value, s=value, o=value if day % 2 else 7, **{odd: value})
     world.emit("kinds", i=2, s="last", o="str", **{odd: 0})
-    assert len({row[0] for row in world.events.rows}) == 1   # one schema
+    assert len(set(forms(world.events))) == 1   # one schema
     lines = list(world.events.lines())
     assert lines == [canonical_line(e) for e in world.events]
     assert json.loads(lines[0])[odd] == odd
     for other in (copy.deepcopy(world).events, pickle.loads(pickle.dumps(world.events))):
         assert list(other.lines()) == lines
-        assert all(a[0] is b[0] for a, b in zip(other.rows, world.events.rows))
+        assert all(a is b for a, b in zip(forms(other), forms(world.events)))
 
 
 @pytest.mark.parametrize("name", ["day", "seq", "type"])
@@ -829,7 +886,61 @@ def test_event_log_reads_as_a_list_of_dicts():
     assert list(events[1]) == ["day", "seq", "type", "amount", "who"]   # call order
     for other in (copy.deepcopy(world).events, pickle.loads(pickle.dumps(events))):
         assert other == events
-        assert other.rows[1][0] is events.rows[1][0]   # one form per schema
+        assert forms(other)[1] is forms(events)[1]   # one form per schema
     copied = copy.deepcopy(world)
     copied.emit("open", amount=2)
     assert copied.events != events and len(events) == 2
+
+
+BATCH_FORMS = [event_form("plain", ()), event_form("one", ("x",)), event_form("two", ("y", "x"))]
+EVENT_VALUES = st.integers(-3, 3) | st.text(max_size=2) | st.none()
+BATCH = st.lists(st.sampled_from(BATCH_FORMS).flatmap(lambda form: st.tuples(
+    st.just(form), st.tuples(*[EVENT_VALUES] * (len(form.keys) - 3)))), max_size=4)
+LOG_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("emit"), st.dictionaries(st.sampled_from("xyz"), EVENT_VALUES, max_size=2)),
+    st.tuples(st.just("emit_all"), BATCH),   # empty batches included
+    st.tuples(st.just("day"), st.integers(0, 4)),
+    st.tuples(st.just("seq"), st.integers(0, 2**40) | st.sampled_from([2.5, math.inf]))),
+    max_size=14)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(LOG_STEPS, st.data())
+def test_batch_log_reads_as_the_flat_list_of_its_events(steps, data):
+    """However `emit` and `emit_all` batch the events, with the day and a
+    preset `seq` (floats too) moving between batches, the log reads
+    as the flat list of their dicts: length, every index, slices,
+    iteration, `==`, lines, copies and pickles."""
+    world, flat = LedgerWorld(), []
+    for op, arg in steps:
+        if op == "emit":
+            flat.append({"day": world.day, "seq": world.seq, "type": "e", **arg})
+            world.emit("e", **arg)
+        elif op == "emit_all":
+            flat += [{"day": world.day, "seq": world.seq + i, "type": form.type,
+                      **dict(zip(form.keys[3:], values))} for i, (form, values) in enumerate(arg)]
+            world.emit_all(list(arg))
+        elif op == "day":
+            world.day = arg
+        else:
+            world.seq = arg
+    events, n = world.events, len(flat)
+    assert len(events) == n
+    for i in range(-n - 2, n + 2):
+        if -n <= i < n:
+            assert events[i] == flat[i], i
+        else:
+            with pytest.raises(IndexError):
+                events[i]
+    for start in range(-n - 2, n + 3):   # every day-end read `events[seen:]`
+        assert events[start:] == flat[start:], start
+    bound = st.none() | st.integers(-n - 3, n + 3)
+    for _ in range(8):
+        cut = slice(data.draw(bound), data.draw(bound),
+                    data.draw(st.none() | st.sampled_from([-3, -2, -1, 1, 2, 3])))
+        assert events[cut] == flat[cut], cut
+    assert list(events) == flat and events == flat and list(reversed(events)) == flat[::-1]
+    lines = [canonical_line(event) for event in flat]
+    assert list(events.lines()) == lines
+    for other in (copy.deepcopy(events), pickle.loads(pickle.dumps(events))):
+        assert other == flat and list(other.lines()) == lines

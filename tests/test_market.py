@@ -133,18 +133,21 @@ def test_absorbing_a_fill_reduces_dealer_slr():
 def test_unsettled_sums_each_sellers_queued_and_pending_sales():
     """A sale larger than capacity is in flight whole: its fill awaits T+1
     settlement and its remainder is queued. Settlement takes the fill off,
-    and a carryover pass with no capacity leaves the remainder."""
+    and a carryover pass with no capacity leaves the remainder. Only the
+    sellers asked for are summed."""
     world, market, registry = make_market(capital=5_100_00)
     fill = market.submit_sale(world, SELLER, 20_000_00, DurationClass.BILL).filled
     market.submit_sale(world, D1, 1_000_00, DurationClass.LONG, purpose="funding_gap")
     assert 0 < fill < 20_000_00
-    assert market.unsettled() == {SELLER.key: 20_000_00, D1.key: 1_000_00}
+    assert market.unsettled({SELLER.key, D1.key}) == {SELLER.key: 20_000_00, D1.key: 1_000_00}
+    assert market.unsettled({SELLER.key, D2.key}) == {SELLER.key: 20_000_00}
     world.day = 1
     market.begin_day()
     market.settle_due(world, registry)
     market.books[D1.key].ra_used_today = market.books[D2.key].ra_used_today = 10**12
     market.resubmit_carryover(world)
-    assert market.unsettled() == {SELLER.key: 20_000_00 - fill, D1.key: 1_000_00}
+    assert market.unsettled({SELLER.key, D1.key}) == {SELLER.key: 20_000_00 - fill,
+                                                      D1.key: 1_000_00}
 
 
 def test_settlement_pays_seller_and_conserves_deposits():
@@ -155,9 +158,9 @@ def test_settlement_pays_seller_and_conserves_deposits():
     total_before = deposits()
     report = market.submit_sale(world, SELLER, 40_000_00, DurationClass.BILL)
     world.day = 1
-    assert market.unsettled() == {SELLER.key: 40_000_00}
+    assert market.unsettled({SELLER.key}) == {SELLER.key: 40_000_00}
     proceeds = market.settle_due(world, registry)
-    assert market.unsettled() == {}
+    assert market.unsettled({SELLER.key}) == {}
     got = proceeds[SELLER.key]
     assert abs(got - 40_000_00) <= 1
     assert deposits() == total_before
@@ -299,27 +302,33 @@ def test_srf_draw_for_an_unregistered_dealer_logs_no_event():
 def test_capacity_is_recomputed_only_for_a_dealer_that_changed(monkeypatch):
     # dealer cash binds: capacity is what the retention slice can fund
     world, market, _ = make_market(dealer_cash=1_000_00)
-    computed = []
-    available = market._dealer_available
+    computed, read = [], []
+    available, sheet_reads = market._dealer_available, market._sheet_reads
 
-    def counted(world, book):
+    def counted(world, book, reads):
         computed.append(book.agent.key)
-        return available(world, book)
+        return available(world, book, reads)
+
+    def counted_reads(world, book):
+        read.append(book.agent.key)
+        return sheet_reads(world, book)
 
     monkeypatch.setattr(market, "_dealer_available", counted)
+    monkeypatch.setattr(market, "_sheet_reads", counted_reads)
     before = market.dealer_capacity(world)
     assert market.dealer_capacity(world) == before
-    assert computed == [D1.key, D2.key]
+    assert computed == read == [D1.key, D2.key]
     # a write to D1's sheet alone, with no change to its book
     world.transfer_deposit(D1, BUYER, 500_00)
     after = market.dealer_capacity(world)
-    assert computed == [D1.key, D2.key, D1.key]
+    assert computed == read == [D1.key, D2.key, D1.key]
     assert after[D1.key] < before[D1.key] and after[D2.key] == before[D2.key]
-    assert after[D1.key] == available(world, market.books[D1.key])
-    # a book day field alone
+    book = market.books[D1.key]
+    assert after[D1.key] == available(world, book, sheet_reads(world, book))
+    # a book day field alone: recomputed from the sheet reads it kept
     market.books[D2.key].ra_used_today = 10**12
     assert market.dealer_capacity(world)[D2.key] == 0
-    assert computed[-1] == D2.key
+    assert computed[-1] == D2.key and read == [D1.key, D2.key, D1.key]
 
 
 def random_market(rng):

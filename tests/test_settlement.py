@@ -433,7 +433,7 @@ def test_payout_pass_pays_deposit_funded_request_same_day():
     total_before = total_bank_deposits(scn.world)
     coins_before = scn.world.coins_outstanding(book.agent)
     [record] = scn.settle.submit_redemptions(book, [(holder, 1_000_00)], Route.DIRECT)
-    assert scn.settle.plan_pending(set(), scn.market.unsettled()) == []
+    assert scn.settle.plan_pending(set(), scn.market.unsettled(scn.settle.issuers)) == []
     created = [e for e in scn.world.events if e["type"] == "plan_created"]
     assert created[-1]["funding"] == Funding.FROM_DEPOSITS.value
     scn.settle.payout_pass(set())
@@ -449,7 +449,7 @@ def test_plan_pending_sale_funding_waits_for_the_market():
     book = scn.settle.issuers["issuer:0"]
     holder = scn.agent_of["h1"]
     [record] = scn.settle.submit_redemptions(book, [(holder, 1_000_00)], Route.DIRECT)
-    instructions = scn.settle.plan_pending(set(), scn.market.unsettled())
+    instructions = scn.settle.plan_pending(set(), scn.market.unsettled(scn.settle.issuers))
     created = [e for e in scn.world.events if e["type"] == "plan_created"]
     assert created[-1]["funding"] == Funding.SELL_TREASURIES.value
     assert instructions == [SaleInstruction(book.agent, 1_000_00)]
@@ -457,7 +457,7 @@ def test_plan_pending_sale_funding_waits_for_the_market():
     assert not record.completed
     # the sale is in flight in the market, filled or carried over
     scn.market.submit_sale(scn.world, book.agent, 1_000_00, DurationClass.BILL)
-    assert scn.market.unsettled() == {book.agent.key: 1_000_00}
+    assert scn.market.unsettled(scn.settle.issuers) == {book.agent.key: 1_000_00}
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +666,7 @@ def test_payout_pass_posts_once_per_paying_issuer(monkeypatch):
         holders = world.coin_holders[coin_key(book.agent)][:4]
         settle.submit_redemptions(book, [(world.ids[key], 100_00) for key in holders],
                                   Route.DIRECT)
-    settle.plan_pending(set(), scn.market.unsettled())
+    settle.plan_pending(set(), scn.market.unsettled(scn.settle.issuers))
     posted = []
     post = world.post
     monkeypatch.setattr(world, "post", lambda legs, *args, **kwargs: (
