@@ -852,21 +852,6 @@ class TransferBatch:
         self.faces: dict[tuple[str, DurationClass], int] = {}   # running `tbill_face`
         self.events: list[tuple] = []   # (form, values), for `emit_all`
 
-    def _stage(self, legs: tuple) -> None:
-        """Add `legs`, each `((agent key, side, key), delta)`, after
-        checking that no debit takes a running position below zero."""
-        agents, staged = self.world.agents, self.staged
-        for leg, delta in legs:
-            if delta < 0:
-                agent_key, side, key = leg
-                book = agents[agent_key]
-                have = ((book.assets if side == "A" else book.liabilities).get(key, 0)
-                        + staged.get(leg, 0))
-                if have + delta < 0:
-                    raise InsufficientPosition(agent_key, key, have, -delta)
-        for leg, delta in legs:
-            staged[leg] = staged.get(leg, 0) + delta
-
     def deposits(self, agent: AgentId) -> int:
         """The deposits `agent` holds at its bank, staged legs included."""
         held = self.world._account(agent)[0]
@@ -902,7 +887,7 @@ class TransferBatch:
             debits += (reserves_f, owed_by_fed_f)
         agents, staged = world.agents, self.staged
         get = staged.get
-        for leg in debits:   # as `_stage` checks them, then the legs in order
+        for leg in debits:   # all debits first, then the legs in order
             agent_key, side, key = leg
             book = agents[agent_key]
             have = (book.assets if side == "A" else book.liabilities).get(key, 0) + get(leg, 0)
@@ -923,18 +908,28 @@ class TransferBatch:
     def deliver(self, frm: AgentId, to: AgentId, duration: DurationClass, face: int) -> int:
         """Move up to `face` of Treasuries, at most what `frm` holds, at
         the class price; returns the market value moved."""
-        key = tbill_key(duration)
-        have = self.face_of(frm, duration)
+        world, staged, faces = self.world, self.staged, self.faces
+        key, frm_face = _TBILL_KEY[duration], (frm.key, duration)
+        have = faces.get(frm_face)
+        if have is None:
+            have = world.tbill_face.get(frm_face, 0)
         face = min(face, have)
-        held = self.world.sheet(frm).assets.get(key, 0) + self.staged.get((frm.key, "A", key), 0)
-        moved = min(mul_frac(face, self.world.price(duration)), held)
+        frm_leg = (frm.key, "A", key)
+        held = world.sheet(frm).assets.get(key, 0) + staged.get(frm_leg, 0)
         if face <= 0:
             return 0
-        if to.key not in self.world.agents:
+        # the one debit is capped at the running position, so it cannot
+        # take that position below zero
+        moved = min(mul_frac(face, world.tbill_prices[duration]), held)
+        if to.key not in world.agents:
             raise UnknownAgent(f"unknown agent {to}")
-        self._stage((((frm.key, "A", key), -moved), ((to.key, "A", key), moved)))
-        self.faces[(frm.key, duration)] = have - face
-        self.faces[(to.key, duration)] = self.face_of(to, duration) + face
+        to_leg = (to.key, "A", key)
+        staged[frm_leg] = staged.get(frm_leg, 0) - moved
+        staged[to_leg] = staged.get(to_leg, 0) + moved
+        faces[frm_face] = have - face
+        to_face = (to.key, duration)
+        got = faces.get(to_face)   # read after the seller's, as `frm` may be `to`
+        faces[to_face] = (world.tbill_face.get(to_face, 0) if got is None else got) + face
         self.events.append((_TBILL_TRANSFER, (key, frm.key, to.key, moved, face)))
         return moved
 

@@ -17,7 +17,8 @@ A day's T+1 settlement is one ledger transfer batch: each delivery is
 sized against the running deposits and faces the ones before it leave,
 and the batch is written by one post. A day's carryover pass re-reads
 capacity after each fill; once a read sums to zero the rest of the
-queue fills nothing and is carried in one step, logged order by order.
+queue fills nothing and is carried in one step, its rows logged as one
+batch.
 Planning reads the issuers' sales not yet settled from the queue and
 the pending settlements (`unsettled`). Capacity is cached per dealer:
 its sheet reads by sheet version, the capacity by that version and the
@@ -34,7 +35,6 @@ prices never fall and may rise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple
 
 from . import analytics
@@ -144,6 +144,7 @@ class SaleOrder:
 _SALE_CLEARED = event_form("sale_cleared", (
     "order_id", "seller", "duration", "requested", "filled", "unfilled", "purpose",
     "first_submission"))
+_SALE_SETTLED = event_form("sale_settled", ("seller", "dealer", "duration", "proceeds"))
 
 
 class FillReport(NamedTuple):
@@ -267,16 +268,31 @@ class Market:
         Dealer capacity is read before the first order and again after
         each fill. Once a read sums to zero, the rest of the queue fills
         nothing: a zero fill writes no sheet and no book field, so the
-        read stays exact, and those orders are carried, and logged, in
-        one step.
+        read stays exact. That tail is carried in one step: each order
+        takes the next id and adds its remainder to the day's excess, the
+        tail is queued again whole and its `sale_cleared` rows are logged
+        as one batch.
         """
         queued, self.carryover = self.carryover, []
         for i, order in enumerate(queued):
             avail = self.dealer_capacity(world)
             if not any(avail.values()):
-                self._record(world, zip(queued[i:], repeat(0)), False)
                 break
             self._clear(world, order, avail, first_submission=False)
+        else:
+            return
+        tail, order_id, excess, events = queued[i:], self._next_order, self.day_excess, []
+        for order in tail:
+            order.order_id = order_id
+            amount = order.remaining
+            excess[order.duration] += amount
+            events.append((_SALE_CLEARED, (order_id, order.seller.key,
+                                           DURATION_NAME[order.duration], amount, 0, amount,
+                                           order.purpose, False)))
+            order_id += 1
+        self._next_order = order_id
+        self.carryover += tail
+        world.emit_all(events)
 
     def _clear(self, world: LedgerWorld, order: SaleOrder, avail: dict,
                first_submission: bool) -> Amount:
@@ -305,30 +321,25 @@ class Market:
             retention = mul_frac(amount, self.params.retention_frac)
             self.gross_volume += decompose(amount, retention).gross
             self.day_submitted[duration] += amount
-        self._record(world, ((order, fill),), first_submission)
+        self._record(world, order, fill, first_submission)
         return fill
 
-    def _record(self, world: LedgerWorld, cleared, first_submission: bool) -> None:
-        """Give each `(order, fill)` of `cleared`, in order, the next order
-        id; queue what it left unfilled, add it to the day's tallies and
-        log its `sale_cleared`."""
-        carryover, excess, fills = self.carryover, self.day_excess, self.day_fills
-        order_id, events = self._next_order, []
-        for order, fill in cleared:
-            order.order_id = order_id
-            duration, amount = order.duration, order.remaining
-            unfilled = amount - fill
-            if unfilled > 0:
-                order.remaining = unfilled
-                carryover.append(order)
-            excess[duration] += unfilled
-            fills[duration] += fill
-            events.append((_SALE_CLEARED, (order_id, order.seller.key, DURATION_NAME[duration],
-                                           amount, fill, unfilled, order.purpose,
-                                           first_submission)))
-            order_id += 1
-        self._next_order = order_id
-        world.emit_all(events)
+    def _record(self, world: LedgerWorld, order: SaleOrder, fill: Amount,
+                first_submission: bool) -> None:
+        """Give `order` the next order id; queue what it left unfilled, add
+        it to the day's tallies and log its `sale_cleared`."""
+        order_id = order.order_id = self._next_order
+        self._next_order = order_id + 1
+        duration, amount = order.duration, order.remaining
+        unfilled = amount - fill
+        if unfilled > 0:
+            order.remaining = unfilled
+            self.carryover.append(order)
+        self.day_excess[duration] += unfilled
+        self.day_fills[duration] += fill
+        world.emit_all([(_SALE_CLEARED, (order_id, order.seller.key, DURATION_NAME[duration],
+                                         amount, fill, unfilled, order.purpose,
+                                         first_submission))])
 
     # -- funding gaps -----------------------------------------------------------
 
@@ -384,8 +395,8 @@ class Market:
             got += deliver_tbills(batch, seller, buyer, duration, face - retention_face, price)
             if got:
                 proceeds[seller.key] = proceeds.get(seller.key, 0) + got
-                batch.emit("sale_settled", seller=seller.key, dealer=p.dealer.key,
-                           duration=DURATION_NAME[duration], proceeds=got)
+                batch.events.append((_SALE_SETTLED, (seller.key, p.dealer.key,
+                                                     DURATION_NAME[duration], got)))
         batch.commit()
         self.pending = [p for p in self.pending if p.settle_day > day]
         for p in due:

@@ -1,17 +1,21 @@
 import csv
+import functools
 import hashlib
 import importlib.util
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablesim.analytics import ANALYTICS_FIELDS
 from stablesim.config import PRESETS, load_config, parse_config
 from stablesim.engine import (DAILY_FIELDS, AuditFailure, _fed_bill_purchase, build_scenario,
                               run, sweep)
-from stablesim.instruments import step_portfolio
+from stablesim.instruments import InsufficientCollateral, step_portfolio
 from stablesim.ledger import FED, DurationClass, LedgerWorld, deposit_key
 from stablesim.money import BP, PAR, mul_frac
 
@@ -716,13 +720,19 @@ def test_intermediaries_buy_in_key_order_past_ten(check_indexes, check_ledger):
                                     "intermediary:11", "intermediary:2"]
 
 
-def _bench_scaled(**args) -> dict:
-    """`scaled()` of bench/scenarios.py, the generated many-agent books."""
+@functools.cache
+def _bench_scenarios():
+    """bench/scenarios.py, loaded once by file path."""
     path = Path(__file__).resolve().parents[1] / "bench" / "scenarios.py"
     spec = importlib.util.spec_from_file_location("bench_scenarios", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.scaled(**args)
+    return module
+
+
+def _bench_scaled(**args) -> dict:
+    """`scaled()` of bench/scenarios.py, the generated many-agent books."""
+    return _bench_scenarios().scaled(**args)
 
 
 @pytest.mark.parametrize("srf", ["off", "on"])
@@ -801,6 +811,63 @@ def test_summary_totals_are_the_folds_of_the_rows():
         assert all(len(day_draws) == 1 for day_draws in by_day.values())
         assert market["srf_draws_total"] == sum(d for (d,) in by_day.values())
     assert market["srf_draws_total"] > 0   # the generated book, run last, draws on the SRF
+
+
+def _numbers_are_integers(out):
+    """Every number in the five outputs of `out` is an integer."""
+    def reject(token):
+        raise AssertionError(f"non-integer number {token}")
+
+    for text in (out.daily_csv(), out.market_csv(), out.analytics_csv()):
+        for row in csv.reader(io.StringIO(text)):
+            for cell in row:
+                try:
+                    float(cell)
+                except ValueError:
+                    continue
+                int(cell)   # a number that is not an integer fails here
+    for text in (out.summary_json(), *out.events_jsonl().splitlines()):
+        json.loads(text, parse_float=reject, parse_constant=reject)
+
+
+def test_generated_books_run_clean_and_in_any_declaration_order(check_ledger):
+    """Books drawn from bench/scenarios.py's `scaled()`: each either fails
+    to build for want of repo collateral, or runs with the full audit and
+    fresh dealer capacities checked at every day end, emits integers
+    only, and gives the same bytes on a second run and with every agent
+    list shuffled. The draws reach zero-fill carried orders and T+1
+    settlements, and some cannot be built."""
+    seen = dict.fromkeys(("ran", "unbuildable", "carried", "settled"), 0)
+
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @given(holders=st.integers(1, 30), issuers=st.integers(1, 4), dealers=st.integers(1, 8),
+           horizon=st.integers(4, 25), funded=st.booleans(), srf=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def one_book(holders, issuers, dealers, horizon, funded, srf, seed):
+        raw = _bench_scaled(holders=holders, issuers=issuers, horizon=horizon,
+                            dealers=dealers, funded=funded, seed=seed)
+        raw["policies"]["srf_enabled"] = srf
+        config = parse_config(raw)
+        try:
+            build_scenario(config)
+        except InsufficientCollateral:
+            seen["unbuildable"] += 1
+            return
+        out = run(config, on_day_end=check_ledger)
+        _numbers_are_integers(out)
+        digests = output_digests(out)
+        assert output_digests(run(config)) == digests
+        shuffle = random.Random(seed).shuffle
+        for agents in raw["agents"].values():
+            shuffle(agents)
+        assert output_digests(run(parse_config(raw))) == digests
+        seen["ran"] += 1
+        seen["carried"] += any(e["type"] == "sale_cleared" and not e["first_submission"]
+                               and e["filled"] == 0 for e in out.events)
+        seen["settled"] += any(e["type"] == "sale_settled" for e in out.events)
+
+    one_book()
+    assert all(seen.values()), seen
 
 
 def test_events_jsonl_is_json_dumps_of_each_event():

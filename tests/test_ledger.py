@@ -187,6 +187,78 @@ def test_pay_stages_its_legs_in_order():
         ((BANK_B.key, "A", reserves_key()), 200_00)]
 
 
+GHOST = AgentId(AgentKind.HOLDER, 9)
+ISSUER_BILLS = (ISSUER.key, "A", tbill_key(DurationClass.BILL))
+HOLDER_BILLS = (HOLDER.key, "A", tbill_key(DurationClass.BILL))
+MARKED = 990_000   # the bill price the sheets are marked at
+
+
+def _bill_transfer(frm, to, value, face):
+    return ("transfer", (tbill_key(DurationClass.BILL), frm.key, to.key, value, face))
+
+
+def _deliver(frm, to, face):
+    return lambda batch: batch.deliver(frm, to, DurationClass.BILL, face)
+
+
+# each row: the bill price, the deliveries, then what they return (or raise),
+# the staged legs, faces and events in insertion order. The issuer holds
+# 10,000.00 of bill face and the holder 3,000.00, marked at 0.99; at 1.01, not
+# yet marked, the holder's whole face is worth more than its sheet holds.
+@pytest.mark.parametrize("price, deliveries, returned, staged, faces, events", [
+    pytest.param(MARKED, [_deliver(ISSUER, HOLDER, 1_000_00)], [990_00],
+                 [(ISSUER_BILLS, -990_00), (HOLDER_BILLS, 990_00)],
+                 [((ISSUER.key, DurationClass.BILL), 9_000_00),
+                  ((HOLDER.key, DurationClass.BILL), 4_000_00)],
+                 [_bill_transfer(ISSUER, HOLDER, 990_00, 1_000_00)], id="plain"),
+    pytest.param(1_010_000, [_deliver(HOLDER, ISSUER, 5_000_00)], [2_970_00],
+                 [(HOLDER_BILLS, -2_970_00), (ISSUER_BILLS, 2_970_00)],
+                 [((HOLDER.key, DurationClass.BILL), 0),
+                  ((ISSUER.key, DurationClass.BILL), 13_000_00)],
+                 [_bill_transfer(HOLDER, ISSUER, 2_970_00, 3_000_00)], id="above_holdings"),
+    pytest.param(MARKED, [_deliver(ISSUER, HOLDER, 0), _deliver(ISSUER, HOLDER, -5)], [0, 0],
+                 [], [], [], id="no_face"),
+    pytest.param(MARKED, [_deliver(GHOST, HOLDER, 100_00)], UnknownAgent, [], [], [],
+                 id="unknown_frm"),
+    pytest.param(MARKED, [_deliver(ISSUER, GHOST, 100_00)], UnknownAgent, [], [], [],
+                 id="unknown_to"),
+    pytest.param(MARKED, [_deliver(ISSUER, ISSUER, 1_000_00)], [990_00],
+                 [(ISSUER_BILLS, 0)], [((ISSUER.key, DurationClass.BILL), 10_000_00)],
+                 [_bill_transfer(ISSUER, ISSUER, 990_00, 1_000_00)], id="self"),
+    pytest.param(MARKED, [_deliver(ISSUER, HOLDER, 6_000_00), _deliver(HOLDER, ISSUER, 12_000_00)],
+                 [5_940_00, 8_910_00],
+                 [(ISSUER_BILLS, 2_970_00), (HOLDER_BILLS, -2_970_00)],
+                 [((ISSUER.key, DurationClass.BILL), 13_000_00),
+                  ((HOLDER.key, DurationClass.BILL), 0)],
+                 [_bill_transfer(ISSUER, HOLDER, 5_940_00, 6_000_00),
+                  _bill_transfer(HOLDER, ISSUER, 8_910_00, 9_000_00)], id="running_faces"),
+])
+def test_deliver_stages_its_legs_and_faces_in_order(price, deliveries, returned, staged, faces,
+                                                    events):
+    """A delivery caps its face at the running face and its value at the
+    running position, and stages the seller's leg, then the buyer's, then
+    their faces and one `transfer` event; one that moves no face, or
+    names an agent the world does not have, stages nothing. Nothing is
+    written before `commit`."""
+    world = two_bank_world()
+    world.grant_tbill(ISSUER, DurationClass.BILL, 10_000_00)
+    world.grant_tbill(HOLDER, DurationClass.BILL, 3_000_00)
+    world.remark_tbills(DurationClass.BILL, MARKED)
+    before = copy.deepcopy(world_state(world))
+    world.tbill_prices[DurationClass.BILL] = price
+    batch = TransferBatch(world)
+    if returned is UnknownAgent:
+        with pytest.raises(UnknownAgent, match=r"unknown agent holder:9"):
+            deliveries[0](batch)
+    else:
+        assert [deliver(batch) for deliver in deliveries] == returned
+    assert list(batch.staged.items()) == staged
+    assert list(batch.faces.items()) == faces
+    assert [(form.type, values) for form, values in batch.events] == events
+    world.tbill_prices[DurationClass.BILL] = MARKED
+    assert world_state(world) == before
+
+
 def test_unknown_agent():
     world = two_bank_world()
     ghost = AgentId(AgentKind.HOLDER, 9)
