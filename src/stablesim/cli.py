@@ -59,6 +59,9 @@ def cmd_run(args) -> int:
     except AuditFailure as err:
         print(str(err), file=sys.stderr)
         return EXIT_AUDIT
+    except CONFIG_ERRORS as err:   # a config that parses and cannot be built
+        print(f"invalid config: {err}", file=sys.stderr)
+        return EXIT_VALIDATION
     except WORLD_ERRORS as err:
         print(f"invalid config: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -114,6 +117,9 @@ def cmd_validate(args) -> int:
         return EXIT_IO
     try:
         build_scenario(config)
+    except CONFIG_ERRORS as err:
+        print(f"invalid config: {err}", file=sys.stderr)
+        return EXIT_VALIDATION
     except WORLD_ERRORS as err:
         print(f"invalid config: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_VALIDATION

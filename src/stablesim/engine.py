@@ -36,10 +36,10 @@ from operator import itemgetter
 from pathlib import Path
 
 from . import analytics
-from .config import ScenarioConfig, parse_config
+from .config import ScenarioConfig, ValidationError, parse_config
 from .dynamics import (ConfidenceState, InterventionResult, ShockState, apply_shock,
                        redemption_demand, run_corrective_burns, update_secondary_price)
-from .instruments import RepoRegistry, open_reverse_repo
+from .instruments import InsufficientCollateral, RepoRegistry, open_reverse_repo
 from .ledger import (DURATION_NAME, DURATIONS, FED, AgentId, AgentKind, DurationClass,
                      EventLog, LedgerWorld, coin_key, deposit_key, reserves_key)
 from .market import DealerBook, Market
@@ -55,6 +55,18 @@ class AuditFailure(Exception):
         self.report = report
         fails = "; ".join(f"{c.name}@{c.agent}: {c.detail}" for c in report.failures())
         super().__init__(f"audit failed on day {day}: {fails}")
+
+
+class UnpledgeableRepo(ValidationError, InsufficientCollateral):
+    """A dealer that cannot pledge the collateral for its share of an
+    issuer's repo allocation when the world is built: the config parses
+    but cannot be run, and the message names the dealer's config path."""
+
+    def __init__(self, dealer: str, issuer: str, share: Amount, err: InsufficientCollateral):
+        Exception.__init__(self, f"agents.dealers[{dealer}]: pledges {err.pledged}, needs "
+                                 f"{err.need} for its share {share} of "
+                                 f"agents.issuers[{issuer}].allocation.repo")
+        self.pledged, self.need = err.pledged, err.need
 
 
 DAILY_FIELDS = ("day", "agent", "kind", "price", "coins", "requested",
@@ -208,23 +220,28 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     for cfg in config.intermediaries + config.holders:
         _endow_deposits(world, agent_of[cfg.name], cfg.deposits)
 
+    # the `(agent, coins by issuer name)` of each coin owner, holders first
+    owners = [(agent_of[h.name], h.coins) for h in config.holders + config.intermediaries
+              if h.coins]
     issuer_books: dict[str, IssuerBook] = {}
     for cfg, agent in zip(config.issuers, issuer_agents):
         _endow_deposits(world, agent, cfg.allocation["deposits"] + cfg.allocation["repo"])
         if cfg.allocation["bills"]:
             world.grant_tbill(agent, DurationClass.BILL, cfg.allocation["bills"])
-        _endow_coins(world, agent, [(agent_of[h.name], h.coins[cfg.name])
-                                    for h in config.holders + config.intermediaries
-                                    if h.coins.get(cfg.name)])
+        _endow_coins(world, agent, [(owner, coins[cfg.name]) for owner, coins in owners
+                                    if coins.get(cfg.name)])
         issuer_books[agent.key] = IssuerBook(agent, cfg)
         # parse_config guarantees at least one dealer to borrow the repo
         share, extra = divmod(cfg.allocation["repo"], len(dealer_agents))
-        for k, dealer in enumerate(dealer_agents):
+        for k, (dealer, dealer_cfg) in enumerate(zip(dealer_agents, config.dealers)):
             amount = share + (1 if k < extra else 0)
             if amount > 0:
-                open_reverse_repo(world, registry, agent, dealer, amount,
-                                  config.rates.haircut,
-                                  config.rates.repo_rate_daily, term=1)
+                try:
+                    open_reverse_repo(world, registry, agent, dealer, amount,
+                                      config.rates.haircut,
+                                      config.rates.repo_rate_daily, term=1)
+                except InsufficientCollateral as err:
+                    raise UnpledgeableRepo(dealer_cfg.name, cfg.name, amount, err) from err
 
     books = {agent.key: DealerBook(agent, cfg, inventory_baseline=world.tbill_value(agent))
              for cfg, agent in zip(config.dealers, dealer_agents)}
@@ -277,7 +294,9 @@ def _slices(amount: Amount, holders) -> tuple[list, Amount]:
     for holder, coins in holders:
         if placed >= amount:
             break
-        slice_ = min(amount - placed, coins)
+        slice_ = amount - placed
+        if slice_ > coins:
+            slice_ = coins
         slices.append((holder, slice_))
         placed += slice_
     return slices, placed

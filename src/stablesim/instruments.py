@@ -38,7 +38,10 @@ class InstrumentError(Exception):
 
 
 class InsufficientCollateral(InstrumentError):
-    pass
+    def __init__(self, borrower: AgentId, pledged: Amount, need: Amount):
+        super().__init__(f"{borrower} pledges {pledged}, needs {need}")
+        self.pledged = pledged
+        self.need = need
 
 
 class InsufficientCash(InstrumentError):
@@ -364,7 +367,7 @@ def _size_collateral(world: LedgerWorld, registry: RepoRegistry, borrower: Agent
             faces[duration] = face
         pledged += mul_frac(face, price)
     if pledged < need:
-        raise InsufficientCollateral(f"{borrower} pledges {pledged}, needs {need}")
+        raise InsufficientCollateral(borrower, pledged, need)
     return faces, capped
 
 

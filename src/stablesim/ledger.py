@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import bisect
 import json
-from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -89,7 +88,9 @@ class AgentId:
     key: str = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "key", f"{self.kind.value}:{self.index}")
+        # the member's `_value_` is what the Python-level `.value` property
+        # reads; a thousand-holder world builds a thousand ids
+        object.__setattr__(self, "key", f"{self.kind._value_}:{self.index}")
 
     def __str__(self) -> str:
         return self.key
@@ -139,6 +140,19 @@ def coin_key(issuer: AgentId) -> str:
 
 def tbill_key(duration: DurationClass) -> str:
     return _TBILL_KEY[duration]
+
+
+class _KeyParts(dict):
+    """Instrument key -> `(kind, counterparty key)`, each key parsed on its
+    first lookup; a key with no counterparty (a Treasury class, the
+    central bank's government claim) maps to None."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: str):
+        kind, sep, cpty = key.partition("@")
+        parts = self[key] = (kind, cpty) if sep else None
+        return parts
 
 
 def treasury_value(assets: dict) -> int:
@@ -390,6 +404,7 @@ class LedgerWorld:
         # liability leg to it, stored with its first depositor's account
         self.reserve_legs: dict[str, tuple[tuple, tuple]] = {}
         self.coin_keys: dict[str, str] = {}   # issuer key -> its coin key
+        self.key_parts = _KeyParts()   # the audits' parse of each instrument key
         self.tbill_prices: dict[DurationClass, int] = {
             DurationClass.BILL: 1_000_000,
             DurationClass.LONG: 1_000_000,
@@ -487,26 +502,34 @@ class LedgerWorld:
         started the log, the batch's deltas are appended to `changes`. A
         coin balance that crosses zero updates `coin_holders`.
         """
-        agents, emptied, left = self.agents, [], []
-        joined: dict[str, list[str]] = defaultdict(list)   # coin key -> its new holders
+        agents, emptied, crossed = self.agents, [], []
         for leg, delta in staged.items():
             agent_key, side, key = leg
             if (book := agents.get(agent_key)) is not None:
-                positions = book.assets if side == "A" else book.liabilities
-                current = positions.get(key, 0)
-                if (new := current + delta) >= 0:
-                    if delta:
-                        positions[key] = new
-                        book.equity += delta if side == "A" else -delta
-                        book.version += 1
-                        if not new:
-                            emptied.append((positions, key))
-                        if (not new or not current) and side == "A" and key.startswith("coin@"):
-                            if new:
-                                joined[key].append(agent_key)
-                            else:
-                                left.append((key, agent_key))
-                    continue
+                if side == "A":
+                    positions = book.assets
+                    current = positions.get(key, 0)
+                    if (new := current + delta) >= 0:
+                        if delta:
+                            positions[key] = new
+                            book.equity += delta
+                            book.version += 1
+                            if not new:
+                                emptied.append((positions, key))
+                            if (not new or not current) and key.startswith("coin@"):
+                                crossed.append(leg)
+                        continue
+                else:
+                    positions = book.liabilities
+                    current = positions.get(key, 0)
+                    if (new := current + delta) >= 0:
+                        if delta:
+                            positions[key] = new
+                            book.equity -= delta
+                            book.version += 1
+                            if not new:
+                                emptied.append((positions, key))
+                        continue
             self._undo(staged, leg)
             for unknown, _, _ in staged:
                 if unknown not in agents:
@@ -514,11 +537,17 @@ class LedgerWorld:
             raise InsufficientPosition(agent_key, key, current, -delta)
         for positions, key in emptied:
             del positions[key]
-        for key, agent_key in left:
-            holders = self.coin_holders[key]
-            del holders[bisect.bisect_left(holders, agent_key)]
-        for key, keys in joined.items():
-            self.coin_holders[key] = sorted(self.coin_holders.get(key, []) + keys)
+        if crossed:
+            # each coin holding opened is still held, each closed one is gone
+            index, opened = self.coin_holders, {}   # opened: coin key -> new holders
+            for agent_key, _, key in crossed:
+                if key in agents[agent_key].assets:
+                    opened.setdefault(key, []).append(agent_key)
+                else:
+                    holders = index[key]
+                    del holders[bisect.bisect_left(holders, agent_key)]
+            for key, keys in opened.items():
+                index[key] = sorted(index.get(key, []) + keys)
         if self.changes is not None:
             self.changes.append(staged)
 
@@ -700,23 +729,26 @@ class LedgerWorld:
         the same checks, agents and details.
         """
         if self.changes is not None:
-            net: dict[tuple[str, str, str], int] = {}
-            for staged in self.changes:
-                for leg, delta in staged.items():
-                    net[leg] = net.get(leg, 0) + delta
-            self.changes = []
-            # agent key -> (assets, liabilities), indexed by `side == "L"`
-            agents, legs = self.agents, defaultdict(lambda: ({}, {}))
-            for (key, side, ikey), delta in net.items():
-                kind = ikey.partition("@")[0]
-                if kind == "deposit" or kind == "repo" or kind == "srf":
-                    if (book := agents.get(key)) is None:
+            changes, self.changes = self.changes, []
+            agents, parts = self.agents, self.key_parts
+            # each written sheet's key -> its legs to check, (assets,
+            # liabilities) indexed by `side == "L"`, in the order written
+            sheets: dict[str, tuple[dict, dict]] = {}
+            for staged in changes:
+                for (key, side, ikey), delta in staged.items():
+                    if (legs := sheets.get(key)) is None:
+                        legs = sheets[key] = ({}, {})
+                    if (kind := parts[ikey]) is None:
                         continue
-                    delta = (book.assets if side == "A" else book.liabilities).get(ikey, 0)
-                elif kind != "coin" and kind != "reserves":
-                    continue
-                legs[key][side == "L"][ikey] = delta
-            report = self._check({key: None for key, _, _ in net}, legs.items())
+                    kind = kind[0]
+                    if kind == "coin" or kind == "reserves":
+                        summed = legs[side == "L"]
+                        summed[ikey] = summed.get(ikey, 0) + delta
+                    elif kind == "deposit" or kind == "repo" or kind == "srf":
+                        book = agents[key]
+                        legs[side == "L"][ikey] = (
+                            book.assets if side == "A" else book.liabilities).get(ikey, 0)
+            report = self._check(sheets, sheets.items())
             if report.ok:
                 return report
         report = self.audit()
@@ -732,7 +764,7 @@ class LedgerWorld:
         from zero, and a reserves leg off the central bank fails at once.
         Fed in key order, faults come in `audit()`'s order.
         """
-        agents, ids = self.agents, self.ids
+        agents, ids, parts = self.agents, self.ids, self.key_parts
         bank_kind, fed_key, rkey = AgentKind.BANK, FED.key, reserves_key()
         double_entry = claim = reserves = None
         for key in sheets:
@@ -747,9 +779,9 @@ class LedgerWorld:
             is_bank = ids[key].kind is bank_kind
             own_deposit = f"deposit@{key}"
             for akey, amount in assets.items():
-                kind, sep, cpty = akey.partition("@")
-                if not sep:
+                if (kind := parts[akey]) is None:
                     continue
+                kind, cpty = kind
                 if kind == "coin":
                     coins_held[akey] = coins_held.get(akey, 0) + amount
                 elif kind == "deposit":
@@ -769,9 +801,9 @@ class LedgerWorld:
                     if akey != rkey and reserves is None:
                         reserves = (key, f"reserves asset {akey} off the central bank")
             for lkey, amount in liabilities.items():
-                kind, sep, cpty = lkey.partition("@")
-                if not sep:
+                if (kind := parts[lkey]) is None:
                     continue
+                kind, cpty = kind
                 if kind == "coin":
                     coins_owed[lkey] = coins_owed.get(lkey, 0) + amount
                 elif kind == "deposit" and not is_bank:
@@ -796,7 +828,7 @@ class LedgerWorld:
             for ckey in sorted(coins_held.keys() | coins_owed.keys()):
                 held, owed = coins_held.get(ckey, 0), coins_owed.get(ckey, 0)
                 if held != owed:
-                    claim = (ckey.partition("@")[2],
+                    claim = (parts[ckey][1],
                              f"coins held {held} != coins outstanding {owed}")
                     break
         deposits = min(faults or orphans, default=None)

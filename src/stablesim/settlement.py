@@ -70,6 +70,9 @@ class Funding(Enum):
     REPO_NON_ROLLOVER = "repo_non_rollover"
 
 
+# each funding source's name in `plan_created` events
+_FROM_DEPOSITS, _SALE, _NONROLL = (Funding.FROM_DEPOSITS.value, Funding.SELL_TREASURIES.value,
+                                   Funding.REPO_NON_ROLLOVER.value)
 # the events of intake and planning, one row per request, and of payout
 _REDEMPTION_REQUEST = event_form("redemption_request", (
     "request_id", "issuer", "holder", "amount", "route", "intervention"))
@@ -137,6 +140,7 @@ class OpenRequest:
     holder: AgentId
     amount: Amount
     submitted_day: int
+    is_intervention: bool = False
     planned: bool = False
     # funding committed at planning and not yet paid out: deposits, which
     # the issuer's earmark sums, and sale or non-rollover cash from the pool
@@ -144,7 +148,6 @@ class OpenRequest:
     pool_left: Amount = 0
     horizon: int = 0
     paid: Amount = 0
-    is_intervention: bool = False
     counted_delayed: bool = False
 
     @property
@@ -241,21 +244,20 @@ class SettlementEngine:
                            is_intervention: bool = False) -> list:
         """Queue a request for each `(holder, amount)` of `slices`, in order;
         coins stay with each holder until paid. Under intermediated access
-        only intermediaries redeem directly. Every slice is checked first,
-        so a batch that raises queues and logs nothing."""
+        only intermediaries redeem directly. Every slice is checked before
+        the batch is queued, so a batch that raises queues and logs
+        nothing."""
         gated = (route is Route.DIRECT and not is_intervention
                  and self.policies.access_mode is AccessMode.INTERMEDIATED)
+        issuer, day = book.agent.key, self.world.day
+        request_id, records, events, total = self._next_request, [], [], 0
+        route = route.value
         for holder, amount in slices:
             if gated and holder.kind is not AgentKind.INTERMEDIARY:
                 raise IneligibleRedeemer(f"{holder} may not redeem directly from {book.agent}")
             if amount <= 0:
                 raise SettlementError("redemption amount must be positive")
-        issuer, day = book.agent.key, self.world.day
-        request_id, records, events, total = self._next_request, [], [], 0
-        route = route.value
-        for holder, amount in slices:
-            records.append(OpenRequest(request_id, holder, amount, day,
-                                       is_intervention=is_intervention))
+            records.append(OpenRequest(request_id, holder, amount, day, is_intervention))
             events.append((_REDEMPTION_REQUEST, (request_id, issuer, holder.key, amount,
                                                  route, is_intervention)))
             request_id += 1
@@ -299,8 +301,6 @@ class SettlementEngine:
         prices fall between clearing and settlement).
         """
         world, instructions = self.world, []
-        deposits_only, sale, nonroll = (Funding.FROM_DEPOSITS.value, Funding.SELL_TREASURIES.value,
-                                        Funding.REPO_NON_ROLLOVER.value)
         for key, book in self.issuers.items():
             if book.config.chain in suspended_chains or not book.open:
                 continue
@@ -314,14 +314,24 @@ class SettlementEngine:
             events, needs = [], 0
             for record in book.open:
                 if not record.planned:
+                    # spare deposits outside the earmark, then bills free to
+                    # sell, each between 0 and what the request still needs
                     amount = record.amount
-                    d = min(amount, max(0, spare - earmark))
-                    s = min(amount - d, max(0, held - selling))
+                    d = spare - earmark
+                    if d > amount:
+                        d = amount
+                    elif d < 0:
+                        d = 0
+                    s = held - selling
+                    if s > amount - d:
+                        s = amount - d
+                    elif s < 0:
+                        s = 0
                     # the rest is committed to repo non-rollover regardless of
                     # solvency; uncollectable needs leave the request queued
                     # and show up as delay
                     n = amount - d - s
-                    funding = nonroll if n > 0 else sale if s > 0 else deposits_only
+                    funding = _NONROLL if n > 0 else _SALE if s > 0 else _FROM_DEPOSITS
                     horizon = 1 if s > 0 else 0
                     record.planned = True
                     record.deposit_left = d
@@ -421,14 +431,13 @@ class SettlementEngine:
         for book in self.issuers.values():
             if not book.open or book.config.chain in suspended_chains:
                 continue
-            chunks, pool = self._size_chunks(book)
-            if not chunks:
+            payouts, bookings, left_open, pool = self._size_chunks(book)
+            if not payouts:
                 continue
-            self.world.redeem_coins(book.agent, [(record.holder, chunk, note)
-                                                 for record, chunk, _, note in chunks])
+            self.world.redeem_coins(book.agent, payouts)
             book.pool = pool
             total = bought = 0
-            for record, chunk, deposit_part, _ in chunks:
+            for record, chunk, deposit_part in bookings:
                 record.deposit_left -= deposit_part
                 record.pool_left -= chunk - deposit_part
                 record.paid += chunk
@@ -443,45 +452,63 @@ class SettlementEngine:
                         book.delayed_total += record.amount
             book.day_completed += total
             book.day_int_buy_completed += bought
-            book.open = [r for r in book.open if r.paid != r.amount]
+            book.open = left_open
 
     def _size_chunks(self, book: IssuerBook) -> tuple:
-        """The chunks a pass pays `book`'s open requests, oldest first, as
-        `(record, chunk, deposit part, note)`, and the pool left after
-        them; `note` is the request's `redemption_completed`
-        or `redemption_partial` event as `(form, values)`. Reads the
-        world and changes nothing."""
+        """The chunks a pass pays `book`'s open requests, oldest first, in
+        one loop: the payouts `(holder, chunk, note)` that
+        `LedgerWorld.redeem_coins` takes, `note` the request's
+        `redemption_completed` or `redemption_partial` event as `(form,
+        values)`; the bookings `(record, chunk, deposit part)`; the open
+        requests the chunks leave unfinished, in order; and the pool left
+        after them. Reads the world and changes nothing."""
         world, issuer = self.world, book.agent.key
         day, agents, coin = world.day, world.agents, world.coin_keys[issuer]
         deposits = world.deposits(book.agent)
-        pool, earmark = book.pool, sum(r.deposit_left for r in book.open)
+        pool, earmark = book.pool, sum([r.deposit_left for r in book.open])
         coins_left: dict[str, Amount] = {}   # holder key -> coins after earlier chunks
-        chunks = []
+        payouts, bookings, left_open = [], [], []
         for record in book.open:
             if not record.planned:
+                left_open.append(record)
                 continue
-            holder = record.holder.key
-            held = coins_left.get(holder)
+            holder = record.holder
+            key = holder.key
+            held = coins_left.get(key)
             if held is None:
-                held = agents[holder].assets.get(coin, 0)
-            # a planned request's unpaid funding adds up to its remaining amount
-            deposit_left = record.deposit_left
-            pool_chunk = min(record.pool_left, max(pool, deposits - earmark))
-            chunk = min(deposit_left + pool_chunk, deposits, held)
+                held = agents[key].assets.get(coin, 0)
+            # a planned request's unpaid funding adds up to its remaining
+            # amount; the chunk is its deposit part plus what the pool, or
+            # the spare deposits outside the earmark, can add, at most the
+            # issuer's deposits and the holder's coins left
+            deposit_left, spare = record.deposit_left, deposits - earmark
+            if spare < pool:
+                spare = pool
+            chunk = deposit_left + (record.pool_left if record.pool_left < spare else spare)
+            if chunk > deposits:
+                chunk = deposits
+            if chunk > held:
+                chunk = held
             if chunk <= 0:
+                left_open.append(record)
                 continue
-            deposit_part = min(chunk, deposit_left)
-            coins_left[holder] = held - chunk
+            deposit_part = chunk if chunk < deposit_left else deposit_left
+            coins_left[key] = held - chunk
             deposits -= chunk
             earmark -= deposit_part
-            pool = max(0, pool - (chunk - deposit_part))
+            pool -= chunk - deposit_part
+            if pool < 0:
+                pool = 0
             if remaining := record.amount - record.paid - chunk:
                 note = (_REDEMPTION_PARTIAL, (record.request_id, issuer, chunk, remaining))
+                left_open.append(record)
             else:
-                note = (_REDEMPTION_COMPLETED, (record.request_id, issuer, holder, record.amount,
-                                                max(0, day - record.submitted_day - record.horizon)))
-            chunks.append((record, chunk, deposit_part, note))
-        return chunks, pool
+                delay = day - record.submitted_day - record.horizon
+                note = (_REDEMPTION_COMPLETED, (record.request_id, issuer, key, record.amount,
+                                                delay if delay > 0 else 0))
+            payouts.append((holder, chunk, note))
+            bookings.append((record, chunk, deposit_part))
+        return payouts, bookings, left_open, pool
 
     def mint_pass(self, suspended_chains: set, treasury_seller: AgentId) -> None:
         """Settle queued mints: deposits in, coins out, optional bill buy.

@@ -1,3 +1,7 @@
+import functools
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from stablesim.instruments import _resize
@@ -52,3 +56,20 @@ def check_ledger():
     dealer capacities are exact, that every roll stamp still marks a fixed
     point of the collateral sizing and that encumbrance stays within face."""
     return _check_ledger
+
+
+@functools.cache
+def _bench_scenarios():
+    """bench/scenarios.py, loaded once by file path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "scenarios.py"
+    spec = importlib.util.spec_from_file_location("bench_scenarios", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def bench_scaled():
+    """`scaled()` of bench/scenarios.py, the generated many-agent books, as
+    a function of its keyword arguments returning the raw config."""
+    return _bench_scenarios().scaled

@@ -341,10 +341,29 @@ def test_world_that_cannot_be_built_exits_1(tmp_path, capsys):
                     {"deposits": 0, "bills": 0, "repo": 102_000_000})
     config = tmp_path / "all_repo.json"
     config.write_text(json.dumps(raw))
+    field = ("invalid config: agents.dealers[dealer_1]: pledges 50000000, needs 52020000 "
+             "for its share 51000000 of agents.issuers[usdx].allocation.repo\n")
     assert main(["validate", str(config)]) == 1
-    assert "invalid config: InsufficientCollateral" in capsys.readouterr().err
+    assert capsys.readouterr().err == field
     assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 1
-    assert "invalid config: InsufficientCollateral" in capsys.readouterr().err
+    assert capsys.readouterr().err == field
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_unbuildable_generated_book_names_the_dealer_and_the_issuer(command, bench_scaled,
+                                                                    tmp_path, capsys):
+    """Two dealers cannot pledge for unfunded issuers' repo: the book parses,
+    and both commands exit 1 naming the first dealer that cannot pledge by
+    its config path and the issuer whose allocation it borrows."""
+    config = tmp_path / "unbuildable.json"
+    config.write_text(json.dumps(bench_scaled(holders=20, issuers=3, horizon=15, dealers=2,
+                                              funded=False, seed=5)))
+    args = [command, str(config)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        "invalid config: agents.dealers[dealer_00]: pledges 10985000, needs 39015000 "
+        "for its share 38250000 of agents.issuers[issuer_01].allocation.repo\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -1,7 +1,5 @@
 import csv
-import functools
 import hashlib
-import importlib.util
 import io
 import json
 import random
@@ -720,29 +718,14 @@ def test_intermediaries_buy_in_key_order_past_ten(check_indexes, check_ledger):
                                     "intermediary:11", "intermediary:2"]
 
 
-@functools.cache
-def _bench_scenarios():
-    """bench/scenarios.py, loaded once by file path."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "scenarios.py"
-    spec = importlib.util.spec_from_file_location("bench_scenarios", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _bench_scaled(**args) -> dict:
-    """`scaled()` of bench/scenarios.py, the generated many-agent books."""
-    return _bench_scenarios().scaled(**args)
-
-
 @pytest.mark.parametrize("srf", ["off", "on"])
-def test_golden_sales_in_transit(srf, check_ledger):
+def test_golden_sales_in_transit(srf, bench_scaled, check_ledger):
     """Frozen digests of a generated book whose unfunded issuers sell
     bills to dealers short of reserves, so issuer sales are in flight
     at day ends: cleared and awaiting T+1 settlement, and without the
     SRF also carried over unfilled to the next day's clearing. The full
     audit and fresh dealer capacities are checked at every day end."""
-    raw = _bench_scaled(holders=10, issuers=3, horizon=12, dealers=8, funded=False, seed=1)
+    raw = bench_scaled(holders=10, issuers=3, horizon=12, dealers=8, funded=False, seed=1)
     raw["policies"]["srf_enabled"] = srf == "on"
     out = run(parse_config(raw), on_day_end=check_ledger)
     events = out.events
@@ -756,14 +739,14 @@ def test_golden_sales_in_transit(srf, check_ledger):
     assert output_digests(out) == golden[f"srf_{srf}"]
 
 
-def test_golden_repo_rolls(check_ledger):
+def test_golden_repo_rolls(bench_scaled, check_ledger):
     """Frozen digests of the generated book above with the dealers' bills
     and bonds cut to 60% and the SRF off: their overnight repos roll while
     prices move, some rolls cannot pledge enough and are postponed, and
     term positions fall below margin and are topped up. The full audit,
     fresh dealer capacities and the roll stamps are checked at every day
     end."""
-    raw = _bench_scaled(holders=10, issuers=3, horizon=12, dealers=8, funded=False, seed=1)
+    raw = bench_scaled(holders=10, issuers=3, horizon=12, dealers=8, funded=False, seed=1)
     for dealer in raw["agents"]["dealers"]:
         dealer["treasuries_bill"] = dealer["treasuries_bill"] * 60 // 100
         dealer["treasuries_long"] = dealer["treasuries_long"] * 60 // 100
@@ -778,7 +761,41 @@ def test_golden_repo_rolls(check_ledger):
     assert output_digests(out) == golden
 
 
-def test_summary_totals_are_the_folds_of_the_rows():
+def test_golden_funded_holders(bench_scaled, check_indexes, check_ledger):
+    """Frozen digests of a generated many-holder book whose issuers fund
+    every redemption from deposits: 585 requests over 30 days, each paid
+    in one chunk on the day it is made, by issuers at both banks to
+    holders at both, so payouts cross banks and stay within one. One
+    holder is paid by several issuers on one day. The coin-holder and
+    open-request indexes, the full audit and fresh dealer capacities are
+    checked at every day end."""
+    raw = bench_scaled(holders=200, issuers=5, horizon=30, dealers=2, funded=True, seed=1)
+    banks = {}
+
+    def check(scn, day):
+        banks.update((key, bank.key) for key, bank in scn.world.banks.items() if bank)
+        check_indexes(scn, day)
+        check_ledger(scn, day)
+
+    out = run(parse_config(raw), on_day_end=check)
+    events = out.events
+    requested = {e["request_id"]: e["day"] for e in events if e["type"] == "redemption_request"}
+    completed = {e["request_id"]: e["day"] for e in events if e["type"] == "redemption_completed"}
+    assert len(requested) == 585 and completed == requested
+    assert not any(e["type"] == "redemption_partial" for e in events)
+    payers: dict = {}   # (day, holder) -> issuers that paid it that day
+    for e in events:
+        if e["type"] == "burn":
+            payers.setdefault((e["day"], e["src"]), set()).add(e["dst"])
+    assert max(len(issuers) for issuers in payers.values()) >= 2
+    crossings = {banks[holder] != banks[issuer]
+                 for (_, holder), issuers in payers.items() for issuer in issuers}
+    assert crossings == {False, True}
+    golden = json.loads((GOLDEN / "funded_holders.sha256.json").read_text())
+    assert output_digests(out) == golden
+
+
+def test_summary_totals_are_the_folds_of_the_rows(bench_scaled):
     """Every preset at two seeds and a small generated book with the SRF
     on: each issuer's totals and peak deviation in summary.json are folds
     of its daily.csv rows (the requests also of its request events), and
@@ -790,7 +807,7 @@ def test_summary_totals_are_the_folds_of_the_rows():
             raw = PRESETS[preset]()
             raw["seed"] = seed
             configs.append(raw)
-    raw = _bench_scaled(holders=10, issuers=3, horizon=12, dealers=8, funded=False, seed=1)
+    raw = bench_scaled(holders=10, issuers=3, horizon=12, dealers=8, funded=False, seed=1)
     raw["policies"]["srf_enabled"] = True
     configs.append(raw)
     for raw in configs:
@@ -830,7 +847,7 @@ def _numbers_are_integers(out):
         json.loads(text, parse_float=reject, parse_constant=reject)
 
 
-def test_generated_books_run_clean_and_in_any_declaration_order(check_ledger):
+def test_generated_books_run_clean_and_in_any_declaration_order(bench_scaled, check_ledger):
     """Books drawn from bench/scenarios.py's `scaled()`: each either fails
     to build for want of repo collateral, or runs with the full audit and
     fresh dealer capacities checked at every day end, emits integers
@@ -844,8 +861,8 @@ def test_generated_books_run_clean_and_in_any_declaration_order(check_ledger):
            horizon=st.integers(4, 25), funded=st.booleans(), srf=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
     def one_book(holders, issuers, dealers, horizon, funded, srf, seed):
-        raw = _bench_scaled(holders=holders, issuers=issuers, horizon=horizon,
-                            dealers=dealers, funded=funded, seed=seed)
+        raw = bench_scaled(holders=holders, issuers=issuers, horizon=horizon,
+                           dealers=dealers, funded=funded, seed=seed)
         raw["policies"]["srf_enabled"] = srf
         config = parse_config(raw)
         try:

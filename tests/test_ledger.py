@@ -373,6 +373,72 @@ def test_failing_redeem_coins_writes_and_logs_nothing(write, error):
     assert world_state(world) == before
 
 
+HOLDER_C = AgentId(AgentKind.HOLDER, 2)
+PAYEES = (HOLDER, HOLDER_B, HOLDER_C)   # at banks A, B and A
+# amounts in steps of 50.00, so balances reach zero exactly; a payout of 0
+# is refused
+STEPS = st.integers(0, 6).map(lambda n: n * 50_00)
+WRITES = st.one_of(
+    st.tuples(st.just("redeem"), st.lists(st.tuples(st.integers(0, 2), STEPS),
+                                          min_size=1, max_size=3)),
+    st.tuples(st.sampled_from(["coin", "deposit"]), st.integers(0, 3), st.integers(0, 3),
+              STEPS))
+
+
+def coin_index(world):
+    """`coin_holders` rebuilt from the sheets: each coin key held on any
+    sheet, or indexed, to the sorted keys of the agents holding it."""
+    keys = set(world.coin_holders) | {key for book in world.agents.values()
+                                      for key in book.assets if key.startswith("coin@")}
+    return {key: sorted(agent for agent, book in world.agents.items() if book.asset(key) > 0)
+            for key in keys}
+
+
+def test_payout_batches_and_transfers_keep_the_indexes_and_audits_exact():
+    """Three holders, at both banks: payout batches with repeated payees,
+    some beyond the coins or deposits held or not positive, among coin and
+    deposit transfers (mints and burns included). After each write, or
+    refused write, the change audit reports what the full audit reports,
+    `coin_holders` is the index rebuilt from the sheets, and a refused
+    write left the world as it was. The draws pay batches with a repeated
+    payee, refuse batches, and take holders out of the index and back."""
+    seen = dict.fromkeys(("repeat_paid", "refused_batch", "left", "joined"), 0)
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(st.lists(WRITES, max_size=12))
+    def writes_in_turn(writes):
+        world = redeeming_world()
+        world.add_agent(HOLDER_C, bank=BANK_A)
+        world.transfer_coin(ISSUER, HOLDER_C, ISSUER, 300_00)
+        world.transfer_deposit(HOLDER, ISSUER, 1_000_00)
+        agents = PAYEES + (ISSUER,)
+        for kind, *args in writes:
+            before = copy.deepcopy(world_state(world))
+            holding = sum(map(len, world.coin_holders.values()))
+            try:
+                if kind == "redeem":
+                    world.redeem_coins(ISSUER, [(PAYEES[i], amount, NOTES[n % 3])
+                                                for n, (i, amount) in enumerate(args[0])])
+                    payees = [i for i, _ in args[0]]
+                    seen["repeat_paid"] += len(set(payees)) < len(payees)
+                elif kind == "coin":
+                    world.transfer_coin(agents[args[0]], agents[args[1]], ISSUER, args[2])
+                else:
+                    world.transfer_deposit(agents[args[0]], agents[args[1]], args[2])
+            except LedgerError:
+                seen["refused_batch"] += kind == "redeem"
+                assert world_state(world) == before
+            assert world.audit_changes() == world.audit()
+            index = coin_index(world)
+            assert {key: world.coin_holders.get(key, []) for key in index} == index
+            now = sum(map(len, index.values()))
+            seen["left"] += now < holding
+            seen["joined"] += now > holding
+
+    writes_in_turn()
+    assert all(seen.values()), seen
+
+
 def test_fresh_world_audit_passes():
     report = two_bank_world().audit()
     assert report.ok
