@@ -15,7 +15,7 @@ from .instruments import (PortfolioState, RepoPosition, RepoRegistry,
                           step_portfolio)
 from .ledger import (AgentId, AgentKind, AuditReport, BalanceSheet, DurationClass,
                      LedgerWorld, WorldSnapshot)
-from .market import DealerBook, FillReport, Market, VolumeDecomposition, decompose
+from .market import DealerBook, Market, VolumeDecomposition, decompose
 from .money import MICRO, PAR, Amount, mul_div, mul_frac
 from .settlement import (AccessMode, Funding, IssuerBook, ParMode, ParPolicy, Route,
                          SettlementEngine, intervene)

@@ -36,10 +36,29 @@ CONFIG_ERRORS = (ParseError, ValidationError, UnknownShockClass)
 # collateral the dealers cannot pledge when the world is built
 WORLD_ERRORS = (InstrumentError, LedgerError, MarketError, SettlementError)
 
+# what reading a config, building its world or running it can fail with
+FAILURES = (AuditFailure, *CONFIG_ERRORS, *WORLD_ERRORS, OSError)
+
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_AUDIT = 2
 EXIT_IO = 3
+
+
+def report_failure(err: Exception) -> int:
+    """Print the message for `err`, one of `FAILURES`, and return its exit
+    code. A config error is matched before a world error: a config that
+    parses and cannot be built (`UnpledgeableRepo`) is both."""
+    if isinstance(err, AuditFailure):
+        message, code = str(err), EXIT_AUDIT
+    elif isinstance(err, CONFIG_ERRORS):
+        message, code = f"invalid config: {err}", EXIT_VALIDATION
+    elif isinstance(err, WORLD_ERRORS):
+        message, code = f"invalid config: {type(err).__name__}: {err}", EXIT_VALIDATION
+    else:
+        message, code = str(err), EXIT_IO
+    print(message, file=sys.stderr)
+    return code
 
 
 def cmd_run(args) -> int:
@@ -47,24 +66,9 @@ def cmd_run(args) -> int:
         raw = load_raw(args.config)
         if args.seed is not None and type(raw) is dict:
             raw["seed"] = args.seed  # checked by parse_config like the file's seed
-        config = parse_config(raw)
-    except CONFIG_ERRORS as err:
-        print(f"invalid config: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_IO
-    try:
-        output = run(config)
-    except AuditFailure as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_AUDIT
-    except CONFIG_ERRORS as err:   # a config that parses and cannot be built
-        print(f"invalid config: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except WORLD_ERRORS as err:
-        print(f"invalid config: {type(err).__name__}: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
+        output = run(parse_config(raw))
+    except FAILURES as err:
+        return report_failure(err)
     try:
         output.write(args.out)
     except OSError as err:
@@ -86,7 +90,7 @@ def cmd_sweep(args) -> int:
         for key, values in grid.items():
             if not isinstance(values, list) or not values:
                 raise ValidationError(f"grid values for {key} must be a non-empty list")
-    except (*CONFIG_ERRORS, json.JSONDecodeError, UnicodeDecodeError) as err:
+    except (*CONFIG_ERRORS, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
         print(f"invalid sweep input: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as err:
@@ -108,21 +112,9 @@ def cmd_sweep(args) -> int:
 def cmd_validate(args) -> int:
     """Parse the config and build its world, as `run` does before day 0."""
     try:
-        config = load_config(args.config)
-    except CONFIG_ERRORS as err:
-        print(f"invalid config: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_IO
-    try:
-        build_scenario(config)
-    except CONFIG_ERRORS as err:
-        print(f"invalid config: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except WORLD_ERRORS as err:
-        print(f"invalid config: {type(err).__name__}: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
+        build_scenario(load_config(args.config))
+    except FAILURES as err:
+        return report_failure(err)
     print("ok")
     return EXIT_OK
 

@@ -425,6 +425,8 @@ def load_raw(path: str | Path) -> dict:
         raise ParseError(f"{p}: byte {err.start}: not UTF-8 text") from err
     except json.JSONDecodeError as err:
         raise ParseError(f"{p}: line {err.lineno} column {err.colno}: {err.msg}") from err
+    except RecursionError as err:
+        raise ParseError(f"{p}: nested too deeply to decode") from err
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

@@ -96,14 +96,6 @@ class RepoPosition:
         return sum(mul_frac(face, world.price(d)) for d, face in self.collateral.items())
 
 
-@dataclass(frozen=True)
-class SettlementOutcome:
-    performed: bool
-    loss: Amount
-    cash_to_lender: Amount
-    collateral_released: bool
-
-
 def default_loss(principal: Amount, haircut: int, decline: int) -> Amount:
     """Lender loss on a defaulted repo liquidation.
 
@@ -240,14 +232,16 @@ def open_reverse_repo(world: LedgerWorld, registry: RepoRegistry,
 
 def close_or_default_repo(world: LedgerWorld, registry: RepoRegistry,
                           pos: RepoPosition, counterparty_performs: bool,
-                          market_decline: int = 0) -> SettlementOutcome:
+                          market_decline: int = 0) -> None:
     """Second leg: repayment with interest, or seizure and liquidation.
 
     Principal plus interest below zero (a negative rate) is paid by the
-    lender, as a roll pays negative interest. On default the lender
-    takes the pledged collateral and recovers its first-leg cash up to
-    the haircut cushion; the reported loss follows default_loss and the
-    collateral moves to the lender's book at the seized market value.
+    lender, as a roll pays negative interest; the `repo_close` row holds
+    the principal and interest. On default the lender takes the pledged
+    collateral and recovers its first-leg cash up to the haircut
+    cushion; the `repo_default` row holds the decline and the loss,
+    which follows default_loss, and the collateral moves to the
+    lender's book at the seized market value.
     """
     registry._check_due(world, pos)
     if counterparty_performs:
@@ -258,14 +252,13 @@ def close_or_default_repo(world: LedgerWorld, registry: RepoRegistry,
             world.transfer_deposit(pos.lender, pos.borrower, -owed)
         _unwind_principal(world, pos, "repo_close", interest=owed - pos.principal)
         registry._remove(pos)
-        return SettlementOutcome(True, 0, owed, True)
-
-    loss = default_loss(pos.principal, pos.haircut, market_decline)
-    _unwind_principal(world, pos, "repo_default", decline=market_decline, loss=loss)
-    registry._remove(pos)
-    for duration in [d for d in DURATIONS if d in pos.collateral]:
-        world.transfer_tbill(pos.borrower, pos.lender, duration, face=pos.collateral[duration])
-    return SettlementOutcome(False, loss, pos.principal - loss, False)
+    else:
+        loss = default_loss(pos.principal, pos.haircut, market_decline)
+        _unwind_principal(world, pos, "repo_default", decline=market_decline, loss=loss)
+        registry._remove(pos)
+        for duration in [d for d in DURATIONS if d in pos.collateral]:
+            world.transfer_tbill(pos.borrower, pos.lender, duration,
+                                 face=pos.collateral[duration])
 
 
 def _unwind_principal(world: LedgerWorld, pos: RepoPosition, event: str, **fields) -> None:
@@ -372,21 +365,18 @@ def _size_collateral(world: LedgerWorld, registry: RepoRegistry, borrower: Agent
 
 
 def mark_treasuries(world: LedgerWorld, registry: RepoRegistry, price_tick: int,
-                    duration: DurationClass | None = None) -> list[dict]:
-    """Apply a multiplicative price tick and re-margin term repos.
+                    duration: DurationClass) -> None:
+    """Apply a multiplicative price tick to one duration class and
+    re-margin term repos.
 
-    Returns the margin-call events emitted (one per under-margined term
-    position). Daily re-margining with a halved haircut threshold
+    Each under-margined term position logs one `margin_call` row and is
+    topped up. Daily re-margining with a halved haircut threshold
     stands in for intraday margin cycles the day-grain clock cannot
     express.
     """
-    classes = (duration,) if duration is not None else DURATIONS
-    for d in classes:
-        new_price = mul_frac(world.price(d), MICRO + price_tick)
-        world.remark_tbills(d, new_price)
+    world.remark_tbills(duration, mul_frac(world.price(duration), MICRO + price_tick))
     if price_tick != 0:
-        world.emit("mark", tick=price_tick, classes=[DURATION_NAME[d] for d in classes])
-    calls = []
+        world.emit("mark", tick=price_tick, classes=[DURATION_NAME[duration]])
     for pos in registry.open_positions():
         if pos.overnight:
             continue
@@ -394,13 +384,9 @@ def mark_treasuries(world: LedgerWorld, registry: RepoRegistry, price_tick: int,
         value = pos.collateral_value(world)
         if value < threshold:
             shortfall = threshold - value
-            event = {"repo_id": pos.repo_id, "borrower": pos.borrower.key,
-                     "collateral_value": value, "threshold": threshold,
-                     "shortfall": shortfall}
-            world.emit("margin_call", **event)
-            calls.append(event)
+            world.emit("margin_call", repo_id=pos.repo_id, borrower=pos.borrower.key,
+                       collateral_value=value, threshold=threshold, shortfall=shortfall)
             _top_up_collateral(world, registry, pos, shortfall)
-    return calls
 
 
 def _top_up_collateral(world: LedgerWorld, registry: RepoRegistry,

@@ -35,7 +35,6 @@ prices never fall and may rise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import analytics
 from .config import DealerConfig, MarketConfig, PolicyConfig
@@ -147,16 +146,6 @@ _SALE_CLEARED = event_form("sale_cleared", (
 _SALE_SETTLED = event_form("sale_settled", ("seller", "dealer", "duration", "proceeds"))
 
 
-class FillReport(NamedTuple):
-    order_id: int
-    seller: AgentId
-    duration: DurationClass
-    requested: Amount
-    filled: Amount
-    unfilled: Amount
-    price: int
-
-
 @dataclass
 class PendingSettlement:
     settle_day: int
@@ -246,8 +235,9 @@ class Market:
     # -- clearing ------------------------------------------------------------
 
     def submit_sale(self, world: LedgerWorld, seller: AgentId, amount: Amount,
-                    duration: DurationClass, purpose: str = "sale") -> FillReport:
-        """Clear one new order against today's remaining dealer capacity.
+                    duration: DurationClass, purpose: str = "sale") -> Amount:
+        """Clear one new order against today's remaining dealer capacity
+        and return its fill; its `sale_cleared` row records the order.
 
         The fill is allocated across dealers pro rata by available
         capacity (largest remainder, ties by dealer id). The unfilled
@@ -257,9 +247,7 @@ class Market:
         does not, so it is not counted twice.
         """
         order = SaleOrder(self._next_order, seller, duration, amount, purpose)
-        fill = self._clear(world, order, self.dealer_capacity(world), first_submission=True)
-        return FillReport(order.order_id, seller, duration, amount, fill, amount - fill,
-                          world.tbill_prices[duration])
+        return self._clear(world, order, self.dealer_capacity(world), first_submission=True)
 
     def resubmit_carryover(self, world: LedgerWorld) -> None:
         """Clear the queued unfilled remainders, in queue order, as new

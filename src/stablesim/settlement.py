@@ -166,9 +166,7 @@ class OpenRequest:
 @dataclass
 class MintOrder:
     buyer: AgentId
-    issuer: AgentId
     amount: Amount
-    submitted_day: int
     is_intervention: bool = False
 
 
@@ -270,21 +268,19 @@ class SettlementEngine:
         return records
 
     def submit_mint(self, book: IssuerBook, buyer: AgentId, amount: Amount,
-                    secondary_price: int, is_intervention: bool = False) -> MintOrder:
-        """Queue a mint, or raise if it is declined; aggregate deposits are
-        unchanged by it."""
+                    secondary_price: int, is_intervention: bool = False) -> None:
+        """Queue a mint on `book.mints`, or raise if it is declined; its
+        `mint_request` row records it, and aggregate deposits are unchanged
+        by it."""
         if amount <= 0:
             raise SettlementError("mint amount must be positive")
         if self.policies.negative_carry_refusal and self.rates.treasury_rate_daily <= 0:
             raise MintDeclined("negative carry: securities yield nothing to invest in")
         if self.policies.par_policy.mode is ParMode.BEST_EFFORT and secondary_price < PAR:
             raise MintDeclined("below par on the secondary market")
-        order = MintOrder(buyer=buyer, issuer=book.agent, amount=amount,
-                          submitted_day=self.world.day, is_intervention=is_intervention)
-        book.mints.append(order)
+        book.mints.append(MintOrder(buyer, amount, is_intervention))
         self.world.emit("mint_request", issuer=book.agent.key, buyer=buyer.key,
                         amount=amount, intervention=is_intervention)
-        return order
 
     # -- planning -----------------------------------------------------------
 

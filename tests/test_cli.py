@@ -145,6 +145,37 @@ def test_sweep_grid_file_that_is_not_utf8_is_rejected(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def nested_past_the_decoder(raw: dict) -> str:
+    """`raw` as JSON text, its "DEEP" value replaced by lists nested far
+    deeper than the JSON decoder recurses."""
+    return json.dumps(raw).replace('"DEEP"', "[" * 100_000 + "]" * 100_000)
+
+
+@pytest.mark.parametrize("command", ["run", "validate", "sweep"])
+def test_config_nested_too_deeply_is_a_parse_error(command, tmp_path, capsys):
+    raw = PRESETS["calm"]()
+    raw["market"]["depth"] = "DEEP"
+    config, grid, out_dir = tmp_path / "deep.json", tmp_path / "grid.json", tmp_path / "out"
+    config.write_text(nested_past_the_decoder(raw))
+    grid.write_text(json.dumps({"grid": {"seed": [1]}}))
+    args = {"run": ["--out", str(out_dir)], "validate": [],
+            "sweep": ["--grid", str(grid), "--out", str(out_dir)]}[command]
+    assert main([command, str(config), *args]) == 1
+    err = capsys.readouterr().err
+    prefix = "invalid sweep input: " if command == "sweep" else "invalid config: "
+    assert err.startswith(f"{prefix}{config}: nested too deeply") and "Traceback" not in err
+    assert not out_dir.exists()
+
+
+def test_sweep_grid_nested_too_deeply_is_rejected(tmp_path, capsys):
+    grid, out_dir = tmp_path / "grid.json", tmp_path / "sweep"
+    grid.write_text(nested_past_the_decoder({"grid": {"seed": "DEEP"}}))
+    assert main(["sweep", "calm", "--grid", str(grid), "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid sweep input: ") and "Traceback" not in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("argv", [[], ["run"], ["run", "calm", "--seed", "x"],
                                   ["sweep", "calm"], ["bogus"], ["run", "calm", "--bogus"]])
 def test_rejected_command_line_exits_1(argv, capsys):

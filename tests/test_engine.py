@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablesim.analytics import ANALYTICS_FIELDS
+from stablesim.analytics import ANALYTICS_FIELDS, leverage_ratio
 from stablesim.config import PRESETS, load_config, parse_config
 from stablesim.engine import (DAILY_FIELDS, AuditFailure, _fed_bill_purchase, build_scenario,
                               run, sweep)
@@ -793,6 +793,83 @@ def test_golden_funded_holders(bench_scaled, check_indexes, check_ledger):
     assert crossings == {False, True}
     golden = json.loads((GOLDEN / "funded_holders.sha256.json").read_text())
     assert output_digests(out) == golden
+
+
+def policy_paths_raw() -> dict:
+    """The paxos_mint_error book under a 50bp corridor, with the issuer
+    options and model variants no preset turns on.
+
+    Mint demand settles at a positive carry and half of each mint buys
+    bills; the issuer pays a daily operating cost and counts its excess
+    repo collateral; run demand ramps smoothly below a 1000bp threshold;
+    the day-2 supply error is burned two days later, and a day-5
+    confidence shock breaks the corridor.
+    """
+    raw = PRESETS["paxos_mint_error"]()
+    raw["horizon_days"] = 10
+    raw["agents"]["issuers"][0].update(mint_invest_frac=500_000, operating_cost_per_day=10_00,
+                                       count_excess_collateral=True)
+    raw["policies"]["par_policy"] = {"mode": "corridor", "corridor_bp": 50}
+    raw["run_model"].update(smooth=True, deviation_threshold_bp=1_000)
+    raw["rates"] = {"treasury_rate_daily": 100}
+    raw["mint_demand"] = {"daily_rate": 1_000}
+    raw["diagnostics"] = {"attack_cost": 1_00}   # a small cost keeps every cent in the ratio
+    raw["shocks"][0].update(magnitude=10_000, duration=2)
+    raw["shocks"].append({"day": 5, "class": "confidence_only", "magnitude": 20_000})
+    return raw
+
+
+def test_golden_policy_paths(check_ledger):
+    """Frozen digests of `policy_paths_raw`: a corridor buyback pinned to
+    the band edge, mints that buy bills, an operating cost, excess
+    collateral in the leverage ratio, the smooth run ramp, a corrective
+    burn on a later day and the attack-incentive ratio. The full audit
+    and fresh dealer capacities are checked at every day end."""
+    plain_ratios = []
+
+    def check(scn, day):
+        check_ledger(scn, day)
+        agent = scn.agent_of["usdx"]
+        plain_ratios.append(leverage_ratio(scn.world.sheet(agent).total_assets(),
+                                           scn.world.coins_outstanding(agent)).ratio)
+
+    out = run(parse_config(policy_paths_raw()), on_day_end=check)
+    events = out.events
+    buys = [e for e in events if e["type"] == "intervention"]
+    assert buys and all(e["kind"] == "buy" and e["target"] == PAR - 50 * BP for e in buys)
+    invested = [e for e in events if e["type"] == "transfer" and e["dst"] == "issuer:0"
+                and e["instrument"].startswith("tbill")]
+    minted = [e for e in events if e["type"] == "mint_completed"]
+    # half of each mint's proceeds buys bills, a cent either way for the price
+    assert minted and len(invested) == len(minted)
+    assert all(abs(bill["amount"] - mint["amount"] // 2) <= 1
+               for bill, mint in zip(invested, minted))
+    assert [e["day"] for e in events if e["type"] == "operating_cost"] == list(range(10))
+    [error] = [e for e in events if e["type"] == "uncontrolled_mint"]
+    [burn] = [e for e in events if e["type"] == "corrective_burn"]
+    assert (burn["day"], burn["amount"]) == (error["day"] + 2, error["amount"])
+    rows = issuer_rows(out)
+    assert all(row["ratio"] > plain for row, plain in zip(rows, plain_ratios, strict=True))
+    # below par the insensitive regime already asks for more than at par
+    assert not any(e["type"] == "regime_flip" for e in events)
+    assert rows[2]["price"] < PAR and rows[3]["requested"] > 3 * rows[1]["requested"]
+    assert out.summary["issuers"]["usdx"]["attack_incentive_ratio"] > 0
+    golden = json.loads((GOLDEN / "policy_paths.sha256.json").read_text())
+    assert output_digests(out) == golden["corridor"]
+
+
+def test_golden_eslr_reform(check_ledger):
+    """Frozen digests of the slr_bound preset, whose dealers sit at their
+    leverage bound, under the eSLR reform: the capacity it adds, split
+    between the two dealers, is all the market fills."""
+    raw = PRESETS["slr_bound"]()
+    raw["policies"]["eslr_reform"] = True
+    raw["market"]["eslr_capacity_add"] = 2_000_000
+    out = run(parse_config(raw), on_day_end=check_ledger)
+    assert {r["capacity"] for r in out.market_rows} == {2_000_000}
+    assert sum(e["filled"] for e in out.events if e["type"] == "sale_cleared") > 0
+    golden = json.loads((GOLDEN / "policy_paths.sha256.json").read_text())
+    assert output_digests(out) == golden["eslr_reform"]
 
 
 def test_summary_totals_are_the_folds_of_the_rows(bench_scaled):

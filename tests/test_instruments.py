@@ -45,6 +45,13 @@ def repo_world(issuer_cash=100_000_00, dealer_bills=0, dealer_long=0,
     return world
 
 
+def mark_every_class(world, registry, tick):
+    """Mark bills, then long paper, by `tick`, as the market marks a day's
+    classes one call at a time."""
+    for duration in DurationClass:
+        mark_treasuries(world, registry, tick, duration)
+
+
 def test_required_collateral_examples():
     assert required_collateral(100_00, 20_000) == 102_00  # 2% haircut
     assert required_collateral(100_00, 0) == 100_00
@@ -87,10 +94,10 @@ def test_second_leg_performance_returns_principal_plus_interest():
     issuer_equity = world.sheet(ISSUER).equity
     dealer_equity = world.sheet(DEALER).equity
     world.day = 1
-    outcome = close_or_default_repo(world, registry, pos, counterparty_performs=True)
-    assert outcome.loss == 0
+    close_or_default_repo(world, registry, pos, counterparty_performs=True)
     interest = mul_frac(10_000_00, 1_000)
-    assert outcome.cash_to_lender == 10_000_00 + interest
+    [row] = [e for e in world.events if e["type"] in ("repo_close", "repo_default")]
+    assert (row["type"], row["principal"], row["interest"]) == ("repo_close", 10_000_00, interest)
     # round trip changes both parties' equity only by the interest
     assert world.sheet(ISSUER).equity == issuer_equity + interest
     assert world.sheet(DEALER).equity == dealer_equity - interest
@@ -114,13 +121,12 @@ def test_default_moves_collateral_to_lender_and_releases_it():
     pledged = dict(pos.collateral)
     assert registry.encumbered == {(DEALER.key, d): f for d, f in pledged.items()}
     world.day = 1
-    outcome = close_or_default_repo(world, registry, pos, False, market_decline=50_000)
+    close_or_default_repo(world, registry, pos, False, market_decline=50_000)
     loss = default_loss(10_000_00, 20_000, 50_000)
-    assert (outcome.performed, outcome.loss) == (False, loss)
-    assert outcome.cash_to_lender == 10_000_00 - loss
-    [event] = [e for e in world.events if e["type"] == "repo_default"]
-    assert (event["lender"], event["borrower"], event["principal"], event["loss"]) == (
-        ISSUER.key, DEALER.key, 10_000_00, loss)
+    [event] = [e for e in world.events if e["type"] in ("repo_close", "repo_default")]
+    assert (event["type"], event["lender"], event["borrower"], event["principal"],
+            event["decline"], event["loss"]) == (
+        "repo_default", ISSUER.key, DEALER.key, 10_000_00, 50_000, loss)
     for duration, face in pledged.items():
         assert world.face_of(ISSUER, duration) == face
     assert world.face_of(DEALER, DurationClass.BILL) == 30_000_00 - pledged[DurationClass.BILL]
@@ -160,7 +166,7 @@ def test_roll_failing_on_collateral_is_postponed():
     pos = open_reverse_repo(world, registry, ISSUER, DEALER, 10_000_00,
                             haircut=20_000, rate=1_000, term=1)
     assert registry.free_face(world, DEALER, DurationClass.BILL) == 0
-    mark_treasuries(world, registry, -10_000)
+    mark_every_class(world, registry, -10_000)
     world.day = 1
     assert_roll_postponed(world, registry, pos, rf"{DEALER} pledges \d+, needs 1020000")
 
@@ -192,7 +198,7 @@ def test_roll_pass_postpones_only_the_roll_that_fails():
                                    haircut=20_000, rate=1_000, term=1)
                  for borrower in (DEALER, short, DEALER)]
     assert registry.free_face(world, short, DurationClass.BILL) == 0
-    mark_treasuries(world, registry, -10_000)
+    mark_every_class(world, registry, -10_000)
     world.day = 1
     one_by_one = copy.deepcopy((world, registry))
     roll_repos(world, registry, positions, new_rate=2_000)
@@ -214,7 +220,7 @@ def test_roll_pass_postpones_only_the_roll_that_fails():
 TRADER = AgentId(AgentKind.TREASURY_BUYER, 0)
 BORROWERS = (DEALER, AgentId(AgentKind.BROKER_DEALER, 1), AgentId(AgentKind.BROKER_DEALER, 2))
 STAMP_OPS = st.one_of(
-    st.tuples(st.just("mark"), st.sampled_from([None, *DurationClass]),
+    st.tuples(st.just("mark"), st.sampled_from(list(DurationClass)),
               st.integers(-40_000, 40_000)),
     st.tuples(st.just("back"), st.sampled_from(list(DurationClass)), st.integers(0, 40)),
     st.tuples(st.just("top_up"), st.integers(0, 7), st.integers(1, 30_000_00)),
@@ -341,10 +347,11 @@ def test_close_owing_less_than_zero_is_paid_by_the_lender():
                             haircut=20_000, rate=-1_500_000, term=1)
     issuer_cash, dealer_cash = world.deposits(ISSUER), world.deposits(DEALER)
     world.day = 1
-    outcome = close_or_default_repo(world, registry, pos, counterparty_performs=True)
+    close_or_default_repo(world, registry, pos, counterparty_performs=True)
     owed = 10_000_00 + mul_frac(10_000_00, -1_500_000)
-    assert outcome.cash_to_lender == owed == -5_000_00
-    assert world.events[-1]["interest"] == owed - 10_000_00
+    assert owed == -5_000_00
+    assert (world.events[-1]["type"], world.events[-1]["interest"]) == (
+        "repo_close", owed - 10_000_00)
     assert world.deposits(ISSUER) == issuer_cash + owed
     assert world.deposits(DEALER) == dealer_cash - owed
     assert world.sheet(ISSUER).asset(f"repo@{DEALER.key}") == 0
@@ -414,7 +421,7 @@ def test_mark_zero_tick_changes_nothing():
     world = repo_world(dealer_bills=10_000_00)
     registry = RepoRegistry()
     before = world.snapshot().to_json()
-    mark_treasuries(world, registry, 0)
+    mark_every_class(world, registry, 0)
     assert world.snapshot().to_json() == before
 
 
@@ -432,17 +439,16 @@ def test_term_repo_margin_call_emitted_once_per_position():
     registry = RepoRegistry()
     open_reverse_repo(world, registry, ISSUER, DEALER, 10_000_00,
                       haircut=20_000, rate=0, term=5)
-    calls = mark_treasuries(world, registry, -30_000)  # -3% with 2% haircut
-    assert len(calls) == 1
-    assert calls[0]["borrower"] == DEALER.key
-    margin_events = [e for e in world.events if e["type"] == "margin_call"]
-    assert len(margin_events) == 1
+    mark_every_class(world, registry, -30_000)  # -3% with 2% haircut
+    [call] = [e for e in world.events if e["type"] == "margin_call"]
+    assert call["borrower"] == DEALER.key
     # overnight book is exempt from intraday re-margining
     registry2 = RepoRegistry()
     world2 = repo_world(dealer_bills=30_000_00, dealer_long=90_000_00)
     open_reverse_repo(world2, registry2, ISSUER, DEALER, 10_000_00,
                       haircut=20_000, rate=0, term=1)
-    assert mark_treasuries(world2, registry2, -30_000) == []
+    mark_every_class(world2, registry2, -30_000)
+    assert not [e for e in world2.events if e["type"] == "margin_call"]
 
 
 def test_genius_maturity_limit():
@@ -518,5 +524,6 @@ def test_roll_at_higher_rate_prices_next_period_interest():
     world.day = 1
     roll_repos(world, registry, [pos], new_rate=4_000)
     world.day = 2
-    outcome = close_or_default_repo(world, registry, pos, True)
-    assert outcome.cash_to_lender == 10_000_00 + mul_frac(10_000_00, 4_000)
+    close_or_default_repo(world, registry, pos, True)
+    assert (world.events[-1]["type"], world.events[-1]["interest"]) == (
+        "repo_close", mul_frac(10_000_00, 4_000))

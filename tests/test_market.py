@@ -92,27 +92,24 @@ def test_decomposition_rejects_retention_above_seller():
 
 def test_full_fill_when_under_capacity():
     world, market, _ = make_market()
-    report = market.submit_sale(world, SELLER, 50_000_00, DurationClass.BILL)
-    assert report.filled == 50_000_00
-    assert report.unfilled == 0
-    assert report.price == MICRO
+    assert market.submit_sale(world, SELLER, 50_000_00, DurationClass.BILL) == 50_000_00
+    assert cleared_rows(world, 0) == [(0, 50_000_00, 50_000_00, 0)]
+    assert world.price(DurationClass.BILL) == MICRO
 
 
 def test_zero_capacity_zero_fill():
     world, market, _ = make_market(capital=5_000_00, base_assets=100_000_00)
     # headroom: 5_000_00 / 5% - 100_000_00 = 0
     assert capacity(market, world) == 0
-    report = market.submit_sale(world, SELLER, 10_000_00, DurationClass.BILL)
-    assert report.filled == 0
-    assert report.unfilled == 10_000_00
+    assert market.submit_sale(world, SELLER, 10_000_00, DurationClass.BILL) == 0
+    assert cleared_rows(world, 0) == [(0, 10_000_00, 0, 10_000_00)]
 
 
 def test_fill_is_monotone_in_headroom():
     fills = []
     for capital in (5_000_00, 6_000_00, 7_000_00, 9_000_00):
         world, market, _ = make_market(capital=capital)
-        report = market.submit_sale(world, SELLER, 90_000_00, DurationClass.BILL)
-        fills.append(report.filled)
+        fills.append(market.submit_sale(world, SELLER, 90_000_00, DurationClass.BILL))
     assert fills == sorted(fills)
 
 
@@ -136,7 +133,7 @@ def test_unsettled_sums_each_sellers_queued_and_pending_sales():
     and a carryover pass with no capacity leaves the remainder. Only the
     sellers asked for are summed."""
     world, market, registry = make_market(capital=5_100_00)
-    fill = market.submit_sale(world, SELLER, 20_000_00, DurationClass.BILL).filled
+    fill = market.submit_sale(world, SELLER, 20_000_00, DurationClass.BILL)
     market.submit_sale(world, D1, 1_000_00, DurationClass.LONG, purpose="funding_gap")
     assert 0 < fill < 20_000_00
     assert market.unsettled({SELLER.key, D1.key}) == {SELLER.key: 20_000_00, D1.key: 1_000_00}
@@ -156,7 +153,7 @@ def test_settlement_pays_seller_and_conserves_deposits():
         return sum(v for k, v in world.sheet(BANK).liabilities.items()
                    if k.startswith("deposit@"))
     total_before = deposits()
-    report = market.submit_sale(world, SELLER, 40_000_00, DurationClass.BILL)
+    market.submit_sale(world, SELLER, 40_000_00, DurationClass.BILL)
     world.day = 1
     assert market.unsettled({SELLER.key}) == {SELLER.key: 40_000_00}
     proceeds = market.settle_due(world, registry)
@@ -208,8 +205,7 @@ def test_srf_draw_consumes_headroom_at_clearing():
     headroom0 = sum(b.headroom(world) for b in market.books.values())
     cap = capacity(market, world)
     assert cap == headroom0 // 2
-    report = market.submit_sale(world, SELLER, cap, DurationClass.BILL)
-    assert report.filled == cap
+    assert market.submit_sale(world, SELLER, cap, DurationClass.BILL) == cap
     assert market.day_srf_draws == cap
     draws = [e for e in world.events if e["type"] == "srf_draw"]
     assert sum(e["amount"] for e in draws) == cap
@@ -423,12 +419,9 @@ def test_resubmit_carryover_equals_clearing_each_order_alone():
 def test_resubmit_carryover_reads_capacity_again_only_after_a_fill(monkeypatch):
     from stablesim import market as market_module
 
-    prorated, built = [], []
-    prorate, report = market_module._prorate, market_module.FillReport
+    prorated, prorate = [], market_module._prorate
     monkeypatch.setattr(market_module, "_prorate",
                         lambda total, shares: prorated.append(total) or prorate(total, shares))
-    monkeypatch.setattr(market_module, "FillReport", lambda *fields: (
-        built.append(fields[4]) or report(*fields)))
     carried = 0
     for seed in range(20):
         world, market = random_market(random.Random(seed))
@@ -438,13 +431,12 @@ def test_resubmit_carryover_reads_capacity_again_only_after_a_fill(monkeypatch):
         monkeypatch.setattr(market, "dealer_capacity",
                             lambda world: reads.append(1) or read_capacity(world))
         prorated.clear()
-        built.clear()
         market.resubmit_carryover(world)
         rows = cleared_rows(world, logged)
         fills = [fill for _, _, fill, _ in rows if fill]
         assert len(reads) <= 1 + len(fills), seed
-        # a carried order runs no pro-rata split, and no order builds a report
-        assert prorated == fills and built == [], seed
+        # a carried order runs no pro-rata split
+        assert prorated == fills, seed
         assert len(rows) == queued, seed
         carried += queued - len(fills)
     assert carried > 0

@@ -13,7 +13,7 @@ from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, Insufficie
 from stablesim.market import DealerBook, draw_srf
 from stablesim.money import PAR
 from stablesim.settlement import (AccessMode, Funding, IneligibleRedeemer, IssuerBook,
-                                  MintDeclined, ParMode, ParPolicy, Route,
+                                  MintDeclined, MintOrder, ParMode, ParPolicy, Route,
                                   SaleInstruction, SettlementEngine, SettlementError,
                                   intervene)
 
@@ -220,8 +220,11 @@ def test_submit_mint_declines():
     world = bare_world()
     book = issuer_book()
     yielding = RatesConfig(treasury_rate_daily=100)
-    order = settlement_engine(world, book, yielding).submit_mint(book, HOLDER, 1_000_00, PAR)
-    assert (order.buyer, order.issuer, order.amount) == (HOLDER, ISSUER, 1_000_00)
+    settlement_engine(world, book, yielding).submit_mint(book, HOLDER, 1_000_00, PAR)
+    assert book.mints == [MintOrder(HOLDER, 1_000_00)]
+    assert [(e["day"], e["issuer"], e["buyer"], e["amount"], e["intervention"])
+            for e in world.events if e["type"] == "mint_request"] == [
+        (0, ISSUER.key, HOLDER.key, 1_000_00, False)]
     with pytest.raises(SettlementError):
         settlement_engine(world, book, yielding).submit_mint(book, HOLDER, 0, PAR)
     with pytest.raises(MintDeclined):
@@ -232,7 +235,7 @@ def test_submit_mint_declines():
         settlement_engine(world, best_effort, yielding, negative_carry_refusal=False,
                           par_policy=ParPolicy(ParMode.BEST_EFFORT)).submit_mint(
             best_effort, HOLDER, 1_000_00, PAR - 1)
-    assert book.mints == [order]
+    assert book.mints == [MintOrder(HOLDER, 1_000_00)]
     assert best_effort.mints == []
 
 
@@ -242,7 +245,7 @@ def test_mint_pass_invests_the_configured_fraction_in_bills():
     world.grant_tbill(DEALER, DurationClass.BILL, 10_000_00)
     book = issuer_book(mint_invest_frac=500_000)
     settle = settlement_engine(world, book, RatesConfig(treasury_rate_daily=100))
-    order = settle.submit_mint(book, HOLDER, 1_000_00, PAR)
+    settle.submit_mint(book, HOLDER, 1_000_00, PAR)
     settle.mint_pass(set(), DEALER)
     assert book.mints == [] and book.total_minted == 1_000_00
     assert world.sheet(HOLDER).asset(coin_key(ISSUER)) == 1_000_00
@@ -258,7 +261,8 @@ def test_mint_waits_in_the_queue_until_its_buyer_is_funded():
     world = bare_world()
     book = issuer_book()
     settle = settlement_engine(world, book, RatesConfig(treasury_rate_daily=100))
-    order = settle.submit_mint(book, HOLDER, 1_000_00, PAR)
+    settle.submit_mint(book, HOLDER, 1_000_00, PAR)
+    [order] = book.mints
     settle.mint_pass(set(), DEALER)
     assert [(e["leg"], e["issuer"]) for e in world.events if e["type"] == "leg_failed"] == [
         ("mint_deposit", ISSUER.key)]
