@@ -17,11 +17,9 @@ stops it with exit 3.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
-from .config import (ParseError, ValidationError, load_config, load_raw,
+from .config import (ParseError, ValidationError, load_config, load_json, load_raw,
                      parse_config, preset_descriptions)
 from .dynamics import UnknownShockClass
 from .engine import AuditFailure, build_scenario, run, sweep
@@ -83,14 +81,14 @@ def cmd_sweep(args) -> int:
     try:
         raw = load_raw(args.config)
         parse_config(raw)  # fail fast before the grid multiplies the error
-        grid_raw = json.loads(Path(args.grid).read_text(encoding="utf-8"))
+        grid_raw = load_json(args.grid)
         grid = grid_raw.get("grid", grid_raw) if isinstance(grid_raw, dict) else grid_raw
         if not isinstance(grid, dict):
             raise ValidationError("grid file must map parameter paths to value lists")
         for key, values in grid.items():
             if not isinstance(values, list) or not values:
                 raise ValidationError(f"grid values for {key} must be a non-empty list")
-    except (*CONFIG_ERRORS, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
+    except CONFIG_ERRORS as err:
         print(f"invalid sweep input: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as err:

@@ -416,9 +416,14 @@ def load_raw(path: str | Path) -> dict:
     """The unparsed scenario of a preset name or a JSON file."""
     if isinstance(path, str) and path in PRESETS:
         return PRESETS[path]()
-    p = Path(path)
-    if not p.exists():
+    if not Path(path).exists():
         raise FileNotFoundError(f"no such config file or preset: {path}")
+    return load_json(path)
+
+
+def load_json(path: str | Path):
+    """The JSON value of a file; a file that does not decode raises a `ParseError` naming it."""
+    p = Path(path)
     try:
         return json.loads(p.read_text(encoding="utf-8"))
     except UnicodeDecodeError as err:

@@ -12,7 +12,8 @@ The secondary price falls with the overdue share of redemptions and
 with confidence shocks, is lifted (or pinned) by executed issuer
 interventions, and otherwise reverts geometrically toward par. Under
 direct access the price is par unless redemptions are actually
-failing.
+failing. Every decline is >= 0, a pin is at most par and reversion
+steps at most the gap, so `ConfidenceState` rejects a price above par.
 
 Technical shocks come from a catalog: liveness faults suspend on-chain
 legs per blockchain (correlated variants hit every issuer on the
@@ -70,8 +71,8 @@ class ConfidenceState:
     pending_delay_age: int = 0
 
     def __post_init__(self):
-        if self.secondary_price <= 0:
-            raise DynamicsError("secondary price must be positive")
+        if not 0 < self.secondary_price <= PAR:
+            raise DynamicsError("secondary price must be positive and at most par")
 
 
 def redemption_demand(model: RunModel, conf: ConfidenceState, coins: Amount) -> Amount:
@@ -81,7 +82,7 @@ def redemption_demand(model: RunModel, conf: ConfidenceState, coins: Amount) -> 
     reaches the threshold (boundary inclusive) or delays age past the
     trigger, and that day's demand is already at the shifted rate.
     """
-    deviation = abs(PAR - conf.secondary_price)
+    deviation = PAR - conf.secondary_price
     if model.sensitivity_state is SensitivityState.INSENSITIVE:
         if (deviation >= model.deviation_threshold
                 or conf.pending_delay_age >= model.delay_trigger_days):
@@ -156,10 +157,8 @@ def update_secondary_price(conf: ConfidenceState, unfilled_redemptions: Amount,
             price += mul_div(gap, done, intervention.requested)
     if decline == 0 and not intervened:
         gap = PAR - price
-        if gap != 0:
-            step = mul_frac(abs(gap), params.reversion)
-            step = max(1, min(step, abs(gap)))
-            price += step if gap > 0 else -step
+        if gap > 0:
+            price += max(1, min(mul_frac(gap, params.reversion), gap))
     price = max(params.min_price, price)
     return ConfidenceState(price, conf.pending_delay_age)
 

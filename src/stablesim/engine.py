@@ -338,7 +338,7 @@ def _route_demand(scn: Scenario, book: IssuerBook, demand: Amount,
         if remaining <= 0:
             break
         funds = world.deposits(im)
-        afford = funds * MICRO // price if price > 0 else 0
+        afford = funds * MICRO // price  # ConfidenceState keeps the price positive
         budget = min(remaining, afford)
         slices, bought = _slices(budget, ((h, c) for h, c in _coin_holders(scn, book)
                                           if h.kind is not AgentKind.INTERMEDIARY))
@@ -471,29 +471,20 @@ def _mint_demand(scn: Scenario, suspended: set) -> None:
 
 
 def _interventions(scn: Scenario, suspended: set) -> None:
-    """Phase 5: each live issuer's par policy buys coins back or mints."""
+    """Phase 5: each live issuer's par policy buys coins back from its
+    largest holders when the price is below its corridor."""
+    policy = scn.config.policies.par_policy
     for key, book in scn.settle.issuers.items():
         if book.config.chain in suspended:
             continue
-        price = scn.confidence[key].secondary_price
-        for action in intervene(scn.config.policies.par_policy, price, scn.world, book.agent):
-            if action.kind == "buy":
-                placed = _redeem_from_holders(scn, book, action.amount, Route.DIRECT,
-                                              is_intervention=True)
-                book.day_int_buy_requested += placed
-                book.pin_target = action.pin_target
-                scn.world.emit("intervention", issuer=key, kind="buy",
-                               requested=action.amount, placed=placed,
-                               target=action.pin_target)
-                continue
-            try:
-                scn.settle.submit_mint(book, scn.mint_buyer, action.amount, price,
-                                       is_intervention=True)
-                book.pin_target = action.pin_target
-                scn.world.emit("intervention", issuer=key, kind="mint",
-                               requested=action.amount, target=action.pin_target)
-            except MintDeclined as err:
-                scn.world.emit("intervention_declined", issuer=key, cause=str(err))
+        buyback = intervene(policy, scn.confidence[key].secondary_price, scn.world, book.agent)
+        if buyback is None:
+            continue
+        amount, book.pin_target = buyback
+        placed = _redeem_from_holders(scn, book, amount, Route.DIRECT, is_intervention=True)
+        book.day_int_buy_requested += placed
+        scn.world.emit("intervention", issuer=key, kind="buy", requested=amount,
+                       placed=placed, target=book.pin_target)
 
 
 def _plan(scn: Scenario, suspended: set) -> list:
@@ -547,7 +538,7 @@ def _update_prices(scn: Scenario) -> None:
         coins = scn.world.coins_outstanding(book.agent)
         overdue = scn.settle.overdue_amount(book) + book.day_unserved
         shock_eff = scn.shock_state.price_effects.pop(key, 0)
-        completed = book.day_int_buy_completed + book.day_int_mint_completed
+        completed = book.day_int_buy_completed
         # a day with nothing completed has no intervention to price
         intervention = InterventionResult(
             requested=max(book.day_int_buy_requested, completed),
@@ -659,7 +650,7 @@ def _summarize(scn: Scenario) -> dict:
             fold = folds[row["agent"]]
             fold[0] += row["requested"]
             fold[1] += row["completed"]
-            fold[2] = max(fold[2], abs(PAR - row["price"]))
+            fold[2] = max(fold[2], PAR - row["price"])
     issuers = {}
     for key, book in scn.settle.issuers.items():
         requested, completed, deviation = folds[book.config.name]

@@ -20,10 +20,10 @@ a holder's promised coins are read from them too, the sum of their unpaid
 at each planning pass: its queued remainders and its fills awaiting T+1
 settlement.
 
-Par policy: a rigorously fixed regime stands ready to buy below par and
-mint above; a corridor acts only outside its band; best effort never
-intervenes in the open market. Intervention purchases are ordinary
-redemptions at par initiated by the issuer against the largest holders.
+Par policy: a rigorously fixed regime buys below par, a corridor only
+below its band, best effort never; the coin never trades above par, so
+no policy mints. Intervention purchases are ordinary redemptions at par
+initiated by the issuer against the largest holders.
 """
 
 from __future__ import annotations
@@ -96,37 +96,18 @@ class ParPolicy:
     corridor_width: int = 0  # micro
 
 
-@dataclass(frozen=True)
-class IssuerAction:
-    kind: str       # "buy" or "mint"
-    amount: Amount
-    pin_target: int  # price the action defends, micro
-
-
 def intervene(policy: ParPolicy, secondary_price: int, world: LedgerWorld,
-              issuer: AgentId) -> list:
-    """Open-market actions the par policy requires at this price.
-
-    The supply response is proportional: the issuer offers to retire
-    (or create) the deviation's share of coins outstanding, measured
-    from par for the fixed regime and from the corridor edge otherwise.
-    """
+              issuer: AgentId) -> tuple[Amount, int] | None:
+    """The buyback `(amount, pin_target)` the par policy requires at this
+    price, or `None`: the issuer offers to retire the share of coins
+    outstanding by which the price is below the corridor edge, and pins
+    the price to that edge. The fixed regime is the corridor of width 0."""
+    width = policy.corridor_width if policy.mode is ParMode.CORRIDOR else 0
+    below = PAR - width - secondary_price
     coins = world.coins_outstanding(issuer)
-    deviation = PAR - secondary_price
-    if policy.mode is ParMode.BEST_EFFORT or coins <= 0:
-        return []
-    if policy.mode is ParMode.RIGOROUS_FIXED:
-        if deviation > 0:
-            return [IssuerAction("buy", mul_frac(coins, deviation), PAR)]
-        if deviation < 0:
-            return [IssuerAction("mint", mul_frac(coins, -deviation), PAR)]
-        return []
-    width = policy.corridor_width
-    if deviation > width:
-        return [IssuerAction("buy", mul_frac(coins, deviation - width), PAR - width)]
-    if -deviation > width:
-        return [IssuerAction("mint", mul_frac(coins, -deviation - width), PAR + width)]
-    return []
+    if policy.mode is ParMode.BEST_EFFORT or below <= 0 or coins <= 0:
+        return None
+    return mul_frac(coins, below), PAR - width
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +148,6 @@ class OpenRequest:
 class MintOrder:
     buyer: AgentId
     amount: Amount
-    is_intervention: bool = False
 
 
 @dataclass
@@ -186,7 +166,6 @@ class IssuerBook:
     day_minted: Amount = 0
     day_int_buy_requested: Amount = 0
     day_int_buy_completed: Amount = 0
-    day_int_mint_completed: Amount = 0
     day_unserved: Amount = 0         # demand no holder could place today
     pin_target: int = PAR
     total_minted: Amount = 0
@@ -234,7 +213,6 @@ class SettlementEngine:
             book.day_minted = 0
             book.day_int_buy_requested = 0
             book.day_int_buy_completed = 0
-            book.day_int_mint_completed = 0
             book.day_unserved = 0
             book.pin_target = PAR
 
@@ -268,19 +246,19 @@ class SettlementEngine:
         return records
 
     def submit_mint(self, book: IssuerBook, buyer: AgentId, amount: Amount,
-                    secondary_price: int, is_intervention: bool = False) -> None:
+                    secondary_price: int) -> None:
         """Queue a mint on `book.mints`, or raise if it is declined; its
-        `mint_request` row records it, and aggregate deposits are unchanged
-        by it."""
+        `mint_request` row records it (its `intervention` is always false),
+        and aggregate deposits are unchanged by it."""
         if amount <= 0:
             raise SettlementError("mint amount must be positive")
         if self.policies.negative_carry_refusal and self.rates.treasury_rate_daily <= 0:
             raise MintDeclined("negative carry: securities yield nothing to invest in")
         if self.policies.par_policy.mode is ParMode.BEST_EFFORT and secondary_price < PAR:
             raise MintDeclined("below par on the secondary market")
-        book.mints.append(MintOrder(buyer, amount, is_intervention))
+        book.mints.append(MintOrder(buyer, amount))
         self.world.emit("mint_request", issuer=book.agent.key, buyer=buyer.key,
-                        amount=amount, intervention=is_intervention)
+                        amount=amount, intervention=False)
 
     # -- planning -----------------------------------------------------------
 
@@ -527,8 +505,6 @@ class SettlementEngine:
                     self._buy_bills(book, treasury_seller, invest)
                 book.day_minted += order.amount
                 book.total_minted += order.amount
-                if order.is_intervention:
-                    book.day_int_mint_completed += order.amount
                 world.emit("mint_completed", issuer=key, buyer=order.buyer.key,
                            amount=order.amount)
             book.mints = queued

@@ -141,8 +141,27 @@ def test_sweep_grid_file_that_is_not_utf8_is_rejected(tmp_path, capsys):
     grid.write_bytes(b"\xff")
     out_dir = tmp_path / "sweep"
     assert main(["sweep", "calm", "--grid", str(grid), "--out", str(out_dir)]) == 1
-    assert capsys.readouterr().err.startswith("invalid sweep input: ")
+    assert capsys.readouterr().err == f"invalid sweep input: {grid}: byte 0: not UTF-8 text\n"
     assert not out_dir.exists()
+
+
+def test_sweep_grid_file_that_is_not_json_is_rejected(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text("not json")
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", "calm", "--grid", str(grid), "--out", str(out_dir)]) == 1
+    assert (capsys.readouterr().err
+            == f"invalid sweep input: {grid}: line 1 column 1: Expecting value\n")
+    assert not out_dir.exists()
+
+
+def test_sweep_grid_path_is_not_read_as_a_preset(tmp_path, monkeypatch, capsys):
+    """A grid named like a preset is read from its file, not built from
+    the preset: one that does not exist is an I/O failure."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "calm", "--grid", "calm", "--out", "sweep"]) == 3
+    assert "calm" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
 
 
 def nested_past_the_decoder(raw: dict) -> str:
@@ -172,7 +191,7 @@ def test_sweep_grid_nested_too_deeply_is_rejected(tmp_path, capsys):
     grid.write_text(nested_past_the_decoder({"grid": {"seed": "DEEP"}}))
     assert main(["sweep", "calm", "--grid", str(grid), "--out", str(out_dir)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("invalid sweep input: ") and "Traceback" not in err
+    assert err == f"invalid sweep input: {grid}: nested too deeply to decode\n"
     assert not out_dir.exists()
 
 

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stablesim.config import IssuerConfig
@@ -131,6 +131,46 @@ def test_partial_intervention_lifts_proportionally():
     out = update_secondary_price(conf(price=980_000), 0, 100_000_00, 0,
                                  AccessMode.INTERMEDIATED, intervention=result)
     assert out.secondary_price == 990_000
+
+
+@pytest.mark.parametrize("price", [PAR + 1, 0])
+def test_confidence_rejects_a_price_above_par_or_not_positive(price):
+    with pytest.raises(DynamicsError):
+        ConfidenceState(price)
+
+
+def _zero_or_up_to(top):
+    return st.just(0) | st.integers(0, top)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(min_price=st.integers(1, PAR), below_par=st.integers(0, PAR),
+       overdue=_zero_or_up_to(10**12), coins=_zero_or_up_to(10**12),
+       shock_effect=_zero_or_up_to(2 * PAR), access_mode=st.sampled_from(AccessMode),
+       coeffs=st.tuples(st.integers(0, 2 * MICRO), st.integers(0, 2 * MICRO),
+                        st.integers(0, MICRO) | st.integers(MICRO, 10 * MICRO)),
+       intervention=st.none() | st.builds(
+           InterventionResult, requested=st.integers(0, 10**12),
+           completed=st.integers(0, 10**12), pin_target=st.integers(-PAR, PAR)))
+# a calm day one unit below par, with reversion above 100%, and a full
+# buyback pinned at par
+@example(min_price=1, below_par=1, overdue=0, coins=0, shock_effect=0,
+         access_mode=AccessMode.INTERMEDIATED, coeffs=(0, 0, 10 * MICRO), intervention=None)
+@example(min_price=1, below_par=20_000, overdue=0, coins=0, shock_effect=0,
+         access_mode=AccessMode.INTERMEDIATED, coeffs=(0, 0, MICRO),
+         intervention=InterventionResult(requested=1, completed=1, pin_target=PAR))
+def test_price_stays_between_its_floor_and_par(min_price, below_par, overdue, coins,
+                                               shock_effect, access_mode, coeffs, intervention):
+    """From any price in [min_price, PAR], with any non-negative overdue
+    amount and shock effect and any intervention pinned at most at par,
+    the next price is again in [min_price, PAR]."""
+    overdue_coeff, failure_coeff, reversion = coeffs
+    params = PriceParams(overdue_coeff=overdue_coeff, failure_coeff=failure_coeff,
+                         reversion=reversion, min_price=min_price)
+    out = update_secondary_price(conf(price=max(min_price, PAR - below_par)), overdue, coins,
+                                 shock_effect, access_mode, intervention=intervention,
+                                 params=params)
+    assert min_price <= out.secondary_price <= PAR
 
 
 # -- shocks ------------------------------------------------------------------

@@ -928,19 +928,23 @@ def test_generated_books_run_clean_and_in_any_declaration_order(bench_scaled, ch
     """Books drawn from bench/scenarios.py's `scaled()`: each either fails
     to build for want of repo collateral, or runs with the full audit and
     fresh dealer capacities checked at every day end, emits integers
-    only, and gives the same bytes on a second run and with every agent
-    list shuffled. The draws reach zero-fill carried orders and T+1
-    settlements, and some cannot be built."""
-    seen = dict.fromkeys(("ran", "unbuildable", "carried", "settled"), 0)
+    only, never prices a coin above par, and gives the same bytes on a
+    second run and with every agent list shuffled. The draws reach
+    zero-fill carried orders, T+1 settlements and par-policy buybacks,
+    and some cannot be built."""
+    seen = dict.fromkeys(("ran", "unbuildable", "carried", "settled", "intervened"), 0)
 
     @settings(derandomize=True, max_examples=80, deadline=None, database=None)
-    @given(holders=st.integers(1, 30), issuers=st.integers(1, 4), dealers=st.integers(1, 8),
-           horizon=st.integers(4, 25), funded=st.booleans(), srf=st.booleans(),
+    @given(holders=st.integers(1, 60), issuers=st.integers(1, 6), dealers=st.integers(1, 8),
+           horizon=st.integers(4, 40), funded=st.booleans(), srf=st.booleans(),
+           par_policy=st.sampled_from([{"mode": "best_effort"}, {"mode": "rigorous_fixed"},
+                                       {"mode": "corridor", "corridor_bp": 50}]),
            seed=st.integers(0, 2**32 - 1))
-    def one_book(holders, issuers, dealers, horizon, funded, srf, seed):
+    def one_book(holders, issuers, dealers, horizon, funded, srf, par_policy, seed):
         raw = bench_scaled(holders=holders, issuers=issuers, horizon=horizon,
                            dealers=dealers, funded=funded, seed=seed)
         raw["policies"]["srf_enabled"] = srf
+        raw["policies"]["par_policy"] = par_policy
         config = parse_config(raw)
         try:
             build_scenario(config)
@@ -949,6 +953,7 @@ def test_generated_books_run_clean_and_in_any_declaration_order(bench_scaled, ch
             return
         out = run(config, on_day_end=check_ledger)
         _numbers_are_integers(out)
+        assert all(r["price"] <= PAR for r in out.daily_rows if r["kind"] == "issuer")
         digests = output_digests(out)
         assert output_digests(run(config)) == digests
         shuffle = random.Random(seed).shuffle
@@ -959,6 +964,7 @@ def test_generated_books_run_clean_and_in_any_declaration_order(bench_scaled, ch
         seen["carried"] += any(e["type"] == "sale_cleared" and not e["first_submission"]
                                and e["filled"] == 0 for e in out.events)
         seen["settled"] += any(e["type"] == "sale_settled" for e in out.events)
+        seen["intervened"] += any(e["type"] == "intervention" for e in out.events)
 
     one_book()
     assert all(seen.values()), seen

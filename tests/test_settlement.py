@@ -291,27 +291,23 @@ def coined_world(coins):
 def test_rigorous_fixed_buys_below_par():
     world = coined_world(1_000_000_00)
     policy = ParPolicy(ParMode.RIGOROUS_FIXED)
-    actions = intervene(policy, 999_000, world, ISSUER)
-    assert len(actions) == 1
-    assert actions[0].kind == "buy"
-    assert actions[0].amount == 1_000_00  # deviation share of coins
-    assert actions[0].pin_target == PAR
-    minting = intervene(policy, 1_002_000, world, ISSUER)
-    assert minting[0].kind == "mint"
+    # the deviation's share of coins, pinned to par
+    assert intervene(policy, 999_000, world, ISSUER) == (1_000_00, PAR)
+    assert intervene(policy, PAR, world, ISSUER) is None
 
 
 def test_corridor_acts_only_outside_band():
     world = coined_world(1_000_000_00)
     policy = ParPolicy(ParMode.CORRIDOR, corridor_width=5_000)  # 50bp
-    assert intervene(policy, 998_000, world, ISSUER) == []
-    actions = intervene(policy, 994_000, world, ISSUER)
-    assert actions[0].kind == "buy"
-    assert actions[0].pin_target == PAR - 5_000
+    assert intervene(policy, 998_000, world, ISSUER) is None
+    assert intervene(policy, PAR - 5_000, world, ISSUER) is None
+    # the share below the edge, pinned to the edge
+    assert intervene(policy, 994_000, world, ISSUER) == (1_000_00, PAR - 5_000)
 
 
 def test_best_effort_never_intervenes():
     world = coined_world(1_000_000_00)
-    assert intervene(ParPolicy(ParMode.BEST_EFFORT), 900_000, world, ISSUER) == []
+    assert intervene(ParPolicy(ParMode.BEST_EFFORT), 900_000, world, ISSUER) is None
 
 
 def srf_setup():
