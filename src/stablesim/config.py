@@ -38,7 +38,8 @@ expected an integer, got 5.5" or "agents.holders[h_1].coins.usdx: ...".
   policies:
     access_mode               "direct" (default) | "intermediated"
     par_policy                {mode: "best_effort" (default) | "corridor" |
-                               "rigorous_fixed", corridor_bp (0; > 0 for a corridor)}
+                               "rigorous_fixed", corridor_bp (0; > 0 and < 10_000
+                               for a corridor)}
     srf_enabled               false
     issuer_reserve_access     false   (issuers may hold central bank
                                        reserves; redemptions can then
@@ -102,7 +103,7 @@ from typing import NamedTuple
 from .dynamics import (LikelihoodBand, PriceParams, RunModel, ShockClass, ShockSpec,
                        SystemicBand, UnknownShockClass)
 from .instruments import GENIUS_MAX_BILL_DAYS
-from .money import BP
+from .money import BP, PAR
 from .settlement import AccessMode, ParMode, ParPolicy
 
 
@@ -500,9 +501,11 @@ def parse_config(raw: dict) -> ScenarioConfig:
         dealers=tuple(dealers.values()), intermediaries=tuple(intermediaries.values()),
         holders=tuple(holders.values()), treasury_buyers=tuple(buyers.values())))
     policies, market, run_model = config.policies, config.market, config.run_model
-    _require(policies.par_policy.mode is not ParMode.CORRIDOR
-             or policies.par_policy.corridor_width > 0,
-             "policies.par_policy.corridor_bp: corridor width must be positive")
+    if policies.par_policy.mode is ParMode.CORRIDOR:
+        width = policies.par_policy.corridor_width
+        _require(width > 0, "policies.par_policy.corridor_bp: corridor width must be positive")
+        # a corridor as wide as par has its edge at a price of zero or below
+        _require(width < PAR, "policies.par_policy.corridor_bp: must be < 10_000")
     _require(config.horizon_days >= 1, "horizon_days: must be >= 1")
     _require(0 <= config.seed < 2 ** 64, "seed: must be a 64-bit unsigned integer")
     _require(policies.intermediary_mode in ("redeem", "warehouse"),

@@ -154,7 +154,6 @@ class Scenario:
     shock_state: ShockState
     rng: SplitMix64
     mint_target: AgentId          # receives an uncontrolled-supply shock's coins
-    mint_buyer: AgentId
     peak_txn: dict                # issuer key -> largest redeemed + minted day
     daily_rows: list = field(default_factory=list)
     market_rows: list = field(default_factory=list)
@@ -174,9 +173,7 @@ def _endow_deposits(world: LedgerWorld, agent: AgentId, amount: Amount) -> None:
 
 def _endow_coins(world: LedgerWorld, issuer: AgentId, holdings: list) -> None:
     """Issue `issuer`'s coins to each `(holder, amount)` of `holdings` in
-    one posting."""
-    if not holdings:
-        return
+    one posting, never empty: `parse_config` requires coins held in full."""
     key = coin_key(issuer)
     legs = {(issuer.key, "L", key): sum(amount for _, amount in holdings)}
     legs.update(((holder.key, "A", key), amount) for holder, amount in holdings)
@@ -260,7 +257,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         run_models=run_models, confidence=confidence,
         shock_state=ShockState(), rng=SplitMix64(config.seed),
         mint_target=holder_agents[0] if holder_agents else buyer_agents[0],
-        mint_buyer=buyer_agents[0], peak_txn=dict.fromkeys(issuer_books, 0))
+        peak_txn=dict.fromkeys(issuer_books, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +461,7 @@ def _mint_demand(scn: Scenario, suspended: set) -> None:
         amount = mul_frac(scn.world.coins_outstanding(book.agent), rate)
         if amount > 0:
             try:
-                scn.settle.submit_mint(book, scn.mint_buyer, amount,
+                scn.settle.submit_mint(book, scn.market.buyer, amount,
                                        scn.confidence[key].secondary_price)
             except MintDeclined as err:
                 scn.world.emit("mint_declined", issuer=key, cause=str(err))
@@ -472,7 +469,7 @@ def _mint_demand(scn: Scenario, suspended: set) -> None:
 
 def _interventions(scn: Scenario, suspended: set) -> None:
     """Phase 5: each live issuer's par policy buys coins back from its
-    largest holders when the price is below its corridor."""
+    holders, in key order, when the price is below its corridor."""
     policy = scn.config.policies.par_policy
     for key, book in scn.settle.issuers.items():
         if book.config.chain in suspended:
@@ -526,7 +523,7 @@ def _clear_market(scn: Scenario, instructions: list, gaps: list) -> dict:
 
 def _drain_queues(scn: Scenario, suspended: set) -> None:
     """Phase 9: settle mints, pay what today's cash funds, flag delays."""
-    scn.settle.mint_pass(suspended, scn.mint_buyer)
+    scn.settle.mint_pass(suspended, scn.market.buyer)
     scn.settle.payout_pass(suspended)
     scn.settle.sweep_delay_flags()
 

@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .money import mul_frac
 
@@ -242,11 +243,11 @@ class _Form:
     `keys` are the names of an event's `(day, seq, type, *values)`.
     `write(day_text, seq, values)` renders an event as its JSON line, its
     day given as JSON text, which `EventLog.lines` renders once a day, and
-    its seq as an exact int or as JSON text. Its first call compiles the
-    schema's writer: an f-string of the sorted keys' JSON text, bound as
-    names `p<i>`, and the arguments `d`, `s` and `v[<j>]`. A value of the
-    exact kind, int or str, that the first event held in its slot is
-    rendered directly, any other through `_encode`.
+    its seq as an int. Its first call compiles the schema's writer: an
+    f-string of the sorted keys' JSON text, bound as names `p<i>`, and the
+    arguments `d`, `s` and `v[<j>]`. A value of the exact kind, int or str,
+    that the first event held in its slot is rendered directly, any other
+    through `_encode`.
     """
 
     __slots__ = ("type", "keys", "write")
@@ -308,23 +309,21 @@ class EventLog(Sequence):
     Each of `batches` is `(day, first seq, events)`, `events` the list of
     `(form, values)` that `LedgerWorld.emit_all` was handed (a list of one
     for `emit`): the log keeps that list, and its caller does not touch it
-    again. `starts` holds each batch's index in the log, which indexing and
-    slicing bisect. `lines()` renders each event as the JSON line
-    `json.dumps(event, sort_keys=True, separators=(",", ":")) + "\\n"`
-    through its form's writer.
+    again. An event's seq is its index in the log, so indexing and slicing
+    bisect the batches' first seqs, and `size` is the next event's seq.
+    `lines()` renders each event through its form's writer as the line
+    `json.dumps(event, sort_keys=True, separators=(",", ":")) + "\\n"`.
     """
 
-    __slots__ = ("batches", "starts", "size")
+    __slots__ = ("batches", "size")
 
     def __init__(self):
         self.batches: list[tuple] = []
-        self.starts: list[int] = []
         self.size = 0
 
-    def _log(self, day: int, seq: int, events: list) -> None:
-        """Keep `events`, a non-empty batch numbered from `seq`."""
-        self.batches.append((day, seq, events))
-        self.starts.append(self.size)
+    def _log(self, day: int, events: list) -> None:
+        """Keep `events`, a non-empty batch numbered from the log's size."""
+        self.batches.append((day, self.size, events))
         self.size += len(events)
 
     def __len__(self) -> int:
@@ -334,13 +333,11 @@ class EventLog(Sequence):
         """The events from log index `index` on, as dicts."""
         if index >= self.size:
             return
-        b = bisect.bisect_right(self.starts, index) - 1
-        skip = index - self.starts[b]
+        b = bisect.bisect_right(self.batches, index, key=itemgetter(1)) - 1
         for day, seq, events in islice(self.batches, b, None):
-            for i in range(skip, len(events)):
+            for i in range(max(0, index - seq), len(events)):
                 form, values = events[i]
                 yield dict(zip(form.keys, (day, seq + i, form.type, *values)))
-            skip = 0
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -370,15 +367,10 @@ class EventLog(Sequence):
         last = text = None   # the day as JSON text, rendered once a day
         for day, seq, events in self.batches:
             if day is not last:
-                last, text = day, str(day) if type(day) is int else _encode(day)
-            if type(seq) is int:   # so is each seq after it
-                for form, values in events:
-                    yield form.write(text, seq, values)
-                    seq += 1
-            else:
-                for form, values in events:
-                    yield form.write(text, _encode(seq), values)
-                    seq += 1
+                last, text = day, str(day)
+            for form, values in events:
+                yield form.write(text, seq, values)
+                seq += 1
 
 
 class LedgerWorld:
@@ -390,7 +382,6 @@ class LedgerWorld:
 
     def __init__(self):
         self.day = 0
-        self.seq = 0
         self.agents: dict[str, BalanceSheet] = {}
         self.ids: dict[str, AgentId] = {}
         # coin key -> sorted keys of the agents holding a positive balance of it
@@ -470,12 +461,16 @@ class LedgerWorld:
 
     # -- event log ---------------------------------------------------------
 
+    @property
+    def seq(self) -> int:
+        """The next event's seq: the number of events logged."""
+        return self.events.size
+
     def emit(self, event_type: str, **fields) -> None:
         """Log one event, a batch of one; a field named `day`, `seq` or
         `type` raises `LedgerError` when its schema is first seen."""
         form = _FORMS.get((event_type, *fields)) or event_form(event_type, tuple(fields))
-        self.events._log(self.day, self.seq, [(form, (*fields.values(),))])
-        self.seq += 1
+        self.events._log(self.day, [(form, (*fields.values(),))])
 
     def emit_all(self, events: list) -> None:
         """Log `events`, each `(form, values)` with `form` from `event_form`
@@ -483,8 +478,7 @@ class LedgerWorld:
         The log keeps the list as one batch: the caller hands it over and
         does not touch it again."""
         if events:
-            self.events._log(self.day, self.seq, events)
-            self.seq += len(events)
+            self.events._log(self.day, events)
 
     # -- posting engine ----------------------------------------------------
 

@@ -133,7 +133,6 @@ def draw_srf(world: LedgerWorld, book: DealerBook, amount: Amount) -> None:
 
 @dataclass
 class SaleOrder:
-    order_id: int
     seller: AgentId
     duration: DurationClass
     remaining: Amount
@@ -246,7 +245,7 @@ class Market:
         (seller) volume and to gross volume; a resubmitted remainder
         does not, so it is not counted twice.
         """
-        order = SaleOrder(self._next_order, seller, duration, amount, purpose)
+        order = SaleOrder(seller, duration, amount, purpose)
         return self._clear(world, order, self.dealer_capacity(world), first_submission=True)
 
     def resubmit_carryover(self, world: LedgerWorld) -> None:
@@ -256,8 +255,8 @@ class Market:
         Dealer capacity is read before the first order and again after
         each fill. Once a read sums to zero, the rest of the queue fills
         nothing: a zero fill writes no sheet and no book field, so the
-        read stays exact. That tail is carried in one step: each order
-        takes the next id and adds its remainder to the day's excess, the
+        read stays exact. That tail is carried in one step: each order's
+        row takes the next id and its remainder adds to the day's excess, the
         tail is queued again whole and its `sale_cleared` rows are logged
         as one batch.
         """
@@ -271,7 +270,6 @@ class Market:
             return
         tail, order_id, excess, events = queued[i:], self._next_order, self.day_excess, []
         for order in tail:
-            order.order_id = order_id
             amount = order.remaining
             excess[order.duration] += amount
             events.append((_SALE_CLEARED, (order_id, order.seller.key,
@@ -314,9 +312,9 @@ class Market:
 
     def _record(self, world: LedgerWorld, order: SaleOrder, fill: Amount,
                 first_submission: bool) -> None:
-        """Give `order` the next order id; queue what it left unfilled, add
-        it to the day's tallies and log its `sale_cleared`."""
-        order_id = order.order_id = self._next_order
+        """Log `order`'s `sale_cleared` under the next order id; queue what
+        it left unfilled and add it to the day's tallies."""
+        order_id = self._next_order
         self._next_order = order_id + 1
         duration, amount = order.duration, order.remaining
         unfilled = amount - fill
@@ -457,17 +455,15 @@ class Market:
 
 
 def _prorate(total: Amount, shares: dict) -> dict:
-    """Integer pro-rata split by share weight, largest remainder first."""
+    """Integer pro-rata split by share weight, largest remainder first;
+    `0 < total <= sum(shares.values())`, so no share is exceeded."""
     weight = sum(shares.values())
     out = {k: 0 for k in shares}
-    if total <= 0 or weight <= 0:
-        return out
     remainders = []
     assigned = 0
     for key in sorted(shares):
         exact = total * shares[key]
         base = exact // weight
-        base = min(base, shares[key])
         out[key] = base
         assigned += base
         remainders.append((-(exact % weight), key))

@@ -23,7 +23,7 @@ settlement.
 Par policy: a rigorously fixed regime buys below par, a corridor only
 below its band, best effort never; the coin never trades above par, so
 no policy mints. Intervention purchases are ordinary redemptions at par
-initiated by the issuer against the largest holders.
+initiated by the issuer against its holders, sliced in key order.
 """
 
 from __future__ import annotations
@@ -443,18 +443,16 @@ class SettlementEngine:
         coins_left: dict[str, Amount] = {}   # holder key -> coins after earlier chunks
         payouts, bookings, left_open = [], [], []
         for record in book.open:
-            if not record.planned:
-                left_open.append(record)
-                continue
             holder = record.holder
             key = holder.key
             held = coins_left.get(key)
             if held is None:
                 held = agents[key].assets.get(coin, 0)
             # a planned request's unpaid funding adds up to its remaining
-            # amount; the chunk is its deposit part plus what the pool, or
-            # the spare deposits outside the earmark, can add, at most the
-            # issuer's deposits and the holder's coins left
+            # amount, an unplanned one's to 0, so it stays open; the chunk is
+            # its deposit part plus what the pool, or the spare deposits
+            # outside the earmark, can add, at most the issuer's deposits and
+            # the holder's coins left
             deposit_left, spare = record.deposit_left, deposits - earmark
             if spare < pool:
                 spare = pool

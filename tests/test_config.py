@@ -190,6 +190,11 @@ BAD_INPUTS = [
     ("market", {}, "market.depth"),
     ("policies", {"access_mode": "teleport"}, "policies.access_mode"),
     ("policies", {"par_policy": {"mode": "corridor"}}, "policies.par_policy.corridor_bp"),
+    # a corridor as wide as par has its edge at a price of zero or below
+    ("policies", {"par_policy": {"mode": "corridor", "corridor_bp": 10_000}},
+     "policies.par_policy.corridor_bp"),
+    ("policies", {"par_policy": {"mode": "corridor", "corridor_bp": 20_000}},
+     "policies.par_policy.corridor_bp"),
     # amounts in agent entries are >= 0; rates stay signed
     ("agents/holders/0/deposits", -5, "agents.holders[h].deposits"),
     ("agents/holders/0/coins/usdx", -1, "agents.holders[h].coins.usdx"),
@@ -291,6 +296,16 @@ def test_signed_rates_and_sections_left_out_parse():
     assert (cfg.rates.treasury_rate_daily, cfg.rates.repo_rate_daily) == (-1, -2)
     assert cfg.attack_cost is None and cfg.mint_daily_rate == 0
     assert cfg.seed == 1 and cfg.policies.srf_enabled is False
+
+
+def test_corridor_narrower_than_par_parses():
+    """A corridor of 9_999 bp keeps its edge above a zero price; the width
+    is read only for a corridor."""
+    raw = minimal_raw()
+    raw["policies"] = {"par_policy": {"mode": "corridor", "corridor_bp": 9_999}}
+    assert parse_config(raw).policies.par_policy.corridor_width == 9_999 * 100
+    raw["policies"] = {"par_policy": {"mode": "best_effort", "corridor_bp": 10_000}}
+    assert parse_config(raw).policies.par_policy.mode is ParMode.BEST_EFFORT
 
 
 def test_market_values_at_their_bounds_parse():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablesim.analytics import ANALYTICS_FIELDS, leverage_ratio
+from stablesim.cli import main as cli_main
 from stablesim.config import PRESETS, load_config, parse_config
 from stablesim.engine import (DAILY_FIELDS, AuditFailure, _fed_bill_purchase, build_scenario,
                               run, sweep)
@@ -924,9 +925,12 @@ def _numbers_are_integers(out):
         json.loads(text, parse_float=reject, parse_constant=reject)
 
 
-def test_generated_books_run_clean_and_in_any_declaration_order(bench_scaled, check_ledger):
+def test_generated_books_run_clean_and_in_any_declaration_order(bench_scaled, check_ledger,
+                                                                tmp_path, capsys):
     """Books drawn from bench/scenarios.py's `scaled()`: each either fails
-    to build for want of repo collateral, or runs with the full audit and
+    to build for want of repo collateral, when `validate` and `run` exit 1
+    naming the dealer and the issuer's repo allocation and `run` writes no
+    output, or runs with the full audit and
     fresh dealer capacities checked at every day end, emits integers
     only, never prices a coin above par, and gives the same bytes on a
     second run and with every agent list shuffled. The draws reach
@@ -950,6 +954,17 @@ def test_generated_books_run_clean_and_in_any_declaration_order(bench_scaled, ch
             build_scenario(config)
         except InsufficientCollateral:
             seen["unbuildable"] += 1
+            path = tmp_path / f"unbuildable_{seen['unbuildable']}.json"
+            path.write_text(json.dumps(raw))
+            out_dir = tmp_path / f"out_{seen['unbuildable']}"
+            for argv in (["validate", str(path)], ["run", str(path), "--out", str(out_dir)]):
+                assert cli_main(argv) == 1, argv
+                err = capsys.readouterr().err
+                assert err.startswith("invalid config: agents.dealers["), err
+                assert "of agents.issuers[" in err and "].allocation.repo" in err, err
+                assert "Traceback" not in err, err
+            assert not any((out_dir / name).exists() for name in (
+                "daily.csv", "market.csv", "analytics.csv", "summary.json", "events.jsonl"))
             return
         out = run(config, on_day_end=check_ledger)
         _numbers_are_integers(out)

@@ -367,8 +367,7 @@ def resubmit_order_by_order(world, market):
 
 def market_state(world, market):
     return (world.events, world.seq, world.agents, world.tbill_face,
-            [(o.order_id, o.seller, o.duration, o.remaining, o.purpose)
-             for o in market.carryover],
+            [(o.seller, o.duration, o.remaining, o.purpose) for o in market.carryover],
             market.pending, market.books, market._next_order, market.day_excess,
             market.day_fills, market.day_submitted, market.day_srf_draws,
             market.gross_volume)

@@ -6,14 +6,14 @@ import pytest
 
 from stablesim.config import DealerConfig, IssuerConfig, PolicyConfig, RatesConfig, parse_config
 from stablesim.engine import _coin_holders, build_scenario, run
-from stablesim.instruments import RepoRegistry
+from stablesim.instruments import RepoRegistry, open_reverse_repo
 from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, InsufficientPosition,
                               LedgerWorld, coin_key, deposit_key, reserves_key,
                               srf_key)
 from stablesim.market import DealerBook, draw_srf
 from stablesim.money import PAR
-from stablesim.settlement import (AccessMode, Funding, IneligibleRedeemer, IssuerBook,
-                                  MintDeclined, MintOrder, ParMode, ParPolicy, Route,
+from stablesim.settlement import (AccessMode, Funding, GapInstruction, IneligibleRedeemer,
+                                  IssuerBook, MintDeclined, MintOrder, ParMode, ParPolicy, Route,
                                   SaleInstruction, SettlementEngine, SettlementError,
                                   intervene)
 
@@ -214,6 +214,58 @@ def test_plan_sells_only_the_bills_not_already_being_sold():
     assert book.nonroll_pending == 200_00
     assert settle.plan_pending(set(), {ISSUER.key: 200_00}) == [SaleInstruction(ISSUER, 100_00)]
     assert book.nonroll_pending == 200_00
+
+
+def charge(world, amount):
+    """Take `amount` of the issuer's deposits at BANK, as the engine pays
+    an operating cost."""
+    world.post({(ISSUER.key, "A", deposit_key(BANK)): -amount,
+                (BANK.key, "L", deposit_key(ISSUER)): -amount})
+
+
+def test_plan_pass_takes_no_deposits_below_the_earmark():
+    """An operating cost leaves the issuer 300.00 of deposits under the
+    400.00 earmarked for a planned request: the next request takes none
+    of them and sells bills for all of its 300.00."""
+    world = bare_world(issuer_deposits=500_00, issuer_bills=1_000_00)
+    book = issuer_book()
+    settle = settlement_engine(world, book)
+    [first] = settle.submit_redemptions(book, [(HOLDER, 400_00)], Route.DIRECT)
+    assert settle.plan_pending(set(), {}) == []
+    charge(world, 200_00)
+    [second] = settle.submit_redemptions(book, [(HOLDER, 300_00)], Route.DIRECT)
+    assert settle.plan_pending(set(), {}) == [SaleInstruction(ISSUER, 300_00)]
+    assert [(r.deposit_left, r.pool_left) for r in (first, second)] == [
+        (400_00, 0), (0, 300_00)]
+    assert [(e["funding"], e["from_sales"], e["from_nonroll"]) for e in world.events
+            if e["type"] == "plan_created"][-1] == (Funding.SELL_TREASURIES.value, 300_00, 0)
+
+
+def test_declined_roll_whose_relend_cannot_be_pledged_logs_leg_failed():
+    """The issuer declines 100.00 of a 1,000.00 overnight repo to fund a
+    request. The dealer's collateral was exactly the pledge at par, and a
+    20% mark-down of long bonds leaves it short of the 900.00 kept: the
+    repo still closes, the decline is pooled and its gap returned, and one
+    `leg_failed` row logs the re-lend."""
+    world = bare_world(issuer_deposits=1_000_00)
+    world.grant_tbill(DEALER, DurationClass.BILL, 255_00)
+    world.grant_tbill(DEALER, DurationClass.LONG, 765_00)
+    registry = RepoRegistry()
+    pos = open_reverse_repo(world, registry, ISSUER, DEALER, 1_000_00, haircut=20_000, rate=0)
+    book = issuer_book()
+    settle = SettlementEngine(world, registry, {ISSUER.key: book}, RatesConfig(), PolicyConfig())
+    settle.submit_redemptions(book, [(HOLDER, 100_00)], Route.DIRECT)
+    assert settle.plan_pending(set(), {}) == [] and book.nonroll_pending == 100_00
+    world.day = 1
+    world.remark_tbills(DurationClass.LONG, 800_000)
+    logged = len(world.events)
+    assert settle.process_repo_legs() == [GapInstruction(DEALER, 100_00)]
+    assert (book.pool, book.nonroll_pending, registry.open_positions()) == (100_00, 0, [])
+    rows = world.events[logged:]
+    assert [e["type"] for e in rows] == ["transfer", "repo_close", "leg_failed"]
+    assert (rows[-1]["leg"], rows[-1]["repo_id"]) == ("repo_relend", pos.repo_id)
+    assert rows[-1]["cause"] == f"{DEALER} pledges 84150, needs 91800"
+    assert world.deposits(ISSUER) == 1_000_00 and world.audit().ok
 
 
 def test_submit_mint_declines():
@@ -534,6 +586,48 @@ def test_payout_pass_sizes_chunks_against_running_balances():
         {"seq": 9, "type": "redemption_partial", "request_id": 1, "issuer": issuer,
          "paid": 350_00, "remaining": 50_00},
     ]
+
+
+def test_payout_pass_pays_no_more_than_the_issuer_deposits():
+    """An operating cost takes 100.00 of the 300.00 earmarked for a
+    request: the pass pays the 200.00 left, and the request stays open."""
+    world = payout_world(issuer_deposits=300_00, coins=300_00)
+    book = issuer_book()
+    settle = settlement_engine(world, book)
+    [record] = settle.submit_redemptions(book, [(HOLDER, 300_00)], Route.DIRECT)
+    settle.plan_pending(set(), {})
+    charge(world, 100_00)
+    settle.payout_pass(set())
+    assert book.open == [record]
+    assert (record.paid, record.deposit_left, record.pool_left) == (200_00, 100_00, 0)
+    assert world.deposits(ISSUER) == 0 and world.deposits(HOLDER) == 200_00
+    assert world.audit().ok
+
+
+def test_payout_pass_pays_the_pool_when_deposits_fall_below_earmark_and_pool():
+    """The older request waits on a 300.00 bill sale, the newer one has
+    300.00 of deposits earmarked. Once the sale's cash is pooled, an
+    operating cost leaves 500.00 of deposits, 100.00 short of earmark and
+    pool: the older request is still paid its 300.00 from the pool, and
+    the newer one the 200.00 of deposits left."""
+    world = payout_world(issuer_deposits=0, coins=600_00)
+    world.grant_tbill(ISSUER, DurationClass.BILL, 300_00)
+    book = issuer_book()
+    settle = settlement_engine(world, book)
+    [older] = settle.submit_redemptions(book, [(HOLDER, 300_00)], Route.DIRECT)
+    assert settle.plan_pending(set(), {}) == [SaleInstruction(ISSUER, 300_00)]
+    endow(world, 300_00)
+    [newer] = settle.submit_redemptions(book, [(HOLDER, 300_00)], Route.DIRECT)
+    assert settle.plan_pending(set(), {ISSUER.key: 300_00}) == []
+    assert [(r.deposit_left, r.pool_left) for r in (older, newer)] == [(0, 300_00), (300_00, 0)]
+    endow(world, 300_00)   # the sale's cash
+    settle.credit_proceeds({ISSUER.key: 300_00})
+    charge(world, 100_00)
+    settle.payout_pass(set())
+    assert older.completed and book.open == [newer]
+    assert (newer.paid, newer.deposit_left, newer.pool_left) == (200_00, 100_00, 0)
+    assert book.pool == 0 and world.deposits(ISSUER) == 0
+    assert world.audit().ok
 
 
 def test_payout_pass_pays_a_holder_no_more_than_its_coins_left():
