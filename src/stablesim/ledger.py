@@ -23,11 +23,11 @@ instrument-key format ``"<kind>@<counterparty>"``: every key is built by
 registration, and each agent's deposit legs and its bank's reserve legs
 from their first use, so the payment rails stage stored legs;
 ``deposits`` and ``coins_outstanding`` are the readers of those
-balances. Events are
-logged in the batches their rails build, each event ``(form, values)``
-of its schema (`event_form`); the log keeps a batch's list as it was
-handed over, and each schema compiles one writer, on its first rendered
-event, that renders an event as its JSON line.
+balances. Events are logged in the batches their rails build, each
+event ``(form, values)`` of its schema (`event_form`); the log keeps each
+batch as one flat list, each event's form followed by its values, and
+each schema compiles one writer, on its first rendered event, that
+renders an event as its JSON line.
 
 Inside-money instruments (reserves, deposits, stablecoins, repo and
 SRF claims) always appear on exactly two balance sheets with equal
@@ -226,28 +226,18 @@ _EVENT_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _RESERVED = ("day", "seq", "type")
 
 
-def _encode(value) -> str:
-    """`value` as `_EVENT_ENCODER` renders it, bools and None without it."""
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value is None:
-        return "null"
-    return _EVENT_ENCODER.encode(value)
-
-
 class _Form:
     """One event schema: a type and its field names in call order.
 
     `keys` are the names of an event's `(day, seq, type, *values)`.
-    `write(day_text, seq, values)` renders an event as its JSON line, its
-    day given as JSON text, which `EventLog.lines` renders once a day, and
-    its seq as an int. Its first call compiles the schema's writer: an
-    f-string of the sorted keys' JSON text, bound as names `p<i>`, and the
-    arguments `d`, `s` and `v[<j>]`. A value of the exact kind, int or str,
-    that the first event held in its slot is rendered directly, any other
-    through `_encode`.
+    `write(day_text, seq, entries)` renders an event as its JSON line: its
+    day as JSON text, which `EventLog.lines` renders once a day, its seq as
+    an int and its values read in call order from `entries`, an iterator
+    over its flat batch just past its form. Its first call compiles the
+    writer: an f-string of the sorted keys' JSON text, bound as `p<i>`, `d`,
+    `s` and the values `v<j>`. A value of the kind, int, str or bool, that
+    the first event held in its slot is rendered directly, any other
+    through `_EVENT_ENCODER`.
     """
 
     __slots__ = ("type", "keys", "write")
@@ -260,12 +250,13 @@ class _Form:
         self.keys = _RESERVED + names
         self.write = self._compile
 
-    def _compile(self, day_text: str, seq, values) -> str:
-        scope = {"q": encode_basestring_ascii, "e": _encode}
-        # each key's argument and the kind of its first value, in key order;
+    def _compile(self, day_text: str, seq, entries) -> str:
+        values = [*islice(entries, len(self.keys) - len(_RESERVED))]
+        scope = {"q": encode_basestring_ascii, "e": _EVENT_ENCODER.encode, "n": next}
+        # each key's name in the writer and the kind of its first value;
         # `type` is constant text, and the day and seq come ready (kind None)
         sources = (("d", None), ("s", None), None,
-                   *((f"v[{j}]", type(v)) for j, v in enumerate(values)))
+                   *((f"v{j}", type(v)) for j, v in enumerate(values)))
         slots, text = [], "{"
         for key in sorted(self.keys):
             text += encode_basestring_ascii(key) + ":"
@@ -277,11 +268,15 @@ class _Form:
             slots.append(f"{{p{len(slots)}}}{{" + (
                 r if kind is None else
                 f"{r} if type({r}) is int else e({r})" if kind is int else
-                f"q({r}) if type({r}) is str else e({r})" if kind is str else f"e({r})") + "}")
+                f"q({r}) if type({r}) is str else e({r})" if kind is str else
+                f"'true' if {r} is True else 'false' if {r} is False else e({r})"
+                if kind is bool else f"e({r})") + "}")
             text = ","
         scope[tail := f"p{len(slots)}"] = text[:-1] + "}\n"
-        self.write = eval('lambda d, s, v: f"' + "".join(slots) + "{" + tail + '}"', scope)
-        return self.write(day_text, seq, values)
+        reads = "".join(f"v{j} = n(i); " for j in range(len(values)))
+        exec(f'def write(d, s, i): {reads}return f"' + "".join(slots) + "{" + tail + '}"', scope)
+        self.write = scope["write"]
+        return self.write(day_text, seq, iter(values))
 
     def __reduce__(self):
         # copies and pickles share the cached form
@@ -306,12 +301,11 @@ class EventLog(Sequence):
     """The events of a run, held as the batches they were logged in and
     read as dicts `{"day", "seq", "type", **fields}`.
 
-    Each of `batches` is `(day, first seq, events)`, `events` the list of
-    `(form, values)` that `LedgerWorld.emit_all` was handed (a list of one
-    for `emit`): the log keeps that list, and its caller does not touch it
-    again. An event's seq is its index in the log, so indexing and slicing
-    bisect the batches' first seqs, and `size` is the next event's seq.
-    `lines()` renders each event through its form's writer as the line
+    Each of `batches` is `(day, first seq, batch)`, `batch` a flat list,
+    each event its form then its values: one object per batch, no tuple
+    per event. An event's seq is its index in the log, so indexing and
+    slicing bisect the batches' first seqs, and `size` is the next event's
+    seq. `lines()` renders each event through its form's writer as the line
     `json.dumps(event, sort_keys=True, separators=(",", ":")) + "\\n"`.
     """
 
@@ -321,10 +315,10 @@ class EventLog(Sequence):
         self.batches: list[tuple] = []
         self.size = 0
 
-    def _log(self, day: int, events: list) -> None:
-        """Keep `events`, a non-empty batch numbered from the log's size."""
-        self.batches.append((day, self.size, events))
-        self.size += len(events)
+    def _log(self, day: int, batch: list, count: int) -> None:
+        """Keep `batch`, `count` events flat, numbered from the log's size."""
+        self.batches.append((day, self.size, batch))
+        self.size += count
 
     def __len__(self) -> int:
         return self.size
@@ -334,10 +328,13 @@ class EventLog(Sequence):
         if index >= self.size:
             return
         b = bisect.bisect_right(self.batches, index, key=itemgetter(1)) - 1
-        for day, seq, events in islice(self.batches, b, None):
-            for i in range(max(0, index - seq), len(events)):
-                form, values = events[i]
-                yield dict(zip(form.keys, (day, seq + i, form.type, *values)))
+        for day, seq, batch in islice(self.batches, b, None):
+            entries = iter(batch)
+            for form in entries:
+                event = (day, seq, form.type, *islice(entries, len(form.keys) - len(_RESERVED)))
+                if seq >= index:
+                    yield dict(zip(form.keys, event))
+                seq += 1
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -365,11 +362,12 @@ class EventLog(Sequence):
     def lines(self):
         """Each event's JSON line, in log order."""
         last = text = None   # the day as JSON text, rendered once a day
-        for day, seq, events in self.batches:
+        for day, seq, batch in self.batches:
             if day is not last:
                 last, text = day, str(day)
-            for form, values in events:
-                yield form.write(text, seq, values)
+            entries = iter(batch)
+            for form in entries:
+                yield form.write(text, seq, entries)
                 seq += 1
 
 
@@ -470,15 +468,17 @@ class LedgerWorld:
         """Log one event, a batch of one; a field named `day`, `seq` or
         `type` raises `LedgerError` when its schema is first seen."""
         form = _FORMS.get((event_type, *fields)) or event_form(event_type, tuple(fields))
-        self.events._log(self.day, [(form, (*fields.values(),))])
+        self.events._log(self.day, [form, *fields.values()], 1)
 
     def emit_all(self, events: list) -> None:
         """Log `events`, each `(form, values)` with `form` from `event_form`
-        and `values` a tuple in its field order, as `emit` would one by one.
-        The log keeps the list as one batch: the caller hands it over and
-        does not touch it again."""
+        and `values` a tuple in its field order, as one flat batch."""
         if events:
-            self.events._log(self.day, events)
+            batch = []
+            for form, values in events:
+                batch.append(form)
+                batch.extend(values)
+            self.events._log(self.day, batch, len(events))
 
     # -- posting engine ----------------------------------------------------
 

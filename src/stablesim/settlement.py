@@ -520,10 +520,14 @@ class SettlementEngine:
 
     def overdue_amount(self, book: IssuerBook) -> Amount:
         """Open request volume older than its plan horizon."""
+        if not book.open:
+            return 0
         day = self.world.day
         return sum(r.remaining for r in book.open if r.delay(day) > 0)
 
     def queue_age(self, book: IssuerBook) -> int:
+        if not book.open:
+            return 0
         day = self.world.day
         return max([0, *(r.delay(day) for r in book.open)])
 

@@ -796,6 +796,18 @@ def test_golden_funded_holders(bench_scaled, check_indexes, check_ledger):
     assert output_digests(out) == golden
 
 
+@pytest.mark.parametrize("book", ["march2020", "scaled"])
+def test_event_log_holds_no_tuple_per_event(book, bench_scaled):
+    """After a run, every logged batch is one flat list of its events'
+    forms and values, with no tuple in it, so the cyclic collector walks
+    one object per batch rather than two per event."""
+    config = (load_config(book) if book != "scaled" else parse_config(
+        bench_scaled(holders=20, issuers=3, horizon=15, dealers=8, funded=True, seed=1)))
+    batches = run(config).events.batches
+    assert len(batches) > 40
+    assert not any(isinstance(entry, tuple) for _, _, batch in batches for entry in batch)
+
+
 def policy_paths_raw() -> dict:
     """The paxos_mint_error book under a 50bp corridor, with the issuer
     options and model variants no preset turns on.

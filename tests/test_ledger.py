@@ -924,8 +924,15 @@ def test_duration_names_and_tbill_keys_are_the_enum_values():
 # -- event log -------------------------------------------------------------------
 
 def forms(log) -> list:
-    """The form of each event of `log`, in log order."""
-    return [form for _, _, batch in log.batches for form, _ in batch]
+    """The form of each event of `log`, in log order. Each batch is flat:
+    each event its form, then one entry per field."""
+    found = []
+    for _, _, batch in log.batches:
+        at = 0
+        while at < len(batch):
+            found.append(batch[at])
+            at += len(batch[at].keys) - 2   # the form and its fields, not day, seq, type
+    return found
 
 
 def canonical_line(event: dict) -> str:
@@ -981,13 +988,16 @@ def test_event_lines_stay_json_dumps_when_value_kinds_change_between_rows():
     odd = 'n"\\%s{p0}}{r[1]}é\x01\u2028'
     others = [None, True, False, 1.5, -0.0, float("inf"), float("nan"), 2**200, -7, -2**70,
               _LoudInt(5), _LoudStr("x"), "", odd, [1, odd, None], {odd: {"k": [True]}}]
+    bools = [False, 1, 0, None, "true", True]
     world = LedgerWorld()
-    # first row: an int, a str, None and an odd str in the slots "i", "s", "o" and `odd`
-    world.emit("kinds", i=1, s="first", o=None, **{odd: odd})
+    # first row: an int, a str, None, a bool and an odd str in the slots
+    # "i", "s", "o", "t" and `odd`
+    world.emit("kinds", i=1, s="first", o=None, t=True, **{odd: odd})
     for day, value in enumerate(others, start=1):
         world.day = day
-        world.emit("kinds", i=value, s=value, o=value if day % 2 else 7, **{odd: value})
-    world.emit("kinds", i=2, s="last", o="str", **{odd: 0})
+        world.emit("kinds", i=value, s=value, o=value if day % 2 else 7,
+                   t=bools[day % len(bools)], **{odd: value})
+    world.emit("kinds", i=2, s="last", o="str", t=False, **{odd: 0})
     assert len(set(forms(world.events))) == 1   # one schema
     lines = list(world.events.lines())
     assert lines == [canonical_line(e) for e in world.events]
