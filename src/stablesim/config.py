@@ -82,18 +82,14 @@ Agent lists are canonicalized by name at load time, so declaration
 order never changes results. load_config accepts a preset name (see
 PRESETS) or a file path; a path is never read as a preset name.
 
-The parsed sections are the model's parameters: the engine, the market
-and the settlement books read them as parsed, never a copy, so each
-range check lives once, in parse_config. `Market` takes the `market`
-and `policies` sections, `SettlementEngine` the `rates` and `policies`
-sections, and each `IssuerBook` and `DealerBook` holds its agent's
-`IssuerConfig` or `DealerConfig` as `book.config`.
+Each section is read by a reader compiled once, at import. The engine,
+the market and the settlement books read the parsed sections, never a
+copy, so each range check lives once, in parse_config.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -255,21 +251,24 @@ def _wrong(where: str, expected: str, value) -> ValidationError:
     return ValidationError(f"{where}: expected {expected}, got {json.dumps(value, default=repr)}")
 
 
-def _reader(kind: type, expected: str) -> Callable:
-    """(value, where, key) -> value, which must be exactly a `kind`."""
+# a kind's JSON types, and what a value of another type is told it expected
+_KINDS = {"int": ({int}, "an integer"), "bool": ({bool}, "true or false"),
+          "str": ({str}, "a string"), "int | None": ({int, type(None)}, "an integer"),
+          "dict": ({dict}, "an object"), "list": ({list}, "a list")}
+
+
+def _reader(kind: str) -> Callable:
+    """(value, where, key) -> value, which must be of `kind`."""
+    types, expected = _KINDS[kind]
+
     def read(value, where: str, key):
-        if type(value) is not kind:
+        if type(value) not in types:
             raise _wrong(_path(where, key), expected, value)
         return value
     return read
 
 
-_int, _bool, _str = (_reader(int, "an integer"), _reader(bool, "true or false"),
-                     _reader(str, "a string"))
-_object, _list = _reader(dict, "an object"), _reader(list, "a list")
-_READERS = {"int": _int, "bool": _bool, "str": _str,
-            "int | None": lambda value, where, key: (
-                value if value is None else _int(value, where, key))}
+_int, _object, _list = map(_reader, ("int", "dict", "list"))
 
 
 class _Read(NamedTuple):
@@ -278,55 +277,58 @@ class _Read(NamedTuple):
     key: str | None = None
 
 
-@functools.cache
-def _schema(cls) -> tuple:
-    """Readers of the fields of `cls` whose kind has one; required fields."""
+def _section(cls, given: dict, amounts: bool = False) -> Callable:
+    """Compile the reader `read(raw, where, at=None, **passed)` of a JSON
+    object at dotted path `where`, or at its key `at`, into dataclass `cls`:
+    a present field is checked against its kind, a missing one left to its
+    default. `given` maps a field to its value or to a `_Read` (renamed,
+    enum or nested fields), `passed` to its value in one read. With
+    `amounts`, integers must be >= 0. A key no field is read from is
+    rejected by its dotted path."""
     fields = dataclasses.fields(cls)
-    return ({f.name: _READERS[f.type] for f in fields if f.type in _READERS},
-            tuple(f.name for f in fields if f.default is dataclasses.MISSING
-                  and f.default_factory is dataclasses.MISSING))
-
-
-def _section(cls, raw, where: str, given: dict, amounts: bool = False):
-    """Read the JSON object `raw` at dotted path `where` into dataclass `cls`:
-    a present field through the reader of its kind, a missing one left to
-    its default. `given` maps a field to its value or to a `_Read` (renamed,
-    enum or nested fields). With `amounts`, integers must be >= 0. A key
-    that no field is read from is rejected by its dotted path."""
-    if type(raw) is not dict:
-        raise _wrong(where, "an object", raw)
-    readers, required = _schema(cls)
-    values = {}
-    unread = {}        # the keys of `raw` no reader of a field's kind took
-    read_keys = set()  # the keys the `_Read` entries of `given` read
-    for key, value in raw.items():
-        read = readers.get(key)
-        if read is None or key in given:
-            unread[key] = value
-            continue
-        values[key] = value = read(value, where, key)
-        if amounts and type(value) is int and value < 0:
-            raise _wrong(_path(where, key), "an integer >= 0", value)
+    kinds = {f.name: _KINDS[f.type] for f in fields if f.type in _KINDS and f.name not in given}
+    required = [f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING]
+    constants = {name: spec for name, spec in given.items() if type(spec) is not _Read}
+    # (field, reader, objects on the way, key, required) of each `_Read`
+    reads, read_keys = [], set()
     for name, spec in given.items():
-        if type(spec) is not _Read:
-            values[name] = spec
-            continue
-        read, key = spec
-        read_keys.add(key or name)
-        node, at, key = raw, where, key or name
-        while "." in key:
-            part, key = key.split(".", 1)
-            node, at = _object(node.get(part, {}), at, part), _path(at, part)
-        if key in node:
-            values[name] = read(node[key], at, key)
-        elif name in required:
-            raise ValidationError(f"missing field: {_path(at, key)}")
-    for name in required:
-        if name not in values:
-            raise ValidationError(f"missing field: {_path(where, name)}")
-    if unread:
-        _known_keys(unread, where, read_keys)
-    return cls(**values)
+        if type(spec) is _Read:
+            read_keys.add(dotted := spec.key or name)
+            *parts, key = dotted.split(".")
+            reads.append((name, spec.read, parts, key, name in required))
+
+    def read(raw, where: str, at=None, **passed):
+        if at is not None:
+            where = _path(where, at)
+        if type(raw) is not dict:
+            raise _wrong(where, "an object", raw)
+        values = {**constants, **passed}
+        unread = {}   # the keys of `raw` no reader takes
+        for key, value in raw.items():
+            if (kind := kinds.get(key)) is None:
+                if key not in read_keys:
+                    unread[key] = value
+                continue
+            if type(value) not in kind[0]:
+                raise _wrong(_path(where, key), kind[1], value)
+            values[key] = value
+            if amounts and type(value) is int and value < 0:
+                raise _wrong(_path(where, key), "an integer >= 0", value)
+        for name, field_read, parts, key, needed in reads:
+            node, path = raw, where
+            for part in parts:
+                node, path = _object(node.get(part, {}), path, part), _path(path, part)
+            if key in node:
+                values[name] = field_read(node[key], path, key)
+            elif needed:
+                raise ValidationError(f"missing field: {_path(path, key)}")
+        for name in required:
+            if name not in values:
+                raise ValidationError(f"missing field: {_path(where, name)}")
+        if unread:
+            _known_keys(unread, where, read_keys)
+        return cls(**values)
+    return read
 
 
 def _known_keys(raw: dict, where: str, read_keys) -> None:
@@ -339,14 +341,6 @@ def _known_keys(raw: dict, where: str, read_keys) -> None:
         if not below:
             raise ValidationError(f"{_path(where, key)}: unknown key")
         _known_keys(value, _path(where, key), below)
-
-
-def _of(cls, **given) -> Callable:  # the reader of a subsection parsed into `cls`
-    return lambda value, where, key: _section(cls, value, _path(where, key), given)
-
-
-def _amounts_of(cls) -> Callable:  # the same, for a subsection of integers >= 0
-    return lambda value, where, key: _section(cls, value, _path(where, key), {}, amounts=True)
 
 
 def _enum(enum_cls, label: str, error=ValidationError) -> Callable:
@@ -376,9 +370,10 @@ def _allocation(value, where: str, key) -> dict:
     return {**_ALLOCATION, **value}
 
 
-_SHOCK = {"klass": _Read(_enum(ShockClass, "shock class", UnknownShockClass), "class"),
-          "likelihood_band": _Read(_enum(LikelihoodBand, "likelihood band"), "likelihood"),
-          "systemic_band": _Read(_enum(SystemicBand, "systemic band"), "systemic")}
+_SHOCK = _section(ShockSpec, {
+    "klass": _Read(_enum(ShockClass, "shock class", UnknownShockClass), "class"),
+    "likelihood_band": _Read(_enum(LikelihoodBand, "likelihood band"), "likelihood"),
+    "systemic_band": _Read(_enum(SystemicBand, "systemic band"), "systemic")}, amounts=True)
 
 
 def _shocks(value, where: str, key) -> tuple:
@@ -386,31 +381,35 @@ def _shocks(value, where: str, key) -> tuple:
     for i, entry in enumerate(_list(value, where, key)):
         at = f"{_path(where, key)}[{i}]"
         _require("day" in _object(entry, "", at), f"missing field: {at}.day")  # no default here
-        shocks.append(_section(ShockSpec, entry, at, _SHOCK, amounts=True))
+        shocks.append(_SHOCK(entry, at))
     return tuple(sorted(shocks, key=lambda s: (s.day, s.klass.value, s.chain)))
 
 
-# The ScenarioConfig fields that are sections or read from other keys.
-_SCENARIO = {
-    "policies": _Read(_of(PolicyConfig,
-                          access_mode=_Read(_enum(AccessMode, "access mode")),
-                          par_policy=_Read(_of(
-                              ParPolicy, mode=_Read(_enum(ParMode, "par mode")),
-                              corridor_width=_Read(lambda v, at, k: _int(v, at, k) * BP,
-                                                   "corridor_bp"))))),
-    "market": _Read(_amounts_of(MarketConfig)),
-    "run_model": _Read(_amounts_of(RunModelConfig)),
-    "price_model": _Read(_amounts_of(PriceParams)),
-    "rates": _Read(_of(RatesConfig)),
+# The ScenarioConfig reader; each parse passes it the banks and agent tuples.
+_SCENARIO = _section(ScenarioConfig, {
+    "policies": _Read(_section(PolicyConfig, {
+        "access_mode": _Read(_enum(AccessMode, "access mode")),
+        "par_policy": _Read(_section(ParPolicy, {
+            "mode": _Read(_enum(ParMode, "par mode")),
+            "corridor_width": _Read(lambda v, at, k: _int(v, at, k) * BP, "corridor_bp")}))})),
+    "market": _Read(_section(MarketConfig, {}, amounts=True)),
+    "run_model": _Read(_section(RunModelConfig, {}, amounts=True)),
+    "price_model": _Read(_section(PriceParams, {}, amounts=True)),
+    "rates": _Read(_section(RatesConfig, {})),
     "shocks": _Read(_shocks),
     "mint_daily_rate": _Read(_int, "mint_demand.daily_rate"),
-    "attack_cost": _Read(_READERS["int | None"], "diagnostics.attack_cost"),
-}
-# a holder or intermediary holds no Treasuries, a treasury buyer no coins:
-# the engine endows neither, so a config that sets them is rejected
-_HOLDER = {"coins": _Read(_holdings), "treasuries_bill": 0, "treasuries_long": 0}
-_BUYER = {"coins": {}}
-_AGENT_LISTS = {"banks", "issuers", "dealers", "intermediaries", "holders", "treasury_buyers"}
+    "attack_cost": _Read(_reader("int | None"), "diagnostics.attack_cost"),
+})
+# The reader of each agent list's entries. A holder or intermediary holds no
+# Treasuries, a treasury buyer no coins: the engine endows neither, so a
+# config that sets them is rejected.
+_HOLDER = _section(SimpleAgentConfig, {"coins": _Read(_holdings), "treasuries_bill": 0,
+                                       "treasuries_long": 0}, amounts=True)
+_AGENT_LISTS = {"banks": None, "intermediaries": _HOLDER, "holders": _HOLDER,
+                "issuers": _section(IssuerConfig, {"allocation": _Read(_allocation)},
+                                    amounts=True),
+                "dealers": _section(DealerConfig, {}, amounts=True),
+                "treasury_buyers": _section(SimpleAgentConfig, {"coins": {}}, amounts=True)}
 
 
 def load_raw(path: str | Path) -> dict:
@@ -453,8 +452,8 @@ def parse_config(raw: dict) -> ScenarioConfig:
     bank_names = set(named)
     _require(len(bank_names) > 0, "agents.banks: at least one bank")
 
-    def parse(section: str, cls, given: dict) -> dict:  # path -> entry, by name
-        out = {w: _section(cls, e, w, given, amounts=True) for w, e in _named(agents, section)}
+    def parse(section: str) -> dict:  # path -> entry, by name
+        out = {w: _AGENT_LISTS[section](e, w) for w, e in _named(agents, section)}
         for where, agent in out.items():
             if agent.bank not in bank_names:
                 raise ValidationError(f"{where}.bank: unknown bank: {agent.bank}")
@@ -464,11 +463,8 @@ def parse_config(raw: dict) -> ScenarioConfig:
             named[agent.name] = where
         return out
 
-    issuers = parse("issuers", IssuerConfig, {"allocation": _Read(_allocation)})
-    dealers = parse("dealers", DealerConfig, {})
-    intermediaries = parse("intermediaries", SimpleAgentConfig, _HOLDER)
-    holders = parse("holders", SimpleAgentConfig, _HOLDER)
-    buyers = parse("treasury_buyers", SimpleAgentConfig, _BUYER)
+    issuers, dealers, intermediaries, holders, buyers = map(parse, (
+        "issuers", "dealers", "intermediaries", "holders", "treasury_buyers"))
     for section, entries in (("issuers", issuers), ("dealers", dealers),
                              ("treasury_buyers", buyers)):
         _require(len(entries) > 0, f"agents.{section}: at least one {section[:-1]}")
@@ -496,10 +492,10 @@ def parse_config(raw: dict) -> ScenarioConfig:
                  f"{where}.base_assets: base_assets + exposures must be > 0")
 
     read_above = {key: value for key, value in raw.items() if key != "agents"}
-    config = _section(ScenarioConfig, read_above, "", dict(
-        _SCENARIO, banks=tuple(sorted(bank_names)), issuers=tuple(issuers.values()),
+    config = _SCENARIO(
+        read_above, "", banks=tuple(sorted(bank_names)), issuers=tuple(issuers.values()),
         dealers=tuple(dealers.values()), intermediaries=tuple(intermediaries.values()),
-        holders=tuple(holders.values()), treasury_buyers=tuple(buyers.values())))
+        holders=tuple(holders.values()), treasury_buyers=tuple(buyers.values()))
     policies, market, run_model = config.policies, config.market, config.run_model
     if policies.par_policy.mode is ParMode.CORRIDOR:
         width = policies.par_policy.corridor_width

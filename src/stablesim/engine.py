@@ -41,7 +41,7 @@ from .dynamics import (ConfidenceState, InterventionResult, ShockState, apply_sh
                        redemption_demand, run_corrective_burns, update_secondary_price)
 from .instruments import InsufficientCollateral, RepoRegistry, open_reverse_repo
 from .ledger import (DURATION_NAME, DURATIONS, FED, AgentId, AgentKind, DurationClass,
-                     EventLog, LedgerWorld, coin_key, deposit_key, reserves_key)
+                     EventLog, LedgerWorld, deposit_key, reserves_key)
 from .market import DealerBook, Market
 from .money import BP, MICRO, PAR, Amount, mul_div, mul_frac
 from .rng import SplitMix64
@@ -161,8 +161,6 @@ class Scenario:
 
 def _endow_deposits(world: LedgerWorld, agent: AgentId, amount: Amount) -> None:
     """Create a deposit funded by reserves, backed by an outside claim."""
-    if amount <= 0:
-        return
     bank = world.bank_of(agent)
     world.post({(FED.key, "A", "govt"): amount,
                 (FED.key, "L", reserves_key(bank)): amount,
@@ -171,16 +169,9 @@ def _endow_deposits(world: LedgerWorld, agent: AgentId, amount: Amount) -> None:
                 (agent.key, "A", deposit_key(bank)): amount})
 
 
-def _endow_coins(world: LedgerWorld, issuer: AgentId, holdings: list) -> None:
-    """Issue `issuer`'s coins to each `(holder, amount)` of `holdings` in
-    one posting, never empty: `parse_config` requires coins held in full."""
-    key = coin_key(issuer)
-    legs = {(issuer.key, "L", key): sum(amount for _, amount in holdings)}
-    legs.update(((holder.key, "A", key), amount) for holder, amount in holdings)
-    world.post(legs)
-
-
 def build_scenario(config: ScenarioConfig) -> Scenario:
+    """The audited genesis world of `config`. One walk over the owners,
+    holders first, fills each issuer's coin posting after its `coins` owed."""
     world = LedgerWorld()
     world.add_agent(FED)
 
@@ -209,24 +200,32 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
 
     for cfg, agent in zip(config.dealers + config.treasury_buyers,
                           dealer_agents + buyer_agents):
-        _endow_deposits(world, agent, cfg.deposits)
+        if cfg.deposits:
+            _endow_deposits(world, agent, cfg.deposits)
         if cfg.treasuries_bill:
             world.grant_tbill(agent, DurationClass.BILL, cfg.treasuries_bill)
         if cfg.treasuries_long:
             world.grant_tbill(agent, DurationClass.LONG, cfg.treasuries_long)
     for cfg in config.intermediaries + config.holders:
-        _endow_deposits(world, agent_of[cfg.name], cfg.deposits)
+        if cfg.deposits:
+            _endow_deposits(world, agent_of[cfg.name], cfg.deposits)
 
-    # the `(agent, coins by issuer name)` of each coin owner, holders first
-    owners = [(agent_of[h.name], h.coins) for h in config.holders + config.intermediaries
-              if h.coins]
+    coin_keys, coin_legs = {}, {}   # issuer name -> its coin key; its legs
+    for cfg, agent in zip(config.issuers, issuer_agents):
+        coin_keys[cfg.name] = key = world.coin_keys[agent.key]
+        coin_legs[cfg.name] = {(agent.key, "L", key): cfg.coins}
+    for cfg in config.holders + config.intermediaries:
+        owner = agent_of[cfg.name].key
+        for name, amount in cfg.coins.items():
+            if amount:
+                coin_legs[name][(owner, "A", coin_keys[name])] = amount
     issuer_books: dict[str, IssuerBook] = {}
     for cfg, agent in zip(config.issuers, issuer_agents):
-        _endow_deposits(world, agent, cfg.allocation["deposits"] + cfg.allocation["repo"])
+        if funds := cfg.allocation["deposits"] + cfg.allocation["repo"]:
+            _endow_deposits(world, agent, funds)
         if cfg.allocation["bills"]:
             world.grant_tbill(agent, DurationClass.BILL, cfg.allocation["bills"])
-        _endow_coins(world, agent, [(owner, coins[cfg.name]) for owner, coins in owners
-                                    if coins.get(cfg.name)])
+        world.post(coin_legs[cfg.name])
         issuer_books[agent.key] = IssuerBook(agent, cfg)
         # parse_config guarantees at least one dealer to borrow the repo
         share, extra = divmod(cfg.allocation["repo"], len(dealer_agents))

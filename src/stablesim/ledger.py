@@ -48,7 +48,7 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
+from itertools import groupby, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -493,10 +493,11 @@ class LedgerWorld:
         `InsufficientPosition`, so a failed batch changes nothing (positions
         reaching zero are dropped after the pass, keeping key order). Each
         written sheet's `version` is bumped and, once `audit_changes()` has
-        started the log, the batch's deltas are appended to `changes`. A
-        coin balance that crosses zero updates `coin_holders`.
+        started the log, the batch's deltas are appended to `changes`. Each
+        coin holding a leg opens or closes is noted as it is written, and
+        `coin_holders` takes the notes once every leg has passed.
         """
-        agents, emptied, crossed = self.agents, [], []
+        agents, emptied, opened, closed = self.agents, [], [], []
         for leg, delta in staged.items():
             agent_key, side, key = leg
             if (book := agents.get(agent_key)) is not None:
@@ -510,8 +511,10 @@ class LedgerWorld:
                             book.version += 1
                             if not new:
                                 emptied.append((positions, key))
-                            if (not new or not current) and key.startswith("coin@"):
-                                crossed.append(leg)
+                                if key.startswith("coin@"):
+                                    closed.append(leg)
+                            elif not current and key.startswith("coin@"):
+                                opened.append(leg)
                         continue
                 else:
                     positions = book.liabilities
@@ -531,17 +534,13 @@ class LedgerWorld:
             raise InsufficientPosition(agent_key, key, current, -delta)
         for positions, key in emptied:
             del positions[key]
-        if crossed:
-            # each coin holding opened is still held, each closed one is gone
-            index, opened = self.coin_holders, {}   # opened: coin key -> new holders
-            for agent_key, _, key in crossed:
-                if key in agents[agent_key].assets:
-                    opened.setdefault(key, []).append(agent_key)
-                else:
-                    holders = index[key]
-                    del holders[bisect.bisect_left(holders, agent_key)]
-            for key, keys in opened.items():
-                index[key] = sorted(index.get(key, []) + keys)
+        index = self.coin_holders
+        for agent, _, key in closed:
+            del index[key][bisect.bisect_left(index[key], agent)]
+        if opened:
+            coin_of = itemgetter(2)
+            for coin, legs in groupby(sorted(opened, key=coin_of), coin_of):
+                index[coin] = sorted([*index.get(coin, ()), *map(itemgetter(0), legs)])
         if self.changes is not None:
             self.changes.append(staged)
 
@@ -771,7 +770,7 @@ class LedgerWorld:
         coins_held, coins_owed = {}, {}   # coin key -> amount
         for key, (assets, liabilities) in legs:
             is_bank = ids[key].kind is bank_kind
-            own_deposit = f"deposit@{key}"
+            own_deposit = "deposit@" + key
             for akey, amount in assets.items():
                 if (kind := parts[akey]) is None:
                     continue

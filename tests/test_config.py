@@ -186,8 +186,16 @@ BAD_INPUTS = [
     ("shocks", [{"day": "1", "class": "liveness_fault"}], "shocks[0].day"),
     ("shocks", [{"class": "liveness_fault"}], "shocks[0].day"),
     ("diagnostics", {"attack_cost": 1.5}, "diagnostics.attack_cost"),
+    # a section read through a dotted key must be an object too
+    ("mint_demand", 5, "mint_demand"),
+    ("diagnostics", [], "diagnostics"),
     # a missing required field and enums
     ("market", {}, "market.depth"),
+    ("agents/holders/0", {"name": "h", "coins": {"usdx": 100_00}}, "agents.holders[h].bank"),
+    ("agents/treasury_buyers/0", {"name": "tb", "deposits": 1_000_00},
+     "agents.treasury_buyers[tb].bank"),
+    ("agents/dealers/0", {"name": "d", "bank": "bank_a", "base_assets": 1_000_00,
+                          "reserve_access": 100_00}, "agents.dealers[d].capital"),
     ("policies", {"access_mode": "teleport"}, "policies.access_mode"),
     ("policies", {"par_policy": {"mode": "corridor"}}, "policies.par_policy.corridor_bp"),
     # a corridor as wide as par has its edge at a price of zero or below

@@ -691,14 +691,24 @@ def test_golden_intermediated_buying(intermediary_mode, check_indexes, check_led
     assert output_digests(out) == golden[intermediary_mode]
 
 
+def check_genesis(scn, check_indexes):
+    """The genesis world's indexes match full scans, and each issuer has its
+    configured coins outstanding."""
+    check_indexes(scn, -1)
+    for cfg in scn.config.issuers:
+        assert scn.world.coins_outstanding(scn.agent_of[cfg.name]) == cfg.coins, cfg.name
+
+
 def test_intermediaries_buy_in_key_order_past_ten(check_indexes, check_ledger):
     """With twelve intermediaries, each affording a small share of a day's
     demand, the purchases walk them in key order: intermediary:10 and
-    intermediary:11 buy before intermediary:2."""
+    intermediary:11 buy before intermediary:2. The genesis world, where an
+    intermediary holds coins beside the holders, is checked first."""
     raw = intermediated_buying_raw("redeem")
     raw["agents"]["intermediaries"] = [{"name": f"im_{i:02d}", "bank": "bank_a",
                                         "deposits": 6_000} for i in range(12)]
     raw["agents"]["intermediaries"][11]["coins"] = {"usdx": 50_000}   # as im_3 held
+    check_genesis(build_scenario(parse_config(raw)), check_indexes)
 
     def check(scn, day):
         check_indexes(scn, day)
@@ -937,12 +947,13 @@ def _numbers_are_integers(out):
         json.loads(text, parse_float=reject, parse_constant=reject)
 
 
-def test_generated_books_run_clean_and_in_any_declaration_order(bench_scaled, check_ledger,
-                                                                tmp_path, capsys):
+def test_generated_books_run_clean_and_in_any_declaration_order(bench_scaled, check_indexes,
+                                                                check_ledger, tmp_path, capsys):
     """Books drawn from bench/scenarios.py's `scaled()`: each either fails
     to build for want of repo collateral, when `validate` and `run` exit 1
     naming the dealer and the issuer's repo allocation and `run` writes no
-    output, or runs with the full audit and
+    output, or builds a genesis world that `check_genesis` passes and runs
+    with the full audit and
     fresh dealer capacities checked at every day end, emits integers
     only, never prices a coin above par, and gives the same bytes on a
     second run and with every agent list shuffled. The draws reach
@@ -963,7 +974,7 @@ def test_generated_books_run_clean_and_in_any_declaration_order(bench_scaled, ch
         raw["policies"]["par_policy"] = par_policy
         config = parse_config(raw)
         try:
-            build_scenario(config)
+            scn = build_scenario(config)
         except InsufficientCollateral:
             seen["unbuildable"] += 1
             path = tmp_path / f"unbuildable_{seen['unbuildable']}.json"
@@ -978,6 +989,7 @@ def test_generated_books_run_clean_and_in_any_declaration_order(bench_scaled, ch
             assert not any((out_dir / name).exists() for name in (
                 "daily.csv", "market.csv", "analytics.csv", "summary.json", "events.jsonl"))
             return
+        check_genesis(scn, check_indexes)
         out = run(config, on_day_end=check_ledger)
         _numbers_are_integers(out)
         assert all(r["price"] <= PAR for r in out.daily_rows if r["kind"] == "issuer")

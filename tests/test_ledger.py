@@ -438,6 +438,30 @@ def test_payout_batches_and_transfers_keep_the_indexes_and_audits_exact():
     assert all(seen.values()), seen
 
 
+ISSUER_B = AgentId(AgentKind.ISSUER, 1)
+
+
+def test_one_post_opens_and_closes_holdings_of_two_coins():
+    """A post that opens one holder's holding of one coin and closes another
+    holder's holding of a second updates `coin_holders` to the index rebuilt
+    from the sheets; refused at a later leg, it leaves the world, index
+    included, as it was."""
+    world = redeeming_world()   # HOLDER holds 600.00 and HOLDER_B 200.00 of ISSUER's coin
+    world.add_agent(ISSUER_B, bank=BANK_A)
+    coin, coin_b = coin_key(ISSUER), coin_key(ISSUER_B)
+    legs = {(ISSUER_B.key, "L", coin_b): 70_00, (HOLDER.key, "A", coin_b): 70_00,
+            (HOLDER_B.key, "A", coin): -200_00, (ISSUER.key, "L", coin): -200_00}
+    before = copy.deepcopy(world_state(world))
+    with pytest.raises(InsufficientPosition):
+        world.post({**legs, (HOLDER.key, "A", coin): -600_01})
+    assert world_state(world) == before
+    assert world.coin_holders == coin_index(world) == {coin: [HOLDER.key, HOLDER_B.key]}
+    world.post(legs)
+    assert world.coin_holders == coin_index(world) == {coin: [HOLDER.key],
+                                                       coin_b: [HOLDER.key]}
+    assert world.audit_changes().ok
+
+
 def test_fresh_world_audit_passes():
     report = two_bank_world().audit()
     assert report.ok
