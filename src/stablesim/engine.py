@@ -1,7 +1,7 @@
 """Scenario execution: world construction, the daily loop, outputs.
 
-The daily phase order is frozen for reproducibility; run() makes one
-call per phase:
+The daily phase order is frozen for reproducibility; run() calls each
+of PHASES, in this order, as phase(scenario, day):
 
   1. _open_day           shocks and scheduled corrective burns
   2. _accrue             securities and deposit interest, operating cost
@@ -149,12 +149,14 @@ class Scenario:
     settle: SettlementEngine
     agent_of: dict
     intermediaries: list          # the registered intermediaries, in key order
-    run_models: dict
-    confidence: dict
     shock_state: ShockState
     rng: SplitMix64
     mint_target: AgentId          # receives an uncontrolled-supply shock's coins
-    peak_txn: dict                # issuer key -> largest redeemed + minted day
+    # the day's hand-offs: the phase that writes each -> the phases that read it
+    suspended: set = field(default_factory=set)          # 1 _open_day -> 3-7, 9
+    instructions: list = field(default_factory=list)     # 6 _plan -> 8
+    gaps: list = field(default_factory=list)             # 7 _settle_legs -> 8
+    dealer_capacity: dict = field(default_factory=dict)  # 8 _clear_market -> 11
     daily_rows: list = field(default_factory=list)
     market_rows: list = field(default_factory=list)
 
@@ -226,7 +228,8 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         if cfg.allocation["bills"]:
             world.grant_tbill(agent, DurationClass.BILL, cfg.allocation["bills"])
         world.post(coin_legs[cfg.name])
-        issuer_books[agent.key] = IssuerBook(agent, cfg)
+        issuer_books[agent.key] = IssuerBook(agent, cfg, run_model=config.run_model.build(),
+                                             confidence=ConfidenceState())
         # parse_config guarantees at least one dealer to borrow the repo
         share, extra = divmod(cfg.allocation["repo"], len(dealer_agents))
         for k, (dealer, dealer_cfg) in enumerate(zip(dealer_agents, config.dealers)):
@@ -244,19 +247,14 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     market = Market(config.market, config.policies, books, buyer_agents[0])
     settle = SettlementEngine(world, registry, issuer_books, config.rates, config.policies)
 
-    run_models = {key: config.run_model.build() for key in sorted(issuer_books)}
-    confidence = {key: ConfidenceState() for key in sorted(issuer_books)}
-
     report = world.audit_changes()  # the full audit; a pass starts the change log
     if not report.ok:
         raise AuditFailure(-1, report)
     return Scenario(
         config=config, world=world, registry=registry, market=market,
         settle=settle, agent_of=agent_of, intermediaries=intermediaries,
-        run_models=run_models, confidence=confidence,
         shock_state=ShockState(), rng=SplitMix64(config.seed),
-        mint_target=holder_agents[0] if holder_agents else buyer_agents[0],
-        peak_txn=dict.fromkeys(issuer_books, 0))
+        mint_target=holder_agents[0] if holder_agents else buyer_agents[0])
 
 
 # ---------------------------------------------------------------------------
@@ -308,15 +306,14 @@ def _redeem_from_holders(scn: Scenario, book: IssuerBook, amount: Amount,
     return placed
 
 
-def _route_demand(scn: Scenario, book: IssuerBook, demand: Amount,
-                  suspended: set) -> None:
+def _route_demand(scn: Scenario, book: IssuerBook, demand: Amount) -> None:
     """Turn demand into redemption requests per the access mode."""
     if demand <= 0:
         return
     issuer = book.agent
     world = scn.world
     direct = scn.config.policies.access_mode is AccessMode.DIRECT
-    if book.config.chain in suspended:
+    if book.config.chain in scn.suspended:
         # intent exists but nothing can move on-chain; it queues
         route = Route.DIRECT if direct else Route.VIA_INTERMEDIARY
         _redeem_from_holders(scn, book, demand, route)
@@ -328,7 +325,7 @@ def _route_demand(scn: Scenario, book: IssuerBook, demand: Amount,
         return
     # intermediated: the market maker buys at the secondary price, then
     # either redeems at par or warehouses the coins
-    price = scn.confidence[issuer.key].secondary_price
+    price = book.confidence.secondary_price
     remaining = demand
     for im in scn.intermediaries:
         if remaining <= 0:
@@ -339,7 +336,10 @@ def _route_demand(scn: Scenario, book: IssuerBook, demand: Amount,
         slices, bought = _slices(budget, ((h, c) for h, c in _coin_holders(scn, book)
                                           if h.kind is not AgentKind.INTERMEDIARY))
         for holder, slice_ in slices:
-            world.transfer_deposit(im, holder, mul_frac(slice_, price))
+            # payments round half to even and may sum past the funds: cap them
+            paid = min(mul_frac(slice_, price), funds)
+            world.transfer_deposit(im, holder, paid)
+            funds -= paid
             world.transfer_coin(holder, im, issuer, slice_)
         if bought > 0 and scn.config.policies.intermediary_mode == "redeem":
             scn.settle.submit_redemptions(book, [(im, bought)], Route.DIRECT)
@@ -390,9 +390,9 @@ def _issuer_holdings(world: LedgerWorld, book: IssuerBook, repos: list, day: int
 # ---------------------------------------------------------------------------
 
 
-def _open_day(scn: Scenario, day: int) -> set:
+def _open_day(scn: Scenario, day: int) -> None:
     """Phase 1: reset the day, apply its shocks and due corrective burns;
-    returns the chains halted today."""
+    notes the chains halted today."""
     world = scn.world
     world.day = day
     scn.market.begin_day()
@@ -402,10 +402,10 @@ def _open_day(scn: Scenario, day: int) -> set:
             apply_shock(spec, world, scn.shock_state, scn.settle.issuers, scn.mint_target,
                         scn.rng, scn.config.price_model)
     run_corrective_burns(world, scn.shock_state)
-    return scn.shock_state.suspended_chains(day)
+    scn.suspended = scn.shock_state.suspended_chains(day)
 
 
-def _accrue(scn: Scenario) -> None:
+def _accrue(scn: Scenario, day: int) -> None:
     """Phase 2: interest on opening balances, then operating costs."""
     rates = scn.config.rates
     world = scn.world
@@ -433,47 +433,46 @@ def _accrue(scn: Scenario) -> None:
                 world.emit("operating_cost", issuer=key, amount=paid)
 
 
-def _redemption_demand(scn: Scenario, suspended: set) -> None:
+def _redemption_demand(scn: Scenario, day: int) -> None:
     """Phase 3: each issuer's run-model demand, routed to coin holders."""
     for key, book in scn.settle.issuers.items():
-        model = scn.run_models[key]
-        conf = scn.confidence[key]
+        model, conf = book.run_model, book.confidence
         if (age := scn.settle.queue_age(book)) != conf.pending_delay_age:
-            conf = scn.confidence[key] = ConfidenceState(conf.secondary_price, age)
+            conf = book.confidence = ConfidenceState(conf.secondary_price, age)
         prior = model.sensitivity_state
         coins = scn.world.coins_outstanding(book.agent)
         demand = redemption_demand(model, conf, coins)
         if model.sensitivity_state is not prior:
             scn.world.emit("regime_flip", issuer=key,
                            state=model.sensitivity_state.value)
-        _route_demand(scn, book, demand, suspended)
+        _route_demand(scn, book, demand)
 
 
-def _mint_demand(scn: Scenario, suspended: set) -> None:
+def _mint_demand(scn: Scenario, day: int) -> None:
     """Phase 4: buyers ask each live issuer for a share of its coins."""
     rate = scn.config.mint_daily_rate
     if rate <= 0:
         return
     for key, book in scn.settle.issuers.items():
-        if book.config.chain in suspended:
+        if book.config.chain in scn.suspended:
             continue
         amount = mul_frac(scn.world.coins_outstanding(book.agent), rate)
         if amount > 0:
             try:
                 scn.settle.submit_mint(book, scn.market.buyer, amount,
-                                       scn.confidence[key].secondary_price)
+                                       book.confidence.secondary_price)
             except MintDeclined as err:
                 scn.world.emit("mint_declined", issuer=key, cause=str(err))
 
 
-def _interventions(scn: Scenario, suspended: set) -> None:
+def _interventions(scn: Scenario, day: int) -> None:
     """Phase 5: each live issuer's par policy buys coins back from its
     holders, in key order, when the price is below its corridor."""
     policy = scn.config.policies.par_policy
     for key, book in scn.settle.issuers.items():
-        if book.config.chain in suspended:
+        if book.config.chain in scn.suspended:
             continue
-        buyback = intervene(policy, scn.confidence[key].secondary_price, scn.world, book.agent)
+        buyback = intervene(policy, book.confidence.secondary_price, scn.world, book.agent)
         if buyback is None:
             continue
         amount, book.pin_target = buyback
@@ -483,51 +482,49 @@ def _interventions(scn: Scenario, suspended: set) -> None:
                        placed=placed, target=book.pin_target)
 
 
-def _plan(scn: Scenario, suspended: set) -> list:
-    """Phase 6: commit funding; returns the bill sales for the dealer market."""
-    instructions = scn.settle.plan_pending(suspended, scn.market.unsettled(scn.settle.issuers))
-    if not scn.config.policies.issuer_reserve_access:
-        return instructions
-    # bills monetize at the central bank instead of the dealer market
-    for instr in instructions:
-        proceeds = _fed_bill_purchase(scn, instr.issuer, instr.amount)
-        scn.settle.credit_proceeds({instr.issuer.key: proceeds})
-    return []
+def _plan(scn: Scenario, day: int) -> None:
+    """Phase 6: commit funding; notes the bill sales for the dealer market."""
+    instructions = scn.settle.plan_pending(scn.suspended, scn.market.unsettled(scn.settle.issuers))
+    if scn.config.policies.issuer_reserve_access:
+        # bills monetize at the central bank instead of the dealer market
+        for instr in instructions:
+            proceeds = _fed_bill_purchase(scn, instr.issuer, instr.amount)
+            scn.settle.credit_proceeds({instr.issuer.key: proceeds})
+        instructions = []
+    scn.instructions = instructions
 
 
-def _settle_legs(scn: Scenario, suspended: set) -> list:
-    """Phase 7: legs due today; returns the funding gaps of declined rolls."""
+def _settle_legs(scn: Scenario, day: int) -> None:
+    """Phase 7: legs due today; notes the funding gaps of declined rolls."""
     settlements = scn.market.settle_due(scn.world, scn.registry)
     scn.settle.credit_proceeds(settlements)
     scn.market.offload_inventory(scn.world, scn.registry)
-    gaps = scn.settle.process_repo_legs()
-    scn.settle.payout_pass(suspended)
-    return gaps
+    scn.gaps = scn.settle.process_repo_legs()
+    scn.settle.payout_pass(scn.suspended)
 
 
-def _clear_market(scn: Scenario, instructions: list, gaps: list) -> dict:
+def _clear_market(scn: Scenario, day: int) -> None:
     """Phase 8: clear carryover, today's sales and gap liquidations, then
-    mark prices; returns each dealer's capacity before clearing."""
+    mark prices; notes each dealer's capacity before clearing."""
     world, market = scn.world, scn.market
-    dealer_capacity = market.dealer_capacity(world)
+    scn.dealer_capacity = market.dealer_capacity(world)
     market.resubmit_carryover(world)
-    for instr in instructions:
+    for instr in scn.instructions:
         market.submit_sale(world, instr.issuer, instr.amount, DurationClass.BILL,
                            purpose="redemption")
-    for gap in gaps:
+    for gap in scn.gaps:
         market.funding_gap_liquidation(world, gap.amount, gap.borrower)
     market.apply_day_impact(world, scn.registry)
-    return dealer_capacity
 
 
-def _drain_queues(scn: Scenario, suspended: set) -> None:
+def _drain_queues(scn: Scenario, day: int) -> None:
     """Phase 9: settle mints, pay what today's cash funds, flag delays."""
-    scn.settle.mint_pass(suspended, scn.market.buyer)
-    scn.settle.payout_pass(suspended)
+    scn.settle.mint_pass(scn.suspended, scn.market.buyer)
+    scn.settle.payout_pass(scn.suspended)
     scn.settle.sweep_delay_flags()
 
 
-def _update_prices(scn: Scenario) -> None:
+def _update_prices(scn: Scenario, day: int) -> None:
     """Phase 10: each issuer's secondary price from overdue and unserved
     redemptions, shocks and executed interventions."""
     for key, book in scn.settle.issuers.items():
@@ -539,15 +536,14 @@ def _update_prices(scn: Scenario) -> None:
         intervention = InterventionResult(
             requested=max(book.day_int_buy_requested, completed),
             completed=completed, pin_target=book.pin_target) if completed else None
-        conf = update_secondary_price(scn.confidence[key], overdue, coins, shock_eff,
-                                      scn.config.policies.access_mode,
-                                      intervention=intervention,
-                                      params=scn.config.price_model)
-        scn.confidence[key] = conf
-        scn.peak_txn[key] = max(scn.peak_txn[key], book.day_completed + book.day_minted)
+        book.confidence = update_secondary_price(book.confidence, overdue, coins, shock_eff,
+                                                 scn.config.policies.access_mode,
+                                                 intervention=intervention,
+                                                 params=scn.config.price_model)
+        book.peak_txn = max(book.peak_txn, book.day_completed + book.day_minted)
 
 
-def _emit_rows(scn: Scenario, day: int, dealer_capacity: dict) -> None:
+def _emit_rows(scn: Scenario, day: int) -> None:
     """Phase 11: audit the world, then append the day's output rows. The
     last day walks every sheet, which also catches a write that went
     round the ledger's change log; the others check what changed."""
@@ -571,7 +567,7 @@ def _emit_rows(scn: Scenario, day: int, dealer_capacity: dict) -> None:
             world.emit("insolvent", issuer=key, equity=sheet.equity)
         scn.daily_rows.append({
             "day": day, "agent": book.config.name, "kind": "issuer",
-            "price": scn.confidence[key].secondary_price,
+            "price": book.confidence.secondary_price,
             "coins": coins,
             "requested": book.day_requested,
             "completed": book.day_completed,
@@ -590,11 +586,11 @@ def _emit_rows(scn: Scenario, day: int, dealer_capacity: dict) -> None:
             "day": day, "agent": book.config.name, "kind": "dealer",
             "price": "", "coins": "", "requested": "", "completed": "",
             "delayed": "", "overdue": "",
-            "capacity": dealer_capacity[dealer_key],
+            "capacity": scn.dealer_capacity[dealer_key],
             "slr": slr_rep.slr, "headroom": slr_rep.headroom_assets,
             "ratio": "", "band": "", "dla": "", "wla": "", "wam": "", "wal": "",
         })
-    capacity = sum(dealer_capacity.values())
+    capacity = sum(scn.dealer_capacity.values())
     for duration in DURATIONS:
         scn.market_rows.append({
             "day": day, "class": DURATION_NAME[duration],
@@ -607,6 +603,10 @@ def _emit_rows(scn: Scenario, day: int, dealer_capacity: dict) -> None:
         })
 
 
+PHASES = (_open_day, _accrue, _redemption_demand, _mint_demand, _interventions, _plan,
+          _settle_legs, _clear_market, _drain_queues, _update_prices, _emit_rows)
+
+
 # ---------------------------------------------------------------------------
 # The run
 # ---------------------------------------------------------------------------
@@ -617,17 +617,8 @@ def run(config: ScenarioConfig, on_day_end=None) -> RunOutput:
     called after each day's audit."""
     scn = build_scenario(config)
     for day in range(config.horizon_days):
-        suspended = _open_day(scn, day)
-        _accrue(scn)
-        _redemption_demand(scn, suspended)
-        _mint_demand(scn, suspended)
-        _interventions(scn, suspended)
-        instructions = _plan(scn, suspended)
-        gaps = _settle_legs(scn, suspended)
-        dealer_capacity = _clear_market(scn, instructions, gaps)
-        _drain_queues(scn, suspended)
-        _update_prices(scn)
-        _emit_rows(scn, day, dealer_capacity)
+        for phase in PHASES:
+            phase(scn, day)
         if on_day_end is not None:
             on_day_end(scn, day)
     scn.daily_rows.sort(key=lambda r: (r["day"], r["agent"]))
@@ -648,13 +639,13 @@ def _summarize(scn: Scenario) -> dict:
             fold[1] += row["completed"]
             fold[2] = max(fold[2], PAR - row["price"])
     issuers = {}
-    for key, book in scn.settle.issuers.items():
+    for book in scn.settle.issuers.values():
         requested, completed, deviation = folds[book.config.name]
         incentive = None
         if config.attack_cost:
             # diagnostic only: peak daily transacted value per unit of
             # attack cost, in micro units
-            incentive = mul_div(scn.peak_txn[key], MICRO, config.attack_cost)
+            incentive = mul_div(book.peak_txn, MICRO, config.attack_cost)
         issuers[book.config.name] = {
             "peak_deviation_bp": deviation // BP,
             "max_delay_days": book.max_delay_days,
@@ -664,7 +655,7 @@ def _summarize(scn: Scenario) -> dict:
             "delayed_total": book.delayed_total,
             "minted_total": book.total_minted,
             "final_coins": world.coins_outstanding(book.agent),
-            "final_price": scn.confidence[key].secondary_price,
+            "final_price": book.confidence.secondary_price,
             "final_equity": world.sheet(book.agent).equity,
             "attack_incentive_ratio": incentive,
         }

@@ -38,8 +38,9 @@ from .ledger import (AgentId, AgentKind, DurationClass, InsufficientPosition, Le
                      TransferBatch, event_form)
 from .money import MICRO, PAR, Amount, mul_frac
 
-if TYPE_CHECKING:  # config imports this module
+if TYPE_CHECKING:  # config and dynamics import this module
     from .config import IssuerConfig, PolicyConfig, RatesConfig
+    from .dynamics import ConfidenceState, RunModel
 
 
 class SettlementError(Exception):
@@ -172,6 +173,10 @@ class IssuerBook:
     delayed_total: Amount = 0
     max_delay_days: int = 0
     insolvency_day: int | None = None
+    # the engine's per-issuer state, set when the scenario is built
+    run_model: RunModel | None = None
+    confidence: ConfidenceState | None = None
+    peak_txn: Amount = 0             # largest redeemed + minted day
 
 
 @dataclass(frozen=True)

@@ -3,17 +3,19 @@ import hashlib
 import io
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stablesim import engine
 from stablesim.analytics import ANALYTICS_FIELDS, leverage_ratio
 from stablesim.cli import main as cli_main
 from stablesim.config import PRESETS, load_config, parse_config
-from stablesim.engine import (DAILY_FIELDS, AuditFailure, _fed_bill_purchase, build_scenario,
-                              run, sweep)
+from stablesim.engine import (DAILY_FIELDS, PHASES, AuditFailure, _fed_bill_purchase,
+                              build_scenario, run, sweep)
 from stablesim.instruments import InsufficientCollateral, step_portfolio
 from stablesim.ledger import FED, DurationClass, LedgerWorld, deposit_key
 from stablesim.money import BP, PAR, mul_frac
@@ -287,6 +289,23 @@ def test_audit_runs_every_day():
     # one audit-clean day implies emission reached the end of the loop
     days = {r["day"] for r in out.daily_rows}
     assert days == set(range(10))
+
+
+def test_phases_are_the_docstring_order_and_each_takes_the_scenario_and_day():
+    """`PHASES` names the module docstring's 11 phases in its order, and
+    driving them by hand, each as `phase(scenario, day)` returning None,
+    gives `run()`'s rows."""
+    listed = re.findall(r"^ *\d+\. (_\w+) ", engine.__doc__, re.MULTILINE)
+    assert len(listed) == 11
+    assert [f.__name__ for f in PHASES] == listed
+    config = load_config("march2020")
+    scn = build_scenario(config)
+    for day in range(config.horizon_days):
+        for phase in PHASES:
+            assert phase(scn, day) is None, phase.__name__
+    scn.daily_rows.sort(key=lambda r: (r["day"], r["agent"]))
+    out = run(config)
+    assert (scn.daily_rows, scn.market_rows) == (out.daily_rows, out.market_rows)
 
 
 def test_dealer_capacity_exhaustion_queues_single_request():
@@ -729,6 +748,27 @@ def test_intermediaries_buy_in_key_order_past_ten(check_indexes, check_ledger):
                                     "intermediary:11", "intermediary:2"]
 
 
+def test_intermediated_buying_never_pays_more_than_the_intermediary_holds(
+        bench_scaled, check_ledger, tmp_path, capsys):
+    """An intermediary buys as many coins as its deposits afford at the
+    secondary price, rounded down, but pays each holder's slice rounded
+    half to even; on this book the slices' payments once summed to one
+    unit more than it held, and a config that `validate` accepts failed
+    in `run`. The run passes the full audit at every day end, and the
+    intermediary buys on every day."""
+    raw = bench_scaled(holders=60, issuers=2, horizon=5, dealers=2, funded=True, seed=22)
+    raw["policies"]["access_mode"] = "intermediated"
+    raw["agents"]["intermediaries"][0]["deposits"] = 3_000_000
+    out = run(parse_config(raw), on_day_end=check_ledger)
+    assert {e["day"] for e in out.events if e["type"] == "transfer"
+            and e["instrument"].startswith("coin@")
+            and e["dst"] == "intermediary:0"} == set(range(5))
+    path = tmp_path / "book.json"
+    path.write_text(json.dumps(raw))
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert cli_main(argv) == 0, (argv, capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("srf", ["off", "on"])
 def test_golden_sales_in_transit(srf, bench_scaled, check_ledger):
     """Frozen digests of a generated book whose unfunded issuers sell
@@ -956,9 +996,11 @@ def test_generated_books_run_clean_and_in_any_declaration_order(bench_scaled, ch
     with the full audit and
     fresh dealer capacities checked at every day end, emits integers
     only, never prices a coin above par, and gives the same bytes on a
-    second run and with every agent list shuffled. The draws reach
-    zero-fill carried orders, T+1 settlements and par-policy buybacks,
-    and some cannot be built."""
+    second run and with every agent list shuffled. Access is direct or
+    through the intermediary, which redeems or warehouses and holds drawn
+    deposits, none or a few units among them. The draws reach zero-fill
+    carried orders, T+1 settlements and par-policy buybacks, and some
+    cannot be built."""
     seen = dict.fromkeys(("ran", "unbuildable", "carried", "settled", "intervened"), 0)
 
     @settings(derandomize=True, max_examples=80, deadline=None, database=None)
@@ -966,12 +1008,17 @@ def test_generated_books_run_clean_and_in_any_declaration_order(bench_scaled, ch
            horizon=st.integers(4, 40), funded=st.booleans(), srf=st.booleans(),
            par_policy=st.sampled_from([{"mode": "best_effort"}, {"mode": "rigorous_fixed"},
                                        {"mode": "corridor", "corridor_bp": 50}]),
+           access=st.sampled_from(["direct", "intermediated"]),
+           intermediary_mode=st.sampled_from(["redeem", "warehouse"]),
+           im_deposits=st.one_of(st.sampled_from([0, 7]), st.integers(0, 10_000_000)),
            seed=st.integers(0, 2**32 - 1))
-    def one_book(holders, issuers, dealers, horizon, funded, srf, par_policy, seed):
+    def one_book(holders, issuers, dealers, horizon, funded, srf, par_policy, access,
+                 intermediary_mode, im_deposits, seed):
         raw = bench_scaled(holders=holders, issuers=issuers, horizon=horizon,
                            dealers=dealers, funded=funded, seed=seed)
-        raw["policies"]["srf_enabled"] = srf
-        raw["policies"]["par_policy"] = par_policy
+        raw["policies"].update(srf_enabled=srf, par_policy=par_policy, access_mode=access,
+                               intermediary_mode=intermediary_mode)
+        raw["agents"]["intermediaries"][0]["deposits"] = im_deposits
         config = parse_config(raw)
         try:
             scn = build_scenario(config)
