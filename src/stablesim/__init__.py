@@ -11,7 +11,7 @@ from .dynamics import (ConfidenceState, RunModel, SensitivityState, ShockClass,
 from .engine import AuditFailure, RunOutput, run, sweep
 from .instruments import (PortfolioState, RepoPosition, RepoRegistry,
                           TreasuryBill, close_or_default_repo, default_loss,
-                          mark_treasuries, open_reverse_repo, roll_repos,
+                          mark_treasuries, open_reverse_repo, roll_repo,
                           step_portfolio)
 from .ledger import (AgentId, AgentKind, AuditReport, BalanceSheet, DurationClass,
                      LedgerWorld, WorldSnapshot)

@@ -41,7 +41,7 @@ from .dynamics import (ConfidenceState, InterventionResult, ShockState, apply_sh
                        redemption_demand, run_corrective_burns, update_secondary_price)
 from .instruments import InsufficientCollateral, RepoRegistry, open_reverse_repo
 from .ledger import (DURATION_NAME, DURATIONS, FED, AgentId, AgentKind, DurationClass,
-                     EventLog, LedgerWorld, deposit_key, reserves_key)
+                     EventLog, LedgerWorld, TransferBatch, deposit_key, reserves_key)
 from .market import DealerBook, Market
 from .money import BP, MICRO, PAR, Amount, mul_div, mul_frac
 from .rng import SplitMix64
@@ -232,15 +232,17 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
                                              confidence=ConfidenceState())
         # parse_config guarantees at least one dealer to borrow the repo
         share, extra = divmod(cfg.allocation["repo"], len(dealer_agents))
+        repos = TransferBatch(world)
         for k, (dealer, dealer_cfg) in enumerate(zip(dealer_agents, config.dealers)):
             amount = share + (1 if k < extra else 0)
             if amount > 0:
                 try:
-                    open_reverse_repo(world, registry, agent, dealer, amount,
+                    open_reverse_repo(repos, registry, agent, dealer, amount,
                                       config.rates.haircut,
                                       config.rates.repo_rate_daily, term=1)
                 except InsufficientCollateral as err:
                     raise UnpledgeableRepo(dealer_cfg.name, cfg.name, amount, err) from err
+        repos.commit()
 
     books = {agent.key: DealerBook(agent, cfg, inventory_baseline=world.tbill_value(agent))
              for cfg, agent in zip(config.dealers, dealer_agents)}

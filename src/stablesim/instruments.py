@@ -15,8 +15,8 @@ collateral-to-principal ratio: loss = principal * (decline - haircut)
 This module is the only writer of the repo book (`RepoRegistry`, one
 id-ordered dict of open positions, which the due legs and a lender's
 book scan) and the only place that pairs a deposit payment with a
-Treasury delivery (`deliver_tbills`, which stages both on a ledger
-`TransferBatch`, so a whole settlement pass is written by one post).
+Treasury delivery (`deliver_tbills`). Every leg is staged on a ledger
+`TransferBatch` (principal on its `repo` rail), so a pass is one post.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ledger import (DURATION_NAME, DURATIONS, AgentId, DurationClass, InsufficientPosition,
-                     LedgerWorld, TransferBatch, event_form, repo_key)
+                     LedgerWorld, TransferBatch, event_form)
 from .money import MICRO, Amount, ceil_div, mul_div, mul_frac
 
 GENIUS_MAX_BILL_DAYS = 93
@@ -140,11 +140,10 @@ class RepoRegistry:
     def total_principal(self, lender: AgentId) -> Amount:
         return sum(p.principal for p in self.by_lender(lender))
 
-    def postpone(self, log: LedgerWorld | TransferBatch, pos: RepoPosition, leg: str,
-                 err: Exception) -> None:
-        """Log a second leg that failed today, on a world or a batch, and
-        move it to the next day."""
-        log.emit("leg_failed", leg=leg, cause=str(err), repo_id=pos.repo_id)
+    def postpone(self, batch: TransferBatch, pos: RepoPosition, leg: str, err: Exception) -> None:
+        """Stage the `leg_failed` row of a second leg that failed today on
+        `batch`, and move the leg to the next day."""
+        batch.emit("leg_failed", leg=leg, cause=str(err), repo_id=pos.repo_id)
         pos.second_leg_day += 1
 
     def _check_due(self, world: LedgerWorld, pos: RepoPosition) -> None:
@@ -208,32 +207,30 @@ def required_collateral(principal: Amount, haircut: int) -> Amount:
     return ceil_div(principal * (MICRO + haircut), MICRO)
 
 
-def open_reverse_repo(world: LedgerWorld, registry: RepoRegistry,
+def open_reverse_repo(batch: TransferBatch, registry: RepoRegistry,
                       lender: AgentId, borrower: AgentId, principal: Amount,
                       haircut: int, rate: int, term: int = 1) -> RepoPosition:
-    """First leg: cash moves lender -> borrower against Treasuries the
-    borrower pledges in `PLEDGE_MIX`."""
+    """First leg, staged on `batch`: cash moves lender -> borrower against
+    Treasuries the borrower pledges in `PLEDGE_MIX`."""
     if term < 1:
         raise InstrumentError("term must be at least one day")
-    faces, _ = _size_collateral(world, registry, borrower, principal, haircut,
+    faces, _ = _size_collateral(batch, registry, borrower, principal, haircut,
                                 PLEDGE_MIX.items(), MICRO, {})
-    lender_deposits = world.deposits(lender)
+    lender_deposits = batch.deposits(lender)
     if lender_deposits < principal:
         raise InsufficientCash(f"{lender} holds {lender_deposits}, needs {principal}")
-
-    world.transfer_deposit(lender, borrower, principal)
-    world.post({(lender.key, "A", repo_key(borrower)): principal,
-                (borrower.key, "L", repo_key(lender)): principal})
-    world.emit("repo_open", lender=lender.key, borrower=borrower.key,
+    batch.pay(lender, borrower, principal)
+    batch.repo(lender, borrower, principal)
+    batch.emit("repo_open", lender=lender.key, borrower=borrower.key,
                principal=principal, haircut=haircut,
                collateral={DURATION_NAME[d]: faces[d] for d in DURATIONS if d in faces})
-    return registry._add(world, lender, borrower, principal, haircut, rate, term, faces)
+    return registry._add(batch.world, lender, borrower, principal, haircut, rate, term, faces)
 
 
-def close_or_default_repo(world: LedgerWorld, registry: RepoRegistry,
+def close_or_default_repo(batch: TransferBatch, registry: RepoRegistry,
                           pos: RepoPosition, counterparty_performs: bool,
                           market_decline: int = 0) -> None:
-    """Second leg: repayment with interest, or seizure and liquidation.
+    """Second leg on `batch`: repayment with interest, or seizure and liquidation.
 
     Principal plus interest below zero (a negative rate) is paid by the
     lender, as a roll pays negative interest; the `repo_close` row holds
@@ -243,41 +240,38 @@ def close_or_default_repo(world: LedgerWorld, registry: RepoRegistry,
     which follows default_loss, and the collateral moves to the
     lender's book at the seized market value.
     """
-    registry._check_due(world, pos)
+    registry._check_due(batch.world, pos)
     if counterparty_performs:
         owed = pos.principal + pos.interest()
         if owed >= 0:
-            world.transfer_deposit(pos.borrower, pos.lender, owed)
+            batch.pay(pos.borrower, pos.lender, owed)
         else:
-            world.transfer_deposit(pos.lender, pos.borrower, -owed)
-        _unwind_principal(world, pos, "repo_close", interest=owed - pos.principal)
-        registry._remove(pos)
+            batch.pay(pos.lender, pos.borrower, -owed)
+        event, fields = "repo_close", {"interest": owed - pos.principal}
     else:
         loss = default_loss(pos.principal, pos.haircut, market_decline)
-        _unwind_principal(world, pos, "repo_default", decline=market_decline, loss=loss)
-        registry._remove(pos)
+        event, fields = "repo_default", {"decline": market_decline, "loss": loss}
+    batch.repo(pos.lender, pos.borrower, -pos.principal)
+    batch.emit(event, lender=pos.lender.key, borrower=pos.borrower.key, principal=pos.principal,
+               **fields)
+    if not counterparty_performs:
         for duration in [d for d in DURATIONS if d in pos.collateral]:
-            world.transfer_tbill(pos.borrower, pos.lender, duration,
-                                 face=pos.collateral[duration])
+            batch.deliver(pos.borrower, pos.lender, duration, pos.collateral[duration])
+    registry._remove(pos)
 
 
-def _unwind_principal(world: LedgerWorld, pos: RepoPosition, event: str, **fields) -> None:
-    """Take the loan off both books, logging `event`."""
-    world.post({(pos.lender.key, "A", repo_key(pos.borrower)): -pos.principal,
-                (pos.borrower.key, "L", repo_key(pos.lender)): -pos.principal})
-    world.emit(event, lender=pos.lender.key, borrower=pos.borrower.key,
-               principal=pos.principal, **fields)
+_REPO_ROLL = event_form("repo_roll", ("lender", "borrower", "principal", "rate", "interest"))
 
 
-def roll_repos(world: LedgerWorld, registry: RepoRegistry, positions: list,
-               new_rate: int) -> None:
-    """Close each of `positions` at par and reopen it overnight, in order,
-    staging the interest and events on one batch. Only interest changes
-    hands, as the closing and opening principal legs net to zero; each
-    position is renumbered in place under the next id, its collateral
-    re-sized at today's prices counting its old faces as free (`_resize`).
-    Negative interest is paid by the lender. A roll that fails is
-    postponed instead, its `leg_failed` row in its place in the log.
+def roll_repo(batch: TransferBatch, registry: RepoRegistry, pos: RepoPosition,
+              new_rate: int) -> None:
+    """Close `pos` at par and reopen it overnight, staging the interest
+    and the `repo_roll` row on `batch`. Only interest changes hands, as
+    the closing and opening principal legs net to zero; the position is
+    renumbered in place under the next id, its collateral re-sized at
+    today's prices counting its old faces as free (`_resize`). Negative
+    interest is paid by the lender. A roll that fails is postponed
+    instead, its `leg_failed` row staged in its place.
 
     A position stamped with today's class prices (`sized_at`) keeps its
     faces without re-sizing them, and this is exact. A roll stamps a
@@ -293,67 +287,57 @@ def roll_repos(world: LedgerWorld, registry: RepoRegistry, positions: list,
     too, so the sizing cannot raise. A fixed point reached with a class
     cut to `free + old` is not stamped: it moves once the borrower's
     free face grows."""
-    prices = tuple(world.tbill_prices[d] for d in DURATIONS)
-    batch = TransferBatch(world)
-    for pos in positions:
-        try:
-            _roll(batch, registry, pos, new_rate, prices)
-        except (InsufficientPosition, InstrumentError) as err:
-            registry.postpone(batch, pos, "repo_roll", err)
-    batch.commit()
-
-
-_REPO_ROLL = event_form("repo_roll", ("lender", "borrower", "principal", "rate", "interest"))
-
-
-def _roll(batch: TransferBatch, registry: RepoRegistry, pos: RepoPosition,
-          new_rate: int, prices: tuple) -> None:
     world = batch.world
-    registry._check_due(world, pos)
-    collateral, sized_at = pos.collateral, pos.sized_at
-    if sized_at != prices:
-        collateral, capped = _resize(world, registry, pos)
-        sized_at = None if capped or collateral != pos.collateral else prices
-    interest = pos.interest()
-    if interest > 0:
-        batch.pay(pos.borrower, pos.lender, interest)
-    elif interest < 0:
-        batch.pay(pos.lender, pos.borrower, -interest)
+    try:
+        registry._check_due(world, pos)
+        collateral, sized_at = pos.collateral, pos.sized_at
+        prices = tuple(world.tbill_prices.values())
+        if sized_at != prices:
+            collateral, capped = _resize(batch, registry, pos)
+            sized_at = None if capped or collateral != pos.collateral else prices
+        interest = pos.interest()
+        if interest > 0:
+            batch.pay(pos.borrower, pos.lender, interest)
+        elif interest < 0:
+            batch.pay(pos.lender, pos.borrower, -interest)
+    except (InsufficientPosition, InstrumentError) as err:
+        registry.postpone(batch, pos, "repo_roll", err)
+        return
     batch.events.append((_REPO_ROLL, (pos.lender.key, pos.borrower.key, pos.principal,
                                       new_rate, interest)))
     registry._reopen(pos, world.day, new_rate, collateral, sized_at)
 
 
-def _resize(world: LedgerWorld, registry: RepoRegistry, pos: RepoPosition) -> tuple[dict, bool]:
+def _resize(batch: TransferBatch, registry: RepoRegistry, pos: RepoPosition) -> tuple[dict, bool]:
     """`_size_collateral` for `pos` at today's prices, in the mix of its
     collateral's values (else the pledge mix), its old faces counted as
     free."""
-    prices, old = world.tbill_prices, pos.collateral
+    prices, old = batch.world.tbill_prices, pos.collateral
     values = [(d, mul_frac(old[d], prices[d])) for d in DURATIONS if d in old]
     if (total := sum([value for _, value in values])) <= 0:
         values, total = PLEDGE_MIX.items(), MICRO
-    return _size_collateral(world, registry, pos.borrower, pos.principal,
+    return _size_collateral(batch, registry, pos.borrower, pos.principal,
                             pos.haircut, values, total, old)
 
 
-def _size_collateral(world: LedgerWorld, registry: RepoRegistry, borrower: AgentId,
+def _size_collateral(batch: TransferBatch, registry: RepoRegistry, borrower: AgentId,
                      principal: Amount, haircut: int, weights, total: int,
                      freed: dict) -> tuple[dict, bool]:
     """Faces pledging `principal` plus haircut, split by `weights`, pairs
     `(class, weight)` in class order: a class takes its weight's micro
     fraction of `total`, the last class the rest, each at most its free
-    face. `freed` faces per class count as free on top of the borrower's
-    unencumbered ones. Also returns whether any class was cut to its free
-    face; a roll whose sizing returns the old faces uncut is a fixed
-    point at these prices (see `roll_repos`)."""
+    face of `batch`'s running faces. `freed` faces per class count as
+    free on top of the borrower's unencumbered ones. Also returns whether
+    any class was cut to its free face; a roll whose sizing returns the
+    old faces uncut is a fixed point at these prices (see `roll_repo`)."""
     need = required_collateral(principal, haircut)
     faces: dict[DurationClass, int] = {}
-    pledged, last, prices, capped = 0, len(weights) - 1, world.tbill_prices, False
+    pledged, last, prices, capped = 0, len(weights) - 1, batch.world.tbill_prices, False
     for i, (duration, weight) in enumerate(weights):
         target = need - pledged if i == last else mul_frac(need, mul_div(weight, MICRO, total))
         price = prices[duration]
         face = ceil_div(target * MICRO, price)
-        free = registry.free_face(world, borrower, duration) + freed.get(duration, 0)
+        free = registry.free_face(batch, borrower, duration) + freed.get(duration, 0)
         if face > free:
             face, capped = free, True
         if face:

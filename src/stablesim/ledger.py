@@ -13,12 +13,12 @@ has one method that posts all of its legs: ``transfer_deposit``,
 ``transfer_coin`` (mint, burn or transfer) and ``transfer_tbill``.
 ``redeem_coins`` is the batch form of a coin burn followed by a deposit
 payment, for many holders of one issuer; ``TransferBatch`` holds the
-deposit and Treasury rails, stages many payments and deliveries against
-running balances and writes them with one post (``transfer_deposit`` and
-``transfer_tbill`` are a batch of one); the Treasury re-mark
-``remark_tbills`` posts its re-valuations too. This module owns the
-instrument-key format ``"<kind>@<counterparty>"``: every key is built by
-``deposit_key``, ``reserves_key``, ``repo_key``, ``srf_key``,
+deposit, Treasury and repo rails, stages payments, deliveries and repo
+legs against running balances and writes them with one post
+(``transfer_deposit`` and ``transfer_tbill`` are a batch of one); the
+Treasury re-mark ``remark_tbills`` posts its re-valuations too. This
+module owns the instrument-key format ``"<kind>@<counterparty>"``, built
+by ``deposit_key``, ``reserves_key``, ``repo_key``, ``srf_key``,
 ``coin_key`` or ``tbill_key``. Each issuer's coin key is kept from its
 registration, and each agent's deposit legs and its bank's reserve legs
 from their first use, so the payment rails stage stored legs;
@@ -858,15 +858,15 @@ class LedgerWorld:
 
 
 class TransferBatch:
-    """Deposit payments and Treasury deliveries written by one `post`.
+    """Deposit payments, Treasury deliveries and repo legs written by one `post`.
 
-    `pay` and `deliver` are the deposit and Treasury rails. Each stages
-    its legs on top of the ones before it: `deposits` and `face_of` read
-    the running values, and every debit is checked against them, so a
-    batch raises `InsufficientPosition` at the transfer where the same
-    transfers posted one by one would. `commit` posts the summed legs,
-    logs the staged events in order and updates `tbill_face`; a batch
-    that raises, or is never committed, writes and logs nothing.
+    `pay`, `deliver` and `repo` are the deposit, Treasury and repo rails.
+    Each stages its legs on top of the ones before it: `deposits` and
+    `face_of` read the running values, and every debit is checked against
+    them, so a batch raises `InsufficientPosition` at the transfer where
+    the same transfers posted one by one would. `commit` posts the summed
+    legs, logs the staged events in order and updates `tbill_face`; a
+    batch that raises, or is never committed, writes and logs nothing.
     """
 
     __slots__ = ("world", "staged", "faces", "events")
@@ -910,14 +910,8 @@ class TransferBatch:
         if cross := bank_f != bank_t:
             reserves_f, owed_by_fed_f = world.reserve_legs[bank_f]
             debits += (reserves_f, owed_by_fed_f)
-        agents, staged = world.agents, self.staged
-        get = staged.get
-        for leg in debits:   # all debits first, then the legs in order
-            agent_key, side, key = leg
-            book = agents[agent_key]
-            have = (book.assets if side == "A" else book.liabilities).get(key, 0) + get(leg, 0)
-            if have < amount:
-                raise InsufficientPosition(agent_key, key, have, amount)
+        self._check_debits(debits, amount)   # all debits first, then the legs in order
+        staged, get = self.staged, self.staged.get
         staged[held_f] = get(held_f, 0) - amount
         staged[owed_f] = get(owed_f, 0) - amount
         staged[owed_t] = get(owed_t, 0) + amount
@@ -929,6 +923,27 @@ class TransferBatch:
             staged[owed_by_fed_t] = get(owed_by_fed_t, 0) + amount
             staged[reserves_t] = get(reserves_t, 0) + amount
         self.events.append((_DEPOSIT_TRANSFER, ("deposit", frm.key, to.key, amount)))
+
+    def repo(self, lender: AgentId, borrower: AgentId, principal: int) -> None:
+        """Stage `principal` as the lender's `repo@<borrower>` claim and the
+        borrower's `repo@<lender>` obligation; a negative one takes both back,
+        checked against the running claim first, so a raise stages nothing."""
+        if self.world._moves(lender, borrower, abs(principal)):
+            legs = ((lender.key, "A", repo_key(borrower)), (borrower.key, "L", repo_key(lender)))
+            if principal < 0:
+                self._check_debits(legs, -principal)
+            for leg in legs:
+                self.staged[leg] = self.staged.get(leg, 0) + principal
+
+    def _check_debits(self, legs, amount: int) -> None:
+        """Raise `InsufficientPosition` at the first of `legs` running short of `amount`."""
+        agents, get = self.world.agents, self.staged.get
+        for leg in legs:
+            agent_key, side, key = leg
+            book = agents[agent_key]
+            have = (book.assets if side == "A" else book.liabilities).get(key, 0) + get(leg, 0)
+            if have < amount:
+                raise InsufficientPosition(agent_key, key, have, amount)
 
     def deliver(self, frm: AgentId, to: AgentId, duration: DurationClass, face: int) -> int:
         """Move up to `face` of Treasuries, at most what `frm` holds, at

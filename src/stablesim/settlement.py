@@ -33,7 +33,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from .instruments import (InstrumentError, RepoRegistry, close_or_default_repo,
-                          deliver_tbills, open_reverse_repo, roll_repos)
+                          deliver_tbills, open_reverse_repo, roll_repo)
 from .ledger import (AgentId, AgentKind, DurationClass, InsufficientPosition, LedgerWorld,
                      TransferBatch, event_form)
 from .money import MICRO, PAR, Amount, mul_frac
@@ -355,39 +355,37 @@ class SettlementEngine:
 
         Returns the funding gaps pushed onto borrowers by declined
         rolls. Interest always lands in the lender's spare deposits;
-        declined principal lands in the proceeds pool.
+        declined principal lands in the proceeds pool. Every leg and
+        `leg_failed` row is staged on one batch, in due order, written by
+        one post.
         """
         gaps: list[GapInstruction] = []
         world, registry, rate = self.world, self.registry, self.rates.repo_rate_daily
-        rolls = []   # the rolls since the last decline, written before the next one
+        batch = TransferBatch(world)
         for pos in registry.due(world.day):
             book = self.issuers.get(pos.lender.key)
             if book is None or book.nonroll_pending <= 0:
-                rolls.append(pos)
+                roll_repo(batch, registry, pos, rate)
                 continue
-            if rolls:
-                roll_repos(world, registry, rolls, rate)
-                rolls = []
             decline = min(book.nonroll_pending, pos.principal)
             keep = pos.principal - decline
             try:
-                close_or_default_repo(world, registry, pos, True)
+                close_or_default_repo(batch, registry, pos, True)
             except InsufficientPosition as err:
-                registry.postpone(world, pos, "repo_second_leg", err)
+                registry.postpone(batch, pos, "repo_second_leg", err)
                 continue
             book.pool += decline
             book.nonroll_pending -= decline
             if keep > 0:
                 # re-lend the undeclined balance overnight
                 try:
-                    open_reverse_repo(world, registry, pos.lender, pos.borrower, keep,
+                    open_reverse_repo(batch, registry, pos.lender, pos.borrower, keep,
                                       pos.haircut, rate, term=1)
                 except (InsufficientPosition, InstrumentError) as err:
-                    world.emit("leg_failed", leg="repo_relend", cause=str(err),
+                    batch.emit("leg_failed", leg="repo_relend", cause=str(err),
                                repo_id=pos.repo_id)
             gaps.append(GapInstruction(pos.borrower, decline))
-        if rolls:
-            roll_repos(world, registry, rolls, rate)
+        batch.commit()
         return gaps
 
     # -- payout -----------------------------------------------------------------

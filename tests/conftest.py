@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from stablesim.instruments import _resize
-from stablesim.ledger import DURATIONS
+from stablesim.ledger import TransferBatch
 
 
 def _check_indexes(scn, day):
@@ -26,19 +26,37 @@ def _check_ledger(scn, day):
     """The full audit passes; each dealer's capacity, cached or not, is
     what `_dealer_available` computes from a fresh read of its sheet;
     each repo position stamped with today's prices re-sizes, uncut, to
-    the faces it holds; and no agent's encumbered face exceeds its face."""
+    the faces it holds; no agent's encumbered face exceeds its face; and
+    the repo book agrees with the sheets: each lender's `repo@<borrower>`
+    claim and each borrower's `repo@<lender>` obligation are the sum of
+    the pair's open principals, and no claim stands without a position
+    (the audit only matches a claim against its obligation)."""
     world, market, registry = scn.world, scn.market, scn.registry
     report = world.audit()
     assert report.ok, (day, report.failures())
     fresh = {key: market._dealer_available(world, book, market._sheet_reads(world, book))
              for key, book in market.books.items()}
     assert market.dealer_capacity(world) == fresh, day
-    prices = tuple(world.tbill_prices[d] for d in DURATIONS)
+    prices = tuple(world.tbill_prices.values())   # as a roll stamps them
     for pos in registry.open_positions():
         if pos.sized_at == prices:
-            assert _resize(world, registry, pos) == (pos.collateral, False), (day, pos.repo_id)
+            assert _resize(TransferBatch(world), registry, pos) == (pos.collateral, False), (
+                day, pos.repo_id)
     for (key, duration), face in registry.encumbered.items():
         assert 0 < face <= world.tbill_face.get((key, duration), 0), (day, key, duration)
+    lent: dict = {}   # (lender key, borrower key) -> principal of its open positions
+    for pos in registry.open_positions():
+        pair = (pos.lender.key, pos.borrower.key)
+        lent[pair] = lent.get(pair, 0) + pos.principal
+    claims, obligations = {}, {}   # the same pairs, read from the sheets
+    for key, book in world.agents.items():
+        for ikey, amount in book.assets.items():
+            if ikey.startswith("repo@"):
+                claims[(key, ikey[len("repo@"):])] = amount
+        for ikey, amount in book.liabilities.items():
+            if ikey.startswith("repo@"):
+                obligations[(ikey[len("repo@"):], key)] = amount
+    assert claims == lent == obligations, day
 
 
 @pytest.fixture
@@ -54,7 +72,8 @@ def check_ledger():
     """`on_day_end` hook asserting that the world passes the full `audit()`
     after the engine's check of what changed, that the market's cached
     dealer capacities are exact, that every roll stamp still marks a fixed
-    point of the collateral sizing and that encumbrance stays within face."""
+    point of the collateral sizing, that encumbrance stays within face and
+    that each pair's repo claim and obligation are its open principals."""
     return _check_ledger
 
 

@@ -12,7 +12,7 @@ from stablesim.instruments import (GENIUS_MAX_BILL_DAYS, InstrumentError,
                                    RepoRegistry, WrongDay, _top_up_collateral,
                                    close_or_default_repo, default_loss, deliver_tbills,
                                    mark_treasuries, open_reverse_repo,
-                                   required_collateral, roll_repos, step_portfolio)
+                                   required_collateral, roll_repo, step_portfolio)
 from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, LedgerWorld,
                               TransferBatch, deposit_key, reserves_key, tbill_key)
 from stablesim.money import MICRO, mul_div, mul_frac
@@ -45,6 +45,23 @@ def repo_world(issuer_cash=100_000_00, dealer_bills=0, dealer_long=0,
     return world
 
 
+def staged(world, leg, *args, **kwargs):
+    """`leg` (`open_reverse_repo` or `close_or_default_repo`) staged alone
+    on a batch of `world`, committed."""
+    batch = TransferBatch(world)
+    result = leg(batch, *args, **kwargs)
+    batch.commit()
+    return result
+
+
+def roll_pass(world, registry, positions, new_rate):
+    """Roll each of `positions`, in order, on one batch, committed."""
+    batch = TransferBatch(world)
+    for pos in positions:
+        roll_repo(batch, registry, pos, new_rate)
+    batch.commit()
+
+
 def mark_every_class(world, registry, tick):
     """Mark bills, then long paper, by `tick`, as the market marks a day's
     classes one call at a time."""
@@ -60,8 +77,8 @@ def test_required_collateral_examples():
 def test_open_reverse_repo_posts_both_legs():
     world = repo_world(dealer_bills=30_000_00, dealer_long=90_000_00)
     registry = RepoRegistry()
-    pos = open_reverse_repo(world, registry, ISSUER, DEALER, 100_00,
-                            haircut=20_000, rate=0, term=1)
+    pos = staged(world, open_reverse_repo, registry, ISSUER, DEALER, 100_00,
+                 haircut=20_000, rate=0, term=1)
     assert world.sheet(ISSUER).asset(f"repo@{DEALER.key}") == 100_00
     assert world.sheet(DEALER).liability(f"repo@{ISSUER.key}") == 100_00
     assert pos.collateral_value(world) >= 102_00
@@ -74,27 +91,27 @@ def test_open_repo_insufficient_collateral():
     world = repo_world(dealer_bills=0, dealer_long=101_00)
     registry = RepoRegistry()
     with pytest.raises(InsufficientCollateral):
-        open_reverse_repo(world, registry, ISSUER, DEALER, 100_00,
-                          haircut=20_000, rate=0)
+        staged(world, open_reverse_repo, registry, ISSUER, DEALER, 100_00,
+               haircut=20_000, rate=0)
 
 
 def test_open_repo_insufficient_cash():
     world = repo_world(issuer_cash=50_00, dealer_long=300_00)
     registry = RepoRegistry()
     with pytest.raises(InsufficientCash):
-        open_reverse_repo(world, registry, ISSUER, DEALER, 100_00,
-                          haircut=20_000, rate=0)
+        staged(world, open_reverse_repo, registry, ISSUER, DEALER, 100_00,
+               haircut=20_000, rate=0)
 
 
 def test_second_leg_performance_returns_principal_plus_interest():
     world = repo_world(dealer_bills=30_000_00, dealer_long=90_000_00)
     registry = RepoRegistry()
-    pos = open_reverse_repo(world, registry, ISSUER, DEALER, 10_000_00,
-                            haircut=20_000, rate=1_000, term=1)
+    pos = staged(world, open_reverse_repo, registry, ISSUER, DEALER, 10_000_00,
+                 haircut=20_000, rate=1_000, term=1)
     issuer_equity = world.sheet(ISSUER).equity
     dealer_equity = world.sheet(DEALER).equity
     world.day = 1
-    close_or_default_repo(world, registry, pos, counterparty_performs=True)
+    staged(world, close_or_default_repo, registry, pos, counterparty_performs=True)
     interest = mul_frac(10_000_00, 1_000)
     [row] = [e for e in world.events if e["type"] in ("repo_close", "repo_default")]
     assert (row["type"], row["principal"], row["interest"]) == ("repo_close", 10_000_00, interest)
@@ -107,21 +124,21 @@ def test_second_leg_performance_returns_principal_plus_interest():
 def test_second_leg_on_wrong_day():
     world = repo_world(dealer_bills=30_000_00, dealer_long=90_000_00)
     registry = RepoRegistry()
-    pos = open_reverse_repo(world, registry, ISSUER, DEALER, 100_00,
-                            haircut=20_000, rate=0, term=1)
+    pos = staged(world, open_reverse_repo, registry, ISSUER, DEALER, 100_00,
+                 haircut=20_000, rate=0, term=1)
     with pytest.raises(WrongDay):
-        close_or_default_repo(world, registry, pos, True)
+        staged(world, close_or_default_repo, registry, pos, True)
 
 
 def test_default_moves_collateral_to_lender_and_releases_it():
     world = repo_world(dealer_bills=30_000_00, dealer_long=90_000_00)
     registry = RepoRegistry()
-    pos = open_reverse_repo(world, registry, ISSUER, DEALER, 10_000_00,
-                            haircut=20_000, rate=1_000, term=1)
+    pos = staged(world, open_reverse_repo, registry, ISSUER, DEALER, 10_000_00,
+                 haircut=20_000, rate=1_000, term=1)
     pledged = dict(pos.collateral)
     assert registry.encumbered == {(DEALER.key, d): f for d, f in pledged.items()}
     world.day = 1
-    close_or_default_repo(world, registry, pos, False, market_decline=50_000)
+    staged(world, close_or_default_repo, registry, pos, False, market_decline=50_000)
     loss = default_loss(10_000_00, 20_000, 50_000)
     [event] = [e for e in world.events if e["type"] in ("repo_close", "repo_default")]
     assert (event["type"], event["lender"], event["borrower"], event["principal"],
@@ -148,7 +165,7 @@ def assert_roll_postponed(world, registry, pos, cause):
     balances = copy.deepcopy((world.agents, world.tbill_face))
     kept = (pos.repo_id, pos.rate, dict(pos.collateral), dict(registry.encumbered))
     logged = len(world.events)
-    roll_repos(world, registry, [pos], new_rate=2_000)
+    roll_pass(world, registry, [pos], new_rate=2_000)
     assert (world.agents, world.tbill_face) == balances
     assert (pos.repo_id, pos.rate, dict(pos.collateral), dict(registry.encumbered)) == kept
     assert registry.open_positions() == registry.due(world.day + 1) == [pos]
@@ -163,8 +180,8 @@ def test_roll_failing_on_collateral_is_postponed():
     # exactly the pledge at par; a 1% fall leaves it short and nothing is free
     world = repo_world(dealer_bills=2_550_00, dealer_long=7_650_00)
     registry = RepoRegistry()
-    pos = open_reverse_repo(world, registry, ISSUER, DEALER, 10_000_00,
-                            haircut=20_000, rate=1_000, term=1)
+    pos = staged(world, open_reverse_repo, registry, ISSUER, DEALER, 10_000_00,
+                 haircut=20_000, rate=1_000, term=1)
     assert registry.free_face(world, DEALER, DurationClass.BILL) == 0
     mark_every_class(world, registry, -10_000)
     world.day = 1
@@ -174,8 +191,8 @@ def test_roll_failing_on_collateral_is_postponed():
 def test_roll_failing_on_interest_cash_is_postponed():
     world = repo_world(dealer_bills=30_000_00, dealer_long=90_000_00)
     registry = RepoRegistry()
-    pos = open_reverse_repo(world, registry, ISSUER, DEALER, 10_000_00,
-                            haircut=20_000, rate=1_000, term=1)
+    pos = staged(world, open_reverse_repo, registry, ISSUER, DEALER, 10_000_00,
+                 haircut=20_000, rate=1_000, term=1)
     world.transfer_deposit(DEALER, ISSUER, world.deposits(DEALER))
     world.day = 1
     assert_roll_postponed(world, registry, pos,
@@ -194,18 +211,18 @@ def test_roll_pass_postpones_only_the_roll_that_fails():
     world.grant_tbill(short, DurationClass.BILL, 2_550_00)
     world.grant_tbill(short, DurationClass.LONG, 7_650_00)
     registry = RepoRegistry()
-    positions = [open_reverse_repo(world, registry, ISSUER, borrower, 10_000_00,
-                                   haircut=20_000, rate=1_000, term=1)
+    positions = [staged(world, open_reverse_repo, registry, ISSUER, borrower, 10_000_00,
+                        haircut=20_000, rate=1_000, term=1)
                  for borrower in (DEALER, short, DEALER)]
     assert registry.free_face(world, short, DurationClass.BILL) == 0
     mark_every_class(world, registry, -10_000)
     world.day = 1
     one_by_one = copy.deepcopy((world, registry))
-    roll_repos(world, registry, positions, new_rate=2_000)
+    roll_pass(world, registry, positions, new_rate=2_000)
 
     single, singles = one_by_one
     for pos in singles.open_positions():
-        roll_repos(single, singles, [pos], new_rate=2_000)
+        roll_pass(single, singles, [pos], new_rate=2_000)
     assert repo_book(world, registry) == repo_book(single, singles)
     assert [(p.repo_id, p.borrower, p.second_leg_day) for p in registry.due(2)] == [
         (1, short, 2), (3, DEALER, 2), (4, DEALER, 2)]
@@ -246,8 +263,8 @@ def stamp_book(faces, opens):
     registry = RepoRegistry()
     for borrower, principal, haircut, term in opens:
         try:
-            open_reverse_repo(world, registry, ISSUER, BORROWERS[borrower], principal,
-                              haircut=haircut, rate=1_000, term=term)
+            staged(world, open_reverse_repo, registry, ISSUER, BORROWERS[borrower], principal,
+                   haircut=haircut, rate=1_000, term=term)
         except InsufficientCollateral:
             pass
     return world, registry
@@ -285,7 +302,7 @@ def apply_stamp_op(world, registry, op, seen, clear):
         if clear:
             for pos in registry.open_positions():
                 pos.sized_at = None
-        roll_repos(world, registry, registry.due(world.day), new_rate=args[0])
+        roll_pass(world, registry, registry.due(world.day), new_rate=args[0])
 
 
 def unstamped_book(world, registry):
@@ -326,11 +343,11 @@ def test_roll_stamps_change_nothing(faces, opens, ops):
 def test_roll_at_negative_rate_pays_interest_to_the_borrower():
     world = repo_world(dealer_bills=30_000_00, dealer_long=90_000_00)
     registry = RepoRegistry()
-    pos = open_reverse_repo(world, registry, ISSUER, DEALER, 10_000_00,
-                            haircut=20_000, rate=-1_000, term=1)
+    pos = staged(world, open_reverse_repo, registry, ISSUER, DEALER, 10_000_00,
+                 haircut=20_000, rate=-1_000, term=1)
     issuer_cash, dealer_cash = world.deposits(ISSUER), world.deposits(DEALER)
     world.day = 1
-    roll_repos(world, registry, [pos], new_rate=-1_000)
+    roll_pass(world, registry, [pos], new_rate=-1_000)
     interest = mul_frac(10_000_00, -1_000)
     assert world.events[-1]["interest"] == interest < 0
     assert world.deposits(ISSUER) == issuer_cash + interest
@@ -343,11 +360,11 @@ def test_close_owing_less_than_zero_is_paid_by_the_lender():
     the lender pays it the difference and the loan leaves both books."""
     world = repo_world(dealer_bills=30_000_00, dealer_long=90_000_00)
     registry = RepoRegistry()
-    pos = open_reverse_repo(world, registry, ISSUER, DEALER, 10_000_00,
-                            haircut=20_000, rate=-1_500_000, term=1)
+    pos = staged(world, open_reverse_repo, registry, ISSUER, DEALER, 10_000_00,
+                 haircut=20_000, rate=-1_500_000, term=1)
     issuer_cash, dealer_cash = world.deposits(ISSUER), world.deposits(DEALER)
     world.day = 1
-    close_or_default_repo(world, registry, pos, counterparty_performs=True)
+    staged(world, close_or_default_repo, registry, pos, counterparty_performs=True)
     owed = 10_000_00 + mul_frac(10_000_00, -1_500_000)
     assert owed == -5_000_00
     assert (world.events[-1]["type"], world.events[-1]["interest"]) == (
@@ -405,11 +422,11 @@ def test_haircut_recovery_property(principal, haircut, decline):
 def test_roll_keeps_cash_flat_except_interest():
     world = repo_world(dealer_bills=30_000_00, dealer_long=90_000_00)
     registry = RepoRegistry()
-    pos = open_reverse_repo(world, registry, ISSUER, DEALER, 10_000_00,
-                            haircut=20_000, rate=2_000, term=1)
+    pos = staged(world, open_reverse_repo, registry, ISSUER, DEALER, 10_000_00,
+                 haircut=20_000, rate=2_000, term=1)
     cash_before = world.sheet(ISSUER).asset(deposit_key(BANK))
     world.day = 1
-    roll_repos(world, registry, [pos], new_rate=3_000)
+    roll_pass(world, registry, [pos], new_rate=3_000)
     interest = mul_frac(10_000_00, 2_000)
     assert world.sheet(ISSUER).asset(deposit_key(BANK)) == cash_before + interest
     assert (pos.repo_id, pos.rate, pos.second_leg_day, pos.principal) == (1, 3_000, 2, 10_000_00)
@@ -437,16 +454,16 @@ def test_mark_one_percent_on_position():
 def test_term_repo_margin_call_emitted_once_per_position():
     world = repo_world(dealer_bills=30_000_00, dealer_long=90_000_00)
     registry = RepoRegistry()
-    open_reverse_repo(world, registry, ISSUER, DEALER, 10_000_00,
-                      haircut=20_000, rate=0, term=5)
+    staged(world, open_reverse_repo, registry, ISSUER, DEALER, 10_000_00,
+           haircut=20_000, rate=0, term=5)
     mark_every_class(world, registry, -30_000)  # -3% with 2% haircut
     [call] = [e for e in world.events if e["type"] == "margin_call"]
     assert call["borrower"] == DEALER.key
     # overnight book is exempt from intraday re-margining
     registry2 = RepoRegistry()
     world2 = repo_world(dealer_bills=30_000_00, dealer_long=90_000_00)
-    open_reverse_repo(world2, registry2, ISSUER, DEALER, 10_000_00,
-                      haircut=20_000, rate=0, term=1)
+    staged(world2, open_reverse_repo, registry2, ISSUER, DEALER, 10_000_00,
+           haircut=20_000, rate=0, term=1)
     mark_every_class(world2, registry2, -30_000)
     assert not [e for e in world2.events if e["type"] == "margin_call"]
 
@@ -519,11 +536,11 @@ def test_step_matches_independent_progression(face, price, deposits, dprice,
 def test_roll_at_higher_rate_prices_next_period_interest():
     world = repo_world(dealer_bills=30_000_00, dealer_long=90_000_00)
     registry = RepoRegistry()
-    pos = open_reverse_repo(world, registry, ISSUER, DEALER, 10_000_00,
-                            haircut=20_000, rate=1_000, term=1)
+    pos = staged(world, open_reverse_repo, registry, ISSUER, DEALER, 10_000_00,
+                 haircut=20_000, rate=1_000, term=1)
     world.day = 1
-    roll_repos(world, registry, [pos], new_rate=4_000)
+    roll_pass(world, registry, [pos], new_rate=4_000)
     world.day = 2
-    close_or_default_repo(world, registry, pos, True)
+    staged(world, close_or_default_repo, registry, pos, True)
     assert (world.events[-1]["type"], world.events[-1]["interest"]) == (
         "repo_close", mul_frac(10_000_00, 4_000))

@@ -258,6 +258,43 @@ def test_deliver_stages_its_legs_and_faces_in_order(price, deliveries, returned,
     assert world_state(world) == before
 
 
+ISSUER_LENDS = (ISSUER.key, "A", repo_key(HOLDER))
+HOLDER_OWES = (HOLDER.key, "L", repo_key(ISSUER))
+
+
+def test_repo_rail_takes_back_no_more_than_the_running_claim():
+    """The repo rail stages the lender's claim and the borrower's
+    obligation on top of the running ones; a take-back past the running
+    claim raises naming it and stages nothing, and taking back the whole
+    running claim, an open on the same batch included, leaves no claim
+    once committed."""
+    world = two_bank_world()
+    world.post({ISSUER_LENDS: 100_00, HOLDER_OWES: 100_00})
+    batch = TransferBatch(world)
+    batch.repo(ISSUER, HOLDER, -40_00)
+    batch.repo(ISSUER, HOLDER, 300_00)
+    assert list(batch.staged.items()) == [(ISSUER_LENDS, 260_00), (HOLDER_OWES, 260_00)]
+    before = copy.deepcopy(world_state(world))
+    with pytest.raises(InsufficientPosition) as raised:
+        batch.repo(ISSUER, HOLDER, -360_01)
+    error = raised.value
+    assert (error.agent, error.key, error.have, error.need) == (
+        ISSUER.key, repo_key(HOLDER), 360_00, 360_01)
+    assert list(batch.staged.items()) == [(ISSUER_LENDS, 260_00), (HOLDER_OWES, 260_00)]
+    batch.repo(ISSUER, HOLDER, -360_00)
+    assert world_state(world) == before   # nothing is written before the commit
+    batch.commit()
+    assert ISSUER_LENDS[2] not in world.sheet(ISSUER).assets
+    assert HOLDER_OWES[2] not in world.sheet(HOLDER).liabilities
+    assert world.audit().ok
+    fresh = TransferBatch(world)
+    with pytest.raises(InsufficientPosition):
+        fresh.repo(ISSUER, HOLDER, -1)
+    with pytest.raises(UnknownAgent):
+        fresh.repo(ISSUER, GHOST, 1_00)
+    assert fresh.staged == {} and fresh.events == []
+
+
 def test_unknown_agent():
     world = two_bank_world()
     ghost = AgentId(AgentKind.HOLDER, 9)
@@ -884,11 +921,15 @@ def rail(world, registry, step, amount):
         batch.deliver(DEALER, ISSUER, DurationClass.BILL, amount)
         batch.commit()
     elif step == 4:
-        open_reverse_repo(world, registry, ISSUER, DEALER, amount, haircut=20_000, rate=0)
+        batch = TransferBatch(world)
+        open_reverse_repo(batch, registry, ISSUER, DEALER, amount, haircut=20_000, rate=0)
+        batch.commit()
     elif step == 5 and registry.positions:
         pos = registry.open_positions()[0]
         world.day = pos.second_leg_day
-        close_or_default_repo(world, registry, pos, counterparty_performs=amount % 2 == 0)
+        batch = TransferBatch(world)
+        close_or_default_repo(batch, registry, pos, counterparty_performs=amount % 2 == 0)
+        batch.commit()
     elif step == 6:
         draw_srf(world, SimpleNamespace(agent=DEALER), amount)
 

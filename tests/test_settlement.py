@@ -1,15 +1,17 @@
 import copy
 import json
+from collections import Counter, defaultdict
 from types import SimpleNamespace
 
 import pytest
 
-from stablesim.config import DealerConfig, IssuerConfig, PolicyConfig, RatesConfig, parse_config
+from stablesim.config import (PRESETS, DealerConfig, IssuerConfig, PolicyConfig, RatesConfig,
+                              parse_config)
 from stablesim.engine import _coin_holders, build_scenario, run
 from stablesim.instruments import RepoRegistry, open_reverse_repo
 from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, InsufficientPosition,
-                              LedgerWorld, coin_key, deposit_key, reserves_key,
-                              srf_key)
+                              LedgerWorld, TransferBatch, coin_key, deposit_key,
+                              repo_key, reserves_key, srf_key)
 from stablesim.market import DealerBook, draw_srf
 from stablesim.money import PAR
 from stablesim.settlement import (AccessMode, Funding, GapInstruction, IneligibleRedeemer,
@@ -251,7 +253,9 @@ def test_declined_roll_whose_relend_cannot_be_pledged_logs_leg_failed():
     world.grant_tbill(DEALER, DurationClass.BILL, 255_00)
     world.grant_tbill(DEALER, DurationClass.LONG, 765_00)
     registry = RepoRegistry()
-    pos = open_reverse_repo(world, registry, ISSUER, DEALER, 1_000_00, haircut=20_000, rate=0)
+    batch = TransferBatch(world)
+    pos = open_reverse_repo(batch, registry, ISSUER, DEALER, 1_000_00, haircut=20_000, rate=0)
+    batch.commit()
     book = issuer_book()
     settle = SettlementEngine(world, registry, {ISSUER.key: book}, RatesConfig(), PolicyConfig())
     settle.submit_redemptions(book, [(HOLDER, 100_00)], Route.DIRECT)
@@ -801,6 +805,75 @@ def test_set_up_endows_each_issuers_coins_in_one_post(monkeypatch):
     assert world.coin_holders[coin_key(scn.agent_of["usdx"])] == [
         "holder:1", "holder:10", "holder:2", "holder:3", "holder:4", "holder:6",
         "holder:7", "holder:9"]
+
+
+def test_set_up_writes_each_issuers_genesis_repos_with_one_post(bench_scaled, monkeypatch):
+    """Each issuer lends its repo allocation to every dealer on one batch:
+    one post carries the claims and obligations of all its genesis repos."""
+    raw = bench_scaled(holders=20, issuers=3, horizon=15, dealers=8, funded=False, seed=1)
+    repo_posts = []
+    post = LedgerWorld.post
+
+    def spy(world, legs):
+        if repo_legs := {leg for leg in legs if leg[2].startswith("repo@")}:
+            repo_posts.append(repo_legs)
+        return post(world, legs)
+
+    monkeypatch.setattr(LedgerWorld, "post", spy)
+    scn = build_scenario(parse_config(raw))
+    lent = [scn.registry.by_lender(book.agent) for book in scn.settle.issuers.values()]
+    assert [len(positions) for positions in lent] == [8, 8, 8]
+    assert repo_posts == [{leg for pos in positions for leg in (
+        (pos.lender.key, "A", repo_key(pos.borrower)),
+        (pos.borrower.key, "L", repo_key(pos.lender)))} for positions in lent]
+
+
+# each book's days, with the posts of the day's repo pass and its repo rows:
+# the generated book rolls, declines and re-lends; `slr_bound` at -500 finds
+# the issuer's deposits empty on days 1 and 2, postponing both rolls, which
+# stages rows but no leg, then declines, re-lends and rolls
+@pytest.mark.parametrize("book, expected", [
+    pytest.param("scaled", {
+        6: (1, {"repo_close": 3, "repo_open": 3, "repo_roll": 21}),
+        7: (1, {"repo_close": 6, "repo_open": 3, "repo_roll": 18}),
+        8: (1, {"repo_close": 6, "repo_open": 3, "repo_roll": 15}),
+        9: (1, {"repo_close": 6, "repo_open": 3, "repo_roll": 12})}, id="scaled"),
+    pytest.param("slr_bound", {
+        1: (0, {"leg_failed/repo_roll": 2}),
+        2: (0, {"leg_failed/repo_roll": 2}),
+        3: (1, {"repo_close": 1, "repo_open": 1, "repo_roll": 1}),
+        4: (1, {"repo_close": 2})}, id="slr_bound"),
+])
+def test_repo_pass_is_written_by_one_post(book, expected, bench_scaled, monkeypatch):
+    """Each call of `process_repo_legs` stages the day's rolls, declined
+    second legs, re-lends and `leg_failed` rows on one batch and writes it
+    with one post, or none when no leg moves a balance."""
+    if book == "scaled":
+        raw = bench_scaled(holders=20, issuers=3, horizon=15, dealers=8, funded=False, seed=1)
+    else:
+        raw = PRESETS[book]()
+        raw.setdefault("rates", {})["repo_rate_daily"] = -500
+    posts, passes = [0], {}   # posts so far; day -> posts of its repo pass
+    post, repo_pass = LedgerWorld.post, SettlementEngine.process_repo_legs
+
+    def counted_post(world, legs):
+        posts[0] += 1
+        return post(world, legs)
+
+    def counted_pass(engine):
+        before = posts[0]
+        gaps = repo_pass(engine)
+        passes[engine.world.day] = posts[0] - before
+        return gaps
+
+    monkeypatch.setattr(LedgerWorld, "post", counted_post)
+    monkeypatch.setattr(SettlementEngine, "process_repo_legs", counted_pass)
+    rows = defaultdict(Counter)   # day -> repo row kind -> count
+    for e in run(parse_config(raw)).events:
+        kind = f"leg_failed/{e['leg']}" if e["type"] == "leg_failed" else e["type"]
+        if kind.startswith(("repo_", "leg_failed/repo_")):
+            rows[e["day"]][kind] += 1
+    assert {day: (passes[day], rows[day]) for day in expected} == expected
 
 
 def test_funding_trackers_stay_consistent_across_random_runs(check_indexes,
