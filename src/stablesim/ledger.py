@@ -25,9 +25,13 @@ from their first use, so the payment rails stage stored legs;
 ``deposits`` and ``coins_outstanding`` are the readers of those
 balances. Events are logged in the batches their rails build, each
 event ``(form, values)`` of its schema (`event_form`); the log keeps each
-batch as one flat list, each event's form followed by its values, and
-each schema compiles one writer, on its first rendered event, that
-renders an event as its JSON line.
+batch as one flat list, each event's schema followed by its values, and
+each schema takes one writer, on its first rendered event, that renders
+an event as its JSON line. A bound schema (``_Form.bind``) fixes some
+fields: its events carry only the others, and its writer joins their
+text with the fixed fields' JSON text, rendered once, so a row that
+repeats all but a few values (a carried sale's, all but its order id)
+costs only those.
 
 Inside-money instruments (reserves, deposits, stablecoins, repo and
 SRF claims) always appear on exactly two balance sheets with equal
@@ -48,6 +52,7 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from itertools import groupby, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -230,17 +235,24 @@ class _Form:
     """One event schema: a type and its field names in call order.
 
     `keys` are the names of an event's `(day, seq, type, *values)`.
-    `write(day_text, seq, entries)` renders an event as its JSON line: its
-    day as JSON text, which `EventLog.lines` renders once a day, its seq as
-    an int and its values read in call order from `entries`, an iterator
-    over its flat batch just past its form. Its first call compiles the
-    writer: an f-string of the sorted keys' JSON text, bound as `p<i>`, `d`,
-    `s` and the values `v<j>`. A value of the kind, int, str or bool, that
-    the first event held in its slot is rendered directly, any other
-    through `_EVENT_ENCODER`.
+    `bind(**fields)` gives a bound schema of the same type and keys, whose
+    `bound` fields are fixed ({} for a form's own schema, whose `form` is
+    itself); an event of a schema carries its other values, in call order,
+    and `read` gives all of them. `write(day_text, seq, entries)` renders an
+    event as its JSON line: its day as JSON text, which `EventLog.lines`
+    renders once a day, its seq as an int and its values read in call order
+    from `entries`, an iterator over its flat batch just past its schema.
+    Its first call takes a writer from the form's maker for the fields the
+    schema binds, which the first event of that shape compiles: its text
+    is the sorted keys' JSON text, bound as `p<i>`; the maker renders the
+    bound values `b<j>` once into the constants `c<k>` between the free
+    slots, and returns the writer, an f-string of those joined with the
+    day `d`, the seq `s` and the free values `v<j>`. Each value, bound or
+    free, of the kind, int, str or bool, that the first event held in its
+    slot is rendered directly, any other through `_EVENT_ENCODER`.
     """
 
-    __slots__ = ("type", "keys", "write")
+    __slots__ = ("type", "keys", "write", "form", "bound", "makers")
 
     def __init__(self, event_type: str, names: tuple):
         for name in names:
@@ -249,38 +261,78 @@ class _Form:
         self.type = event_type
         self.keys = _RESERVED + names
         self.write = self._compile
+        self.form, self.bound = self, {}
+        self.makers: dict[tuple, object] = {}   # bound field names -> compiled maker
+
+    def bind(self, **fields) -> _Form:
+        """This schema with `fields` fixed; building it renders nothing."""
+        if stray := fields.keys() - self.keys[len(_RESERVED):]:
+            raise LedgerError(f"{self.type!r} has no field {sorted(stray)}")
+        bound = object.__new__(_Form)
+        bound.type, bound.keys, bound.write = self.type, self.keys, bound._compile
+        bound.form, bound.bound, bound.makers = self.form, {**self.bound, **fields}, None
+        return bound
+
+    def read(self, entries) -> list:
+        """The values of the event whose free values `entries` continues
+        with, in call order."""
+        bound = self.bound
+        return [bound[name] if name in bound else next(entries)
+                for name in self.keys[len(_RESERVED):]]
 
     def _compile(self, day_text: str, seq, entries) -> str:
-        values = [*islice(entries, len(self.keys) - len(_RESERVED))]
-        scope = {"q": encode_basestring_ascii, "e": _EVENT_ENCODER.encode, "n": next}
-        # each key's name in the writer and the kind of its first value;
-        # `type` is constant text, and the day and seq come ready (kind None)
-        sources = (("d", None), ("s", None), None,
-                   *((f"v{j}", type(v)) for j, v in enumerate(values)))
-        slots, text = [], "{"
-        for key in sorted(self.keys):
-            text += encode_basestring_ascii(key) + ":"
-            if key == "type":
-                text += _EVENT_ENCODER.encode(self.type) + ","
-                continue
-            r, kind = sources[self.keys.index(key)]
-            scope[f"p{len(slots)}"] = text
-            slots.append(f"{{p{len(slots)}}}{{" + (
-                r if kind is None else
-                f"{r} if type({r}) is int else e({r})" if kind is int else
-                f"q({r}) if type({r}) is str else e({r})" if kind is str else
-                f"'true' if {r} is True else 'false' if {r} is False else e({r})"
-                if kind is bool else f"e({r})") + "}")
-            text = ","
-        scope[tail := f"p{len(slots)}"] = text[:-1] + "}\n"
-        reads = "".join(f"v{j} = n(i); " for j in range(len(values)))
-        exec(f'def write(d, s, i): {reads}return f"' + "".join(slots) + "{" + tail + '}"', scope)
-        self.write = scope["write"]
-        return self.write(day_text, seq, iter(values))
+        names, form, bound = self.keys[len(_RESERVED):], self.form, self.bound
+        values = self.read(entries)
+        shape = tuple(name for name in names if name in bound)
+        make = form.makers.get(shape)
+        if make is None:
+            # each key's name in the maker, `b<j>` if bound and `v<j>` if
+            # free, and the kind of its value; `type` is constant text, and
+            # the day and seq come ready (kind None)
+            sources = {"day": ("d", None), "seq": ("s", None)}
+            for j, (name, value) in enumerate(zip(names, values)):
+                sources[name] = (f"b{j}" if name in bound else f"v{j}", type(value))
+            texts, consts, slots, text = [], [""], [], "{"
+            for key in sorted(self.keys):
+                text += encode_basestring_ascii(key) + ":"
+                if key == "type":
+                    text += _EVENT_ENCODER.encode(self.type) + ","
+                    continue
+                r, kind = sources[key]
+                consts[-1] += f"{{p{len(texts)}}}"
+                texts.append(text)
+                text = ","
+                slot = (r if kind is None else
+                        f"{r} if type({r}) is int else e({r})" if kind is int else
+                        f"q({r}) if type({r}) is str else e({r})" if kind is str else
+                        f"'true' if {r} is True else 'false' if {r} is False else e({r})"
+                        if kind is bool else f"e({r})")
+                if r[0] == "b":
+                    consts[-1] += "{" + slot + "}"
+                else:
+                    slots.append(slot)
+                    consts.append("")
+            consts[-1] += f"{{p{len(texts)}}}"
+            texts.append(text[:-1] + "}\n")
+            scope = {"q": encode_basestring_ascii, "e": _EVENT_ENCODER.encode, "n": next,
+                     **{f"p{i}": text for i, text in enumerate(texts)}}
+            reads = "".join(f"{r} = n(i); " for r, _ in sources.values() if r[0] == "v")
+            body = "".join(f"{{c{k}}}{{{slot}}}" for k, slot in enumerate(slots))
+            exec(f"def make({', '.join(r for r, _ in sources.values() if r[0] == 'b')}):\n"
+                 + "".join(f' c{k} = f"{c}"\n' for k, c in enumerate(consts))
+                 + f' def write(d, s, i): {reads}return f"{body}{{c{len(slots)}}}"\n'
+                 + " return write", scope)
+            make = form.makers[shape] = scope["make"]
+        self.write = make(*[bound[name] for name in shape])
+        return self.write(day_text, seq, iter([v for name, v in zip(names, values)
+                                               if name not in bound]))
 
     def __reduce__(self):
-        # copies and pickles share the cached form
-        return event_form, (self.type, self.keys[len(_RESERVED):])
+        # copies and pickles share the cached form; a bound schema's binds it again
+        names = self.keys[len(_RESERVED):]
+        if self.bound:
+            return partial(event_form(self.type, names).bind, **self.bound), ()
+        return event_form, (self.type, names)
 
 
 _FORMS: dict[tuple, _Form] = {}   # (type, *names) -> its form
@@ -302,10 +354,11 @@ class EventLog(Sequence):
     read as dicts `{"day", "seq", "type", **fields}`.
 
     Each of `batches` is `(day, first seq, batch)`, `batch` a flat list,
-    each event its form then its values: one object per batch, no tuple
-    per event. An event's seq is its index in the log, so indexing and
-    slicing bisect the batches' first seqs, and `size` is the next event's
-    seq. `lines()` renders each event through its form's writer as the line
+    each event its schema then its free values (`_Form.read` gives all of
+    them): one object per batch, no tuple per event. An event's seq is its
+    index in the log, so indexing and slicing bisect the batches' first
+    seqs, and `size` is the next event's seq. `lines()` renders each event
+    through its schema's writer as the line
     `json.dumps(event, sort_keys=True, separators=(",", ":")) + "\\n"`.
     """
 
@@ -331,9 +384,9 @@ class EventLog(Sequence):
         for day, seq, batch in islice(self.batches, b, None):
             entries = iter(batch)
             for form in entries:
-                event = (day, seq, form.type, *islice(entries, len(form.keys) - len(_RESERVED)))
+                values = form.read(entries)
                 if seq >= index:
-                    yield dict(zip(form.keys, event))
+                    yield dict(zip(form.keys, (day, seq, form.type, *values)))
                 seq += 1
 
     def __getitem__(self, index):
@@ -472,7 +525,10 @@ class LedgerWorld:
 
     def emit_all(self, events: list) -> None:
         """Log `events`, each `(form, values)` with `form` from `event_form`
-        and `values` a tuple in its field order, as one flat batch."""
+        or a schema it binds (`_Form.bind`) and `values` a tuple of the
+        schema's free fields in field order, as one flat batch: an event of
+        a bound schema takes one entry per free field, so a row that only
+        its order id tells from the last costs two entries."""
         if events:
             batch = []
             for form, values in events:

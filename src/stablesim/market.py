@@ -18,11 +18,16 @@ sized against the running deposits and faces the ones before it leave,
 and the batch is written by one post. A day's carryover pass re-reads
 capacity after each fill; once a read sums to zero the rest of the
 queue fills nothing and is carried in one step, its rows logged as one
-batch.
+batch. Each carried order keeps its zero-fill row as a bound schema of
+`sale_cleared` (`_Form.bind`), built when the pass first carries it at
+its remainder and dropped when a fill changes that, so a carried row is
+logged as that schema and its order id, and its other fields' text is
+rendered once per row, not once per day.
 Planning reads the issuers' sales not yet settled from the queue and
 the pending settlements (`unsettled`). Capacity is cached per dealer:
 its sheet reads by sheet version, the capacity by that version and the
-dealer's day fields.
+dealer's day fields. The leverage limit those reads are taken from is
+fixed per dealer for the run, as its config and the SLR bound are.
 
 Volume accounting decomposes each submitted sale into seller volume,
 dealer retention, inter-dealer volume and buyer volume; gross volume is
@@ -34,7 +39,7 @@ prices never fall and may rise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import analytics
 from .config import DealerConfig, MarketConfig, PolicyConfig
@@ -137,6 +142,10 @@ class SaleOrder:
     duration: DurationClass
     remaining: Amount
     purpose: str = "sale"
+    # the zero-fill `sale_cleared` row of `remaining`, bound but for its
+    # order id: built by the carryover pass that first carries the order
+    # at this remainder, dropped by `Market._record` when a fill changes it
+    row: object = field(default=None, repr=False, compare=False)
 
 
 _SALE_CLEARED = event_form("sale_cleared", (
@@ -169,6 +178,15 @@ class Market:
         self.slr_bound = (None if policies.slr_bound_bp is None
                           else policies.slr_bound_bp * BP)
         self.books = dict(sorted(books.items()))  # dealer key -> DealerBook, in key order
+        # dealer key -> the recorded assets its SLR bound allows beyond its
+        # base assets and exposures; this and each dealer's share of the
+        # eSLR capacity add are fixed for the run, as the configs and bound are
+        self._limits = {key: book.config.capital * MICRO // analytics.slr_bound(
+                            book.config.gsib, self.slr_bound)
+                        - book.config.base_assets - book.config.exposures
+                        for key, book in self.books.items()}
+        self._eslr_share = (params.eslr_capacity_add // len(self.books)
+                            if policies.eslr_reform and params.eslr_capacity_add > 0 else 0)
         self.buyer = buyer
         # dealer key -> (sheet version, reserved_today, ra_used_today,
         # capacity, `_sheet_reads`) when its capacity was last computed
@@ -195,10 +213,9 @@ class Market:
         """The dealer's capacity, off `reads` (its `_sheet_reads`) and its
         book."""
         on_sheet, deposits = reads
-        headroom = book.headroom(world, self.slr_bound, on_sheet)
-        if self.policies.eslr_reform and self.params.eslr_capacity_add > 0:
-            share = self.params.eslr_capacity_add // len(self.books)
-            headroom += share
+        # `book.headroom(world, self.slr_bound, on_sheet)`, off the fixed limit
+        headroom = (max(0, self._limits[book.agent.key] - on_sheet - book.reserved_today)
+                    + self._eslr_share)
         ra_left = max(0, book.config.reserve_access - book.ra_used_today)
         if self.policies.srf_enabled:
             cap = headroom if ra_left >= headroom else (headroom + ra_left) // 2
@@ -258,7 +275,8 @@ class Market:
         read stays exact. That tail is carried in one step: each order's
         row takes the next id and its remainder adds to the day's excess, the
         tail is queued again whole and its `sale_cleared` rows are logged
-        as one batch.
+        as one batch, each the order's bound zero-fill row, built on the
+        order's first zero fill at its remainder, and its id.
         """
         queued, self.carryover = self.carryover, []
         for i, order in enumerate(queued):
@@ -270,11 +288,14 @@ class Market:
             return
         tail, order_id, excess, events = queued[i:], self._next_order, self.day_excess, []
         for order in tail:
-            amount = order.remaining
-            excess[order.duration] += amount
-            events.append((_SALE_CLEARED, (order_id, order.seller.key,
-                                           DURATION_NAME[order.duration], amount, 0, amount,
-                                           order.purpose, False)))
+            excess[order.duration] += order.remaining
+            row = order.row
+            if row is None:   # the order's first zero fill at this remainder
+                row = order.row = _SALE_CLEARED.bind(
+                    seller=order.seller.key, duration=DURATION_NAME[order.duration],
+                    requested=order.remaining, filled=0, unfilled=order.remaining,
+                    purpose=order.purpose, first_submission=False)
+            events.append((row, (order_id,)))
             order_id += 1
         self._next_order = order_id
         self.carryover += tail
@@ -313,13 +334,15 @@ class Market:
     def _record(self, world: LedgerWorld, order: SaleOrder, fill: Amount,
                 first_submission: bool) -> None:
         """Log `order`'s `sale_cleared` under the next order id; queue what
-        it left unfilled and add it to the day's tallies."""
+        it left unfilled, dropping the zero-fill row of the remainder it had,
+        and add it to the day's tallies."""
         order_id = self._next_order
         self._next_order = order_id + 1
         duration, amount = order.duration, order.remaining
         unfilled = amount - fill
         if unfilled > 0:
-            order.remaining = unfilled
+            if fill:
+                order.remaining, order.row = unfilled, None
             self.carryover.append(order)
         self.day_excess[duration] += unfilled
         self.day_fills[duration] += fill

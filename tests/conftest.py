@@ -24,7 +24,9 @@ def _check_indexes(scn, day):
 
 def _check_ledger(scn, day):
     """The full audit passes; each dealer's capacity, cached or not, is
-    what `_dealer_available` computes from a fresh read of its sheet;
+    what `_dealer_available` computes from a fresh read of its sheet, and
+    the leverage room it takes off the dealer's fixed limit is the book's
+    `headroom`;
     each repo position stamped with today's prices re-sizes, uncut, to
     the faces it holds; no agent's encumbered face exceeds its face; and
     the repo book agrees with the sheets: each lender's `repo@<borrower>`
@@ -37,6 +39,10 @@ def _check_ledger(scn, day):
     fresh = {key: market._dealer_available(world, book, market._sheet_reads(world, book))
              for key, book in market.books.items()}
     assert market.dealer_capacity(world) == fresh, day
+    for key, book in market.books.items():
+        on_sheet = book.on_sheet(world)
+        assert max(0, market._limits[key] - on_sheet - book.reserved_today) == book.headroom(
+            world, market.slr_bound, on_sheet), (day, key)
     prices = tuple(world.tbill_prices.values())   # as a roll stamps them
     for pos in registry.open_positions():
         if pos.sized_at == prices:

@@ -991,6 +991,17 @@ def _numbers_are_integers(out):
         json.loads(text, parse_float=reject, parse_constant=reject)
 
 
+def carried_again(event) -> str | None:
+    """How a `sale_cleared` row of a queued order cleared: "zero fill",
+    logged from its bound row, or "remainder", a partial fill that queues
+    it again with a changed remaining, whose bound row is built anew; None
+    for a first submission or a full fill."""
+    if event["type"] == "sale_cleared" and not event["first_submission"]:
+        return "remainder" if event["filled"] and event["unfilled"] else (
+            None if event["filled"] else "zero fill")
+    return None
+
+
 def test_generated_books_run_clean_and_in_any_declaration_order(bench_scaled, check_indexes,
                                                                 check_ledger, tmp_path, capsys):
     """Books drawn from bench/scenarios.py's `scaled()`: each either fails
@@ -1003,9 +1014,11 @@ def test_generated_books_run_clean_and_in_any_declaration_order(bench_scaled, ch
     second run and with every agent list shuffled. Access is direct or
     through the intermediary, which redeems or warehouses and holds drawn
     deposits, none or a few units among them. The draws reach zero-fill
-    carried orders, T+1 settlements and par-policy buybacks, and some
+    carried orders, carried orders filled in part and queued again with a
+    new remainder, T+1 settlements and par-policy buybacks, and some
     cannot be built."""
-    seen = dict.fromkeys(("ran", "unbuildable", "carried", "settled", "intervened"), 0)
+    seen = dict.fromkeys(("ran", "unbuildable", "carried", "recarried", "settled",
+                          "intervened"), 0)
 
     @settings(derandomize=True, max_examples=80, deadline=None, database=None)
     @given(holders=st.integers(1, 60), issuers=st.integers(1, 6), dealers=st.integers(1, 8),
@@ -1021,6 +1034,11 @@ def test_generated_books_run_clean_and_in_any_declaration_order(bench_scaled, ch
     @example(holders=60, issuers=2, dealers=2, horizon=5, funded=True, srf=False,
              par_policy={"mode": "best_effort"}, access="intermediated",
              intermediary_mode="redeem", im_deposits=3_000_000, seed=22)
+    # a squeezed book: unfunded sales carry over daily, and carried orders
+    # are filled in part and queued again with a changed remaining
+    @example(holders=10, issuers=3, dealers=8, horizon=12, funded=False, srf=False,
+             par_policy={"mode": "best_effort"}, access="direct",
+             intermediary_mode="redeem", im_deposits=0, seed=1)
     def one_book(holders, issuers, dealers, horizon, funded, srf, par_policy, access,
                  intermediary_mode, im_deposits, seed):
         raw = bench_scaled(holders=holders, issuers=issuers, horizon=horizon,
@@ -1056,8 +1074,9 @@ def test_generated_books_run_clean_and_in_any_declaration_order(bench_scaled, ch
             shuffle(agents)
         assert output_digests(run(parse_config(raw))) == digests
         seen["ran"] += 1
-        seen["carried"] += any(e["type"] == "sale_cleared" and not e["first_submission"]
-                               and e["filled"] == 0 for e in out.events)
+        carried = {carried_again(e) for e in out.events}
+        seen["carried"] += "zero fill" in carried
+        seen["recarried"] += "remainder" in carried
         seen["settled"] += any(e["type"] == "sale_settled" for e in out.events)
         seen["intervened"] += any(e["type"] == "intervention" for e in out.events)
 
@@ -1065,13 +1084,17 @@ def test_generated_books_run_clean_and_in_any_declaration_order(bench_scaled, ch
     assert all(seen.values()), seen
 
 
-def test_events_jsonl_is_json_dumps_of_each_event():
+def test_events_jsonl_is_json_dumps_of_each_event(bench_scaled):
     """The shared encoder renders every event exactly as `json.dumps` with
     sorted keys and compact separators would, nested and non-int values
-    included."""
+    included, and so do the bound rows of carried orders, on a squeezed
+    generated book whose carried orders are also queued again after
+    partial fills."""
     outputs = [run(load_config(preset)) for preset in sorted(PRESETS)]
     outputs += [run(parse_config(multi_holder_raw(mode)))
                 for mode in ("direct", "intermediated")]
+    outputs.append(run(parse_config(bench_scaled(holders=10, issuers=3, horizon=20, dealers=8,
+                                                 funded=False, seed=1))))
     covered = set()
     for out in outputs:
         assert out.events_jsonl() == "".join(
@@ -1079,10 +1102,14 @@ def test_events_jsonl_is_json_dumps_of_each_event():
             for e in out.events)
         covered.update((e["type"], key, type(value).__name__)
                        for e in out.events for key, value in e.items())
+        covered.update(("sale_cleared", "carried", how) for e in out.events
+                       if (how := carried_again(e)) is not None)
     assert {("repo_open", "collateral", "dict"), ("mark", "classes", "list"),
             ("shock_applied", "magnitude", "NoneType"),
             ("sale_cleared", "first_submission", "bool"),
-            ("redemption_request", "intervention", "bool")} <= covered
+            ("redemption_request", "intervention", "bool"),
+            ("sale_cleared", "carried", "zero fill"),
+            ("sale_cleared", "carried", "remainder")} <= covered
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS) + ["multi_holder_direct",

@@ -989,14 +989,15 @@ def test_duration_names_and_tbill_keys_are_the_enum_values():
 # -- event log -------------------------------------------------------------------
 
 def forms(log) -> list:
-    """The form of each event of `log`, in log order. Each batch is flat:
-    each event its form, then one entry per field."""
+    """The schema of each event of `log`, in log order. Each batch is flat:
+    each event its schema, then one entry per field it does not bind."""
     found = []
     for _, _, batch in log.batches:
         at = 0
         while at < len(batch):
             found.append(batch[at])
-            at += len(batch[at].keys) - 2   # the form and its fields, not day, seq, type
+            # the schema and its free fields, not day, seq, type
+            at += len(batch[at].keys) - 2 - len(batch[at].bound)
     return found
 
 
@@ -1070,6 +1071,39 @@ def test_event_lines_stay_json_dumps_when_value_kinds_change_between_rows():
     for other in (copy.deepcopy(world).events, pickle.loads(pickle.dumps(world.events))):
         assert list(other.lines()) == lines
         assert all(a is b for a, b in zip(forms(other), forms(world.events)))
+
+
+def test_bound_rows_read_and_render_as_the_same_values_logged_plainly():
+    """Events of a bound schema carry only its free fields, and each reads
+    and renders as the same values logged through the form itself, bound
+    or free: an int, an escaped non-ASCII str, bools, None, a bool in a
+    slot that first held an int, and slots whose kind changes after the
+    first event. Slices that start inside a batch read the same, copies
+    and pickles render the same, and the form compiles one maker per set
+    of bound fields, not one per bound schema."""
+    form = event_form("bound_row", ("i", "s", "t", "o", "k"))
+    rows = [(7, 'é"☃\n', True, None, 5), (True, "x", False, None, "five"),
+            (2**70, "", 1, 1.5, [1, None]), (-3, "\x00", None, "o", False)]
+    world, plain = LedgerWorld(), LedgerWorld()
+    for day, (i, s, t, o, k) in enumerate(rows):
+        world.day = plain.day = day
+        world.emit_all([(form.bind(i=i, s=s, t=t), (o, k)), (form.bind(o=o, k=k), (i, s, t)),
+                        (form.bind(i=i).bind(s=s, t=t, o=o, k=k), ()), (form, (i, s, t, o, k))])
+        plain.emit_all([(form, (i, s, t, o, k))] * 4)
+    assert [len(batch) for _, _, batch in world.events.batches] == [3 + 4 + 1 + 6] * len(rows)
+    lines = list(plain.events.lines())
+    assert lines == [canonical_line(e) for e in plain.events]
+    assert list(world.events.lines()) == lines
+    n = len(plain.events)
+    for start in range(-n - 1, n + 1):   # every start, most of them inside a batch
+        assert world.events[start:] == plain.events[start:], start
+        assert world.events[start:start + 3] == plain.events[start:start + 3], start
+    for other in (copy.deepcopy(world.events), pickle.loads(pickle.dumps(world.events))):
+        assert other == plain.events and list(other.lines()) == lines
+    assert sorted(form.makers) == [(), ("i", "s", "t"), ("i", "s", "t", "o", "k"), ("o", "k")]
+    for fields in ({"day": 1}, {"zz": 1}):
+        with pytest.raises(LedgerError, match="has no field"):
+            form.bind(**fields)
 
 
 @pytest.mark.parametrize("name", ["day", "seq", "type"])

@@ -381,7 +381,12 @@ def cleared_rows(world, since):
 
 
 def test_resubmit_carryover_equals_clearing_each_order_alone():
-    seen = {"filled": 0, "carried": 0, "srf_draws": 0, "carried_many": 0}
+    """A carryover pass logs and leaves what clearing each order alone
+    would, and so do the passes of two more days: one with capacity, which
+    fills some orders carried at zero in part, and one with none, which
+    carries every order from its bound row, the rows built again for those
+    remainders included, each rendering as the row logged plainly."""
+    seen = {"filled": 0, "carried": 0, "srf_draws": 0, "carried_many": 0, "rebuilt": 0}
     for seed in range(60):
         world, market = random_market(random.Random(seed))
         ref_world, ref_market = copy.deepcopy((world, market))
@@ -410,8 +415,24 @@ def test_resubmit_carryover_equals_clearing_each_order_alone():
         seen["carried"] += carried > 0
         seen["carried_many"] += carried > 1
         seen["srf_draws"] += market.day_srf_draws > 0
-    # the seeds reach fills, SRF draws and the step carrying the rest of the
-    # queue, some carrying several orders at once
+        for day in (2, 3):
+            for day_world, day_market in ((world, market), (ref_world, ref_market)):
+                day_world.day = day
+                day_market.begin_day()
+                for book in day_market.books.values() if day == 3 else ():
+                    book.reserved_today = 10**15   # no leverage room: no capacity
+            rowed = {id(o): o.remaining for o in market.carryover if o.row is not None}
+            logged = len(world.events)
+            market.resubmit_carryover(world)
+            resubmit_order_by_order(ref_world, ref_market)
+            assert market_state(world, market) == market_state(ref_world, ref_market), seed
+            assert list(world.events.lines()) == list(ref_world.events.lines()), seed
+            seen["rebuilt"] += any(rowed.get(id(o), o.remaining) != o.remaining
+                                   for o in market.carryover)
+        assert not any(fill for _, _, fill, _ in cleared_rows(world, logged)), seed
+    # the seeds reach fills, SRF draws, orders carried at zero then filled
+    # in part, and the step carrying the rest of the queue, some carrying
+    # several orders at once
     assert all(seen.values()), seen
 
 
