@@ -10,7 +10,7 @@ from .dynamics import (ConfidenceState, RunModel, SensitivityState, ShockClass,
                        update_secondary_price)
 from .engine import AuditFailure, RunOutput, run, sweep
 from .instruments import (PortfolioState, RepoPosition, RepoRegistry,
-                          TreasuryBill, close_or_default_repo, default_loss,
+                          TreasuryBill, close_repo, default_loss,
                           mark_treasuries, open_reverse_repo, roll_repo,
                           step_portfolio)
 from .ledger import (AgentId, AgentKind, AuditReport, BalanceSheet, DurationClass,

@@ -92,22 +92,16 @@ def slr_bound(gsib: bool, bound_override: int | None = None) -> int:
         SLR_GSIB_BOUND if gsib else SLR_BASE_BOUND)
 
 
-def slr_headroom(capital: Amount, denom: Amount, bound: int) -> Amount:
-    """The largest extra unweighted asset amount that keeps capital /
-    (denom + headroom) at or above `bound`, floored at zero; `denom` is
-    assets plus exposures."""
-    if denom <= 0:
-        raise NonPositiveDenominator(f"assets + exposures must be positive, got {denom}")
-    return max(0, capital * MICRO // bound - denom)
-
-
 def slr(capital: Amount, assets: Amount, exposures: Amount, gsib: bool,
         bound_override: int | None = None) -> SlrReport:
-    """Supplementary leverage ratio, its bound and `slr_headroom`."""
+    """Supplementary leverage ratio, its bound and the headroom: the
+    largest extra unweighted asset amount that keeps capital / (assets +
+    exposures + headroom) at or above the bound, floored at zero."""
     denom, bound = assets + exposures, slr_bound(gsib, bound_override)
-    headroom = slr_headroom(capital, denom, bound)   # raises on denom <= 0 first
+    if denom <= 0:
+        raise NonPositiveDenominator(f"assets + exposures must be positive, got {denom}")
     return SlrReport(slr=mul_div(capital, MICRO, denom), lower_bound=bound,
-                     headroom_assets=headroom)
+                     headroom_assets=max(0, capital * MICRO // bound - denom))
 
 
 def portfolio_holdings(portfolio: PortfolioState, today: int) -> list[tuple[Amount, int]]:

@@ -553,8 +553,7 @@ def _named(agents: dict, section: str) -> list:
 
 def _base_agents(coins: int, deposits: int, bills: int, repo: int,
                  dealer_capital: int, dealer_base: int, dealer_ra: int,
-                 dealer_deposits: int, dealer_long: int, dealer_bills: int,
-                 holder_deposits: int = 0) -> dict:
+                 dealer_deposits: int, dealer_long: int, dealer_bills: int) -> dict:
     return {
         "banks": [{"name": "bank_a"}],
         "issuers": [{
@@ -571,7 +570,7 @@ def _base_agents(coins: int, deposits: int, bills: int, repo: int,
         "intermediaries": [{"name": "im_1", "bank": "bank_a",
                             "deposits": coins}],
         "holders": [{"name": "h_1", "bank": "bank_a",
-                     "deposits": holder_deposits, "coins": {"usdx": coins}}],
+                     "deposits": 0, "coins": {"usdx": coins}}],
         "treasury_buyers": [{"name": "tb_1", "bank": "bank_a",
                              "deposits": coins * 10,
                              "treasuries_bill": coins * 2}],

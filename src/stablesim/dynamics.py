@@ -33,6 +33,9 @@ from .rng import SplitMix64
 from .settlement import AccessMode
 
 
+SMOOTH_WIDTH = 100_000   # micro; ramp span of the smooth variant below the threshold
+
+
 class DynamicsError(Exception):
     pass
 
@@ -56,7 +59,6 @@ class RunModel:
     sensitivity_state: SensitivityState = SensitivityState.INSENSITIVE
     calm_days: int = 0
     smooth: bool = False
-    smooth_width: int = 100_000        # micro; ramp span of the smooth variant
 
     def __post_init__(self):
         if self.shifted_rate <= self.baseline_redemption_rate:
@@ -106,8 +108,8 @@ def redemption_demand(model: RunModel, conf: ConfidenceState, coins: Amount) -> 
 
 
 def _smooth_rate(model: RunModel, deviation: int) -> int:
-    """Linear ramp from baseline to shifted across the width below threshold."""
-    start = model.deviation_threshold - model.smooth_width
+    """Linear ramp from baseline to shifted across `SMOOTH_WIDTH` below threshold."""
+    start = model.deviation_threshold - SMOOTH_WIDTH
     if deviation <= start:
         return model.baseline_redemption_rate
     span = model.deviation_threshold - start

@@ -238,8 +238,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
             if amount > 0:
                 try:
                     open_reverse_repo(repos, registry, agent, dealer, amount,
-                                      config.rates.haircut,
-                                      config.rates.repo_rate_daily, term=1)
+                                      config.rates.haircut, config.rates.repo_rate_daily)
                 except InsufficientCollateral as err:
                     raise UnpledgeableRepo(dealer_cfg.name, cfg.name, amount, err) from err
         repos.commit()
@@ -264,23 +263,20 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-_COIN_HOLDING = (AgentKind.HOLDER, AgentKind.INTERMEDIARY, AgentKind.TREASURY_BUYER)
-
-
 def _coin_holders(scn: Scenario, book: IssuerBook):
     """Coin-holding agents with coins of `book`'s issuer left to redeem,
     in key order, as `(agent, coins held less those its open requests at
     the issuer have left unpaid)`; lazy, so a caller that stops early
-    looks at no more of them. No coins may move during the walk."""
+    looks at no more of them. No coins may move during the walk. Coins
+    reach only holders, intermediaries and the Treasury buyer, so every
+    agent in the coin-holder index is one of them."""
     world = scn.world
     coin, agents, promised = world.coin_keys[book.agent.key], world.agents, {}
     for r in book.open:
         promised[r.holder.key] = promised.get(r.holder.key, 0) + r.remaining
     for key in world.coin_holders.get(coin, ()):
-        agent = world.ids[key]
-        if agent.kind in _COIN_HOLDING and (
-                coins := agents[key].assets.get(coin, 0) - promised.get(key, 0)) > 0:
-            yield agent, coins
+        if (coins := agents[key].assets.get(coin, 0) - promised.get(key, 0)) > 0:
+            yield world.ids[key], coins
 
 
 def _slices(amount: Amount, holders) -> tuple[list, Amount]:

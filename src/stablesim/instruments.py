@@ -5,12 +5,15 @@ loss on the securities book).
 
 Repo follows secured-financing bookkeeping: the borrower keeps pledged
 Treasuries on its balance sheet and the lender books a collateralized
-loan. Collateral is tracked as encumbered face per duration class and
-is re-valued whenever class prices move. Default recovery is
-principal-protected up to the haircut; beyond it the lender's loss per
-unit of principal is the excess decline scaled down by the
-collateral-to-principal ratio: loss = principal * (decline - haircut)
-/ (1 + haircut), rounded half to even once.
+loan. Every position opens overnight; its second leg is a close or a
+roll, and one that fails is postponed a day. Collateral is tracked as
+encumbered face per duration class and is re-valued whenever class
+prices move. No second leg defaults in a run: `default_loss` is the
+pinned recovery rule, principal-protected up to the haircut; beyond it
+the lender's loss per unit of principal is the excess decline scaled
+down by the collateral-to-principal ratio:
+loss = principal * (decline - haircut) / (1 + haircut), rounded half
+to even once.
 
 This module is the only writer of the repo book (`RepoRegistry`, one
 id-ordered dict of open positions, which the due legs and a lender's
@@ -153,13 +156,13 @@ class RepoRegistry:
             raise InstrumentError("position already settled")
 
     def _add(self, world: LedgerWorld, lender: AgentId, borrower: AgentId,
-             principal: Amount, haircut: int, rate: int, term: int,
-             collateral: dict) -> RepoPosition:
-        """Book a position opened today under the next id; encumber its collateral."""
+             principal: Amount, haircut: int, rate: int, collateral: dict) -> RepoPosition:
+        """Book a position opened overnight today under the next id; encumber
+        its collateral."""
         pos = RepoPosition(
             repo_id=self._next_id, lender=lender, borrower=borrower,
             principal=principal, haircut=haircut, rate=rate,
-            open_day=world.day, second_leg_day=world.day + term,
+            open_day=world.day, second_leg_day=world.day + 1,
         )
         self._next_id += 1
         self.positions[pos.repo_id] = pos
@@ -209,11 +212,10 @@ def required_collateral(principal: Amount, haircut: int) -> Amount:
 
 def open_reverse_repo(batch: TransferBatch, registry: RepoRegistry,
                       lender: AgentId, borrower: AgentId, principal: Amount,
-                      haircut: int, rate: int, term: int = 1) -> RepoPosition:
-    """First leg, staged on `batch`: cash moves lender -> borrower against
-    Treasuries the borrower pledges in `PLEDGE_MIX`."""
-    if term < 1:
-        raise InstrumentError("term must be at least one day")
+                      haircut: int, rate: int) -> RepoPosition:
+    """First leg of an overnight repo, staged on `batch`: cash moves
+    lender -> borrower against Treasuries the borrower pledges in
+    `PLEDGE_MIX`. The second leg falls tomorrow."""
     faces, _ = _size_collateral(batch, registry, borrower, principal, haircut,
                                 PLEDGE_MIX.items(), MICRO, {})
     lender_deposits = batch.deposits(lender)
@@ -224,39 +226,26 @@ def open_reverse_repo(batch: TransferBatch, registry: RepoRegistry,
     batch.emit("repo_open", lender=lender.key, borrower=borrower.key,
                principal=principal, haircut=haircut,
                collateral={DURATION_NAME[d]: faces[d] for d in DURATIONS if d in faces})
-    return registry._add(batch.world, lender, borrower, principal, haircut, rate, term, faces)
+    return registry._add(batch.world, lender, borrower, principal, haircut, rate, faces)
 
 
-def close_or_default_repo(batch: TransferBatch, registry: RepoRegistry,
-                          pos: RepoPosition, counterparty_performs: bool,
-                          market_decline: int = 0) -> None:
-    """Second leg on `batch`: repayment with interest, or seizure and liquidation.
+def close_repo(batch: TransferBatch, registry: RepoRegistry, pos: RepoPosition) -> None:
+    """Second leg on `batch`: the borrower repays principal plus interest
+    and the position's collateral is released.
 
     Principal plus interest below zero (a negative rate) is paid by the
     lender, as a roll pays negative interest; the `repo_close` row holds
-    the principal and interest. On default the lender takes the pledged
-    collateral and recovers its first-leg cash up to the haircut
-    cushion; the `repo_default` row holds the decline and the loss,
-    which follows default_loss, and the collateral moves to the
-    lender's book at the seized market value.
+    the principal and interest.
     """
     registry._check_due(batch.world, pos)
-    if counterparty_performs:
-        owed = pos.principal + pos.interest()
-        if owed >= 0:
-            batch.pay(pos.borrower, pos.lender, owed)
-        else:
-            batch.pay(pos.lender, pos.borrower, -owed)
-        event, fields = "repo_close", {"interest": owed - pos.principal}
+    owed = pos.principal + pos.interest()
+    if owed >= 0:
+        batch.pay(pos.borrower, pos.lender, owed)
     else:
-        loss = default_loss(pos.principal, pos.haircut, market_decline)
-        event, fields = "repo_default", {"decline": market_decline, "loss": loss}
+        batch.pay(pos.lender, pos.borrower, -owed)
     batch.repo(pos.lender, pos.borrower, -pos.principal)
-    batch.emit(event, lender=pos.lender.key, borrower=pos.borrower.key, principal=pos.principal,
-               **fields)
-    if not counterparty_performs:
-        for duration in [d for d in DURATIONS if d in pos.collateral]:
-            batch.deliver(pos.borrower, pos.lender, duration, pos.collateral[duration])
+    batch.emit("repo_close", lender=pos.lender.key, borrower=pos.borrower.key,
+               principal=pos.principal, interest=owed - pos.principal)
     registry._remove(pos)
 
 
@@ -351,10 +340,12 @@ def _size_collateral(batch: TransferBatch, registry: RepoRegistry, borrower: Age
 def mark_treasuries(world: LedgerWorld, registry: RepoRegistry, price_tick: int,
                     duration: DurationClass) -> None:
     """Apply a multiplicative price tick to one duration class and
-    re-margin term repos.
+    re-margin the positions whose second leg was postponed.
 
-    Each under-margined term position logs one `margin_call` row and is
-    topped up. Daily re-margining with a halved haircut threshold
+    A position opens overnight, so it lives past its first day only when
+    a failed second leg was postponed (`RepoRegistry.postpone`). Each
+    such position that is under-margined logs one `margin_call` row and
+    is topped up. Daily re-margining with a halved haircut threshold
     stands in for intraday margin cycles the day-grain clock cannot
     express.
     """

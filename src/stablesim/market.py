@@ -100,25 +100,12 @@ class DealerBook:
         assets = world.agents[self.agent.key].assets
         return max(0, treasury_value(assets) - self.inventory_baseline) + assets.get(_RESERVES, 0)
 
-    def recorded_assets(self, world: LedgerWorld, on_sheet: Amount | None = None) -> Amount:
-        """Base assets, `on_sheet` (read from `world` when not given) and
-        today's reservations."""
-        if on_sheet is None:
-            on_sheet = self.on_sheet(world)
-        return self.config.base_assets + on_sheet + self.reserved_today
-
     def slr_report(self, world: LedgerWorld, bound_override: int | None = None) -> analytics.SlrReport:
+        """`analytics.slr` of the dealer's recorded assets: base assets,
+        `on_sheet` and today's reservations."""
         cfg = self.config
-        return analytics.slr(cfg.capital, self.recorded_assets(world),
-                             cfg.exposures, cfg.gsib, bound_override)
-
-    def headroom(self, world: LedgerWorld, bound_override: int | None = None,
-                 on_sheet: Amount | None = None) -> Amount:
-        """`slr_report(...).headroom_assets`, without building the report."""
-        cfg = self.config
-        return analytics.slr_headroom(cfg.capital,
-                                      self.recorded_assets(world, on_sheet) + cfg.exposures,
-                                      analytics.slr_bound(cfg.gsib, bound_override))
+        assets = cfg.base_assets + self.on_sheet(world) + self.reserved_today
+        return analytics.slr(cfg.capital, assets, cfg.exposures, cfg.gsib, bound_override)
 
 
 def draw_srf(world: LedgerWorld, book: DealerBook, amount: Amount) -> None:
@@ -213,7 +200,7 @@ class Market:
         """The dealer's capacity, off `reads` (its `_sheet_reads`) and its
         book."""
         on_sheet, deposits = reads
-        # `book.headroom(world, self.slr_bound, on_sheet)`, off the fixed limit
+        # `book.slr_report(world, self.slr_bound).headroom_assets`, off the fixed limit
         headroom = (max(0, self._limits[book.agent.key] - on_sheet - book.reserved_today)
                     + self._eslr_share)
         ra_left = max(0, book.config.reserve_access - book.ra_used_today)

@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .instruments import (InstrumentError, RepoRegistry, close_or_default_repo,
-                          deliver_tbills, open_reverse_repo, roll_repo)
+from .instruments import (InstrumentError, RepoRegistry, close_repo, deliver_tbills,
+                          open_reverse_repo, roll_repo)
 from .ledger import (AgentId, AgentKind, DurationClass, InsufficientPosition, LedgerWorld,
                      TransferBatch, event_form)
 from .money import MICRO, PAR, Amount, mul_frac
@@ -370,7 +370,7 @@ class SettlementEngine:
             decline = min(book.nonroll_pending, pos.principal)
             keep = pos.principal - decline
             try:
-                close_or_default_repo(batch, registry, pos, True)
+                close_repo(batch, registry, pos)
             except InsufficientPosition as err:
                 registry.postpone(batch, pos, "repo_second_leg", err)
                 continue
@@ -380,7 +380,7 @@ class SettlementEngine:
                 # re-lend the undeclined balance overnight
                 try:
                     open_reverse_repo(batch, registry, pos.lender, pos.borrower, keep,
-                                      pos.haircut, rate, term=1)
+                                      pos.haircut, rate)
                 except (InsufficientPosition, InstrumentError) as err:
                     batch.emit("leg_failed", leg="repo_relend", cause=str(err),
                                repo_id=pos.repo_id)

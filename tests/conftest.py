@@ -5,11 +5,17 @@ from pathlib import Path
 import pytest
 
 from stablesim.instruments import _resize
-from stablesim.ledger import TransferBatch
+from stablesim.ledger import AgentKind, TransferBatch
+
+# the only agents coins reach: genesis and intermediary purchases, mints,
+# and a supply shock's mint target (the first holder or the buyer)
+_COIN_HOLDING = (AgentKind.HOLDER, AgentKind.INTERMEDIARY, AgentKind.TREASURY_BUYER)
 
 
 def _check_indexes(scn, day):
-    """The settlement and ledger indexes agree with full scans."""
+    """The settlement and ledger indexes agree with full scans, and every
+    agent in the coin-holder index is a holder, an intermediary or a
+    Treasury buyer."""
     for key, book in scn.settle.issuers.items():
         unfinished = [r for r in book.requests if not r.completed]
         assert [id(r) for r in book.open] == [id(r) for r in unfinished], (day, key)
@@ -20,13 +26,15 @@ def _check_indexes(scn, day):
     for ckey in sorted(coin_keys):
         holding = {key for key, book in world.agents.items() if book.asset(ckey) > 0}
         assert world.coin_holders.get(ckey, []) == sorted(holding), (day, ckey)
+        for key in holding:
+            assert world.ids[key].kind in _COIN_HOLDING, (day, ckey, key)
 
 
 def _check_ledger(scn, day):
     """The full audit passes; each dealer's capacity, cached or not, is
     what `_dealer_available` computes from a fresh read of its sheet, and
-    the leverage room it takes off the dealer's fixed limit is the book's
-    `headroom`;
+    the leverage room it takes off the dealer's fixed limit is the
+    `headroom_assets` of the book's `slr_report` at the market's bound;
     each repo position stamped with today's prices re-sizes, uncut, to
     the faces it holds; no agent's encumbered face exceeds its face; and
     the repo book agrees with the sheets: each lender's `repo@<borrower>`
@@ -40,9 +48,8 @@ def _check_ledger(scn, day):
              for key, book in market.books.items()}
     assert market.dealer_capacity(world) == fresh, day
     for key, book in market.books.items():
-        on_sheet = book.on_sheet(world)
-        assert max(0, market._limits[key] - on_sheet - book.reserved_today) == book.headroom(
-            world, market.slr_bound, on_sheet), (day, key)
+        room = max(0, market._limits[key] - book.on_sheet(world) - book.reserved_today)
+        assert room == book.slr_report(world, market.slr_bound).headroom_assets, (day, key)
     prices = tuple(world.tbill_prices.values())   # as a roll stamps them
     for pos in registry.open_positions():
         if pos.sized_at == prices:
@@ -69,7 +76,8 @@ def _check_ledger(scn, day):
 def check_indexes():
     """`on_day_end` hook asserting that `IssuerBook.open` is the unfinished
     requests in submission order and `LedgerWorld.coin_holders` is exactly
-    the agents holding each coin, in key order."""
+    the agents holding each coin, in key order, each a holder, an
+    intermediary or a Treasury buyer."""
     return _check_indexes
 
 

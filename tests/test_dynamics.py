@@ -3,7 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stablesim.config import IssuerConfig
-from stablesim.dynamics import (CONFIDENCE_BANDS, ConfidenceState,
+from stablesim.dynamics import (CONFIDENCE_BANDS, SMOOTH_WIDTH, ConfidenceState,
                                 DynamicsError, InterventionResult, PriceParams,
                                 RunModel, SensitivityState, ShockClass, ShockSpec,
                                 ShockState, SystemicBand, UnknownShockClass,
@@ -285,14 +285,16 @@ def test_unknown_shock_class():
 
 
 def test_smooth_variant_ramps_between_rates():
+    threshold = SMOOTH_WIDTH + 50_000
     m = model(baseline_redemption_rate=10_000, shifted_rate=100_000,
-              smooth=True, smooth_width=20_000)
+              deviation_threshold=threshold, smooth=True)
     coins = 1_000_000
     far = redemption_demand(m, conf(price=PAR - 5_000), coins)
     assert far == mul_frac(coins, 10_000)
-    mid = redemption_demand(m, conf(price=PAR - 20_000), coins)  # halfway up
-    assert mul_frac(coins, 10_000) < mid < mul_frac(coins, 100_000)
+    halfway = threshold - SMOOTH_WIDTH // 2
+    mid = redemption_demand(m, conf(price=PAR - halfway), coins)
+    assert mid == mul_frac(coins, 55_000)   # halfway from 1% to 10%
     m2 = model(baseline_redemption_rate=10_000, shifted_rate=100_000,
-               smooth=True, smooth_width=20_000)
-    at = redemption_demand(m2, conf(price=PAR - 30_000), coins)
+               deviation_threshold=threshold, smooth=True)
+    at = redemption_demand(m2, conf(price=PAR - threshold), coins)
     assert at == mul_frac(coins, 100_000)  # threshold flips the regime

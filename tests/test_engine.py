@@ -86,12 +86,12 @@ def test_liveness_fault_blocks_settlement_then_queue_drains():
     assert rows[-1]["overdue"] == 0
 
 
-def test_uncontrolled_supply_drops_leverage_band():
+def test_uncontrolled_supply_drops_leverage_band(check_indexes):
     raw = PRESETS["calm"]()
     raw["horizon_days"] = 6
     raw["shocks"] = [{"day": 2, "class": "uncontrolled_supply",
                       "magnitude": 100_000, "duration": 3, "chain": "main"}]
-    out = run(parse_config(raw))
+    out = run(parse_config(raw), on_day_end=check_indexes)
     rows = issuer_rows(out)
     assert rows[1]["band"] == "critically_undercapitalized"  # thin but positive
     assert rows[1]["ratio"] > 0
@@ -794,9 +794,9 @@ def test_golden_repo_rolls(bench_scaled, check_ledger):
     """Frozen digests of the generated book above with the dealers' bills
     and bonds cut to 60% and the SRF off: their overnight repos roll while
     prices move, some rolls cannot pledge enough and are postponed, and
-    term positions fall below margin and are topped up. The full audit,
-    fresh dealer capacities and the roll stamps are checked at every day
-    end."""
+    the postponed positions fall below margin and are topped up. The full
+    audit, fresh dealer capacities and the roll stamps are checked at
+    every day end."""
     raw = bench_scaled(holders=10, issuers=3, horizon=12, dealers=8, funded=False, seed=1)
     for dealer in raw["agents"]["dealers"]:
         dealer["treasuries_bill"] = dealer["treasuries_bill"] * 60 // 100
@@ -1002,6 +1002,24 @@ def carried_again(event) -> str | None:
     return None
 
 
+def rebuilt_rows(events) -> list:
+    """The zero-fill carried `sale_cleared` rows logged from a rebuilt bound
+    row: those whose `requested` is the `unfilled` of an earlier day's
+    "remainder" row (`carried_again`) of the same seller, duration and
+    purpose, so the order's row was built anew after a fill changed it."""
+    remainders, rows = {}, []   # (seller, duration, purpose, unfilled) -> first day
+    for e in events:
+        how = carried_again(e)
+        if how is None:
+            continue
+        key = (e["seller"], e["duration"], e["purpose"])
+        if how == "remainder":
+            remainders.setdefault((*key, e["unfilled"]), e["day"])
+        elif remainders.get((*key, e["requested"]), e["day"]) < e["day"]:
+            rows.append(e)
+    return rows
+
+
 def test_generated_books_run_clean_and_in_any_declaration_order(bench_scaled, check_indexes,
                                                                 check_ledger, tmp_path, capsys):
     """Books drawn from bench/scenarios.py's `scaled()`: each either fails
@@ -1089,12 +1107,21 @@ def test_events_jsonl_is_json_dumps_of_each_event(bench_scaled):
     sorted keys and compact separators would, nested and non-int values
     included, and so do the bound rows of carried orders, on a squeezed
     generated book whose carried orders are also queued again after
-    partial fills."""
+    partial fills, and on one whose dealers hold 1% of its deposits with
+    the SRF off. There a dealer pays for its retained slice at T+1 and
+    the retention cap holds its capacity to its deposits, so the day
+    after a partial fill it has none, and the carried order's zero-fill
+    row is rebuilt at its new remainder."""
     outputs = [run(load_config(preset)) for preset in sorted(PRESETS)]
     outputs += [run(parse_config(multi_holder_raw(mode)))
                 for mode in ("direct", "intermediated")]
     outputs.append(run(parse_config(bench_scaled(holders=10, issuers=3, horizon=20, dealers=8,
                                                  funded=False, seed=1))))
+    poor = bench_scaled(holders=10, issuers=3, horizon=20, dealers=8, funded=False, seed=1)
+    for dealer in poor["agents"]["dealers"]:
+        dealer["deposits"] //= 100
+    poor["policies"]["srf_enabled"] = False
+    outputs.append(run(parse_config(poor)))
     covered = set()
     for out in outputs:
         assert out.events_jsonl() == "".join(
@@ -1104,12 +1131,15 @@ def test_events_jsonl_is_json_dumps_of_each_event(bench_scaled):
                        for e in out.events for key, value in e.items())
         covered.update(("sale_cleared", "carried", how) for e in out.events
                        if (how := carried_again(e)) is not None)
+        if rebuilt_rows(out.events):
+            covered.add(("sale_cleared", "carried", "rebuilt"))
     assert {("repo_open", "collateral", "dict"), ("mark", "classes", "list"),
             ("shock_applied", "magnitude", "NoneType"),
             ("sale_cleared", "first_submission", "bool"),
             ("redemption_request", "intervention", "bool"),
             ("sale_cleared", "carried", "zero fill"),
-            ("sale_cleared", "carried", "remainder")} <= covered
+            ("sale_cleared", "carried", "remainder"),
+            ("sale_cleared", "carried", "rebuilt")} <= covered
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS) + ["multi_holder_direct",

@@ -10,7 +10,7 @@ from stablesim.config import PRESETS, ValidationError, parse_config
 from stablesim.instruments import (GENIUS_MAX_BILL_DAYS, InstrumentError,
                                    InsufficientCash, InsufficientCollateral, PortfolioState,
                                    RepoRegistry, WrongDay, _top_up_collateral,
-                                   close_or_default_repo, default_loss, deliver_tbills,
+                                   close_repo, default_loss, deliver_tbills,
                                    mark_treasuries, open_reverse_repo,
                                    required_collateral, roll_repo, step_portfolio)
 from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, LedgerWorld,
@@ -46,12 +46,22 @@ def repo_world(issuer_cash=100_000_00, dealer_bills=0, dealer_long=0,
 
 
 def staged(world, leg, *args, **kwargs):
-    """`leg` (`open_reverse_repo` or `close_or_default_repo`) staged alone
-    on a batch of `world`, committed."""
+    """`leg` (`open_reverse_repo`, `close_repo` or `RepoRegistry.postpone`)
+    staged alone on a batch of `world`, committed."""
     batch = TransferBatch(world)
     result = leg(batch, *args, **kwargs)
     batch.commit()
     return result
+
+
+def open_for(world, registry, term, *args, **kwargs):
+    """An overnight repo opened on `world` whose second leg is then
+    postponed `term - 1` times, as a run postpones a leg that fails, so
+    it falls `term` days after the open."""
+    pos = staged(world, open_reverse_repo, registry, *args, **kwargs)
+    for _ in range(term - 1):
+        staged(world, registry.postpone, pos, "repo_roll", InstrumentError("postponed"))
+    return pos
 
 
 def roll_pass(world, registry, positions, new_rate):
@@ -78,7 +88,7 @@ def test_open_reverse_repo_posts_both_legs():
     world = repo_world(dealer_bills=30_000_00, dealer_long=90_000_00)
     registry = RepoRegistry()
     pos = staged(world, open_reverse_repo, registry, ISSUER, DEALER, 100_00,
-                 haircut=20_000, rate=0, term=1)
+                 haircut=20_000, rate=0)
     assert world.sheet(ISSUER).asset(f"repo@{DEALER.key}") == 100_00
     assert world.sheet(DEALER).liability(f"repo@{ISSUER.key}") == 100_00
     assert pos.collateral_value(world) >= 102_00
@@ -107,14 +117,14 @@ def test_second_leg_performance_returns_principal_plus_interest():
     world = repo_world(dealer_bills=30_000_00, dealer_long=90_000_00)
     registry = RepoRegistry()
     pos = staged(world, open_reverse_repo, registry, ISSUER, DEALER, 10_000_00,
-                 haircut=20_000, rate=1_000, term=1)
+                 haircut=20_000, rate=1_000)
     issuer_equity = world.sheet(ISSUER).equity
     dealer_equity = world.sheet(DEALER).equity
     world.day = 1
-    staged(world, close_or_default_repo, registry, pos, counterparty_performs=True)
+    staged(world, close_repo, registry, pos)
     interest = mul_frac(10_000_00, 1_000)
-    [row] = [e for e in world.events if e["type"] in ("repo_close", "repo_default")]
-    assert (row["type"], row["principal"], row["interest"]) == ("repo_close", 10_000_00, interest)
+    [row] = [e for e in world.events if e["type"] == "repo_close"]
+    assert (row["principal"], row["interest"]) == (10_000_00, interest)
     # round trip changes both parties' equity only by the interest
     assert world.sheet(ISSUER).equity == issuer_equity + interest
     assert world.sheet(DEALER).equity == dealer_equity - interest
@@ -125,32 +135,9 @@ def test_second_leg_on_wrong_day():
     world = repo_world(dealer_bills=30_000_00, dealer_long=90_000_00)
     registry = RepoRegistry()
     pos = staged(world, open_reverse_repo, registry, ISSUER, DEALER, 100_00,
-                 haircut=20_000, rate=0, term=1)
+                 haircut=20_000, rate=0)
     with pytest.raises(WrongDay):
-        staged(world, close_or_default_repo, registry, pos, True)
-
-
-def test_default_moves_collateral_to_lender_and_releases_it():
-    world = repo_world(dealer_bills=30_000_00, dealer_long=90_000_00)
-    registry = RepoRegistry()
-    pos = staged(world, open_reverse_repo, registry, ISSUER, DEALER, 10_000_00,
-                 haircut=20_000, rate=1_000, term=1)
-    pledged = dict(pos.collateral)
-    assert registry.encumbered == {(DEALER.key, d): f for d, f in pledged.items()}
-    world.day = 1
-    staged(world, close_or_default_repo, registry, pos, False, market_decline=50_000)
-    loss = default_loss(10_000_00, 20_000, 50_000)
-    [event] = [e for e in world.events if e["type"] in ("repo_close", "repo_default")]
-    assert (event["type"], event["lender"], event["borrower"], event["principal"],
-            event["decline"], event["loss"]) == (
-        "repo_default", ISSUER.key, DEALER.key, 10_000_00, 50_000, loss)
-    for duration, face in pledged.items():
-        assert world.face_of(ISSUER, duration) == face
-    assert world.face_of(DEALER, DurationClass.BILL) == 30_000_00 - pledged[DurationClass.BILL]
-    assert world.face_of(DEALER, DurationClass.LONG) == 90_000_00 - pledged[DurationClass.LONG]
-    assert world.sheet(ISSUER).asset(f"repo@{DEALER.key}") == 0
-    assert registry.positions == {} and registry.encumbered == {}
-    assert world.audit().ok
+        staged(world, close_repo, registry, pos)
 
 
 def repo_book(world, registry):
@@ -181,7 +168,7 @@ def test_roll_failing_on_collateral_is_postponed():
     world = repo_world(dealer_bills=2_550_00, dealer_long=7_650_00)
     registry = RepoRegistry()
     pos = staged(world, open_reverse_repo, registry, ISSUER, DEALER, 10_000_00,
-                 haircut=20_000, rate=1_000, term=1)
+                 haircut=20_000, rate=1_000)
     assert registry.free_face(world, DEALER, DurationClass.BILL) == 0
     mark_every_class(world, registry, -10_000)
     world.day = 1
@@ -192,7 +179,7 @@ def test_roll_failing_on_interest_cash_is_postponed():
     world = repo_world(dealer_bills=30_000_00, dealer_long=90_000_00)
     registry = RepoRegistry()
     pos = staged(world, open_reverse_repo, registry, ISSUER, DEALER, 10_000_00,
-                 haircut=20_000, rate=1_000, term=1)
+                 haircut=20_000, rate=1_000)
     world.transfer_deposit(DEALER, ISSUER, world.deposits(DEALER))
     world.day = 1
     assert_roll_postponed(world, registry, pos,
@@ -212,7 +199,7 @@ def test_roll_pass_postpones_only_the_roll_that_fails():
     world.grant_tbill(short, DurationClass.LONG, 7_650_00)
     registry = RepoRegistry()
     positions = [staged(world, open_reverse_repo, registry, ISSUER, borrower, 10_000_00,
-                        haircut=20_000, rate=1_000, term=1)
+                        haircut=20_000, rate=1_000)
                  for borrower in (DEALER, short, DEALER)]
     assert registry.free_face(world, short, DurationClass.BILL) == 0
     mark_every_class(world, registry, -10_000)
@@ -250,8 +237,9 @@ STAMP_OPS = st.one_of(
 def stamp_book(faces, opens):
     """An issuer lending to three dealers, each holding `faces[i]` (bills,
     long) of face, and a trader holding both classes; `opens` are the
-    positions tried, (borrower, principal, haircut, term), those that
-    cannot pledge enough skipped."""
+    positions tried, (borrower, principal, haircut, term), each opened
+    overnight and its second leg postponed to `term` days on (`open_for`),
+    those that cannot pledge enough skipped."""
     world = repo_world(issuer_cash=10**12, dealer_cash=0)
     for agent in (*BORROWERS[1:], TRADER):
         world.add_agent(agent, bank=BANK)
@@ -263,8 +251,8 @@ def stamp_book(faces, opens):
     registry = RepoRegistry()
     for borrower, principal, haircut, term in opens:
         try:
-            staged(world, open_reverse_repo, registry, ISSUER, BORROWERS[borrower], principal,
-                   haircut=haircut, rate=1_000, term=term)
+            open_for(world, registry, term, ISSUER, BORROWERS[borrower], principal,
+                     haircut=haircut, rate=1_000)
         except InsufficientCollateral:
             pass
     return world, registry
@@ -344,7 +332,7 @@ def test_roll_at_negative_rate_pays_interest_to_the_borrower():
     world = repo_world(dealer_bills=30_000_00, dealer_long=90_000_00)
     registry = RepoRegistry()
     pos = staged(world, open_reverse_repo, registry, ISSUER, DEALER, 10_000_00,
-                 haircut=20_000, rate=-1_000, term=1)
+                 haircut=20_000, rate=-1_000)
     issuer_cash, dealer_cash = world.deposits(ISSUER), world.deposits(DEALER)
     world.day = 1
     roll_pass(world, registry, [pos], new_rate=-1_000)
@@ -361,10 +349,10 @@ def test_close_owing_less_than_zero_is_paid_by_the_lender():
     world = repo_world(dealer_bills=30_000_00, dealer_long=90_000_00)
     registry = RepoRegistry()
     pos = staged(world, open_reverse_repo, registry, ISSUER, DEALER, 10_000_00,
-                 haircut=20_000, rate=-1_500_000, term=1)
+                 haircut=20_000, rate=-1_500_000)
     issuer_cash, dealer_cash = world.deposits(ISSUER), world.deposits(DEALER)
     world.day = 1
-    staged(world, close_or_default_repo, registry, pos, counterparty_performs=True)
+    staged(world, close_repo, registry, pos)
     owed = 10_000_00 + mul_frac(10_000_00, -1_500_000)
     assert owed == -5_000_00
     assert (world.events[-1]["type"], world.events[-1]["interest"]) == (
@@ -423,7 +411,7 @@ def test_roll_keeps_cash_flat_except_interest():
     world = repo_world(dealer_bills=30_000_00, dealer_long=90_000_00)
     registry = RepoRegistry()
     pos = staged(world, open_reverse_repo, registry, ISSUER, DEALER, 10_000_00,
-                 haircut=20_000, rate=2_000, term=1)
+                 haircut=20_000, rate=2_000)
     cash_before = world.sheet(ISSUER).asset(deposit_key(BANK))
     world.day = 1
     roll_pass(world, registry, [pos], new_rate=3_000)
@@ -452,10 +440,11 @@ def test_mark_one_percent_on_position():
 
 
 def test_term_repo_margin_call_emitted_once_per_position():
+    """A position whose second leg was postponed past its first day is
+    re-margined; an overnight one is not."""
     world = repo_world(dealer_bills=30_000_00, dealer_long=90_000_00)
     registry = RepoRegistry()
-    staged(world, open_reverse_repo, registry, ISSUER, DEALER, 10_000_00,
-           haircut=20_000, rate=0, term=5)
+    open_for(world, registry, 5, ISSUER, DEALER, 10_000_00, haircut=20_000, rate=0)
     mark_every_class(world, registry, -30_000)  # -3% with 2% haircut
     [call] = [e for e in world.events if e["type"] == "margin_call"]
     assert call["borrower"] == DEALER.key
@@ -463,7 +452,7 @@ def test_term_repo_margin_call_emitted_once_per_position():
     registry2 = RepoRegistry()
     world2 = repo_world(dealer_bills=30_000_00, dealer_long=90_000_00)
     staged(world2, open_reverse_repo, registry2, ISSUER, DEALER, 10_000_00,
-           haircut=20_000, rate=0, term=1)
+           haircut=20_000, rate=0)
     mark_every_class(world2, registry2, -30_000)
     assert not [e for e in world2.events if e["type"] == "margin_call"]
 
@@ -537,10 +526,10 @@ def test_roll_at_higher_rate_prices_next_period_interest():
     world = repo_world(dealer_bills=30_000_00, dealer_long=90_000_00)
     registry = RepoRegistry()
     pos = staged(world, open_reverse_repo, registry, ISSUER, DEALER, 10_000_00,
-                 haircut=20_000, rate=1_000, term=1)
+                 haircut=20_000, rate=1_000)
     world.day = 1
     roll_pass(world, registry, [pos], new_rate=4_000)
     world.day = 2
-    staged(world, close_or_default_repo, registry, pos, True)
+    staged(world, close_repo, registry, pos)
     assert (world.events[-1]["type"], world.events[-1]["interest"]) == (
         "repo_close", mul_frac(10_000_00, 4_000))

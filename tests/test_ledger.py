@@ -11,8 +11,7 @@ from stablesim.ledger import (DURATION_NAME, DURATIONS, FED, AgentId, AgentKind,
                               DurationClass, InsufficientPosition, LedgerError, LedgerWorld,
                               TransferBatch, UnknownAgent, coin_key, deposit_key, event_form,
                               repo_key, reserves_key, srf_key, tbill_key)
-from stablesim.instruments import (InstrumentError, RepoRegistry, close_or_default_repo,
-                                   open_reverse_repo)
+from stablesim.instruments import InstrumentError, RepoRegistry, close_repo, open_reverse_repo
 from stablesim.market import draw_srf
 
 BANK_A = AgentId(AgentKind.BANK, 0)
@@ -928,7 +927,7 @@ def rail(world, registry, step, amount):
         pos = registry.open_positions()[0]
         world.day = pos.second_leg_day
         batch = TransferBatch(world)
-        close_or_default_repo(batch, registry, pos, counterparty_performs=amount % 2 == 0)
+        close_repo(batch, registry, pos)
         batch.commit()
     elif step == 6:
         draw_srf(world, SimpleNamespace(agent=DEALER), amount)

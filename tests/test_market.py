@@ -184,7 +184,7 @@ def test_reserve_access_caps_capacity_and_srf_lifts_it():
                                      srf=True)
     lifted = capacity(market2, world2)
     assert lifted > capped
-    headroom = sum(b.headroom(world2) for b in market2.books.values())
+    headroom = sum(b.slr_report(world2).headroom_assets for b in market2.books.values())
     assert lifted <= headroom
 
 
@@ -195,14 +195,14 @@ def test_srf_never_decreases_capacity_but_headroom_still_caps():
                                              srf=True)
         off = capacity(market_off, world_off)
         on = capacity(market_on, world_on)
-        headroom = sum(b.headroom(world_on) for b in market_on.books.values())
+        headroom = sum(b.slr_report(world_on).headroom_assets for b in market_on.books.values())
         assert on >= off
         assert on <= headroom
 
 
 def test_srf_draw_consumes_headroom_at_clearing():
     world, market, _ = make_market(capital=9_000_00, reserve_access=0, srf=True)
-    headroom0 = sum(b.headroom(world) for b in market.books.values())
+    headroom0 = sum(b.slr_report(world).headroom_assets for b in market.books.values())
     cap = capacity(market, world)
     assert cap == headroom0 // 2
     assert market.submit_sale(world, SELLER, cap, DurationClass.BILL) == cap

@@ -377,12 +377,12 @@ def srf_setup():
 
 def test_draw_srf_grows_assets_and_trims_headroom():
     world, book = srf_setup()
-    assert book.headroom(world) == 16_00
+    assert book.slr_report(world).headroom_assets == 16_00
     draw_srf(world, book, 10_00)
     assert world.sheet(DEALER).asset(reserves_key()) == 10_00
     assert world.sheet(FED).asset(f"srf@{DEALER.key}") == 10_00
     assert world.sheet(DEALER).liability(srf_key(FED)) == 10_00
-    assert book.headroom(world) == 6_00
+    assert book.slr_report(world).headroom_assets == 6_00
     assert world.audit().ok
 
 
