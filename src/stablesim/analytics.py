@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .instruments import PortfolioState
 from .money import MICRO, Amount, frac_of, mul_div
 
 RATIO_SCALE = 10_000  # leverage ratio precision: 1e-4
@@ -102,27 +101,6 @@ def slr(capital: Amount, assets: Amount, exposures: Amount, gsib: bool,
         raise NonPositiveDenominator(f"assets + exposures must be positive, got {denom}")
     return SlrReport(slr=mul_div(capital, MICRO, denom), lower_bound=bound,
                      headroom_assets=max(0, capital * MICRO // bound - denom))
-
-
-def portfolio_holdings(portfolio: PortfolioState, today: int) -> list[tuple[Amount, int]]:
-    """(value, days to maturity) per holding, which is also its days to
-    final life.
-
-    Deposits are demand money (one day); overnight repo counts as
-    daily-liquid; bills run to their maturity date.
-    """
-    holdings: list[tuple[Amount, int]] = []
-    if portfolio.deposits > 0:
-        holdings.append((portfolio.deposits, 1))
-    for pos in portfolio.repos:
-        holdings.append((pos.principal, max(1, pos.second_leg_day - today)))
-    for bill in portfolio.bills:
-        holdings.append((bill.value(), max(1, bill.maturity_day - today)))
-    return holdings
-
-
-def liquidity_metrics(portfolio: PortfolioState, today: int) -> LiquidityReport:
-    return holdings_liquidity(portfolio_holdings(portfolio, today))
 
 
 def holdings_liquidity(holdings: list) -> LiquidityReport:

@@ -368,10 +368,10 @@ def _fed_bill_purchase(scn: Scenario, issuer: AgentId, value: Amount) -> Amount:
 
 
 def _issuer_holdings(world: LedgerWorld, book: IssuerBook, repos: list, day: int) -> list:
-    """The issuer's `(value, days to maturity)` holdings on `day`, as
-    `analytics.portfolio_holdings` reads them: its deposits, its repos,
-    its bills at their configured maturity and its long Treasuries at
-    five years."""
+    """The issuer's `(value, days to maturity)` holdings on `day`, the
+    input of `analytics.holdings_liquidity`: its deposits as demand money
+    (one day), its repos to their second leg, its bills at their
+    configured maturity and its long Treasuries at five years."""
     agent, prices = book.agent, world.tbill_prices
     deposits = world.deposits(agent)
     holdings = [(deposits, 1)] if deposits > 0 else []
@@ -726,11 +726,15 @@ class SweepReport:
 
 
 def _set_path(raw: dict, dotted: str, value) -> None:
-    parts = dotted.split(".")
+    """Set `value` at the dotted path, adding the objects it lacks; a
+    segment on the way that holds anything but an object fails."""
+    *parents, last = dotted.split(".")
     node = raw
-    for part in parts[:-1]:
+    for part in parents:
         node = node.setdefault(part, {})
-    node[parts[-1]] = value
+        if not isinstance(node, dict):
+            raise ValidationError(f"{dotted}: {part} is not an object")
+    node[last] = value
 
 
 def sweep(raw_config: dict, grid: dict, out_dir=None) -> SweepReport:

@@ -55,20 +55,6 @@ class WrongDay(InstrumentError):
     pass
 
 
-@dataclass(frozen=True)
-class TreasuryBill:
-    face: Amount
-    maturity_day: int
-    market_price: int = MICRO  # fraction of face, micro units
-
-    def __post_init__(self):
-        if self.market_price <= 0:
-            raise InstrumentError("bill price must be positive")
-
-    def value(self) -> Amount:
-        return mul_frac(self.face, self.market_price)
-
-
 @dataclass
 class RepoPosition:
     repo_id: int
@@ -411,8 +397,6 @@ class PortfolioState:
     rate_treasury: int      # micro per period
     rate_deposit: int       # micro per period
     repo_principal: Amount = 0
-    bills: list = field(default_factory=list)
-    repos: list = field(default_factory=list)
 
     @property
     def treasuries(self) -> Amount:
@@ -443,6 +427,4 @@ def step_portfolio(p: PortfolioState, price_delta: int, deposit_flow: Amount) ->
         rate_treasury=p.rate_treasury,
         rate_deposit=p.rate_deposit,
         repo_principal=p.repo_principal,
-        bills=list(p.bills),
-        repos=list(p.repos),
     )

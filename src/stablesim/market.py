@@ -29,9 +29,10 @@ its sheet reads by sheet version, the capacity by that version and the
 dealer's day fields. The leverage limit those reads are taken from is
 fixed per dealer for the run, as its config and the SLR bound are.
 
-Volume accounting decomposes each submitted sale into seller volume,
-dealer retention, inter-dealer volume and buyer volume; gross volume is
-their chained sum. Price impact is linear in the flow that exceeds
+Volume accounting decomposes each first submission of a sale
+(`decompose`) into seller volume, dealer retention, inter-dealer volume
+and buyer volume; gross volume is their chained sum, and a carried
+remainder adds none. Price impact is linear in the flow that exceeds
 capacity, capped at a maximum dislocation, with long off-the-run paper
 at least as impacted as bills; under a flight-to-safety flag bill
 prices never fall and may rise.

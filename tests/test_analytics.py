@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablesim.analytics import (CapitalBand, NonPositiveAssets,
+from stablesim.analytics import (CapitalBand, LiquidityReport, NonPositiveAssets,
                                  NonPositiveDenominator, classify_fdicia,
-                                 holdings_liquidity, leverage_ratio, liquidity_metrics, slr)
+                                 holdings_liquidity, leverage_ratio, slr)
 from stablesim.engine import _issuer_holdings
-from stablesim.instruments import PortfolioState, RepoPosition, TreasuryBill
+from stablesim.instruments import RepoPosition
 from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, LedgerWorld, deposit_key,
                               reserves_key)
-from stablesim.money import MICRO
+from stablesim.money import MICRO, mul_frac
 
 
 def test_leverage_basic():
@@ -101,17 +101,8 @@ LENDER = AgentId(AgentKind.ISSUER, 0)
 DEALER = AgentId(AgentKind.BROKER_DEALER, 0)
 
 
-def overnight_repo(principal, day=0):
-    return RepoPosition(repo_id=0, lender=LENDER, borrower=DEALER,
-                        principal=principal, haircut=20_000, rate=0,
-                        open_day=day, second_leg_day=day + 1)
-
-
 def test_all_overnight_book():
-    p = PortfolioState(treasury_face=0, treasury_price=MICRO, deposits=0,
-                       rate_treasury=0, rate_deposit=0,
-                       repos=[overnight_repo(100_000_00)])
-    report = liquidity_metrics(p, today=0)
+    report = holdings_liquidity([(100_000_00, 1)])
     assert report.dla_frac == MICRO
     assert report.wla_frac == MICRO
     assert report.wam_days == MICRO
@@ -120,46 +111,35 @@ def test_all_overnight_book():
 
 def test_weighted_maturity_mixed_book():
     # 30% overnight repo, 70% thirty-day bills
-    p = PortfolioState(treasury_face=70_00, treasury_price=MICRO, deposits=0,
-                       rate_treasury=0, rate_deposit=0,
-                       bills=[TreasuryBill(face=70_00, maturity_day=30)],
-                       repos=[overnight_repo(30_00)])
-    report = liquidity_metrics(p, today=0)
+    report = holdings_liquidity([(30_00, 1), (70_00, 30)])
     assert report.dla_frac == 300_000
     assert report.wam_days == 21_300_000  # 21.3 days
     assert report.wam_days == report.wal_days
 
 
 def test_allocation_split_daily_liquidity():
-    # repo 43, bills 24, deposits 11 (scaled): daily liquid >= (43+11)/78
-    p = PortfolioState(treasury_face=24_00, treasury_price=MICRO, deposits=11_00,
-                       rate_treasury=0, rate_deposit=0,
-                       bills=[TreasuryBill(face=24_00, maturity_day=30)],
-                       repos=[overnight_repo(43_00)])
-    report = liquidity_metrics(p, today=0)
+    # deposits 11, repo 43, bills 24 (scaled): daily liquid >= (43+11)/78
+    report = holdings_liquidity([(11_00, 1), (43_00, 1), (24_00, 30)])
     threshold = (43_00 + 11_00) * MICRO // 78_00
     assert report.dla_frac >= threshold
     assert report.dla_frac <= report.wla_frac <= MICRO
+
+
+def test_empty_book_reports_zeros():
+    assert holdings_liquidity([]) == LiquidityReport(0, 0, 0, 0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(1, 10**8), st.integers(1, 120)),
                 min_size=1, max_size=8))
 def test_dla_never_exceeds_wla_and_trimming_long_raises_wla(holdings):
-    bills = [TreasuryBill(face=f, maturity_day=m) for f, m in holdings]
-    p = PortfolioState(treasury_face=sum(f for f, _ in holdings),
-                       treasury_price=MICRO, deposits=0,
-                       rate_treasury=0, rate_deposit=0, bills=bills)
-    report = liquidity_metrics(p, today=0)
+    report = holdings_liquidity(holdings)
     assert 0 <= report.dla_frac <= report.wla_frac <= MICRO
     assert report.wam_days <= report.wal_days
-    beyond_week = [b for b in bills if b.maturity_day > 5]
-    if beyond_week and len(beyond_week) < len(bills):
-        trimmed = [b for b in bills if b.maturity_day <= 5] + beyond_week[1:]
-        p2 = PortfolioState(treasury_face=sum(b.face for b in trimmed),
-                            treasury_price=MICRO, deposits=0,
-                            rate_treasury=0, rate_deposit=0, bills=trimmed)
-        assert liquidity_metrics(p2, today=0).wla_frac >= report.wla_frac
+    beyond_week = [h for h in holdings if h[1] > 5]
+    if beyond_week and len(beyond_week) < len(holdings):
+        trimmed = [h for h in holdings if h[1] <= 5] + beyond_week[1:]
+        assert holdings_liquidity(trimmed).wla_frac >= report.wla_frac
 
 
 BANK = AgentId(AgentKind.BANK, 0)
@@ -170,35 +150,35 @@ BANK = AgentId(AgentKind.BANK, 0)
        prices=st.tuples(st.integers(1, 2 * MICRO), st.integers(1, 2 * MICRO)),
        maturity=st.integers(1, 400), today=st.integers(0, 2_000),
        repos=st.lists(st.tuples(st.integers(0, 10**9), st.integers(-5, 30)), max_size=6))
-def test_issuer_holdings_agree_with_the_portfolio_liquidity(deposits, bills, longs, prices,
-                                                            maturity, today, repos):
+def test_issuer_holdings_match_the_pairs_built_from_the_same_book(deposits, bills, longs,
+                                                                  prices, maturity, today,
+                                                                  repos):
     """Phase 11 reads an issuer's liquidity from `(value, days)` holdings
-    built off the world; they give the report of the `PortfolioState`
-    with the same deposits, bills, long Treasuries and repos, empty books
-    included."""
+    built off the world. They are the pairs this test builds itself from
+    the same deposits, bill and long faces at their prices, and repos:
+    deposits at one day, each repo to its second leg, bills to their
+    configured maturity and longs to five years, each at least a day;
+    empty books included."""
     world = LedgerWorld()
     for agent, bank in ((FED, None), (BANK, None), (LENDER, BANK)):
         world.add_agent(agent, bank=bank)
+    expected = []
     if deposits:
         world.post({(FED.key, "A", "govt"): deposits,
                     (FED.key, "L", reserves_key(BANK)): deposits,
                     (BANK.key, "A", reserves_key()): deposits,
                     (BANK.key, "L", deposit_key(LENDER)): deposits,
                     (LENDER.key, "A", deposit_key(BANK)): deposits})
-    held = []
+        expected.append((deposits, 1))
+    book = [RepoPosition(repo_id=i, lender=LENDER, borrower=DEALER, principal=principal,
+                         haircut=20_000, rate=0, open_day=today, second_leg_day=today + days)
+            for i, (principal, days) in enumerate(repos)]
+    expected += [(principal, max(1, days)) for principal, days in repos]
     for duration, face, price, days in ((DurationClass.BILL, bills, prices[0], maturity),
                                         (DurationClass.LONG, longs, prices[1], 365 * 5)):
         if face:
             world.grant_tbill(LENDER, duration, face)
-            held.append(TreasuryBill(face=face, maturity_day=days, market_price=price))
+            expected.append((mul_frac(face, price), max(1, days - today)))
         world.remark_tbills(duration, price)
-    book = [RepoPosition(repo_id=i, lender=LENDER, borrower=DEALER, principal=principal,
-                         haircut=20_000, rate=0, open_day=today, second_leg_day=today + days)
-            for i, (principal, days) in enumerate(repos)]
-    portfolio = PortfolioState(treasury_face=bills + longs, treasury_price=prices[0],
-                               deposits=deposits, rate_treasury=0, rate_deposit=0,
-                               repo_principal=sum(p.principal for p in book),
-                               bills=held, repos=book)
     issuer = SimpleNamespace(agent=LENDER, config=SimpleNamespace(bill_maturity_days=maturity))
-    assert holdings_liquidity(_issuer_holdings(world, issuer, book, today)) == \
-        liquidity_metrics(portfolio, today)
+    assert sorted(_issuer_holdings(world, issuer, book, today)) == sorted(expected)

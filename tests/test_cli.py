@@ -110,7 +110,8 @@ def test_sweep_grid_path_through_a_number_is_a_point_error(tmp_path, capsys):
     assert main(["sweep", "calm", "--grid", str(grid), "--out", str(out_dir)]) == 1
     assert "swept 1 points (1 failed)" in capsys.readouterr().out
     rows = list(csv.DictReader(io.StringIO((out_dir / "matrix.csv").read_text())))
-    assert [(r["status"], r["error"].split(":")[0]) for r in rows] == [("error", "TypeError")]
+    assert [(r["status"], r["error"]) for r in rows] == [
+        ("error", "ValidationError: seed.x: seed is not an object")]
 
 
 @pytest.mark.parametrize("text", ["[1]", "null", '"seed"'])

@@ -279,9 +279,12 @@ def test_sweep_isolates_point_failures():
     statuses = {p.overrides["market.depth"]: p.error for p in report.points}
     assert statuses[1_000_00] is None
     assert statuses[-5] is not None
-    # a grid path through a number fails its point, not the sweep
-    report = sweep(raw, {"seed.x": [1]})
-    assert [(p.summary, p.error.split(":")[0]) for p in report.points] == [(None, "TypeError")]
+    # a grid path through a number or a list fails its point, not the
+    # sweep, and names the segment that is not an object
+    for dotted, part in (("seed.x", "seed"), ("agents.holders.0", "holders")):
+        report = sweep(raw, {dotted: [1]})
+        assert [(p.summary, p.error) for p in report.points] == [
+            (None, f"ValidationError: {dotted}: {part} is not an object")]
 
 
 def test_audit_runs_every_day():

@@ -90,6 +90,30 @@ def test_decomposition_rejects_retention_above_seller():
         decompose(10, 11)
 
 
+def test_gross_volume_adds_each_first_submission_once():
+    """A first submission of S adds S + 2 * (S - its retention) to gross
+    volume: the seller's leg, then the unretained part passed once between
+    dealers and once to buyers. A carried remainder that the next day's
+    pass clears adds nothing."""
+    def gross(amount):
+        return amount + 2 * (amount - mul_frac(amount, 335_648))
+
+    world, market, registry = make_market(reserve_access=3_000_00)
+    fill = market.submit_sale(world, SELLER, 20_000_00, DurationClass.BILL)
+    assert 0 < fill < 20_000_00
+    assert market.gross_volume == gross(20_000_00)
+    world.day = 1
+    market.begin_day()
+    market.settle_due(world, registry)
+    logged = len(world.events)
+    market.resubmit_carryover(world)
+    [(_, requested, refill, _)] = cleared_rows(world, logged)
+    assert requested == 20_000_00 - fill and refill > 0
+    assert market.gross_volume == gross(20_000_00)
+    market.submit_sale(world, SELLER, 1_000_00, DurationClass.LONG)
+    assert market.gross_volume == gross(20_000_00) + gross(1_000_00)
+
+
 def test_full_fill_when_under_capacity():
     world, market, _ = make_market()
     assert market.submit_sale(world, SELLER, 50_000_00, DurationClass.BILL) == 50_000_00
