@@ -22,6 +22,7 @@ are canonicalized by name, every iteration is over sorted keys, the
 only randomness is the fixed SplitMix64 stream, and all emitted
 numbers are integers. The summary's redemption totals, peak deviation,
 seller volume and facility draws are folds of the daily and market rows.
+The engine writes every balance through a ledger rail and builds no leg.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .dynamics import (ConfidenceState, InterventionResult, ShockState, apply_sh
                        redemption_demand, run_corrective_burns, update_secondary_price)
 from .instruments import InsufficientCollateral, RepoRegistry, open_reverse_repo
 from .ledger import (DURATION_NAME, DURATIONS, FED, AgentId, AgentKind, DurationClass,
-                     EventLog, LedgerWorld, TransferBatch, deposit_key, reserves_key)
+                     EventLog, LedgerWorld, TransferBatch)
 from .market import DealerBook, Market
 from .money import BP, MICRO, PAR, Amount, mul_div, mul_frac
 from .rng import SplitMix64
@@ -161,19 +162,9 @@ class Scenario:
     market_rows: list = field(default_factory=list)
 
 
-def _endow_deposits(world: LedgerWorld, agent: AgentId, amount: Amount) -> None:
-    """Create a deposit funded by reserves, backed by an outside claim."""
-    bank = world.bank_of(agent)
-    world.post({(FED.key, "A", "govt"): amount,
-                (FED.key, "L", reserves_key(bank)): amount,
-                (bank.key, "A", reserves_key()): amount,
-                (bank.key, "L", deposit_key(agent)): amount,
-                (agent.key, "A", deposit_key(bank)): amount})
-
-
 def build_scenario(config: ScenarioConfig) -> Scenario:
     """The audited genesis world of `config`. One walk over the owners,
-    holders first, fills each issuer's coin posting after its `coins` owed."""
+    holders first, gathers the holdings each issuer's `issue_coins` posts."""
     world = LedgerWorld()
     world.add_agent(FED)
 
@@ -203,31 +194,28 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     for cfg, agent in zip(config.dealers + config.treasury_buyers,
                           dealer_agents + buyer_agents):
         if cfg.deposits:
-            _endow_deposits(world, agent, cfg.deposits)
+            world.create_deposits(agent, cfg.deposits)
         if cfg.treasuries_bill:
             world.grant_tbill(agent, DurationClass.BILL, cfg.treasuries_bill)
         if cfg.treasuries_long:
             world.grant_tbill(agent, DurationClass.LONG, cfg.treasuries_long)
     for cfg in config.intermediaries + config.holders:
         if cfg.deposits:
-            _endow_deposits(world, agent_of[cfg.name], cfg.deposits)
+            world.create_deposits(agent_of[cfg.name], cfg.deposits)
 
-    coin_keys, coin_legs = {}, {}   # issuer name -> its coin key; its legs
-    for cfg, agent in zip(config.issuers, issuer_agents):
-        coin_keys[cfg.name] = key = world.coin_keys[agent.key]
-        coin_legs[cfg.name] = {(agent.key, "L", key): cfg.coins}
+    holdings = {cfg.name: {} for cfg in config.issuers}   # issuer name -> owner key -> coins
     for cfg in config.holders + config.intermediaries:
         owner = agent_of[cfg.name].key
         for name, amount in cfg.coins.items():
             if amount:
-                coin_legs[name][(owner, "A", coin_keys[name])] = amount
+                holdings[name][owner] = amount
     issuer_books: dict[str, IssuerBook] = {}
     for cfg, agent in zip(config.issuers, issuer_agents):
         if funds := cfg.allocation["deposits"] + cfg.allocation["repo"]:
-            _endow_deposits(world, agent, funds)
+            world.create_deposits(agent, funds)
         if cfg.allocation["bills"]:
             world.grant_tbill(agent, DurationClass.BILL, cfg.allocation["bills"])
-        world.post(coin_legs[cfg.name])
+        world.issue_coins(agent, cfg.coins, holdings[cfg.name])
         issuer_books[agent.key] = IssuerBook(agent, cfg, run_model=config.run_model.build(),
                                              confidence=ConfidenceState())
         # parse_config guarantees at least one dealer to borrow the repo
@@ -358,11 +346,7 @@ def _fed_bill_purchase(scn: Scenario, issuer: AgentId, value: Amount) -> Amount:
         return 0
     moved = world.transfer_tbill(issuer, FED, DurationClass.BILL, face=face)
     # paid in new reserves; the bills are the Fed's asset, so no outside claim
-    bank = world.bank_of(issuer)
-    world.post({(FED.key, "L", reserves_key(bank)): moved,
-                (bank.key, "A", reserves_key()): moved,
-                (bank.key, "L", deposit_key(issuer)): moved,
-                (issuer.key, "A", deposit_key(bank)): moved})
+    world.create_deposits(issuer, moved, govt=False)
     world.emit("reserve_access_sale", issuer=issuer.key, proceeds=moved)
     return moved
 
@@ -409,25 +393,22 @@ def _accrue(scn: Scenario, day: int) -> None:
     world = scn.world
     for key, book in scn.settle.issuers.items():
         agent = book.agent
-        bank = world.bank_of(agent)
         # both legs accrue on start-of-day balances; rates were fixed at
         # the period open, so nothing compounds within the day
         opening_deposits = world.deposits(agent)
         if rates.treasury_rate_daily > 0:
             interest = mul_frac(world.tbill_value(agent), rates.treasury_rate_daily)
             if interest > 0:
-                _endow_deposits(world, agent, interest)
+                world.create_deposits(agent, interest)
         if rates.deposit_rate_daily > 0:
             interest = mul_frac(opening_deposits, rates.deposit_rate_daily)
             if interest > 0:
-                world.post({(bank.key, "L", deposit_key(agent)): interest,
-                            (agent.key, "A", deposit_key(bank)): interest})
+                world.credit_from_bank(agent, interest)
         cost = book.config.operating_cost_per_day
         if cost > 0:
             paid = min(cost, world.deposits(agent))
             if paid > 0:
-                world.post({(agent.key, "A", deposit_key(bank)): -paid,
-                            (bank.key, "L", deposit_key(agent)): -paid})
+                world.credit_from_bank(agent, -paid)
                 world.emit("operating_cost", issuer=key, amount=paid)
 
 

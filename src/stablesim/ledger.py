@@ -10,11 +10,13 @@ byte-identical, bumps the written sheets' ``version`` and, once
 ``audit_changes`` has started the change log, logs their deltas, so that
 check reads only what changed since its last call. Each settlement rail
 has one method that posts all of its legs: ``transfer_deposit``,
-``transfer_coin`` (mint, burn or transfer) and ``transfer_tbill``.
-``redeem_coins`` is the batch form of a coin burn followed by a deposit
-payment, for many holders of one issuer; ``TransferBatch`` holds the
-deposit, Treasury and repo rails, stages payments, deliveries and repo
-legs against running balances and writes them with one post
+``transfer_coin`` (mint, burn or transfer) and ``transfer_tbill``; the
+credit rails ``create_deposits``, ``credit_from_bank``, ``draw_srf`` and
+``issue_coins`` write what no transfer moves, so no other module calls
+``post``. ``redeem_coins`` is the batch form of a coin burn followed by
+a deposit payment, for many holders of one issuer; ``TransferBatch``
+holds the deposit, Treasury and repo rails, stages payments, deliveries
+and repo legs against running balances and writes them with one post
 (``transfer_deposit`` and ``transfer_tbill`` are a batch of one); the
 Treasury re-mark ``remark_tbills`` posts its re-valuations too. This
 module owns the instrument-key format ``"<kind>@<counterparty>"``, built
@@ -476,12 +478,6 @@ class LedgerWorld:
         except KeyError:
             raise UnknownAgent(f"unknown agent {agent}") from None
 
-    def bank_of(self, agent: AgentId) -> AgentId:
-        bank = self.banks[agent.key]
-        if bank is None:
-            raise LedgerError(f"{agent} has no deposit bank")
-        return bank
-
     def _account(self, agent: AgentId) -> tuple[tuple, tuple, str]:
         """`agent`'s deposit account, as `accounts` holds it. The first use
         stores it, and its bank's `reserve_legs` if they are not stored yet:
@@ -697,6 +693,36 @@ class LedgerWorld:
             staged[leg] = staged.get(leg, 0) + delta
         self.post(staged)
         self.emit_all(events)
+
+    def create_deposits(self, agent: AgentId, amount: int, govt: bool = True) -> None:
+        """New deposits for `agent`, paid in new reserves to its bank, backed by
+        a government claim the central bank books (`govt`) or by bills it bought."""
+        held, owed, bank = self._account(agent)
+        reserves, owed_by_fed = self.reserve_legs[bank]
+        legs = {_GOVT: amount} if govt else {}
+        legs.update({owed_by_fed: amount, reserves: amount, owed: amount, held: amount})
+        self.post(legs)
+
+    def credit_from_bank(self, agent: AgentId, amount: int) -> None:
+        """Credit `agent`'s deposits out of its bank's equity; a negative
+        `amount` debits them into it, the depositor's leg checked first."""
+        held, owed, _ = self._account(agent)
+        self.post({owed: amount, held: amount} if amount > 0 else {held: amount, owed: amount})
+
+    def draw_srf(self, dealer: AgentId, amount: int) -> None:
+        """Lend `dealer` new reserves from the standing repo facility; its
+        recorded assets grow by the draw, against its `srf@` debt."""
+        self.post({(FED.key, "A", srf_key(dealer)): amount, (dealer.key, "L", _SRF): amount,
+                   (dealer.key, "A", _RESERVES): amount,
+                   (FED.key, "L", reserves_key(dealer)): amount})
+        self.emit("srf_draw", dealer=dealer.key, amount=amount)
+
+    def issue_coins(self, issuer: AgentId, coins: int, holdings: dict) -> None:
+        """Issue `issuer`'s `coins` to `holdings`, owner key -> amount (set-up only)."""
+        key = self.coin_keys[issuer.key]
+        legs = {(issuer.key, "L", key): coins}
+        legs.update({(owner, "A", key): amount for owner, amount in holdings.items()})
+        self.post(legs)
 
     # -- treasuries ----------------------------------------------------------
 
@@ -1043,7 +1069,7 @@ class TransferBatch:
                 world.tbill_face.pop(key, None)
 
 
-_RESERVES = reserves_key()
+_RESERVES, _SRF, _GOVT = reserves_key(), srf_key(FED), (FED.key, "A", "govt")
 _DEPOSIT_TRANSFER = event_form("transfer", _RAIL_FIELDS)
 _COIN_BURN = event_form("burn", _RAIL_FIELDS)
 _TBILL_TRANSFER = event_form("transfer", _RAIL_FIELDS + ("face",))

@@ -1,7 +1,7 @@
 """Dealer-intermediated secondary Treasury market.
 
-Sales route through a dealer chain (two dealers by default). Each
-cleared dollar is reserved against the absorbing dealer's recorded
+Sales route through a chain of the configured dealers. Each cleared
+dollar is reserved against the absorbing dealer's recorded
 assets at trade date and settles T+1: the dealers keep a retention
 slice on their books, the remainder passes through to ultimate buyers,
 and buyers pay sellers from deposit accounts so aggregate bank deposits
@@ -9,9 +9,10 @@ are conserved. Daily capacity per dealer is the tightest of three
 limits: supplementary-leverage-ratio headroom, the reserves the dealer
 can access for settlement, and what its own cash can fund of the
 retention slice. The standing repo facility lifts the reserve limit by
-letting the dealer borrow reserves against Treasuries, but every draw
-grows recorded assets, so leverage headroom still caps the fill at
-(headroom + reserve_access) / 2 once reserves run short.
+letting the dealer borrow reserves against Treasuries (the ledger's
+`draw_srf` rail), but every draw grows recorded assets, so leverage
+headroom still caps the fill at (headroom + reserve_access) / 2 once
+reserves run short. The market builds no leg of its own.
 
 A day's T+1 settlement is one ledger transfer batch: each delivery is
 sized against the running deposits and faces the ones before it leave,
@@ -45,8 +46,8 @@ from dataclasses import dataclass, field
 from . import analytics
 from .config import DealerConfig, MarketConfig, PolicyConfig
 from .instruments import PLEDGE_MIX, RepoRegistry, deliver_tbills, mark_treasuries
-from .ledger import (DURATION_NAME, DURATIONS, FED, AgentId, DurationClass, LedgerWorld,
-                     TransferBatch, event_form, reserves_key, srf_key, treasury_value)
+from .ledger import (DURATION_NAME, DURATIONS, AgentId, DurationClass, LedgerWorld,
+                     TransferBatch, event_form, reserves_key, treasury_value)
 from .money import BP, MICRO, Amount, mul_div, mul_frac
 
 
@@ -107,21 +108,6 @@ class DealerBook:
         cfg = self.config
         assets = cfg.base_assets + self.on_sheet(world) + self.reserved_today
         return analytics.slr(cfg.capital, assets, cfg.exposures, cfg.gsib, bound_override)
-
-
-def draw_srf(world: LedgerWorld, book: DealerBook, amount: Amount) -> None:
-    """Borrow reserves from the central bank against Treasuries.
-
-    The drawn reserves land on the dealer's book (recorded assets grow
-    by the draw) with a matching repo liability to the central bank;
-    nothing nets, so leverage headroom falls one-for-one.
-    """
-    dealer = book.agent
-    world.post({(FED.key, "A", srf_key(dealer)): amount,
-                (dealer.key, "L", srf_key(FED)): amount,
-                (dealer.key, "A", _RESERVES): amount,
-                (FED.key, "L", reserves_key(dealer)): amount})
-    world.emit("srf_draw", dealer=dealer.key, amount=amount)
 
 
 @dataclass
@@ -305,7 +291,7 @@ class Market:
                 if draw > 0:
                     if not self.policies.srf_enabled:
                         raise MarketError("allocation beyond reserve access without SRF")
-                    draw_srf(world, book, draw)
+                    world.draw_srf(book.agent, draw)
                     self.day_srf_draws += draw
                 book.ra_used_today += ra_part
                 book.reserved_today += alloc

@@ -188,7 +188,7 @@ def test_eq1_progression_matches_engine_accrual():
     cfg = parse_config(raw)
     scn = build_scenario(cfg)
     issuer = scn.settle.issuers["issuer:0"].agent
-    bank = scn.world.bank_of(issuer)
+    bank = scn.world.banks[issuer.key]
     from stablesim.instruments import PortfolioState
 
     start = PortfolioState(
@@ -204,7 +204,7 @@ def test_eq1_progression_matches_engine_accrual():
 
     def watch(live, day):
         agent = live.settle.issuers["issuer:0"].agent
-        b = live.world.bank_of(agent)
+        b = live.world.banks[agent.key]
         totals.append(
             live.world.sheet(agent).asset(f"deposit@{b.key}")
             + live.world.tbill_value(agent)
@@ -1225,7 +1225,7 @@ def test_lone_leg_posted_after_a_day_fails_the_next_days_audit():
         seen["world"] = scn.world
         if day == 2:
             holder = scn.agent_of["h_1"]
-            scn.world.post({(holder.key, "A", deposit_key(scn.world.bank_of(holder))): 7})
+            scn.world.post({(holder.key, "A", deposit_key(scn.world.banks[holder.key])): 7})
 
     with pytest.raises(AuditFailure) as caught:
         run(load_config("calm"), on_day_end=corrupt)
@@ -1244,7 +1244,7 @@ def test_write_round_the_ledger_still_fails_the_run(agent, day):
         seen["world"] = world = scn.world
         if today == 2:
             assets = world.agents[agent].assets
-            key = deposit_key(world.bank_of(world.ids[agent]))
+            key = deposit_key(world.banks[agent])
             assets[key] = assets.get(key, 0) + 7
 
     with pytest.raises(AuditFailure) as caught:

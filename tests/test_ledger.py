@@ -1,7 +1,6 @@
 import copy
 import json
 import pickle
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +11,6 @@ from stablesim.ledger import (DURATION_NAME, DURATIONS, FED, AgentId, AgentKind,
                               TransferBatch, UnknownAgent, coin_key, deposit_key, event_form,
                               repo_key, reserves_key, srf_key, tbill_key)
 from stablesim.instruments import InstrumentError, RepoRegistry, close_repo, open_reverse_repo
-from stablesim.market import draw_srf
 
 BANK_A = AgentId(AgentKind.BANK, 0)
 BANK_B = AgentId(AgentKind.BANK, 1)
@@ -21,7 +19,7 @@ HOLDER = AgentId(AgentKind.HOLDER, 0)
 
 
 def endow_deposit(world, agent, amount):
-    bank = world.bank_of(agent)
+    bank = world.banks[agent.key]
     world.post({
         (FED.key, "A", "govt"): amount,
         (FED.key, "L", f"reserves@{bank.key}"): amount,
@@ -131,6 +129,40 @@ def test_insufficient_deposit_is_atomic():
     before = world.snapshot().to_json()
     with pytest.raises(InsufficientPosition):
         world.transfer_deposit(ISSUER, HOLDER, 99_999_00)
+    assert world.snapshot().to_json() == before
+
+
+def test_credit_rails_book_a_government_claim_only_for_outside_money():
+    """An endowment and Treasury interest grow the central bank's `govt`
+    asset by their amount; a bill purchase's credit and a bank-equity
+    credit or debit do not. Each keeps the world audited, and a debit
+    past the depositor's deposits raises at the depositor, writing nothing."""
+    world = two_bank_world()
+    world.grant_tbill(ISSUER, DurationClass.BILL, 500_00)
+    fed, bank_a = world.sheet(FED), world.sheet(BANK_A)
+
+    def step(call, agent, amount, govt_growth, reserve_growth):
+        bank = world.sheet(world.banks[agent.key])
+        before = (fed.asset("govt"), world.deposits(agent), bank.asset(reserves_key()))
+        call()
+        assert (fed.asset("govt"), world.deposits(agent), bank.asset(reserves_key())) == (
+            before[0] + govt_growth, before[1] + amount, before[2] + reserve_growth)
+        assert world.audit().ok
+
+    # an endowment, then Treasury interest
+    step(lambda: world.create_deposits(HOLDER, 300_00), HOLDER, 300_00, 300_00, 300_00)
+    step(lambda: world.create_deposits(ISSUER, 7_00), ISSUER, 7_00, 7_00, 7_00)
+    moved = world.transfer_tbill(ISSUER, FED, DurationClass.BILL, face=200_00)
+    step(lambda: world.create_deposits(ISSUER, moved, govt=False), ISSUER, moved, 0, moved)
+    equity_a = bank_a.equity
+    step(lambda: world.credit_from_bank(HOLDER, 12_00), HOLDER, 12_00, 0, 0)
+    step(lambda: world.credit_from_bank(HOLDER, -5_00), HOLDER, -5_00, 0, 0)
+    assert bank_a.equity == equity_a - 7_00
+    before, have = world.snapshot().to_json(), world.deposits(ISSUER)
+    with pytest.raises(InsufficientPosition) as raised:
+        world.credit_from_bank(ISSUER, -(have + 1))
+    assert (raised.value.agent, raised.value.key, raised.value.have) == (
+        ISSUER.key, deposit_key(BANK_B), have)
     assert world.snapshot().to_json() == before
 
 
@@ -930,7 +962,7 @@ def rail(world, registry, step, amount):
         close_repo(batch, registry, pos)
         batch.commit()
     elif step == 6:
-        draw_srf(world, SimpleNamespace(agent=DEALER), amount)
+        world.draw_srf(DEALER, amount)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

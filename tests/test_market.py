@@ -11,8 +11,7 @@ from stablesim.config import DealerConfig, MarketConfig, PolicyConfig
 from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, InsufficientPosition,
                               LedgerWorld, UnknownAgent, deposit_key, reserves_key)
 from stablesim.instruments import RepoRegistry
-from stablesim.market import (DealerBook, Market, MarketError, PendingSettlement, decompose,
-                              draw_srf)
+from stablesim.market import DealerBook, Market, MarketError, PendingSettlement, decompose
 from stablesim.money import MICRO, mul_div, mul_frac
 
 BANK = AgentId(AgentKind.BANK, 0)
@@ -25,7 +24,7 @@ BUYER = AgentId(AgentKind.TREASURY_BUYER, 0)
 def endow(world, agent, amount, reserves=None):
     """Deposits at the agent's bank, backed by as many reserves unless
     `reserves` says how many; loans back the rest."""
-    bank = world.bank_of(agent)
+    bank = world.banks[agent.key]
     reserves = amount if reserves is None else reserves
     world.post({
         (FED.key, "A", "govt"): reserves,
@@ -74,15 +73,6 @@ def make_market(capital=10_000_00, base_assets=100_000_00, reserve_access=10**12
                     PolicyConfig(srf_enabled=srf, eslr_reform=eslr_reform),
                     books, BUYER)
     return world, market, RepoRegistry()
-
-
-def test_chain_decomposition_identity():
-    d = decompose(216_00, 72_50)
-    assert d.interdealer == 143_50
-    assert d.buyer == 143_50
-    assert d.gross == d.seller + 2 * (d.seller - d.retention)
-    # diverges from the historical headline figure of 500 by under 1%
-    assert 0 < abs(d.gross - 500_00) <= 5_00
 
 
 def test_decomposition_rejects_retention_above_seller():
@@ -310,11 +300,10 @@ def test_srf_draw_for_an_unregistered_dealer_logs_no_event():
     world.add_agent(BANK)
     world.add_agent(D2, bank=BANK)
     endow(world, D2, 100_00)
-    book = DealerBook(D1, dealer_config(D1, 5_80, 100_00, 10**9), inventory_baseline=0)
     before = (world.snapshot().to_json(), list(world.events.lines()),
               {key: sheet.version for key, sheet in world.agents.items()})
     with pytest.raises(UnknownAgent):
-        draw_srf(world, book, 10_00)
+        world.draw_srf(D1, 10_00)
     assert (world.snapshot().to_json(), list(world.events.lines()),
             {key: sheet.version for key, sheet in world.agents.items()}) == before
 
@@ -535,7 +524,7 @@ def settle_one_by_one(world, market, registry, seen):
         world.transfer_deposit(buyer, seller, paid)
         seen["buyer_short"] += paid < value
         if buyer != seller:
-            seen["one_bank" if world.bank_of(buyer) == world.bank_of(seller)
+            seen["one_bank" if world.banks[buyer.key] == world.banks[seller.key]
                  else "two_banks"] += 1
         if paid < value:
             face = mul_div(paid, MICRO, price)

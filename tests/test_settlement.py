@@ -12,7 +12,7 @@ from stablesim.instruments import RepoRegistry, open_reverse_repo
 from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, InsufficientPosition,
                               LedgerWorld, TransferBatch, coin_key, deposit_key,
                               repo_key, reserves_key, srf_key)
-from stablesim.market import DealerBook, draw_srf
+from stablesim.market import DealerBook
 from stablesim.money import PAR
 from stablesim.settlement import (AccessMode, Funding, GapInstruction, IneligibleRedeemer,
                                   IssuerBook, MintDeclined, MintOrder, ParMode, ParPolicy, Route,
@@ -378,7 +378,7 @@ def srf_setup():
 def test_draw_srf_grows_assets_and_trims_headroom():
     world, book = srf_setup()
     assert book.slr_report(world).headroom_assets == 16_00
-    draw_srf(world, book, 10_00)
+    world.draw_srf(DEALER, 10_00)
     assert world.sheet(DEALER).asset(reserves_key()) == 10_00
     assert world.sheet(FED).asset(f"srf@{DEALER.key}") == 10_00
     assert world.sheet(DEALER).liability(srf_key(FED)) == 10_00
