@@ -9,8 +9,7 @@ from stablesim.analytics import (CapitalBand, LiquidityReport, NonPositiveAssets
                                  holdings_liquidity, leverage_ratio, slr)
 from stablesim.engine import _issuer_holdings
 from stablesim.instruments import RepoPosition
-from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, LedgerWorld, deposit_key,
-                              reserves_key)
+from stablesim.ledger import FED, AgentId, AgentKind, DurationClass, LedgerWorld
 from stablesim.money import MICRO, mul_frac
 
 
@@ -164,11 +163,7 @@ def test_issuer_holdings_match_the_pairs_built_from_the_same_book(deposits, bill
         world.add_agent(agent, bank=bank)
     expected = []
     if deposits:
-        world.post({(FED.key, "A", "govt"): deposits,
-                    (FED.key, "L", reserves_key(BANK)): deposits,
-                    (BANK.key, "A", reserves_key()): deposits,
-                    (BANK.key, "L", deposit_key(LENDER)): deposits,
-                    (LENDER.key, "A", deposit_key(BANK)): deposits})
+        world.create_deposits(LENDER, deposits)
         expected.append((deposits, 1))
     book = [RepoPosition(repo_id=i, lender=LENDER, borrower=DEALER, principal=principal,
                          haircut=20_000, rate=0, open_day=today, second_leg_day=today + days)

@@ -14,7 +14,7 @@ from stablesim.instruments import (GENIUS_MAX_BILL_DAYS, InstrumentError,
                                    mark_treasuries, open_reverse_repo,
                                    required_collateral, roll_repo, step_portfolio)
 from stablesim.ledger import (FED, AgentId, AgentKind, DurationClass, LedgerWorld,
-                              TransferBatch, deposit_key, reserves_key, tbill_key)
+                              TransferBatch, deposit_key, tbill_key)
 from stablesim.money import MICRO, mul_div, mul_frac
 
 BANK = AgentId(AgentKind.BANK, 0)
@@ -31,13 +31,7 @@ def repo_world(issuer_cash=100_000_00, dealer_bills=0, dealer_long=0,
     world.add_agent(DEALER, bank=BANK)
     for agent, amount in ((ISSUER, issuer_cash), (DEALER, dealer_cash)):
         if amount:
-            world.post({
-                (FED.key, "A", "govt"): amount,
-                (FED.key, "L", f"reserves@{BANK.key}"): amount,
-                (BANK.key, "A", reserves_key()): amount,
-                (BANK.key, "L", f"deposit@{agent.key}"): amount,
-                (agent.key, "A", deposit_key(BANK)): amount,
-            })
+            world.create_deposits(agent, amount)
     if dealer_bills:
         world.grant_tbill(DEALER, DurationClass.BILL, dealer_bills)
     if dealer_long:

@@ -18,17 +18,6 @@ ISSUER = AgentId(AgentKind.ISSUER, 0)
 HOLDER = AgentId(AgentKind.HOLDER, 0)
 
 
-def endow_deposit(world, agent, amount):
-    bank = world.banks[agent.key]
-    world.post({
-        (FED.key, "A", "govt"): amount,
-        (FED.key, "L", f"reserves@{bank.key}"): amount,
-        (bank.key, "A", reserves_key()): amount,
-        (bank.key, "L", f"deposit@{agent.key}"): amount,
-        (agent.key, "A", deposit_key(bank)): amount,
-    })
-
-
 def two_bank_world():
     world = LedgerWorld()
     world.add_agent(FED)
@@ -36,8 +25,8 @@ def two_bank_world():
     world.add_agent(BANK_B)
     world.add_agent(ISSUER, bank=BANK_B)
     world.add_agent(HOLDER, bank=BANK_A)
-    endow_deposit(world, HOLDER, 5_000_00)
-    endow_deposit(world, ISSUER, 1_000_00)
+    world.create_deposits(HOLDER, 5_000_00)
+    world.create_deposits(ISSUER, 1_000_00)
     return world
 
 

@@ -35,13 +35,7 @@ def bare_world(issuer_deposits=0, issuer_bills=0):
     world.add_agent(IM, bank=BANK)
     world.add_agent(DEALER, bank=BANK)
     if issuer_deposits:
-        world.post({
-            (FED.key, "A", "govt"): issuer_deposits,
-            (FED.key, "L", f"reserves@{BANK.key}"): issuer_deposits,
-            (BANK.key, "A", reserves_key()): issuer_deposits,
-            (BANK.key, "L", f"deposit@{ISSUER.key}"): issuer_deposits,
-            (ISSUER.key, "A", deposit_key(BANK)): issuer_deposits,
-        })
+        world.create_deposits(ISSUER, issuer_deposits)
     if issuer_bills:
         world.grant_tbill(ISSUER, DurationClass.BILL, issuer_bills)
     return world
@@ -297,7 +291,7 @@ def test_submit_mint_declines():
 
 def test_mint_pass_invests_the_configured_fraction_in_bills():
     world = bare_world()
-    endow(world, 1_000_00, agent=HOLDER)
+    world.create_deposits(HOLDER, 1_000_00)
     world.grant_tbill(DEALER, DurationClass.BILL, 10_000_00)
     book = issuer_book(mint_invest_frac=500_000)
     settle = settlement_engine(world, book, RatesConfig(treasury_rate_daily=100))
@@ -324,7 +318,7 @@ def test_mint_waits_in_the_queue_until_its_buyer_is_funded():
         ("mint_deposit", ISSUER.key)]
     assert book.mints == [order] and book.total_minted == 0
     world.day = 1
-    endow(world, 1_000_00, agent=HOLDER)
+    world.create_deposits(HOLDER, 1_000_00)
     settle.mint_pass(set(), DEALER)
     settle.mint_pass(set(), DEALER)
     assert [(e["day"], e["buyer"], e["amount"]) for e in world.events
@@ -523,17 +517,6 @@ def test_plan_pending_sale_funding_waits_for_the_market():
 BANK_B = AgentId(AgentKind.BANK, 1)
 
 
-def endow(world, amount, agent=ISSUER):
-    """Give `agent` `amount` of deposits at BANK, backed by reserves."""
-    world.post({
-        (FED.key, "A", "govt"): amount,
-        (FED.key, "L", reserves_key(BANK)): amount,
-        (BANK.key, "A", reserves_key()): amount,
-        (BANK.key, "L", deposit_key(agent)): amount,
-        (agent.key, "A", deposit_key(BANK)): amount,
-    })
-
-
 def payout_world(issuer_deposits, coins):
     """The issuer banks at BANK with `issuer_deposits`, the holder at
     BANK_B with `coins` of the issuer's coin."""
@@ -541,7 +524,7 @@ def payout_world(issuer_deposits, coins):
     for agent, bank in ((FED, None), (BANK, None), (BANK_B, None), (ISSUER, BANK),
                         (HOLDER, BANK_B), (IM, BANK_B)):
         world.add_agent(agent, bank=bank)
-    endow(world, issuer_deposits)
+    world.create_deposits(ISSUER, issuer_deposits)
     world.post({(ISSUER.key, "L", coin_key(ISSUER)): coins,
                 (HOLDER.key, "A", coin_key(ISSUER)): coins})
     return world
@@ -560,7 +543,7 @@ def test_payout_pass_sizes_chunks_against_running_balances():
     assert settle.plan_pending(set(), {}) == []
     assert (first.deposit_left, first.pool_left) == (300_00, 0)
     assert (second.deposit_left, second.pool_left) == (300_00, 100_00)
-    endow(world, 50_00)
+    world.create_deposits(ISSUER, 50_00)
     logged = len(world.events)
     settle.payout_pass(set())
     assert first.completed and (first.paid, first.deposit_left, first.pool_left) == (300_00, 0, 0)
@@ -620,11 +603,11 @@ def test_payout_pass_pays_the_pool_when_deposits_fall_below_earmark_and_pool():
     settle = settlement_engine(world, book)
     [older] = settle.submit_redemptions(book, [(HOLDER, 300_00)], Route.DIRECT)
     assert settle.plan_pending(set(), {}) == [SaleInstruction(ISSUER, 300_00)]
-    endow(world, 300_00)
+    world.create_deposits(ISSUER, 300_00)
     [newer] = settle.submit_redemptions(book, [(HOLDER, 300_00)], Route.DIRECT)
     assert settle.plan_pending(set(), {ISSUER.key: 300_00}) == []
     assert [(r.deposit_left, r.pool_left) for r in (older, newer)] == [(0, 300_00), (300_00, 0)]
-    endow(world, 300_00)   # the sale's cash
+    world.create_deposits(ISSUER, 300_00)   # the sale's cash
     settle.credit_proceeds({ISSUER.key: 300_00})
     charge(world, 100_00)
     settle.payout_pass(set())
@@ -660,7 +643,7 @@ def test_holder_walk_after_a_partial_payout_offers_the_coins_not_promised():
     _, second = settle.submit_redemptions(book, [(HOLDER, 300_00), (HOLDER, 400_00)],
                                           Route.DIRECT)
     settle.plan_pending(set(), {})
-    endow(world, 50_00)
+    world.create_deposits(ISSUER, 50_00)
     settle.payout_pass(set())
     assert book.open == [second] and (second.amount, second.paid) == (400_00, 350_00)
     assert world.sheet(HOLDER).asset(coin_key(ISSUER)) == 350_00
@@ -717,7 +700,7 @@ def test_delay_is_counted_once_per_request():
                 if e["type"] == "queue_delayed"]
 
     world.day = 1
-    endow(world, 199_99)
+    world.create_deposits(ISSUER, 199_99)
     settle.payout_pass(set())
     assert first.completed and book.open == [second]
     assert (book.delayed_total, book.max_delay_days) == (200_00, 1)
@@ -731,7 +714,7 @@ def test_delay_is_counted_once_per_request():
     settle.sweep_delay_flags()
     assert flagged() == [(1, second.request_id, 1)] and book.delayed_total == 400_00
     world.day = 3
-    endow(world, 200_00)
+    world.create_deposits(ISSUER, 200_00)
     settle.payout_pass(set())
     assert second.completed and book.open == []
     assert (book.delayed_total, book.max_delay_days) == (400_00, 3)
