@@ -370,7 +370,9 @@ def deliver_tbills(batch: TransferBatch, seller: AgentId, buyer: AgentId,
     `price` out of its deposits, capped at what it holds, and `seller`
     delivers the face that payment buys. Returns the amount paid."""
     value = mul_frac(face, price)
-    paid = min(value, batch.deposits(buyer))
+    paid = batch.deposits(buyer)
+    if value < paid:
+        paid = value
     if paid <= 0:
         return 0
     batch.pay(buyer, seller, paid)

@@ -23,10 +23,12 @@ module owns the instrument-key format ``"<kind>@<counterparty>"``, built
 by ``deposit_key``, ``reserves_key``, ``repo_key``, ``srf_key``,
 ``coin_key`` or ``tbill_key``. Each issuer's coin key is kept from its
 registration, and each agent's deposit legs and its bank's reserve legs
-from their first use, so the payment rails stage stored legs;
-``deposits`` and ``coins_outstanding`` are the readers of those
-balances. Events are logged in the batches their rails build, each
-event ``(form, values)`` of its schema (`event_form`); the log keeps each
+from their first use, so the payment rails stage stored legs, each read
+once per payment; ``deposits`` and ``coins_outstanding`` are the readers
+of those balances. Events are logged in the batches their rails build,
+each event ``(form, values)`` of its schema (`event_form`), or, for rows
+bound but for a running number (``emit_numbered``), sliced into a batch
+from the rows and the first number; the log keeps each
 batch as one flat list, each event's schema followed by its values, and
 each schema takes one writer, on its first rendered event, that renders
 an event as its JSON line. A bound schema (``_Form.bind``) fixes some
@@ -532,6 +534,16 @@ class LedgerWorld:
                 batch.extend(values)
             self.events._log(self.day, batch, len(events))
 
+    def emit_numbered(self, forms: list, first: int) -> None:
+        """Log one event of each schema of `forms`, each bound but for one
+        field, which takes `first`, `first + 1`, ... in turn: `emit_all` of
+        each `(form, (first + i,))`, its flat batch built by slicing."""
+        if count := len(forms):
+            batch = [None] * (2 * count)
+            batch[::2] = forms
+            batch[1::2] = range(first, first + count)
+            self.events._log(self.day, batch, count)
+
     # -- posting engine ----------------------------------------------------
 
     def post(self, staged: dict) -> None:
@@ -961,12 +973,14 @@ class TransferBatch:
 
     def deposits(self, agent: AgentId) -> int:
         """The deposits `agent` holds at its bank, staged legs included."""
-        held = self.world._account(agent)[0]
-        return self.world.agents[agent.key].assets.get(held[2], 0) + self.staged.get(held, 0)
+        world = self.world
+        held = (world.accounts.get(agent.key) or world._account(agent))[0]
+        return world.agents[agent.key].assets.get(held[2], 0) + self.staged.get(held, 0)
 
     def face_of(self, agent: AgentId, duration: DurationClass) -> int:
-        face = self.faces.get((agent.key, duration))
-        return self.world.face_of(agent, duration) if face is None else face
+        key = (agent.key, duration)
+        face = self.faces.get(key)
+        return self.world.tbill_face.get(key, 0) if face is None else face
 
     def emit(self, event_type: str, **fields) -> None:
         form = _FORMS.get((event_type, *fields)) or event_form(event_type, tuple(fields))
@@ -979,32 +993,49 @@ class TransferBatch:
         credits the payee's, re-keying the central bank's reserve
         liability, so aggregate deposits and reserves are conserved by
         construction. The legs are the stored ones (`accounts`,
-        `reserve_legs`); the debits are checked in order, the
-        payer's deposit, its bank's deposit liability, its bank's reserves
-        and the central bank's reserve liability, before any leg is staged.
+        `reserve_legs`), each read once; the debits are checked in order,
+        the payer's deposit, its bank's deposit liability, its bank's
+        reserves and the central bank's reserve liability, before any leg
+        is staged. The legs of one payment are distinct, so each running
+        value read for a check is the one its leg is staged on.
         """
-        world = self.world
-        if not world._moves(frm, to, amount):
-            return
-        held_f, owed_f, bank_f = world._account(frm)
-        held_t, owed_t, bank_t = world._account(to)
-        debits = (held_f, owed_f)
+        world, src, dst = self.world, frm.key, to.key
+        account_f, account_t = world.accounts.get(src), world.accounts.get(dst)
+        if amount <= 0 or src == dst or account_f is None or account_t is None:
+            # a bad argument raises, a payment of nothing or to oneself stages
+            # nothing, and an account's first use stores it
+            if not world._moves(frm, to, amount):
+                return
+            account_f, account_t = world._account(frm), world._account(to)
+        held_f, owed_f, bank_f = account_f
+        held_t, owed_t, bank_t = account_t
+        agents, staged = world.agents, self.staged
+        get = staged.get
+        if (have := agents[src].assets.get(held_f[2], 0) + (s_held_f := get(held_f, 0))) < amount:
+            raise InsufficientPosition(src, held_f[2], have, amount)
+        bank = agents[bank_f]
+        if (have := bank.liabilities.get(owed_f[2], 0) + (s_owed_f := get(owed_f, 0))) < amount:
+            raise InsufficientPosition(bank_f, owed_f[2], have, amount)
         if cross := bank_f != bank_t:
             reserves_f, owed_by_fed_f = world.reserve_legs[bank_f]
-            debits += (reserves_f, owed_by_fed_f)
-        self._check_debits(debits, amount)   # all debits first, then the legs in order
-        staged, get = self.staged, self.staged.get
-        staged[held_f] = get(held_f, 0) - amount
-        staged[owed_f] = get(owed_f, 0) - amount
+            if (have := bank.assets.get(reserves_f[2], 0)
+                    + (s_reserves_f := get(reserves_f, 0))) < amount:
+                raise InsufficientPosition(bank_f, reserves_f[2], have, amount)
+            fed_key, key = owed_by_fed_f[0], owed_by_fed_f[2]
+            if (have := agents[fed_key].liabilities.get(key, 0)
+                    + (s_owed_by_fed_f := get(owed_by_fed_f, 0))) < amount:
+                raise InsufficientPosition(fed_key, key, have, amount)
+        staged[held_f] = s_held_f - amount
+        staged[owed_f] = s_owed_f - amount
         staged[owed_t] = get(owed_t, 0) + amount
         staged[held_t] = get(held_t, 0) + amount
         if cross:
             reserves_t, owed_by_fed_t = world.reserve_legs[bank_t]
-            staged[reserves_f] = get(reserves_f, 0) - amount
-            staged[owed_by_fed_f] = get(owed_by_fed_f, 0) - amount
+            staged[reserves_f] = s_reserves_f - amount
+            staged[owed_by_fed_f] = s_owed_by_fed_f - amount
             staged[owed_by_fed_t] = get(owed_by_fed_t, 0) + amount
             staged[reserves_t] = get(reserves_t, 0) + amount
-        self.events.append((_DEPOSIT_TRANSFER, ("deposit", frm.key, to.key, amount)))
+        self.events.append((_DEPOSIT_TRANSFER, ("deposit", src, dst, amount)))
 
     def repo(self, lender: AgentId, borrower: AgentId, principal: int) -> None:
         """Stage `principal` as the lender's `repo@<borrower>` claim and the
@@ -1030,29 +1061,37 @@ class TransferBatch:
     def deliver(self, frm: AgentId, to: AgentId, duration: DurationClass, face: int) -> int:
         """Move up to `face` of Treasuries, at most what `frm` holds, at
         the class price; returns the market value moved."""
-        world, staged, faces = self.world, self.staged, self.faces
-        key, frm_face = _TBILL_KEY[duration], (frm.key, duration)
+        world, staged, faces, src = self.world, self.staged, self.faces, frm.key
+        key, frm_face = _TBILL_KEY[duration], (src, duration)
         have = faces.get(frm_face)
         if have is None:
             have = world.tbill_face.get(frm_face, 0)
-        face = min(face, have)
-        frm_leg = (frm.key, "A", key)
-        held = world.sheet(frm).assets.get(key, 0) + staged.get(frm_leg, 0)
+        if have < face:   # a comparison, not `min`: ten times cheaper per delivery
+            face = have
+        if (book := world.agents.get(src)) is None:
+            raise UnknownAgent(f"unknown agent {frm}")
+        frm_leg = (src, "A", key)
+        held = book.assets.get(key, 0) + (staged_frm := staged.get(frm_leg, 0))
         if face <= 0:
             return 0
         # the one debit is capped at the running position, so it cannot
         # take that position below zero
-        moved = min(mul_frac(face, world.tbill_prices[duration]), held)
-        if to.key not in world.agents:
+        moved = mul_frac(face, world.tbill_prices[duration])
+        if held < moved:
+            moved = held
+        dst = to.key
+        if dst not in world.agents:
             raise UnknownAgent(f"unknown agent {to}")
-        to_leg = (to.key, "A", key)
-        staged[frm_leg] = staged.get(frm_leg, 0) - moved
+        # the buyer's leg and face are read after the seller's are written,
+        # as `frm` may be `to`
+        staged[frm_leg] = staged_frm - moved
+        to_leg = (dst, "A", key)
         staged[to_leg] = staged.get(to_leg, 0) + moved
         faces[frm_face] = have - face
-        to_face = (to.key, duration)
-        got = faces.get(to_face)   # read after the seller's, as `frm` may be `to`
+        to_face = (dst, duration)
+        got = faces.get(to_face)
         faces[to_face] = (world.tbill_face.get(to_face, 0) if got is None else got) + face
-        self.events.append((_TBILL_TRANSFER, (key, frm.key, to.key, moved, face)))
+        self.events.append((_TBILL_TRANSFER, (key, src, dst, moved, face)))
         return moved
 
     def commit(self) -> None:

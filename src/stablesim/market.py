@@ -18,17 +18,21 @@ A day's T+1 settlement is one ledger transfer batch: each delivery is
 sized against the running deposits and faces the ones before it leave,
 and the batch is written by one post. A day's carryover pass re-reads
 capacity after each fill; once a read sums to zero the rest of the
-queue fills nothing and is carried in one step, its rows logged as one
-batch. Each carried order keeps its zero-fill row as a bound schema of
-`sale_cleared` (`_Form.bind`), built when the pass first carries it at
-its remainder and dropped when a fill changes that, so a carried row is
-logged as that schema and its order id, and its other fields' text is
-rendered once per row, not once per day.
+queue fills nothing and is carried in one step: its remainders add to
+the day's excess one class sum at a time, and its rows are logged with
+one `emit_numbered`, each row followed by its order id. Each carried
+order keeps its zero-fill row as a bound schema of `sale_cleared`
+(`_Form.bind`), built when the pass first carries it at its remainder
+and dropped when a fill changes that, so a carried row is logged as that
+schema and its order id, and its other fields' text is rendered once per
+row, not once per day.
 Planning reads the issuers' sales not yet settled from the queue and
 the pending settlements (`unsettled`). Capacity is cached per dealer:
 its sheet reads by sheet version, the capacity by that version and the
 dealer's day fields. The leverage limit those reads are taken from is
-fixed per dealer for the run, as its config and the SLR bound are.
+fixed per dealer for the run, as its config and the SLR bound are; it,
+the dealer's reserve access and the market's SRF and retention settings
+are folded into constants when the market is built.
 
 Volume accounting decomposes each first submission of a sale
 (`decompose`) into seller volume, dealer retention, inter-dealer volume
@@ -100,7 +104,8 @@ class DealerBook:
         """The part of recorded assets on the dealer's sheet: inventory
         growth over the opening position plus reserves."""
         assets = world.agents[self.agent.key].assets
-        return max(0, treasury_value(assets) - self.inventory_baseline) + assets.get(_RESERVES, 0)
+        growth = treasury_value(assets) - self.inventory_baseline
+        return (growth if growth > 0 else 0) + assets.get(_RESERVES, 0)
 
     def slr_report(self, world: LedgerWorld, bound_override: int | None = None) -> analytics.SlrReport:
         """`analytics.slr` of the dealer's recorded assets: base assets,
@@ -161,6 +166,11 @@ class Market:
                         for key, book in self.books.items()}
         self._eslr_share = (params.eslr_capacity_add // len(self.books)
                             if policies.eslr_reform and params.eslr_capacity_add > 0 else 0)
+        # what `_dealer_available` reads of the configs, folded: dealer key ->
+        # (its limit, its daily reserve access), and the SRF and retention settings
+        self._dealer_consts = {key: (self._limits[key], book.config.reserve_access)
+                               for key, book in self.books.items()}
+        self._srf_enabled, self._retention_frac = policies.srf_enabled, params.retention_frac
         self.buyer = buyer
         # dealer key -> (sheet version, reserved_today, ra_used_today,
         # capacity, `_sheet_reads`) when its capacity was last computed
@@ -187,18 +197,22 @@ class Market:
         """The dealer's capacity, off `reads` (its `_sheet_reads`) and its
         book."""
         on_sheet, deposits = reads
-        # `book.slr_report(world, self.slr_bound).headroom_assets`, off the fixed limit
-        headroom = (max(0, self._limits[book.agent.key] - on_sheet - book.reserved_today)
-                    + self._eslr_share)
-        ra_left = max(0, book.config.reserve_access - book.ra_used_today)
-        if self.policies.srf_enabled:
+        limit, reserve_access = self._dealer_consts[book.agent.key]
+        # `book.slr_report(world, self.slr_bound).headroom_assets`, off the
+        # fixed limit; each bound is a comparison, ten times cheaper than `min`
+        headroom = limit - on_sheet - book.reserved_today
+        headroom = (headroom if headroom > 0 else 0) + self._eslr_share
+        ra_left = reserve_access - book.ra_used_today
+        if ra_left < 0:
+            ra_left = 0
+        if self._srf_enabled:
             cap = headroom if ra_left >= headroom else (headroom + ra_left) // 2
         else:
-            cap = min(headroom, ra_left)
-        if self.params.retention_frac > 0:
-            affordable = deposits * MICRO // self.params.retention_frac
-            cap = min(cap, affordable)
-        return max(0, cap)
+            cap = headroom if headroom < ra_left else ra_left
+        if (retention := self._retention_frac) > 0:
+            if (affordable := deposits * MICRO // retention) < cap:
+                cap = affordable
+        return cap if cap > 0 else 0
 
     def dealer_capacity(self, world: LedgerWorld) -> dict:
         """Dealer key -> fill volume that dealer can absorb right now.
@@ -246,11 +260,12 @@ class Market:
         Dealer capacity is read before the first order and again after
         each fill. Once a read sums to zero, the rest of the queue fills
         nothing: a zero fill writes no sheet and no book field, so the
-        read stays exact. That tail is carried in one step: each order's
-        row takes the next id and its remainder adds to the day's excess, the
-        tail is queued again whole and its `sale_cleared` rows are logged
-        as one batch, each the order's bound zero-fill row, built on the
-        order's first zero fill at its remainder, and its id.
+        read stays exact. That tail is carried in one step: its
+        remainders add to the day's excess, one sum per class, its
+        `sale_cleared` rows are logged with one `emit_numbered`, each the
+        order's bound zero-fill row, built on the order's first zero fill
+        at its remainder, and the next id, and the tail is queued again
+        whole.
         """
         queued, self.carryover = self.carryover, []
         for i, order in enumerate(queued):
@@ -260,20 +275,13 @@ class Market:
             self._clear(world, order, avail, first_submission=False)
         else:
             return
-        tail, order_id, excess, events = queued[i:], self._next_order, self.day_excess, []
-        for order in tail:
-            excess[order.duration] += order.remaining
-            row = order.row
-            if row is None:   # the order's first zero fill at this remainder
-                row = order.row = _SALE_CLEARED.bind(
-                    seller=order.seller.key, duration=DURATION_NAME[order.duration],
-                    requested=order.remaining, filled=0, unfilled=order.remaining,
-                    purpose=order.purpose, first_submission=False)
-            events.append((row, (order_id,)))
-            order_id += 1
-        self._next_order = order_id
+        tail, excess = queued[i:], self.day_excess
+        for duration in DURATIONS:
+            excess[duration] += sum([o.remaining for o in tail if o.duration is duration])
+        rows = [row if (row := o.row) is not None else _carried_row(o) for o in tail]
+        world.emit_numbered(rows, self._next_order)
+        self._next_order += len(tail)
         self.carryover += tail
-        world.emit_all(events)
 
     def _clear(self, world: LedgerWorld, order: SaleOrder, avail: dict,
                first_submission: bool) -> Amount:
@@ -370,7 +378,9 @@ class Market:
         for p in due:
             seller, duration = p.seller, p.duration
             price = prices[duration]
-            face = min(mul_div(p.value, MICRO, price), registry.free_face(batch, seller, duration))
+            face = mul_div(p.value, MICRO, price)
+            if (free := registry.free_face(batch, seller, duration)) < face:
+                face = free
             if face <= 0:
                 continue
             retention_face = mul_frac(face, retention_frac)
@@ -384,7 +394,8 @@ class Market:
         self.pending = [p for p in self.pending if p.settle_day > day]
         for p in due:
             book = self.books[p.dealer.key]
-            book.reserved_today = max(0, book.reserved_today - p.value)
+            left = book.reserved_today - p.value
+            book.reserved_today = left if left > 0 else 0
         return proceeds
 
     def unsettled(self, sellers) -> dict:
@@ -449,6 +460,16 @@ class Market:
         self.day_fills = dict.fromkeys(DURATIONS, 0)
         self.day_submitted = dict.fromkeys(DURATIONS, 0)
         self.day_srf_draws = 0
+
+
+def _carried_row(order: SaleOrder):
+    """`order`'s zero-fill `sale_cleared` row at its remainder, bound but
+    for its order id, built on its first zero fill at that remainder."""
+    order.row = _SALE_CLEARED.bind(
+        seller=order.seller.key, duration=DURATION_NAME[order.duration],
+        requested=order.remaining, filled=0, unfilled=order.remaining,
+        purpose=order.purpose, first_submission=False)
+    return order.row
 
 
 def _prorate(total: Amount, shares: dict) -> dict:

@@ -6,6 +6,7 @@ import pytest
 
 from stablesim.instruments import _resize
 from stablesim.ledger import AgentKind, TransferBatch
+from stablesim.money import MICRO
 
 # the only agents coins reach: genesis and intermediary purchases, mints,
 # and a supply shock's mint target (the first holder or the buyer)
@@ -30,11 +31,33 @@ def _check_indexes(scn, day):
             assert world.ids[key].kind in _COIN_HOLDING, (day, ckey, key)
 
 
+def _reference_capacity(world, market, book):
+    """A dealer's capacity from its book, its sheet and the market's
+    settings as they stand: the tightest of its leverage room (its
+    `slr_report`'s `headroom_assets` at the market's bound, plus its share
+    of an eSLR reform's capacity add), the reserve access it has left,
+    lifted by the SRF toward the room, and what its deposits fund of the
+    retention slice."""
+    params, policies = market.params, market.policies
+    room = book.slr_report(world, market.slr_bound).headroom_assets
+    if policies.eslr_reform and params.eslr_capacity_add > 0:
+        room += params.eslr_capacity_add // len(market.books)
+    reserves_left = max(0, book.config.reserve_access - book.ra_used_today)
+    if policies.srf_enabled:
+        cap = room if reserves_left >= room else (room + reserves_left) // 2
+    else:
+        cap = min(room, reserves_left)
+    if params.retention_frac > 0:
+        cap = min(cap, world.deposits(book.agent) * MICRO // params.retention_frac)
+    return max(0, cap)
+
+
 def _check_ledger(scn, day):
     """The full audit passes; each dealer's capacity, cached or not, is
-    what `_dealer_available` computes from a fresh read of its sheet, and
-    the leverage room it takes off the dealer's fixed limit is the
-    `headroom_assets` of the book's `slr_report` at the market's bound;
+    what `_dealer_available` computes from a fresh read of its sheet and
+    what `_reference_capacity` computes from its book and the market's
+    settings, and the leverage room it takes off the dealer's fixed limit
+    is the `headroom_assets` of the book's `slr_report` at the market's bound;
     each repo position stamped with today's prices re-sizes, uncut, to
     the faces it holds; no agent's encumbered face exceeds its face; and
     the repo book agrees with the sheets: each lender's `repo@<borrower>`
@@ -46,7 +69,9 @@ def _check_ledger(scn, day):
     assert report.ok, (day, report.failures())
     fresh = {key: market._dealer_available(world, book, market._sheet_reads(world, book))
              for key, book in market.books.items()}
-    assert market.dealer_capacity(world) == fresh, day
+    reference = {key: _reference_capacity(world, market, book)
+                 for key, book in market.books.items()}
+    assert market.dealer_capacity(world) == fresh == reference, day
     for key, book in market.books.items():
         room = max(0, market._limits[key] - book.on_sheet(world) - book.reserved_today)
         assert room == book.slr_report(world, market.slr_bound).headroom_assets, (day, key)

@@ -10,7 +10,9 @@ from stablesim.ledger import (DURATION_NAME, DURATIONS, FED, AgentId, AgentKind,
                               DurationClass, InsufficientPosition, LedgerError, LedgerWorld,
                               TransferBatch, UnknownAgent, coin_key, deposit_key, event_form,
                               repo_key, reserves_key, srf_key, tbill_key)
-from stablesim.instruments import InstrumentError, RepoRegistry, close_repo, open_reverse_repo
+from stablesim.instruments import (InstrumentError, RepoRegistry, close_repo, deliver_tbills,
+                                   open_reverse_repo)
+from stablesim.money import MICRO, mul_div, mul_frac
 
 BANK_A = AgentId(AgentKind.BANK, 0)
 BANK_B = AgentId(AgentKind.BANK, 1)
@@ -990,6 +992,206 @@ def test_every_stray_leg_fails_both_audits(rails, agent, side, key, delta, balan
     assert report == world.audit()
 
 
+# -- delivery versus payment, against a reference staging ------------------------
+
+def reference_deposits(batch, agent):
+    held = batch.world._account(agent)[0]
+    return batch.world.agents[agent.key].assets.get(held[2], 0) + batch.staged.get(held, 0)
+
+
+def reference_check_debits(batch, legs, amount):
+    agents, get = batch.world.agents, batch.staged.get
+    for leg in legs:
+        agent_key, side, key = leg
+        book = agents[agent_key]
+        have = (book.assets if side == "A" else book.liabilities).get(key, 0) + get(leg, 0)
+        if have < amount:
+            raise InsufficientPosition(agent_key, key, have, amount)
+
+
+def reference_pay(batch, frm, to, amount):
+    """A deposit payment staged leg by leg from the world's helpers: the
+    payer's and payee's accounts, then every debit checked in order, then
+    the legs."""
+    world = batch.world
+    if not world._moves(frm, to, amount):
+        return
+    held_f, owed_f, bank_f = world._account(frm)
+    held_t, owed_t, bank_t = world._account(to)
+    debits = (held_f, owed_f)
+    if cross := bank_f != bank_t:
+        reserves_f, owed_by_fed_f = world.reserve_legs[bank_f]
+        debits += (reserves_f, owed_by_fed_f)
+    reference_check_debits(batch, debits, amount)
+    staged, get = batch.staged, batch.staged.get
+    staged[held_f] = get(held_f, 0) - amount
+    staged[owed_f] = get(owed_f, 0) - amount
+    staged[owed_t] = get(owed_t, 0) + amount
+    staged[held_t] = get(held_t, 0) + amount
+    if cross:
+        reserves_t, owed_by_fed_t = world.reserve_legs[bank_t]
+        staged[reserves_f] = get(reserves_f, 0) - amount
+        staged[owed_by_fed_f] = get(owed_by_fed_f, 0) - amount
+        staged[owed_by_fed_t] = get(owed_by_fed_t, 0) + amount
+        staged[reserves_t] = get(reserves_t, 0) + amount
+    batch.emit("transfer", instrument="deposit", src=frm.key, dst=to.key, amount=amount)
+
+
+def reference_deliver(batch, frm, to, duration, face):
+    world, staged, faces = batch.world, batch.staged, batch.faces
+    key, frm_face = tbill_key(duration), (frm.key, duration)
+    have = faces.get(frm_face)
+    if have is None:
+        have = world.tbill_face.get(frm_face, 0)
+    face = min(face, have)
+    frm_leg = (frm.key, "A", key)
+    held = world.sheet(frm).assets.get(key, 0) + staged.get(frm_leg, 0)
+    if face <= 0:
+        return 0
+    moved = min(mul_frac(face, world.tbill_prices[duration]), held)
+    if to.key not in world.agents:
+        raise UnknownAgent(f"unknown agent {to}")
+    to_leg = (to.key, "A", key)
+    staged[frm_leg] = staged.get(frm_leg, 0) - moved
+    staged[to_leg] = staged.get(to_leg, 0) + moved
+    faces[frm_face] = have - face
+    to_face = (to.key, duration)
+    got = faces.get(to_face)
+    faces[to_face] = (world.tbill_face.get(to_face, 0) if got is None else got) + face
+    batch.emit("transfer", instrument=key, src=frm.key, dst=to.key, amount=moved, face=face)
+    return moved
+
+
+def reference_deliver_tbills(batch, seller, buyer, duration, face, price):
+    value = mul_frac(face, price)
+    paid = min(value, reference_deposits(batch, buyer))
+    if paid <= 0:
+        return 0
+    reference_pay(batch, buyer, seller, paid)
+    if paid < value:
+        face = mul_div(paid, MICRO, price)
+    if face > 0:
+        reference_deliver(batch, seller, buyer, duration, face)
+    return paid
+
+
+DVP_BANK_A_HOLDER = AgentId(AgentKind.HOLDER, 2)
+# the parties of a delivery: depositors at bank A (the holder, the dealer, a
+# second holder) and at bank B (the issuer), a bank, which has no deposit
+# bank, and an agent the world does not have
+DVP_PARTIES = [HOLDER, DEALER, DVP_BANK_A_HOLDER, ISSUER, BANK_A, GHOST]
+
+
+def dvp_world(deposits, faces, reserves_left):
+    """Two banks and four depositors, each with `deposits` and bill and long
+    `faces`; bank A's reserves cut to `reserves_left`, if not None, so a
+    payment out of it can fail its reserve debit."""
+    world = two_bank_world()
+    world.add_agent(DEALER, bank=BANK_A)
+    world.add_agent(DVP_BANK_A_HOLDER, bank=BANK_A)
+    depositors = DVP_PARTIES[:4]
+    for agent, amount in zip(depositors, deposits):
+        world.create_deposits(agent, amount)
+    for agent, (bill, long) in zip(depositors, faces):
+        for duration, face in ((DurationClass.BILL, bill), (DurationClass.LONG, long)):
+            if face:
+                world.grant_tbill(agent, duration, face)
+    world.remark_tbills(DurationClass.LONG, 970_000)
+    if reserves_left is not None:
+        reserves = (BANK_A.key, "A", reserves_key())
+        world.post({reserves: reserves_left - world.sheet(BANK_A).asset(reserves_key())})
+    return world
+
+
+def batch_state(batch):
+    return (list(batch.staged.items()), list(batch.faces.items()),
+            [(form.type, form.keys, values) for form, values in batch.events])
+
+
+def assert_stages_as_reference(world, steps):
+    """Each `(seller, buyer, duration, face, price)` of `steps` staged by
+    `deliver_tbills` on one batch and by the reference on a copy stages
+    the same legs in the same key order, the same running faces and
+    events, and returns the same or raises the same; returns the outcomes.
+    Committed, the two batches leave the same world."""
+    ref_world = copy.deepcopy(world)
+    batch, ref = TransferBatch(world), TransferBatch(ref_world)
+    results = []
+    for seller, buyer, duration, face, price in steps:
+        outcomes = []
+        for call, on in ((deliver_tbills, batch), (reference_deliver_tbills, ref)):
+            try:
+                outcomes.append(call(on, seller, buyer, duration, face, price))
+            except LedgerError as err:
+                outcomes.append((type(err), err.args))
+        assert outcomes[0] == outcomes[1]
+        assert batch_state(batch) == batch_state(ref)
+        results.append(outcomes[0])
+    batch.commit()
+    ref.commit()
+    assert world_state(world) == world_state(ref_world)
+    return results
+
+
+def _dvp(seller, buyer, face, duration=DurationClass.BILL, price=1_000_000):
+    return (seller, buyer, duration, face, price)
+
+
+# each case: its steps, bank A's reserves left (None: uncut) and what the
+# steps return, or the error and message the last one raises. Every depositor holds 4,000.00 of bill
+# face; the dealer has 1.00 of deposits, the others thousands.
+@pytest.mark.parametrize("steps, reserves_left, outcome", [
+    pytest.param([_dvp(HOLDER, DVP_BANK_A_HOLDER, 1_000_00)], None, [1_000_00], id="one_bank"),
+    pytest.param([_dvp(ISSUER, HOLDER, 1_000_00), _dvp(HOLDER, ISSUER, 5_00, price=970_000)],
+                 None, [1_000_00, 4_85], id="two_banks"),
+    pytest.param([_dvp(HOLDER, DEALER, 1_000_00)], None, [1_00], id="buyer_short"),
+    pytest.param([_dvp(DEALER, HOLDER, 3_000_00), _dvp(DEALER, HOLDER, 3_000_00)], None,
+                 [3_000_00, 3_000_00], id="seller_short"),
+    pytest.param([_dvp(HOLDER, HOLDER, 1_000_00)], None, [1_000_00], id="seller_is_buyer"),
+    pytest.param([_dvp(GHOST, HOLDER, 1_00)], None, (UnknownAgent, "unknown agent holder:9"),
+                 id="unknown_seller"),
+    pytest.param([_dvp(HOLDER, GHOST, 1_00)], None, (UnknownAgent, "unknown agent holder:9"),
+                 id="unknown_buyer"),
+    pytest.param([_dvp(HOLDER, BANK_A, 1_00)], None, (LedgerError, "bank:0 has no deposit bank"),
+                 id="no_deposit_bank"),
+    pytest.param([_dvp(ISSUER, HOLDER, 50_00), _dvp(ISSUER, HOLDER, 60_00)], 100_00,
+                 (InsufficientPosition, "bank:0 holds 5000 of reserves@fed:0, needs 6000"),
+                 id="reserve_debit"),
+])
+def test_deliver_tbills_stages_what_the_reference_stages(steps, reserves_left, outcome):
+    """`deliver_tbills` stages what a reference copy of its payment and
+    delivery staging, built from the world's helpers, stages: one bank and
+    two, a buyer short of deposits, a seller short of face, a seller that
+    is its own buyer, an unknown seller or buyer, a buyer with no deposit
+    bank, and a reserve debit that fails after a payment that passed."""
+    world = dvp_world([5_000_00, 1_00, 2_000_00, 3_000_00], [(4_000_00, 1_000_00)] * 4,
+                      reserves_left)
+    results = assert_stages_as_reference(world, steps)
+    if isinstance(outcome, list):
+        assert results == outcome
+    else:
+        error, message = outcome
+        assert results[-1] == (error, (message,))
+        assert all(type(r) is int for r in results[:-1])
+
+
+DVP_STEP = st.tuples(st.sampled_from(DVP_PARTIES), st.sampled_from(DVP_PARTIES),
+                     st.sampled_from(DURATIONS), st.integers(-1_00, 9_000_00),
+                     st.sampled_from([970_000, 1_000_000, 1_012_500]))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.integers(1, 6_000_00), min_size=4, max_size=4),
+       st.lists(st.tuples(st.integers(0, 5_000_00), st.integers(0, 5_000_00)), min_size=4,
+                max_size=4),
+       st.one_of(st.none(), st.integers(0, 3_000_00)), st.lists(DVP_STEP, max_size=10))
+def test_deliver_tbills_on_drawn_batches_stages_what_the_reference_stages(
+        deposits, faces, reserves_left, steps):
+    """The same comparison on drawn worlds and deliveries: any party on
+    either side, any face, a class price off the world's."""
+    assert_stages_as_reference(dvp_world(deposits, faces, reserves_left), steps)
+
+
 def test_duration_classes_hash_by_identity():
     # the enum-keyed price, face and market dicts skip Enum.__hash__
     assert DurationClass.__hash__ is object.__hash__
@@ -1098,9 +1300,11 @@ def test_bound_rows_read_and_render_as_the_same_values_logged_plainly():
     and renders as the same values logged through the form itself, bound
     or free: an int, an escaped non-ASCII str, bools, None, a bool in a
     slot that first held an int, and slots whose kind changes after the
-    first event. Slices that start inside a batch read the same, copies
-    and pickles render the same, and the form compiles one maker per set
-    of bound fields, not one per bound schema."""
+    first event; so do carried tails logged in one step (`emit_numbered`),
+    as their rows logged one by one. Slices that start inside a batch, a
+    tail's included, read the same, copies and pickles render the same,
+    and the form compiles one maker per set of bound fields, not one per
+    bound schema."""
     form = event_form("bound_row", ("i", "s", "t", "o", "k"))
     rows = [(7, 'é"☃\n', True, None, 5), (True, "x", False, None, "five"),
             (2**70, "", 1, 1.5, [1, None]), (-3, "\x00", None, "o", False)]
@@ -1110,7 +1314,22 @@ def test_bound_rows_read_and_render_as_the_same_values_logged_plainly():
         world.emit_all([(form.bind(i=i, s=s, t=t), (o, k)), (form.bind(o=o, k=k), (i, s, t)),
                         (form.bind(i=i).bind(s=s, t=t, o=o, k=k), ()), (form, (i, s, t, o, k))])
         plain.emit_all([(form, (i, s, t, o, k))] * 4)
-    assert [len(batch) for _, _, batch in world.events.batches] == [3 + 4 + 1 + 6] * len(rows)
+    # carried tails, each row bound but for `k`, numbered from the tail's
+    # first id: logged in one step, and through `emit_all` one `(row, (id,))`
+    # each; the second tail rebuilds a row, the third is empty
+    tail = [form.bind(i=i, s=s, t=t, o=o) for i, s, t, o, _ in rows]
+    rebuilt = tail[:1] + [form.bind(i=-1, s="r", t=False, o=None)] + tail[2:]
+    for day, (first, carried) in enumerate([(40, tail), (44, rebuilt), (48, [])],
+                                           start=len(rows)):
+        world.day = plain.day = day
+        world.emit_numbered(carried, first)
+        plain.emit_all([(row, (first + n,)) for n, row in enumerate(carried)])
+    assert [len(batch) for _, _, batch in world.events.batches] == (
+        [3 + 4 + 1 + 6] * len(rows) + [2 * len(tail)] * 2)
+    assert [(day, seq) for day, seq, _ in world.events.batches] == [
+        (day, seq) for day, seq, _ in plain.events.batches]
+    assert len(world.events) == len(plain.events) == 4 * len(rows) + 2 * len(tail)
+    assert world.events == plain.events and world.events[-1]["k"] == 44 + len(tail) - 1
     lines = list(plain.events.lines())
     assert lines == [canonical_line(e) for e in plain.events]
     assert list(world.events.lines()) == lines
@@ -1120,7 +1339,8 @@ def test_bound_rows_read_and_render_as_the_same_values_logged_plainly():
         assert world.events[start:start + 3] == plain.events[start:start + 3], start
     for other in (copy.deepcopy(world.events), pickle.loads(pickle.dumps(world.events))):
         assert other == plain.events and list(other.lines()) == lines
-    assert sorted(form.makers) == [(), ("i", "s", "t"), ("i", "s", "t", "o", "k"), ("o", "k")]
+    assert sorted(form.makers) == [(), ("i", "s", "t"), ("i", "s", "t", "o"),
+                                   ("i", "s", "t", "o", "k"), ("o", "k")]
     for fields in ({"day": 1}, {"zz": 1}):
         with pytest.raises(LedgerError, match="has no field"):
             form.bind(**fields)
