@@ -3,13 +3,15 @@
 All functions are pure and stateless. Ratios are reported at fixed
 precision: leverage at 1e-4 (so 500 == 5.00%), the supplementary
 leverage ratio and liquidity fractions in micro units, and weighted
-maturities in micro-days.
+maturities in micro-days. Each report is an immutable record, a
+`NamedTuple`, whose fields are read by name; every fraction rounds half
+to even once, through `money`'s one-frame `frac_of` and `mul_div`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .money import MICRO, Amount, frac_of, mul_div
 
@@ -38,6 +40,10 @@ class CapitalBand(Enum):
     SIGNIFICANT = "significantly_undercapitalized"
     CRITICAL = "critically_undercapitalized"
 
+    # members are singletons: `BAND_TEXT` hashes them by identity in C, not
+    # through the Python-level `Enum.__hash__`
+    __hash__ = object.__hash__
+
 
 # Lower edges are inclusive: "at least 4%" is adequate, "at least 5%" well.
 _BAND_FLOORS = (
@@ -48,21 +54,22 @@ _BAND_FLOORS = (
 )
 
 
-@dataclass(frozen=True)
-class LeverageReport:
+# each band's text, read without the Python-level enum descriptor behind `.value`
+BAND_TEXT = {band: band._value_ for band in CapitalBand}
+
+
+class LeverageReport(NamedTuple):
     ratio: int  # 1e-4 units
     band: CapitalBand
 
 
-@dataclass(frozen=True)
-class SlrReport:
+class SlrReport(NamedTuple):
     slr: int             # micro
     lower_bound: int     # micro
     headroom_assets: Amount
 
 
-@dataclass(frozen=True)
-class LiquidityReport:
+class LiquidityReport(NamedTuple):
     dla_frac: int    # micro
     wla_frac: int    # micro
     wam_days: int    # micro-days
@@ -82,7 +89,7 @@ def leverage_ratio(assets: Amount, coins_outstanding: Amount) -> LeverageReport:
     if assets <= 0:
         raise NonPositiveAssets(f"assets must be positive, got {assets}")
     ratio = mul_div(assets - coins_outstanding, RATIO_SCALE, assets)
-    return LeverageReport(ratio=ratio, band=classify_fdicia(ratio))
+    return LeverageReport(ratio, classify_fdicia(ratio))
 
 
 def slr_bound(gsib: bool, bound_override: int | None = None) -> int:
@@ -99,8 +106,8 @@ def slr(capital: Amount, assets: Amount, exposures: Amount, gsib: bool,
     denom, bound = assets + exposures, slr_bound(gsib, bound_override)
     if denom <= 0:
         raise NonPositiveDenominator(f"assets + exposures must be positive, got {denom}")
-    return SlrReport(slr=mul_div(capital, MICRO, denom), lower_bound=bound,
-                     headroom_assets=max(0, capital * MICRO // bound - denom))
+    headroom = capital * MICRO // bound - denom
+    return SlrReport(frac_of(capital, denom), bound, headroom if headroom > 0 else 0)
 
 
 def holdings_liquidity(holdings: list) -> LiquidityReport:
@@ -117,9 +124,8 @@ def holdings_liquidity(holdings: list) -> LiquidityReport:
                 daily += value
     if total <= 0:
         return LiquidityReport(0, 0, 0, 0)
-    wam = mul_div(days, MICRO, total)
-    return LiquidityReport(dla_frac=frac_of(daily, total), wla_frac=frac_of(weekly, total),
-                           wam_days=wam, wal_days=wam)
+    wam = frac_of(days, total)
+    return LiquidityReport(frac_of(daily, total), frac_of(weekly, total), wam, wam)
 
 
 # analytics.csv: the daily.csv columns these reports fill, on the same rows

@@ -162,6 +162,8 @@ def update_secondary_price(conf: ConfidenceState, unfilled_redemptions: Amount,
         if gap > 0:
             price += max(1, min(mul_frac(gap, params.reversion), gap))
     price = max(params.min_price, price)
+    if price == conf.secondary_price:
+        return conf   # a day that leaves the price where it was builds no state
     return ConfidenceState(price, conf.pending_delay_age)
 
 
@@ -264,6 +266,8 @@ def apply_shock(spec: ShockSpec, world: LedgerWorld, state: ShockState,
 
 
 def run_corrective_burns(world: LedgerWorld, state: ShockState) -> None:
+    if not state.scheduled_burns:
+        return
     due = [b for b in state.scheduled_burns if b[0] <= world.day]
     state.scheduled_burns = [b for b in state.scheduled_burns if b[0] > world.day]
     for _, issuer, holder, amount in due:

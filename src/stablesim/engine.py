@@ -359,11 +359,14 @@ def _issuer_holdings(world: LedgerWorld, book: IssuerBook, repos: list, day: int
     agent, prices = book.agent, world.tbill_prices
     deposits = world.deposits(agent)
     holdings = [(deposits, 1)] if deposits > 0 else []
-    holdings += [(p.principal, max(1, p.second_leg_day - day)) for p in repos]
+    for p in repos:
+        days = p.second_leg_day - day
+        holdings.append((p.principal, days if days > 1 else 1))
     for duration, maturity in ((DurationClass.BILL, book.config.bill_maturity_days),
                                (DurationClass.LONG, 365 * 5)):
         if (face := world.face_of(agent, duration)) > 0:
-            holdings.append((mul_frac(face, prices[duration]), max(1, maturity - day)))
+            days = maturity - day
+            holdings.append((mul_frac(face, prices[duration]), days if days > 1 else 1))
     return holdings
 
 
@@ -525,60 +528,66 @@ def _update_prices(scn: Scenario, day: int) -> None:
 def _emit_rows(scn: Scenario, day: int) -> None:
     """Phase 11: audit the world, then append the day's output rows. The
     last day walks every sheet, which also catches a write that went
-    round the ledger's change log; the others check what changed."""
-    world = scn.world
-    last = day == scn.config.horizon_days - 1
-    report = world.audit() if last else world.audit_changes()
+    round the ledger's change log; the others check what changed. Each
+    issuer's row reads its sheet, assets and coins once, and its repos
+    from one walk of the repo book a day, grouped by lender."""
+    world, settle, rows = scn.world, scn.settle, scn.daily_rows
+    report = world.audit() if day == scn.config.horizon_days - 1 else world.audit_changes()
     if not report.ok:
         raise AuditFailure(day, report)
-    for key, book in scn.settle.issuers.items():
-        agent = book.agent
-        sheet = world.sheet(agent)
+    repos_of: dict[str, list] = {}   # lender key -> its open positions, in id order
+    for pos in scn.registry.positions.values():
+        repos_of.setdefault(pos.lender.key, []).append(pos)
+    agents, band_text = world.agents, analytics.BAND_TEXT
+    for key, book in settle.issuers.items():
+        sheet = agents[key]
         assets = sheet.total_assets()
-        repos = scn.registry.by_lender(agent)
+        repos = repos_of.get(key, ())
         if book.config.count_excess_collateral:
             assets += sum(max(0, p.collateral_value(world) - p.principal) for p in repos)
-        coins = world.coins_outstanding(agent)
+        coins = world.coins_outstanding(book.agent)
         lev = analytics.leverage_ratio(assets, coins) if assets > 0 else None
         liq = analytics.holdings_liquidity(_issuer_holdings(world, book, repos, day))
         if sheet.equity < 0 and book.insolvency_day is None:
             book.insolvency_day = day
             world.emit("insolvent", issuer=key, equity=sheet.equity)
-        scn.daily_rows.append({
+        rows.append({
             "day": day, "agent": book.config.name, "kind": "issuer",
             "price": book.confidence.secondary_price,
             "coins": coins,
             "requested": book.day_requested,
             "completed": book.day_completed,
             "delayed": book.delayed_total,
-            "overdue": scn.settle.overdue_amount(book),
+            "overdue": settle.overdue_amount(book),
             "capacity": "",
             "slr": "", "headroom": "",
             "ratio": lev.ratio if lev else "",
-            "band": lev.band.value if lev else "",
+            "band": band_text[lev.band] if lev else "",
             "dla": liq.dla_frac, "wla": liq.wla_frac,
             "wam": liq.wam_days, "wal": liq.wal_days,
         })
-    for dealer_key, book in scn.market.books.items():
-        slr_rep = book.slr_report(world, scn.market.slr_bound)
-        scn.daily_rows.append({
+    market = scn.market
+    capacity, bound = scn.dealer_capacity, market.slr_bound
+    for dealer_key, book in market.books.items():
+        slr_rep = book.slr_report(world, bound)
+        rows.append({
             "day": day, "agent": book.config.name, "kind": "dealer",
             "price": "", "coins": "", "requested": "", "completed": "",
             "delayed": "", "overdue": "",
-            "capacity": scn.dealer_capacity[dealer_key],
+            "capacity": capacity[dealer_key],
             "slr": slr_rep.slr, "headroom": slr_rep.headroom_assets,
             "ratio": "", "band": "", "dla": "", "wla": "", "wam": "", "wal": "",
         })
-    capacity = sum(scn.dealer_capacity.values())
+    total = sum(capacity.values())
     for duration in DURATIONS:
         scn.market_rows.append({
             "day": day, "class": DURATION_NAME[duration],
-            "price": world.price(duration),
-            "submitted": scn.market.day_submitted[duration],
-            "fills": scn.market.day_fills[duration],
-            "unfilled": scn.market.day_excess[duration],
-            "capacity": capacity,
-            "srf_draws": scn.market.day_srf_draws,
+            "price": world.tbill_prices[duration],
+            "submitted": market.day_submitted[duration],
+            "fills": market.day_fills[duration],
+            "unfilled": market.day_excess[duration],
+            "capacity": total,
+            "srf_draws": market.day_srf_draws,
         })
 
 
@@ -600,7 +609,7 @@ def run(config: ScenarioConfig, on_day_end=None) -> RunOutput:
             phase(scn, day)
         if on_day_end is not None:
             on_day_end(scn, day)
-    scn.daily_rows.sort(key=lambda r: (r["day"], r["agent"]))
+    scn.daily_rows.sort(key=itemgetter("day", "agent"))
     return RunOutput(daily_rows=scn.daily_rows, market_rows=scn.market_rows,
                      summary=_summarize(scn), events=scn.world.events)
 

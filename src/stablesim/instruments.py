@@ -366,9 +366,15 @@ def _top_up_collateral(world: LedgerWorld, registry: RepoRegistry,
 
 def deliver_tbills(batch: TransferBatch, seller: AgentId, buyer: AgentId,
                    duration: DurationClass, face: Amount, price: int) -> Amount:
-    """Delivery versus payment, staged on `batch`: `buyer` pays `face` at
-    `price` out of its deposits, capped at what it holds, and `seller`
-    delivers the face that payment buys. Returns the amount paid."""
+    """Delivery versus payment, staged on `batch`: `buyer` pays `face`,
+    capped at the seller's running face, at `price` out of its deposits,
+    capped at what it holds, and `seller` delivers the face that payment
+    buys. Returns the amount paid."""
+    if (held := batch.face_of(seller, duration)) < face:
+        # a seller short of face is paid for what it delivers; an unknown
+        # one raises, as its payment would
+        batch.world.sheet(seller)
+        face = held
     value = mul_frac(face, price)
     paid = batch.deposits(buyer)
     if value < paid:

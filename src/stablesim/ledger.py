@@ -56,7 +56,7 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 from itertools import groupby, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -165,9 +165,12 @@ class _KeyParts(dict):
         return parts
 
 
+_BILL_KEY, _LONG_KEY = _TBILL_KEY.values()   # in `DURATIONS` order
+
+
 def treasury_value(assets: dict) -> int:
     """The market value of the Treasuries in `assets`, every class."""
-    return sum([assets.get(key, 0) for key in _TBILL_KEY.values()])
+    return assets.get(_BILL_KEY, 0) + assets.get(_LONG_KEY, 0)
 
 
 @dataclass
@@ -199,7 +202,7 @@ class AuditCheck:
 class AuditReport:
     checks: tuple
 
-    @property
+    @cached_property
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
 
@@ -501,7 +504,7 @@ class LedgerWorld:
 
     def deposits(self, agent: AgentId) -> int:
         """The deposits `agent` holds at its bank."""
-        held = self._account(agent)[0]
+        held = (self.accounts.get(agent.key) or self._account(agent))[0]
         return self.agents[agent.key].assets.get(held[2], 0)
 
     def coins_outstanding(self, issuer: AgentId) -> int:
@@ -798,17 +801,17 @@ class LedgerWorld:
         A failing check names the first failure in that order (a sheet's
         deposit keys sorted, its claims in stored order).
         """
-        agents, keys = self.agents, sorted(self.agents)
-        return self._check(keys, ((key, ((book := agents[key]).assets, book.liabilities))
-                                  for key in keys))
+        agents = self.agents
+        return self._check((key, ((book := agents[key]).assets, book.liabilities))
+                           for key in sorted(agents))
 
     def audit_changes(self) -> AuditReport:
         """The checks of `audit()` on what was written since the last call.
 
         The first call, and any call after a failure, is `audit()` itself;
         a passing one starts the change log. Later calls clear the log and
-        pass `audit()`'s checker the written sheets, the summed deltas of
-        the coin and reserve legs, and each written deposit, repo and SRF
+        pass `audit()`'s checker each written sheet with the summed deltas
+        of its coin and reserve legs and each written deposit, repo and SRF
         position as it stands, zero if it is gone, which the checker
         matches against its mirror. As `post` is the only writer, the
         world passes `audit()` exactly when these do, unless a sheet was
@@ -835,34 +838,32 @@ class LedgerWorld:
                         book = agents[key]
                         legs[side == "L"][ikey] = (
                             book.assets if side == "A" else book.liabilities).get(ikey, 0)
-            report = self._check(sheets, sheets.items())
+            report = self._check(sheets.items())
             if report.ok:
                 return report
         report = self.audit()
         self.changes = [] if report.ok else None
         return report
 
-    def _check(self, sheets, legs) -> AuditReport:
-        """The four checks of `audit()`: double entry on the sheets of
-        `sheets` (agent keys), the rest on `legs`, each `(agent key,
-        (assets, liabilities))` with both sides `{instrument key: amount}`.
+    def _check(self, legs) -> AuditReport:
+        """The four checks of `audit()` on `legs`, each `(agent key,
+        (assets, liabilities))` with both sides `{instrument key: amount}`:
+        double entry on each agent's whole sheet, the rest on its legs.
         Each deposit, repo or SRF amount is matched against its mirror on
         the world's sheets; reserves and coins held and owed are summed
         from zero, and a reserves leg off the central bank fails at once.
         Fed in key order, faults come in `audit()`'s order.
         """
         agents, ids, parts = self.agents, self.ids, self.key_parts
-        bank_kind, fed_key, rkey = AgentKind.BANK, FED.key, reserves_key()
+        bank_kind, fed_key = AgentKind.BANK, FED.key
         double_entry = claim = reserves = None
-        for key in sheets:
-            book = agents[key]
-            if book.equity != (net := sum(book.assets.values()) - sum(book.liabilities.values())):
-                double_entry = (key, f"equity {book.equity} != assets-liabilities {net}")
-                break
         faults, orphans = [], []   # (agent key, deposit key, detail) of each side
         reserves_held = reserves_owed = 0
         coins_held, coins_owed = {}, {}   # coin key -> amount
         for key, (assets, liabilities) in legs:
+            if double_entry is None and (book := agents[key]).equity != (
+                    net := sum(book.assets.values()) - sum(book.liabilities.values())):
+                double_entry = (key, f"equity {book.equity} != assets-liabilities {net}")
             is_bank = ids[key].kind is bank_kind
             own_deposit = "deposit@" + key
             for akey, amount in assets.items():
@@ -885,7 +886,7 @@ class LedgerWorld:
                         claim = (key, f"unmatched {akey} claim of {amount}")
                 elif kind == "reserves":
                     reserves_held += amount
-                    if akey != rkey and reserves is None:
+                    if akey != _RESERVES and reserves is None:
                         reserves = (key, f"reserves asset {akey} off the central bank")
             for lkey, amount in liabilities.items():
                 if (kind := parts[lkey]) is None:
@@ -1100,7 +1101,8 @@ class TransferBatch:
         world = self.world
         if self.staged:
             world.post(self.staged)
-        world.emit_all(self.events)
+        if self.events:
+            world.emit_all(self.events)
         for key, face in self.faces.items():
             if face:
                 world.tbill_face[key] = face

@@ -288,13 +288,16 @@ class Market:
         """Clear `order`'s `remaining` against `avail`, each dealer's
         capacity right now, record it and return its fill."""
         seller, duration, amount = order.seller, order.duration, order.remaining
-        fill = min(amount, sum(avail.values()))
+        # each bound is a comparison, ten times cheaper than `min` or `max`
+        if (fill := sum(avail.values())) > amount:
+            fill = amount
         if fill:
             for key, alloc in _prorate(fill, avail).items():
                 if alloc == 0:
                     continue
                 book = self.books[key]
-                ra_part = min(alloc, max(0, book.config.reserve_access - book.ra_used_today))
+                ra_part = book.config.reserve_access - book.ra_used_today
+                ra_part = alloc if ra_part > alloc else ra_part if ra_part > 0 else 0
                 draw = alloc - ra_part
                 if draw > 0:
                     if not self.policies.srf_enabled:
@@ -368,10 +371,13 @@ class Market:
         who pays the seller. Each settlement is sized on the free face
         the ones before it leave its seller, and one with none delivers
         nothing. A pass that raises leaves the world and the market
-        untouched. Returns the cash each seller received, by seller key.
+        untouched. Returns the cash each seller received, by seller key; a
+        day with nothing due returns at once.
         """
         day = world.day
         due = [p for p in self.pending if p.settle_day <= day]
+        if not due:
+            return {}
         batch = TransferBatch(world)
         prices, retention_frac, buyer = world.tbill_prices, self.params.retention_frac, self.buyer
         proceeds: dict[str, Amount] = {}
@@ -424,7 +430,8 @@ class Market:
         coeff = (self.params.impact_coeff_long if duration is DurationClass.LONG
                  else self.params.impact_coeff_bill)
         decline = mul_div(excess_flow, coeff, self.params.depth)
-        return min(decline, self.params.max_dislocation_bp * BP)
+        cap = self.params.max_dislocation_bp * BP
+        return decline if decline < cap else cap
 
     def apply_day_impact(self, world: LedgerWorld, registry: RepoRegistry) -> None:
         """Mark both duration classes off today's excess flow."""
@@ -447,9 +454,10 @@ class Market:
             for duration in DURATIONS:
                 if target <= 0:
                     break
-                free_face = registry.free_face(batch, book.agent, duration)
+                face = registry.free_face(batch, book.agent, duration)
                 price = world.price(duration)
-                face = min(free_face, mul_div(target, MICRO, price))
+                if (wanted := mul_div(target, MICRO, price)) < face:
+                    face = wanted
                 target -= deliver_tbills(batch, book.agent, self.buyer, duration, face, price)
         batch.commit()
 
@@ -489,8 +497,9 @@ def _prorate(total: Amount, shares: dict) -> dict:
     for _, key in sorted(remainders):
         if leftover <= 0:
             break
-        room = shares[key] - out[key]
-        take = min(room, leftover)
+        take = shares[key] - out[key]
+        if take > leftover:
+            take = leftover
         out[key] += take
         leftover -= take
     return out

@@ -103,10 +103,13 @@ def intervene(policy: ParPolicy, secondary_price: int, world: LedgerWorld,
     price, or `None`: the issuer offers to retire the share of coins
     outstanding by which the price is below the corridor edge, and pins
     the price to that edge. The fixed regime is the corridor of width 0."""
+    if policy.mode is ParMode.BEST_EFFORT:
+        return None
     width = policy.corridor_width if policy.mode is ParMode.CORRIDOR else 0
-    below = PAR - width - secondary_price
-    coins = world.coins_outstanding(issuer)
-    if policy.mode is ParMode.BEST_EFFORT or below <= 0 or coins <= 0:
+    # the price is tested against the corridor before coins are read
+    if (below := PAR - width - secondary_price) <= 0:
+        return None
+    if (coins := world.coins_outstanding(issuer)) <= 0:
         return None
     return mul_frac(coins, below), PAR - width
 
@@ -232,7 +235,7 @@ class SettlementEngine:
                  and self.policies.access_mode is AccessMode.INTERMEDIATED)
         issuer, day = book.agent.key, self.world.day
         request_id, records, events, total = self._next_request, [], [], 0
-        route = route.value
+        route = route._value_   # the member's text, without the Python-level `.value`
         for holder, amount in slices:
             if gated and holder.kind is not AgentKind.INTERMEDIARY:
                 raise IneligibleRedeemer(f"{holder} may not redeem directly from {book.agent}")

@@ -11,11 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stablesim import engine
-from stablesim.analytics import ANALYTICS_FIELDS, leverage_ratio
+from stablesim.analytics import (ANALYTICS_FIELDS, CapitalBand, LeverageReport,
+                                 LiquidityReport, SlrReport, holdings_liquidity,
+                                 leverage_ratio)
 from stablesim.cli import main as cli_main
 from stablesim.config import PRESETS, load_config, parse_config
 from stablesim.engine import (DAILY_FIELDS, PHASES, AuditFailure, _fed_bill_purchase,
-                              build_scenario, run, sweep)
+                              _issuer_holdings, build_scenario, run, sweep)
 from stablesim.instruments import InsufficientCollateral, step_portfolio
 from stablesim.ledger import FED, DurationClass, LedgerWorld, _Form, deposit_key
 from stablesim.money import BP, PAR, mul_frac
@@ -390,6 +392,72 @@ def test_excess_collateral_flag_lifts_reported_leverage():
                 if r["kind"] == "issuer"][0]
 
     assert ratio(on) > ratio(off)
+
+
+def check_rows_against_the_formulas(scn, day):
+    """`on_day_end` hook: each of the day's issuer rows holds the leverage
+    ratio and band of its sheet's assets (plus its repos' excess collateral
+    when the issuer counts it) against its coins, and the liquidity of the
+    holdings built from its own repos, read through `by_lender`; each dealer
+    row holds its book's `slr_report` at the market's bound."""
+    world, registry, market = scn.world, scn.registry, scn.market
+    rows = {row["agent"]: row for row in scn.daily_rows if row["day"] == day}
+    for book in scn.settle.issuers.values():
+        agent, row = book.agent, rows[book.config.name]
+        repos = registry.by_lender(agent)
+        assets = world.sheet(agent).total_assets()
+        if book.config.count_excess_collateral:
+            assets += sum(max(0, p.collateral_value(world) - p.principal) for p in repos)
+        lev = leverage_ratio(assets, world.coins_outstanding(agent)) if assets > 0 else None
+        liq = holdings_liquidity(_issuer_holdings(world, book, repos, day))
+        assert (row["ratio"], row["band"]) == ((lev.ratio, lev.band.value) if lev else ("", "")), (
+            day, book.config.name)
+        assert (row["dla"], row["wla"], row["wam"], row["wal"]) == (
+            liq.dla_frac, liq.wla_frac, liq.wam_days, liq.wal_days), (day, book.config.name)
+    for book in market.books.values():
+        report, row = book.slr_report(world, market.slr_bound), rows[book.config.name]
+        assert (row["slr"], row["headroom"]) == (report.slr, report.headroom_assets), (
+            day, book.config.name)
+
+
+def _excess_collateral_calm():
+    raw = PRESETS["calm"]()
+    raw["agents"]["issuers"][0]["count_excess_collateral"] = True
+    return raw
+
+
+@pytest.mark.parametrize("make", [
+    *[pytest.param(PRESETS[name], id=name) for name in sorted(PRESETS)],
+    pytest.param(_excess_collateral_calm, id="calm_excess_collateral"),
+    pytest.param(lambda: None, id="dealer_squeeze_20_days")])
+def test_rows_hold_what_the_formulas_give(make, bench_scaled):
+    """Every preset, calm counting excess collateral, and the first 20 days
+    of the dealer-squeeze book (three unfunded issuers lending to eight
+    dealers): each day's issuer and dealer rows are the analytics formulas
+    of what the world holds at the day's end."""
+    raw = make() or bench_scaled(holders=10, issuers=3, horizon=20, dealers=8, funded=False,
+                                 seed=1)
+    run(parse_config(raw), on_day_end=check_rows_against_the_formulas)
+
+
+@pytest.mark.parametrize("record, fields", [
+    (LeverageReport(512, CapitalBand.WELL), ("ratio", "band")),
+    (SlrReport(58_000, 50_000, 16_00), ("slr", "lower_bound", "headroom_assets")),
+    (LiquidityReport(300_000, 400_000, 21_300_000, 21_300_000),
+     ("dla_frac", "wla_frac", "wam_days", "wal_days")),
+])
+def test_report_records_keep_their_fields_in_order_and_are_immutable(record, fields):
+    kind = type(record)
+    assert kind._fields == fields
+    values = tuple(getattr(record, name) for name in fields)
+    assert tuple(record) == values
+    assert record == kind(*values) == kind(**dict(zip(fields, values)))
+    assert record != kind(*values[:-1], None)
+    assert hash(record) == hash(kind(*values))
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    assert tuple(record) == values
 
 
 def test_attack_incentive_diagnostic():

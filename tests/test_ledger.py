@@ -1063,6 +1063,9 @@ def reference_deliver(batch, frm, to, duration, face):
 
 
 def reference_deliver_tbills(batch, seller, buyer, duration, face, price):
+    if (held := batch.face_of(seller, duration)) < face:
+        batch.world.sheet(seller)   # an unknown seller short of face raises
+    face = min(face, held)
     value = mul_frac(face, price)
     paid = min(value, reference_deposits(batch, buyer))
     if paid <= 0:
@@ -1146,7 +1149,7 @@ def _dvp(seller, buyer, face, duration=DurationClass.BILL, price=1_000_000):
                  None, [1_000_00, 4_85], id="two_banks"),
     pytest.param([_dvp(HOLDER, DEALER, 1_000_00)], None, [1_00], id="buyer_short"),
     pytest.param([_dvp(DEALER, HOLDER, 3_000_00), _dvp(DEALER, HOLDER, 3_000_00)], None,
-                 [3_000_00, 3_000_00], id="seller_short"),
+                 [3_000_00, 1_000_00], id="seller_short"),
     pytest.param([_dvp(HOLDER, HOLDER, 1_000_00)], None, [1_000_00], id="seller_is_buyer"),
     pytest.param([_dvp(GHOST, HOLDER, 1_00)], None, (UnknownAgent, "unknown agent holder:9"),
                  id="unknown_seller"),
@@ -1173,6 +1176,19 @@ def test_deliver_tbills_stages_what_the_reference_stages(steps, reserves_left, o
         error, message = outcome
         assert results[-1] == (error, (message,))
         assert all(type(r) is int for r in results[:-1])
+
+
+def test_deliver_tbills_pays_a_seller_short_of_face_for_the_face_it_delivers():
+    """Deliveries that ask a seller for more face than it holds cap the face
+    before the buyer pays: the dealer's 4,000.00 of bill face, asked twice
+    for 3,000.00 off the class price, is paid that face at that price."""
+    world = dvp_world([5_000_00, 1_00, 2_000_00, 3_000_00], [(4_000_00, 1_000_00)] * 4, None)
+    batch = TransferBatch(world)
+    paid = [deliver_tbills(batch, DEALER, HOLDER, DurationClass.BILL, 3_000_00, 970_000)
+            for _ in range(2)]
+    delivered = world.face_of(DEALER, DurationClass.BILL) - batch.face_of(DEALER,
+                                                                           DurationClass.BILL)
+    assert sum(paid) == mul_frac(delivered, 970_000) == 3_880_00
 
 
 DVP_STEP = st.tuples(st.sampled_from(DVP_PARTIES), st.sampled_from(DVP_PARTIES),
